@@ -107,15 +107,14 @@ func main() {
 		uploadDims     = flag.String("upload-dims", "192x128", "upload image dimensions WxH")
 		uploadBaseline = flag.Float64("upload-baseline", 0, "externally measured serial images/sec for speedup_vs_baseline")
 
-		storage        = flag.Bool("storage", false, "run the ledger storage-engine harness (segment engine vs legacy JSON)")
-		storageOut     = flag.String("storage-out", "BENCH_storage.json", "storage report path")
-		storageClaims  = flag.Int("storage-claims", 10_000_000, "claim population per engine")
-		storageBatch   = flag.Int("storage-batch", 4096, "records per ingest batch")
-		storageReads   = flag.Int("storage-reads", 20000, "point lookups for the read-latency phase")
-		storageMem     = flag.Int("storage-memtable", 1_000_000, "segment engine memtable flush threshold (records)")
-		storageEquiv   = flag.Int("storage-equiv", 100_000, "claims in the state-equivalence gate run")
-		storageEngines = flag.String("storage-engines", "json,segments", "comma-separated engines to benchmark")
-		storageDir     = flag.String("storage-dir", "", "scratch directory for ledger data (default: system temp, removed afterwards)")
+		storage       = flag.Bool("storage", false, "run the ledger storage-engine harness (equivalence-gated against an in-memory ledger)")
+		storageOut    = flag.String("storage-out", "BENCH_storage.json", "storage report path")
+		storageClaims = flag.Int("storage-claims", 10_000_000, "claim population per engine")
+		storageBatch  = flag.Int("storage-batch", 4096, "records per ingest batch")
+		storageReads  = flag.Int("storage-reads", 20000, "point lookups for the read-latency phase")
+		storageMem    = flag.Int("storage-memtable", 1_000_000, "segment engine memtable flush threshold (records)")
+		storageEquiv  = flag.Int("storage-equiv", 100_000, "claims in the state-equivalence gate run")
+		storageDir    = flag.String("storage-dir", "", "scratch directory for ledger data (default: system temp, removed afterwards)")
 
 		lookup        = flag.Bool("lookup", false, "run the derivative-lookup (hash DB) harness")
 		lookupOut     = flag.String("lookup-out", "BENCH_lookup.json", "lookup report path")
@@ -210,10 +209,6 @@ func main() {
 		return
 	}
 	if *storage {
-		engines := strings.Split(*storageEngines, ",")
-		for i := range engines {
-			engines[i] = strings.TrimSpace(engines[i])
-		}
 		err := runStorage(storageConfig{
 			Out:         *storageOut,
 			Claims:      *storageClaims,
@@ -221,7 +216,6 @@ func main() {
 			Reads:       *storageReads,
 			Memtable:    *storageMem,
 			EquivClaims: *storageEquiv,
-			Engines:     engines,
 			Seed:        *seed,
 			Dir:         *storageDir,
 		})

@@ -18,27 +18,31 @@ import (
 	"irs/internal/tsa"
 )
 
-// The -storage arm benchmarks the ledger persistence engines against
-// each other at scale: the legacy JSON-line WAL + full-map snapshot
-// engine versus the group-commit binary WAL + mmapped sorted segment
-// engine. Before any timing is trusted, an equivalence gate builds both
-// engines from the same record stream at a smaller size and requires
-// identical StateHash digests, live and across a reopen — a wrong-but-
-// fast engine must fail here, not win the charts.
+// The -storage arm benchmarks the ledger's persistence engine — the
+// group-commit binary WAL + mmapped sorted segments — at scale. Before
+// any timing is trusted, an equivalence gate feeds the same record
+// stream to a segment ledger and to an in-memory ledger (the
+// independent oracle: no WAL, no segments, every record resident) at a
+// smaller size and requires identical StateHash digests, live and
+// across a reopen — a wrong-but-fast engine must fail here, not win the
+// charts.
 //
-// Per engine, the harness measures:
+// The harness measures:
 //
 //	ingest      sustained write throughput (records/sec) for the full
 //	            claim population, plus fsync-batch counts showing the
 //	            group-commit coalescing ratio
 //	reads       point-lookup latency (p50/p95/p99) against a uniform
-//	            sample of the population — at 10M+ claims the segment
-//	            engine serves most of these from mmapped segments, not
-//	            from the in-RAM memtable
+//	            sample of the population — at 10M+ claims most of these
+//	            are served from mmapped segments, not from the in-RAM
+//	            memtable
 //	appends     single-record append latency, quiescent vs during an
-//	            active compaction; the legacy engine's compaction holds
-//	            the write path, the segment engine's must not
+//	            active compaction, which must not hold the write path
 //	recovery    close + reopen time for the full population
+//
+// The committed BENCH_storage.json also carries the removed JSON-lines
+// engine's numbers at 10M claims; it is the record of why that engine
+// was deleted and is not regenerated.
 type storageConfig struct {
 	Out         string
 	Claims      int
@@ -46,7 +50,6 @@ type storageConfig struct {
 	Reads       int
 	Memtable    int
 	EquivClaims int
-	Engines     []string
 	Seed        int64
 	Dir         string
 	KeepDirs    bool
@@ -86,10 +89,10 @@ type storageReport struct {
 	Engines        []storageEngineReport `json:"engines"`
 }
 
-// benchRecordStream generates the deterministic claim stream both
-// engines ingest. IDs carry 8 random bytes (so segment sort order is
-// uncorrelated with insertion order, like production CSPRNG IDs) plus a
-// 4-byte counter guaranteeing uniqueness.
+// benchRecordStream generates the deterministic claim stream every
+// ledger in the harness ingests. IDs carry 8 random bytes (so segment
+// sort order is uncorrelated with insertion order, like production
+// CSPRNG IDs) plus a 4-byte counter guaranteeing uniqueness.
 type benchRecordStream struct {
 	rng  *rand.Rand
 	next uint32
@@ -140,88 +143,94 @@ func (s *benchRecordStream) batch(n int) []ledger.Record {
 
 const storageLedgerID = 9
 
-func storageEngineConfig(engine, dir string, memtable int) (ledger.Config, error) {
-	cfg := ledger.Config{
+func storageLedgerConfig(dir string, memtable int) ledger.Config {
+	return ledger.Config{
 		ID:              storageLedgerID,
 		Dir:             dir,
 		WALSync:         ledger.WALSyncOS,
 		MemtableRecords: memtable,
 	}
-	switch engine {
-	case "segments":
-		cfg.Engine = ledger.EngineSegments
-	case "json":
-		cfg.Engine = ledger.EngineJSON
-	default:
-		return cfg, fmt.Errorf("unknown engine %q (want segments or json)", engine)
-	}
-	return cfg, nil
 }
 
-// storageEquivalence builds every engine from the identical record
-// stream at the gate size and requires one StateHash, live and
-// reopened. Returns the common hash.
-func storageEquivalence(cfg storageConfig, scratch string) (string, error) {
-	var want string
-	for _, engine := range cfg.Engines {
-		dir := filepath.Join(scratch, "equiv-"+engine)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return "", err
+// storageEquivIngest feeds the gate-size prefix of the seeded stream
+// to l.
+func storageEquivIngest(l *ledger.Ledger, cfg storageConfig) error {
+	stream := newBenchRecordStream(cfg.Seed)
+	n := cfg.EquivClaims
+	for done := 0; done < n; {
+		b := cfg.Batch
+		if done+b > n {
+			b = n - done
 		}
-		lcfg, err := storageEngineConfig(engine, dir, cfg.Memtable)
-		if err != nil {
-			return "", err
+		if err := l.RestoreRecords(stream.batch(b)); err != nil {
+			return err
 		}
-		// A small memtable here forces flush/compaction machinery into
-		// the gated state, not just the in-RAM map.
-		if engine == "segments" && cfg.EquivClaims >= 4096 {
-			lcfg.MemtableRecords = cfg.EquivClaims / 8
-			lcfg.CompactAfter = 3
-		}
-		l, err := ledger.New(lcfg)
-		if err != nil {
-			return "", err
-		}
-		stream := newBenchRecordStream(cfg.Seed)
-		for done := 0; done < cfg.EquivClaims; {
-			n := cfg.Batch
-			if done+n > cfg.EquivClaims {
-				n = cfg.EquivClaims - done
-			}
-			if err := l.RestoreRecords(stream.batch(n)); err != nil {
-				l.Close()
-				return "", fmt.Errorf("%s equivalence ingest: %w", engine, err)
-			}
-			done += n
-		}
-		live, err := l.StateHash()
-		if err != nil {
-			l.Close()
-			return "", err
-		}
-		if err := l.Close(); err != nil {
-			return "", err
-		}
-		rl, err := ledger.New(lcfg)
-		if err != nil {
-			return "", fmt.Errorf("%s equivalence reopen: %w", engine, err)
-		}
-		reopened, err := rl.StateHash()
-		rl.Close()
-		if err != nil {
-			return "", err
-		}
-		if live != reopened {
-			return "", fmt.Errorf("%s: state hash changed across reopen", engine)
-		}
-		h := hex.EncodeToString(live[:])
-		if want == "" {
-			want = h
-		} else if h != want {
-			return "", fmt.Errorf("engine %s state hash %s != %s", engine, h, want)
-		}
+		done += b
 	}
-	return want, nil
+	return nil
+}
+
+// storageEquivalence builds a segment ledger and an in-memory ledger
+// from the identical record stream at the gate size and requires one
+// StateHash: segment live, segment reopened, in-memory. Returns the
+// common hash.
+func storageEquivalence(cfg storageConfig, scratch string) (string, error) {
+	dir := filepath.Join(scratch, "equiv-segments")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	lcfg := storageLedgerConfig(dir, cfg.Memtable)
+	// A small memtable here forces flush/compaction machinery into the
+	// gated state, not just the in-RAM map.
+	if cfg.EquivClaims >= 4096 {
+		lcfg.MemtableRecords = cfg.EquivClaims / 8
+		lcfg.CompactAfter = 3
+	}
+	l, err := ledger.New(lcfg)
+	if err != nil {
+		return "", err
+	}
+	if err := storageEquivIngest(l, cfg); err != nil {
+		l.Close()
+		return "", fmt.Errorf("equivalence ingest: %w", err)
+	}
+	live, err := l.StateHash()
+	if err != nil {
+		l.Close()
+		return "", err
+	}
+	if err := l.Close(); err != nil {
+		return "", err
+	}
+	rl, err := ledger.New(lcfg)
+	if err != nil {
+		return "", fmt.Errorf("equivalence reopen: %w", err)
+	}
+	reopened, err := rl.StateHash()
+	rl.Close()
+	if err != nil {
+		return "", err
+	}
+	if live != reopened {
+		return "", fmt.Errorf("state hash changed across reopen: %x != %x", live, reopened)
+	}
+
+	mem, err := ledger.New(storageLedgerConfig("", 0))
+	if err != nil {
+		return "", err
+	}
+	defer mem.Close()
+	if err := storageEquivIngest(mem, cfg); err != nil {
+		return "", fmt.Errorf("in-memory equivalence ingest: %w", err)
+	}
+	oracle, err := mem.StateHash()
+	if err != nil {
+		return "", err
+	}
+	if live != oracle {
+		return "", fmt.Errorf("segment state hash %x != in-memory %x", live, oracle)
+	}
+	return hex.EncodeToString(live[:]), nil
 }
 
 func storagePercentileUs(lat []time.Duration, p float64) float64 {
@@ -248,16 +257,14 @@ func storageDirBytes(dir string) int64 {
 	return total
 }
 
-func storageBenchEngine(cfg storageConfig, scratch, engine string) (storageEngineReport, error) {
+func storageBench(cfg storageConfig, scratch string) (storageEngineReport, error) {
+	const engine = "segments"
 	rep := storageEngineReport{Engine: engine, Claims: cfg.Claims}
 	dir := filepath.Join(scratch, "bench-"+engine)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return rep, err
 	}
-	lcfg, err := storageEngineConfig(engine, dir, cfg.Memtable)
-	if err != nil {
-		return rep, err
-	}
+	lcfg := storageLedgerConfig(dir, cfg.Memtable)
 	l, err := ledger.New(lcfg)
 	if err != nil {
 		return rep, err
@@ -317,9 +324,8 @@ func storageBenchEngine(cfg storageConfig, scratch, engine string) (storageEngin
 		engine, rep.ReadP50Us, rep.ReadP95Us, rep.ReadP99Us, len(lat))
 
 	// Append latency, quiescent baseline then during an active
-	// compaction. The legacy engine's compaction freezes writers while
-	// it snapshots the full map; the segment engine merges off the
-	// write path, so its during-compaction p99 must stay near baseline.
+	// compaction. The engine merges off the write path, so the
+	// during-compaction p99 must stay near baseline.
 	appendOnce := func() (time.Duration, error) {
 		batch := stream.batch(1)
 		t0 := time.Now()
@@ -416,23 +422,21 @@ func runStorage(cfg storageConfig) error {
 	}
 
 	report := storageReport{Seed: cfg.Seed, Claims: cfg.Claims, EquivClaims: cfg.EquivClaims}
-	fmt.Printf("storage: equivalence gate at %d claims (%v)\n", cfg.EquivClaims, cfg.Engines)
+	fmt.Printf("storage: equivalence gate at %d claims (segments vs in-memory)\n", cfg.EquivClaims)
 	hash, err := storageEquivalence(cfg, scratch)
 	if err != nil {
 		return fmt.Errorf("equivalence gate: %w", err)
 	}
 	report.StateHashMatch = true
 	report.StateHash = hash
-	fmt.Printf("storage: engines agree, state hash %s…\n", hash[:16])
+	fmt.Printf("storage: ledgers agree, state hash %s…\n", hash[:16])
 
-	for _, engine := range cfg.Engines {
-		fmt.Printf("storage: benchmarking %s at %d claims\n", engine, cfg.Claims)
-		rep, err := storageBenchEngine(cfg, scratch, engine)
-		if err != nil {
-			return err
-		}
-		report.Engines = append(report.Engines, rep)
+	fmt.Printf("storage: benchmarking at %d claims\n", cfg.Claims)
+	rep, err := storageBench(cfg, scratch)
+	if err != nil {
+		return err
 	}
+	report.Engines = append(report.Engines, rep)
 
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -62,25 +62,12 @@ func main() {
 		fpr           = flag.Float64("filter-fpr", 0.02, "filter snapshot target false-positive rate")
 		enableAppeals = flag.Bool("appeals", true, "serve the public /v1/appeal complaint endpoint")
 		debug         = flag.Bool("debug", false, "mount GET /debug/metrics (Prometheus text) and /debug/pprof")
-		engine        = flag.String("engine", "auto", "storage engine: auto, segments (group-commit WAL + sorted segments), or json (legacy)")
 		walSync       = flag.String("wal-sync", "os", "wal durability: os (fsync on the snapshot timer) or batch (group-commit fsync per append batch)")
 	)
 	flag.Var(trusted, "trust-ledger", "peer ledger whose timestamps appeals accept, as id=url (repeatable)")
 	flag.Parse()
 	if *id == 0 {
 		fmt.Fprintln(os.Stderr, "irs-ledger: -id must be nonzero")
-		os.Exit(2)
-	}
-	var eng ledger.Engine
-	switch *engine {
-	case "auto":
-		eng = ledger.EngineAuto
-	case "segments":
-		eng = ledger.EngineSegments
-	case "json":
-		eng = ledger.EngineJSON
-	default:
-		fmt.Fprintf(os.Stderr, "irs-ledger: -engine must be auto, segments, or json (got %q)\n", *engine)
 		os.Exit(2)
 	}
 	var sync ledger.WALSyncMode
@@ -99,7 +86,6 @@ func main() {
 		Dir:          *dir,
 		NonRevocable: *nonRevocable,
 		FilterFPR:    *fpr,
-		Engine:       eng,
 		WALSync:      sync,
 	})
 	if err != nil {
@@ -123,14 +109,6 @@ func main() {
 			}
 			if err := l.Sync(); err != nil {
 				log.Printf("irs-ledger: wal sync: %v", err)
-			}
-			// Fold the log into a snapshot once it outgrows 4 MiB.
-			if sz, err := l.WALSize(); err == nil && sz > 4<<20 {
-				if err := l.Compact(); err != nil {
-					log.Printf("irs-ledger: compaction: %v", err)
-				} else {
-					log.Printf("irs-ledger: compacted %d-byte wal", sz)
-				}
 			}
 		}
 	}()

@@ -7,19 +7,14 @@
 // rate with a population of 1 billion photos, thereby lessening the load
 // on ledgers by a factor of fifty."
 //
-// Three filters are implemented:
+// Filter is the classic Bloom filter the paper sizes its argument
+// around. It supports incremental Add, OR-union across ledgers, exact
+// serialization, and delta-encoded updates (delta.go) for the hourly
+// refresh the paper proposes. (The xor and cache-line-blocked designs
+// the paper cites as "recent advances" live beside their one caller,
+// the filter ablation in internal/expt.)
 //
-//   - Filter: the classic Bloom filter the paper sizes its argument
-//     around. Supports incremental Add, OR-union across ledgers, exact
-//     serialization, and delta-encoded updates (delta.go) for the hourly
-//     refresh the paper proposes.
-//   - Xor8: the xor filter of Graf & Lemire [15], a static filter with
-//     ~9.84 bits/key at a fixed ~0.39% false-positive rate. Cited by the
-//     paper as a "recent advance"; the ablation benchmark compares it.
-//   - Blocked: a cache-line-blocked Bloom filter, the standard
-//     lookup-latency optimization, included in the same ablation.
-//
-// All filters consume pre-hashed 64-bit keys. Callers fold larger
+// Filters consume pre-hashed 64-bit keys. Callers fold larger
 // identifiers (e.g. the 128-bit ids.PhotoID) with Fold or hash raw bytes
 // with KeyBytes.
 package bloom

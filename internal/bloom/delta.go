@@ -18,21 +18,15 @@ import (
 // bit versus the full snapshot's m/8 bytes. XOR semantics (flip, not
 // set) let the same encoding carry rebuilds that clear bits.
 //
-// Two frame versions exist:
-//
-//   - IRSBD1 (legacy): parameter header + flipped-bit gaps. Apply can
-//     verify only that m and k match — a delta applied to a filter with
-//     the right parameters but the wrong *contents* (a restarted ledger
-//     renumbering its epochs, a proxy that missed an update) corrupts
-//     the filter silently, and a corrupted revocation filter means
-//     false negatives: revoked photos served as "definitely not
-//     revoked".
-//   - IRSBD2: adds the SHA-256 of the base filter and of the expected
-//     result. Apply refuses a wrong base up front (ErrBaseMismatch) and
-//     verifies the result hash after flipping, so a v2 delta either
-//     reproduces the target exactly or fails loudly. The multi-tier
-//     sync protocol (internal/topology, wire /v1/filter/sync) only
-//     ships v2 frames.
+// A frame (magic IRSBD2) carries the SHA-256 of the base filter and of
+// the expected result beside the gap list. Parameters alone cannot
+// vouch for a base: a delta applied to a filter with the right m and k
+// but the wrong *contents* (a restarted ledger renumbering its epochs,
+// a proxy that missed an update) would corrupt it silently, and a
+// corrupted revocation filter means false negatives — revoked photos
+// served as "definitely not revoked". So Apply refuses a wrong base up
+// front (ErrBaseMismatch) and verifies the result hash after flipping:
+// a delta either reproduces the target exactly or fails loudly.
 //
 // Deltas are not always smaller than snapshots: a rebuild after a mass
 // takedown can flip more bits than the full bit array carries. Update
@@ -40,17 +34,14 @@ import (
 // frame magic. Callers of the sync protocol therefore never pay more
 // than one snapshot transfer, whatever the churn.
 
-const (
-	deltaMagic   = "IRSBD1"
-	deltaMagicV2 = "IRSBD2"
-)
+const deltaMagic = "IRSBD2"
 
-// ErrBaseMismatch is returned when a v2 delta's base hash does not match
+// ErrBaseMismatch is returned when a delta's base hash does not match
 // the filter it is being applied to: right parameters, wrong contents.
 // Callers fall back to a full snapshot pull.
 var ErrBaseMismatch = errors.New("bloom: delta base filter mismatch")
 
-// ErrResultMismatch is returned when a v2 delta applied cleanly but the
+// ErrResultMismatch is returned when a delta applied cleanly but the
 // resulting bits do not hash to the encoded expectation (a corrupted or
 // forged frame). The filter passed to Apply must be discarded.
 var ErrResultMismatch = errors.New("bloom: delta result hash mismatch")
@@ -80,8 +71,8 @@ func encodeGaps(out []byte, prev, next *Filter) []byte {
 	return append(out, body...)
 }
 
-// putDeltaHeader appends the 28-byte parameter header shared by both
-// frame versions: m ∥ k ∥ prevN ∥ nextN.
+// putDeltaHeader appends the 28-byte parameter header:
+// m ∥ k ∥ prevN ∥ nextN.
 func putDeltaHeader(out []byte, prev, next *Filter) []byte {
 	var hdr [28]byte
 	binary.BigEndian.PutUint64(hdr[0:], prev.m)
@@ -91,20 +82,7 @@ func putDeltaHeader(out []byte, prev, next *Filter) []byte {
 	return append(out, hdr[:]...)
 }
 
-// Delta computes a legacy v1 update that transforms prev into next. The
-// two filters must share parameters. New code should prefer
-// DeltaWithBase, which the receiver can validate against its held base.
-func Delta(prev, next *Filter) ([]byte, error) {
-	if prev.m != next.m || prev.k != next.k {
-		return nil, ErrMismatch
-	}
-	out := make([]byte, 0, 64)
-	out = append(out, deltaMagic...)
-	out = putDeltaHeader(out, prev, next)
-	return encodeGaps(out, prev, next), nil
-}
-
-// DeltaWithBase computes a v2 update that transforms prev into next,
+// DeltaWithBase computes the update that transforms prev into next,
 // carrying the SHA-256 of both endpoints so Apply can reject a wrong
 // base (ErrBaseMismatch) instead of silently corrupting the filter.
 func DeltaWithBase(prev, next *Filter) ([]byte, error) {
@@ -112,7 +90,7 @@ func DeltaWithBase(prev, next *Filter) ([]byte, error) {
 		return nil, ErrMismatch
 	}
 	out := make([]byte, 0, 128)
-	out = append(out, deltaMagicV2...)
+	out = append(out, deltaMagic...)
 	out = putDeltaHeader(out, prev, next)
 	baseHash := prev.Hash()
 	nextHash := next.Hash()
@@ -121,47 +99,17 @@ func DeltaWithBase(prev, next *Filter) ([]byte, error) {
 	return encodeGaps(out, prev, next), nil
 }
 
-// v1 layout: magic(6) ∥ header(28) ∥ gaps.
-// v2 layout: magic(6) ∥ header(28) ∥ baseHash(32) ∥ nextHash(32) ∥ gaps.
-const (
-	deltaHeaderLen   = 6 + 28
-	deltaHeaderLenV2 = 6 + 28 + 32 + 32
-)
+// Frame layout: magic(6) ∥ header(28) ∥ baseHash(32) ∥ nextHash(32) ∥ gaps.
+const deltaHeaderLen = 6 + 28 + 32 + 32
 
-// Apply mutates f by the given delta (either frame version). f must be
-// the exact base the delta was computed from. For v1 frames only the
-// parameters are checkable; a v2 frame additionally verifies f's hash
-// before flipping any bit (ErrBaseMismatch) and the result hash after
-// (ErrResultMismatch — f must then be discarded). Snapshot ordering is
-// the caller's responsibility; ledgers number snapshots so proxies
-// apply them in order.
+// Apply mutates f by the given delta. f must be the exact base the
+// delta was computed from: its hash is checked before any bit flips
+// (ErrBaseMismatch) and the result hash after (ErrResultMismatch — f
+// must then be discarded). Snapshot ordering is the caller's
+// responsibility; ledgers number snapshots so proxies apply them in
+// order.
 func Apply(f *Filter, delta []byte) error {
-	if len(delta) < deltaHeaderLen {
-		return errors.New("bloom: bad delta encoding")
-	}
-	var body []byte
-	verify := false
-	var wantNext [32]byte
-	switch string(delta[:6]) {
-	case deltaMagic:
-		body = delta[deltaHeaderLen:]
-	case deltaMagicV2:
-		if len(delta) < deltaHeaderLenV2 {
-			return errors.New("bloom: truncated v2 delta header")
-		}
-		m := binary.BigEndian.Uint64(delta[6:])
-		k := int(binary.BigEndian.Uint32(delta[14:]))
-		if m != f.m || k != f.k {
-			return ErrMismatch
-		}
-		got := f.Hash()
-		if string(got[:]) != string(delta[34:66]) {
-			return ErrBaseMismatch
-		}
-		copy(wantNext[:], delta[66:98])
-		verify = true
-		body = delta[deltaHeaderLenV2:]
-	default:
+	if len(delta) < deltaHeaderLen || string(delta[:6]) != deltaMagic {
 		return errors.New("bloom: bad delta encoding")
 	}
 	m := binary.BigEndian.Uint64(delta[6:])
@@ -170,6 +118,12 @@ func Apply(f *Filter, delta []byte) error {
 	if m != f.m || k != f.k {
 		return ErrMismatch
 	}
+	if got := f.Hash(); string(got[:]) != string(delta[34:66]) {
+		return ErrBaseMismatch
+	}
+	var wantNext [32]byte
+	copy(wantNext[:], delta[66:98])
+	body := delta[deltaHeaderLen:]
 	count, used := binary.Uvarint(body)
 	if used <= 0 {
 		return errors.New("bloom: bad delta count")
@@ -192,15 +146,13 @@ func Apply(f *Filter, delta []byte) error {
 		return errors.New("bloom: trailing delta bytes")
 	}
 	f.n = nextN
-	if verify {
-		if got := f.Hash(); got != wantNext {
-			return ErrResultMismatch
-		}
+	if got := f.Hash(); got != wantNext {
+		return ErrResultMismatch
 	}
 	return nil
 }
 
-// Update encodes the cheaper of a v2 delta and a full snapshot that
+// Update encodes the cheaper of a delta and a full snapshot that
 // brings a holder of prev to next — the size escape hatch for
 // high-churn rebuilds, where the varint gap list can exceed the bit
 // array it describes. A nil prev or a parameter change always yields a

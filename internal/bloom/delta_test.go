@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+// v1Frame hand-builds a well-formed frame of the removed IRSBD1 format:
+// the same header and gap list with no base or result hash, so a
+// receiver could check only m and k. Apply must reject it.
+func v1Frame(prev, next *Filter) []byte {
+	return encodeGaps(putDeltaHeader([]byte("IRSBD1"), prev, next), prev, next)
+}
+
+// TestDeltaRoundTrip compares the bit arrays word by word — an oracle
+// independent of the Hash that Apply itself validates against.
 func TestDeltaRoundTrip(t *testing.T) {
 	base, err := NewWithEstimate(10000, 0.02)
 	if err != nil {
@@ -17,7 +26,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 	for i := uint64(5000); i < 5200; i++ {
 		next.Add(splitmix64(i))
 	}
-	d, err := Delta(base, next)
+	d, err := DeltaWithBase(base, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +49,12 @@ func TestDeltaEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Delta(base, base.Clone())
+	d, err := DeltaWithBase(base, base.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Empty delta: header + count only.
-	if len(d) > 6+28+1 {
+	if len(d) > deltaHeaderLen+1 {
 		t.Errorf("no-change delta is %d bytes", len(d))
 	}
 	cp := base.Clone()
@@ -68,7 +77,7 @@ func TestDeltaMuchSmallerThanFull(t *testing.T) {
 	for i := uint64(100000); i < 100500; i++ { // 0.5% churn
 		next.Add(splitmix64(i))
 	}
-	d, err := Delta(base, next)
+	d, err := DeltaWithBase(base, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +96,10 @@ func TestDeltaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Delta(a, b); err != ErrMismatch {
+	if _, err := DeltaWithBase(a, b); err != ErrMismatch {
 		t.Errorf("got %v, want ErrMismatch", err)
 	}
-	d, err := Delta(a, a.Clone())
+	d, err := DeltaWithBase(a, a.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,23 +113,24 @@ func TestApplyRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, b := range map[string][]byte{
-		"empty":    {},
-		"badmagic": []byte("NOTDELTAxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
-	} {
-		if err := Apply(f, b); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	// Truncated real delta.
 	next := f.Clone()
 	next.Add(123)
-	d, err := Delta(f, next)
+	d, err := DeltaWithBase(f, next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply(f.Clone(), d[:len(d)-4]); err == nil {
-		t.Error("truncated delta accepted")
+	for name, b := range map[string][]byte{
+		"empty":     {},
+		"badmagic":  []byte("NOTDELTAxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
+		"truncated": d[:len(d)-4],
+		"v1 frame":  v1Frame(f, next),
+	} {
+		if err := Apply(f.Clone(), b); err == nil {
+			t.Errorf("Apply accepted %s", name)
+		}
+		if _, err := ApplyUpdate(f, b); err == nil {
+			t.Errorf("ApplyUpdate accepted %s", name)
+		}
 	}
 }
 
@@ -152,10 +162,10 @@ func TestDeltaV2RoundTrip(t *testing.T) {
 	}
 }
 
-// The bug the v2 frame exists to catch: a base with the *same*
+// The bug the base hash exists to catch: a base with the *same*
 // parameters but different contents (a restarted ledger renumbering
 // epochs lands here) must be rejected before any bit is flipped, not
-// silently corrupted as v1 would.
+// silently corrupted.
 func TestDeltaV2WrongBase(t *testing.T) {
 	base, err := New(1<<12, 4)
 	if err != nil {
@@ -179,15 +189,6 @@ func TestDeltaV2WrongBase(t *testing.T) {
 	}
 	if wrong.Hash() != before {
 		t.Fatal("filter mutated despite base mismatch")
-	}
-	// The same wrong base sails through the v1 path — that asymmetry is
-	// why the sync protocol only ships v2 frames.
-	d1, err := Delta(base, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Apply(wrong.Clone(), d1); err != nil {
-		t.Fatalf("v1 apply to wrong base unexpectedly errored: %v", err)
 	}
 	// Parameter mismatch still reports as ErrMismatch, not base mismatch.
 	other, err := New(1<<13, 4)
@@ -239,7 +240,7 @@ func TestUpdateCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(payload[:6]) != deltaMagicV2 {
+	if string(payload[:6]) != deltaMagic {
 		t.Fatalf("low churn shipped %q, want v2 delta", payload[:6])
 	}
 	if len(payload) >= len(low.Marshal()) {
@@ -394,7 +395,8 @@ func TestQuickUpdateExact(t *testing.T) {
 }
 
 // Property: for any two populations, applying the delta to the base
-// reproduces the target exactly.
+// reproduces the target's bit array exactly (compared word by word,
+// not through Hash).
 func TestQuickDeltaExact(t *testing.T) {
 	f := func(baseKeys, addKeys []uint64) bool {
 		base, err := New(1<<10, 3)
@@ -408,7 +410,7 @@ func TestQuickDeltaExact(t *testing.T) {
 		for _, k := range addKeys {
 			next.Add(k)
 		}
-		d, err := Delta(base, next)
+		d, err := DeltaWithBase(base, next)
 		if err != nil {
 			return false
 		}

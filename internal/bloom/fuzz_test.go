@@ -1,6 +1,9 @@
 package bloom
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzUnmarshal: hostile filter encodings must error cleanly.
 func FuzzUnmarshal(f *testing.F) {
@@ -26,7 +29,8 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // FuzzApply: hostile deltas must never corrupt the filter silently —
-// either they apply (valid format) or they error.
+// either they apply (valid format) or they error. Frames of the removed
+// IRSBD1 format carry no base hash and must always error.
 func FuzzApply(f *testing.F) {
 	base, err := New(1<<10, 3)
 	if err != nil {
@@ -34,16 +38,12 @@ func FuzzApply(f *testing.F) {
 	}
 	next := base.Clone()
 	next.Add(7)
-	d, err := Delta(base, next)
+	f.Add(v1Frame(base, next))
+	d, err := DeltaWithBase(base, next)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(d)
-	d2, err := DeltaWithBase(base, next)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(d2)
 	f.Add([]byte("IRSBD1"))
 	f.Add([]byte("IRSBD2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -51,15 +51,19 @@ func FuzzApply(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = Apply(fl, data) // must not panic
+		err = Apply(fl, data) // must not panic
+		if err == nil && bytes.HasPrefix(data, []byte("IRSBD1")) {
+			t.Fatal("accepted a frame of the removed IRSBD1 format")
+		}
 	})
 }
 
 // FuzzApplyUpdate: the sync-protocol payload decoder — snapshot frames,
-// v1/v2 delta frames, and hostile bytes dispatched by magic — must never
-// panic, and whatever it accepts must reproduce a coherent filter. A v2
-// frame that applies must hash to its own encoded target (anything else
-// means the base/result validation has a hole).
+// delta frames, and hostile bytes dispatched by magic — must never
+// panic, and whatever it accepts must reproduce a coherent filter. A
+// delta frame that applies must hash to its own encoded target
+// (anything else means the base/result validation has a hole), and a
+// frame of the removed IRSBD1 format must never apply.
 func FuzzApplyUpdate(f *testing.F) {
 	base, err := New(1<<10, 3)
 	if err != nil {
@@ -71,9 +75,7 @@ func FuzzApplyUpdate(f *testing.F) {
 	if d, err := DeltaWithBase(base, next); err == nil {
 		f.Add(d)
 	}
-	if d, err := Delta(base, next); err == nil {
-		f.Add(d)
-	}
+	f.Add(v1Frame(base, next))
 	if u, err := Update(base, next); err == nil {
 		f.Add(u)
 	}
@@ -95,11 +97,14 @@ func FuzzApplyUpdate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(data) >= 6 && string(data[:6]) == "IRSBD2" {
+		if bytes.HasPrefix(data, []byte("IRSBD1")) {
+			t.Fatal("accepted a frame of the removed IRSBD1 format")
+		}
+		if bytes.HasPrefix(data, []byte("IRSBD2")) {
 			var want [32]byte
 			copy(want[:], data[66:98])
 			if got.Hash() != want {
-				t.Fatal("accepted v2 frame does not hash to its encoded target")
+				t.Fatal("accepted delta frame does not hash to its encoded target")
 			}
 		}
 	})

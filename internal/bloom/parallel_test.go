@@ -75,36 +75,3 @@ func TestTestAllAndCountHits(t *testing.T) {
 		t.Error("empty batch mishandled")
 	}
 }
-
-// TestBuildXor8WorkerInvariance proves the parallel hash precompute
-// does not perturb the peel: same keys → byte-identical filter at any
-// worker count, and every built key still hits.
-func TestBuildXor8WorkerInvariance(t *testing.T) {
-	const n = 30_000
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = splitmix64(uint64(i) * 2654435761)
-	}
-	build := func(w int) *Xor8 {
-		prev := parallel.SetWorkers(w)
-		defer parallel.SetWorkers(prev)
-		x, err := BuildXor8(keys)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		return x
-	}
-	base := build(1)
-	for _, w := range []int{2, 8} {
-		got := build(w)
-		if got.seed != base.seed || got.blockLength != base.blockLength ||
-			!bytes.Equal(got.fingerprints, base.fingerprints) {
-			t.Errorf("workers=%d: filter differs from serial build", w)
-		}
-	}
-	for i, ok := range base.ContainsAll(keys) {
-		if !ok {
-			t.Fatalf("built key %d reported absent", i)
-		}
-	}
-}

@@ -62,7 +62,7 @@ func AblationFilters(scale Scale, seed int64) (*Report, error) {
 
 	// Blocked Bloom at the same size.
 	start = time.Now()
-	blk, err := bloom.NewBlocked(m, 6)
+	blk, err := newBlocked(m, 6)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func AblationFilters(scale Scale, seed int64) (*Report, error) {
 
 	// Xor filter.
 	start = time.Now()
-	xf, err := bloom.BuildXor8(keys)
+	xf, err := buildXor8(keys)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,11 @@
-package bloom
+package expt
 
 import (
 	"fmt"
 	"math"
 )
 
-// Blocked is a cache-line-blocked Bloom filter: each key is confined to
+// blocked is a cache-line-blocked Bloom filter: each key is confined to
 // one 512-bit (64-byte) block chosen by its hash, and all k probe bits
 // land inside that block. Lookups therefore touch a single cache line
 // instead of k random ones — the standard latency optimization for
@@ -14,7 +14,7 @@ import (
 // probes-per-lookup dominates). The cost is a slightly higher
 // false-positive rate at equal size, because keys are unevenly
 // distributed over blocks. The ablation benchmark quantifies both sides.
-type Blocked struct {
+type blocked struct {
 	numBlocks uint64
 	k         int
 	words     []uint64 // 8 words (512 bits) per block
@@ -23,40 +23,40 @@ type Blocked struct {
 
 const blockWords = 8 // 512-bit blocks
 
-// NewBlocked creates a blocked filter of approximately m bits (rounded
+// newBlocked creates a blocked filter of approximately m bits (rounded
 // up to whole 512-bit blocks) with k probes per key.
-func NewBlocked(m uint64, k int) (*Blocked, error) {
+func newBlocked(m uint64, k int) (*blocked, error) {
 	if m == 0 || k <= 0 || k > 32 {
-		return nil, fmt.Errorf("bloom: invalid blocked parameters m=%d k=%d", m, k)
+		return nil, fmt.Errorf("expt: invalid blocked parameters m=%d k=%d", m, k)
 	}
 	blocks := (m + 511) / 512
-	return &Blocked{numBlocks: blocks, k: k, words: make([]uint64, blocks*blockWords)}, nil
+	return &blocked{numBlocks: blocks, k: k, words: make([]uint64, blocks*blockWords)}, nil
 }
 
-// NewBlockedWithEstimate sizes a blocked filter like NewWithEstimate,
+// newBlockedWithEstimate sizes a blocked filter like bloom.NewWithEstimate,
 // with the same formulas (the blocking penalty is small at these loads
 // and measured rather than modeled).
-func NewBlockedWithEstimate(n uint64, p float64) (*Blocked, error) {
+func newBlockedWithEstimate(n uint64, p float64) (*blocked, error) {
 	if n == 0 || p <= 0 || p >= 1 {
-		return nil, fmt.Errorf("bloom: invalid estimate n=%d p=%g", n, p)
+		return nil, fmt.Errorf("expt: invalid estimate n=%d p=%g", n, p)
 	}
 	m := uint64(math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2)))
 	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
 	if k < 1 {
 		k = 1
 	}
-	return NewBlocked(m, k)
+	return newBlocked(m, k)
 }
 
 // Add inserts a key.
-func (b *Blocked) Add(key uint64) {
-	h := splitmix64(key)
+func (b *blocked) Add(key uint64) {
+	h := mix(key)
 	block := (h % b.numBlocks) * blockWords
-	g := splitmix64(h)
+	g := mix(h)
 	for i := 0; i < b.k; i++ {
 		bit := (g >> (i * 9)) & 511 // 9 bits select within 512
 		if i >= 7 {                 // ran out of entropy; re-mix
-			g = splitmix64(g)
+			g = mix(g)
 			bit = g & 511
 		}
 		b.words[block+bit/64] |= 1 << (bit % 64)
@@ -65,14 +65,14 @@ func (b *Blocked) Add(key uint64) {
 }
 
 // Test reports whether key may be present.
-func (b *Blocked) Test(key uint64) bool {
-	h := splitmix64(key)
+func (b *blocked) Test(key uint64) bool {
+	h := mix(key)
 	block := (h % b.numBlocks) * blockWords
-	g := splitmix64(h)
+	g := mix(h)
 	for i := 0; i < b.k; i++ {
 		bit := (g >> (i * 9)) & 511
 		if i >= 7 {
-			g = splitmix64(g)
+			g = mix(g)
 			bit = g & 511
 		}
 		if b.words[block+bit/64]&(1<<(bit%64)) == 0 {
@@ -83,10 +83,10 @@ func (b *Blocked) Test(key uint64) bool {
 }
 
 // M returns the total size in bits.
-func (b *Blocked) M() uint64 { return b.numBlocks * 512 }
+func (b *blocked) M() uint64 { return b.numBlocks * 512 }
 
 // N returns the number of keys added.
-func (b *Blocked) N() uint64 { return b.n }
+func (b *blocked) N() uint64 { return b.n }
 
 // SizeBytes returns the filter size in bytes.
-func (b *Blocked) SizeBytes() uint64 { return b.numBlocks * 64 }
+func (b *blocked) SizeBytes() uint64 { return b.numBlocks * 64 }

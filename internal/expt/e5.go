@@ -3,7 +3,6 @@ package expt
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"errors"
 	"fmt"
 	mrand "math/rand"
 
@@ -18,9 +17,9 @@ import (
 // A ledger starts with a base population of revoked claims and then
 // lives through 24 hourly cycles of churn (new auto-revoked claims each
 // hour). Each hour it rebuilds its snapshot; a proxy holding the
-// previous epoch fetches the delta. The table compares per-hour delta
-// bytes against the full snapshot transfer, and verifies the
-// delta-updated filter is bit-identical to the fresh download.
+// previous epoch syncs to the new one (Ledger.FilterSync). The table
+// compares per-hour sync bytes against the full snapshot transfer, and
+// verifies the updated filter is bit-identical to the fresh download.
 func E5DeltaUpdates(scale Scale, seed int64) (*Report, error) {
 	r := &Report{
 		ID:         "e5",
@@ -92,30 +91,25 @@ func E5DeltaUpdates(scale Scale, seed int64) (*Report, error) {
 				l.Close()
 				return nil, err
 			}
-			delta, latest, err := l.FilterDelta(heldEpoch)
-			if err != nil && !errors.Is(err, bloom.ErrMismatch) {
+			baseHash := held.Hash()
+			payload, latest, err := l.FilterSync(heldEpoch, baseHash[:])
+			if err != nil {
 				l.Close()
 				return nil, err
 			}
-			applyErr := err
-			if applyErr == nil {
-				applyErr = bloom.Apply(held, delta)
+			updated, err := bloom.ApplyUpdate(held, payload)
+			if err != nil {
+				l.Close()
+				return nil, err
 			}
-			if applyErr != nil {
-				// Population outgrew the filter parameters: full resync.
+			if updated.M() != held.M() || updated.K() != held.K() {
+				// Population outgrew the filter parameters: the sync
+				// carried a full snapshot.
 				resyncs++
-				latest, held, err = l.FilterSnapshot()
-				if err != nil {
-					l.Close()
-					return nil, err
-				}
-				total += len(held.Marshal())
-				deltaSizes = append(deltaSizes, len(held.Marshal()))
-			} else {
-				total += len(delta)
-				deltaSizes = append(deltaSizes, len(delta))
 			}
-			heldEpoch = latest
+			total += len(payload)
+			deltaSizes = append(deltaSizes, len(payload))
+			held, heldEpoch = updated, latest
 		}
 		// Verify exactness against a fresh download.
 		_, fresh, err := l.FilterSnapshot()

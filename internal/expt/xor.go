@@ -1,4 +1,4 @@
-package bloom
+package expt
 
 import (
 	"errors"
@@ -8,7 +8,7 @@ import (
 	"irs/internal/parallel"
 )
 
-// Xor8 is the xor filter of Graf & Lemire (ACM JEA 2020), one of the
+// xor8 is the xor filter of Graf & Lemire (ACM JEA 2020), one of the
 // "recent advances" the paper cites as a drop-in improvement over
 // standard Bloom filters [15]. It is a static structure: built once from
 // the full key set, queried immutably. It stores 8-bit fingerprints in
@@ -21,7 +21,7 @@ import (
 // afford a static structure, buying a 5× lower false-hit rate than the
 // paper's 8-bits/key Bloom sizing at nearly the same space. The ablation
 // benchmark quantifies this trade.
-type Xor8 struct {
+type xor8 struct {
 	seed         uint64
 	blockLength  uint32
 	fingerprints []uint8
@@ -47,7 +47,7 @@ func reduce(h uint32, n uint32) uint32 {
 // 32-bit windows of one 64-bit hash taken at rotations 0, 21 and 42, so
 // each window carries full entropy.
 func xorHashes(key, seed uint64, blockLength uint32) (h0, h1, h2 uint32) {
-	h := splitmix64(key ^ seed)
+	h := mix(key ^ seed)
 	r0 := uint32(h)
 	r1 := uint32(bits.RotateLeft64(h, 21))
 	r2 := uint32(bits.RotateLeft64(h, 42))
@@ -57,9 +57,9 @@ func xorHashes(key, seed uint64, blockLength uint32) (h0, h1, h2 uint32) {
 	return
 }
 
-// ErrBuildFailed is returned when peeling fails repeatedly, which for
+// errBuildFailed is returned when peeling fails repeatedly, which for
 // distinct keys is cryptographically unlikely.
-var ErrBuildFailed = errors.New("bloom: xor filter construction failed")
+var errBuildFailed = errors.New("expt: xor filter construction failed")
 
 // xorHashChunk is the per-task batch for the parallel hash precompute;
 // fixed so work splitting does not depend on the worker count.
@@ -72,7 +72,7 @@ type keySlots struct {
 	fp         uint8
 }
 
-// BuildXor8 constructs a filter over the given keys. Keys must be
+// buildXor8 constructs a filter over the given keys. Keys must be
 // distinct; duplicates make peeling fail.
 //
 // The peel itself is inherently sequential (each removal can unlock the
@@ -82,10 +82,10 @@ type keySlots struct {
 // reads the precomputed hashes by index instead of re-deriving them.
 // Seeds are tried in the same fixed order as the serial version, so the
 // constructed filter is byte-identical at any worker count.
-func BuildXor8(keys []uint64) (*Xor8, error) {
+func buildXor8(keys []uint64) (*xor8, error) {
 	n := len(keys)
 	if n == 0 {
-		return nil, errors.New("bloom: empty key set")
+		return nil, errors.New("expt: empty key set")
 	}
 	capacity := uint32(32 + 123*n/100)
 	capacity = capacity / 3 * 3 // round down to multiple of 3
@@ -105,12 +105,12 @@ func BuildXor8(keys []uint64) (*Xor8, error) {
 	queue := make([]uint32, 0, capacity)
 
 	for attempt := 0; attempt < 100; attempt++ {
-		seed := splitmix64(uint64(attempt)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D)
+		seed := mix(uint64(attempt)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D)
 		parallel.ForChunks(n, xorHashChunk, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				k := keys[i]
 				h0, h1, h2 := xorHashes(k, seed, blockLength)
-				hs[i] = keySlots{h0: h0, h1: h1, h2: h2, fp: xorFingerprint(splitmix64(k ^ seed))}
+				hs[i] = keySlots{h0: h0, h1: h1, h2: h2, fp: xorFingerprint(mix(k ^ seed))}
 			}
 		})
 		for i := range sets {
@@ -161,14 +161,14 @@ func BuildXor8(keys []uint64) (*Xor8, error) {
 			ks := hs[stackIdx[i]]
 			fp[stackSlots[i]] = ks.fp ^ fp[ks.h0] ^ fp[ks.h1] ^ fp[ks.h2]
 		}
-		return &Xor8{seed: seed, blockLength: blockLength, fingerprints: fp}, nil
+		return &xor8{seed: seed, blockLength: blockLength, fingerprints: fp}, nil
 	}
-	return nil, fmt.Errorf("%w after 100 seeds (duplicate keys?)", ErrBuildFailed)
+	return nil, fmt.Errorf("%w after 100 seeds (duplicate keys?)", errBuildFailed)
 }
 
 // ContainsAll probes a batch of keys across the worker pool, returning
 // per-key results in input order.
-func (x *Xor8) ContainsAll(keys []uint64) []bool {
+func (x *xor8) ContainsAll(keys []uint64) []bool {
 	out := make([]bool, len(keys))
 	parallel.ForChunks(len(keys), xorHashChunk, func(_, lo, hi int) {
 		for i, key := range keys[lo:hi] {
@@ -180,16 +180,13 @@ func (x *Xor8) ContainsAll(keys []uint64) []bool {
 
 // Contains reports whether key may be in the set (false positives at
 // ~1/256, never false negatives for built keys).
-func (x *Xor8) Contains(key uint64) bool {
+func (x *xor8) Contains(key uint64) bool {
 	h0, h1, h2 := xorHashes(key, x.seed, x.blockLength)
-	want := xorFingerprint(splitmix64(key ^ x.seed))
+	want := xorFingerprint(mix(key ^ x.seed))
 	return x.fingerprints[h0]^x.fingerprints[h1]^x.fingerprints[h2] == want
 }
 
-// SizeBytes returns the fingerprint array size.
-func (x *Xor8) SizeBytes() uint64 { return uint64(len(x.fingerprints)) }
-
 // BitsPerKey returns storage efficiency for a set of n keys.
-func (x *Xor8) BitsPerKey(n int) float64 {
+func (x *xor8) BitsPerKey(n int) float64 {
 	return float64(len(x.fingerprints)*8) / float64(n)
 }

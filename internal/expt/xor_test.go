@@ -1,20 +1,23 @@
-package bloom
+package expt
 
 import (
+	"bytes"
 	"testing"
+
+	"irs/internal/parallel"
 )
 
 func xorTestKeys(n int, offset uint64) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = splitmix64(offset + uint64(i))
+		keys[i] = mix(offset + uint64(i))
 	}
 	return keys
 }
 
 func TestXor8NoFalseNegatives(t *testing.T) {
 	keys := xorTestKeys(10000, 0)
-	x, err := BuildXor8(keys)
+	x, err := buildXor8(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +30,14 @@ func TestXor8NoFalseNegatives(t *testing.T) {
 
 func TestXor8FPRNearQuarterPercent(t *testing.T) {
 	keys := xorTestKeys(20000, 0)
-	x, err := BuildXor8(keys)
+	x, err := buildXor8(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fp int
 	const probes = 200000
 	for i := uint64(0); i < probes; i++ {
-		if x.Contains(splitmix64(10_000_000 + i)) {
+		if x.Contains(mix(10_000_000 + i)) {
 			fp++
 		}
 	}
@@ -47,7 +50,7 @@ func TestXor8FPRNearQuarterPercent(t *testing.T) {
 
 func TestXor8BitsPerKey(t *testing.T) {
 	keys := xorTestKeys(50000, 7)
-	x, err := BuildXor8(keys)
+	x, err := buildXor8(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func TestXor8BitsPerKey(t *testing.T) {
 func TestXor8SmallSets(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 10, 100} {
 		keys := xorTestKeys(n, uint64(n)*1000)
-		x, err := BuildXor8(keys)
+		x, err := buildXor8(keys)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -73,28 +76,61 @@ func TestXor8SmallSets(t *testing.T) {
 }
 
 func TestXor8Empty(t *testing.T) {
-	if _, err := BuildXor8(nil); err == nil {
+	if _, err := buildXor8(nil); err == nil {
 		t.Error("empty key set accepted")
 	}
 }
 
 func TestXor8DuplicatesFail(t *testing.T) {
 	keys := []uint64{1, 2, 3, 1}
-	if _, err := BuildXor8(keys); err == nil {
+	if _, err := buildXor8(keys); err == nil {
 		t.Error("duplicate keys should make construction fail")
 	}
 }
 
+// TestBuildXor8WorkerInvariance proves the parallel hash precompute
+// does not perturb the peel: same keys → byte-identical filter at any
+// worker count, and every built key still hits.
+func TestBuildXor8WorkerInvariance(t *testing.T) {
+	const n = 30_000
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = mix(uint64(i) * 2654435761)
+	}
+	build := func(w int) *xor8 {
+		prev := parallel.SetWorkers(w)
+		defer parallel.SetWorkers(prev)
+		x, err := buildXor8(keys)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		return x
+	}
+	base := build(1)
+	for _, w := range []int{2, 8} {
+		got := build(w)
+		if got.seed != base.seed || got.blockLength != base.blockLength ||
+			!bytes.Equal(got.fingerprints, base.fingerprints) {
+			t.Errorf("workers=%d: filter differs from serial build", w)
+		}
+	}
+	for i, ok := range base.ContainsAll(keys) {
+		if !ok {
+			t.Fatalf("built key %d reported absent", i)
+		}
+	}
+}
+
 func TestBlockedNoFalseNegatives(t *testing.T) {
-	f, err := NewBlockedWithEstimate(10000, 0.02)
+	f, err := newBlockedWithEstimate(10000, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 10000; i++ {
-		f.Add(splitmix64(i))
+		f.Add(mix(i))
 	}
 	for i := uint64(0); i < 10000; i++ {
-		if !f.Test(splitmix64(i)) {
+		if !f.Test(mix(i)) {
 			t.Fatalf("false negative at %d", i)
 		}
 	}
@@ -105,17 +141,17 @@ func TestBlockedNoFalseNegatives(t *testing.T) {
 
 func TestBlockedFPRReasonable(t *testing.T) {
 	const n = 20000
-	f, err := NewBlockedWithEstimate(n, 0.02)
+	f, err := newBlockedWithEstimate(n, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < n; i++ {
-		f.Add(splitmix64(i))
+		f.Add(mix(i))
 	}
 	var fp int
 	const probes = 100000
 	for i := uint64(0); i < probes; i++ {
-		if f.Test(splitmix64(5_000_000 + i)) {
+		if f.Test(mix(5_000_000 + i)) {
 			fp++
 		}
 	}
@@ -127,16 +163,16 @@ func TestBlockedFPRReasonable(t *testing.T) {
 }
 
 func TestBlockedValidation(t *testing.T) {
-	if _, err := NewBlocked(0, 3); err == nil {
+	if _, err := newBlocked(0, 3); err == nil {
 		t.Error("m=0 accepted")
 	}
-	if _, err := NewBlocked(100, 0); err == nil {
+	if _, err := newBlocked(100, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := NewBlockedWithEstimate(0, 0.1); err == nil {
+	if _, err := newBlockedWithEstimate(0, 0.1); err == nil {
 		t.Error("n=0 accepted")
 	}
-	f, err := NewBlocked(1000, 3)
+	f, err := newBlocked(1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +186,7 @@ func TestBlockedValidation(t *testing.T) {
 
 func BenchmarkXor8Contains(b *testing.B) {
 	keys := xorTestKeys(1<<20, 0)
-	x, err := BuildXor8(keys)
+	x, err := buildXor8(keys)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,19 +202,19 @@ func BenchmarkXor8Build(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildXor8(keys); err != nil {
+		if _, err := buildXor8(keys); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkBlockedTest(b *testing.B) {
-	f, err := NewBlockedWithEstimate(1<<20, 0.02)
+	f, err := newBlockedWithEstimate(1<<20, 0.02)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := uint64(0); i < 1<<20; i++ {
-		f.Add(splitmix64(i))
+		f.Add(mix(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

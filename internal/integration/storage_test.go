@@ -26,7 +26,6 @@ func TestPersistentLedgerSurvivesRestart(t *testing.T) {
 			ID:              7,
 			Dir:             dir,
 			Shards:          shards,
-			Engine:          ledger.EngineSegments,
 			WALSync:         ledger.WALSyncBatch,
 			MemtableRecords: 128, // several background flushes over the run
 			CompactAfter:    3,   // and at least one background compaction

@@ -8,7 +8,7 @@ import (
 
 func TestCompactShrinksWAL(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir, Engine: EngineJSON})
+	l, err := New(Config{ID: 9, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,31 +28,20 @@ func TestCompactShrinksWAL(t *testing.T) {
 			}
 		}
 	}
-	before, err := l.WALSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before == 0 {
+	if before := l.StorageStats().WALBytes; before == 0 {
 		t.Fatal("wal empty before compaction")
 	}
 	if err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := l.WALSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != 0 {
-		t.Errorf("wal %d bytes after compaction, want 0", after)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
-		t.Fatalf("snapshot file: %v", err)
+	if st := l.StorageStats(); st.WALBytes != 0 || st.Segments != 1 {
+		t.Errorf("after compaction: wal %d bytes in %d segments, want 0 bytes in 1", st.WALBytes, st.Segments)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Recovery from snapshot only.
+	// Recovery from the segment only.
 	l2, err := New(Config{ID: 9, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +62,7 @@ func TestCompactShrinksWAL(t *testing.T) {
 }
 
 func TestCompactThenMoreOps(t *testing.T) {
-	// Snapshot + post-snapshot WAL entries both replay.
+	// Segment + post-compaction WAL entries both replay.
 	dir := t.TempDir()
 	l, err := New(Config{ID: 9, Dir: dir})
 	if err != nil {
@@ -144,15 +133,11 @@ func TestCompactInMemoryNoop(t *testing.T) {
 	if err := l.Compact(); err != nil {
 		t.Errorf("in-memory compact: %v", err)
 	}
-	sz, err := l.WALSize()
-	if err != nil || sz != 0 {
-		t.Errorf("in-memory WALSize = %d, %v", sz, err)
-	}
 }
 
 func TestCorruptSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("{not json]"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte("{not json]"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(Config{ID: 9, Dir: dir}); err == nil {

@@ -33,19 +33,18 @@ func copyLedgerDir(t testing.TB, src string) string {
 	return dst
 }
 
-func walFilesIn(t testing.TB, dir string) []string {
+// liveWAL returns the path of the one WAL file a closed ledger
+// directory holds.
+func liveWAL(t testing.TB, dir string) string {
 	t.Helper()
-	var out []string
-	ents, err := os.ReadDir(dir)
+	seqs, err := listWALFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range ents {
-		if _, ok := parseWALSeq(e.Name()); ok {
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
+	if len(seqs) != 1 {
+		t.Fatalf("wal sequences = %v, want exactly one", seqs)
 	}
-	return out
+	return filepath.Join(dir, walFileName(seqs[0]))
 }
 
 // TestCrashRecoveryRandomWALTruncation records a StateHash after every
@@ -57,7 +56,7 @@ func TestCrashRecoveryRandomWALTruncation(t *testing.T) {
 	dir := t.TempDir()
 	l, err := New(Config{
 		ID: 9, Dir: dir, Shards: 8,
-		Engine: EngineSegments, WALSync: WALSyncBatch,
+		WALSync:         WALSyncBatch,
 		MemtableRecords: 1 << 20, // no background flush mid-test
 	})
 	if err != nil {
@@ -106,11 +105,8 @@ func TestCrashRecoveryRandomWALTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wals := walFilesIn(t, dir)
-	if len(wals) != 1 {
-		t.Fatalf("expected exactly one live wal after flush, got %v", wals)
-	}
-	fi, err := os.Stat(wals[0])
+	wal := liveWAL(t, dir)
+	fi, err := os.Stat(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +120,7 @@ func TestCrashRecoveryRandomWALTruncation(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		off := rng.Int63n(size + 1)
 		crashed := copyLedgerDir(t, dir)
-		if err := os.Truncate(filepath.Join(crashed, filepath.Base(wals[0])), off); err != nil {
+		if err := os.Truncate(filepath.Join(crashed, filepath.Base(wal)), off); err != nil {
 			t.Fatal(err)
 		}
 		rl, err := New(Config{ID: 9, Dir: crashed, Shards: shardCounts[trial%len(shardCounts)]})
@@ -153,7 +149,7 @@ func TestCrashDuringSegmentSealRecovers(t *testing.T) {
 	dir := t.TempDir()
 	l, err := New(Config{
 		ID: 9, Dir: dir, Shards: 8,
-		Engine: EngineSegments, MemtableRecords: 1 << 20,
+		MemtableRecords: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +165,7 @@ func TestCrashDuringSegmentSealRecovers(t *testing.T) {
 	}
 	want := stateHash(t, l)
 
-	eng := l.store.(*segEngine)
+	eng := l.store
 	for _, failAfter := range []int64{16, 1000, 8000} {
 		eng.segFailAfter.Store(failAfter)
 		if err := l.Flush(); err == nil {
@@ -214,7 +210,7 @@ func TestCrashDuringCompactionRecovers(t *testing.T) {
 	dir := t.TempDir()
 	l, err := New(Config{
 		ID: 9, Dir: dir, Shards: 8,
-		Engine: EngineSegments, MemtableRecords: 1 << 20, CompactAfter: 1 << 20,
+		MemtableRecords: 1 << 20, CompactAfter: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +229,7 @@ func TestCrashDuringCompactionRecovers(t *testing.T) {
 	}
 	want := stateHash(t, l)
 
-	eng := l.store.(*segEngine)
+	eng := l.store
 	eng.segFailAfter.Store(64)
 	if err := l.Compact(); err == nil {
 		t.Fatal("compaction with killed merge writer reported success")
@@ -274,7 +270,7 @@ func TestCrashDuringCompactionRecovers(t *testing.T) {
 // without touching live state.
 func TestRecoveryRemovesOrphans(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir, Engine: EngineSegments, MemtableRecords: 1 << 20})
+	l, err := New(Config{ID: 9, Dir: dir, MemtableRecords: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +313,7 @@ func TestRecoveryRemovesOrphans(t *testing.T) {
 // must fail recovery loudly instead of silently dropping records.
 func TestBinaryWALMidFileCorruptionRefused(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir, Engine: EngineSegments, WALSync: WALSyncBatch})
+	l, err := New(Config{ID: 9, Dir: dir, WALSync: WALSyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,16 +324,13 @@ func TestBinaryWALMidFileCorruptionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wals := walFilesIn(t, dir)
-	if len(wals) != 1 {
-		t.Fatalf("wal files = %v, want one", wals)
-	}
-	data, err := os.ReadFile(wals[0])
+	wal := liveWAL(t, dir)
+	data, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[frameHeaderSize+2] ^= 0xff // first frame's payload; 49 intact frames follow
-	if err := os.WriteFile(wals[0], data, 0o644); err != nil {
+	if err := os.WriteFile(wal, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -346,75 +339,6 @@ func TestBinaryWALMidFileCorruptionRefused(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "wal") {
 		t.Fatalf("corruption error does not identify the wal: %v", err)
 	}
-}
-
-// TestLegacyWALMidFileCorruptionRefused pins the legacy JSON engine's
-// torn-tail fix: an undecodable record with more data after it must be
-// refused, while an undecodable final record is still truncated away.
-func TestLegacyWALMidFileCorruptionRefused(t *testing.T) {
-	build := func(t *testing.T) string {
-		dir := t.TempDir()
-		l, err := New(Config{ID: 9, Dir: dir, Engine: EngineJSON})
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := newOwner(t)
-		for i := 0; i < 3; i++ {
-			o.claim(t, l, hashOf("legacy-"+string(rune('a'+i))), false)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-
-	t.Run("mid-file", func(t *testing.T) {
-		dir := build(t)
-		path := filepath.Join(dir, "wal.log")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.SplitAfter(string(data), "\n")
-		if len(lines) < 3 {
-			t.Fatalf("want >=3 wal lines, got %d", len(lines))
-		}
-		lines[1] = "{\"T\":\"claim\",garbage\n"
-		if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err = New(Config{ID: 9, Dir: dir, Engine: EngineJSON})
-		if err == nil {
-			t.Fatal("legacy recovery accepted mid-file corruption")
-		}
-		if !strings.Contains(err.Error(), "refusing to truncate") {
-			t.Fatalf("error should refuse truncation, got: %v", err)
-		}
-	})
-
-	t.Run("torn-tail", func(t *testing.T) {
-		dir := build(t)
-		path := filepath.Join(dir, "wal.log")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Tear the last record in half: recovery must truncate and keep
-		// the first two claims.
-		cut := strings.LastIndex(strings.TrimSuffix(string(data), "\n"), "\n")
-		torn := data[:cut+1+(len(data)-cut-1)/2]
-		if err := os.WriteFile(path, torn, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rl, err := New(Config{ID: 9, Dir: dir, Engine: EngineJSON})
-		if err != nil {
-			t.Fatalf("torn tail not tolerated: %v", err)
-		}
-		defer rl.Close()
-		if claims, _ := rl.Count(); claims != 2 {
-			t.Fatalf("claims after torn-tail recovery = %d, want 2", claims)
-		}
-	})
 }
 
 // FuzzWALReplayBytes feeds arbitrary bytes through the binary WAL

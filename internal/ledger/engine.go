@@ -12,27 +12,20 @@ import (
 	"irs/internal/ids"
 )
 
-// Engine selects the persistence engine for a ledger directory.
+// Engine is the type of Config.Engine, which selects nothing: the
+// segment engine is the only persistent engine. The type and its one
+// (zero) value remain because the frozen bench/ module names them.
 type Engine int
 
-const (
-	// EngineAuto picks by inspecting the directory: a MANIFEST selects
-	// the segment engine, legacy wal.log/snapshot.json files select the
-	// JSON engine, and a fresh directory gets the segment engine.
-	EngineAuto Engine = iota
-	// EngineJSON is the original JSON-lines WAL + whole-state snapshot.
-	EngineJSON
-	// EngineSegments is the group-commit WAL + sorted-segment engine.
-	EngineSegments
-)
+// EngineSegments is the group-commit WAL + sorted-segment engine.
+const EngineSegments Engine = 0
 
 // WALSyncMode selects the durability posture of WAL appends.
 type WALSyncMode int
 
 const (
 	// WALSyncOS hands appends to the OS without fsync; durability is the
-	// periodic Sync() the serving loop already runs. This matches the
-	// legacy engine's posture and is the default.
+	// periodic Sync() the serving loop already runs. The default.
 	WALSyncOS WALSyncMode = iota
 	// WALSyncBatch fsyncs before an append returns, with concurrent
 	// appends coalesced onto one fsync by group commit.
@@ -51,10 +44,10 @@ const (
 // state lives in immutable sorted segments listed by the manifest.
 //
 // Appends touch only their shard lock and the WAL. A memtable flush
-// briefly freezes mutation (all shard read-barriers, like the legacy
-// Compact) but for a copy bounded by the memtable size, not the
-// database size; segment merging — the expensive part — runs in the
-// background against immutable inputs and never blocks appends.
+// briefly freezes mutation (all shard read-barriers) but for a copy
+// bounded by the memtable size, not the database size; segment merging
+// — the expensive part — runs in the background against immutable
+// inputs and never blocks appends.
 type segEngine struct {
 	l   *Ledger
 	dir string
@@ -281,8 +274,6 @@ func (e *segEngine) lookup(id ids.PhotoID) (*Record, bool, error) {
 	}
 	return nil, false, nil
 }
-
-func (e *segEngine) claims() (uint64, bool) { return e.claimCount.Load(), true }
 
 // maybeFlush starts a background flush (and, if the segment count has
 // built up, a compaction) unless one is already running. Called from
@@ -519,9 +510,9 @@ func (e *segEngine) compactLocked() error {
 	return nil
 }
 
-// compact is the storage-interface entry: flush the memtable, then
-// merge all segments. The heavy work happens without blocking appends.
-func (e *segEngine) compact(*Ledger) error {
+// compact flushes the memtable, then merges all segments. The heavy
+// work happens without blocking appends.
+func (e *segEngine) compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.takeBgErr(); err != nil {
@@ -551,8 +542,6 @@ func (e *segEngine) sync() error {
 	return nil
 }
 
-func (e *segEngine) walSize() (int64, error) { return e.wal.walSize(), nil }
-
 func (e *segEngine) close() error {
 	e.closed.Store(true)
 	e.bg.Wait()
@@ -573,20 +562,42 @@ func (e *segEngine) close() error {
 	return err
 }
 
-// Flush forces the memtable into a segment (segment engine) or is a
-// no-op (JSON and in-memory ledgers). Tests and the bench use it to
-// pin engine state at known points.
+// Flush forces the memtable into a segment; a no-op for in-memory
+// ledgers. Tests and the bench use it to pin engine state at known
+// points.
 func (l *Ledger) Flush() error {
-	if e, ok := l.store.(*segEngine); ok {
-		return e.flush()
+	if l.store == nil {
+		return nil
 	}
-	return nil
+	return l.store.flush()
+}
+
+// Compact flushes the memtable and merges every segment into one,
+// without blocking appends; a no-op for in-memory ledgers. The engine
+// schedules its own flushes and merges (Config.MemtableRecords,
+// Config.CompactAfter), so serving code never needs to call this.
+func (l *Ledger) Compact() error {
+	if l.store == nil {
+		return nil
+	}
+	return l.store.compact()
+}
+
+// Sync forces WAL contents to stable storage; services call it on a
+// timer rather than per-operation to trade a bounded window of
+// durability for throughput. (With Config.WALSync = WALSyncBatch every
+// append is already durable and this is a cheap no-op barrier.)
+func (l *Ledger) Sync() error {
+	if l.store == nil {
+		return nil
+	}
+	return l.store.sync()
 }
 
 // StorageStats is a point-in-time view of the persistence engine.
 type StorageStats struct {
-	Engine          string // "memory", "json", or "segments"
-	Claims          uint64 // distinct claims (segment engine only)
+	Engine          string // "memory" or "segments"
+	Claims          uint64 // distinct claims
 	Segments        int
 	SegmentRecords  uint64 // records across live segments (incl. duplicates)
 	MemtableRecords int64
@@ -599,31 +610,26 @@ type StorageStats struct {
 
 // StorageStats reports engine internals for benches and tests.
 func (l *Ledger) StorageStats() StorageStats {
-	switch e := l.store.(type) {
-	case *segEngine:
-		e.publishGauges()
-		segs := *e.segs.Load()
-		var segRecs uint64
-		for _, sr := range segs {
-			segRecs += sr.count
-		}
-		wb, _ := e.walSize()
-		return StorageStats{
-			Engine:          "segments",
-			Claims:          e.claimCount.Load(),
-			Segments:        len(segs),
-			SegmentRecords:  segRecs,
-			MemtableRecords: e.memRecs.Load(),
-			WALBytes:        wb,
-			WALSyncs:        e.wal.syncs.Load(),
-			WALRecords:      e.wal.records.Load(),
-			Flushes:         l.metrics.flushes.Load(),
-			Compactions:     l.metrics.compactions.Load(),
-		}
-	case *jsonStore:
-		wb, _ := e.walSize()
-		return StorageStats{Engine: "json", WALBytes: wb}
-	default:
+	e := l.store
+	if e == nil {
 		return StorageStats{Engine: "memory"}
+	}
+	e.publishGauges()
+	segs := *e.segs.Load()
+	var segRecs uint64
+	for _, sr := range segs {
+		segRecs += sr.count
+	}
+	return StorageStats{
+		Engine:          "segments",
+		Claims:          e.claimCount.Load(),
+		Segments:        len(segs),
+		SegmentRecords:  segRecs,
+		MemtableRecords: e.memRecs.Load(),
+		WALBytes:        e.wal.walSize(),
+		WALSyncs:        e.wal.syncs.Load(),
+		WALRecords:      e.wal.records.Load(),
+		Flushes:         l.metrics.flushes.Load(),
+		Compactions:     l.metrics.compactions.Load(),
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // makeRecords fabricates n deterministic, fully formed claim records
-// for RestoreRecords — identical across engines and shard counts, the
+// for RestoreRecords — identical across ledgers and shard counts, the
 // precondition of every state-equivalence check. Signatures and tokens
 // are arbitrary bytes: replay and state hashing never verify them.
 func makeRecords(t testing.TB, ledgerID ids.LedgerID, n int, seed int64) []Record {
@@ -61,7 +62,7 @@ func stateHash(t testing.TB, l *Ledger) [32]byte {
 
 func TestSegmentEngineBasicLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir, Engine: EngineSegments, WALSync: WALSyncBatch})
+	l, err := New(Config{ID: 9, Dir: dir, WALSync: WALSyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +133,8 @@ func TestSegmentEngineBasicLifecycle(t *testing.T) {
 func TestSegmentReopenShardAndEngineEquivalence(t *testing.T) {
 	recs := makeRecords(t, 7, 500, 42)
 
-	build := func(dir string, shards int, engine Engine) *Ledger {
-		l, err := New(Config{ID: 7, Dir: dir, Shards: shards, Engine: engine, MemtableRecords: 64})
+	build := func(dir string, shards int) *Ledger {
+		l, err := New(Config{ID: 7, Dir: dir, Shards: shards, MemtableRecords: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestSegmentReopenShardAndEngineEquivalence(t *testing.T) {
 	}
 
 	segDir := t.TempDir()
-	seg := build(segDir, 8, EngineSegments)
+	seg := build(segDir, 8)
 	want := stateHash(t, seg)
 	if claims, _ := seg.Count(); claims != len(recs) {
 		t.Fatalf("claims = %d, want %d", claims, len(recs))
@@ -170,18 +171,18 @@ func TestSegmentReopenShardAndEngineEquivalence(t *testing.T) {
 		l.Close()
 	}
 
-	// The JSON engine fed the same records must hash identically —
-	// the cross-engine gate the storage bench runs before timing.
-	js := build(t.TempDir(), 8, EngineJSON)
-	defer js.Close()
-	if got := stateHash(t, js); got != want {
-		t.Error("json and segment engines diverged on identical input")
+	// An in-memory ledger fed the same records must hash identically —
+	// the independent oracle the storage bench gates on before timing.
+	mem := build("", 8)
+	defer mem.Close()
+	if got := stateHash(t, mem); got != want {
+		t.Error("in-memory and segment ledgers diverged on identical input")
 	}
 }
 
 func TestSegmentBackgroundFlushAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 3, Dir: dir, Engine: EngineSegments, MemtableRecords: 50, CompactAfter: 3})
+	l, err := New(Config{ID: 3, Dir: dir, MemtableRecords: 50, CompactAfter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestSegmentBackgroundFlushAndCompaction(t *testing.T) {
 
 func TestManualCompactMergesToOneSegment(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 4, Dir: dir, Engine: EngineSegments, CompactAfter: 100})
+	l, err := New(Config{ID: 4, Dir: dir, CompactAfter: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,48 +278,38 @@ func TestManualCompactMergesToOneSegment(t *testing.T) {
 	}
 }
 
+// TestEngineMismatchRefused: a directory left by the removed JSON engine
+// must fail New with an error naming the offending file — opening it as
+// a fresh segment store would silently ignore its records — and must be
+// left exactly as found.
 func TestEngineMismatchRefused(t *testing.T) {
-	// Legacy directory opened with the segment engine must refuse, not
-	// silently ignore the JSON state.
-	legacy := t.TempDir()
-	l, err := New(Config{ID: 5, Dir: legacy, Engine: EngineJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := newOwner(t)
-	o.claim(t, l, hashOf("legacy"), false)
-	l.Close()
-	if _, err := New(Config{ID: 5, Dir: legacy, Engine: EngineSegments}); err == nil {
-		t.Fatal("segment engine accepted a JSON-engine directory")
-	}
-	// And auto-detect must pick the JSON engine there.
-	l2, err := New(Config{ID: 5, Dir: legacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l2.StorageStats().Engine; got != "json" {
-		t.Fatalf("auto engine on legacy dir = %q, want json", got)
-	}
-	l2.Close()
-
-	segs := t.TempDir()
-	l3, err := New(Config{ID: 5, Dir: segs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.claim(t, l3, hashOf("segments"), false)
-	if err := l3.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	l3.Close()
-	if _, err := New(Config{ID: 5, Dir: segs, Engine: EngineJSON}); err == nil {
-		t.Fatal("JSON engine accepted a segment-engine directory")
+	for _, name := range []string{"wal.log", "snapshot.json"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("[]\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := New(Config{ID: 5, Dir: dir})
+			if err == nil {
+				t.Fatal("opened a JSON-engine directory as an empty ledger")
+			}
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error does not name %s: %v", name, err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) != 1 || ents[0].Name() != name {
+				t.Errorf("refused open modified the directory: %v", ents)
+			}
+		})
 	}
 }
 
 func TestSegmentWALRotationDropsCoveredFiles(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 6, Dir: dir, Engine: EngineSegments})
+	l, err := New(Config{ID: 6, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +330,7 @@ func TestSegmentWALRotationDropsCoveredFiles(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, walFileName(seqs[0]))); err != nil {
 		t.Fatal(err)
 	}
-	if sz, _ := l.WALSize(); sz != 0 {
+	if sz := l.StorageStats().WALBytes; sz != 0 {
 		t.Fatalf("active wal size after flush = %d, want 0", sz)
 	}
 }
@@ -369,7 +360,7 @@ func TestSegmentLookupAcrossManyFlushes(t *testing.T) {
 	// Newest-wins: re-revoking records across flush generations must
 	// serve the latest state from the newest covering segment.
 	dir := t.TempDir()
-	l, err := New(Config{ID: 2, Dir: dir, Engine: EngineSegments, CompactAfter: 100})
+	l, err := New(Config{ID: 2, Dir: dir, CompactAfter: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

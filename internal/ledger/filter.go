@@ -21,9 +21,9 @@ import (
 // by every labeled photo). We implement the reading the arithmetic
 // requires and record the discrepancy here and in EXPERIMENTS.md.
 //
-// Snapshots are numbered; proxies holding epoch E can fetch a compact
+// Snapshots are numbered; proxies holding epoch E fetch a compact
 // delta E→latest instead of the full filter (hourly delta updates,
-// §4.4).
+// §4.4) through FilterSync.
 
 // FilterKey maps a photo identifier into the filter key space.
 func FilterKey(id ids.PhotoID) uint64 {
@@ -97,12 +97,8 @@ func (l *Ledger) BuildSnapshot() (seq uint64, err error) {
 	return l.snapSeq, nil
 }
 
-// Snapshot errors.
-var (
-	ErrNoSnapshot    = errors.New("ledger: no filter snapshot built yet")
-	ErrSnapshotGone  = errors.New("ledger: requested snapshot epoch expired")
-	ErrSnapshotAhead = errors.New("ledger: requested snapshot epoch not yet built")
-)
+// ErrNoSnapshot is returned before the first BuildSnapshot.
+var ErrNoSnapshot = errors.New("ledger: no filter snapshot built yet")
 
 // FilterSnapshot returns the latest snapshot epoch and a copy of its
 // filter.
@@ -116,41 +112,14 @@ func (l *Ledger) FilterSnapshot() (uint64, *bloom.Filter, error) {
 	return seq, l.snapshots[seq].Clone(), nil
 }
 
-// FilterDelta returns the delta bytes transforming epoch fromSeq into
-// the latest epoch, plus the latest epoch number. Callers already at the
-// latest epoch get an empty delta. If the filters' parameters changed
-// between the epochs (population growth forced a resize), ErrMismatch
-// propagates and the caller falls back to a full fetch.
-func (l *Ledger) FilterDelta(fromSeq uint64) (delta []byte, latest uint64, err error) {
-	l.snapMu.RLock()
-	defer l.snapMu.RUnlock()
-	if len(l.snapOrder) == 0 {
-		return nil, 0, ErrNoSnapshot
-	}
-	latest = l.snapOrder[len(l.snapOrder)-1]
-	if fromSeq > latest {
-		return nil, latest, ErrSnapshotAhead
-	}
-	if fromSeq == latest {
-		d, err := bloom.Delta(l.snapshots[latest], l.snapshots[latest])
-		return d, latest, err
-	}
-	from, ok := l.snapshots[fromSeq]
-	if !ok {
-		return nil, latest, ErrSnapshotGone
-	}
-	d, err := bloom.Delta(from, l.snapshots[latest])
-	return d, latest, err
-}
-
-// FilterSync is the versioned sync protocol's server side: the caller
+// FilterSync is the sync protocol's server side: the caller
 // states the epoch it holds and the hash of the filter it actually has,
 // and always gets back whatever brings it to the latest epoch.
 //
 //   - Caller already at the latest epoch with the matching hash: empty
 //     payload (nothing to transfer).
 //   - Known epoch whose retained snapshot hashes to baseHash: the
-//     cheaper of a base-validated v2 delta and a full snapshot
+//     cheaper of a base-validated delta and a full snapshot
 //     (bloom.Update's size gate).
 //   - Anything else — epoch expired from history, epoch ahead of us (a
 //     restarted origin renumbering epochs), or a hash that doesn't

@@ -12,9 +12,6 @@ func TestSnapshotBeforeBuild(t *testing.T) {
 	if _, _, err := l.FilterSnapshot(); err != ErrNoSnapshot {
 		t.Errorf("got %v, want ErrNoSnapshot", err)
 	}
-	if _, _, err := l.FilterDelta(0); err != ErrNoSnapshot {
-		t.Errorf("delta: got %v, want ErrNoSnapshot", err)
-	}
 }
 
 func TestSnapshotContainsRevoked(t *testing.T) {
@@ -92,7 +89,8 @@ func TestSnapshotDelta(t *testing.T) {
 	if seq2 != seq1+1 {
 		t.Errorf("epoch 2 = %d", seq2)
 	}
-	delta, latest, err := l.FilterDelta(seq1)
+	h1 := f1.Hash()
+	delta, latest, err := l.FilterSync(seq1, h1[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +99,8 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 	// Applying the delta to epoch 1 must produce a filter containing the
 	// newly revoked ids.
-	if err := bloom.Apply(f1, delta); err != nil {
+	f1, err = bloom.ApplyUpdate(f1, delta)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -119,34 +118,34 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
+// TestSnapshotDeltaSameEpoch: a caller at the latest epoch number gets
+// nothing only if it also holds the latest bits; the same epoch number
+// over different bits (an origin that restarted and renumbered) must
+// get a full snapshot, never "you are current".
 func TestSnapshotDeltaSameEpoch(t *testing.T) {
 	l := newLedger(t)
 	if _, err := l.BuildSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	delta, latest, err := l.FilterDelta(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latest != 1 {
-		t.Errorf("latest = %d", latest)
-	}
 	_, f, err := l.FilterSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bloom.Apply(f, delta); err != nil {
-		t.Fatalf("empty delta should apply cleanly: %v", err)
+	h := f.Hash()
+	payload, latest, err := l.FilterSync(1, h[:])
+	if err != nil || latest != 1 || payload != nil {
+		t.Fatalf("current caller: %d payload bytes, latest %d, %v", len(payload), latest, err)
 	}
-}
-
-func TestSnapshotDeltaAheadAndGone(t *testing.T) {
-	l := newLedger(t)
-	if _, err := l.BuildSnapshot(); err != nil {
-		t.Fatal(err)
+	payload, latest, err = l.FilterSync(1, make([]byte, 32))
+	if err != nil || latest != 1 {
+		t.Fatalf("wrong-bits caller: latest %d, %v", latest, err)
 	}
-	if _, _, err := l.FilterDelta(99); err != ErrSnapshotAhead {
-		t.Errorf("future epoch: got %v, want ErrSnapshotAhead", err)
+	got, err := bloom.ApplyUpdate(nil, payload)
+	if err != nil {
+		t.Fatalf("wrong-bits caller should get a standalone snapshot: %v", err)
+	}
+	if got.Hash() != h {
+		t.Error("snapshot payload does not reproduce the latest filter")
 	}
 }
 
@@ -161,12 +160,24 @@ func TestSnapshotHistoryEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Epochs 1 and 2 must be evicted with history 3 (epochs 3,4,5 kept).
-	if _, _, err := l.FilterDelta(1); err != ErrSnapshotGone {
-		t.Errorf("evicted epoch: got %v, want ErrSnapshotGone", err)
+	// Epochs 1 and 2 must be evicted with history 3 (epochs 3,4,5 kept):
+	// every epoch here publishes the same empty filter, so the caller's
+	// hash is right and only retention decides between delta and resync.
+	_, f, err := l.FilterSnapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := l.FilterDelta(3); err != nil {
-		t.Errorf("retained epoch: %v", err)
+	h := f.Hash()
+	for from, wantResync := range map[uint64]bool{1: true, 3: false} {
+		payload, latest, err := l.FilterSync(from, h[:])
+		if err != nil || latest != 5 {
+			t.Fatalf("sync from epoch %d: latest %d, %v", from, latest, err)
+		}
+		// Only a full snapshot applies without a base.
+		_, err = bloom.ApplyUpdate(nil, payload)
+		if resync := err == nil; resync != wantResync {
+			t.Errorf("sync from epoch %d: full resync = %v, want %v", from, resync, wantResync)
+		}
 	}
 }
 
@@ -265,16 +276,14 @@ func TestFilterSync(t *testing.T) {
 // replication ingest path).
 func TestRestoreRecordsClearsRevokedIndex(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		engine Engine
-		dir    bool
+		name string
+		dir  bool
 	}{
-		{"memory", EngineAuto, false},
-		{"json", EngineJSON, true},
-		{"segments", EngineSegments, true},
+		{"memory", false},
+		{"segments", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{ID: 7, Engine: tc.engine}
+			cfg := Config{ID: 7}
 			if tc.dir {
 				cfg.Dir = t.TempDir()
 			}

@@ -16,12 +16,12 @@ import (
 // enough that waiters demonstrably stack up behind the leader.
 func TestGroupCommitCoalescesSyncs(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir, Engine: EngineSegments, WALSync: WALSyncBatch})
+	l, err := New(Config{ID: 9, Dir: dir, WALSync: WALSyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	eng := l.store.(*segEngine)
+	eng := l.store
 	var syncs atomic.Uint64
 	eng.wal.syncFile = func(f *os.File) error {
 		syncs.Add(1)
@@ -67,14 +67,14 @@ func TestGroupCommitCoalescesSyncs(t *testing.T) {
 // roll its record back out of memory.
 func TestGroupCommitStickyError(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir, Engine: EngineSegments, WALSync: WALSyncBatch})
+	l, err := New(Config{ID: 9, Dir: dir, WALSync: WALSyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := newOwner(t)
 	o.claim(t, l, hashOf("before-poison"), false)
 
-	eng := l.store.(*segEngine)
+	eng := l.store
 	boom := errors.New("disk gone")
 	eng.wal.syncFile = func(*os.File) error { return boom }
 
@@ -98,7 +98,7 @@ func TestGroupCommitStickyError(t *testing.T) {
 // fsync at all; the periodic Sync is the durability point.
 func TestWALSyncOSDefersDurability(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir, Engine: EngineSegments})
+	l, err := New(Config{ID: 9, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,8 @@
 //     revocation is refused;
 //   - Bloom-filter snapshots of the currently revoked population with
 //     numbered epochs and delta updates (§4.4), served to proxies;
-//   - durable state via a write-ahead log plus snapshots (wal.go).
+//   - durable state via a group-commit write-ahead log plus immutable
+//     sorted segments (engine.go).
 //
 // The store is lock-striped (shard.go): status queries, claims, and
 // owner operations on different records never share a mutex, and
@@ -153,14 +154,14 @@ type Config struct {
 	// in (series irs_ledger_*_total{ledger=...}); nil means a private
 	// registry, which keeps Metrics() working at identical cost.
 	Obs *obs.Registry
-	// Engine selects the persistence engine for Dir; EngineAuto (zero)
-	// inspects the directory and defaults fresh ones to EngineSegments.
+	// Engine selects nothing: a non-empty Dir always means the segment
+	// engine. The field survives only because the frozen bench/ module
+	// sets it.
 	Engine Engine
-	// WALSync selects the segment engine's append durability; the zero
-	// value, WALSyncOS, matches the legacy engine (periodic Sync).
+	// WALSync selects append durability; the zero value, WALSyncOS,
+	// leaves it to the periodic Sync.
 	WALSync WALSyncMode
-	// MemtableRecords is the segment engine's flush threshold; zero
-	// means 65536.
+	// MemtableRecords is the memtable flush threshold; zero means 65536.
 	MemtableRecords int
 	// CompactAfter is how many live segments trigger a background
 	// merge; zero means 8.
@@ -184,7 +185,11 @@ type Ledger struct {
 	signPub ed25519.PublicKey
 	signKey ed25519.PrivateKey
 
-	store storage
+	// store is the persistence engine; nil means in-memory only.
+	// Mutators log to it while holding the record's shard write lock —
+	// the ordering invariant replay relies on (a claim always precedes
+	// its ops in the log).
+	store *segEngine
 
 	// Filter snapshot state, guarded by snapMu (independent of the
 	// record shards).
@@ -256,70 +261,30 @@ func New(cfg Config) (*Ledger, error) {
 		maxHistory: hist,
 	}
 	if cfg.Dir != "" {
-		engine, err := resolveEngine(cfg)
-		if err != nil {
+		if err := refuseLegacyDir(cfg.Dir); err != nil {
 			return nil, err
 		}
-		switch engine {
-		case EngineJSON:
-			w, err := openWAL(cfg.Dir)
-			if err != nil {
-				return nil, err
-			}
-			// Recovery order: compacted snapshot first (if any), then
-			// the operations logged since it was taken.
-			if err := loadSnapshot(cfg.Dir, l); err != nil {
-				w.close()
-				return nil, err
-			}
-			if err := w.replay(l); err != nil {
-				w.close()
-				return nil, err
-			}
-			l.store = &jsonStore{w: w}
-		case EngineSegments:
-			if _, err := openSegEngine(l, cfg); err != nil {
-				l.store = nil
-				return nil, err
-			}
+		if _, err := openSegEngine(l, cfg); err != nil {
+			l.store = nil
+			return nil, err
 		}
 	}
 	return l, nil
 }
 
-// resolveEngine maps Config.Engine onto a concrete engine, refusing
-// combinations that would silently ignore existing state.
-func resolveEngine(cfg Config) (Engine, error) {
-	hasManifest := fileExists(filepath.Join(cfg.Dir, manifestFile))
-	hasLegacy := fileExists(filepath.Join(cfg.Dir, "wal.log")) ||
-		fileExists(filepath.Join(cfg.Dir, snapshotFile))
-	switch cfg.Engine {
-	case EngineJSON:
-		if hasManifest {
-			return 0, fmt.Errorf("ledger: %s holds segment-engine state; open with EngineSegments", cfg.Dir)
-		}
-		return EngineJSON, nil
-	case EngineSegments:
-		if hasLegacy {
-			return 0, fmt.Errorf("ledger: %s holds JSON-engine state; open with EngineJSON", cfg.Dir)
-		}
-		return EngineSegments, nil
-	case EngineAuto:
-		if hasManifest && hasLegacy {
-			return 0, fmt.Errorf("ledger: %s holds both JSON and segment engine state", cfg.Dir)
-		}
-		if hasLegacy {
-			return EngineJSON, nil
-		}
-		return EngineSegments, nil
-	default:
-		return 0, fmt.Errorf("ledger: unknown engine %d", cfg.Engine)
-	}
-}
+// Files the JSON-lines engine of earlier versions left behind.
+var legacyFiles = []string{"wal.log", "snapshot.json"}
 
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
+// refuseLegacyDir rejects a directory holding JSON-engine state:
+// nothing reads that format any more, and opening the directory as a
+// segment store would silently ignore every record in it.
+func refuseLegacyDir(dir string) error {
+	for _, name := range legacyFiles {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return fmt.Errorf("ledger: %s holds %s, written by the removed JSON engine; refusing to open it as a segment store", dir, name)
+		}
+	}
+	return nil
 }
 
 // ID returns the ledger identifier.
@@ -728,9 +693,9 @@ func (l *Ledger) Record(id ids.PhotoID) (Record, error) {
 }
 
 // Count returns total claims and currently revoked claims. The revoked
-// sets are always fully resident; under the segment engine the claim
-// total comes from the engine's exact counter, because the shard maps
-// hold only the memtable.
+// sets are always fully resident; a persistent ledger's claim total
+// comes from the engine's exact counter, because the shard maps hold
+// only the memtable.
 func (l *Ledger) Count() (claims, revoked int) {
 	for i := range l.shards {
 		sh := &l.shards[i]
@@ -740,9 +705,7 @@ func (l *Ledger) Count() (claims, revoked int) {
 		sh.mu.RUnlock()
 	}
 	if l.store != nil {
-		if c, exact := l.store.claims(); exact {
-			claims = int(c)
-		}
+		claims = int(l.store.claimCount.Load())
 	}
 	return claims, revoked
 }

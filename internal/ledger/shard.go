@@ -27,10 +27,9 @@ import (
 //     record's shard write lock, so per-record entry order (claim
 //     before its ops, ops in sequence order) is preserved, which is
 //     the only ordering replay relies on;
-//   - compaction: state snapshots sort records by identifier bytes, so
-//     snapshot.json is byte-stable regardless of shard count or map
-//     iteration order (the old code serialized Go map order, which was
-//     already arbitrary).
+//   - segments: a flush sorts its memtable cut by identifier bytes, so
+//     sealed state (and StateHash) is independent of shard count and
+//     map iteration order.
 
 // defaultShards is the shard count when Config.Shards is zero. 64 is
 // comfortably above any plausible core count, keeps per-shard maps
@@ -76,8 +75,8 @@ func (l *Ledger) shardFor(id ids.PhotoID) *shard {
 // lockAllShards read-locks every shard in index order and returns an
 // unlock function. While held, no mutation is in flight anywhere
 // (mutators hold a shard write lock across their WAL append), so the
-// caller sees a frozen, consistent state — Compact uses this to pair
-// its snapshot with the WAL truncation.
+// caller sees a frozen, consistent state — a memtable flush uses this
+// to pair its cut with the WAL rotation.
 func (l *Ledger) lockAllShards() (unlock func()) {
 	for i := range l.shards {
 		l.shards[i].mu.RLock()

@@ -5,8 +5,6 @@ import (
 	"crypto/ed25519"
 	"fmt"
 	mrand "math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -168,88 +166,6 @@ func TestFilterSnapshotShardCountInvariant(t *testing.T) {
 	many := build(64)
 	if !bytes.Equal(one, many) {
 		t.Errorf("filter snapshot differs between 1 and 64 shards (%d vs %d bytes)", len(one), len(many))
-	}
-}
-
-// TestWALReplayShardCountInvariant: state logged under one shard count
-// must recover identically under another, and compaction must produce
-// byte-identical snapshots from it regardless of shard count.
-func TestWALReplayShardCountInvariant(t *testing.T) {
-	dirA := t.TempDir()
-	l, err := New(Config{ID: 1, Dir: dirA, Shards: 64, Engine: EngineJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := newOwner(t)
-	var claimed []ids.PhotoID
-	for i := 0; i < 100; i++ {
-		r := o.claim(t, l, hashOf(fmt.Sprintf("wal-%d", i)), i%4 == 0)
-		claimed = append(claimed, r.ID)
-	}
-	for i, id := range claimed {
-		if i%5 != 0 {
-			continue
-		}
-		rec, err := l.Record(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.State == StateActive {
-			if err := l.Apply(id, OpRevoke, o.signOp(id, OpRevoke, rec.OpSeq+1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same log, two shard counts.
-	dirB := t.TempDir()
-	data, err := os.ReadFile(filepath.Join(dirA, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dirB, "wal.log"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	lA, err := New(Config{ID: 1, Dir: dirA, Shards: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lA.Close()
-	lB, err := New(Config{ID: 1, Dir: dirB, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lB.Close()
-
-	for _, id := range claimed {
-		ra, errA := lA.Record(id)
-		rb, errB := lB.Record(id)
-		if errA != nil || errB != nil {
-			t.Fatalf("record %v: %v / %v", id, errA, errB)
-		}
-		if ra.State != rb.State || ra.OpSeq != rb.OpSeq || ra.ContentHash != rb.ContentHash {
-			t.Fatalf("record %v diverges between shard counts: %+v vs %+v", id, ra, rb)
-		}
-	}
-	if err := lA.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lB.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	snapA, err := os.ReadFile(filepath.Join(dirA, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapB, err := os.ReadFile(filepath.Join(dirB, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapA, snapB) {
-		t.Error("compacted snapshots differ between 1 and 64 shards")
 	}
 }
 

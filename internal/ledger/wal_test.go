@@ -74,11 +74,15 @@ func TestWALRecovery(t *testing.T) {
 	}
 }
 
+// tornFrame is an append cut short by a crash: an op frame's header and
+// the first bytes of its payload.
+var tornFrame = appendOpFrame(nil, ids.PhotoID{}, OpRevoke, 1)[:frameHeaderSize+5]
+
 func TestWALTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	o := newOwner(t)
 	h := hashOf("torn")
-	l, err := New(Config{ID: 9, Dir: dir, Engine: EngineJSON})
+	l, err := New(Config{ID: 9, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +92,13 @@ func TestWALTornTailTolerated(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: garbage partial line at the end.
-	path := filepath.Join(dir, "wal.log")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	// Simulate a crash mid-append: a frame header promising more payload
+	// than the file holds.
+	f, err := os.OpenFile(liveWAL(t, dir), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"t":"claim","id":"TRUNCAT`); err != nil {
+	if _, err := f.Write(tornFrame); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -123,7 +127,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 // same offset no matter how records scatter across shards).
 func TestWALTornTailShardedByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir, Shards: 8, Engine: EngineJSON})
+	l, err := New(Config{ID: 9, Dir: dir, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,16 +154,17 @@ func TestWALTornTailShardedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "wal.log")
+	path := liveWAL(t, dir)
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := append(append([]byte{}, clean...), []byte(`{"t":"op","id":"TORN`)...)
+	torn := append(append([]byte{}, clean...), tornFrame...)
 
 	for _, shards := range []int{1, 4, 32} {
-		dir2 := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir2, "wal.log"), torn, 0o644); err != nil {
+		dir2 := copyLedgerDir(t, dir)
+		path2 := filepath.Join(dir2, filepath.Base(path))
+		if err := os.WriteFile(path2, torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l2, err := New(Config{ID: 9, Dir: dir2, Shards: shards})
@@ -182,7 +187,7 @@ func TestWALTornTailShardedByteIdentical(t *testing.T) {
 		if err := l2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(dir2, "wal.log"))
+		got, err := os.ReadFile(path2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +203,7 @@ func TestWALTornTailShardedByteIdentical(t *testing.T) {
 // appendable, and reach the same state on a second recovery.
 func TestWALCrashMidBatchSharded(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir, Shards: 8, Engine: EngineJSON})
+	l, err := New(Config{ID: 9, Dir: dir, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +229,9 @@ func TestWALCrashMidBatchSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash mid-append of the batch's final entry: every WAL line is far
-	// longer than 5 bytes, so chopping 5 tears exactly the last one.
-	path := filepath.Join(dir, "wal.log")
+	// Crash mid-append of the batch's final entry: every claim frame is
+	// far longer than 5 bytes, so chopping 5 tears exactly the last one.
+	path := liveWAL(t, dir)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

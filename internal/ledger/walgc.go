@@ -25,8 +25,7 @@ import (
 //
 // In WALSyncOS mode appends return once the record is in the pending
 // buffer and a leader has handed it to the OS without fsync; durability
-// is the caller's periodic Sync(), matching the legacy JSON WAL's
-// posture.
+// is the caller's periodic Sync().
 //
 // The log rotates at memtable flush: the engine freezes appends (it
 // holds every shard write-barrier), calls rotate, and replays only

@@ -239,7 +239,6 @@ type failingService struct {
 }
 
 func (f *failingService) Filter() (uint64, *bloom.Filter, error)            { return 0, nil, f.err }
-func (f *failingService) FilterDelta(uint64) ([]byte, uint64, error)        { return nil, 0, f.err }
 func (f *failingService) FilterSync(uint64, []byte) ([]byte, uint64, error) { return nil, 0, f.err }
 func (f *failingService) Keys() (*wire.KeysResponse, error)                 { return nil, f.err }
 func (f *failingService) Status(ids.PhotoID) (*ledger.StatusProof, error)   { return nil, f.err }

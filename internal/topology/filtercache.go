@@ -21,7 +21,7 @@ type Syncer interface {
 var _ Syncer = (*FilterCache)(nil)
 
 // FilterCache is a tier's held window of filter epochs. The serve side
-// (FilterSync) answers downstream tiers with size-gated v2 deltas
+// (FilterSync) answers downstream tiers with size-gated deltas
 // between retained epochs or full snapshots; the client side (Pull)
 // advances the cache from an upstream Syncer. A bounded history keeps
 // delta service possible for downstreams one-to-few intervals behind

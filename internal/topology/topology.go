@@ -8,7 +8,7 @@
 //   - Filter plane: the origin ledger publishes numbered revocation
 //     filter snapshots; regionals sync from the origin and edges sync
 //     from regionals via the versioned sync protocol (FilterCache,
-//     bloom.Update payloads — v2 base-hash-validated deltas or full
+//     bloom.Update payloads — base-hash-validated deltas or full
 //     snapshots, whichever is smaller, with snapshot fallback on any
 //     base mismatch). Staleness grows one sync interval per hop; the
 //     -topology harness measures that tradeoff curve.

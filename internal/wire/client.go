@@ -72,7 +72,7 @@ func NewTransport() *http.Transport {
 // per client at construction, never per call.
 var clientRPCs = []string{
 	"claim", "op", "status", "status_batch", "seq",
-	"keys", "filter", "filter_delta", "filter_sync", "admin_revoke",
+	"keys", "filter", "filter_sync", "admin_revoke",
 }
 
 // rpcInstruments is one RPC's pre-interned series.
@@ -724,12 +724,7 @@ func (c *Client) Filter() (epoch uint64, f *bloom.Filter, err error) {
 	return epoch, f, err
 }
 
-// FilterDelta downloads the delta from a held epoch to the latest.
-func (c *Client) FilterDelta(from uint64) (delta []byte, latest uint64, err error) {
-	return c.getRaw("filter_delta", "/v1/filter/delta?from="+strconv.FormatUint(from, 10))
-}
-
-// FilterSync runs one round of the versioned sync protocol: the held
+// FilterSync runs one round of the sync protocol: the held
 // epoch and base-filter hash go up, an ApplyUpdate payload (or nothing,
 // if current) comes back.
 func (c *Client) FilterSync(from uint64, baseHash []byte) (payload []byte, latest uint64, err error) {

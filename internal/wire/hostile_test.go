@@ -75,8 +75,8 @@ func TestClientAgainstMissingEpochHeader(t *testing.T) {
 	if _, _, err := c.Filter(); err == nil {
 		t.Error("filter without epoch header accepted")
 	}
-	if _, _, err := c.FilterDelta(1); err == nil {
-		t.Error("delta without epoch header accepted")
+	if _, _, err := c.FilterSync(1, nil); err == nil {
+		t.Error("sync without epoch header accepted")
 	}
 }
 

@@ -67,11 +67,12 @@ func TestLoopbackParity(t *testing.T) {
 	if _, err := l.BuildSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	delta, latest, err := lb.FilterDelta(epoch)
+	base := f.Hash()
+	payload, latest, err := lb.FilterSync(epoch, base[:])
 	if err != nil || latest != 2 {
-		t.Fatalf("delta latest %d err %v", latest, err)
+		t.Fatalf("sync latest %d err %v", latest, err)
 	}
-	if err := bloom.Apply(f, delta); err != nil {
+	if _, err := bloom.ApplyUpdate(f, payload); err != nil {
 		t.Fatal(err)
 	}
 

@@ -21,7 +21,7 @@ import (
 // jitter), a down ledger cannot consume unbounded work (per-attempt
 // deadline plus a retry budget shared across calls), and a
 // non-idempotent verb is never replayed after it may have reached the
-// server — Status/StatusBatch/Seq/Keys/Filter/FilterDelta retry on any
+// server — Status/StatusBatch/Seq/Keys/Filter/FilterSync retry on any
 // transport failure, Claim/Apply/PermanentRevoke retry only on
 // pre-send failures (dial class), where the request provably never
 // left the client.
@@ -300,16 +300,6 @@ func (r *RetryClient) Filter() (epoch uint64, f *bloom.Filter, err error) {
 		return e
 	})
 	return epoch, f, err
-}
-
-// FilterDelta implements Service.
-func (r *RetryClient) FilterDelta(from uint64) (delta []byte, latest uint64, err error) {
-	err = r.do(true, func(s Service) error {
-		var e error
-		delta, latest, e = s.FilterDelta(from)
-		return e
-	})
-	return delta, latest, err
 }
 
 // FilterSync implements Service; idempotent, retried on any transport

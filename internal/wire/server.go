@@ -77,7 +77,6 @@ func NewServerOpts(l *ledger.Ledger, adminToken string, opts ServerOptions) *Ser
 	route("GET /v1/seq", "seq", s.handleSeq)
 	route("GET /v1/keys", "keys", s.handleKeys)
 	route("GET /v1/filter", "filter", s.handleFilter)
-	route("GET /v1/filter/delta", "filter_delta", s.handleFilterDelta)
 	route("GET /v1/filter/sync", "filter_sync", s.handleFilterSync)
 	route("POST /v1/admin/permanent-revoke", "admin_revoke", s.handleAdminRevoke)
 	if opts.Debug {
@@ -347,23 +346,6 @@ func (s *Server) handleFilter(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(f.Marshal())
 }
 
-func (s *Server) handleFilterDelta(w http.ResponseWriter, r *http.Request) {
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "from must be an epoch number")
-		return
-	}
-	delta, latest, err := s.ledger.FilterDelta(from)
-	if err != nil {
-		WriteError(w, statusFor(err), err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-IRS-Epoch", strconv.FormatUint(latest, 10))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(delta)
-}
-
 func (s *Server) handleFilterSync(w http.ResponseWriter, r *http.Request) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
@@ -433,8 +415,7 @@ func statusFor(err error) int {
 		return http.StatusForbidden
 	case errors.Is(err, ledger.ErrNonRevocable), errors.Is(err, ledger.ErrPermanent):
 		return http.StatusConflict
-	case errors.Is(err, ledger.ErrNoSnapshot), errors.Is(err, ledger.ErrSnapshotGone),
-		errors.Is(err, ledger.ErrSnapshotAhead):
+	case errors.Is(err, ledger.ErrNoSnapshot):
 		return http.StatusNotFound
 	default:
 		return http.StatusInternalServerError

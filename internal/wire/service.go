@@ -23,8 +23,7 @@ type Service interface {
 	StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 	Keys() (*KeysResponse, error)
 	Filter() (epoch uint64, f *bloom.Filter, err error)
-	FilterDelta(from uint64) (delta []byte, latest uint64, err error)
-	// FilterSync is the versioned filter sync: the caller presents the
+	// FilterSync is the filter sync: the caller presents the
 	// epoch and hash of the filter it holds and receives whatever
 	// payload (base-validated delta or full snapshot, whichever is
 	// smaller — feed it to bloom.ApplyUpdate) brings it to the latest
@@ -99,11 +98,6 @@ func (lb *Loopback) Keys() (*KeysResponse, error) {
 // Filter implements Service.
 func (lb *Loopback) Filter() (uint64, *bloom.Filter, error) {
 	return lb.L.FilterSnapshot()
-}
-
-// FilterDelta implements Service.
-func (lb *Loopback) FilterDelta(from uint64) ([]byte, uint64, error) {
-	return lb.L.FilterDelta(from)
 }
 
 // FilterSync implements Service.

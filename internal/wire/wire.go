@@ -16,9 +16,8 @@
 //	GET  /v1/seq?id=I      → SeqQueryResponse (for owner-side op signing)
 //	GET  /v1/keys          → KeysResponse
 //	GET  /v1/filter        → binary bloom.Filter, X-IRS-Epoch header
-//	GET  /v1/filter/delta?from=E → binary delta, X-IRS-Epoch header
 //	GET  /v1/filter/sync?from=E&base=H → binary update payload for
-//	       bloom.ApplyUpdate (v2 delta or snapshot, whichever is
+//	       bloom.ApplyUpdate (delta or snapshot, whichever is
 //	       smaller; empty body when the caller is current),
 //	       X-IRS-Epoch header; H is the hex SHA-256 of the held filter
 //	POST /v1/admin/permanent-revoke  body AdminRevokeRequest → empty

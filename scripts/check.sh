@@ -34,11 +34,17 @@ go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|Pipe
     ./internal/aggregator
 
 # Storage engine: group-commit coalescing, crash-injection recovery at
-# shard counts 1/8/32, engine/shard state equivalence, and the
-# HTTP-wired restart hammer — all named under the race detector.
-go test -race -run 'GroupCommit|WALSyncOS|Crash|RecoveryRemovesOrphans|MidFileCorruptionRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash' \
+# shard counts 1/8/32, torn-tail truncation, shard/in-memory state
+# equivalence, the legacy-directory refusal, and the HTTP-wired restart
+# hammer — all named under the race detector.
+go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash' \
     ./internal/ledger
 go test -race -run 'PersistentLedgerSurvivesRestart' ./internal/integration
+
+# The benchmark is its own module (irs/bench), which `go test ./...`
+# above does not compile; it imports internal APIs, so drift must fail
+# here rather than in the benchmark pipeline (~8 s).
+(cd bench && go vet ./... && go test ./...)
 
 # Fuzz the binary record framing and the WAL replay path: ten seconds
 # each over the seeded corpus plus fresh mutations.
@@ -46,8 +52,10 @@ go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/ledger
 go test -run='^$' -fuzz=FuzzWALReplayBytes -fuzztime=10s ./internal/ledger
 
 # Storage-engine bench smoke: a size-bounded run whose equivalence gate
-# still compares both engines' StateHash before any timing; the
-# committed artifact is BENCH_storage.json (10M claims, seed 42).
+# still compares the segment ledger's StateHash (live and reopened)
+# with an in-memory ledger's before any timing. The committed
+# BENCH_storage.json (10M claims, seed 42) is the recorded comparison
+# against the removed JSON-lines engine and is not regenerated.
 go run ./cmd/irs-bench -storage -storage-out /tmp/irs_storage_smoke.json \
     -storage-claims 50000 -storage-equiv 10000 -storage-reads 2000 \
     -storage-memtable 16384
