@@ -189,8 +189,9 @@ func runChaosOnce(cfg chaosConfig, backend *serveLedger, spec chaosSpec, truth m
 	// The validator clock is advanced only at phase barriers: frozen
 	// time keeps warm-phase proofs fresh, one jump expires them all
 	// before the outage (so FailOpenFresh must lean on the stale
-	// window), and a second jump lets the breaker's cooldown lapse for
-	// the recovery probe.
+	// window), and a second jump lets the breaker's cooldown lapse so
+	// one probe, sent from the barrier itself, closes it again before
+	// the recovery phase.
 	now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 	cacheTTL := time.Minute
 	// A fresh registry and tracer per run, both on the phase clock: the
@@ -319,6 +320,18 @@ func runChaosOnce(cfg chaosConfig, backend *serveLedger, spec chaosSpec, truth m
 	}
 	down.Store(false)
 	now = now.Add(time.Minute) // past the breaker cooldown
+	if spec.breaker {
+		// Spend the half-open probe here, on the barrier. The breaker
+		// admits one request while half-open and fast-fails the rest, so
+		// left to the workers, which of them won the slot — and how many
+		// pages the others got through before the probe's answer closed
+		// the breaker — decided who was served fresh, who stale and (fail
+		// closed) who failed outside the outage: the one place scheduling
+		// leaked into outcomes.
+		if _, err := v.ValidateBatch(backend.ids[:1]); err != nil {
+			return nil, fmt.Errorf("recovery probe: %w", err)
+		}
+	}
 	if err := runPhase('R', recoverPages, false); err != nil {
 		return nil, err
 	}

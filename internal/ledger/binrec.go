@@ -81,10 +81,6 @@ func appendClaimPayload(dst []byte, rec *Record) ([]byte, error) {
 	if len(rec.PubKey) > 0xff || len(rec.HashSig) > 0xff {
 		return nil, fmt.Errorf("ledger: oversized key or signature (%d/%d bytes)", len(rec.PubKey), len(rec.HashSig))
 	}
-	tok := rec.Timestamp.Marshal()
-	if len(tok) > 0xffff {
-		return nil, fmt.Errorf("ledger: oversized timestamp token (%d bytes)", len(tok))
-	}
 	dst = append(dst, recClaim)
 	b := rec.ID.Bytes()
 	dst = append(dst, b[:]...)
@@ -100,19 +96,31 @@ func appendClaimPayload(dst []byte, rec *Record) ([]byte, error) {
 	dst = append(dst, rec.PubKey...)
 	dst = append(dst, byte(len(rec.HashSig)))
 	dst = append(dst, rec.HashSig...)
-	var tl [2]byte
-	binary.LittleEndian.PutUint16(tl[:], uint16(len(tok)))
-	dst = append(dst, tl[:]...)
-	return append(dst, tok...), nil
+	// The token's length prefix is patched in once the token is in place.
+	lenAt := len(dst)
+	dst = rec.Timestamp.AppendMarshal(append(dst, 0, 0))
+	n := len(dst) - lenAt - 2
+	if n > 0xffff {
+		return nil, fmt.Errorf("ledger: oversized timestamp token (%d bytes)", n)
+	}
+	binary.LittleEndian.PutUint16(dst[lenAt:], uint16(n))
+	return dst, nil
 }
 
-// appendClaimFrame encodes a full claim frame onto dst.
+// appendClaimFrame encodes a full claim frame onto dst: it reserves the
+// header, encodes the payload in place behind it, then patches length
+// and CRC.
 func appendClaimFrame(dst []byte, rec *Record) ([]byte, error) {
-	payload, err := appendClaimPayload(nil, rec)
+	hdr := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	dst, err := appendClaimPayload(dst, rec)
 	if err != nil {
 		return nil, err
 	}
-	return appendFrame(dst, payload), nil
+	payload := dst[hdr+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[hdr:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[hdr+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
 }
 
 // appendOpFrame encodes an owner-operation frame onto dst.
@@ -271,15 +279,4 @@ func decodeRecord(payload []byte) (*binRec, error) {
 	default:
 		return nil, fmt.Errorf("ledger: unknown record kind %q", r.kind)
 	}
-}
-
-// frameID peeks the photo identifier of the frame payload without a
-// full decode — segment scans use it to skip non-matching records.
-func frameID(payload []byte) (ids.PhotoID, bool) {
-	if len(payload) < 17 {
-		return ids.PhotoID{}, false
-	}
-	var idb [16]byte
-	copy(idb[:], payload[1:17])
-	return ids.FromBytes(idb), true
 }

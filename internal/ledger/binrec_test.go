@@ -2,7 +2,9 @@ package ledger
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 )
@@ -103,6 +105,37 @@ func TestFrameTornVersusCorrupt(t *testing.T) {
 	}
 	if _, _, err := frameAt(huge[:frameHeaderSize], 0); !errors.Is(err, errFrameTorn) {
 		t.Fatal("hostile length at EOF should read as torn")
+	}
+}
+
+// TestClaimFrameGolden pins the claim frame encoding to the bytes the
+// copy-then-frame encoder produced before frames were encoded in place
+// (the hash was taken at that commit), over the FuzzFrameDecode corpus
+// records plus a custodial one and a wide opseq varint, appended to a
+// non-empty buffer and to a nil one. Segment and WAL files written
+// before and after must be the same files.
+func TestClaimFrameGolden(t *testing.T) {
+	recs := makeRecords(t, 9, 3, 1)
+	recs[1].Custodial = true
+	recs[2].OpSeq = 1 << 40
+	buf := []byte("prefix")
+	for i := range recs {
+		var err error
+		if buf, err = appendClaimFrame(buf, &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		alone, err := appendClaimFrame(nil, &recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(alone) != string(buf[len(buf)-len(alone):]) {
+			t.Fatalf("record %d: frame depends on the buffer it is appended to", i)
+		}
+	}
+	const want = "841b7fc6d4dd66c31b083e59f376488b892f795e787318522458e9ba72ed5303"
+	sum := sha256.Sum256(buf)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("claim frames changed: sha256 %s, want %s (%d bytes)", got, want, len(buf))
 	}
 }
 

@@ -275,6 +275,17 @@ func (e *segEngine) lookup(id ids.PhotoID) (*Record, bool, error) {
 	return nil, false, nil
 }
 
+// lookupState is lookup for Status and StatusBatch, which want the state
+// alone; an identifier no segment holds is StateUnknown.
+func (e *segEngine) lookupState(id ids.PhotoID) (State, error) {
+	for _, sr := range *e.segs.Load() {
+		if st, ok, err := sr.lookupState(id); ok || err != nil {
+			return st, err
+		}
+	}
+	return StateUnknown, nil
+}
+
 // maybeFlush starts a background flush (and, if the segment count has
 // built up, a compaction) unless one is already running. Called from
 // the append path; never blocks.

@@ -583,25 +583,32 @@ func (l *Ledger) Status(id ids.PhotoID) (*StatusProof, error) {
 	}
 	sh.mu.RUnlock()
 	if !ok && l.store != nil {
-		srec, found, err := l.store.lookup(id)
-		if err != nil {
+		var err error
+		if st, err = l.store.lookupState(id); err != nil {
 			return nil, err
-		}
-		if found {
-			st = srec.State
 		}
 	}
 	l.metrics.queries.Inc()
-	return l.signStatus(id, st), nil
+	at := l.proofTime()
+	sh.memo.mu.Lock()
+	p := sh.memo.get(id, st, at)
+	sh.memo.mu.Unlock()
+	if p != nil {
+		l.metrics.memoHits.Inc()
+		return p, nil
+	}
+	l.metrics.signs.Inc()
+	return l.signStatusAt(sh, id, st, at), nil
 }
 
 // StatusBatch answers one validation query per identifier, in input
 // order — the ledger half of the batch RPC that lets a page load
-// resolve dozens of photos in one round trip. States are read with one
-// lock acquisition per touched shard and the Ed25519 proof signatures
-// are produced on the worker pool; all proofs in a batch share one
-// IssuedAt instant, so a batch is exactly as fresh as its slowest
-// member would have been.
+// resolve dozens of photos in one round trip. Each touched shard is
+// visited once: states are read under its lock (memtable misses from
+// the segments, outside it), then the shard's proof memo is asked for
+// signatures this second has already produced. Only what it lacks is
+// signed, on the worker pool. All proofs in a batch share one IssuedAt
+// instant.
 func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 	n := len(batch)
 	if n == 0 {
@@ -619,23 +626,28 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 	for s, c := range counts {
 		offsets[s+1] = offsets[s] + c
 	}
-	grouped := make([]int, n) // input indices, grouped by shard
+	// One slab of input indices: all of them grouped by shard, one
+	// shard's memtable misses, and those the memo had no signature for.
+	slab := make([]int, 3*n)
+	grouped, misses, unsigned := slab[:n], slab[n:n:2*n], slab[2*n:2*n]
 	fill := append([]int(nil), offsets[:len(l.shards)]...)
 	for i := range batch {
 		s := shardOf[i]
 		grouped[fill[s]] = i
 		fill[s]++
 	}
+	at := l.proofTime()
 	states := make([]State, n)
-	var misses []int
+	proofs := make([]*StatusProof, n)
 	for s := range l.shards {
-		lo, hi := offsets[s], offsets[s+1]
-		if lo == hi {
+		mine := grouped[offsets[s]:offsets[s+1]]
+		if len(mine) == 0 {
 			continue
 		}
 		sh := &l.shards[s]
+		misses = misses[:0]
 		sh.mu.RLock()
-		for _, i := range grouped[lo:hi] {
+		for _, i := range mine {
 			if rec, ok := sh.records[batch[i]]; ok {
 				states[i] = rec.State
 			} else if l.store != nil {
@@ -643,23 +655,29 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 			}
 		}
 		sh.mu.RUnlock()
-	}
-	// Memtable misses fall through to the storage engine (segment point
-	// lookups); unknown identifiers stay StateUnknown.
-	for _, i := range misses {
-		srec, found, err := l.store.lookup(batch[i])
-		if err != nil {
-			return nil, err
+		// Memtable misses fall through to the storage engine (segment
+		// point lookups); unknown identifiers stay StateUnknown.
+		for _, i := range misses {
+			st, err := l.store.lookupState(batch[i])
+			if err != nil {
+				return nil, err
+			}
+			states[i] = st
 		}
-		if found {
-			states[i] = srec.State
+		sh.memo.mu.Lock()
+		for _, i := range mine {
+			if proofs[i] = sh.memo.get(batch[i], states[i], at); proofs[i] == nil {
+				unsigned = append(unsigned, i)
+			}
 		}
+		sh.memo.mu.Unlock()
 	}
 	l.metrics.queries.Add(uint64(n))
-	at := l.clock().UTC()
-	proofs := make([]*StatusProof, n)
-	parallel.Do(n, func(i int) {
-		proofs[i] = l.signStatusAt(batch[i], states[i], at)
+	l.metrics.memoHits.Add(uint64(n - len(unsigned)))
+	l.metrics.signs.Add(uint64(len(unsigned)))
+	parallel.Do(len(unsigned), func(k int) {
+		i := unsigned[k]
+		proofs[i] = l.signStatusAt(&l.shards[shardOf[i]], batch[i], states[i], at)
 	})
 	return proofs, nil
 }

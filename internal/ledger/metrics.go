@@ -16,6 +16,10 @@ type metrics struct {
 	claims  *obs.Counter
 	ops     *obs.Counter
 	queries *obs.Counter
+	// signs + memoHits = queries: a proof is either signed or taken from
+	// the per-second memo. Both move by one Add per batch.
+	signs    *obs.Counter
+	memoHits *obs.Counter
 
 	// Storage-engine instruments. walSyncs/walRecords are mirrored from
 	// the group-commit WAL's internal atomics at sync/flush/stats time
@@ -34,6 +38,8 @@ func newMetrics(reg *obs.Registry, id ids.LedgerID) metrics {
 		claims:      reg.Counter("irs_ledger_claims_total", l),
 		ops:         reg.Counter("irs_ledger_ops_total", l),
 		queries:     reg.Counter("irs_ledger_queries_total", l),
+		signs:       reg.Counter("irs_ledger_proof_signs_total", l),
+		memoHits:    reg.Counter("irs_ledger_proof_memo_hits_total", l),
 		walSyncs:    reg.Counter("irs_ledger_wal_syncs_total", l),
 		walRecords:  reg.Counter("irs_ledger_wal_records_total", l),
 		flushes:     reg.Counter("irs_ledger_flushes_total", l),
@@ -51,14 +57,21 @@ type MetricsSnapshot struct {
 	Claims  uint64
 	Ops     uint64
 	Queries uint64
+	// ProofSigns and ProofMemoHits split Queries by whether the proof's
+	// signature was computed or found in the per-second memo; the hit
+	// rate is ProofMemoHits / Queries.
+	ProofSigns    uint64
+	ProofMemoHits uint64
 }
 
 // Metrics returns a point-in-time copy of the counters.
 func (l *Ledger) Metrics() MetricsSnapshot {
 	return MetricsSnapshot{
-		Claims:  l.metrics.claims.Load(),
-		Ops:     l.metrics.ops.Load(),
-		Queries: l.metrics.queries.Load(),
+		Claims:        l.metrics.claims.Load(),
+		Ops:           l.metrics.ops.Load(),
+		Queries:       l.metrics.queries.Load(),
+		ProofSigns:    l.metrics.signs.Load(),
+		ProofMemoHits: l.metrics.memoHits.Load(),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
+	"sync"
 	"time"
 
 	"irs/internal/ids"
@@ -33,16 +34,81 @@ func (p *StatusProof) canonical() []byte {
 	return buf
 }
 
-// signStatus builds and signs a proof at the current clock.
-func (l *Ledger) signStatus(id ids.PhotoID, st State) *StatusProof {
-	return l.signStatusAt(id, st, l.clock().UTC())
+// proofQuantum is the granularity of IssuedAt. Stamping whole seconds
+// makes the signed message a pure function of (id, state, second), so
+// every query of one second can share one signature (proofMemo); it is
+// 0.3 % of the 5-minute cache TTL that already bounds how stale a
+// forwarded proof may be.
+const proofQuantum = time.Second
+
+// memoMaxEntries caps the signatures a ledger keeps for the current
+// second, summed over its shards. Past it, proofs are signed as always
+// and not stored.
+const memoMaxEntries = 1 << 16
+
+// proofTime is the instant the proofs of one query are stamped with.
+func (l *Ledger) proofTime() time.Time {
+	return l.clock().UTC().Truncate(proofQuantum)
 }
 
-// signStatusAt builds and signs a proof at an explicit instant;
-// StatusBatch stamps a whole batch with one clock read.
-func (l *Ledger) signStatusAt(id ids.PhotoID, st State, at time.Time) *StatusProof {
+// memoKey is, with the memo's second, exactly the signed message.
+type memoKey struct {
+	id    ids.PhotoID
+	state State
+}
+
+// proofMemo holds one shard's share of the signatures already made for
+// the current second. Ed25519 is deterministic, so a hit is byte for
+// byte what a fresh Sign returns. The state half of the key is read
+// from the record by every query; a state change therefore misses by
+// itself and nothing needs to invalidate an entry. Entries of another
+// second are dropped wholesale by the first query that finds them.
+type proofMemo struct {
+	mu   sync.Mutex
+	at   time.Time
+	sigs map[memoKey][ed25519.SignatureSize]byte
+	max  int
+}
+
+// get returns the proof for (id, st, at) if the memo holds its
+// signature and nil otherwise, first dropping entries of any other
+// second. The signature is copied: callers own the proof they are
+// given. The caller holds m.mu.
+func (m *proofMemo) get(id ids.PhotoID, st State, at time.Time) *StatusProof {
+	if !m.at.Equal(at) {
+		m.at = at
+		clear(m.sigs)
+		return nil
+	}
+	sig, ok := m.sigs[memoKey{id, st}]
+	if !ok {
+		return nil
+	}
+	return &StatusProof{ID: id, State: st, IssuedAt: at, Sig: append([]byte(nil), sig[:]...)}
+}
+
+// put stores a freshly signed proof's signature, unless the memo is
+// full or has moved on to another second. It takes m.mu itself.
+func (m *proofMemo) put(p *StatusProof) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.at.Equal(p.IssuedAt) || len(m.sigs) >= m.max {
+		return
+	}
+	if m.sigs == nil {
+		m.sigs = make(map[memoKey][ed25519.SignatureSize]byte)
+	}
+	m.sigs[memoKey{p.ID, p.State}] = [ed25519.SignatureSize]byte(p.Sig)
+}
+
+// signStatusAt is the one step a memo miss takes, for Status and
+// StatusBatch alike: it builds and signs the proof of (id, st) at an
+// explicit instant and leaves the signature in the memo of sh, the
+// shard of id.
+func (l *Ledger) signStatusAt(sh *shard, id ids.PhotoID, st State, at time.Time) *StatusProof {
 	p := &StatusProof{ID: id, State: st, IssuedAt: at}
 	p.Sig = ed25519.Sign(l.signKey, p.canonical())
+	sh.memo.put(p)
 	return p
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -324,10 +325,11 @@ func (sr *segReader) indexEntry(i int) (id ids.PhotoID, off int64) {
 	return ids.FromBytes(b), int64(binary.LittleEndian.Uint64(e[16:24]))
 }
 
-// lookup finds a record by identifier. Misses are resolved by the
-// bloom filter in the common case; hits cost one index binary search
-// plus a scan of at most indexStride frames.
-func (sr *segReader) lookup(id ids.PhotoID) (*Record, bool, error) {
+// find returns the payload of the identifier's claim frame, aliasing
+// the mapping. Misses are resolved by the bloom filter in the common
+// case; hits cost one index binary search plus a CRC-checked scan of at
+// most indexStride frames.
+func (sr *segReader) find(id ids.PhotoID) (payload []byte, ok bool, err error) {
 	if !segBloomTest(sr.bloom, sr.bloomK, id) {
 		return nil, false, nil
 	}
@@ -350,21 +352,15 @@ func (sr *segReader) lookup(id ids.PhotoID) (*Record, bool, error) {
 		if err != nil {
 			return nil, false, fmt.Errorf("ledger: segment %s frame at %d: %w", sr.path, off, err)
 		}
-		fid, ok := frameID(payload)
-		if !ok {
+		if len(payload) < 17 {
 			return nil, false, fmt.Errorf("ledger: segment %s frame at %d: short payload", sr.path, off)
 		}
-		fb := fid.Bytes()
-		switch bytes.Compare(fb[:], want[:]) {
+		switch bytes.Compare(payload[1:17], want[:]) {
 		case 0:
-			rec, err := decodeRecord(payload)
-			if err != nil {
-				return nil, false, err
-			}
-			if rec.kind != recClaim {
+			if payload[0] != recClaim {
 				return nil, false, fmt.Errorf("ledger: segment %s holds non-claim record", sr.path)
 			}
-			return rec.rec, true, nil
+			return payload, true, nil
 		case 1:
 			return nil, false, nil // sorted: passed the slot
 		}
@@ -373,10 +369,37 @@ func (sr *segReader) lookup(id ids.PhotoID) (*Record, bool, error) {
 	return nil, false, nil
 }
 
+// lookup finds a record by identifier and decodes it.
+func (sr *segReader) lookup(id ids.PhotoID) (*Record, bool, error) {
+	payload, ok, err := sr.find(id)
+	if !ok {
+		return nil, false, err
+	}
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return nil, false, err
+	}
+	return rec.rec, true, nil
+}
+
+// lookupState is lookup for callers that want only the state: it reads
+// the state byte out of the mapped frame instead of decoding the record
+// (public key, signature and timestamp token, five allocations).
+func (sr *segReader) lookupState(id ids.PhotoID) (State, bool, error) {
+	payload, ok, err := sr.find(id)
+	if !ok {
+		return StateUnknown, false, err
+	}
+	if len(payload) < 19 {
+		return StateUnknown, false, errors.New("ledger: claim record too short")
+	}
+	return State(payload[17]), true, nil
+}
+
 // contains reports whether the segment holds the identifier (exact,
 // bloom-prefiltered). Recovery uses it for revoked-list shadow checks.
 func (sr *segReader) contains(id ids.PhotoID) (bool, error) {
-	_, ok, err := sr.lookup(id)
+	_, ok, err := sr.find(id)
 	return ok, err
 }
 

@@ -42,6 +42,11 @@ type shard struct {
 	mu      sync.RWMutex
 	records map[ids.PhotoID]*Record
 	revoked map[ids.PhotoID]bool // current revoked set (incl. permanent)
+
+	// memo is this stripe of the per-second proof-signature memo
+	// (proof.go). It has its own mutex: a query writes to it while
+	// holding no record lock.
+	memo proofMemo
 }
 
 // newShards allocates n initialized shards.
@@ -50,6 +55,7 @@ func newShards(n int) []shard {
 	for i := range s {
 		s[i].records = make(map[ids.PhotoID]*Record)
 		s[i].revoked = make(map[ids.PhotoID]bool)
+		s[i].memo.max = max(1, memoMaxEntries/n)
 	}
 	return s
 }

@@ -213,8 +213,10 @@ func TestStatusBatchEmpty(t *testing.T) {
 }
 
 // BenchmarkServingStatus measures the per-identifier validation path.
+// It runs on the wall clock over 512 ids, so past the first pass of
+// each second it is the proof memo's hit path.
 func BenchmarkServingStatus(b *testing.B) {
-	l, population := benchLedger(b)
+	l, population := benchLedger(b, nil, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := l.Status(population[i%len(population)]); err != nil {
@@ -224,24 +226,55 @@ func BenchmarkServingStatus(b *testing.B) {
 }
 
 // BenchmarkServingStatusBatch measures the batched path at the browser
-// page size.
-func BenchmarkServingStatusBatch(b *testing.B) {
-	l, population := benchLedger(b)
-	page := make([]ids.PhotoID, 48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range page {
-			page[j] = population[(i*len(page)+j)%len(population)]
+// page size over an in-memory ledger: /repeat asks for one page inside
+// one second (every proof from the memo), /distinct moves the clock a
+// second per iteration (every proof signed and stored — the path every
+// batch took before the memo).
+func BenchmarkServingStatusBatch(b *testing.B) { benchStatusBatch(b, false) }
+
+// BenchmarkServingStatusBatchSegments is the same pair with every
+// record flushed to a segment, so states come from lookupState.
+func BenchmarkServingStatusBatchSegments(b *testing.B) { benchStatusBatch(b, true) }
+
+var benchProofs []*StatusProof
+
+func benchStatusBatch(b *testing.B, segments bool) {
+	for _, distinct := range []bool{false, true} {
+		name := "repeat"
+		if distinct {
+			name = "distinct"
 		}
-		if _, err := l.StatusBatch(page); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			clock := newTestClock()
+			l, population := benchLedger(b, clock.now, segments)
+			page := make([]ids.PhotoID, 48)
+			copy(page, population)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if distinct {
+					clock.advance(time.Second)
+					for j := range page {
+						page[j] = population[(i*len(page)+j)%len(population)]
+					}
+				}
+				proofs, err := l.StatusBatch(page)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchProofs = proofs
+			}
+		})
 	}
 }
 
-func benchLedger(b *testing.B) (*Ledger, []ids.PhotoID) {
+func benchLedger(b *testing.B, clock func() time.Time, segments bool) (*Ledger, []ids.PhotoID) {
 	b.Helper()
-	l, err := New(Config{ID: 1})
+	cfg := Config{ID: 1, Clock: clock}
+	if segments {
+		cfg.Dir = b.TempDir()
+	}
+	l, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -250,6 +283,9 @@ func benchLedger(b *testing.B) (*Ledger, []ids.PhotoID) {
 	population := make([]ids.PhotoID, 512)
 	for i := range population {
 		population[i] = o.claim(b, l, hashOf(fmt.Sprintf("bench-%d", i)), i%8 == 0).ID
+	}
+	if err := l.Flush(); err != nil {
+		b.Fatal(err)
 	}
 	return l, population
 }

@@ -3,6 +3,7 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,6 +207,108 @@ func TestBreakerBatchFastFail(t *testing.T) {
 	}
 	if calls != before {
 		t.Error("open breaker still issued a batch query")
+	}
+}
+
+// Concurrent pages race for the half-open slot after a recovered
+// outage: exactly one is admitted as the probe, everyone who arrives
+// while it is in flight fast-fails without touching the ledger, and its
+// answer closes the breaker for all of them. (irs-bench -chaos sends
+// its recovery probe serially from the phase barrier, so this is where
+// half-open admission runs under contention.)
+func TestBreakerHalfOpenConcurrentAdmission(t *testing.T) {
+	const workers = 8
+	clock, advance := fakeClock(time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC))
+	var down atomic.Bool
+	var calls atomic.Int64
+	release := make(chan struct{})
+	v := NewValidator(Config{
+		CacheCapacity: 64,
+		Breaker:       BreakerConfig{Enabled: true, FailureThreshold: 2, Cooldown: 5 * time.Second},
+		Clock:         clock,
+	}, nil)
+	v.SetBatchQuery(func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+		if down.Load() {
+			return nil, errors.New("ledger down")
+		}
+		calls.Add(1)
+		<-release
+		out := make([]*ledger.StatusProof, len(batch))
+		for i, id := range batch {
+			out[i] = &ledger.StatusProof{ID: id, State: ledger.StateActive}
+		}
+		return out, nil
+	})
+
+	// Distinct ids per worker: nobody rides another's singleflight.
+	pages := make([][]ids.PhotoID, workers)
+	for w := range pages {
+		pages[w] = []ids.PhotoID{mustNewID(t, 1), mustNewID(t, 1)}
+	}
+	down.Store(true)
+	for i := 0; i < 2; i++ {
+		if _, err := v.ValidateBatch(pages[0]); err == nil {
+			t.Fatal("down ledger batch validated")
+		}
+	}
+	if got := v.BreakerState(1); got != "open" {
+		t.Fatalf("breaker %q, want open", got)
+	}
+	down.Store(false)
+	advance(6 * time.Second)
+
+	round := func() chan error {
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				_, err := v.ValidateBatch(pages[w])
+				errs <- err
+			}(w)
+		}
+		return errs
+	}
+	await := func(errs chan error) error {
+		t.Helper()
+		select {
+		case err := <-errs:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("page still blocked with %d queries at the ledger, want 1 probe", calls.Load())
+			return nil
+		}
+	}
+
+	// The probe is held at the ledger until every other page has been
+	// turned away, so the count below does not depend on who won.
+	errs := round()
+	for i := 0; i < workers-1; i++ {
+		if err := await(errs); !errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("page beside the in-flight probe: %v, want ErrBreakerOpen", err)
+		}
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("half-open admitted %d queries, want exactly 1 probe", got)
+	}
+	if got := v.BreakerState(1); got != "half-open" {
+		t.Fatalf("breaker %q with the probe in flight, want half-open", got)
+	}
+	close(release)
+	if err := await(errs); err != nil {
+		t.Fatalf("recovered probe: %v", err)
+	}
+	if got := v.BreakerState(1); got != "closed" {
+		t.Fatalf("after successful probe breaker %q, want closed", got)
+	}
+
+	// Closed again: the same pages all go through.
+	errs = round()
+	for i := 0; i < workers; i++ {
+		if err := await(errs); err != nil {
+			t.Fatalf("page after recovery: %v", err)
+		}
+	}
+	if got, want := v.Stats().BreakerFastFails, uint64(2*(workers-1)); got != want {
+		t.Errorf("BreakerFastFails = %d, want %d (per occurrence)", got, want)
 	}
 }
 

@@ -41,19 +41,28 @@ func (t *Token) canonical() []byte {
 	return buf
 }
 
+// marshaledSize is the exact encoded size of a signed token.
+const marshaledSize = 8 + 8 + 32 + ed25519.SignatureSize
+
 // Marshal encodes the token for wire transport.
 func (t *Token) Marshal() []byte {
-	c := t.canonical()
-	out := make([]byte, 0, len(c)+len(t.Sig))
-	out = append(out, c...)
-	out = append(out, t.Sig...)
-	return out
+	return t.AppendMarshal(make([]byte, 0, marshaledSize))
+}
+
+// AppendMarshal appends the encoding Marshal returns to dst and returns
+// the extended slice, so a record encoder can place the token inside a
+// larger buffer without an intermediate copy.
+func (t *Token) AppendMarshal(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, t.Serial)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(t.Time.UnixNano()))
+	dst = append(dst, t.Digest[:]...)
+	return append(dst, t.Sig...)
 }
 
 // Unmarshal decodes a token produced by Marshal.
 func Unmarshal(b []byte) (*Token, error) {
-	if len(b) != 48+ed25519.SignatureSize {
-		return nil, fmt.Errorf("tsa: token length %d, want %d", len(b), 48+ed25519.SignatureSize)
+	if len(b) != marshaledSize {
+		return nil, fmt.Errorf("tsa: token length %d, want %d", len(b), marshaledSize)
 	}
 	t := &Token{
 		Serial: binary.BigEndian.Uint64(b[0:]),

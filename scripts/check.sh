@@ -36,8 +36,12 @@ go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|Pipe
 # Storage engine: group-commit coalescing, crash-injection recovery at
 # shard counts 1/8/32, torn-tail truncation, shard/in-memory state
 # equivalence, the legacy-directory refusal, and the HTTP-wired restart
-# hammer — all named under the race detector.
-go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash' \
+# hammer — all named under the race detector. With them the validation
+# path's per-second proof memo (byte identity with a fresh Sign, state
+# flips inside one second, rollover, cap, the StatusBatch/Apply/flush
+# hammer), the state-only segment read against the decoding one, and
+# the claim-frame golden that pins segment and WAL bytes.
+go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden' \
     ./internal/ledger
 go test -race -run 'PersistentLedgerSurvivesRestart' ./internal/integration
 
