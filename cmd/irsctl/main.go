@@ -164,10 +164,7 @@ func run() error {
 			fmt.Println("metadata label: none")
 		}
 		cfg := watermark.DefaultConfig()
-		res, err := watermark.ExtractAligned(im, cfg)
-		if err != nil {
-			res, err = watermark.Extract(im, cfg)
-		}
+		res, err := watermark.ExtractFallback(im, cfg)
 		if err != nil {
 			fmt.Println("watermark:      none found")
 		} else {

@@ -227,20 +227,20 @@ func New(cfg Config, dir *wire.Directory) (*Aggregator, error) {
 const fullSearchPixelBudget = 512 * 512
 
 // extractLabel reads both label halves, preferring the cheap aligned
-// watermark pass and falling back to the full geometric search for
-// images within the compute budget.
+// watermark pass and falling back to the full geometric search — over
+// the same luma plane — for images within the compute budget.
 func (a *Aggregator) extractLabel(im *photo.Image) (metaID, wmID ids.PhotoID, metaOK, wmOK bool) {
 	if s := im.Meta.Get(photo.KeyIRSID); s != "" {
 		if id, err := ids.Parse(s); err == nil {
 			metaID, metaOK = id, true
 		}
 	}
-	if res, err := watermark.ExtractAligned(im, a.cfg.Watermark); err == nil {
+	extract := watermark.ExtractAligned
+	if im.W*im.H <= fullSearchPixelBudget {
+		extract = watermark.ExtractFallback
+	}
+	if res, err := extract(im, a.cfg.Watermark); err == nil {
 		wmID, wmOK = ids.FromBytes(res.Payload), true
-	} else if im.W*im.H <= fullSearchPixelBudget {
-		if res, err := watermark.Extract(im, a.cfg.Watermark); err == nil {
-			wmID, wmOK = ids.FromBytes(res.Payload), true
-		}
 	}
 	return
 }

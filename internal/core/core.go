@@ -277,10 +277,7 @@ func (s *System) extractID(im *photo.Image) (ids.PhotoID, bool) {
 			return id, true
 		}
 	}
-	if res, err := watermark.ExtractAligned(im, s.wmCfg); err == nil {
-		return ids.FromBytes(res.Payload), true
-	}
-	if res, err := watermark.Extract(im, s.wmCfg); err == nil {
+	if res, err := watermark.ExtractFallback(im, s.wmCfg); err == nil {
 		return ids.FromBytes(res.Payload), true
 	}
 	return ids.PhotoID{}, false

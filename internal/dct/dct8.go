@@ -41,3 +41,35 @@ func Forward8(dst, src *Block) {
 func Inverse8(dst, src *Block) {
 	inverse8((*[64]float64)(dst.Data), (*[64]float64)(src.Data))
 }
+
+// Coef8 returns coefficient (u, v) of the 2D DCT-II of the 8×8 block
+// whose top-left sample is src[0] in a plane of the given row stride —
+// bit-identical to Forward8's output at [u*8+v], for 72 multiply-adds
+// instead of 1,024. It is for callers that read one coefficient and
+// write none back; a caller that modifies the block still needs
+// Forward8/Inverse8.
+func Coef8(src []float64, stride, u, v int) float64 {
+	var rows [8]*[8]float64
+	for r := range rows {
+		rows[r] = (*[8]float64)(src[r*stride:])
+	}
+	return coef8(&rows, &basis8[u], &basis8[v])
+}
+
+// RowPass8 computes dst[x] = Σ_c src[x+c]·basis8[v][c] for each of the
+// first len(dst) window positions of one image row (at most
+// len(src)-7): the row-pass term of output column v for a block
+// starting at any x. The terms do not depend on which row of its block
+// the image row is, so one pass over a plane serves every 8×8 grid
+// alignment.
+func RowPass8(dst, src []float64, v int) {
+	rowPass8(dst, src, &basis8[v])
+}
+
+// ColPass8 computes dst[x] = Σ_r rows[r][x]·basis8[u][r]: given eight
+// consecutive lines of RowPass8 output, coefficient (u, v) of the block
+// with top-left at column x of the first line, for every x at once and
+// bit-identical to Coef8 there.
+func ColPass8(dst []float64, rows *[8][]float64, u int) {
+	colPass8(dst, rows, &basis8[u])
+}

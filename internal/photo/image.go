@@ -76,9 +76,20 @@ func (im *Image) SetGray(x, y int, v byte) {
 // Luma returns the full luma plane as float64 values, row-major, suitable
 // for DCT processing. The slice is freshly allocated.
 func (im *Image) Luma() []float64 {
-	out := make([]float64, im.W*im.H)
+	return im.LumaInto(nil)
+}
+
+// LumaInto is Luma into a caller-owned buffer: it fills and returns
+// buf[:W*H], allocating only when buf's capacity is short, so a reader
+// that keeps its planes between images allocates nothing per image.
+func (im *Image) LumaInto(buf []float64) []float64 {
+	n := im.W * im.H
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	out := buf[:n]
 	if im.Channels == 1 {
-		for i, p := range im.Pix {
+		for i, p := range im.Pix[:n] {
 			out[i] = float64(p)
 		}
 		return out

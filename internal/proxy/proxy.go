@@ -621,11 +621,13 @@ func (v *Validator) querySF(id ids.PhotoID) (*ledger.StatusProof, error) {
 				br.record(fl.err == nil, v.cfg.Clock())
 			}
 		}
-		close(fl.done)
-
+		// Retire the flight before waking its waiters: a waiter that
+		// re-enters after a failed flight must not find that flight
+		// still registered and fail on it a second time.
 		s.mu.Lock()
 		delete(s.m, id)
 		s.mu.Unlock()
+		close(fl.done)
 		return fl.proof, fl.err
 	}
 }

@@ -450,6 +450,76 @@ func TestSingleflightHerdRecoversFromLeaderFailure(t *testing.T) {
 	}
 }
 
+func TestSingleflightRetiresFlightBeforeWaking(t *testing.T) {
+	// The order inside the leader's exit: a failed flight must leave the
+	// map before its done channel closes. Otherwise a woken waiter can
+	// re-enter, find the same failed flight still registered, and spend
+	// its one re-entry failing on it again. The test stalls the leader
+	// at that exit by holding the stripe lock across the failure: done
+	// must stay open for as long as the flight is registered.
+	var mu sync.Mutex
+	calls := 0
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	v := NewValidator(Config{CacheCapacity: 4}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
+		mu.Lock()
+		calls++
+		first := calls == 1
+		mu.Unlock()
+		if first {
+			close(entered)
+			<-release
+			return nil, errors.New("transient fault")
+		}
+		return &ledger.StatusProof{ID: id, State: ledger.StateActive, IssuedAt: time.Now()}, nil
+	})
+	id := mustNewID(t, 1)
+	var wg sync.WaitGroup
+	var leaderErr, waiterErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, leaderErr = v.Validate(id)
+	}()
+	<-entered // the leader's flight is registered and its query is parked
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, waiterErr = v.Validate(id)
+	}()
+	// Let the waiter join the flight. Not load-bearing: one that arrives
+	// late starts a fresh flight, which is the outcome asserted anyway.
+	time.Sleep(20 * time.Millisecond)
+
+	s := &v.sf[id.Hash64()&v.sfMask]
+	s.mu.Lock()
+	fl := s.m[id]
+	if fl == nil {
+		s.mu.Unlock()
+		t.Fatal("leader's flight is not registered while its query is in progress")
+	}
+	close(release) // fail the leader; it cannot retire the flight while we hold the lock
+	select {
+	case <-fl.done:
+		t.Error("failed flight woke its waiters while still registered: a re-entering waiter rejoins it and fails twice")
+	case <-time.After(100 * time.Millisecond):
+	}
+	s.mu.Unlock()
+	wg.Wait()
+
+	if leaderErr == nil {
+		t.Error("leader's own failed attempt returned no error")
+	}
+	if waiterErr != nil {
+		t.Errorf("waiter failed after re-entry: %v (only the leader's attempt failed)", waiterErr)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != 2 {
+		t.Errorf("upstream called %d times, want 2: the failed flight, then the re-entrant's fresh one", calls)
+	}
+}
+
 func TestErrorsAreNotCached(t *testing.T) {
 	fl := newFakeLedger()
 	fl.err = errors.New("down")

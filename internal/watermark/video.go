@@ -47,10 +47,7 @@ func ExtractVideo(v *photo.Video, cfg Config) (VideoResult, error) {
 	votes := make(map[[PayloadBytes]byte]*tally)
 	read := 0
 	for i, f := range v.Frames {
-		res, err := ExtractAligned(f, cfg)
-		if err != nil {
-			res, err = Extract(f, cfg)
-		}
+		res, err := ExtractFallback(f, cfg)
 		if err != nil {
 			continue
 		}

@@ -23,7 +23,9 @@
 //   - Extraction searches all 64 pixel phases (crops misalign the 8×8
 //     grid) and all 160 codeword phases (crops remove whole block rows/
 //     columns), soft-combining votes across tiles and accepting the
-//     candidate with a valid CRC and the best margin.
+//     candidate with a valid CRC and the best margin. It computes only
+//     the carrier coefficient of each block, never the whole transform
+//     (extract.go).
 //
 // JPEG-like requantization survives because the embedding step 2Δ is
 // chosen well above the Annex-K quantization step for the carrier
@@ -34,6 +36,7 @@
 package watermark
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -45,7 +48,7 @@ import (
 )
 
 // blockRowChunk is the number of 8-pixel block rows one pool task
-// processes in Embed/ExtractAligned. It is a function of nothing — in
+// processes in Embed. It is a function of nothing — in
 // particular not of the worker count — so chunk boundaries, and with
 // them every float accumulation order, are identical at any
 // parallelism (the determinism contract in internal/parallel).
@@ -74,6 +77,10 @@ const PayloadBits = PayloadBytes * 8
 // codewordBits is payload plus CRC-32.
 const codewordBits = PayloadBits + 32
 
+// wordBytes is the packed size of a codeword: bit i of the codeword is
+// bit 7-i%8 of byte i/8.
+const wordBytes = codewordBits / 8
+
 // DefaultConfig returns the tuned production configuration.
 func DefaultConfig() Config {
 	return Config{Delta: 24, CoefU: 3, CoefV: 2, TileW: 16, TileH: 10}
@@ -94,49 +101,53 @@ func (c Config) validate() error {
 	if c.CoefU < 0 || c.CoefU > 7 || c.CoefV < 0 || c.CoefV > 7 {
 		return errors.New("watermark: carrier coefficient outside 8x8 block")
 	}
+	if c.TileW < 1 || c.TileW > maxTileW {
+		return errors.New("watermark: TileW must be between 1 and 40")
+	}
 	if c.TileW*c.TileH != codewordBits {
 		return errors.New("watermark: TileW*TileH must equal 160")
 	}
 	return nil
 }
 
+// maxTileW is the widest tile row the code-phase sweep can hold: a
+// row's hard bits are packed into one uint64 and shifted into the
+// codeword behind at most 7 pending bits, so TileW+7 must not exceed
+// 64. 40 is the largest divisor of 160 under that; the two layouts it
+// excludes (80×2, 160×1) would need 640 or 1,280 pixels of width per
+// tile.
+const maxTileW = 40
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // codeword expands a payload to its 160 coded bits.
 func codeword(payload [PayloadBytes]byte) [codewordBits]bool {
+	var buf [wordBytes]byte
+	copy(buf[:], payload[:])
+	binary.BigEndian.PutUint32(buf[PayloadBytes:], crc32.Checksum(payload[:], castagnoli))
 	var bits [codewordBits]bool
-	crc := crc32.Checksum(payload[:], castagnoli)
-	buf := make([]byte, 0, 20)
-	buf = append(buf, payload[:]...)
-	buf = append(buf, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
-	for i := 0; i < codewordBits; i++ {
+	for i := range bits {
 		bits[i] = buf[i/8]>>(7-uint(i%8))&1 == 1
 	}
 	return bits
 }
 
-// decodeword checks the CRC of 160 hard bits and returns the payload.
-// The packed bytes build in buf, caller-provided because
-// crc32.Checksum's argument escapes: pooled callers pass scratch so the
-// per-candidate decode allocates nothing.
-func decodeword(buf *[20]byte, bits []bool) ([PayloadBytes]byte, bool) {
-	*buf = [20]byte{}
-	for i, b := range bits {
-		if b {
-			buf[i/8] |= 1 << (7 - uint(i%8))
-		}
-	}
+// checkword checks the CRC of a packed 160-bit word and returns the
+// payload. buf is caller-provided because crc32.Checksum's argument
+// escapes: the sweep points it into pooled scratch, so a check
+// allocates nothing.
+func checkword(buf *[wordBytes]byte) ([PayloadBytes]byte, bool) {
 	var payload [PayloadBytes]byte
-	copy(payload[:], buf[:16])
-	want := uint32(buf[16])<<24 | uint32(buf[17])<<16 | uint32(buf[18])<<8 | uint32(buf[19])
-	return payload, crc32.Checksum(buf[:16], castagnoli) == want
+	copy(payload[:], buf[:PayloadBytes])
+	want := binary.BigEndian.Uint32(buf[PayloadBytes:])
+	return payload, crc32.Checksum(buf[:PayloadBytes], castagnoli) == want
 }
 
 // ErrTooSmall is returned when the image cannot hold one codeword tile.
 var ErrTooSmall = errors.New("watermark: image smaller than one codeword tile")
 
 // blockScratch is one worker's pair of 8×8 DCT blocks, backed by fixed
-// arrays so the embed/extract block loops allocate nothing per chunk.
+// arrays so the embed/erase block loops allocate nothing per chunk.
 type blockScratch struct {
 	src, coef [64]float64
 }
@@ -147,22 +158,6 @@ var blockPool = sync.Pool{New: func() any { return new(blockScratch) }}
 func (s *blockScratch) blocks() (src, coef dct.Block) {
 	return dct.Block{N: 8, Data: s.src[:]}, dct.Block{N: 8, Data: s.coef[:]}
 }
-
-// phaseScratch is the per-pixel-phase working set of the extraction
-// search: the per-block soft decisions and the collapsed vote table.
-// Extract runs 64 phase searches per call; drawing these from a pool
-// keeps the search allocation-free after warmup.
-type phaseScratch struct {
-	blockScratch
-	soft  []float64 // bw*bh, grows to the largest grid seen
-	bxmod []int     // bx % TileW, precomputed per phase
-	full  [codewordBits]float64
-	cnt   [codewordBits]int
-	hard  [codewordBits]bool
-	crc   [20]byte
-}
-
-var phasePool = sync.Pool{New: func() any { return new(phaseScratch) }}
 
 // Embed writes payload into a copy of im and returns it. The input image
 // is not modified. Metadata is carried over unchanged — Embed labels
@@ -248,228 +243,6 @@ type Result struct {
 // ErrNotFound is returned when no candidate alignment yields a valid
 // codeword.
 var ErrNotFound = errors.New("watermark: no watermark found")
-
-// Extract searches the image for an embedded payload across all pixel and
-// codeword phases, returning the best CRC-valid candidate.
-func Extract(im *photo.Image, cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	luma := im.Luma()
-
-	// Enumerate the candidate pixel phases in the serial scan order
-	// (py-major), then fan the per-phase searches — each one an
-	// independent DCT pass over the whole grid plus a 160-phase vote
-	// sweep — out across the pool.
-	type phase struct{ py, px, bw, bh int }
-	var phases []phase
-	for py := 0; py < 8; py++ {
-		bh := (im.H - py) / 8
-		if bh < 1 {
-			continue
-		}
-		for px := 0; px < 8; px++ {
-			bw := (im.W - px) / 8
-			if bw < 1 {
-				continue
-			}
-			phases = append(phases, phase{py: py, px: px, bw: bw, bh: bh})
-		}
-	}
-
-	candidates := parallel.Map(phases, func(_ int, p phase) phaseCandidate {
-		return searchPixelPhase(luma, im.W, p.px, p.py, p.bw, p.bh, cfg)
-	})
-
-	// Reduce in phase order with the same strictly-greater rule the
-	// serial scan used, so the accepted candidate (and every tie-break)
-	// is identical at any worker count.
-	best := Result{Margin: -1}
-	found := false
-	for _, c := range candidates {
-		if c.found && c.res.Margin > best.Margin {
-			best = c.res
-			found = true
-		}
-	}
-	if !found {
-		return Result{}, ErrNotFound
-	}
-	return best, nil
-}
-
-// phaseCandidate is one pixel phase's best CRC-valid extraction.
-type phaseCandidate struct {
-	res   Result
-	found bool
-}
-
-// searchPixelPhase runs the codeword-phase vote sweep for one pixel
-// alignment, returning the best CRC-valid candidate. The local best
-// uses the same strictly-greater comparison as the global reduction,
-// which preserves the serial scan's first-best-wins tie-breaking.
-func searchPixelPhase(luma []float64, w, px, py, bw, bh int, cfg Config) (c phaseCandidate) {
-	s := phasePool.Get().(*phaseScratch)
-	defer phasePool.Put(s)
-	src, coef := s.blocks()
-	ci := cfg.CoefU*8 + cfg.CoefV
-
-	// Soft values per block for this pixel phase.
-	if cap(s.soft) < bw*bh {
-		s.soft = make([]float64, bw*bh)
-	}
-	soft := s.soft[:bw*bh]
-	for by := 0; by < bh; by++ {
-		for bx := 0; bx < bw; bx++ {
-			loadBlock(&src, luma, w, px+bx*8, py+by*8)
-			dct.Forward8(&coef, &src)
-			soft[by*bw+bx] = qimSoft(coef.Data[ci], cfg.Delta)
-		}
-	}
-
-	// Collapse the grid once: full[(by%TileH)*TileW + bx%TileW] sums the
-	// soft values of every block in that residue class, visiting blocks
-	// in by-major, bx-major order. For any codeword phase (cy, cx), the
-	// phase's vote for slot (r, c) is exactly the class
-	// ((r-cy) mod TileH, (c-cx) mod TileW) — the per-phase vote vectors
-	// are cyclic shifts of this one table. Each slot's contributions
-	// arrive in the same serial order as the old per-phase rescan, so
-	// every vote (and every margin downstream) is bit-identical while
-	// the sweep drops from O(phases·blocks) to O(blocks + phases²).
-	full, cnt, hard := &s.full, &s.cnt, &s.hard
-	for i := range full {
-		full[i] = 0
-		cnt[i] = 0
-	}
-	if cap(s.bxmod) < bw {
-		s.bxmod = make([]int, bw)
-	}
-	bxmod := s.bxmod[:bw]
-	for bx := range bxmod {
-		bxmod[bx] = bx % cfg.TileW
-	}
-	for by := 0; by < bh; by++ {
-		row := (by % cfg.TileH) * cfg.TileW
-		srow := soft[by*bw : (by+1)*bw]
-		for bx, v := range srow {
-			idx := row + bxmod[bx]
-			full[idx] += v
-			cnt[idx]++
-		}
-	}
-
-	c.res = Result{Margin: -1}
-	// Score each codeword phase by shifting the collapsed table.
-	for cy := 0; cy < cfg.TileH; cy++ {
-		for cx := 0; cx < cfg.TileW; cx++ {
-			covered := true
-			var margin float64
-			i := 0
-		slots:
-			for r := 0; r < cfg.TileH; r++ {
-				r0 := r - cy
-				if r0 < 0 {
-					r0 += cfg.TileH
-				}
-				base0 := r0 * cfg.TileW
-				for col := 0; col < cfg.TileW; col++ {
-					c0 := col - cx
-					if c0 < 0 {
-						c0 += cfg.TileW
-					}
-					n := cnt[base0+c0]
-					if n == 0 {
-						covered = false
-						break slots
-					}
-					v := full[base0+c0]
-					hard[i] = v > 0
-					m := v / float64(n)
-					if m < 0 {
-						m = -m
-					}
-					margin += m
-					i++
-				}
-			}
-			if !covered {
-				continue
-			}
-			margin /= codewordBits
-			payload, ok := decodeword(&s.crc, hard[:])
-			if ok && margin > c.res.Margin {
-				c.res = Result{
-					Payload:     payload,
-					Margin:      margin,
-					PixelPhaseX: px, PixelPhaseY: py,
-					CodePhaseX: cx, CodePhaseY: cy,
-				}
-				c.found = true
-			}
-		}
-	}
-	return c
-}
-
-// ExtractAligned is the fast path for images known to be grid-aligned and
-// uncropped (e.g. straight from Embed, or after transcoding without
-// geometry changes): it checks only the zero pixel/codeword phase and
-// falls back to nothing else.
-func ExtractAligned(im *photo.Image, cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	luma := im.Luma()
-	ci := cfg.CoefU*8 + cfg.CoefV
-	bw, bh := im.W/8, im.H/8
-	// The DCT pass dominates; run it across the pool with each block's
-	// soft decision written by block index. The float vote accumulation
-	// then runs serially in grid order, so the sums (and the margins
-	// they produce) are bit-identical to the serial path regardless of
-	// worker count or schedule.
-	soft := make([]float64, bw*bh)
-	parallel.ForChunks(bh, blockRowChunk, func(_, lo, hi int) {
-		s := blockPool.Get().(*blockScratch)
-		src, coef := s.blocks()
-		for by := lo; by < hi; by++ {
-			for bx := 0; bx < bw; bx++ {
-				loadBlock(&src, luma, im.W, bx*8, by*8)
-				dct.Forward8(&coef, &src)
-				soft[by*bw+bx] = qimSoft(coef.Data[ci], cfg.Delta)
-			}
-		}
-		blockPool.Put(s)
-	})
-	var votes [codewordBits]float64
-	var counts [codewordBits]int
-	for by := 0; by < bh; by++ {
-		row := (by % cfg.TileH) * cfg.TileW
-		for bx := 0; bx < bw; bx++ {
-			idx := row + bx%cfg.TileW
-			votes[idx] += soft[by*bw+bx]
-			counts[idx]++
-		}
-	}
-	var hard [codewordBits]bool
-	var margin float64
-	for i := range votes {
-		if counts[i] == 0 {
-			return Result{}, ErrTooSmall
-		}
-		hard[i] = votes[i] > 0
-		m := votes[i] / float64(counts[i])
-		if m < 0 {
-			m = -m
-		}
-		margin += m
-	}
-	var crc [20]byte
-	payload, ok := decodeword(&crc, hard[:])
-	if !ok {
-		return Result{}, ErrNotFound
-	}
-	return Result{Payload: payload, Margin: margin / codewordBits}, nil
-}
 
 // Erase overwrites the carrier coefficient of every block with a
 // re-quantized random-phase value, destroying any embedded codeword while

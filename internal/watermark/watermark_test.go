@@ -25,10 +25,21 @@ func TestConfigValidate(t *testing.T) {
 		{Delta: 24, CoefU: 0, CoefV: 0, TileW: 16, TileH: 10},
 		{Delta: 24, CoefU: 9, CoefV: 2, TileW: 16, TileH: 10},
 		{Delta: 24, CoefU: 3, CoefV: 2, TileW: 16, TileH: 11},
+		// Rows wider than the sweep's packed-row word, and a product of
+		// 160 that is no layout at all.
+		{Delta: 24, CoefU: 3, CoefV: 2, TileW: 80, TileH: 2},
+		{Delta: 24, CoefU: 3, CoefV: 2, TileW: 160, TileH: 1},
+		{Delta: 24, CoefU: 3, CoefV: 2, TileW: -16, TileH: -10},
 	}
 	for i, c := range bad {
 		if err := c.validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+	for _, tileW := range []int{1, 5, 10, 20, 32, 40} {
+		c := Config{Delta: 24, CoefU: 3, CoefV: 2, TileW: tileW, TileH: codewordBits / tileW}
+		if err := c.validate(); err != nil {
+			t.Errorf("TileW %d rejected: %v", tileW, err)
 		}
 	}
 }

@@ -33,6 +33,15 @@ go test -race -run 'IndexConcurrentUploadLookupTakeDown|IndexedLinearDifferentia
 go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|PipelinePoisonedItem|PipelineStatus|VideoUploadWorkerInvariance|ServerBatchUpload' \
     ./internal/aggregator
 
+# Watermark reader: the single-coefficient DCT kernels against
+# Forward8, and the sliding kernel + CRC-first sweep against the
+# retained full-transform per-phase scan (all 64 pixel phases, four
+# config shapes, the E6 transform matrix, worker counts 1/2/4/8), named
+# under -race; then ten seconds of the size/crop fuzz target.
+go test -race -run 'Coef8BitIdentical|RowPass8Bounds|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance' \
+    ./internal/dct ./internal/watermark
+go test -run='^$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s ./internal/watermark
+
 # Storage engine: group-commit coalescing, crash-injection recovery at
 # shard counts 1/8/32, torn-tail truncation, shard/in-memory state
 # equivalence, the legacy-directory refusal, and the HTTP-wired restart
