@@ -269,35 +269,40 @@ func (a *Aggregator) Upload(im *photo.Image) (UploadResult, error) {
 	p := prep{im: im}
 	a.prepare(&p, nil)
 	if p.wantStatus {
-		a.fetchStatus(&p, 0, nil)
+		if svc, err := a.dir.For(p.metaID); err != nil {
+			p.statusErr = err
+		} else {
+			p.proof, p.statusErr = svc.Status(p.metaID)
+		}
 	}
 	return a.commit(&p)
 }
 
-func (a *Aggregator) custodialClaim(im *photo.Image) (*camera.Owned, *photo.Image, error) {
-	pub, priv, err := generateKeypair()
-	if err != nil {
-		return nil, nil, err
+// custodialClaim registers the claim prepare made the material for,
+// labels the image with the identifier it is given and stores the key.
+func (a *Aggregator) custodialClaim(p *prep) (*camera.Owned, *photo.Image, error) {
+	if p.claimErr != nil {
+		return nil, nil, p.claimErr
 	}
-	hash := im.ContentHash()
+	cm := p.claim
 	receipt, err := a.cfg.CustodialLedger.Claim(&wire.ClaimRequest{
-		ContentHash: hash[:],
-		PubKey:      pub,
-		HashSig:     signClaim(priv, hash),
+		ContentHash: cm.hash[:],
+		PubKey:      cm.pub,
+		HashSig:     cm.sig,
 		Custodial:   true,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	labeled, err := camera.Label(im, receipt.ID, a.cfg.CustodialLedgerURL, a.cfg.Watermark)
+	labeled, err := camera.Label(p.im, receipt.ID, a.cfg.CustodialLedgerURL, a.cfg.Watermark)
 	if err != nil {
 		return nil, nil, err
 	}
 	owned := &camera.Owned{
 		ID:          receipt.ID,
-		ContentHash: hash,
-		PubKey:      pub,
-		PrivKey:     priv,
+		ContentHash: cm.hash,
+		PubKey:      cm.pub,
+		PrivKey:     cm.priv,
 		Receipt:     receipt,
 		LedgerURL:   a.cfg.CustodialLedgerURL,
 	}
@@ -526,32 +531,24 @@ func (a *Aggregator) RecheckAll() (takenDown int, err error) {
 	})
 	// The identifier's byte form is ledger-major, so sorting has already
 	// grouped each ledger's photos into one contiguous run.
-	type recheckBatch struct {
-		lid ids.LedgerID
-		ids []ids.PhotoID
-	}
-	var batches []recheckBatch
+	var batches [][]ids.PhotoID
 	for start := 0; start < len(idsToCheck); {
 		lid := idsToCheck[start].Ledger
 		end := start
 		for end < len(idsToCheck) && idsToCheck[end].Ledger == lid && end-start < wire.MaxStatusBatch {
 			end++
 		}
-		batches = append(batches, recheckBatch{lid: lid, ids: idsToCheck[start:end]})
+		batches = append(batches, idsToCheck[start:end])
 		start = end
 	}
 	before := a.MetricsSnapshot().TakenDown
-	proofs, firstErr := parallel.MapErr(batches, func(_ int, b recheckBatch) ([]*ledger.StatusProof, error) {
-		svc, err := a.dir.ForLedger(b.lid)
-		if err != nil {
-			return nil, err
-		}
-		return svc.StatusBatch(b.ids)
+	proofs, firstErr := parallel.MapErr(batches, func(_ int, b []ids.PhotoID) ([]*ledger.StatusProof, error) {
+		return a.statusBatch(b)
 	})
 	for bi, batchProofs := range proofs {
 		for pi, proof := range batchProofs {
 			if proof != nil {
-				a.applyRecheck(batches[bi].ids[pi], proof)
+				a.applyRecheck(batches[bi][pi], proof)
 			}
 		}
 	}

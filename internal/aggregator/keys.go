@@ -6,18 +6,24 @@ import (
 	"fmt"
 
 	"irs/internal/ledger"
+	"irs/internal/photo"
 )
 
-// generateKeypair creates the per-custodial-claim keypair.
-func generateKeypair() (ed25519.PublicKey, ed25519.PrivateKey, error) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, nil, fmt.Errorf("aggregator: keygen: %w", err)
-	}
-	return pub, priv, nil
+// claimMaterial is the part of a custodial claim that depends on the
+// image alone: a fresh key pair, the content hash, and the key's
+// signature over the canonical claim message for that hash.
+type claimMaterial struct {
+	pub  ed25519.PublicKey
+	priv ed25519.PrivateKey
+	hash [32]byte
+	sig  []byte
 }
 
-// signClaim signs the canonical claim message.
-func signClaim(priv ed25519.PrivateKey, hash [32]byte) []byte {
-	return ed25519.Sign(priv, ledger.ClaimMsg(hash))
+func newClaimMaterial(im *photo.Image) (*claimMaterial, error) {
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, fmt.Errorf("aggregator: keygen: %w", err)
+	}
+	hash := im.ContentHash()
+	return &claimMaterial{pub: pub, priv: priv, hash: hash, sig: ed25519.Sign(priv, ledger.ClaimMsg(hash))}, nil
 }

@@ -2,34 +2,44 @@
 //
 // Upload processing has two very different halves. The expensive half —
 // IRSP decode, watermark extraction, the three-hash perceptual
-// signature, the read-only ledger status fetch — is a pure function of
-// the uploaded bytes and can run for many uploads concurrently. The
-// stateful half — the robust-hash derivative check, custodial claiming,
-// and hosting — must observe uploads one at a time in arrival order, or
-// decisions would depend on scheduling (which of two derivatives gets
-// hosted and which gets denied is decided by who commits first).
+// signature, a custodial claim's key pair and signature, the read-only
+// ledger status fetch — is a pure function of the uploaded bytes and
+// can run for many uploads concurrently. The stateful half — the
+// robust-hash derivative check, custodial claiming, and hosting — must
+// observe uploads one at a time in arrival order, or decisions would
+// depend on scheduling (which of two derivatives gets hosted and which
+// gets denied is decided by who commits first).
 //
 // UploadStream therefore runs a bounded stage graph:
 //
-//	feeder → [W compute workers] → [S status workers] → ordered committer
+//	feeder → [W compute workers] → status batcher → ordered committer
 //
-// The status fetch gets its own worker pool because it is the one stage
-// whose latency the aggregator does not control: it crosses the network
-// to a ledger. Keeping it inside the compute workers would let one
-// slow or fault-injected ledger stall decode/hash work for unrelated
-// items; in its own stage, at most S fetches wait on the ledger while
-// compute continues, and each fetch can carry a deadline that converts
-// a hung ledger into a DenyLedgerUnreachable decision instead of a
-// stalled stream.
+// The status fetch is the one stage whose latency the aggregator does
+// not control: it crosses the network to a ledger, and what it costs is
+// the round trip, not the lookup. So it is neither done per item nor
+// inside the compute workers. One batcher cuts the input into windows
+// of consecutive indices, waits until every item of a window has been
+// prepared, and asks each ledger named in it for all of that window's
+// proofs in one StatusBatch. UploadAll knows its album and makes it one
+// window: k labeled items on one ledger cost one request. UploadStream
+// cannot know where its input ends and uses Depth, so what it holds
+// stays bounded; the price is that a labeled item's result waits for
+// its window to fill or the input to close. Windows depend on input
+// indices alone, never on arrival timing, so the number of requests a
+// run makes is a function of its input. Items that need no status pass
+// the batcher untouched. A batch that fails, or misses StatusTimeout,
+// denies its own items as DenyLedgerUnreachable and nobody else's.
 //
 // Every channel is bounded, so a slow committer backpressures the
-// workers and a slow consumer backpressures the feeder; memory in
-// flight is O(workers + depth) regardless of stream length. The
-// committer reorders by input index before touching shared state, so
-// accept/deny decisions, first-match derivative ties, and metrics are
+// workers and a slow consumer backpressures the feeder; while a batch
+// is on the wire the workers prepare the next window into the channel
+// behind the batcher and stall only past that. Memory in flight is
+// O(workers + depth) regardless of stream length. The committer
+// reorders by input index before touching shared state, so accept/deny
+// decisions, first-match derivative ties, and metrics are
 // byte-identical to calling Upload serially on the same sequence — at
 // any worker count. (The one observable difference: ledger status reads
-// are prefetched concurrently, so against a ledger that is mutating or
+// are prefetched, so against a ledger that is mutating or
 // fault-injecting mid-stream, an item may see a different status-read
 // interleaving than the strict serial order would have produced.)
 package aggregator
@@ -38,6 +48,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -48,6 +59,7 @@ import (
 	"irs/internal/phash"
 	"irs/internal/photo"
 	"irs/internal/provenance"
+	"irs/internal/wire"
 )
 
 // UploadItem is one unit of streaming upload work: either an already
@@ -72,16 +84,14 @@ type PipelineConfig struct {
 	// Workers is the number of concurrent compute workers; <= 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Depth is the per-stage channel capacity; <= 0 means 2×Workers.
+	// Depth is the per-stage channel capacity and, for UploadStream, the
+	// status window: that many consecutive items share one StatusBatch
+	// per ledger. <= 0 means 2×Workers.
 	Depth int
-	// StatusWorkers bounds the concurrent read-only ledger status
-	// fetches; <= 0 means Workers. The status stage is separate from
-	// compute, so a slow ledger stalls at most StatusWorkers fetches,
-	// never the decode/hash workers.
-	StatusWorkers int
-	// StatusTimeout is the per-fetch deadline; a status fetch that
-	// misses it commits as DenyLedgerUnreachable. <= 0 means no
-	// deadline.
+	// StatusTimeout is the per-batch deadline; every item of a status
+	// batch that misses it commits as DenyLedgerUnreachable. <= 0 means
+	// no deadline. Transient loss is wire.RetryClient's to absorb,
+	// beneath the directory's Service: StatusBatch is idempotent.
 	StatusTimeout time.Duration
 	// Obs, when non-nil, interns the irs_upload_* pipeline series
 	// (per-stage latency histograms and queue-depth gauges) there.
@@ -107,9 +117,13 @@ type prep struct {
 
 	// Prefetched read-only ledger status (labeled uploads only).
 	wantStatus bool
-	statusDone bool
 	proof      *ledger.StatusProof
 	statusErr  error
+
+	// The stateless part of a custodial claim (unlabeled uploads under
+	// CustodialClaim only).
+	claim    *claimMaterial
+	claimErr error
 }
 
 // pipeline stage identifiers, indexing pipeObs.stages.
@@ -140,6 +154,9 @@ type pipeObs struct {
 	stages            [numStages]*obs.Histogram
 	depths            [numQueues]*obs.Gauge
 	items, itemErrors *obs.Counter
+	// batchIDs is the identifiers per status request; the status stage
+	// histogram times one such request.
+	batchIDs *obs.Histogram
 }
 
 func newPipeObs(reg *obs.Registry) *pipeObs {
@@ -149,6 +166,7 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 	o := &pipeObs{
 		items:      reg.Counter("irs_upload_stream_items_total"),
 		itemErrors: reg.Counter("irs_upload_stream_item_errors_total"),
+		batchIDs:   reg.Histogram("irs_upload_status_batch_ids", statusBatchBuckets),
 	}
 	for s, name := range [numStages]string{"decode", "label", "hash", "status", "commit"} {
 		o.stages[s] = reg.Histogram("irs_upload_stage_seconds", nil, obs.L("stage", name))
@@ -166,6 +184,15 @@ func (o *pipeObs) observe(s pipeStage, start time.Time) {
 	o.stages[s].Observe(time.Since(start).Seconds())
 }
 
+// observeBatch records one status request of n identifiers.
+func (o *pipeObs) observeBatch(n int, start time.Time) {
+	if o == nil {
+		return
+	}
+	o.observe(stageStatus, start)
+	o.batchIDs.Observe(float64(n))
+}
+
 func (o *pipeObs) depth(q pipeQueue, n int) {
 	if o == nil {
 		return
@@ -175,9 +202,11 @@ func (o *pipeObs) depth(q pipeQueue, n int) {
 
 // prepare runs the stateless half of the upload pipeline on one item:
 // decode, label extraction, provenance verification, perceptual
-// signature, and the read-only status prefetch. It mirrors the serial
-// Upload's work exactly — including which stages are skipped for which
-// deny outcomes — so commit reaches identical decisions.
+// signature, and for an unlabeled upload the key pair and signature of
+// its custodial claim. It marks the items that need a ledger status,
+// which the caller then fetches. Serial Upload runs it too — including
+// which stages are skipped for which deny outcomes — so commit reaches
+// identical decisions.
 func (a *Aggregator) prepare(p *prep, po *pipeObs) {
 	if p.im == nil {
 		start := time.Now()
@@ -206,11 +235,12 @@ func (a *Aggregator) prepare(p *prep, po *pipeObs) {
 			p.sig = phash.NewSignature(p.im)
 			p.sigDone = true
 			po.observe(stageHash, start)
+			p.claim, p.claimErr = newClaimMaterial(p.im)
 		}
 		return
 	}
 	// Consistent label: provenance gate, then signature, then the
-	// read-only status prefetch.
+	// status fetch the caller owes.
 	if chain, present, perr := provenance.Extract(p.im); present {
 		if perr != nil || chain.Verify(p.im) != nil {
 			p.provBad = true
@@ -228,47 +258,101 @@ func (a *Aggregator) prepare(p *prep, po *pipeObs) {
 	p.wantStatus = true
 }
 
-// ErrStatusTimeout marks a status prefetch that missed its per-fetch
+// ErrStatusTimeout marks the items of a status batch that missed its
 // deadline; the committer maps it to DenyLedgerUnreachable.
 var ErrStatusTimeout = errors.New("aggregator: ledger status fetch timed out")
 
-// fetchStatus runs the read-only status prefetch for one prepared item,
-// bounded by timeout when one is set. The underlying Service call has
-// no cancellation surface, so a timed-out call is abandoned to finish
-// on its own goroutine; the item itself commits promptly as
-// DenyLedgerUnreachable.
-func (a *Aggregator) fetchStatus(p *prep, timeout time.Duration, po *pipeObs) {
+// statusBatchBuckets are the bounds of irs_upload_status_batch_ids:
+// identifiers in one status request, up to wire.MaxStatusBatch.
+var statusBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, wire.MaxStatusBatch}
+
+// fetchStatuses fetches the proofs of one window's labeled items: one
+// StatusBatch per ledger (more only past wire.MaxStatusBatch), all
+// issued at once and all bounded by timeout when one is set. The
+// Service call has no cancellation surface, so a call that misses the
+// deadline is abandoned to finish on its own goroutine — its answer
+// goes into a buffered channel nobody then reads — while its items
+// commit promptly as DenyLedgerUnreachable.
+func (a *Aggregator) fetchStatuses(items []*prep, timeout time.Duration, po *pipeObs) {
+	if len(items) == 0 {
+		return
+	}
+	var batches [][]*prep
+	filling := make(map[ids.LedgerID]int, 1) // ledger → its batch with room
+	for _, p := range items {
+		lid := p.metaID.Ledger
+		i, ok := filling[lid]
+		if !ok || len(batches[i]) == wire.MaxStatusBatch {
+			i = len(batches)
+			batches = append(batches, nil)
+			filling[lid] = i
+		}
+		batches[i] = append(batches[i], p)
+	}
+
+	type answer struct {
+		batch  int
+		proofs []*ledger.StatusProof
+		err    error
+	}
 	start := time.Now()
-	defer func() {
-		p.statusDone = true
-		po.observe(stageStatus, start)
-	}()
-	svc, err := a.dir.For(p.metaID)
+	// One slot per send, so an abandoned call's send completes.
+	answers := make(chan answer, len(batches))
+	for i, b := range batches {
+		batch := make([]ids.PhotoID, len(b))
+		for j, p := range b {
+			batch[j] = p.metaID
+		}
+		go func() {
+			proofs, err := a.statusBatch(batch)
+			answers <- answer{i, proofs, err}
+		}()
+	}
+	var deadline <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		deadline = timer.C
+	}
+	settle := func(i int, proofs []*ledger.StatusProof, err error) {
+		for j, p := range batches[i] {
+			if p.statusErr = err; err == nil {
+				p.proof = proofs[j]
+			}
+		}
+		po.observeBatch(len(batches[i]), start)
+		batches[i] = nil
+	}
+	for left := len(batches); left > 0; left-- {
+		select {
+		case r := <-answers:
+			settle(r.batch, r.proofs, r.err)
+		case <-deadline:
+			for i, b := range batches {
+				if b != nil {
+					settle(i, nil, ErrStatusTimeout)
+				}
+			}
+			return
+		}
+	}
+}
+
+// statusBatch asks the ledger that issued batch's identifiers — all of
+// them one ledger's — for their proofs, one per identifier in order.
+func (a *Aggregator) statusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	svc, err := a.dir.ForLedger(batch[0].Ledger)
 	if err != nil {
-		p.statusErr = err
-		return
+		return nil, err
 	}
-	if timeout <= 0 {
-		p.proof, p.statusErr = svc.Status(p.metaID)
-		return
+	proofs, err := svc.StatusBatch(batch)
+	if err != nil {
+		return nil, err
 	}
-	type statusRes struct {
-		proof *ledger.StatusProof
-		err   error
+	if len(proofs) != len(batch) {
+		return nil, fmt.Errorf("aggregator: ledger returned %d proofs for %d ids", len(proofs), len(batch))
 	}
-	ch := make(chan statusRes, 1)
-	go func() {
-		proof, err := svc.Status(p.metaID)
-		ch <- statusRes{proof, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		p.proof, p.statusErr = r.proof, r.err
-	case <-timer.C:
-		p.statusErr = ErrStatusTimeout
-	}
+	return proofs, nil
 }
 
 // commit runs the stateful half: the decision switch, the derivative
@@ -317,13 +401,16 @@ func (a *Aggregator) commitUnlabeled(p *prep) (UploadResult, error) {
 		// the original metadata instead of custodially double-claiming.
 		return a.deny(DenyDerivativeRelabeled), nil
 	}
-	owned, labeled, err := a.custodialClaim(p.im)
+	owned, labeled, err := a.custodialClaim(p)
 	if err != nil {
 		return a.deny(DenyLedgerUnreachable), nil
 	}
-	proof, err := a.cfg.CustodialLedger.Status(owned.ID)
-	if err != nil {
-		return a.deny(DenyLedgerUnreachable), nil
+	proof := owned.Receipt.Proof
+	if proof == nil {
+		// A ledger that predates the proof in the claim answer: ask.
+		if proof, err = a.cfg.CustodialLedger.Status(owned.ID); err != nil {
+			return a.deny(DenyLedgerUnreachable), nil
+		}
 	}
 	a.host(owned.ID, labeled, proof, true, phash.NewSignature(labeled))
 	return UploadResult{Accepted: true, ID: owned.ID, Custodial: true}, nil
@@ -335,7 +422,18 @@ func (a *Aggregator) commitUnlabeled(p *prep) (UploadResult, error) {
 // result. Cancelling ctx stops admitting new items — items already in
 // flight drain normally, and UploadAll reports unprocessed items with
 // a non-nil Err.
+//
+// Labeled items share status requests in windows of cfg.Depth
+// consecutive items, so a labeled item's result is emitted once its
+// window has filled or in has closed: a producer must not wait for the
+// result of an item before sending the rest of that item's window.
 func (a *Aggregator) UploadStream(ctx context.Context, in <-chan UploadItem, cfg PipelineConfig) <-chan StreamResult {
+	return a.uploadStream(ctx, in, cfg, 0)
+}
+
+// uploadStream is UploadStream with the status window given; window
+// <= 0 means the stage depth.
+func (a *Aggregator) uploadStream(ctx context.Context, in <-chan UploadItem, cfg PipelineConfig, window int) <-chan StreamResult {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -344,14 +442,13 @@ func (a *Aggregator) UploadStream(ctx context.Context, in <-chan UploadItem, cfg
 	if depth <= 0 {
 		depth = 2 * workers
 	}
-	statusWorkers := cfg.StatusWorkers
-	if statusWorkers <= 0 {
-		statusWorkers = workers
+	if window <= 0 {
+		window = depth
 	}
 	po := newPipeObs(cfg.Obs)
 
 	work := make(chan *prep, depth)
-	statusCh := make(chan *prep, depth)
+	prepared := make(chan *prep, depth)
 	done := make(chan *prep, depth)
 	out := make(chan StreamResult, depth)
 
@@ -390,38 +487,63 @@ func (a *Aggregator) UploadStream(ctx context.Context, in <-chan UploadItem, cfg
 			defer wgCompute.Done()
 			for p := range work {
 				a.prepare(p, po)
-				statusCh <- p
+				prepared <- p
 			}
 		}()
 	}
 	go func() {
 		wgCompute.Wait()
-		close(statusCh)
+		close(prepared)
 	}()
 
-	// Status workers: the network-bound status prefetch, in its own
-	// bounded pool so ledger latency never occupies a compute slot.
-	// Items that need no status (deny-before-status, unlabeled, decode
-	// errors) pass straight through. Delivery to the committer is
-	// unconditional — the committer drains done until it closes, so
-	// this send always completes.
-	var wgStatus sync.WaitGroup
-	for s := 0; s < statusWorkers; s++ {
-		wgStatus.Add(1)
-		go func() {
-			defer wgStatus.Done()
-			for p := range statusCh {
-				if p.wantStatus {
-					a.fetchStatus(p, cfg.StatusTimeout, po)
-				}
-				done <- p
-				po.depth(queueDone, len(done))
-			}
-		}()
-	}
+	// Status batcher: holds each window's labeled items until the whole
+	// window has been prepared, fetches their proofs in one request per
+	// ledger, and hands them on. Items that need no status (deny-before-
+	// status, unlabeled, decode errors) count towards their window and
+	// pass straight through. Delivery to the committer is unconditional
+	// — the committer drains done until it closes, so the sends always
+	// complete.
 	go func() {
-		wgStatus.Wait()
-		close(done)
+		defer close(done)
+		type statusWindow struct {
+			seen    int     // items of the window prepared so far
+			waiting []*prep // those of them that want a status
+		}
+		forward := func(p *prep) {
+			done <- p
+			po.depth(queueDone, len(done))
+		}
+		flush := func(w *statusWindow) {
+			a.fetchStatuses(w.waiting, cfg.StatusTimeout, po)
+			for _, p := range w.waiting {
+				forward(p)
+			}
+		}
+		windows := make(map[int]*statusWindow)
+		for p := range prepared {
+			k := p.idx / window
+			w := windows[k]
+			if w == nil {
+				w = new(statusWindow)
+				windows[k] = w
+			}
+			w.seen++
+			if p.wantStatus {
+				w.waiting = append(w.waiting, p)
+			} else {
+				forward(p)
+			}
+			if w.seen == window {
+				delete(windows, k)
+				flush(w)
+			}
+		}
+		// The feeder admits indices in order, so when the input closes
+		// or ctx cancels inside a window, that last window is the only
+		// one left here.
+		for _, w := range windows {
+			flush(w)
+		}
 	}()
 
 	// Ordered committer: reorder by index, then run the stateful stage
@@ -497,9 +619,11 @@ func (o *pipeObs) bumpErr() {
 	}
 }
 
-// UploadAll pushes a batch through UploadStream and returns one result
-// per item, in input order. Items the pipeline never processed (ctx
-// cancelled first) carry ctx's error, or ErrSkipped as a fallback.
+// UploadAll pushes a batch through the streaming pipeline as one status
+// window — one StatusBatch per ledger its labels name, however many
+// items carry them — and returns one result per item, in input order.
+// Items the pipeline never processed (ctx cancelled first) carry ctx's
+// error, or ErrSkipped as a fallback.
 func (a *Aggregator) UploadAll(ctx context.Context, items []UploadItem, cfg PipelineConfig) []StreamResult {
 	in := make(chan UploadItem)
 	go func() {
@@ -514,7 +638,7 @@ func (a *Aggregator) UploadAll(ctx context.Context, items []UploadItem, cfg Pipe
 	}()
 	results := make([]StreamResult, len(items))
 	seen := make([]bool, len(items))
-	for r := range a.UploadStream(ctx, in, cfg) {
+	for r := range a.uploadStream(ctx, in, cfg, len(items)) {
 		if r.Index >= 0 && r.Index < len(results) {
 			results[r.Index] = r
 			seen[r.Index] = true

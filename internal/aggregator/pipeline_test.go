@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,7 +235,15 @@ func TestPipelineCancellationDrains(t *testing.T) {
 	in := make(chan UploadItem)
 	go func() {
 		defer close(in)
-		for _, it := range items {
+		for i, it := range items {
+			if i == n/2 {
+				// The second half is offered only to a cancelled stream.
+				// Without this a starved consumer can see its fifth result
+				// after every item has been admitted (the committer's
+				// reorder buffer takes what the channels cannot), and the
+				// partial-drain check below fails on a loaded host.
+				<-ctx.Done()
+			}
 			select {
 			case <-ctx.Done():
 				return
@@ -265,6 +275,39 @@ func TestPipelineCancellationDrains(t *testing.T) {
 		t.Errorf("processed %d of %d items; want partial drain >= 5", got, n)
 	}
 	cancel()
+
+	// Cancellation inside a status window: three items of an 8-item
+	// window are admitted, then ctx is cancelled with the input still
+	// open. The batcher must flush the partial window — its items are
+	// decided, not dropped — and the stream must close. (The feeder may
+	// drop the item it holds when the cancel lands, hence two or three.)
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	in2 := make(chan UploadItem)
+	out2 := r.agg.UploadStream(ctx2, in2, PipelineConfig{Workers: 2, Depth: 8})
+	for _, it := range items[:3] {
+		in2 <- it
+	}
+	cancel2()
+	drained := make(chan int)
+	go func() {
+		n := 0
+		for res := range out2 {
+			if res.Err != nil || !res.Result.Accepted {
+				t.Errorf("mid-window item %d: %+v err=%v", res.Index, res.Result, res.Err)
+			}
+			n++
+		}
+		drained <- n
+	}()
+	select {
+	case n := <-drained:
+		if n < 2 || n > 3 {
+			t.Errorf("mid-window cancel emitted %d results, want 2 or 3", n)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream did not drain after a mid-window cancellation")
+	}
 
 	// UploadAll on an already-cancelled context: every item reports the
 	// context error without touching the aggregator.
@@ -346,125 +389,359 @@ func TestVideoUploadWorkerInvariance(t *testing.T) {
 	}
 }
 
-// statusHook overrides only the Status call of an underlying Service —
-// the seam the status-stage tests use to inject latency and faults.
-type statusHook struct {
+// spyService counts the ledger calls of an underlying Service and lets
+// a test replace the status ones — the seam the status-stage tests use
+// to inject latency and faults.
+type spyService struct {
 	wire.Service
-	fn func(ids.PhotoID) (*ledger.StatusProof, error)
+	statuses, batches, claims atomic.Int64
+
+	status      func(ids.PhotoID) (*ledger.StatusProof, error)
+	statusBatch func([]ids.PhotoID) ([]*ledger.StatusProof, error)
 }
 
-func (s *statusHook) Status(id ids.PhotoID) (*ledger.StatusProof, error) { return s.fn(id) }
+func (s *spyService) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
+	s.statuses.Add(1)
+	if s.status != nil {
+		return s.status(id)
+	}
+	return s.Service.Status(id)
+}
 
-// TestPipelineStatusFaultParity replays one corpus against a ledger
-// whose status endpoint fails per netsim.Faulty fate draws. Fates are
-// pre-drawn in issue order and keyed per claim ID, so the serial path
-// and the pipeline — at any (worker, status-worker) shape — observe the
-// same fault for the same item and must reach identical decisions,
-// including DenyLedgerUnreachable for every lost status fetch.
+func (s *spyService) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	s.batches.Add(1)
+	if s.statusBatch != nil {
+		return s.statusBatch(batch)
+	}
+	return s.Service.StatusBatch(batch)
+}
+
+func (s *spyService) Claim(req *wire.ClaimRequest) (ledger.Receipt, error) {
+	s.claims.Add(1)
+	return s.Service.Claim(req)
+}
+
+func (s *spyService) reset() {
+	s.statuses.Store(0)
+	s.batches.Store(0)
+	s.claims.Store(0)
+}
+
+// spyOn puts a spy in front of ledger lid in the rig's directory.
+func spyOn(t *testing.T, r *rig, lid ids.LedgerID) *spyService {
+	t.Helper()
+	real, err := r.dir.ForLedger(lid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &spyService{Service: real}
+	r.dir.Register(lid, spy)
+	return spy
+}
+
+// streamAll runs items through UploadStream and collects the results.
+func streamAll(agg *Aggregator, items []UploadItem, cfg PipelineConfig) []StreamResult {
+	in := make(chan UploadItem)
+	go func() {
+		defer close(in)
+		for _, it := range items {
+			in <- it
+		}
+	}()
+	var results []StreamResult
+	for res := range agg.UploadStream(context.Background(), in, cfg) {
+		results = append(results, res)
+	}
+	return results
+}
+
+// TestPipelineStatusRequestCount pins what the batching status stage is
+// for: the ledger requests of an upload run are a function of its input
+// alone. An album with labeled items on two ledgers plus unlabeled,
+// mismatched and malformed ones costs UploadAll exactly two StatusBatch
+// requests, no Status, and one Claim per custodial item, at any worker
+// count; UploadStream pays one StatusBatch per ledger per Depth-sized
+// window. Decisions equal serial Upload item by item either way.
+func TestPipelineStatusRequestCount(t *testing.T) {
+	r := newRig(t, CustodialClaim, nil)
+	spy1, spy2 := spyOn(t, r, 1), spyOn(t, r, 2)
+	spies := []*spyService{spy1, spy2}
+	newAgg := func() *Aggregator {
+		// spy2 is the custodial ledger too, so its claims are counted.
+		agg, err := New(Config{
+			Name:               "count",
+			Unlabeled:          CustodialClaim,
+			CustodialLedger:    spy2,
+			CustodialLedgerURL: "local://2",
+		}, r.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg
+	}
+
+	// The album, with the ledger each item's status must come from (0:
+	// the item needs none).
+	cam2 := camera.New(&wire.Loopback{L: r.custLedger}, "local://2", nil)
+	var items []UploadItem
+	var ledgerOf []ids.LedgerID
+	add := func(im *photo.Image, lid ids.LedgerID) {
+		items = append(items, UploadItem{Image: im})
+		ledgerOf = append(ledgerOf, lid)
+	}
+	for i := int64(0); i < 9; i++ {
+		cam, lid := r.cam, ids.LedgerID(1)
+		if i%3 == 2 {
+			cam, lid = cam2, 2
+		}
+		labeled, owned, err := cam.ClaimAndLabel(cam.Shoot(1300+i, 192, 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch i {
+		case 3: // revoked: still a status read
+			if err := cam.Revoke(owned.ID); err != nil {
+				t.Fatal(err)
+			}
+		case 4: // mismatched: denied before any status
+			other, err := ids.New(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			labeled.Meta.Set(photo.KeyIRSID, other.String())
+			lid = 0
+		}
+		add(labeled, lid)
+		if i%4 == 1 {
+			add(photo.Synth(1350+i, 192, 128), 0) // unlabeled → custodial
+		}
+	}
+	items = append(items, UploadItem{Raw: []byte("not an IRSP container")})
+	ledgerOf = append(ledgerOf, 0)
+
+	serialAgg := newAgg()
+	serial := make([]decision, len(items))
+	custodial := 0
+	for i, it := range items {
+		if it.Image == nil {
+			serial[i] = decision{failed: true}
+			continue
+		}
+		res, err := serialAgg.Upload(it.Image)
+		serial[i] = toDecision(res, err)
+		if res.Custodial {
+			custodial++
+		}
+	}
+	if custodial == 0 {
+		t.Fatal("corpus has no custodial item")
+	}
+	if got := spy2.claims.Load(); got != int64(custodial) {
+		t.Fatalf("serial: %d claims for %d custodial items", got, custodial)
+	}
+	// A custodial claim's proof rides its receipt: the only Status calls
+	// of the serial path are the labeled items' own.
+	wantSerial := 0
+	for _, lid := range ledgerOf {
+		if lid != 0 {
+			wantSerial++
+		}
+	}
+	if got := spy1.statuses.Load() + spy2.statuses.Load(); got != int64(wantSerial) {
+		t.Fatalf("serial: %d Status calls, want %d", got, wantSerial)
+	}
+
+	check := func(name string, results []StreamResult, wantBatches int) {
+		t.Helper()
+		if len(results) != len(items) {
+			t.Fatalf("%s: %d results for %d items", name, len(results), len(items))
+		}
+		for i, res := range results {
+			if res.Index != i {
+				t.Fatalf("%s: result %d carries index %d", name, i, res.Index)
+			}
+			if got := toDecision(res.Result, res.Err); got != serial[i] {
+				t.Errorf("%s item %d: pipeline %+v, serial %+v", name, i, got, serial[i])
+			}
+		}
+		var statuses, batches, claims int64
+		for _, s := range spies {
+			statuses += s.statuses.Load()
+			batches += s.batches.Load()
+			claims += s.claims.Load()
+		}
+		if statuses != 0 || batches != int64(wantBatches) || claims != int64(custodial) {
+			t.Errorf("%s: %d Status, %d StatusBatch, %d Claim; want 0, %d, %d",
+				name, statuses, batches, claims, wantBatches, custodial)
+		}
+	}
+	const depth = 2
+	type windowLedger struct {
+		window int
+		lid    ids.LedgerID
+	}
+	streamBatches := make(map[windowLedger]bool)
+	for i, lid := range ledgerOf {
+		if lid != 0 {
+			streamBatches[windowLedger{i / depth, lid}] = true
+		}
+	}
+	if windows := (len(items) + depth - 1) / depth; len(streamBatches) <= windows/2 || len(streamBatches) > 2*windows {
+		t.Fatalf("corpus yields %d stream batches over %d windows", len(streamBatches), windows)
+	}
+	for _, workers := range []int{1, 4, 8} {
+		for _, s := range spies {
+			s.reset()
+		}
+		check(fmt.Sprintf("UploadAll workers=%d", workers),
+			newAgg().UploadAll(context.Background(), items, PipelineConfig{Workers: workers}), 2)
+		for _, s := range spies {
+			s.reset()
+		}
+		check(fmt.Sprintf("UploadStream workers=%d depth=%d", workers, depth),
+			streamAll(newAgg(), items, PipelineConfig{Workers: workers, Depth: depth}), len(streamBatches))
+	}
+}
+
+// TestPipelineStatusFaultParity replays one corpus, labeled on two
+// ledgers, against status endpoints that fail per netsim.Faulty fate
+// draws — one fate per status batch, that is per (window, ledger).
+// Fates are pre-drawn in issue order and looked up by the identifiers a
+// request carries, so the serial path (one Status per item, given its
+// batch's fate) and the pipeline at any worker count observe the same
+// fault for the same item: every item of a lost batch is
+// DenyLedgerUnreachable, and every item of any other batch — the same
+// window's batch to the other ledger included — decides as serial.
 func TestPipelineStatusFaultParity(t *testing.T) {
 	r := newRig(t, RejectUnlabeled, nil)
+	cam2 := camera.New(&wire.Loopback{L: r.custLedger}, "local://2", nil)
 
-	const n = 12
+	const n, depth = 12, 4
+	type batchKey struct {
+		window int
+		lid    ids.LedgerID
+	}
 	items := make([]UploadItem, 0, n)
-	itemIDs := make([]ids.PhotoID, 0, n)
+	keyOf := make(map[ids.PhotoID]batchKey, n)
+	itemKey := make([]batchKey, 0, n)
 	for i := 0; i < n; i++ {
-		labeled, owned, err := r.cam.ClaimAndLabel(r.cam.Shoot(1000+int64(i), 192, 128))
+		cam := r.cam
+		if i%2 == 1 {
+			cam = cam2
+		}
+		labeled, owned, err := cam.ClaimAndLabel(cam.Shoot(1000+int64(i), 192, 128))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i%5 == 4 {
-			if err := r.cam.Revoke(owned.ID); err != nil {
+			if err := cam.Revoke(owned.ID); err != nil {
 				t.Fatal(err)
 			}
 		}
 		items = append(items, UploadItem{Image: labeled})
-		itemIDs = append(itemIDs, owned.ID)
+		k := batchKey{i / depth, owned.ID.Ledger}
+		keyOf[owned.ID] = k
+		itemKey = append(itemKey, k)
 	}
 
-	// Pre-draw one fate per item on a simulated faulty link. The draws
+	// Pre-draw one fate per batch on a simulated faulty link. The draws
 	// happen in issue order on the sim — deterministic for a seed — and
-	// are then keyed by claim ID so real-time call order cannot reshuffle
-	// which item they land on.
+	// are then looked up by content, so real-time call order cannot
+	// reshuffle which batch they land on.
+	var keys []batchKey
+	for w := 0; w < n/depth; w++ {
+		keys = append(keys, batchKey{w, 1}, batchKey{w, 2})
+	}
 	sched := netsim.NewScheduler(1)
 	faulty, err := netsim.NewFaulty(netsim.NewLink(sched, netsim.Fixed(time.Millisecond), 0),
 		netsim.FaultConfig{Seed: 17, LossProb: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fates := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
+	fates := make([]error, len(keys))
+	for i := range keys {
 		faulty.Request(func(err error) { fates[i] = err })
 	}
 	sched.Run()
-	var lost int
-	fateFor := make(map[ids.PhotoID]error, n)
-	for i, id := range itemIDs {
-		fateFor[id] = fates[i]
+	fateFor := make(map[batchKey]error, len(keys))
+	lost := 0
+	for i, k := range keys {
+		fateFor[k] = fates[i]
 		if fates[i] != nil {
 			lost++
 		}
 	}
-	if lost == 0 || lost == n {
-		t.Fatalf("fate draw degenerate: %d/%d lost; pick a new seed", lost, n)
+	if lost == 0 || lost == len(keys) {
+		t.Fatalf("fate draw degenerate: %d/%d lost; pick a new seed", lost, len(keys))
 	}
 
-	real, err := r.dir.ForLedger(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.dir.Register(1, &statusHook{Service: real, fn: func(id ids.PhotoID) (*ledger.StatusProof, error) {
-		if ferr := fateFor[id]; ferr != nil {
-			return nil, ferr
+	for _, lid := range []ids.LedgerID{1, 2} {
+		spy := spyOn(t, r, lid)
+		real := spy.Service
+		spy.status = func(id ids.PhotoID) (*ledger.StatusProof, error) {
+			if ferr := fateFor[keyOf[id]]; ferr != nil {
+				return nil, ferr
+			}
+			return real.Status(id)
 		}
-		return real.Status(id)
-	}})
+		spy.statusBatch = func(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+			k := keyOf[batch[0]]
+			for _, id := range batch {
+				if keyOf[id] != k {
+					return nil, fmt.Errorf("batch mixes %+v and %+v", k, keyOf[id])
+				}
+			}
+			if ferr := fateFor[k]; ferr != nil {
+				return nil, ferr
+			}
+			return real.StatusBatch(batch)
+		}
+	}
 
 	serial := make([]decision, n)
 	for i, it := range items {
 		res, err := r.agg.Upload(it.Image)
 		serial[i] = toDecision(res, err)
-	}
-	for i := range serial {
-		want := DenyReason(0)
-		if fateFor[itemIDs[i]] != nil {
-			want = DenyLedgerUnreachable
-		} else if i%5 == 4 {
-			want = DenyRevoked
-		}
-		if fateFor[itemIDs[i]] == nil && i%5 != 4 {
+		switch {
+		case fateFor[itemKey[i]] != nil:
+			if serial[i].reason != DenyLedgerUnreachable {
+				t.Fatalf("serial item %d: %+v, want DenyLedgerUnreachable", i, serial[i])
+			}
+		case i%5 == 4:
+			if serial[i].reason != DenyRevoked {
+				t.Fatalf("serial item %d: %+v, want DenyRevoked", i, serial[i])
+			}
+		default:
 			if !serial[i].accepted {
 				t.Fatalf("serial item %d: not accepted: %+v", i, serial[i])
 			}
-		} else if serial[i].reason != want {
-			t.Fatalf("serial item %d: reason %v, want %v", i, serial[i].reason, want)
 		}
 	}
 
-	for _, shape := range []PipelineConfig{
-		{Workers: 1, StatusWorkers: 4},
-		{Workers: 4, StatusWorkers: 1},
-		{Workers: 4, StatusWorkers: 4},
-	} {
-		agg := freshAgg(t, r, RejectUnlabeled)
-		results := agg.UploadAll(context.Background(), items, shape)
+	for _, workers := range []int{1, 4, 8} {
+		results := streamAll(freshAgg(t, r, RejectUnlabeled), items, PipelineConfig{Workers: workers, Depth: depth})
+		if len(results) != n {
+			t.Fatalf("workers %d: %d results", workers, len(results))
+		}
 		for i, res := range results {
 			if got := toDecision(res.Result, res.Err); got != serial[i] {
-				t.Errorf("shape %+v item %d: pipeline %+v, serial %+v", shape, i, got, serial[i])
+				t.Errorf("workers %d item %d (batch %+v): pipeline %+v, serial %+v",
+					workers, i, itemKey[i], got, serial[i])
 			}
 		}
 	}
 }
 
-// TestPipelineStatusStageConcurrency proves status fetches run outside
-// the compute workers: with one compute worker and K status workers, K
-// fetches must be in flight at once — a barrier in the hooked Status
-// only opens when all K have arrived, so a pipeline that serialized
-// status (the old design) would stall until the per-call guard fails.
+// TestPipelineStatusStageConcurrency proves a slow status batch does
+// not stall the compute workers: with one worker and windows of two,
+// the first window's request is held on the wire until the worker has
+// hashed the whole next window. A pipeline that fetched status inside
+// its compute stage would never get there, and the guard fails the
+// held batch instead.
 func TestPipelineStatusStageConcurrency(t *testing.T) {
 	r := newRig(t, RejectUnlabeled, nil)
-	const k = 4
-	items := make([]UploadItem, k)
+	const n, depth = 6, 2
+	items := make([]UploadItem, n)
 	for i := range items {
 		labeled, _, err := r.cam.ClaimAndLabel(r.cam.Shoot(1100+int64(i), 192, 128))
 		if err != nil {
@@ -473,65 +750,81 @@ func TestPipelineStatusStageConcurrency(t *testing.T) {
 		items[i] = UploadItem{Image: labeled}
 	}
 
-	real, err := r.dir.ForLedger(1)
-	if err != nil {
-		t.Fatal(err)
+	reg := obs.NewRegistry()
+	hashed := reg.Histogram("irs_upload_stage_seconds", nil, obs.L("stage", "hash"))
+	spy := spyOn(t, r, 1)
+	var first sync.Once
+	spy.statusBatch = func(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+		var err error
+		first.Do(func() {
+			guard := time.Now().Add(20 * time.Second)
+			for hashed.Snapshot().Count < 2*depth {
+				if time.Now().After(guard) {
+					err = errors.New("compute stalled behind a status batch in flight")
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		return spy.Service.StatusBatch(batch)
 	}
-	var mu sync.Mutex
-	inflight := 0
-	release := make(chan struct{})
-	r.dir.Register(1, &statusHook{Service: real, fn: func(id ids.PhotoID) (*ledger.StatusProof, error) {
-		mu.Lock()
-		inflight++
-		if inflight == k {
-			close(release)
-		}
-		mu.Unlock()
-		select {
-		case <-release:
-		case <-time.After(20 * time.Second):
-			return nil, errors.New("status never reached k-way concurrency")
-		}
-		return real.Status(id)
-	}})
 
-	results := r.agg.UploadAll(context.Background(), items,
-		PipelineConfig{Workers: 1, StatusWorkers: k, Depth: k})
+	results := streamAll(r.agg, items, PipelineConfig{Workers: 1, Depth: depth, Obs: reg})
+	if len(results) != n {
+		t.Fatalf("%d results for %d items", len(results), n)
+	}
 	for i, res := range results {
 		if res.Err != nil || !res.Result.Accepted {
-			t.Fatalf("item %d: %+v err=%v (status stage did not run %d-wide)", i, res.Result, res.Err, k)
+			t.Fatalf("item %d: %+v err=%v", i, res.Result, res.Err)
 		}
+	}
+	if got := spy.batches.Load(); got != n/depth {
+		t.Errorf("%d status batches, want %d", got, n/depth)
+	}
+	sizes := reg.Histogram("irs_upload_status_batch_ids", nil).Snapshot()
+	if sizes.Count != n/depth || sizes.Sum != n {
+		t.Errorf("irs_upload_status_batch_ids saw %d requests of %v ids, want %d of %d", sizes.Count, sizes.Sum, n/depth, n)
 	}
 }
 
-// TestPipelineStatusDeadline: a hung ledger must cost one status
-// worker for the timeout, not the stream — each affected item commits
-// as DenyLedgerUnreachable and the stream still drains promptly.
+// TestPipelineStatusDeadline: a hung ledger costs its own batch the
+// deadline and nothing else — its items commit as
+// DenyLedgerUnreachable, the same window's items on a healthy ledger
+// are hosted, the stream drains promptly, and once the ledger lets go
+// the abandoned call's goroutine exits instead of blocking on a send
+// nobody receives.
 func TestPipelineStatusDeadline(t *testing.T) {
 	r := newRig(t, RejectUnlabeled, nil)
-	items := make([]UploadItem, 3)
+	cam2 := camera.New(&wire.Loopback{L: r.custLedger}, "local://2", nil)
+	items := make([]UploadItem, 5)
+	hung := make([]bool, len(items))
 	for i := range items {
-		labeled, _, err := r.cam.ClaimAndLabel(r.cam.Shoot(1200+int64(i), 192, 128))
+		cam := r.cam
+		if hung[i] = i%2 == 0; !hung[i] {
+			cam = cam2
+		}
+		labeled, _, err := cam.ClaimAndLabel(cam.Shoot(1200+int64(i), 192, 128))
 		if err != nil {
 			t.Fatal(err)
 		}
 		items[i] = UploadItem{Image: labeled}
 	}
 
-	real, err := r.dir.ForLedger(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hang := make(chan struct{})
-	t.Cleanup(func() { close(hang) })
-	r.dir.Register(1, &statusHook{Service: real, fn: func(id ids.PhotoID) (*ledger.StatusProof, error) {
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(hang) }) })
+	spyOn(t, r, 1).statusBatch = func([]ids.PhotoID) ([]*ledger.StatusProof, error) {
 		<-hang
 		return nil, errors.New("unreachable")
-	}})
+	}
 
+	before := runtime.NumGoroutine()
 	start := time.Now()
 	results := r.agg.UploadAll(context.Background(), items,
-		PipelineConfig{Workers: 2, StatusWorkers: 2, StatusTimeout: 100 * time.Millisecond})
+		PipelineConfig{Workers: 2, StatusTimeout: 100 * time.Millisecond})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("hung ledger stalled the stream for %v", elapsed)
 	}
@@ -539,8 +832,87 @@ func TestPipelineStatusDeadline(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("item %d: err %v", i, res.Err)
 		}
-		if res.Result.Accepted || res.Result.Reason != DenyLedgerUnreachable {
+		if hung[i] && (res.Result.Accepted || res.Result.Reason != DenyLedgerUnreachable) {
 			t.Fatalf("item %d: %+v, want DenyLedgerUnreachable", i, res.Result)
+		}
+		if !hung[i] && !res.Result.Accepted {
+			t.Fatalf("item %d on the healthy ledger: %+v", i, res.Result)
+		}
+	}
+
+	release.Do(func() { close(hang) })
+	for guard := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(guard) {
+			t.Fatalf("%d goroutines before the stream, %d after the hung call returned",
+				before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// proofless answers claims the way a ledger that predates the proof
+// field does.
+type proofless struct{ *spyService }
+
+func (p proofless) Claim(req *wire.ClaimRequest) (ledger.Receipt, error) {
+	r, err := p.spyService.Claim(req)
+	r.Proof = nil
+	return r, err
+}
+
+// TestCustodialClaimUsesReceiptProof: hosting a custodial claim costs
+// the claim and nothing more when the receipt carries the first proof,
+// and exactly one Status when it comes from an older ledger — the one
+// documented second path. Either way the photo is served with a proof
+// of its own identifier.
+func TestCustodialClaimUsesReceiptProof(t *testing.T) {
+	r := newRig(t, CustodialClaim, nil)
+	spy := &spyService{Service: &wire.Loopback{L: r.custLedger}}
+	for _, tc := range []struct {
+		name         string
+		custodial    wire.Service
+		wantStatuses int64
+	}{
+		{"proof in receipt", spy, 0},
+		{"older ledger", proofless{spy}, 1},
+	} {
+		agg, err := New(Config{
+			Unlabeled:          CustodialClaim,
+			CustodialLedger:    tc.custodial,
+			CustodialLedgerURL: "local://2",
+		}, r.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		upload := map[string]func(*photo.Image) (UploadResult, error){
+			"Upload": agg.Upload,
+			"UploadAll": func(im *photo.Image) (UploadResult, error) {
+				res := agg.UploadAll(context.Background(), []UploadItem{{Image: im}}, PipelineConfig{Workers: 2})[0]
+				return res.Result, res.Err
+			},
+		}
+		seed := int64(1400)
+		for path, up := range upload {
+			spy.reset()
+			seed++
+			res, err := up(photo.Synth(seed, 192, 128))
+			if err != nil || !res.Accepted || !res.Custodial {
+				t.Fatalf("%s via %s: %+v %v", tc.name, path, res, err)
+			}
+			if c, s := spy.claims.Load(), spy.statuses.Load(); c != 1 || s != tc.wantStatuses {
+				t.Errorf("%s via %s: %d Claim, %d Status; want 1, %d", tc.name, path, c, s, tc.wantStatuses)
+			}
+			served, err := agg.Serve(res.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proof, err := ledger.UnmarshalProof([]byte(served.Meta.Get(photo.KeyIRSProof)))
+			if err != nil || proof.ID != res.ID || proof.State != ledger.StateActive {
+				t.Errorf("%s via %s: served proof %+v (%v)", tc.name, path, proof, err)
+			}
+			if err := ledger.VerifyProof(r.custLedger.SigningKey(), proof, time.Now(), time.Minute); err != nil {
+				t.Errorf("%s via %s: %v", tc.name, path, err)
+			}
 		}
 	}
 }

@@ -58,6 +58,11 @@ type RecheckResponse struct {
 // photo this repository produces by orders of magnitude).
 const maxUploadBytes = 64 << 20
 
+// maxBatchFrames bounds the items of one batch upload. Every frame
+// yields a result row whatever it holds, so without a bound the body
+// limit alone would admit millions of them.
+const maxBatchFrames = 1024
+
 // NewServer wraps an aggregator.
 func NewServer(a *Aggregator) *Server {
 	s := &Server{agg: a, mux: http.NewServeMux()}
@@ -100,34 +105,73 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, status, resp)
 }
 
-// handleUploadBatch accepts a concatenation of length-prefixed IRSP
-// containers (big-endian uint32 length, then that many bytes) and runs
-// them through the backpressured upload pipeline. Decoding happens on
-// the pipeline's compute workers; a malformed container fails only its
-// own slot.
-func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
-	body := io.LimitReader(r.Body, maxUploadBytes)
+// readBatchBody reads a whole batch request body, at most
+// maxUploadBytes of it: in one allocation when the request declares its
+// length, through a buffer that grows with the bytes received when it
+// does not (chunked encoding).
+func readBatchBody(r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxUploadBytes {
+		return nil, fmt.Errorf("batch body of %d bytes exceeds limit", r.ContentLength)
+	}
+	if r.ContentLength >= 0 {
+		body := make([]byte, r.ContentLength)
+		if _, err := io.ReadFull(r.Body, body); err != nil {
+			return nil, fmt.Errorf("batch body: %w", err)
+		}
+		return body, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("batch body: %w", err)
+	}
+	if len(body) > maxUploadBytes {
+		return nil, fmt.Errorf("batch body exceeds limit of %d bytes", maxUploadBytes)
+	}
+	return body, nil
+}
+
+// splitBatch cuts a batch body into its frames (big-endian uint32
+// length, then that many bytes), each a sub-slice of body. A length
+// prefix is a claim by the sender: it is checked against the bytes that
+// are really there before anything is sized by it.
+func splitBatch(body []byte) ([]UploadItem, error) {
 	var items []UploadItem
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(body, hdr[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch frame header: %v", err))
-			return
+	for len(body) > 0 {
+		if len(items) == maxBatchFrames {
+			return nil, fmt.Errorf("batch holds more than %d frames", maxBatchFrames)
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > maxUploadBytes {
-			wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch frame of %d bytes exceeds limit", n))
-			return
+		if len(body) < 4 {
+			return nil, fmt.Errorf("batch frame %d: truncated header", len(items))
 		}
-		blob := make([]byte, n)
-		if _, err := io.ReadFull(body, blob); err != nil {
-			wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch frame body: %v", err))
-			return
+		n := binary.BigEndian.Uint32(body)
+		body = body[4:]
+		if n == 0 {
+			return nil, fmt.Errorf("batch frame %d is empty", len(items))
 		}
-		items = append(items, UploadItem{Raw: blob})
+		if uint64(n) > uint64(len(body)) {
+			return nil, fmt.Errorf("batch frame %d claims %d bytes, body has %d left", len(items), n, len(body))
+		}
+		items = append(items, UploadItem{Raw: body[:n:n]})
+		body = body[n:]
+	}
+	return items, nil
+}
+
+// handleUploadBatch accepts a concatenation of length-prefixed IRSP
+// containers and runs them through the backpressured upload pipeline as
+// one album. Decoding happens on the pipeline's compute workers; a
+// malformed container fails only its own slot, a malformed framing the
+// whole request.
+func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
+	body, err := readBatchBody(r)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	items, err := splitBatch(body)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	results := s.agg.UploadAll(r.Context(), items, PipelineConfig{})
 	resp := &BatchUploadResponse{Results: make([]BatchUploadItem, len(results))}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -230,5 +232,81 @@ func TestServerBatchUpload(t *testing.T) {
 	}
 	if !r.agg.Hosts(owned.ID) {
 		t.Error("batch-accepted photo not hosted")
+	}
+}
+
+// TestServerBatchUploadHostileFraming: a batch body's length prefixes
+// and frame count are claims by the sender. Each lie is a 400 that
+// allocates in proportion to the bytes really sent — never to the bytes
+// claimed — and reaches no pipeline stage.
+func TestServerBatchUploadHostileFraming(t *testing.T) {
+	r := newRig(t, CustodialClaim, nil)
+	h := NewServer(r.agg)
+
+	frame := func(claimed uint32, payload []byte) []byte {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], claimed)
+		return append(hdr[:], payload...)
+	}
+	var tooMany []byte
+	for i := 0; i <= maxBatchFrames; i++ {
+		tooMany = append(tooMany, frame(1, []byte{'x'})...)
+	}
+	cases := []struct {
+		name    string
+		body    []byte
+		chunked bool // sent without a Content-Length
+	}{
+		{"oversize prefix on a tiny body", frame(maxUploadBytes, []byte("tiny")), false},
+		{"oversize prefix, chunked", frame(maxUploadBytes, []byte("tiny")), true},
+		{"prefix past any limit", frame(1<<32-1, nil), false},
+		{"truncated frame", frame(100, make([]byte, 50)), false},
+		{"truncated frame after a whole one", append(frame(3, []byte("abc")), frame(9, []byte("ab"))...), false},
+		{"truncated header", []byte{0, 0}, false},
+		{"frame-count overflow", tooMany, false},
+		{"zero-length frames", bytes.Repeat(frame(0, nil), 8), false},
+		{"zero-length frames, chunked", bytes.Repeat(frame(0, nil), 8), true},
+	}
+	for _, tc := range cases {
+		post := func() int {
+			var body io.Reader = bytes.NewReader(tc.body)
+			if tc.chunked {
+				body = struct{ io.Reader }{body} // hides the length from NewRequest
+			}
+			req := httptest.NewRequest(http.MethodPost, "/v1/upload/batch", body)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			return rec.Code
+		}
+		if code := post(); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, code)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		post()
+		runtime.ReadMemStats(&after)
+		// Request, recorder, JSON error and at most maxBatchFrames item
+		// headers cost under 256 KiB; the body is held once (twice while
+		// a chunked read grows its buffer).
+		if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(256<<10+4*len(tc.body)); got > ceiling {
+			t.Errorf("%s: a %d-byte body allocated %d bytes, ceiling %d", tc.name, len(tc.body), got, ceiling)
+		}
+	}
+	if m := r.agg.MetricsSnapshot(); m.Uploads != 0 || r.agg.HostedCount() != 0 {
+		t.Errorf("hostile framing reached the pipeline: %+v", m)
+	}
+
+	// The same reader shape with honest framing is served: the chunked
+	// path is a way in, not a rejection.
+	req := httptest.NewRequest(http.MethodPost, "/v1/upload/batch",
+		struct{ io.Reader }{bytes.NewReader(frame(7, []byte("garbage")))})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var out BatchUploadResponse
+	if err := json.NewDecoder(rec.Body).Decode(&out); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("chunked batch: status %d, decode %v", rec.Code, err)
+	}
+	if len(out.Results) != 1 || out.Results[0].Error == "" {
+		t.Errorf("chunked batch results: %+v", out.Results)
 	}
 }

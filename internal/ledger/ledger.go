@@ -329,6 +329,11 @@ func OpMsg(id ids.PhotoID, op Op, seq uint64) []byte { return opMsg(id, op, seq)
 type Receipt struct {
 	ID        ids.PhotoID
 	Timestamp *tsa.Token
+	// Proof is the claim's first status proof, issued with the claim:
+	// the bytes Status(ID) returns within the same second. An aggregator
+	// hosting a custodial claim needs it at once, and this saves it the
+	// round trip. Nil in a receipt from a ledger that predates the field.
+	Proof *StatusProof
 }
 
 // Claim registers a photo: pub is the per-photo public key and hashSig
@@ -384,24 +389,38 @@ func (l *Ledger) claim(contentHash [32]byte, pub ed25519.PublicKey, hashSig []by
 		return Receipt{}, err
 	}
 	rec.ID = id
+	st := rec.State
 	sh := l.shardFor(id)
+	if err := l.insertClaim(sh, rec); err != nil {
+		return Receipt{}, err
+	}
+	// The first proof is signed outside the shard lock, with the state
+	// the claim was born in: nobody holds the identifier yet, so no
+	// operation can have changed it. Going through the memo makes a
+	// Status of this second return the same bytes.
+	proof, _ := l.proofAt(sh, id, st, l.proofTime())
+	return Receipt{ID: id, Timestamp: tok, Proof: proof}, nil
+}
+
+// insertClaim publishes a new record in its shard and logs it.
+func (l *Ledger) insertClaim(sh *shard, rec *Record) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.records[id] = rec
+	sh.records[rec.ID] = rec
 	if rec.State == StateRevoked {
-		sh.revoked[id] = true
+		sh.revoked[rec.ID] = true
 	}
 	l.metrics.claims.Inc()
 	if l.store != nil {
 		// Logged under the shard lock so a concurrent op on this claim
 		// cannot reach the WAL before the claim entry it depends on.
 		if err := l.store.logClaim(rec); err != nil {
-			delete(sh.records, id)
-			delete(sh.revoked, id)
-			return Receipt{}, err
+			delete(sh.records, rec.ID)
+			delete(sh.revoked, rec.ID)
+			return err
 		}
 	}
-	return Receipt{ID: id, Timestamp: tok}, nil
+	return nil
 }
 
 // Apply executes a signed owner operation: sig must cover
@@ -589,16 +608,26 @@ func (l *Ledger) Status(id ids.PhotoID) (*StatusProof, error) {
 		}
 	}
 	l.metrics.queries.Inc()
-	at := l.proofTime()
+	p, memoized := l.proofAt(sh, id, st, l.proofTime())
+	if memoized {
+		l.metrics.memoHits.Inc()
+	} else {
+		l.metrics.signs.Inc()
+	}
+	return p, nil
+}
+
+// proofAt returns the proof of (id, st) stamped at: from the memo of
+// sh, the shard of id, when this second has signed it already, else
+// freshly signed and left there.
+func (l *Ledger) proofAt(sh *shard, id ids.PhotoID, st State, at time.Time) (p *StatusProof, memoized bool) {
 	sh.memo.mu.Lock()
-	p := sh.memo.get(id, st, at)
+	p = sh.memo.get(id, st, at)
 	sh.memo.mu.Unlock()
 	if p != nil {
-		l.metrics.memoHits.Inc()
-		return p, nil
+		return p, true
 	}
-	l.metrics.signs.Inc()
-	return l.signStatusAt(sh, id, st, at), nil
+	return l.signStatusAt(sh, id, st, at), false
 }
 
 // StatusBatch answers one validation query per identifier, in input

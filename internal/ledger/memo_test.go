@@ -98,6 +98,9 @@ func TestProofMemoByteIdentity(t *testing.T) {
 			unknown := mustID(t)
 			batch = append(batch, unknown, batch[0])
 			want[unknown] = StateUnknown
+			// Each claim left its first proof in the memo; the queries
+			// start in a second that holds none.
+			c.advance(time.Second)
 			at := c.now().UTC().Truncate(time.Second)
 
 			for round := 0; round < 3; round++ {
@@ -130,6 +133,75 @@ func TestProofMemoByteIdentity(t *testing.T) {
 				if round > 0 && signs != 0 {
 					t.Fatalf("round %d signed %d proofs with the second unchanged", round, signs)
 				}
+			}
+		})
+	}
+}
+
+// TestClaimProofMatchesStatus: the proof a claim's receipt carries is
+// the claim's first status proof — born in the state the claim was
+// born in, verifiable like any other, counted as no query — and it
+// goes through the memo, so a Status of the same second returns the
+// same bytes without signing again, from the memtable or a segment.
+func TestClaimProofMatchesStatus(t *testing.T) {
+	for _, segments := range []bool{false, true} {
+		t.Run(fmt.Sprintf("segments=%v", segments), func(t *testing.T) {
+			c := newTestClock()
+			l := memoLedger(t, c, segments, 8)
+			o := newOwner(t)
+			at := c.now().UTC().Truncate(time.Second)
+			claims := []struct {
+				name string
+				make func(hash [32]byte) (Receipt, error)
+				want State
+			}{
+				{"active", func(h [32]byte) (Receipt, error) {
+					return l.Claim(h, o.pub, ed25519.Sign(o.priv, ClaimMsg(h)), false)
+				}, StateActive},
+				{"revoked at birth", func(h [32]byte) (Receipt, error) {
+					return l.Claim(h, o.pub, ed25519.Sign(o.priv, ClaimMsg(h)), true)
+				}, StateRevoked},
+				{"custodial", func(h [32]byte) (Receipt, error) {
+					return l.CustodialClaim(h, o.pub, ed25519.Sign(o.priv, ClaimMsg(h)))
+				}, StateActive},
+			}
+			for _, tc := range claims {
+				before := l.Metrics()
+				r, err := tc.make(hashOf("claim-proof-" + tc.name))
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if r.Proof == nil {
+					t.Fatalf("%s: receipt carries no proof", tc.name)
+				}
+				wantProof(t, l, r.Proof, r.ID, tc.want, at)
+				if err := VerifyProof(l.SigningKey(), r.Proof, c.now(), time.Minute); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if m := l.Metrics(); m.Queries != before.Queries || m.ProofSigns != before.ProofSigns || m.ProofMemoHits != before.ProofMemoHits {
+					t.Fatalf("%s: the claim moved the query counters: %+v → %+v", tc.name, before, m)
+				}
+				if segments { // the record leaves the memtable: Status reads the segment
+					if err := l.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				p, err := l.Status(r.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(p.Marshal(), r.Proof.Marshal()) {
+					t.Fatalf("%s: Status in the claim's second differs from the claim's proof", tc.name)
+				}
+				if m := l.Metrics(); m.ProofMemoHits != before.ProofMemoHits+1 || m.ProofSigns != before.ProofSigns {
+					t.Fatalf("%s: that Status signed again: %+v → %+v", tc.name, before, m)
+				}
+				// The caller owns its proof: scribbling on it must not reach the memo.
+				r.Proof.Sig[0] ^= 0xff
+				if p, err = l.Status(r.ID); err != nil {
+					t.Fatal(err)
+				}
+				wantProof(t, l, p, r.ID, tc.want, at)
 			}
 		})
 	}
@@ -199,6 +271,7 @@ func TestProofMemoRollover(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		batch = append(batch, o.claim(t, l, hashOf(fmt.Sprintf("roll-%d", i)), i%2 == 0).ID)
 	}
+	c.advance(time.Second) // past the second whose memo the claims filled
 	query := func() (at time.Time, signs, hits uint64) {
 		t.Helper()
 		before := l.Metrics()

@@ -17,7 +17,9 @@ type metrics struct {
 	ops     *obs.Counter
 	queries *obs.Counter
 	// signs + memoHits = queries: a proof is either signed or taken from
-	// the per-second memo. Both move by one Add per batch.
+	// the per-second memo. Both move by one Add per batch. The proof a
+	// claim's receipt carries answers no query and moves none of the
+	// three; claims counts it.
 	signs    *obs.Counter
 	memoHits *obs.Counter
 

@@ -496,7 +496,14 @@ func (c *Client) Claim(req *ClaimRequest) (ledger.Receipt, error) {
 	if err != nil {
 		return ledger.Receipt{}, fmt.Errorf("wire: server returned bad timestamp: %w", err)
 	}
-	return ledger.Receipt{ID: id, Timestamp: tok}, nil
+	// The proof is an optional saving of one Status call, so one that is
+	// absent, malformed or about another claim is dropped, never allowed
+	// to cost the caller the receipt of a claim the ledger has recorded.
+	var proof *ledger.StatusProof
+	if p, err := ledger.UnmarshalProof(resp.Proof); err == nil && p.ID == id {
+		proof = p
+	}
+	return ledger.Receipt{ID: id, Timestamp: tok, Proof: proof}, nil
 }
 
 // Apply submits a signed revoke/unrevoke.

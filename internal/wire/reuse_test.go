@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"irs/internal/ids"
 )
@@ -107,12 +109,29 @@ func TestDirectoryRegisterRaces(t *testing.T) {
 // 2 discards most of the pool at every round boundary, paying a fresh
 // dial per worker per round; NewTransport sizes the idle pool to the
 // batch fan-out so after warm-up no new connections are dialed.
+//
+// Two things make "no new connection after warm-up" exact rather than
+// likely. The warm-up round is held at a barrier in the handler until
+// all its requests are in flight, so it dials one connection per
+// worker — without it a fast worker's connection gets reused inside the
+// round, warm-up ends with fewer, and a later, more concurrent round
+// dials the difference. And a round ends only when the client has
+// offered every connection back to its idle pool (PutIdleConn, counted
+// whether the pool took it or not): the server seeing a connection idle
+// says nothing about the client's pool.
 func TestKeepAliveReuseAtHighConcurrency(t *testing.T) {
 	const workers = 8
 	const rounds = 10
 
 	var conns atomic.Int64
+	var warmup sync.WaitGroup // the warm-up round's barrier
+	warmup.Add(workers)
+	var warmed atomic.Bool
 	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !warmed.Load() {
+			warmup.Done()
+			warmup.Wait()
+		}
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte(`{"seq":1,"state":"active"}`))
 	}))
@@ -124,7 +143,12 @@ func TestKeepAliveReuseAtHighConcurrency(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	c := NewClient(srv.URL, "") // default transport: NewTransport()
+	var offered atomic.Int64
+	var requests int64
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		PutIdleConn: func(error) { offered.Add(1) },
+	})
+	c := NewClient(srv.URL, "").WithContext(ctx).(*Client) // default transport: NewTransport()
 	runRound := func() {
 		var wg sync.WaitGroup
 		wg.Add(workers)
@@ -138,10 +162,18 @@ func TestKeepAliveReuseAtHighConcurrency(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		requests += workers
+		for guard := time.Now().Add(10 * time.Second); offered.Load() < requests; {
+			if time.Now().After(guard) {
+				t.Fatalf("%d of %d connections came back to the client's pool", offered.Load(), requests)
+			}
+			runtime.Gosched()
+		}
 	}
 
 	// Warm-up may dial up to one connection per concurrent worker.
 	runRound()
+	warmed.Store(true)
 	warm := conns.Load()
 	if warm > workers {
 		t.Fatalf("warm-up dialed %d connections for %d workers", warm, workers)

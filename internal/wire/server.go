@@ -210,10 +210,14 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, &ClaimResponse{
+	resp := &ClaimResponse{
 		ID:        receipt.ID.String(),
 		Timestamp: receipt.Timestamp.Marshal(),
-	})
+	}
+	if receipt.Proof != nil {
+		resp.Proof = receipt.Proof.Marshal()
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {

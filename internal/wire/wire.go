@@ -131,6 +131,11 @@ type ClaimResponse struct {
 	ID string `json:"id"`
 	// Timestamp is the marshaled tsa.Token.
 	Timestamp []byte `json:"ts"`
+	// Proof is the marshaled signed ledger.StatusProof of the new claim,
+	// what /v1/status answers for ID in the same second. Optional: a
+	// ledger that predates it sends none and the caller asks /v1/status;
+	// a client that predates it ignores the field.
+	Proof []byte `json:"proof,omitempty"`
 }
 
 // OpRequest revokes or unrevokes a claim.

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -367,5 +370,127 @@ func TestErrStatusNonWireError(t *testing.T) {
 	}
 	if ErrStatus(http.ErrServerClosed) != 0 {
 		t.Error("non-wire error should map to 0")
+	}
+}
+
+// TestClaimCarriesFirstProof: through every Service form — in process,
+// over HTTP, behind the retry layer — a claim's receipt carries the
+// proof Status returns for the new identifier in the same second, born
+// revoked when the claim was.
+func TestClaimCarriesFirstProof(t *testing.T) {
+	env := newEnv(t, ledger.Config{Clock: fixedClock}, "")
+	k := newKeypair(t)
+	services := map[string]Service{
+		"loopback": &Loopback{L: env.ledger},
+		"client":   env.client,
+		"retry":    NewRetryClient(env.client, RetryConfig{}),
+	}
+	for name, svc := range services {
+		for _, revoked := range []bool{false, true} {
+			h := sha256.Sum256([]byte(fmt.Sprintf("first proof %s %v", name, revoked)))
+			r, err := svc.Claim(&ClaimRequest{
+				ContentHash:    h[:],
+				PubKey:         k.pub,
+				HashSig:        ed25519.Sign(k.priv, ledger.ClaimMsg(h)),
+				RevokedAtBirth: revoked,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := ledger.StateActive
+			if revoked {
+				want = ledger.StateRevoked
+			}
+			if r.Proof == nil || r.Proof.ID != r.ID || r.Proof.State != want {
+				t.Fatalf("%s revoked=%v: receipt proof %+v", name, revoked, r.Proof)
+			}
+			if err := ledger.VerifyProof(env.ledger.SigningKey(), r.Proof, fixedClock(), time.Minute); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			p, err := svc.Status(r.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(p.Marshal(), r.Proof.Marshal()) {
+				t.Errorf("%s revoked=%v: Status differs from the claim's proof", name, revoked)
+			}
+		}
+	}
+}
+
+// TestClaimProofMixedVersions pins both directions of the optional
+// proof field. A ledger that predates it (or sends one that is
+// malformed, or attests another claim) costs the client the proof and
+// nothing else: the receipt survives, Proof is nil, and the caller asks
+// Status. A client that predates it decodes today's answer unharmed.
+func TestClaimProofMixedVersions(t *testing.T) {
+	l, err := ledger.New(ledger.Config{ID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	inner := NewServer(l, "")
+	other, err := l.Status(ids.PhotoID{Ledger: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rewrite func(*ClaimResponse)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/claim" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var resp ClaimResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Errorf("claim answer: %v", err)
+		}
+		rewrite(&resp)
+		WriteJSON(w, rec.Code, &resp)
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, "")
+	k := newKeypair(t)
+
+	for name, fn := range map[string]func(*ClaimResponse){
+		"omitted":       func(r *ClaimResponse) { r.Proof = nil },
+		"malformed":     func(r *ClaimResponse) { r.Proof = r.Proof[:len(r.Proof)-1] },
+		"another claim": func(r *ClaimResponse) { r.Proof = other.Marshal() },
+	} {
+		rewrite = fn
+		r := k.claimVia(t, c, "mixed "+name, false)
+		if r.Proof != nil {
+			t.Errorf("proof %s: client kept %+v", name, r.Proof)
+		}
+		if r.Timestamp == nil {
+			t.Errorf("proof %s: receipt lost its timestamp", name)
+		}
+		if p, err := c.Status(r.ID); err != nil || p.State != ledger.StateActive {
+			t.Errorf("proof %s: fallback Status: %+v %v", name, p, err)
+		}
+	}
+
+	// An old client: the answer's shape before the field, decoded the
+	// way Client decodes every answer.
+	rewrite = func(*ClaimResponse) {}
+	h := sha256.Sum256([]byte("old client"))
+	body, err := json.Marshal(&ClaimRequest{ContentHash: h[:], PubKey: k.pub, HashSig: ed25519.Sign(k.priv, ledger.ClaimMsg(h))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.Post(srv.URL+"/v1/claim", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		ID        string `json:"id"`
+		Timestamp []byte `json:"ts"`
+	}
+	if err := decodeResponse(hr, &old); err != nil {
+		t.Fatalf("old client: %v", err)
+	}
+	if _, err := ids.Parse(old.ID); err != nil || len(old.Timestamp) == 0 {
+		t.Errorf("old client decoded %+v (%v)", old, err)
 	}
 }

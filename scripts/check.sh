@@ -27,11 +27,21 @@ go test -race -run 'Faulty|Retry|Breaker|Degrade|FailOpen|FailClosed|WAL|Directo
 go test -race -run 'IndexConcurrentUploadLookupTakeDown|IndexedLinearDifferential|LookupHashFirstMatch|ClearsHashDB' \
     ./internal/aggregator
 
+# The batch endpoint's framing: hostile length prefixes and frame counts
+# are 400s that allocate by what was sent, not by what was claimed.
+go test -race -run 'ServerBatchUpload' ./internal/aggregator
+
 # Upload pipeline: ordered-commit determinism against the serial path,
-# cancellation drain, poisoned-item isolation, and the bounded status
-# stage (fault parity, k-way concurrency, deadline), named under -race.
-go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|PipelinePoisonedItem|PipelineStatus|VideoUploadWorkerInvariance|ServerBatchUpload' \
+# cancellation drain (mid-window included), poisoned-item isolation,
+# and the batching status stage (request count as a function of the
+# input at workers 1/4/8, per-batch fault parity, a slow batch not
+# stalling compute, the per-batch deadline), then the claim answer's
+# first proof end to end: ledger, wire (mixed versions), and the
+# aggregator's one-Status fallback. Named under -race.
+go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|PipelinePoisonedItem|PipelineStatus|VideoUploadWorkerInvariance|CustodialClaimUsesReceiptProof' \
     ./internal/aggregator
+go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMixedVersions' \
+    ./internal/ledger ./internal/wire
 
 # Watermark reader: the single-coefficient DCT kernels against
 # Forward8, and the sliding kernel + CRC-first sweep against the
