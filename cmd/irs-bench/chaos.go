@@ -23,8 +23,9 @@ import (
 	"irs/internal/wire"
 )
 
-// The -chaos harness drives the -serve load model through an injected
-// ledger outage and measures what each degradation posture serves. A
+// The -chaos harness drives a closed-loop page-view load (workers
+// validating pages of Zipf-drawn ids; the -serve-* flags size it)
+// through an injected ledger outage and measures what each degradation posture serves. A
 // deterministic fraction of every worker's pages falls inside an
 // outage window during which the (wrapped) ledger transport refuses
 // every request; phase boundaries are barriers, so which requests see

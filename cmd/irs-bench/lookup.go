@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,6 +59,7 @@ type lookupRow struct {
 
 type lookupReport struct {
 	Seed             int64       `json:"seed"`
+	GOMAXPROCS       int         `json:"gomaxprocs"`
 	Probes           int         `json:"probes"`
 	HitFraction      float64     `json:"hit_fraction"`
 	ResultsIdentical bool        `json:"results_identical"`
@@ -98,6 +100,7 @@ type lookupArm struct {
 func runLookup(cfg lookupConfig) error {
 	report := lookupReport{
 		Seed:             cfg.Seed,
+		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		Probes:           cfg.Probes,
 		HitFraction:      cfg.HitFrac,
 		ResultsIdentical: true,

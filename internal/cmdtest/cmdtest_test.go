@@ -244,6 +244,34 @@ func TestBenchHarnessCLI(t *testing.T) {
 	if _, err := exec.Command(filepath.Join(binDir, "irs-bench"), "-run", "nope").CombinedOutput(); err == nil {
 		t.Error("unknown experiment exited 0")
 	}
+
+	// Usage errors exit 2 before anything runs: more than one mode, a
+	// -scale that is not one value, and the retired suites' mode flags,
+	// which must be undefined rather than hidden.
+	undefined := "flag provided but not defined"
+	for _, tc := range []struct {
+		args []string
+		want []string // substrings of the combined output
+	}{
+		{[]string{"-chaos", "-topology"}, []string{"-chaos", "-topology"}},
+		{[]string{"-list", "-lookup"}, []string{"-list", "-lookup"}},
+		{[]string{"-run", "e1", "-scale", "quick,full"}, []string{"bad -scale"}},
+		{[]string{"-serve"}, []string{undefined}},
+		{[]string{"-upload"}, []string{undefined}},
+		{[]string{"-storage"}, []string{undefined}},
+		{[]string{"-obs-compare"}, []string{undefined}},
+		{[]string{"-parallel-out", filepath.Join(t.TempDir(), "p.json")}, []string{undefined}},
+	} {
+		out, err := exec.Command(filepath.Join(binDir, "irs-bench"), tc.args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%v: err %v, want exit 2\n%s", tc.args, err, out)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(string(out), w) {
+				t.Errorf("%v: output does not mention %q:\n%s", tc.args, w, out)
+			}
+		}
+	}
 }
 
 func TestLedgerRejectsBadFlags(t *testing.T) {

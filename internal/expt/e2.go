@@ -139,7 +139,7 @@ func E2LedgerLoad(scale Scale, seed int64) (*Report, error) {
 	}{
 		// Stripes is pinned to 1: this table models a single global LRU
 		// cache (hit rates shift slightly under per-stripe eviction);
-		// cache striping is load-tested separately by irs-bench -serve.
+		// the striped cache is what bench/'s page-view workloads load.
 		{"direct (no proxy)", proxy.Config{Stripes: 1}, nil},
 		{"proxy cache", proxy.Config{CacheCapacity: nClaims / 10, Stripes: 1}, nil},
 		{"proxy filter (paper 2%)", proxy.Config{UseFilter: true, Stripes: 1}, &filterChoice{1, paperFilter}},

@@ -140,8 +140,8 @@ type Config struct {
 	FilterHistory int
 	// Shards is the lock-stripe count for the record store, rounded up
 	// to a power of two; zero means 64. Shards = 1 reproduces the old
-	// single-lock discipline and is the baseline arm of the serving
-	// bench.
+	// single-lock discipline; filter bytes, segment contents and
+	// StateHash are pinned equal at 1 and at 64.
 	Shards int
 	// Rand, when non-nil, supplies record-identifier entropy in place
 	// of crypto/rand. Production ledgers leave it nil (IDs must not

@@ -9,10 +9,9 @@ import (
 // Lock striping: the record and revoked maps are split into
 // power-of-two shards keyed by a mix of the PhotoID, so concurrent
 // status queries, claims, and owner operations on different records
-// proceed without sharing a mutex. A single global lock was the
-// serving-path bottleneck the bench harness (irs-bench -serve)
-// measures; Config.Shards = 1 reproduces the old single-lock
-// discipline for baseline comparisons.
+// proceed without sharing a mutex (a single global lock serialized
+// every page view). Config.Shards = 1 reproduces the old single-lock
+// discipline; the shard-count invariance tests compare against it.
 //
 // Determinism is preserved by construction:
 //

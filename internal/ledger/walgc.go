@@ -20,8 +20,8 @@ import (
 // advances syncedSeq and wakes every waiter the batch covered. While
 // the leader is in write(2)/fsync(2), later appenders keep stacking
 // records into the fresh pending buffer, so N concurrent appends cost
-// ~1–2 fsyncs instead of N — the group commit the storage bench
-// measures (wal_syncs vs records in BENCH_storage.json).
+// ~1–2 fsyncs instead of N — the group commit the benchmark reports as
+// ledger.wal_syncs_per_write.
 //
 // In WALSyncOS mode appends return once the record is in the pending
 // buffer and a leader has handed it to the OS without fsync; durability

@@ -19,7 +19,7 @@
 // a copy-on-write snapshot behind an atomic pointer, so the read path
 // (filter probe → cache probe) takes no shared lock and at most one
 // stripe lock. Config.Stripes = 1 restores the pre-stripe single-lock
-// layout; the serving benchmarks use that as the honest baseline.
+// layout, one global LRU, which experiment E2 models.
 package proxy
 
 import (
@@ -145,8 +145,8 @@ type Config struct {
 	UseFilter bool
 	// Stripes is the lock-stripe count for the proof cache and the
 	// singleflight table; 0 means 16, other values round up to a power
-	// of two. 1 reproduces the pre-stripe single-lock behavior for
-	// baseline benchmarking.
+	// of two. 1 reproduces the pre-stripe single-lock behavior: one
+	// global LRU instead of an LRU per stripe (E2 pins it).
 	Stripes int
 	// Degrade is the outage answer policy; the zero value fails closed.
 	Degrade DegradePolicy
@@ -225,6 +225,11 @@ type Validator struct {
 
 	// adm is the per-client admission-control state; nil when disabled.
 	adm *admission
+
+	// refreshMu guards refreshing, the RefreshFilters call in progress
+	// (nil when idle).
+	refreshMu  sync.Mutex
+	refreshing *inflight
 }
 
 type sfStripe struct {
@@ -232,6 +237,9 @@ type sfStripe struct {
 	m  map[ids.PhotoID]*inflight
 }
 
+// inflight is one upstream call in progress that later callers wait on
+// instead of repeating: a status query (proof, err) or a filter refresh
+// (err only). The results are set before done closes.
 type inflight struct {
 	done  chan struct{}
 	proof *ledger.StatusProof
@@ -675,7 +683,33 @@ func (e *RefreshError) Unwrap() error { return e.Failed[0] }
 // epoch or resized filter). Ledgers refresh in parallel; failures are
 // collected into a RefreshError naming each failed ledger, with the
 // lowest-numbered ledger's error as the deterministic Unwrap target.
+//
+// One refresh runs at a time: a caller that arrives while another is
+// running waits for it and shares its result, so N concurrent callers
+// cost each ledger one sync, and two pulls of one ledger can never
+// race to install their answers out of order (the slower, older one
+// last).
 func (v *Validator) RefreshFilters(dir *wire.Directory) error {
+	v.refreshMu.Lock()
+	if fl := v.refreshing; fl != nil {
+		v.refreshMu.Unlock()
+		<-fl.done
+		return fl.err
+	}
+	fl := &inflight{done: make(chan struct{})}
+	v.refreshing = fl
+	v.refreshMu.Unlock()
+
+	fl.err = v.refreshAll(dir)
+
+	v.refreshMu.Lock()
+	v.refreshing = nil
+	v.refreshMu.Unlock()
+	close(fl.done)
+	return fl.err
+}
+
+func (v *Validator) refreshAll(dir *wire.Directory) error {
 	all := dir.All()
 	lids := make([]ids.LedgerID, 0, len(all))
 	for lid := range all {

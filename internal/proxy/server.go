@@ -236,7 +236,12 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
+// handleRefresh costs the caller one admission token per registered
+// ledger: that is the upstream fan-out one refresh can cause.
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
+	if !s.admit(w, r, len(s.dir.All())) {
+		return
+	}
 	if err := s.v.RefreshFilters(s.dir); err != nil {
 		wire.WriteError(w, http.StatusBadGateway, err.Error())
 		return
