@@ -312,13 +312,16 @@ func (a *Aggregator) custodialClaim(p *prep) (*camera.Owned, *photo.Image, error
 	return owned, labeled, nil
 }
 
+// host stores im under id and indexes its signature. It takes ownership
+// of im: the serving paths hand out clones, so nobody else may hold a
+// reference that could write through it afterwards.
 func (a *Aggregator) host(id ids.PhotoID, im *photo.Image, proof *ledger.StatusProof, custodial bool, sig phash.Signature) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.metrics.Accepted++
 	a.photos[id] = &hosted{
 		id:        id,
-		img:       im.Clone(),
+		img:       im,
 		proof:     proof,
 		checkedAt: a.clock(),
 		custodial: custodial,

@@ -107,7 +107,11 @@ type prep struct {
 	idx int
 	raw []byte
 	im  *photo.Image
-	err error // decode failure; terminal
+	// owned marks an image the pipeline decoded from raw itself: nobody
+	// else refers to it, so hosting keeps it without a copy. An image
+	// the caller supplied stays the caller's.
+	owned bool
+	err   error // decode failure; terminal
 
 	metaID, wmID ids.PhotoID
 	metaOK, wmOK bool
@@ -216,7 +220,7 @@ func (a *Aggregator) prepare(p *prep, po *pipeObs) {
 			p.err = err
 			return
 		}
-		p.im = im
+		p.im, p.owned = im, true
 		p.raw = nil
 	}
 	start := time.Now()
@@ -386,7 +390,11 @@ func (a *Aggregator) commit(p *prep) (UploadResult, error) {
 	default:
 		return a.deny(DenyRevoked), nil
 	}
-	a.host(id, p.im, p.proof, false, p.sig)
+	im := p.im
+	if !p.owned {
+		im = im.Clone()
+	}
+	a.host(id, im, p.proof, false, p.sig)
 	return UploadResult{Accepted: true, ID: id}, nil
 }
 
@@ -412,6 +420,7 @@ func (a *Aggregator) commitUnlabeled(p *prep) (UploadResult, error) {
 			return a.deny(DenyLedgerUnreachable), nil
 		}
 	}
+	// labeled is the copy camera.Label just made; hosting keeps it.
 	a.host(owned.ID, labeled, proof, true, phash.NewSignature(labeled))
 	return UploadResult{Accepted: true, ID: owned.ID, Custodial: true}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -914,5 +915,107 @@ func TestCustodialClaimUsesReceiptProof(t *testing.T) {
 				t.Errorf("%s via %s: %v", tc.name, path, err)
 			}
 		}
+	}
+}
+
+// TestHostOwnership: hosting copies an image only when somebody else
+// can still write to it. A caller-supplied image (Upload, UploadItem.
+// Image) may be scribbled over afterwards without the hosted photo
+// changing; an image the pipeline decoded from Raw is hosted as it is,
+// and so is the relabeled copy a custodial claim makes.
+func TestHostOwnership(t *testing.T) {
+	r := newRig(t, CustodialClaim, nil)
+	scribble := func(im *photo.Image) {
+		for i := range im.Pix {
+			im.Pix[i] ^= 0xff
+		}
+		im.Meta.Set(photo.KeyIRSID, "scribbled")
+	}
+	viaUpload, ownedA, err := r.cam.ClaimAndLabel(r.cam.Shoot(1201, 192, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaItem, ownedB, err := r.cam.ClaimAndLabel(r.cam.Shoot(1202, 192, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, wantB := viaUpload.Clone(), viaItem.Clone()
+	if res, err := r.agg.Upload(viaUpload); err != nil || !res.Accepted {
+		t.Fatalf("Upload: %+v, %v", res, err)
+	}
+	if res := r.agg.UploadAll(context.Background(), []UploadItem{{Image: viaItem}}, PipelineConfig{})[0]; res.Err != nil || !res.Result.Accepted {
+		t.Fatalf("UploadAll with Image set: %+v", res)
+	}
+	scribble(viaUpload)
+	scribble(viaItem)
+	for _, c := range []struct {
+		name string
+		id   ids.PhotoID
+		want *photo.Image
+	}{{"Upload", ownedA.ID, wantA}, {"UploadAll Image", ownedB.ID, wantB}} {
+		got, err := r.agg.Serve(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(c.want) || got.Meta.Get(photo.KeyIRSID) != c.want.Meta.Get(photo.KeyIRSID) {
+			t.Errorf("%s: the hosted photo changed when the caller wrote to the image it had uploaded", c.name)
+		}
+	}
+
+	// The two halves of the pipeline by hand, so the image prepare
+	// decoded can be told from the one commit hosted.
+	encode := func(im *photo.Image) []byte {
+		var buf bytes.Buffer
+		if err := photo.EncodeIRSP(&buf, im); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	commitRaw := func(raw []byte) (*prep, UploadResult) {
+		t.Helper()
+		p := &prep{raw: raw}
+		r.agg.prepare(p, nil)
+		if p.err != nil {
+			t.Fatal(p.err)
+		}
+		if p.wantStatus {
+			p.proof, p.statusErr = r.ownerLedger.Status(p.metaID)
+		}
+		res, err := r.agg.commit(p)
+		if err != nil || !res.Accepted {
+			t.Fatalf("commit: %+v, %v", res, err)
+		}
+		return p, res
+	}
+	labeled, _, err := r.cam.ClaimAndLabel(r.cam.Shoot(1203, 192, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, res := commitRaw(encode(labeled))
+	if r.agg.photos[res.ID].img != p.im {
+		t.Error("an image decoded from Raw was copied to be hosted")
+	}
+
+	// Custodial: the hosted image is the copy camera.Label made, so the
+	// commit allocates that copy and no second one. Serial, GC off and
+	// pools warm, so the ceiling sees the commit's own allocations only.
+	if raceEnabled {
+		return
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	commitRaw(encode(photo.Synth(1204, 192, 128)))
+	raw := encode(photo.Synth(1205, 192, 128))
+	custodial := &prep{raw: raw}
+	r.agg.prepare(custodial, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err = r.agg.commit(custodial)
+	runtime.ReadMemStats(&after)
+	if err != nil || !res.Custodial {
+		t.Fatalf("custodial commit: %+v, %v", res, err)
+	}
+	pixels := uint64(len(custodial.im.Pix))
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, pixels+pixels/2; got > ceiling {
+		t.Errorf("a custodial commit of %d pixel bytes allocated %d, ceiling %d: the relabeled copy is copied again to be hosted", pixels, got, ceiling)
 	}
 }

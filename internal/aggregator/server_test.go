@@ -310,3 +310,49 @@ func TestServerBatchUploadHostileFraming(t *testing.T) {
 		t.Errorf("chunked batch results: %+v", out.Results)
 	}
 }
+
+// TestServerBatchUploadHostileDimensions: framing can be honest while
+// the container inside lies. 64 frames of 21 bytes, each an IRSP header
+// claiming a 16384×16384×3 image, are decoded on the pipeline's workers;
+// each must fail its own slot having allocated by the bytes it holds,
+// not the 768 MiB it claims.
+func TestServerBatchUploadHostileDimensions(t *testing.T) {
+	r := newRig(t, CustodialClaim, nil)
+	h := NewServer(r.agg)
+
+	container := []byte("IRSP1")
+	for _, v := range []uint32{1 << 14, 1 << 14, 3, 0} { // w, h, channels, metadata pairs
+		container = binary.BigEndian.AppendUint32(container, v)
+	}
+	const frames = 64
+	var body []byte
+	for i := 0; i < frames; i++ {
+		body = binary.BigEndian.AppendUint32(body, uint32(len(container)))
+		body = append(body, container...)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/upload/batch", bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
+
+	var out BatchUploadResponse
+	if err := json.NewDecoder(rec.Body).Decode(&out); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("status %d, decode %v", rec.Code, err)
+	}
+	if len(out.Results) != frames {
+		t.Fatalf("%d results for %d frames", len(out.Results), frames)
+	}
+	for i, res := range out.Results {
+		if res.Error == "" || res.Accepted {
+			t.Errorf("frame %d: %+v, want a per-item error", i, res)
+		}
+	}
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+4*len(body)); got > ceiling {
+		t.Errorf("a %d-byte batch allocated %d bytes, ceiling %d", len(body), got, ceiling)
+	}
+	if m := r.agg.MetricsSnapshot(); m.Uploads != 0 || r.agg.HostedCount() != 0 {
+		t.Errorf("hostile containers counted as uploads: %+v", m)
+	}
+}

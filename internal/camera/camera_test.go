@@ -1,9 +1,11 @@
 package camera
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
+	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/photo"
 	"irs/internal/watermark"
@@ -290,5 +292,23 @@ func TestClaimAndLabelVideo(t *testing.T) {
 	}
 	if res.Payload != owned.ID.Bytes() {
 		t.Error("video label lost after transcode + frame drops + strip")
+	}
+}
+
+// BenchmarkLabel is what one custodial commit spends on the image
+// itself: watermark.Embed plus the two metadata fields.
+func BenchmarkLabel(b *testing.B) {
+	cfg := watermark.DefaultConfig()
+	id := ids.PhotoID{Ledger: 1, Rec: [12]byte{42}}
+	for _, dims := range [][2]int{{192, 128}, {1024, 768}} {
+		im := photo.Synth(1, dims[0], dims[1])
+		b.Run(fmt.Sprintf("%dx%d", dims[0], dims[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Label(im, id, "http://ledger.example", cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,9 +1,10 @@
 package dct
 
-// Single-coefficient kernels for the watermark's extraction path, which
-// reads one output of each 8×8 block's transform and discards the other
-// 63. Like kernel8.go this file is listed in scripts/check_bce.sh and
-// must compile without bounds checks: fixed-size array pointers, the
+// Single-coefficient kernels for the watermark, which reads one output
+// of each 8×8 block's transform and discards the other 63, and whose
+// embedder changes that one coefficient and nothing else. Like
+// kernel8.go this file is listed in scripts/check_bce.sh and must
+// compile without bounds checks: fixed-size array pointers, the
 // len-guarded subslice walk and same-length reslices only. Geometry
 // (strides, plane offsets) belongs to the wrappers in dct8.go and to
 // the callers.
@@ -28,6 +29,26 @@ func coef8(rows *[8]*[8]float64, bu, bv *[8]float64) float64 {
 		t[r] = dot8(row, bv)
 	}
 	return dot8(&t, bu)
+}
+
+// addBasis8 adds d times the (u, v) basis image to the block whose eight
+// rows are given, with bu = basis8[u] and bv = basis8[v]:
+// rows[r][c] += d·bu[r]·bv[c]. The inverse transform is linear, so this
+// is what raising coefficient (u, v) by d does to the block's samples —
+// the other 63 coefficients contribute what they already did.
+func addBasis8(rows *[8]*[8]float64, d float64, bu, bv *[8]float64) {
+	b0, b1, b2, b3, b4, b5, b6, b7 := bv[0], bv[1], bv[2], bv[3], bv[4], bv[5], bv[6], bv[7]
+	for r, row := range rows {
+		s := d * bu[r]
+		row[0] += s * b0
+		row[1] += s * b1
+		row[2] += s * b2
+		row[3] += s * b3
+		row[4] += s * b4
+		row[5] += s * b5
+		row[6] += s * b6
+		row[7] += s * b7
+	}
 }
 
 // rowPass8 slides the row pass along one image row:

@@ -72,6 +72,53 @@ func TestRowPass8Bounds(t *testing.T) {
 	}
 }
 
+// TestAddBasis8MatchesInverse pins the write kernel to the transform it
+// short-cuts: for all 64 (u, v), at block positions inside a wider
+// plane, raising one coefficient through AddBasis8 gives the samples
+// Forward8 → add d at [u*8+v] → Inverse8 gives, to the round trip's own
+// rounding error; afterwards Coef8 reads the raised coefficient and
+// every sample outside the block is untouched.
+func TestAddBasis8MatchesInverse(t *testing.T) {
+	const w, h = 21, 13
+	rng := rand.New(rand.NewSource(14))
+	plane := make([]float64, w*h)
+	for i := range plane {
+		plane[i] = float64(rng.Intn(256))
+	}
+	src, coef := NewBlock(8), NewBlock(8)
+	for u := 0; u < 8; u++ {
+		for v := 0; v < 8; v++ {
+			x0, y0 := rng.Intn(w-7), rng.Intn(h-7)
+			d := rng.Float64()*96 - 48
+			for r := 0; r < 8; r++ {
+				copy(src.Data[r*8:r*8+8], plane[(y0+r)*w+x0:])
+			}
+			Forward8(coef, src)
+			before := coef.Data[u*8+v]
+			coef.Data[u*8+v] += d
+			Inverse8(src, coef)
+
+			got := append([]float64(nil), plane...)
+			AddBasis8(got[y0*w+x0:], w, u, v, d)
+			for i := range got {
+				x, y := i%w, i/w
+				want := plane[i]
+				if x >= x0 && x < x0+8 && y >= y0 && y < y0+8 {
+					want = src.Data[(y-y0)*8+x-x0]
+				} else if got[i] != want {
+					t.Fatalf("AddBasis8(%d,%d) at (%d,%d) wrote outside its block at (%d,%d)", u, v, x0, y0, x, y)
+				}
+				if diff := got[i] - want; diff > 1e-10 || diff < -1e-10 {
+					t.Fatalf("AddBasis8(%d,%d) at (%d,%d): sample (%d,%d) = %v, round trip = %v", u, v, x0, y0, x, y, got[i], want)
+				}
+			}
+			if c := Coef8(got[y0*w+x0:], w, u, v); c-(before+d) > 1e-10 || c-(before+d) < -1e-10 {
+				t.Fatalf("after AddBasis8(%d,%d, %v) the coefficient reads %v, want %v", u, v, d, c, before+d)
+			}
+		}
+	}
+}
+
 func BenchmarkCoef8(b *testing.B) {
 	plane := make([]float64, 64)
 	rng := rand.New(rand.NewSource(13))

@@ -11,11 +11,13 @@
 // The implementation is a direct O(N²) transform per row/column with
 // precomputed cosine tables stored as flat row-major slices (basis and
 // transposed basis), so both transform directions are unit-stride dot
-// products whose inner loops carry no bounds checks. The 8×8 size —
-// every watermark block — additionally has a fully unrolled fast path
-// (dct8.go) that Forward2D/Inverse2D dispatch to. All paths are
-// allocation-free after table construction and bit-identical to each
-// other, which the tests assert.
+// products whose inner loops carry no bounds checks. The 8×8 size
+// additionally has a fully unrolled fast path (dct8.go) that
+// Forward2D/Inverse2D dispatch to, and — because the watermark reads
+// and writes one coefficient per block — kernels that compute or change
+// that coefficient alone (carrier8.go). All paths are allocation-free
+// after table construction and bit-identical to each other, which the
+// tests assert.
 package dct
 
 import (
@@ -40,7 +42,7 @@ type table struct {
 }
 
 // tables is a copy-on-write map so the per-transform read path is a
-// single atomic load with no lock — every 8×8 watermark block and 32×32
+// single atomic load with no lock — every 8×8 transcoder block and 32×32
 // phash transform goes through tableFor, and under the parallel
 // execution layer a global mutex here serializes all workers. The two
 // production sizes are pre-seeded; other sizes take the slow path once.

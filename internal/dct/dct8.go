@@ -1,11 +1,13 @@
 package dct
 
-// Fixed-size 8×8 fast path. The watermark transforms every 8×8 luma
-// block of every uploaded image through Forward2D/Inverse2D, so this
-// size gets a dedicated kernel: fully unrolled row/column passes over
-// [8][8]float64 basis tables, written so the compiler proves every
-// index in range and emits no bounds checks (the kernels live in
-// kernel8.go, which scripts/check_bce.sh asserts stays clean).
+// Fixed-size 8×8 fast path. 8×8 is the block size of the JPEG-like
+// transcoder (Forward2D/Inverse2D dispatch here for N = 8) and of the
+// watermark, whose single-coefficient kernels (carrier8.go) are defined
+// by — and tested against — this transform. So this size gets a
+// dedicated kernel: fully unrolled row/column passes over [8][8]float64
+// basis tables, written so the compiler proves every index in range and
+// emits no bounds checks (the kernels live in kernel8.go, which
+// scripts/check_bce.sh asserts stays clean).
 //
 // Bit-exactness contract: fdct8/idct8 accumulate each output element
 // in the same left-to-right term order as the generic forward1D /
@@ -45,15 +47,33 @@ func Inverse8(dst, src *Block) {
 // Coef8 returns coefficient (u, v) of the 2D DCT-II of the 8×8 block
 // whose top-left sample is src[0] in a plane of the given row stride —
 // bit-identical to Forward8's output at [u*8+v], for 72 multiply-adds
-// instead of 1,024. It is for callers that read one coefficient and
-// write none back; a caller that modifies the block still needs
-// Forward8/Inverse8.
+// instead of 1,024. A caller that then changes that coefficient writes
+// the change back with AddBasis8.
 func Coef8(src []float64, stride, u, v int) float64 {
-	var rows [8]*[8]float64
+	rows := blockRows8(src, stride)
+	return coef8(&rows, &basis8[u], &basis8[v])
+}
+
+// AddBasis8 raises coefficient (u, v) of the 8×8 block at src[0] (same
+// addressing as Coef8) by d, in the sample domain and in place:
+// sample (r, c) grows by d·basis8[u][r]·basis8[v][c]. The inverse DCT is
+// linear, so this is Inverse8 of the block's transform with d added at
+// [u*8+v], without computing the transform or touching the other 63
+// coefficients — 72 multiply-adds, and the samples agree with the
+// Forward8/Inverse8 round trip to its own rounding error (~1e-13),
+// which the watermark's differential tests bound at 1e-9.
+func AddBasis8(src []float64, stride, u, v int, d float64) {
+	rows := blockRows8(src, stride)
+	addBasis8(&rows, d, &basis8[u], &basis8[v])
+}
+
+// blockRows8 addresses the eight rows of the block at src[0]; the
+// conversions panic when the plane is too short to hold it.
+func blockRows8(src []float64, stride int) (rows [8]*[8]float64) {
 	for r := range rows {
 		rows[r] = (*[8]float64)(src[r*stride:])
 	}
-	return coef8(&rows, &basis8[u], &basis8[v])
+	return rows
 }
 
 // RowPass8 computes dst[x] = Σ_c src[x+c]·basis8[v][c] for each of the

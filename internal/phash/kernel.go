@@ -1,7 +1,5 @@
 package phash
 
-import "encoding/binary"
-
 // Pure inner-loop kernels of the perceptual hashes. Everything in this
 // file indexes fixed-size arrays or same-length slices with bounds the
 // compiler can prove, so the hot loops carry no bounds checks —
@@ -9,43 +7,44 @@ import "encoding/binary"
 // variable-length slicing and image-geometry arithmetic in phash.go;
 // only the provable loops belong here.
 
-// sumRowBytes sums one run of single-channel pixels. Eight bytes at a
-// time are loaded as one word and folded lane-wise (SWAR): bytes pair
-// into 16-bit lanes, lanes into 32-bit halves, halves into one sum —
-// integer addition is exact and order-free, so the result is identical
-// to the byte-at-a-time loop for any input.
-func sumRowBytes(row []byte) int64 {
-	const (
-		m8  = 0x00ff00ff00ff00ff
-		m16 = 0x0000ffff0000ffff
-	)
+// prefixRowBytes advances a running row of 2-D prefix sums by one image
+// row of single-channel pixels: acc[x] grows by pix[0] + … + pix[x], so
+// an acc that held the sums over all earlier rows now includes this one.
+// acc must be at least as long as pix. Integer addition is exact, so
+// any difference of the sums is the pixel sum a direct loop would get.
+//
+// Not inlined: inside downscale's many live values the running sum is
+// spilled and every pixel waits on a store-to-load round trip — measured
+// 2.4 ns/pixel inlined against 0.5 ns here.
+//
+//go:noinline
+func prefixRowBytes(acc []int64, pix []byte) {
+	if len(acc) < len(pix) {
+		panic("phash: prefix row shorter than the image row")
+	}
+	acc = acc[:len(pix)]
 	var s int64
-	for len(row) >= 8 {
-		v := binary.LittleEndian.Uint64(row)
-		v = v&m8 + v>>8&m8
-		v = v&m16 + v>>16&m16
-		s += int64(v&0xffffffff + v>>32)
-		row = row[8:]
-	}
-	for _, p := range row {
+	for x, p := range pix {
 		s += int64(p)
+		acc[x] += s
 	}
-	return s
 }
 
-// sumRowRGB sums the BT.601 integer luma of one run of interleaved RGB
-// pixels (len(row) is a multiple of 3). The per-pixel (299r+587g+114b)/1000
-// truncation matches photo.Image.Gray exactly, so the integer
-// accumulation reproduces the float path bit for bit — int32 holds the
-// weighted sum of one pixel (max 255000) with room to spare.
-func sumRowRGB(row []byte) int64 {
+// prefixRowRGB is prefixRowBytes for one row of interleaved RGB pixels
+// (len(pix) is three times the pixels). The per-pixel
+// (299r+587g+114b)/1000 truncation matches photo.Image.Gray exactly —
+// int32 holds the weighted sum of one pixel (max 255000) with room to
+// spare. Not inlined, as prefixRowBytes.
+//
+//go:noinline
+func prefixRowRGB(acc []int64, pix []byte) {
 	var s int64
-	for len(row) >= 3 {
-		r, g, b := int32(row[0]), int32(row[1]), int32(row[2])
+	for len(acc) >= 1 && len(pix) >= 3 {
+		r, g, b := int32(pix[0]), int32(pix[1]), int32(pix[2])
 		s += int64((299*r + 587*g + 114*b) / 1000)
-		row = row[3:]
+		acc[0] += s
+		acc, pix = acc[1:], pix[3:]
 	}
-	return s
 }
 
 // meanBits64 computes the AHash decision: bit i set where cells[i]

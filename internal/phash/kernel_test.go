@@ -9,9 +9,10 @@ import (
 )
 
 // The reference implementations below are the seed's float-accumulation
-// hash paths, kept verbatim as oracles: the vectorized kernels must
-// reproduce them bit for bit, or every committed hash corpus and
-// E-table silently shifts.
+// hash paths, kept verbatim as oracles: the integer prefix-sum downscale
+// must reproduce them bit for bit, or every committed hash corpus and
+// E-table silently shifts. (reference_test.go holds the second oracle,
+// the per-cell integer summation the prefix sums replaced.)
 
 func refDownscaleGray(im *photo.Image, w, h int) []float64 {
 	out := make([]float64, w*h)
@@ -121,6 +122,9 @@ func TestHashesBitIdenticalToFloatReference(t *testing.T) {
 		if got, want := PHash(im), refPHash(im); got != want {
 			t.Errorf("image %d (%dx%dx%d): PHash = %016x, reference = %016x", i, im.W, im.H, im.Channels, uint64(got), uint64(want))
 		}
+		if got, want := NewSignature(im), (Signature{A: refAHash(im), D: refDHash(im), P: refPHash(im)}); got != want {
+			t.Errorf("image %d (%dx%dx%d): NewSignature = %016x, reference = %016x", i, im.W, im.H, im.Channels, got, want)
+		}
 	}
 }
 
@@ -138,8 +142,8 @@ func TestHashesDoNotMutateInput(t *testing.T) {
 }
 
 // TestHashesZeroAlloc pins the pooled scratch: after warmup none of the
-// three hashes may allocate. A regression here multiplies across every
-// image in an upload batch.
+// three hashes, nor the signature that fuses them, may allocate. A
+// regression here multiplies across every image in an upload batch.
 func TestHashesZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates the pooled scratch")
@@ -147,6 +151,7 @@ func TestHashesZeroAlloc(t *testing.T) {
 	im := photo.Synth(42, 256, 192)
 	for name, f := range map[string]func(*photo.Image) Hash{
 		"AHash": AHash, "DHash": DHash, "PHash": PHash,
+		"NewSignature": func(im *photo.Image) Hash { return NewSignature(im).P },
 	} {
 		f(im) // warm the pools
 		if n := testing.AllocsPerRun(20, func() { f(im) }); n != 0 {

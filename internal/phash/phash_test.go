@@ -1,6 +1,7 @@
 package phash
 
 import (
+	"fmt"
 	"testing"
 
 	"irs/internal/photo"
@@ -191,11 +192,16 @@ func BenchmarkPHash(b *testing.B) {
 	}
 }
 
-func BenchmarkSignature(b *testing.B) {
-	im := photo.Synth(1, 256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = NewSignature(im)
+// BenchmarkNewSignature is the per-upload hashing cost at the upload
+// benchmark's image size and at a photo-sized one.
+func BenchmarkNewSignature(b *testing.B) {
+	for _, dims := range [][2]int{{192, 128}, {1024, 768}} {
+		im := photo.Synth(1, dims[0], dims[1])
+		b.Run(fmt.Sprintf("%dx%d", dims[0], dims[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = NewSignature(im)
+			}
+		})
 	}
 }

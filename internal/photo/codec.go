@@ -66,9 +66,47 @@ func EncodeIRSP(w io.Writer, im *Image) error {
 	return bw.Flush()
 }
 
-// maxDim bounds decoded image dimensions to keep hostile inputs from
-// forcing giant allocations.
+// maxDim bounds decoded image dimensions. It is a sanity limit on the
+// geometry, not on memory: 16384×16384×3 is 768 MiB, so a length taken
+// from a header is never what a buffer is sized by — see readClaimed.
 const maxDim = 1 << 14
+
+// growChunk is the first allocation for a payload whose source cannot
+// say how much it holds.
+const growChunk = 64 << 10
+
+// readClaimed reads the n bytes a header claims follow. A claim is
+// checked against the bytes that are really there before anything is
+// sized by it: when the source reports what it has left (bytes.Reader,
+// bytes.Buffer and strings.Reader do, which covers every in-memory
+// container, the batch upload path's frames among them) a claim larger
+// than that fails without allocating; otherwise the buffer starts at
+// growChunk and doubles as bytes arrive, so it never exceeds twice
+// what was received. br must be the only reader of src.
+func readClaimed(br *bufio.Reader, src io.Reader, n int) ([]byte, error) {
+	if lr, ok := src.(interface{ Len() int }); ok {
+		if n > br.Buffered()+lr.Len() {
+			return nil, io.ErrUnexpectedEOF
+		}
+		buf := make([]byte, n)
+		_, err := io.ReadFull(br, buf)
+		return buf, err
+	}
+	buf := make([]byte, 0, min(n, growChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, 2*cap(buf)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(br, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
 
 // DecodeIRSP reads an IRSP container from r.
 func DecodeIRSP(r io.Reader) (*Image, error) {
@@ -105,13 +143,12 @@ func DecodeIRSP(r io.Reader) (*Image, error) {
 		if n > 1<<20 {
 			return "", fmt.Errorf("metadata string too long: %d", n)
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+		b, err := readClaimed(br, r, int(n))
+		return string(b), err
 	}
-	im := &Image{W: w, H: h, Channels: ch, Pix: make([]byte, w*h*ch), Meta: NewMetadata()}
+	// Metadata first, pixels last, each sized by what has arrived: the
+	// header's dimensions are the sender's claim.
+	im := &Image{W: w, H: h, Channels: ch, Meta: NewMetadata()}
 	for i := uint32(0); i < nMeta; i++ {
 		k, err := readStr()
 		if err != nil {
@@ -123,9 +160,11 @@ func DecodeIRSP(r io.Reader) (*Image, error) {
 		}
 		im.Meta.Set(k, v)
 	}
-	if _, err := io.ReadFull(br, im.Pix); err != nil {
+	pix, err := readClaimed(br, r, w*h*ch)
+	if err != nil {
 		return nil, fmt.Errorf("%w: short pixel data", ErrBadFormat)
 	}
+	im.Pix = pix
 	return im, nil
 }
 
@@ -177,11 +216,11 @@ func DecodePNM(r io.Reader) (*Image, error) {
 	if w <= 0 || h <= 0 || w > maxDim || h > maxDim || maxv != 255 {
 		return nil, fmt.Errorf("%w: dims %dx%d max %d", ErrBadFormat, w, h, maxv)
 	}
-	im := &Image{W: w, H: h, Channels: ch, Pix: make([]byte, w*h*ch), Meta: NewMetadata()}
-	if _, err := io.ReadFull(br, im.Pix); err != nil {
+	pix, err := readClaimed(br, r, w*h*ch)
+	if err != nil {
 		return nil, fmt.Errorf("%w: short pixel data", ErrBadFormat)
 	}
-	return im, nil
+	return &Image{W: w, H: h, Channels: ch, Pix: pix, Meta: NewMetadata()}, nil
 }
 
 // pnmToken reads the next whitespace-delimited token, skipping '#'

@@ -2,6 +2,10 @@ package photo
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -141,5 +145,76 @@ func TestPNMRejectsGarbage(t *testing.T) {
 		if _, err := DecodePNM(strings.NewReader(s)); err == nil {
 			t.Errorf("%s: decode succeeded", name)
 		}
+	}
+}
+
+// hostileIRSP is a container whose header claims w×h×ch pixels and
+// nMeta metadata pairs, followed by tail and nothing else.
+func hostileIRSP(w, h, ch, nMeta uint32, tail []byte) []byte {
+	b := []byte(irspMagic)
+	for _, v := range []uint32{w, h, ch, nMeta} {
+		b = binary.BigEndian.AppendUint32(b, v)
+	}
+	return append(b, tail...)
+}
+
+// TestDecodeSizesBuffersByBytesReceived: dimensions and string lengths
+// in a header are the sender's claim. A decoder fed a few bytes that
+// claim a 768 MiB image (or a megabyte of metadata) must fail having
+// allocated in proportion to what it was sent, whether or not its
+// reader can say how much is left.
+func TestDecodeSizesBuffersByBytesReceived(t *testing.T) {
+	megString := binary.BigEndian.AppendUint32(nil, 1<<20) // a key claiming 1 MiB
+	cases := []struct {
+		name   string
+		decode func(io.Reader) (*Image, error)
+		body   []byte
+	}{
+		{"IRSP 16384x16384x3, no payload", DecodeIRSP, hostileIRSP(maxDim, maxDim, 3, 0, nil)},
+		{"IRSP 16384x16384x3, 100 KiB of payload", DecodeIRSP, hostileIRSP(maxDim, maxDim, 3, 0, make([]byte, 100<<10))},
+		{"IRSP 65536 metadata strings of 1 MiB", DecodeIRSP, hostileIRSP(8, 8, 1, 1<<16, megString)},
+		{"PPM 16384x16384", DecodePNM, []byte("P6\n16384 16384\n255\n")},
+		{"PGM 16384x16384, 100 KiB of payload", DecodePNM, append([]byte("P5\n16384 16384\n255\n"), make([]byte, 100<<10)...)},
+	}
+	for _, tc := range cases {
+		for _, sized := range []bool{true, false} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var r io.Reader = bytes.NewReader(tc.body)
+			if !sized {
+				r = struct{ io.Reader }{r} // hides Len, as a network body does
+			}
+			_, err := tc.decode(r)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadFormat) {
+				t.Errorf("%s (sized=%v): error %v, want ErrBadFormat", tc.name, sized, err)
+			}
+			if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+4*len(tc.body)); got > ceiling {
+				t.Errorf("%s (sized=%v): a %d-byte input allocated %d bytes, ceiling %d", tc.name, sized, len(tc.body), got, ceiling)
+			}
+		}
+	}
+}
+
+// TestDecodeGrowsWithUnsizedReader: an honest container larger than the
+// first chunk decodes to the same image through a reader that cannot
+// report its length (the single-upload HTTP path).
+func TestDecodeGrowsWithUnsizedReader(t *testing.T) {
+	im := SynthRGB(12, 320, 300) // 288,000 pixel bytes: two doublings past growChunk
+	im.Meta.Set(KeyIRSID, "SOMEID")
+	var irsp, pnm bytes.Buffer
+	if err := EncodeIRSP(&irsp, im); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodePNM(&pnm, im); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeIRSP(struct{ io.Reader }{&irsp})
+	if err != nil || !got.Equal(im) || got.Meta.Get(KeyIRSID) != "SOMEID" {
+		t.Errorf("IRSP through an unsized reader: err %v", err)
+	}
+	got, err = DecodePNM(struct{ io.Reader }{&pnm})
+	if err != nil || !got.Equal(im) {
+		t.Errorf("PNM through an unsized reader: err %v", err)
 	}
 }

@@ -10,10 +10,12 @@ import (
 // frame's read (heavy per-frame compression, dropped frames) leave
 // enough agreeing frames to recover the identifier.
 
-// EmbedVideo embeds payload into every frame of a copy of v.
+// EmbedVideo embeds payload into every frame of a copy of v. Embed
+// returns each frame as a copy already, so the frames are not cloned a
+// second time around it.
 func EmbedVideo(v *photo.Video, payload [PayloadBytes]byte, cfg Config) (*photo.Video, error) {
-	out := v.Clone()
-	for i, f := range out.Frames {
+	out := &photo.Video{FPS: v.FPS, Frames: make([]*photo.Image, len(v.Frames)), Meta: v.Meta.Clone()}
+	for i, f := range v.Frames {
 		wm, err := Embed(f, payload, cfg)
 		if err != nil {
 			return nil, err

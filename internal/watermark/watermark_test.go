@@ -1,6 +1,7 @@
 package watermark
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -385,16 +386,22 @@ func TestQuickCodewordRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkEmbed is the custodial path's write kernel at the upload
+// benchmark's image size and at a photo-sized one; run with -cpu 1,2 to
+// see what the block-row fan-out buys.
 func BenchmarkEmbed(b *testing.B) {
 	cfg := DefaultConfig()
-	im := photo.Synth(1, 192, 128)
 	p := payloadFromSeed(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Embed(im, p, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, dims := range [][2]int{{192, 128}, {1024, 768}} {
+		im := photo.Synth(1, dims[0], dims[1])
+		b.Run(fmt.Sprintf("%dx%d", dims[0], dims[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Embed(im, p, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

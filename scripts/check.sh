@@ -5,7 +5,7 @@
 # here covers single-core CI machines too.
 #
 # Wall-clock budget for the whole script: 15 minutes on a 2-core host
-# (the full -race suite is about half of it, the eight ten-second
+# (the full -race suite is about half of it, the nine ten-second
 # fuzzers another minute and a half). The elapsed time is printed
 # beside "all green" and gates nothing: no stage here compares two
 # wall-clock latencies, because on a shared host that asserts nothing.
@@ -35,8 +35,13 @@ go test -race -run 'IndexConcurrentUploadLookupTakeDown|IndexedLinearDifferentia
     ./internal/aggregator
 
 # The batch endpoint's framing: hostile length prefixes and frame counts
-# are 400s that allocate by what was sent, not by what was claimed.
+# are 400s that allocate by what was sent, not by what was claimed; one
+# layer down, a well-framed container whose header claims 16384×16384×3
+# fails its own slot the same way (64 of them through the endpoint, and
+# the decoders on their own with and without a reader that knows its
+# length).
 go test -race -run 'ServerBatchUpload' ./internal/aggregator
+go test -race -run 'DecodeSizesBuffersByBytesReceived|DecodeGrowsWithUnsizedReader' ./internal/photo
 
 # Upload pipeline: ordered-commit determinism against the serial path,
 # cancellation drain (mid-window included), poisoned-item isolation,
@@ -44,8 +49,9 @@ go test -race -run 'ServerBatchUpload' ./internal/aggregator
 # input at workers 1/4/8, per-batch fault parity, a slow batch not
 # stalling compute, the per-batch deadline), then the claim answer's
 # first proof end to end: ledger, wire (mixed versions), and the
-# aggregator's one-Status fallback. Named under -race.
-go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|PipelinePoisonedItem|PipelineStatus|VideoUploadWorkerInvariance|CustodialClaimUsesReceiptProof' \
+# aggregator's one-Status fallback, and who owns a hosted image (a
+# caller's is copied, the pipeline's own are not). Named under -race.
+go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|PipelinePoisonedItem|PipelineStatus|VideoUploadWorkerInvariance|CustodialClaimUsesReceiptProof|HostOwnership' \
     ./internal/aggregator
 go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMixedVersions' \
     ./internal/ledger ./internal/wire
@@ -53,11 +59,22 @@ go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMix
 # Watermark reader: the single-coefficient DCT kernels against
 # Forward8, and the sliding kernel + CRC-first sweep against the
 # retained full-transform per-phase scan (all 64 pixel phases, four
-# config shapes, the E6 transform matrix, worker counts 1/2/4/8), named
-# under -race; then ten seconds of the size/crop fuzz target.
-go test -race -run 'Coef8BitIdentical|RowPass8Bounds|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance' \
+# config shapes, the E6 transform matrix, worker counts 1/2/4/8); and
+# the writer: AddBasis8 against the Forward8/Inverse8 round trip, Embed
+# and Erase against the retained full-transform loop (byte-identical
+# pixels over gray/RGB, clamped, partial-block and fan-out sizes, four
+# config shapes, workers 1/2/8). Named under -race; then ten seconds
+# each of the reader's size/crop and the writer's seed/size fuzz target.
+go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance|EmbedMatchesReference' \
     ./internal/dct ./internal/watermark
 go test -run='^$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s ./internal/watermark
+go test -run='^$' -fuzz=FuzzEmbedMatchesReference -fuzztime=10s ./internal/watermark
+
+# Perceptual hashes: the one-pass prefix-row downscale against the
+# retained per-cell summation (every width and height 1..72, random
+# sizes to 512, gray and RGB, empty images) and against the seed's
+# float hashes, with its O(W) working set pinned. Named under -race.
+go test -race -run 'SignatureMatchesSeparateHashes|HashesBitIdenticalToFloatReference|DownscaleRowIsOrderW' ./internal/phash
 
 # Storage engine: group-commit coalescing, crash-injection recovery at
 # shard counts 1/8/32, torn-tail truncation, shard/in-memory state
@@ -138,8 +155,8 @@ go test -run='^$' -fuzz=FuzzWireFrameDecode -fuzztime=10s ./internal/wire
 go test -run='^$' -bench=Serving -benchtime=1x ./internal/ledger ./internal/proxy
 go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
 
-# Zero-alloc guard: the vectorized 8×8 DCT, the three perceptual
-# hashes, and the IRSW1 wire codec's server-encode and client-decode
+# Zero-alloc guard: the vectorized 8×8 DCT, the perceptual hashes (one
+# alone and the fused three-hash signature), and the IRSW1 wire codec's server-encode and client-decode
 # hot paths must stay allocation-free; any allocs/op > 0 here means a
 # scratch pool, unrolled loop, or pooled codec buffer regressed. 1000
 # iterations, not 10: sync.Pool is per-P, so on a 2-core host the timed
@@ -147,6 +164,7 @@ go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
 # buffer (~10 allocations) read as 1 alloc/op over ten iterations. A
 # real per-call allocation still reads >= 1.
 for pkg_bench in "./internal/dct BenchmarkDCT8x8" "./internal/phash BenchmarkPHash$" \
+    "./internal/phash BenchmarkNewSignature/192x128" \
     "./internal/wire BenchmarkStatusEncodeBinary" "./internal/wire BenchmarkStatusDecodeBinary"; do
     pkg=${pkg_bench% *}
     bench=${pkg_bench#* }
