@@ -87,6 +87,10 @@ func (s State) String() string {
 	}
 }
 
+// Defined reports whether s is one of the four states above; a proof
+// carrying any other value is refused, never cached or forwarded.
+func (s State) Defined() bool { return s >= StateUnknown && s <= StatePermanentlyRevoked }
+
 // Op is a signed owner operation.
 type Op byte
 
@@ -398,7 +402,8 @@ func (l *Ledger) claim(contentHash [32]byte, pub ed25519.PublicKey, hashSig []by
 	// the claim was born in: nobody holds the identifier yet, so no
 	// operation can have changed it. Going through the memo makes a
 	// Status of this second return the same bytes.
-	proof, _ := l.proofAt(sh, id, st, l.proofTime())
+	proof := &StatusProof{ID: id, State: st, IssuedAt: l.proofTime()}
+	l.fillSig(sh, proof)
 	return Receipt{ID: id, Timestamp: tok, Proof: proof}, nil
 }
 
@@ -608,8 +613,8 @@ func (l *Ledger) Status(id ids.PhotoID) (*StatusProof, error) {
 		}
 	}
 	l.metrics.queries.Inc()
-	p, memoized := l.proofAt(sh, id, st, l.proofTime())
-	if memoized {
+	p := &StatusProof{ID: id, State: st, IssuedAt: l.proofTime()}
+	if l.fillSig(sh, p) {
 		l.metrics.memoHits.Inc()
 	} else {
 		l.metrics.signs.Inc()
@@ -617,17 +622,17 @@ func (l *Ledger) Status(id ids.PhotoID) (*StatusProof, error) {
 	return p, nil
 }
 
-// proofAt returns the proof of (id, st) stamped at: from the memo of
-// sh, the shard of id, when this second has signed it already, else
-// freshly signed and left there.
-func (l *Ledger) proofAt(sh *shard, id ids.PhotoID, st State, at time.Time) (p *StatusProof, memoized bool) {
+// fillSig completes p — ID, State and IssuedAt set by the caller —
+// with its signature: from the memo of sh, the shard of p.ID, when this
+// second has signed it already, else freshly signed and left there.
+func (l *Ledger) fillSig(sh *shard, p *StatusProof) (memoized bool) {
 	sh.memo.mu.Lock()
-	p = sh.memo.get(id, st, at)
+	memoized = sh.memo.get(p)
 	sh.memo.mu.Unlock()
-	if p != nil {
-		return p, true
+	if !memoized {
+		l.sign(sh, p)
 	}
-	return l.signStatusAt(sh, id, st, at), false
+	return memoized
 }
 
 // StatusBatch answers one validation query per identifier, in input
@@ -637,39 +642,43 @@ func (l *Ledger) proofAt(sh *shard, id ids.PhotoID, st State, at time.Time) (p *
 // the segments, outside it), then the shard's proof memo is asked for
 // signatures this second has already produced. Only what it lacks is
 // signed, on the worker pool. All proofs in a batch share one IssuedAt
-// instant.
+// instant and one backing array, which is the caller's: nothing in the
+// ledger keeps a reference to it.
 func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 	n := len(batch)
 	if n == 0 {
 		return nil, nil
 	}
-	// Partition input indices by shard so each shard is locked once.
-	shardOf := make([]uint64, n)
-	counts := make([]int, len(l.shards))
+	// One slab of indices: per shard a count, then the running end of
+	// its group; the inputs' shards; the inputs grouped by shard so each
+	// is locked once; a shard's memtable misses; the memo's misses.
+	ns := len(l.shards)
+	ints := make([]int, ns+4*n)
+	ends, shardOf, grouped := ints[:ns], ints[ns:ns+n], ints[ns+n:ns+2*n]
+	misses, unsigned := ints[ns+2*n:ns+2*n:ns+3*n], ints[ns+3*n:ns+3*n]
 	for i, id := range batch {
-		s := id.Hash64() & l.shardMask
+		s := int(id.Hash64() & l.shardMask)
 		shardOf[i] = s
-		counts[s]++
+		ends[s]++
 	}
-	offsets := make([]int, len(l.shards)+1)
-	for s, c := range counts {
-		offsets[s+1] = offsets[s] + c
+	sum := 0
+	for s, c := range ends {
+		ends[s] = sum
+		sum += c
 	}
-	// One slab of input indices: all of them grouped by shard, one
-	// shard's memtable misses, and those the memo had no signature for.
-	slab := make([]int, 3*n)
-	grouped, misses, unsigned := slab[:n], slab[n:n:2*n], slab[2*n:2*n]
-	fill := append([]int(nil), offsets[:len(l.shards)]...)
-	for i := range batch {
-		s := shardOf[i]
-		grouped[fill[s]] = i
-		fill[s]++
+	for i, s := range shardOf {
+		grouped[ends[s]] = i
+		ends[s]++
 	}
 	at := l.proofTime()
-	states := make([]State, n)
-	proofs := make([]*StatusProof, n)
+	proofs := NewProofBatch(n)
+	for i, id := range batch {
+		proofs[i].ID, proofs[i].IssuedAt = id, at
+	}
+	start := 0
 	for s := range l.shards {
-		mine := grouped[offsets[s]:offsets[s+1]]
+		mine := grouped[start:ends[s]]
+		start = ends[s]
 		if len(mine) == 0 {
 			continue
 		}
@@ -678,7 +687,7 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 		sh.mu.RLock()
 		for _, i := range mine {
 			if rec, ok := sh.records[batch[i]]; ok {
-				states[i] = rec.State
+				proofs[i].State = rec.State
 			} else if l.store != nil {
 				misses = append(misses, i)
 			}
@@ -691,11 +700,11 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 			if err != nil {
 				return nil, err
 			}
-			states[i] = st
+			proofs[i].State = st
 		}
 		sh.memo.mu.Lock()
 		for _, i := range mine {
-			if proofs[i] = sh.memo.get(batch[i], states[i], at); proofs[i] == nil {
+			if !sh.memo.get(proofs[i]) {
 				unsigned = append(unsigned, i)
 			}
 		}
@@ -704,10 +713,12 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 	l.metrics.queries.Add(uint64(n))
 	l.metrics.memoHits.Add(uint64(n - len(unsigned)))
 	l.metrics.signs.Add(uint64(len(unsigned)))
-	parallel.Do(len(unsigned), func(k int) {
-		i := unsigned[k]
-		proofs[i] = l.signStatusAt(&l.shards[shardOf[i]], batch[i], states[i], at)
-	})
+	if len(unsigned) > 0 {
+		parallel.Do(len(unsigned), func(k int) {
+			i := unsigned[k]
+			l.sign(&l.shards[shardOf[i]], proofs[i])
+		})
+	}
 	return proofs, nil
 }
 

@@ -55,7 +55,7 @@ func wantProof(t *testing.T, l *Ledger, p *StatusProof, id ids.PhotoID, st State
 		t.Fatalf("proof is (%v, %v, %v), want (%v, %v, %v)", p.ID, p.State, p.IssuedAt, id, st, at)
 	}
 	ref := &StatusProof{ID: id, State: st, IssuedAt: at}
-	if want := ed25519.Sign(l.signKey, ref.canonical()); !bytes.Equal(p.Sig, want) {
+	if want := ed25519.Sign(l.signKey, ref.canonical()); !bytes.Equal(p.Sig[:], want) {
 		t.Fatalf("proof for %v (%v) does not carry the signature a fresh Sign returns", id, st)
 	}
 }
@@ -135,6 +135,76 @@ func TestProofMemoByteIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStatusBatchAllocationBudget: a page of memo hits costs the
+// batch's own allocations — the index scratch, the proof array and the
+// pointer slice over it — and not two objects a proof. Status, which
+// has no batch to share, costs its one proof.
+func TestStatusBatchAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted without the race detector")
+	}
+	l := memoLedger(t, newTestClock(), false, 8)
+	o := newOwner(t)
+	batch := make([]ids.PhotoID, 37)
+	for i := range batch {
+		// Each claim leaves its first proof in the memo of this second.
+		batch[i] = o.claim(t, l, hashOf(fmt.Sprintf("budget-%d", i)), i%5 == 0).ID
+	}
+	before := l.Metrics()
+	perBatch := testing.AllocsPerRun(100, func() {
+		if _, err := l.StatusBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perStatus := testing.AllocsPerRun(100, func() {
+		if _, err := l.Status(batch[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m := l.Metrics(); m.ProofSigns != before.ProofSigns {
+		t.Fatalf("%d proofs were signed; the budget is for memo hits", m.ProofSigns-before.ProofSigns)
+	}
+	if perBatch > 4 {
+		t.Errorf("StatusBatch of %d memo hits: %.0f allocations, budget 4", len(batch), perBatch)
+	}
+	if perStatus > 1 {
+		t.Errorf("Status memo hit: %.0f allocations, budget 1", perStatus)
+	}
+	t.Logf("allocations: StatusBatch(%d hits) %.0f, Status %.0f", len(batch), perBatch, perStatus)
+}
+
+// TestUnmarshalProofRejectsUndefinedState: the one decode point refuses
+// a state byte outside the four defined states, so no cache or viewer
+// downstream ever holds one; every defined state still round-trips.
+func TestUnmarshalProofRejectsUndefinedState(t *testing.T) {
+	l := memoLedger(t, newTestClock(), false, 1)
+	p, err := l.Status(mustID(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := p.Marshal()
+	for b := 0; b < 256; b++ {
+		raw[30] = byte(b)
+		var into StatusProof
+		got, err := UnmarshalProof(raw)
+		if ierr := into.Unmarshal(raw); (err == nil) != (ierr == nil) {
+			t.Fatalf("state byte %d: UnmarshalProof %v, Unmarshal %v", b, err, ierr)
+		}
+		if State(b) <= StatePermanentlyRevoked {
+			if err != nil || got.State != State(b) || *got != into || !bytes.Equal(got.Marshal(), raw) {
+				t.Fatalf("state byte %d did not round-trip: %v", b, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("state byte %d accepted", b)
+		}
+		if into != (StatusProof{}) {
+			t.Fatalf("state byte %d: a refused decode wrote to its destination", b)
+		}
 	}
 }
 

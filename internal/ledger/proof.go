@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -19,7 +20,7 @@ type StatusProof struct {
 	ID       ids.PhotoID
 	State    State
 	IssuedAt time.Time
-	Sig      []byte
+	Sig      [ed25519.SignatureSize]byte
 }
 
 func (p *StatusProof) canonical() []byte {
@@ -32,6 +33,18 @@ func (p *StatusProof) canonical() []byte {
 	binary.BigEndian.PutUint64(ts[:], uint64(p.IssuedAt.UnixNano()))
 	buf = append(buf, ts[:]...)
 	return buf
+}
+
+// NewProofBatch returns n zero proofs in one backing array — the shape
+// of a StatusBatch answer at every layer: two allocations a batch, not
+// two a proof. Whoever is handed the batch owns the array.
+func NewProofBatch(n int) []*StatusProof {
+	slab := make([]StatusProof, n)
+	proofs := make([]*StatusProof, n)
+	for i := range slab {
+		proofs[i] = &slab[i]
+	}
+	return proofs
 }
 
 // proofQuantum is the granularity of IssuedAt. Stamping whole seconds
@@ -70,21 +83,20 @@ type proofMemo struct {
 	max  int
 }
 
-// get returns the proof for (id, st, at) if the memo holds its
-// signature and nil otherwise, first dropping entries of any other
-// second. The signature is copied: callers own the proof they are
-// given. The caller holds m.mu.
-func (m *proofMemo) get(id ids.PhotoID, st State, at time.Time) *StatusProof {
-	if !m.at.Equal(at) {
-		m.at = at
+// get completes p — ID, State and IssuedAt, the signed message, set by
+// the caller — with a copy of its signature if the memo holds it, first
+// dropping entries of any other second. The caller holds m.mu.
+func (m *proofMemo) get(p *StatusProof) bool {
+	if !m.at.Equal(p.IssuedAt) {
+		m.at = p.IssuedAt
 		clear(m.sigs)
-		return nil
+		return false
 	}
-	sig, ok := m.sigs[memoKey{id, st}]
-	if !ok {
-		return nil
+	sig, ok := m.sigs[memoKey{p.ID, p.State}]
+	if ok {
+		p.Sig = sig
 	}
-	return &StatusProof{ID: id, State: st, IssuedAt: at, Sig: append([]byte(nil), sig[:]...)}
+	return ok
 }
 
 // put stores a freshly signed proof's signature, unless the memo is
@@ -98,18 +110,15 @@ func (m *proofMemo) put(p *StatusProof) {
 	if m.sigs == nil {
 		m.sigs = make(map[memoKey][ed25519.SignatureSize]byte)
 	}
-	m.sigs[memoKey{p.ID, p.State}] = [ed25519.SignatureSize]byte(p.Sig)
+	m.sigs[memoKey{p.ID, p.State}] = p.Sig
 }
 
-// signStatusAt is the one step a memo miss takes, for Status and
-// StatusBatch alike: it builds and signs the proof of (id, st) at an
-// explicit instant and leaves the signature in the memo of sh, the
-// shard of id.
-func (l *Ledger) signStatusAt(sh *shard, id ids.PhotoID, st State, at time.Time) *StatusProof {
-	p := &StatusProof{ID: id, State: st, IssuedAt: at}
-	p.Sig = ed25519.Sign(l.signKey, p.canonical())
+// sign is the one step a memo miss takes, for Status and StatusBatch
+// alike: it signs p — ID, State and IssuedAt set by the caller — in
+// place and leaves the signature in the memo of sh, the shard of p.ID.
+func (l *Ledger) sign(sh *shard, p *StatusProof) {
+	copy(p.Sig[:], ed25519.Sign(l.signKey, p.canonical()))
 	sh.memo.put(p)
-	return p
 }
 
 // Proof verification errors.
@@ -121,7 +130,7 @@ var (
 // VerifyProof checks a proof's signature against the ledger signing key
 // and, if maxAge > 0, its freshness relative to now.
 func VerifyProof(pub ed25519.PublicKey, p *StatusProof, now time.Time, maxAge time.Duration) error {
-	if !ed25519.Verify(pub, p.canonical(), p.Sig) {
+	if !ed25519.Verify(pub, p.canonical(), p.Sig[:]) {
 		return ErrProofSignature
 	}
 	if maxAge > 0 && now.Sub(p.IssuedAt) > maxAge {
@@ -158,25 +167,36 @@ func (p *StatusProof) AppendMarshal(dst []byte) []byte {
 	var ts [8]byte
 	binary.BigEndian.PutUint64(ts[:], uint64(p.IssuedAt.UnixNano()))
 	dst = append(dst, ts[:]...)
-	return append(dst, p.Sig...)
+	return append(dst, p.Sig[:]...)
 }
 
 // UnmarshalProof decodes a proof produced by Marshal.
 func UnmarshalProof(b []byte) (*StatusProof, error) {
-	const hdr = 14 + 16 + 1 + 8
-	if len(b) != hdr+ed25519.SignatureSize {
-		return nil, errors.New("ledger: bad status proof length")
-	}
-	if string(b[:14]) != "irs-status-v1:" {
-		return nil, errors.New("ledger: bad status proof magic")
-	}
-	var raw [16]byte
-	copy(raw[:], b[14:30])
-	p := &StatusProof{
-		ID:       ids.FromBytes(raw),
-		State:    State(b[30]),
-		IssuedAt: time.Unix(0, int64(binary.BigEndian.Uint64(b[31:39]))).UTC(),
-		Sig:      append([]byte(nil), b[hdr:]...),
+	p := new(StatusProof)
+	if err := p.Unmarshal(b); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// Unmarshal decodes a proof produced by Marshal into p, retaining
+// nothing of b. It is the one decode point, so a state byte that names
+// no state is refused here and reaches no cache or viewer. On error p
+// is unchanged.
+func (p *StatusProof) Unmarshal(b []byte) error {
+	const hdr = MarshaledProofSize - ed25519.SignatureSize
+	if len(b) != MarshaledProofSize {
+		return errors.New("ledger: bad status proof length")
+	}
+	if string(b[:14]) != "irs-status-v1:" {
+		return errors.New("ledger: bad status proof magic")
+	}
+	if !State(b[30]).Defined() {
+		return fmt.Errorf("ledger: bad status proof state %d", b[30])
+	}
+	p.ID = ids.FromBytes([16]byte(b[14:30]))
+	p.State = State(b[30])
+	p.IssuedAt = time.Unix(0, int64(binary.BigEndian.Uint64(b[31:hdr]))).UTC()
+	p.Sig = [ed25519.SignatureSize]byte(b[hdr:])
+	return nil
 }

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -109,6 +110,44 @@ func TestValidateBatchMatchesSequential(t *testing.T) {
 	e.runPage(t, page)
 	// Page 2 re-traverses page 1 plus fresh ids: now mostly cache hits.
 	e.runPage(t, append(append([]ids.PhotoID{}, page...), revoked[3], active[3]))
+}
+
+// TestValidateBatchMatchesSequentialRandomPages pushes seeded pages of
+// every size up to the wire limit, drawn with heavy repetition from a
+// small universe over two ledgers, through the same contract: the flat
+// occurrence lists and the identifier table inside ValidateBatch must
+// file every repeat under its first occurrence, whatever the page shape.
+func TestValidateBatchMatchesSequentialRandomPages(t *testing.T) {
+	e := newBatchEnv(t, Config{UseFilter: true, CacheCapacity: 1024, CacheTTL: time.Hour})
+	rng := rand.New(rand.NewSource(21))
+	f, err := bloom.NewWithEstimate(512, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe := make([]ids.PhotoID, 300)
+	for i := range universe {
+		universe[i] = mustNewID(t, ids.LedgerID(1+i%2))
+		e.fl.states[universe[i]] = ledger.State(rng.Intn(4))
+		if i%3 != 0 {
+			f.Add(ledger.FilterKey(universe[i]))
+		}
+	}
+	for _, lid := range []ids.LedgerID{1, 2} {
+		e.seq.SetFilter(lid, 1, f.Clone())
+		e.bat.SetFilter(lid, 1, f.Clone())
+	}
+	for _, n := range []int{1, 2, 3, 47, 48, 127, 128, 129, wire.MaxStatusBatch} {
+		page := make([]ids.PhotoID, n)
+		for i := range page {
+			page[i] = universe[rng.Intn(len(universe))]
+		}
+		e.runPage(t, page)
+		// The next page starts cold again for half of what can be cached.
+		for i := 1; i < len(universe); i += 3 {
+			e.seq.Invalidate(universe[i])
+			e.bat.Invalidate(universe[i])
+		}
+	}
 }
 
 // TestValidateBatchMatchesSequentialNoCache covers the cache-disabled

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
@@ -23,6 +22,11 @@ import (
 // Small caches collapse to a single stripe — below minStripeCap entries
 // per stripe the approximation gets visibly lumpy and exact global LRU
 // is what callers (and the pre-stripe tests) expect.
+//
+// The cache owns what it holds: put copies the proof into the stripe's
+// arena and get copies it out under the stripe lock, so an entry never
+// pins the batch array its proof arrived in and no caller holds a
+// pointer into a slot a later put may overwrite.
 type cache struct {
 	stripes []cacheStripe
 	mask    uint64
@@ -39,16 +43,24 @@ type cacheStripe struct {
 	// path: within [expires, expires+stale] the entry answers getStale
 	// (never get). Zero means expired entries are dropped on sight, the
 	// pre-degradation behavior.
-	stale   time.Duration
-	now     func() time.Time
-	entries map[ids.PhotoID]*list.Element
-	order   *list.List // front = most recently used
+	stale time.Duration
+	now   func() time.Time
+	// slots is the entry arena and index maps an identifier to its slot.
+	// Slot 0 is the sentinel of the LRU ring (its next is the most, its
+	// prev the least recently used); vacated slots hang off free through
+	// next, 0 ending the list. The arena grows on demand up to capacity —
+	// configured capacities are far above what most proxies ever hold —
+	// and a vacated slot is reused before it grows again.
+	slots []cacheEntry
+	index map[ids.PhotoID]int32
+	free  int32
 }
 
 type cacheEntry struct {
-	id      ids.PhotoID
-	proof   *ledger.StatusProof
-	expires time.Time
+	id         ids.PhotoID
+	proof      ledger.StatusProof
+	expires    time.Time
+	prev, next int32
 }
 
 // Window semantics, shared by get and getStale so the boundary can't
@@ -91,8 +103,8 @@ func newCache(capacity int, ttl, stale time.Duration, now func() time.Time, stri
 		s.ttl = ttl
 		s.stale = stale
 		s.now = now
-		s.entries = make(map[ids.PhotoID]*list.Element)
-		s.order = list.New()
+		s.index = make(map[ids.PhotoID]int32)
+		s.slots = make([]cacheEntry, 1)
 	}
 	return c
 }
@@ -101,55 +113,97 @@ func (c *cache) stripe(id ids.PhotoID) *cacheStripe {
 	return &c.stripes[id.Hash64()&c.mask]
 }
 
-// get returns a live cached proof, or nil. Expired entries inside the
-// stale window are kept (for getStale) but never returned here.
-func (c *cache) get(id ids.PhotoID) *ledger.StatusProof {
+// unlink takes slot i off the LRU ring.
+func (s *cacheStripe) unlink(i int32) {
+	e := &s.slots[i]
+	s.slots[e.prev].next, s.slots[e.next].prev = e.next, e.prev
+}
+
+// pushFront makes slot i, off the ring, the most recently used.
+func (s *cacheStripe) pushFront(i int32) {
+	head := s.slots[0].next
+	s.slots[i].prev, s.slots[i].next = 0, head
+	s.slots[head].prev, s.slots[0].next = i, i
+}
+
+// drop removes live slot i and leaves it on the free list.
+func (s *cacheStripe) drop(i int32) {
+	s.unlink(i)
+	delete(s.index, s.slots[i].id)
+	s.slots[i].next, s.free = s.free, i
+}
+
+// vacant returns a slot for a new entry: a vacated one, else the next
+// of the arena while it is under capacity, else the least recently used
+// entry's, evicted. The stripe's capacity is at least 1.
+func (s *cacheStripe) vacant() int32 {
+	if n := len(s.slots); s.free == 0 && n <= s.capacity {
+		if n == cap(s.slots) {
+			s.slots = append(make([]cacheEntry, 0, min(2*n, s.capacity+1)), s.slots...)
+		}
+		s.slots = s.slots[:n+1]
+		return int32(n)
+	}
+	if s.free == 0 {
+		s.drop(s.slots[0].prev)
+	}
+	i := s.free
+	s.free = s.slots[i].next
+	return i
+}
+
+// get copies a live cached proof into dst and reports whether there was
+// one. Expired entries inside the stale window are kept (for getStale)
+// but never returned here.
+func (c *cache) get(id ids.PhotoID, dst *ledger.StatusProof) bool {
 	s := c.stripe(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[id]
+	i, ok := s.index[id]
 	if !ok {
-		return nil
+		return false
 	}
-	e := el.Value.(*cacheEntry)
+	e := &s.slots[i]
 	if now := s.now(); !e.fresh(now) {
 		if s.stale <= 0 || !e.staleServable(now, s.stale) {
-			s.order.Remove(el)
-			delete(s.entries, id)
+			s.drop(i)
 		}
-		return nil
+		return false
 	}
-	s.order.MoveToFront(el)
-	return e.proof
+	s.unlink(i)
+	s.pushFront(i)
+	*dst = e.proof
+	return true
 }
 
-// getStale returns an expired-but-within-stale-window proof, or nil.
-// Fresh entries also qualify (a degraded path may race a refresh). The
-// LRU position is refreshed so entries being leaned on during an outage
-// survive eviction pressure.
-func (c *cache) getStale(id ids.PhotoID) *ledger.StatusProof {
+// getStale copies an expired-but-within-stale-window proof into dst and
+// reports whether there was one. Fresh entries also qualify (a degraded
+// path may race a refresh). The LRU position is refreshed so entries
+// being leaned on during an outage survive eviction pressure.
+func (c *cache) getStale(id ids.PhotoID, dst *ledger.StatusProof) bool {
 	s := c.stripe(id)
 	if s.stale <= 0 {
-		return nil
+		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[id]
+	i, ok := s.index[id]
 	if !ok {
-		return nil
+		return false
 	}
-	e := el.Value.(*cacheEntry)
+	e := &s.slots[i]
 	if !e.staleServable(s.now(), s.stale) {
-		s.order.Remove(el)
-		delete(s.entries, id)
-		return nil
+		s.drop(i)
+		return false
 	}
-	s.order.MoveToFront(el)
-	return e.proof
+	s.unlink(i)
+	s.pushFront(i)
+	*dst = e.proof
+	return true
 }
 
-// put stores a proof, evicting the stripe's least recently used entry
-// when full.
+// put stores a copy of proof, evicting the stripe's least recently used
+// entry when full.
 func (c *cache) put(id ids.PhotoID, proof *ledger.StatusProof) {
 	s := c.stripe(id)
 	if s.capacity <= 0 {
@@ -157,23 +211,16 @@ func (c *cache) put(id ids.PhotoID, proof *ledger.StatusProof) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[id]; ok {
-		e := el.Value.(*cacheEntry)
-		e.proof = proof
-		e.expires = s.now().Add(s.ttl)
-		s.order.MoveToFront(el)
-		return
+	i, ok := s.index[id]
+	if ok {
+		s.unlink(i)
+	} else {
+		i = s.vacant()
+		s.index[id] = i
 	}
-	for len(s.entries) >= s.capacity {
-		back := s.order.Back()
-		if back == nil {
-			break
-		}
-		s.order.Remove(back)
-		delete(s.entries, back.Value.(*cacheEntry).id)
-	}
-	el := s.order.PushFront(&cacheEntry{id: id, proof: proof, expires: s.now().Add(s.ttl)})
-	s.entries[id] = el
+	s.pushFront(i)
+	e := &s.slots[i]
+	e.id, e.proof, e.expires = id, *proof, s.now().Add(s.ttl)
 }
 
 // invalidate drops an entry; used when a client reports a revocation it
@@ -182,9 +229,8 @@ func (c *cache) invalidate(id ids.PhotoID) {
 	s := c.stripe(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[id]; ok {
-		s.order.Remove(el)
-		delete(s.entries, id)
+	if i, ok := s.index[id]; ok {
+		s.drop(i)
 	}
 }
 
@@ -195,7 +241,7 @@ func (c *cache) len() int {
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
-		total += len(s.entries)
+		total += len(s.index)
 		s.mu.Unlock()
 	}
 	return total

@@ -48,7 +48,9 @@ func (c *Client) Codec() wire.Codec { return c.codec }
 // ClientResult is one validated answer as the extension consumes it.
 // Proof holds the marshaled ledger proof bytes exactly as the proxy
 // sent them (nil when the answer carries none), so cross-codec
-// comparisons can be byte-exact.
+// comparisons can be byte-exact. The proofs of one binary response
+// share a backing array (a copy of its payload), each clipped to its
+// own bytes.
 type ClientResult struct {
 	State       ledger.State
 	Source      Source
@@ -90,24 +92,22 @@ func fromJSON(r *ValidateResponse) (ClientResult, error) {
 	return ClientResult{State: st, Source: src, Displayable: r.Displayable, Proof: r.Proof}, nil
 }
 
-// fromWire converts one IRSW1 entry, copying the proof out of the
-// decode buffer.
+// fromWire converts one IRSW1 entry. The proof still aliases the payload
+// v was decoded from (clipped to its own bytes), so callers decode from
+// a copy of the payload that the results may keep.
 func fromWire(v wire.ValidateWire) (ClientResult, error) {
-	if v.State > byte(ledger.StatePermanentlyRevoked) {
+	if !ledger.State(v.State).Defined() {
 		return ClientResult{}, fmt.Errorf("proxy: bad state byte %d", v.State)
 	}
 	if v.Source > byte(SourceStale) {
 		return ClientResult{}, fmt.Errorf("proxy: bad source byte %d", v.Source)
 	}
-	res := ClientResult{
+	return ClientResult{
 		State:       ledger.State(v.State),
 		Source:      Source(v.Source),
 		Displayable: v.Displayable,
-	}
-	if len(v.Proof) > 0 {
-		res.Proof = append([]byte(nil), v.Proof...)
-	}
-	return res, nil
+		Proof:       v.Proof,
+	}, nil
 }
 
 // acceptFor returns the Accept header value for the client's codec.
@@ -154,7 +154,7 @@ func (c *Client) Validate(id ids.PhotoID) (ClientResult, error) {
 		if kind != wire.MsgValidateResp {
 			return wire.ErrFrameCorrupt
 		}
-		v, err := wire.DecodeValidateResp(payload)
+		v, err := wire.DecodeValidateResp(bytes.Clone(payload))
 		if err != nil {
 			return err
 		}
@@ -241,7 +241,9 @@ func (c *Client) batchOnce(batch []ids.PhotoID, sendBinary bool) (out []ClientRe
 		if kind != wire.MsgValidateBatchResp {
 			return wire.ErrFrameCorrupt
 		}
-		n, err := wire.DecodeValidateBatchResp(payload, func(i int, v wire.ValidateWire) error {
+		// One copy of the payload, out of the pooled body, for every
+		// result's proof to alias.
+		n, err := wire.DecodeValidateBatchResp(bytes.Clone(payload), func(i int, v wire.ValidateWire) error {
 			if i >= len(batch) {
 				return fmt.Errorf("proxy: more results than the %d requested", len(batch))
 			}
@@ -287,32 +289,16 @@ func decodeJSONResp(r *http.Response, v any) error {
 	return json.NewDecoder(lim).Decode(v)
 }
 
-// withFrame reads a binary response body into a pooled buffer, hands
-// it to fn (the bytes are valid only during the call), then drains and
-// releases everything for connection reuse.
+// withFrame reads a binary response body into a pooled buffer and hands
+// it to fn (the bytes are valid only during the call). The body is read
+// to its end, which leaves the connection reusable; one that fails or
+// runs past the frame bound is dropped with its connection.
 func withFrame(r *http.Response, fn func(body []byte) error) error {
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, 1<<20))
-		r.Body.Close()
-	}()
-	bp := wire.GetBuf()
-	defer wire.PutBuf(bp)
-	b := *bp
-	lim := io.LimitReader(r.Body, 1<<20)
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := lim.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			*bp = b
-			return err
-		}
+	defer r.Body.Close()
+	bp, err := wire.ReadBody(r.Body, wire.MaxFramePayload)
+	if err != nil {
+		return err
 	}
-	*bp = b
-	return fn(b)
+	defer wire.PutBuf(bp)
+	return fn(*bp)
 }

@@ -110,6 +110,14 @@ func TestProxyClientCodecsAgree(t *testing.T) {
 					t.Errorf("result %d: proof bytes differ across codecs", i)
 				}
 			}
+			// The binary answer's proofs share one buffer; each is clipped
+			// to its own bytes, so a caller appending to one cannot write
+			// into the next.
+			for i := range bres {
+				if cap(bres[i].Proof) != len(bres[i].Proof) {
+					t.Errorf("result %d: proof has %d spare bytes of the shared buffer", i, cap(bres[i].Proof)-len(bres[i].Proof))
+				}
+			}
 			if jres[0].State != ledger.StateActive || !jres[0].Displayable {
 				t.Errorf("active photo answered %+v", jres[0])
 			}

@@ -23,8 +23,11 @@
 package proxy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -352,10 +355,12 @@ func (v *Validator) Validate(id ids.PhotoID) (Result, error) {
 		}
 	}
 	tr.Stage("cache")
-	if p := v.cache.get(id); p != nil {
+	var cached ledger.StatusProof
+	if v.cache.get(id, &cached) {
 		tr.Notef("hit")
 		v.st.done(outCacheHit, start)
-		return Result{State: p.State, Source: SourceCache, Proof: p}, nil
+		p := cached // the heap copy only a hit pays for
+		return Result{State: p.State, Source: SourceCache, Proof: &p}, nil
 	}
 	tr.Stage("upstream")
 	p, err := v.queryOnce(id)
@@ -383,14 +388,34 @@ func (v *Validator) Validate(id ids.PhotoID) (Result, error) {
 // code counted an open breaker in querySF and then again here).
 func (v *Validator) degrade(id ids.PhotoID, err error) (Result, outcome, error) {
 	if v.cfg.Degrade.Mode == DegradeFailOpenFresh {
-		if p := v.cache.getStale(id); p != nil {
-			return Result{State: p.State, Source: SourceStale, Proof: p}, outStaleServed, nil
+		var stale ledger.StatusProof
+		if v.cache.getStale(id, &stale) {
+			p := stale
+			return Result{State: p.State, Source: SourceStale, Proof: &p}, outStaleServed, nil
 		}
 	}
 	if errors.Is(err, ErrBreakerOpen) {
 		return Result{}, outBreakerFastFail, err
 	}
 	return Result{}, outUnavailable, err
+}
+
+// proofSlab holds one call's own copies of cached proofs, allocated a
+// chunk at a time: one allocation per slabChunk hits, not one per hit,
+// and a page with one hit does not pay for forty-eight.
+type proofSlab []ledger.StatusProof
+
+const slabChunk = 16
+
+// keep returns a copy of p in the slab; the call keeps at most want more.
+func (s *proofSlab) keep(p *ledger.StatusProof, want int) *ledger.StatusProof {
+	if len(*s) == 0 {
+		*s = make([]ledger.StatusProof, min(want, slabChunk))
+	}
+	q := &(*s)[0]
+	*q = *p
+	*s = (*s)[1:]
+	return q
 }
 
 // ValidateBatch answers a page worth of identifiers, producing exactly
@@ -402,16 +427,27 @@ func (v *Validator) degrade(id ids.PhotoID, err error) (Result, outcome, error) 
 // point: unique must-query identifiers are grouped per ledger and
 // resolved in one StatusBatch round trip each, instead of one round
 // trip per identifier.
+//
+// The proofs in the results are the caller's: cached ones are copies
+// made for this call, queried ones sit in the array their StatusBatch
+// answer arrived in (the cache keeps its own copy).
 func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
-	results := make([]Result, len(batch))
+	n := len(batch)
+	results := make([]Result, n)
 	start := v.st.begin()
 	tr := v.tracer.Start("validate_batch")
 	defer tr.End()
 	tr.Stage("scan")
+	// The must-query bookkeeping is one flat array, sized once at the
+	// first identifier neither filter nor cache answers. The occurrences
+	// of unique identifier j are the list first[j] → next[…] → -1 over
+	// batch indices, last[j] its end; table finds j by identifier — open
+	// addressing on Hash64, a power of two of slots at most half full,
+	// each 0 or j+1.
 	var (
-		queryIDs []ids.PhotoID // unique must-query IDs, first-appearance order
-		occs     [][]int       // occurrence indices per unique ID
-		uniq     map[ids.PhotoID]int
+		kept                     proofSlab
+		queryIDs                 []ids.PhotoID // unique must-query IDs, first-appearance order
+		first, last, next, table []int32
 	)
 	for i, id := range batch {
 		v.st.total.Inc()
@@ -420,35 +456,47 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 			results[i] = Result{State: ledger.StateActive, Source: SourceFilter}
 			continue
 		}
-		if p := v.cache.get(id); p != nil {
+		var cached ledger.StatusProof
+		if v.cache.get(id, &cached) {
 			v.st.done(outCacheHit, start)
-			results[i] = Result{State: p.State, Source: SourceCache, Proof: p}
+			results[i] = Result{State: cached.State, Source: SourceCache, Proof: kept.keep(&cached, n-i)}
 			continue
 		}
-		if uniq == nil {
-			uniq = make(map[ids.PhotoID]int)
+		if table == nil {
+			rest := n - i
+			slots := 1 << bits.Len(uint(2*rest-1))
+			links := make([]int32, n+2*rest+slots)
+			next, first, last, table = links[:n], links[n:n:n+rest], links[n+rest:n+rest:n+2*rest], links[n+2*rest:]
+			queryIDs = make([]ids.PhotoID, 0, rest)
 		}
-		if j, ok := uniq[id]; ok {
-			occs[j] = append(occs[j], i)
+		next[i] = -1
+		h := id.Hash64() & uint64(len(table)-1)
+		for table[h] != 0 && queryIDs[table[h]-1] != id {
+			h = (h + 1) & uint64(len(table)-1)
+		}
+		if j := table[h] - 1; j >= 0 {
+			next[last[j]], last[j] = int32(i), int32(i)
 			continue
 		}
-		uniq[id] = len(queryIDs)
 		queryIDs = append(queryIDs, id)
-		occs = append(occs, []int{i})
+		table[h] = int32(len(queryIDs))
+		first, last = append(first, int32(i)), append(last, int32(i))
 	}
 	tr.Notef("n=%d uniq=%d", len(batch), len(queryIDs))
 	if len(queryIDs) == 0 {
 		return results, nil
 	}
 	tr.Stage("upstream")
-	proofs, errs := v.resolveBatch(queryIDs)
+	answers := v.resolveBatch(queryIDs)
 	tr.Stage("finalize")
 	var firstErr error
-	for j, p := range proofs {
-		if err := errs[j]; err != nil {
+	for j, a := range answers {
+		if a.err != nil {
 			if v.cfg.Degrade.Mode == DegradeFailOpenFresh {
-				if sp := v.cache.getStale(queryIDs[j]); sp != nil {
-					for _, i := range occs[j] {
+				var stale ledger.StatusProof
+				if v.cache.getStale(queryIDs[j], &stale) {
+					sp := kept.keep(&stale, len(queryIDs)-j)
+					for i := first[j]; i >= 0; i = next[i] {
 						v.st.done(outStaleServed, start)
 						results[i] = Result{State: sp.State, Source: SourceStale, Proof: sp}
 					}
@@ -459,20 +507,21 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 			// fast-fail, anything else is unavailable — per occurrence,
 			// so the partition stays exact.
 			o := outUnavailable
-			if errors.Is(err, ErrBreakerOpen) {
+			if errors.Is(a.err, ErrBreakerOpen) {
 				o = outBreakerFastFail
 			}
-			for range occs[j] {
+			for i := first[j]; i >= 0; i = next[i] {
 				v.st.done(o, start)
 			}
 			if firstErr == nil {
-				firstErr = err
+				firstErr = a.err
 			}
 			continue
 		}
+		p := a.proof
 		v.cache.put(queryIDs[j], p)
-		for k, i := range occs[j] {
-			if k == 0 || v.cfg.CacheCapacity <= 0 {
+		for i := first[j]; i >= 0; i = next[i] {
+			if i == first[j] || v.cfg.CacheCapacity <= 0 {
 				v.st.done(outLedgerQuery, start)
 				results[i] = Result{State: p.State, Source: SourceLedger, Proof: p}
 			} else {
@@ -487,95 +536,87 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 	return results, nil
 }
 
+// answer is what resolveBatch has for one unique identifier: exactly
+// one of proof and err is set.
+type answer struct {
+	proof *ledger.StatusProof
+	err   error
+}
+
 // resolveBatch fetches proofs for unique identifiers, grouped by ledger
-// and chunked to the wire limit. It returns parallel slices: for each
-// queryIDs[j] exactly one of proofs[j] / errs[j] is set. Error
+// and chunked to the wire limit, answers[j] being queryIDs[j]'s. Error
 // precedence is by unique-ID index (first-appearance order), so the
 // caller's (results, error) pair is deterministic at any worker count.
-func (v *Validator) resolveBatch(queryIDs []ids.PhotoID) (proofs []*ledger.StatusProof, errs []error) {
-	proofs = make([]*ledger.StatusProof, len(queryIDs))
-	errs = make([]error, len(queryIDs))
+func (v *Validator) resolveBatch(queryIDs []ids.PhotoID) []answer {
+	answers := make([]answer, len(queryIDs))
 	if v.batchQuery == nil {
 		// Per-ID fallback, still collapsed through singleflight. The
 		// caller owns the outcome accounting.
-		type qres struct {
-			p   *ledger.StatusProof
-			err error
-		}
-		outs := parallel.Map(queryIDs, func(_ int, id ids.PhotoID) qres {
-			p, err := v.querySF(id)
-			return qres{p: p, err: err}
+		parallel.Do(len(queryIDs), func(j int) {
+			answers[j].proof, answers[j].err = v.querySF(queryIDs[j])
 		})
-		for j, o := range outs {
-			proofs[j], errs[j] = o.p, o.err
-		}
-		return proofs, errs
+		return answers
 	}
-	type chunk struct {
-		lid  ids.LedgerID
-		idxs []int // indices into queryIDs
+	// Order the unique indices by ledger — stably, so ascending within
+	// one — and cut the runs of one ledger to the wire limit.
+	idxs := make([]int32, len(queryIDs))
+	for j := range idxs {
+		idxs[j] = int32(j)
 	}
-	var chunks []chunk
-	gidx := make(map[ids.LedgerID]int)
-	groups := make([][]int, 0, 4)
-	var order []ids.LedgerID
-	for j, id := range queryIDs {
-		g, ok := gidx[id.Ledger]
-		if !ok {
-			g = len(groups)
-			gidx[id.Ledger] = g
-			groups = append(groups, nil)
-			order = append(order, id.Ledger)
-		}
-		groups[g] = append(groups[g], j)
-	}
-	for g, idxs := range groups {
-		for lo := 0; lo < len(idxs); lo += wire.MaxStatusBatch {
-			hi := lo + wire.MaxStatusBatch
-			if hi > len(idxs) {
-				hi = len(idxs)
-			}
-			chunks = append(chunks, chunk{lid: order[g], idxs: idxs[lo:hi]})
-		}
-	}
-	parallel.Map(chunks, func(_ int, ch chunk) struct{} {
-		fail := func(err error) struct{} {
-			for _, j := range ch.idxs {
-				errs[j] = err
-			}
-			return struct{}{}
-		}
-		br := v.breakerFor(ch.lid)
-		if br != nil && !br.allow(v.cfg.Clock()) {
-			// Classified per occurrence by the caller (outBreakerFastFail).
-			return fail(fmt.Errorf("proxy: ledger %d: %w", ch.lid, ErrBreakerOpen))
-		}
-		sub := make([]ids.PhotoID, len(ch.idxs))
-		for k, j := range ch.idxs {
-			sub[k] = queryIDs[j]
-		}
-		up := v.st.begin()
-		ps, err := v.batchQuery(ch.lid, sub)
-		v.st.observeUpstream(v.st.upstreamBatch, up)
-		if br != nil {
-			br.record(err == nil && len(ps) == len(sub), v.cfg.Clock())
-		}
-		if err != nil {
-			return fail(err)
-		}
-		if len(ps) != len(sub) {
-			return fail(fmt.Errorf("proxy: ledger %d returned %d proofs for %d ids", ch.lid, len(ps), len(sub)))
-		}
-		for k, j := range ch.idxs {
-			if ps[k] == nil || ps[k].ID != sub[k] {
-				errs[j] = fmt.Errorf("proxy: ledger %d returned a proof for the wrong id", ch.lid)
-				continue
-			}
-			proofs[j] = ps[k]
-		}
-		return struct{}{}
+	slices.SortStableFunc(idxs, func(a, b int32) int {
+		return cmp.Compare(queryIDs[a].Ledger, queryIDs[b].Ledger)
 	})
-	return proofs, errs
+	sub := make([]ids.PhotoID, len(queryIDs)) // queryIDs in idxs order
+	for k, j := range idxs {
+		sub[k] = queryIDs[j]
+	}
+	var cuts []int // chunk c is idxs[cuts[c]:cuts[c+1]]
+	for k := range sub {
+		if k == 0 || sub[k].Ledger != sub[k-1].Ledger || k-cuts[len(cuts)-1] == wire.MaxStatusBatch {
+			cuts = append(cuts, k)
+		}
+	}
+	cuts = append(cuts, len(sub))
+	parallel.Do(len(cuts)-1, func(c int) {
+		idxs, sub := idxs[cuts[c]:cuts[c+1]], sub[cuts[c]:cuts[c+1]]
+		lid := sub[0].Ledger
+		ps, err := v.queryChunk(lid, sub)
+		for k, j := range idxs {
+			switch {
+			case err != nil:
+				answers[j].err = err
+			case ps[k] == nil || ps[k].ID != sub[k]:
+				answers[j].err = fmt.Errorf("proxy: ledger %d returned a proof for the wrong id", lid)
+			case !ps[k].State.Defined():
+				// Cached, it would be forwarded for a TTL and fail every
+				// viewer's whole page at decode.
+				answers[j].err = fmt.Errorf("proxy: ledger %d returned undefined state %d for %s", lid, ps[k].State, sub[k])
+			default:
+				answers[j].proof = ps[k]
+			}
+		}
+	})
+	return answers
+}
+
+// queryChunk makes one upstream batch call through the ledger's
+// breaker; a nil error means one proof per identifier came back.
+func (v *Validator) queryChunk(lid ids.LedgerID, sub []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	br := v.breakerFor(lid)
+	if br != nil && !br.allow(v.cfg.Clock()) {
+		// Classified per occurrence by the caller (outBreakerFastFail).
+		return nil, fmt.Errorf("proxy: ledger %d: %w", lid, ErrBreakerOpen)
+	}
+	up := v.st.begin()
+	ps, err := v.batchQuery(lid, sub)
+	v.st.observeUpstream(v.st.upstreamBatch, up)
+	if err == nil && len(ps) != len(sub) {
+		err = fmt.Errorf("proxy: ledger %d returned %d proofs for %d ids", lid, len(ps), len(sub))
+	}
+	if br != nil {
+		br.record(err == nil, v.cfg.Clock())
+	}
+	return ps, err
 }
 
 // queryOnce collapses concurrent queries for the same identifier into a

@@ -185,7 +185,8 @@ func TestCacheStaleBoundary(t *testing.T) {
 			c := newCache(16, ttl, stale, clock, 1)
 			c.put(id, proof)
 			now = tc.at
-			if got := c.get(id) != nil; got != tc.fresh {
+			var out ledger.StatusProof
+			if got := c.get(id, &out); got != tc.fresh {
 				t.Errorf("get servable = %v, want %v", got, tc.fresh)
 			}
 			// get may have dropped the entry past the window; getStale on a
@@ -194,7 +195,7 @@ func TestCacheStaleBoundary(t *testing.T) {
 			c2 := newCache(16, ttl, stale, clock, 1)
 			c2.put(id, proof)
 			now = tc.at
-			if got := c2.getStale(id) != nil; got != tc.staleServes {
+			if got := c2.getStale(id, &out); got != tc.staleServes {
 				t.Errorf("getStale servable = %v, want %v", got, tc.staleServes)
 			}
 			if tc.fresh && !tc.staleServes {
@@ -215,7 +216,8 @@ func TestCacheStaleBoundary(t *testing.T) {
 	c := newCache(16, ttl, 0, clock, 1)
 	c.put(id, proof)
 	now = t0.Add(ttl + time.Nanosecond)
-	if c.get(id) != nil || c.getStale(id) != nil {
+	var out ledger.StatusProof
+	if c.get(id, &out) || c.getStale(id, &out) {
 		t.Error("zero stale window still served an expired entry")
 	}
 	if c.len() != 0 {

@@ -386,6 +386,9 @@ func TestAssembleMatchesSlotOrder(t *testing.T) {
 // warmup, searching the eight pixel phases of one band allocates
 // nothing.
 func TestExtractZeroAllocSearch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
 	cfg := DefaultConfig()
 	im := photo.Synth(32, 160, 120)
 	marked, err := Embed(im, [PayloadBytes]byte{9}, cfg)

@@ -151,6 +151,129 @@ func TestStatusBatchClientAgainstHostileServers(t *testing.T) {
 	}
 }
 
+// TestClientRefusesUndefinedState: a proof for the right identifier
+// whose state byte names no state (a buggy or byzantine ledger) is an
+// error on both codecs and both status RPCs, not an answer a proxy would
+// cache for its TTL and a viewer's whole page would then choke on.
+func TestClientRefusesUndefinedState(t *testing.T) {
+	id := hostileID(t)
+	legit, err := ledger.New(ledger.Config{ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer legit.Close()
+	p, err := legit.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := p.Marshal()
+	bad := p.Marshal()
+	bad[30] = 9
+	// The frames are re-finished so the swapped proof passes the CRC.
+	batchFrame := func(raw []byte) string {
+		frame := bytes.Replace(EncodeStatusBatchResp(nil, []*ledger.StatusProof{p}), good, raw, 1)
+		return string(FinishFrame(frame, 0))
+	}
+	statusFrame := func(raw []byte) string {
+		return string(FinishFrame(bytes.Replace(EncodeStatusResp(nil, p), good, raw, 1), 0))
+	}
+	statusJSON := func(raw []byte) string {
+		data, err := json.Marshal(&StatusResponse{State: "active", Proof: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, tc := range []struct {
+		name, contentType string
+		codec             Codec
+		batch, status     func(raw []byte) string
+	}{
+		{"json", ContentTypeJSON, CodecJSON, func(raw []byte) string { return mustBatchBody(t, raw) }, statusJSON},
+		{"binary", ContentTypeBinary, CodecBinary, batchFrame, statusFrame},
+	} {
+		for _, wantErr := range []bool{false, true} {
+			raw := good
+			if wantErr {
+				raw = bad
+			}
+			c := NewClientOpts(hostileServer(t, http.StatusOK, tc.contentType, tc.batch(raw), nil).URL, "",
+				ClientOptions{Codec: tc.codec})
+			if _, err := c.StatusBatch([]ids.PhotoID{id}); (err != nil) != wantErr {
+				t.Errorf("%s StatusBatch, undefined state %v: err = %v", tc.name, wantErr, err)
+			}
+			c = NewClientOpts(hostileServer(t, http.StatusOK, tc.contentType, tc.status(raw), nil).URL, "",
+				ClientOptions{Codec: tc.codec})
+			if _, err := c.Status(id); (err != nil) != wantErr {
+				t.Errorf("%s Status, undefined state %v: err = %v", tc.name, wantErr, err)
+			}
+		}
+	}
+}
+
+// TestStatusBatchDecodeAllocationBudget: decoding a page-sized hop-2
+// frame costs the batch's proof array and the pointer slice over it (and
+// the walk's closure), not two objects a proof — measured on the decode
+// step itself, so net/http's own allocations stay out of the count.
+func TestStatusBatchDecodeAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted without the race detector")
+	}
+	l, err := ledger.New(ledger.Config{ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	batch := make([]ids.PhotoID, 37)
+	for i := range batch {
+		batch[i] = hostileID(t)
+	}
+	want, err := l.StatusBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := EncodeStatusBatchResp(nil, want)
+	var got []*ledger.StatusProof
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err = decodeStatusBatch(frame, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for i := range want {
+		if *got[i] != *want[i] {
+			t.Fatalf("proof %d decoded as %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if allocs > 4 {
+		t.Errorf("decoding %d proofs: %.0f allocations, budget 4", len(batch), allocs)
+	}
+	t.Logf("decoding %d proofs: %.0f allocations", len(batch), allocs)
+}
+
+// TestReadBinaryBatchSizedByFrame: the identifier slice is sized by the
+// count the validated frame carries, not by the largest batch the
+// protocol allows (4 KiB a request, on both hops, at the parent).
+func TestReadBinaryBatchSizedByFrame(t *testing.T) {
+	for _, n := range []int{1, 48, MaxStatusBatch} {
+		want := make([]ids.PhotoID, n)
+		for i := range want {
+			want[i] = hostileID(t)
+		}
+		got, err := ReadBinaryBatch(bytes.NewReader(EncodeStatusBatchReq(nil, want)), MsgStatusBatchReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n || cap(got) != n {
+			t.Errorf("batch of %d read into len %d cap %d", n, len(got), cap(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("batch of %d: id %d differs", n, i)
+			}
+		}
+	}
+}
+
 func mustBatchBody(t *testing.T, proofs ...[]byte) string {
 	t.Helper()
 	data, err := json.Marshal(&StatusBatchResponse{Proofs: proofs})

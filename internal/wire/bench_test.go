@@ -23,7 +23,6 @@ func benchProofs(b *testing.B, n int) []*ledger.StatusProof {
 			ID:       id,
 			State:    ledger.StateActive,
 			IssuedAt: time.Unix(1700000000, 0).UTC(),
-			Sig:      make([]byte, 64),
 		}
 	}
 	return proofs

@@ -319,7 +319,7 @@ func TestBinaryRoundtrips(t *testing.T) {
 	}
 
 	proof := &ledger.StatusProof{ID: id1, State: ledger.StateActive,
-		IssuedAt: fixedClock(), Sig: make([]byte, 64)}
+		IssuedAt: fixedClock()}
 	resp := EncodeStatusBatchResp(nil, []*ledger.StatusProof{proof, proof})
 	kind, payload, err = DecodeMsg(resp, MaxFramePayload)
 	if err != nil || kind != MsgStatusBatchResp {
@@ -384,7 +384,7 @@ func TestServerRejectsBadBinaryBatch(t *testing.T) {
 		"garbage":    []byte("not a frame at all"),
 		"zero-count": EncodeStatusBatchReq(nil, nil),
 		"truncated":  EncodeStatusBatchReq(nil, []ids.PhotoID{hostileID(t)})[:10],
-		"wrong-kind": EncodeStatusResp(nil, &ledger.StatusProof{Sig: []byte{}}),
+		"wrong-kind": EncodeStatusResp(nil, &ledger.StatusProof{}),
 	}
 	for name, body := range bodies {
 		t.Run(name, func(t *testing.T) {

@@ -336,11 +336,12 @@ func drainClose(body io.ReadCloser, limit int64) {
 	body.Close()
 }
 
-// readBodyPooled drains r into a pooled buffer. Steady state this
-// allocates nothing: the buffer grows to the largest response seen and
-// is then reused. A body exceeding max is a truncation-class transport
-// failure (the peer is not speaking our protocol bounds).
-func readBodyPooled(r io.Reader, max int) (*[]byte, error) {
+// ReadBody drains r into a buffer borrowed with GetBuf, which the
+// caller returns with PutBuf. Steady state this allocates nothing: the
+// buffer grows to the largest body seen and is then reused. A body
+// exceeding max is a truncation-class transport failure (the peer is
+// not speaking our protocol bounds).
+func ReadBody(r io.Reader, max int) (*[]byte, error) {
 	bp := GetBuf()
 	b := *bp
 	for {
@@ -395,7 +396,7 @@ func (c *Client) getBinary(rpc, path string, maxResp int, onBinary func(body []b
 		return onJSON(r)
 	}
 	defer drainClose(r.Body, int64(maxResp))
-	bp, rerr := readBodyPooled(r.Body, maxResp)
+	bp, rerr := ReadBody(r.Body, maxResp)
 	if rerr != nil {
 		return fmt.Errorf("wire: GET %s: %w", path, transportErr(rerr))
 	}
@@ -470,7 +471,7 @@ func (c *Client) postOnce(rpc, path string, jsonReq func() any, encodeBinary fun
 		return advertised, onJSON(r)
 	}
 	defer drainClose(r.Body, maxBody)
-	bp, rerr := readBodyPooled(r.Body, maxBody)
+	bp, rerr := ReadBody(r.Body, maxBody)
 	if rerr != nil {
 		return advertised, fmt.Errorf("wire: POST %s: %w", path, transportErr(rerr))
 	}
@@ -580,13 +581,9 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 		if err := c.postJSON("status_batch", "/v1/status/batch", req, &resp, nil); err != nil {
 			return nil, err
 		}
-		proofs := make([]*ledger.StatusProof, len(batch))
-		if err := fillProofs(batch, resp.Proofs, proofs); err != nil {
-			return nil, err
-		}
-		return proofs, nil
+		return fillProofs(batch, resp.Proofs)
 	}
-	proofs := make([]*ledger.StatusProof, len(batch))
+	var proofs []*ledger.StatusProof
 	err := c.postNegotiated("status_batch", "/v1/status/batch",
 		func() any {
 			req := &StatusBatchRequest{IDs: make([]string, len(batch))}
@@ -596,34 +593,17 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 			return req
 		},
 		func(dst []byte) []byte { return EncodeStatusBatchReq(dst, batch) },
-		func(body []byte) error {
-			kind, payload, err := DecodeMsg(body, MaxFramePayload)
-			if err != nil {
-				return frameErr(err)
-			}
-			if kind != MsgStatusBatchResp {
-				return frameErr(ErrFrameCorrupt)
-			}
-			n, err := DecodeStatusBatchResp(payload, func(i int, raw []byte) error {
-				if i >= len(batch) {
-					return fmt.Errorf("wire: server returned more proofs than the %d requested", len(batch))
-				}
-				return checkProof(batch, i, raw, proofs)
-			})
-			if err != nil {
-				return frameErr(err)
-			}
-			if n != len(batch) {
-				return fmt.Errorf("wire: server returned %d proofs for %d ids", n, len(batch))
-			}
-			return nil
+		func(body []byte) (err error) {
+			proofs, err = decodeStatusBatch(body, batch)
+			return err
 		},
 		func(r *http.Response) error {
 			var resp StatusBatchResponse
-			if err := decodeResponse(r, &resp); err != nil {
-				return err
+			err := decodeResponse(r, &resp)
+			if err == nil {
+				proofs, err = fillProofs(batch, resp.Proofs)
 			}
-			return fillProofs(batch, resp.Proofs, proofs)
+			return err
 		})
 	if err != nil {
 		return nil, err
@@ -631,32 +611,58 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 	return proofs, nil
 }
 
-// checkProof parses one raw proof, rejects it unless it attests the
-// identifier it was asked about, and stores it at index i.
-func checkProof(batch []ids.PhotoID, i int, raw []byte, out []*ledger.StatusProof) error {
-	p, err := ledger.UnmarshalProof(raw)
+// decodeStatusBatch parses an IRSW1 StatusBatch response body into one
+// proof per requested identifier, all in one backing array; nothing of
+// body is retained.
+func decodeStatusBatch(body []byte, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	kind, payload, err := DecodeMsg(body, MaxFramePayload)
 	if err != nil {
+		return nil, frameErr(err)
+	}
+	if kind != MsgStatusBatchResp {
+		return nil, frameErr(ErrFrameCorrupt)
+	}
+	proofs := ledger.NewProofBatch(len(batch))
+	n, err := DecodeStatusBatchResp(payload, func(i int, raw []byte) error {
+		if i >= len(batch) {
+			return fmt.Errorf("wire: server returned more proofs than the %d requested", len(batch))
+		}
+		return checkProof(batch[i], i, raw, proofs[i])
+	})
+	if err != nil {
+		return nil, frameErr(err)
+	}
+	if n != len(batch) {
+		return nil, fmt.Errorf("wire: server returned %d proofs for %d ids", n, len(batch))
+	}
+	return proofs, nil
+}
+
+// checkProof parses raw, the i-th proof of a response, into p and
+// rejects it unless it attests id, the identifier asked about.
+func checkProof(id ids.PhotoID, i int, raw []byte, p *ledger.StatusProof) error {
+	if err := p.Unmarshal(raw); err != nil {
 		return fmt.Errorf("wire: server returned bad proof %d: %w", i, err)
 	}
-	if p.ID != batch[i] {
-		return fmt.Errorf("wire: proof %d attests %s, want %s", i, p.ID, batch[i])
+	if p.ID != id {
+		return fmt.Errorf("wire: proof %d attests %s, want %s", i, p.ID, id)
 	}
-	out[i] = p
 	return nil
 }
 
 // fillProofs validates a JSON batch response's proofs against the
-// request and parses them into out.
-func fillProofs(batch []ids.PhotoID, raws [][]byte, out []*ledger.StatusProof) error {
+// request and parses them into one backing array.
+func fillProofs(batch []ids.PhotoID, raws [][]byte) ([]*ledger.StatusProof, error) {
 	if len(raws) != len(batch) {
-		return fmt.Errorf("wire: server returned %d proofs for %d ids", len(raws), len(batch))
+		return nil, fmt.Errorf("wire: server returned %d proofs for %d ids", len(raws), len(batch))
 	}
+	proofs := ledger.NewProofBatch(len(batch))
 	for i, raw := range raws {
-		if err := checkProof(batch, i, raw, out); err != nil {
-			return err
+		if err := checkProof(batch[i], i, raw, proofs[i]); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return proofs, nil
 }
 
 // Seq fetches the current operation sequence for owner-side signing.

@@ -15,7 +15,7 @@ import (
 // this target guards.
 func FuzzWireFrameDecode(f *testing.F) {
 	id, _ := ids.New(1)
-	proof := &ledger.StatusProof{ID: id, State: ledger.StateActive, Sig: make([]byte, 64)}
+	proof := &ledger.StatusProof{ID: id, State: ledger.StateActive}
 
 	// Seed with one well-formed frame per message kind plus classic
 	// mutations: truncations, a CRC flip, trailing junk, huge counts.

@@ -162,7 +162,7 @@ func (s *Server) writeBinary(w http.ResponseWriter, encode func(dst []byte) []by
 // proxy). A frame that does not parse is a client error (400),
 // mirroring the JSON validation failures.
 func ReadBinaryBatch(body io.Reader, wantKind byte) ([]ids.PhotoID, error) {
-	bp, err := readBodyPooled(body, maxBody)
+	bp, err := ReadBody(body, maxBody)
 	if err != nil {
 		return nil, ErrFrameTruncated
 	}
@@ -177,7 +177,9 @@ func ReadBinaryBatch(body io.Reader, wantKind byte) ([]ids.PhotoID, error) {
 	var batch []ids.PhotoID
 	if _, err := decodeIDBatch(payload, func(i int, id ids.PhotoID) error {
 		if batch == nil {
-			batch = make([]ids.PhotoID, 0, MaxStatusBatch)
+			// The count has been checked by now: payload is its uvarint
+			// (under 16 bytes) and exactly that many 16-byte ids.
+			batch = make([]ids.PhotoID, 0, len(payload)/16)
 		}
 		batch = append(batch, id)
 		return nil

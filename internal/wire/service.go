@@ -19,7 +19,10 @@ type Service interface {
 	Seq(id ids.PhotoID) (uint64, error)
 	Status(id ids.PhotoID) (*ledger.StatusProof, error)
 	// StatusBatch validates up to MaxStatusBatch identifiers in one
-	// round trip, returning proofs in request order.
+	// round trip, returning proofs in request order. The proofs of one
+	// StatusBatch share a backing array, which is the caller's — no
+	// implementation keeps a reference to it. Copy to retain: a holder
+	// that keeps one pointer past the call (a cache) pins all of them.
 	StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 	Keys() (*KeysResponse, error)
 	Filter() (epoch uint64, f *bloom.Filter, err error)

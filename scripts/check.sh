@@ -126,11 +126,24 @@ go test -race -run 'LookupQuickArmsAgree|TopologyQuickStateHashGate|ChaosQuickRe
 # the chaos obs determinism replay, the obs package's own suite, and
 # the overhead gate — a validator with a registry allocates exactly
 # what one without does for a 48-photo page — all under the race
-# detector.
+# detector. With the gate, the proxy's by-value proof cache: the arena
+# LRU against the retained container/list one step for step, who owns a
+# proof at each hand-off, an undefined state byte failing its own id
+# and staying out of the cache, and the ValidateBatch/Invalidate/
+# SetFilter hammer on one 64-entry stripe.
 go test -race -run 'MetricsConservation' ./internal/integration
 go test -race -run 'ChaosObsDeterminism' ./cmd/irs-bench
-go test -race -run 'ObsAddsNoAllocations' ./internal/proxy
+go test -race -run 'ObsAddsNoAllocations|CacheMatchesListReference|CacheHammer|ProofOwnership|UndefinedState' \
+    ./internal/proxy ./internal/ledger ./internal/wire
 go test -race ./internal/obs
+
+# Allocation budgets of the page-view path, asserted without the race
+# detector (its instrumentation moves values to the heap): a batch of
+# proofs is one array at each layer — 37 memo hits in Ledger.StatusBatch,
+# a 37-proof hop-2 frame decoded, a put on a full cache stripe, the
+# 48-id resolve page through ValidateBatch — and a registry adds none.
+go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations' \
+    ./internal/ledger ./internal/wire ./internal/proxy
 
 # Fuzz the Prometheus exposition writer and the histogram: ten seconds
 # each over the seeded corpus plus fresh mutations.
