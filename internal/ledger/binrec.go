@@ -67,13 +67,24 @@ type binRec struct {
 	seq uint64
 }
 
-// appendFrame wraps payload in a length+CRC frame appended to dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// frameHeader is the eight bytes an encoder reserves before it writes a
+// payload in place; sealFrame fills them in.
+var frameHeader [frameHeaderSize]byte
+
+// sealFrame completes the frame whose header was reserved at dst[hdr:]
+// and whose payload runs to the end of dst: it patches length and CRC.
+func sealFrame(dst []byte, hdr int) []byte {
+	payload := dst[hdr+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[hdr:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[hdr+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// claimFrameMax bounds the length of rec's claim frame from above (the
+// opseq varint is counted at its longest), for sizing a buffer once.
+func claimFrameMax(rec *Record) int {
+	return frameHeaderSize + 1 + 16 + 2 + binary.MaxVarintLen64 + 32 +
+		1 + len(rec.PubKey) + 1 + len(rec.HashSig) + 2 + 48 + len(rec.Timestamp.Sig)
 }
 
 // appendClaimPayload encodes a claim record payload onto dst.
@@ -109,38 +120,31 @@ func appendClaimPayload(dst []byte, rec *Record) ([]byte, error) {
 
 // appendClaimFrame encodes a full claim frame onto dst: it reserves the
 // header, encodes the payload in place behind it, then patches length
-// and CRC.
+// and CRC. The op and permanent-revocation encoders do the same.
 func appendClaimFrame(dst []byte, rec *Record) ([]byte, error) {
 	hdr := len(dst)
-	dst = append(dst, make([]byte, frameHeaderSize)...)
-	dst, err := appendClaimPayload(dst, rec)
+	dst, err := appendClaimPayload(append(dst, frameHeader[:]...), rec)
 	if err != nil {
 		return nil, err
 	}
-	payload := dst[hdr+frameHeaderSize:]
-	binary.LittleEndian.PutUint32(dst[hdr:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[hdr+4:], crc32.Checksum(payload, castagnoli))
-	return dst, nil
+	return sealFrame(dst, hdr), nil
 }
 
 // appendOpFrame encodes an owner-operation frame onto dst.
 func appendOpFrame(dst []byte, id ids.PhotoID, op Op, seq uint64) []byte {
-	payload := make([]byte, 0, 1+16+1+10)
-	payload = append(payload, recOp)
+	hdr := len(dst)
 	b := id.Bytes()
-	payload = append(payload, b[:]...)
-	payload = append(payload, byte(op))
-	payload = binary.AppendUvarint(payload, seq)
-	return appendFrame(dst, payload)
+	dst = append(append(append(dst, frameHeader[:]...), recOp), b[:]...)
+	dst = binary.AppendUvarint(append(dst, byte(op)), seq)
+	return sealFrame(dst, hdr)
 }
 
 // appendPermFrame encodes a permanent-revocation frame onto dst.
 func appendPermFrame(dst []byte, id ids.PhotoID) []byte {
-	payload := make([]byte, 0, 1+16)
-	payload = append(payload, recPerm)
+	hdr := len(dst)
 	b := id.Bytes()
-	payload = append(payload, b[:]...)
-	return appendFrame(dst, payload)
+	dst = append(append(append(dst, frameHeader[:]...), recPerm), b[:]...)
+	return sealFrame(dst, hdr)
 }
 
 // frameAt reads the frame starting at buf[off:]. It returns the payload

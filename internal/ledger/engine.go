@@ -1,10 +1,10 @@
 package ledger
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,10 +44,12 @@ const (
 // state lives in immutable sorted segments listed by the manifest.
 //
 // Appends touch only their shard lock and the WAL. A memtable flush
-// briefly freezes mutation (all shard read-barriers) but for a copy
-// bounded by the memtable size, not the database size; segment merging
-// — the expensive part — runs in the background against immutable
-// inputs and never blocks appends.
+// briefly freezes mutation — it read-locks every shard (lockAllShards),
+// which excludes mutators and lets readers through, though a reader
+// arriving behind a waiting mutator queues with it — but for one slab
+// copy bounded by the memtable size, not the database size; segment
+// merging — the expensive part — runs in the background against
+// immutable inputs and never blocks appends.
 type segEngine struct {
 	l   *Ledger
 	dir string
@@ -63,8 +65,11 @@ type segEngine struct {
 	man     *manifest
 	retired []*segReader // replaced by compaction; unmapped at close
 
-	claimCount atomic.Uint64 // exact distinct claims
-	memRecs    atomic.Int64  // approximate memtable entries
+	// claimCount is the exact number of distinct claims. A claim is
+	// counted under its shard's write lock, so a freeze reads a count
+	// that matches its cut; a newer version of a held id is not counted.
+	claimCount atomic.Uint64
+	memRecs    atomic.Int64 // approximate memtable entries
 
 	flushLimit   int64
 	compactAfter int
@@ -76,6 +81,9 @@ type segEngine struct {
 	// segFailAfter, when set, makes the next segment seal fail after
 	// that many bytes — the crash-injection suite's kill switch.
 	segFailAfter atomic.Int64
+	// beforeEvict, when set, runs between a flush's manifest swap and its
+	// eviction walk — where tests mutate a record the cut already holds.
+	beforeEvict func()
 
 	closed atomic.Bool
 }
@@ -238,7 +246,7 @@ func (e *segEngine) publishGauges() {
 }
 
 func (e *segEngine) logClaim(rec *Record) error {
-	frame, err := appendClaimFrame(nil, rec)
+	frame, err := appendClaimFrame(make([]byte, 0, claimFrameMax(rec)), rec)
 	if err != nil {
 		return err
 	}
@@ -252,12 +260,16 @@ func (e *segEngine) logClaim(rec *Record) error {
 	return nil
 }
 
+// opFrameMax bounds an op or permanent-revocation frame: header, kind,
+// id, op byte, sequence varint.
+const opFrameMax = frameHeaderSize + 1 + 16 + 1 + binary.MaxVarintLen64
+
 func (e *segEngine) logOp(id ids.PhotoID, op Op, seq uint64) error {
-	return e.wal.append(appendOpFrame(nil, id, op, seq), 1)
+	return e.wal.append(appendOpFrame(make([]byte, 0, opFrameMax), id, op, seq), 1)
 }
 
 func (e *segEngine) logPermanent(id ids.PhotoID) error {
-	return e.wal.append(appendPermFrame(nil, id), 1)
+	return e.wal.append(appendPermFrame(make([]byte, 0, opFrameMax), id), 1)
 }
 
 // lookup probes the segment list newest-first. Callers have already
@@ -325,23 +337,38 @@ func (e *segEngine) maybeFlush() {
 	}()
 }
 
+// sealSegment writes the newest-wins merge of a memtable cut and segs as
+// the next segment file, durably, and opens it. Called with e.mu held.
+func (e *segEngine) sealSegment(expected int, cut []Record, segs []*segReader) (*segReader, manifestSeg, error) {
+	name := segFileName(e.man.NextSeg)
+	path := filepath.Join(e.dir, name)
+	sw, err := newSegWriter(path, expected, e.segFailAfter.Swap(0))
+	if err != nil {
+		return nil, manifestSeg{}, err
+	}
+	if err = mergeSegments(cut, sortCut(cut), segs, sw.add); err == nil {
+		err = sw.finish()
+	}
+	if err != nil {
+		sw.abort(path)
+		return nil, manifestSeg{}, err
+	}
+	if err := syncDir(e.dir); err != nil {
+		return nil, manifestSeg{}, err
+	}
+	sr, err := openSegment(path)
+	return sr, manifestSeg{File: name, Count: sw.count, Revoked: uint64(len(sw.revoked) / 16), Bytes: sw.written}, err
+}
+
 // flushLocked seals the memtable into a new segment. Mutation is frozen
-// only while the memtable is copied and the WAL rotated — time bounded
-// by the memtable, not the database; sorting, the segment write, and
-// the manifest swap all run with appends live.
+// only while the memtable is copied into one slab and the WAL rotated —
+// time bounded by the memtable, not the database; sorting, encoding, the
+// segment write, and the manifest swap all run with appends live.
 func (e *segEngine) flushLocked() error {
 	l := e.l
 
 	unlock := l.lockAllShards()
-	cut := make([]*Record, 0, e.memRecs.Load())
-	cutIdx := make(map[ids.PhotoID]*Record)
-	for i := range l.shards {
-		for _, rec := range l.shards[i].records {
-			cp := *rec // value copy: mutators may touch rec after unfreeze
-			cut = append(cut, &cp)
-			cutIdx[cp.ID] = &cp
-		}
-	}
+	cut := l.copyMemtable()
 	cutClaims := e.claimCount.Load()
 	_, newSeq, err := e.wal.rotate()
 	unlock()
@@ -360,51 +387,19 @@ func (e *segEngine) flushLocked() error {
 		return e.dropOldWALs(newSeq)
 	}
 
-	sort.Slice(cut, func(a, b int) bool { return idLess(cut[a].ID, cut[b].ID) })
-
-	name := segFileName(e.man.NextSeg)
-	path := filepath.Join(e.dir, name)
-	sw, err := newSegWriter(path, len(cut), e.segFailAfter.Swap(0))
+	sr, seg, err := e.sealSegment(len(cut), cut, nil)
 	if err != nil {
 		return err
 	}
-	var revoked uint64
-	for _, rec := range cut {
-		if rec.State == StateRevoked || rec.State == StatePermanentlyRevoked {
-			revoked++
-		}
-		if err := sw.add(rec); err != nil {
-			sw.abort(path)
-			return err
-		}
-	}
-	if err := sw.finish(); err != nil {
-		sw.abort(path)
-		return err
-	}
-	if err := syncDir(e.dir); err != nil {
-		return err
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	sr, err := openSegment(path)
-	if err != nil {
-		return err
-	}
-
 	newMan := &manifest{
-		WALSeq:  newSeq,
-		NextSeg: e.man.NextSeg + 1,
-		Claims:  cutClaims,
-		Segments: append([]manifestSeg{{
-			File: name, Count: uint64(len(cut)), Revoked: revoked, Bytes: st.Size(),
-		}}, e.man.Segments...),
+		WALSeq:   newSeq,
+		NextSeg:  e.man.NextSeg + 1,
+		Claims:   cutClaims,
+		Segments: append([]manifestSeg{seg}, e.man.Segments...),
 	}
 	if err := writeManifest(e.dir, newMan); err != nil {
 		sr.close()
-		os.Remove(path)
+		os.Remove(sr.path)
 		return err
 	}
 	e.man = newMan
@@ -412,15 +407,21 @@ func (e *segEngine) flushLocked() error {
 	newList := append([]*segReader{sr}, old...)
 	e.segs.Store(&newList)
 
-	// Evict sealed entries the cut fully covers; anything mutated since
-	// stays in the memtable as the newer version.
+	if e.beforeEvict != nil {
+		e.beforeEvict()
+	}
+	// Evict the entries the segment now covers: the cut lies grouped by
+	// shard in index order, so each shard is locked once and asked only
+	// for its own. Anything mutated since the freeze stays in the
+	// memtable as the newer version.
 	var remaining int64
-	for i := range l.shards {
+	for i, k := 0, 0; i < len(l.shards); i++ {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		for id, rec := range sh.records {
-			if cp, ok := cutIdx[id]; ok && rec.OpSeq == cp.OpSeq && rec.State == cp.State {
-				delete(sh.records, id)
+		for ; k < len(cut) && l.shardFor(cut[k].ID) == sh; k++ {
+			cp := &cut[k]
+			if rec, ok := sh.records[cp.ID]; ok && rec.OpSeq == cp.OpSeq && rec.State == cp.State {
+				delete(sh.records, cp.ID)
 			}
 		}
 		remaining += int64(len(sh.records))
@@ -463,36 +464,7 @@ func (e *segEngine) compactLocked() error {
 	for _, sr := range old {
 		expected += sr.count
 	}
-	name := segFileName(e.man.NextSeg)
-	path := filepath.Join(e.dir, name)
-	sw, err := newSegWriter(path, int(expected), e.segFailAfter.Swap(0))
-	if err != nil {
-		return err
-	}
-	var count, revoked uint64
-	err = mergeSegments(nil, old, func(rec *Record) error {
-		count++
-		if rec.State == StateRevoked || rec.State == StatePermanentlyRevoked {
-			revoked++
-		}
-		return sw.add(rec)
-	})
-	if err != nil {
-		sw.abort(path)
-		return err
-	}
-	if err := sw.finish(); err != nil {
-		sw.abort(path)
-		return err
-	}
-	if err := syncDir(e.dir); err != nil {
-		return err
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	sr, err := openSegment(path)
+	sr, seg, err := e.sealSegment(int(expected), nil, old)
 	if err != nil {
 		return err
 	}
@@ -500,11 +472,11 @@ func (e *segEngine) compactLocked() error {
 		WALSeq:   e.man.WALSeq,
 		NextSeg:  e.man.NextSeg + 1,
 		Claims:   e.man.Claims,
-		Segments: []manifestSeg{{File: name, Count: count, Revoked: revoked, Bytes: st.Size()}},
+		Segments: []manifestSeg{seg},
 	}
 	if err := writeManifest(e.dir, newMan); err != nil {
 		sr.close()
-		os.Remove(path)
+		os.Remove(sr.path)
 		return err
 	}
 	e.man = newMan

@@ -42,7 +42,16 @@ func FilterKey(id ids.PhotoID) uint64 {
 // filter is byte-identical to a single-map build over the same
 // population at any shard count.
 func (l *Ledger) BuildSnapshot() (seq uint64, err error) {
-	var keys []uint64
+	// Sized once from a first pass over the shards; a revocation landing
+	// between the passes only makes the append below grow the slice.
+	revoked := 0
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.RLock()
+		revoked += len(sh.revoked)
+		sh.mu.RUnlock()
+	}
+	keys := make([]uint64, 0, revoked)
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.RLock()

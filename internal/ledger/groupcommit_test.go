@@ -1,9 +1,11 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,6 +61,84 @@ func TestGroupCommitCoalescesSyncs(t *testing.T) {
 	t.Logf("%d appends coalesced onto %d fsync batches", appends, got)
 	if st := l.StorageStats(); st.WALRecords != appends {
 		t.Fatalf("wal records = %d, want %d", st.WALRecords, appends)
+	}
+}
+
+// TestGroupCommitLeaderWritesCallersBytes: an appender that finds the
+// log idle writes its own frames without staging a copy; one that
+// arrives while that leader is in its fsync is staged, written next, and
+// lands after it in the file; and the two staging buffers then alternate
+// without a fresh one per batch.
+func TestGroupCommitLeaderWritesCallersBytes(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openGCWAL(dir, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := makeRecords(t, 9, 2, 6)
+	first, _ := appendClaimFrame(nil, &recs[0])
+	second, _ := appendClaimFrame(nil, &recs[1])
+
+	inSync, release := make(chan struct{}), make(chan struct{})
+	var syncs atomic.Uint64
+	w.syncFile = func(f *os.File) error {
+		if syncs.Add(1) == 1 {
+			close(inSync)
+			<-release
+		}
+		return f.Sync()
+	}
+	leader, follower := make(chan error, 1), make(chan error, 1)
+	go func() { leader <- w.append(first, 1) }()
+	<-inSync
+	w.mu.Lock()
+	if len(w.pending) != 0 || cap(w.pending) != 0 {
+		t.Errorf("the leader staged %d bytes of its own frames (cap %d)", len(w.pending), cap(w.pending))
+	}
+	w.mu.Unlock()
+	go func() { follower <- w.append(second, 1) }()
+	for staged := 0; staged < len(second); time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		staged = len(w.pending)
+		w.mu.Unlock()
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-follower; err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, walFileName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append([]byte(nil), first...), second...); !bytes.Equal(got, want) {
+		t.Fatalf("wal holds %d bytes, want the leader's %d then the follower's %d", len(got), len(first), len(second))
+	}
+	if w.walSize() != int64(len(got)) || w.records.Load() != 2 || syncs.Load() != 2 {
+		t.Fatalf("size %d records %d syncs %d, want %d 2 2", w.walSize(), w.records.Load(), syncs.Load(), len(got))
+	}
+
+	// From here every batch is staged (stage is append's own staging
+	// step, so no batch takes the direct path) and must reuse the two
+	// buffers: no allocation per batch once both exist.
+	if !raceEnabled {
+		stage := func() {
+			w.mu.Lock()
+			w.pending = append(w.pending, second...)
+			w.writeSeq++
+			w.drain()
+			w.mu.Unlock()
+		}
+		stage()
+		stage()
+		if n := testing.AllocsPerRun(20, stage); n != 0 {
+			t.Errorf("a staged batch costs %.0f allocations, want the two retained buffers to alternate", n)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -101,8 +101,14 @@ func segBloomAdd(bits []byte, k uint32, id ids.PhotoID) {
 // idLess orders identifiers by their big-endian byte encoding — the
 // sort order of segment data and of every state dump.
 func idLess(a, b ids.PhotoID) bool {
-	ab, bb := a.Bytes(), b.Bytes()
-	return bytes.Compare(ab[:], bb[:]) < 0
+	ahi, alo := a.Uint64Pair()
+	bhi, blo := b.Uint64Pair()
+	return keyLess(ahi, alo, bhi, blo)
+}
+
+// keyLess is idLess over identifiers held as Uint64Pair words.
+func keyLess(ahi, alo, bhi, blo uint64) bool {
+	return ahi < bhi || ahi == bhi && alo < blo
 }
 
 // segWriter streams a sorted run of records into a segment file.
@@ -116,7 +122,6 @@ type segWriter struct {
 	revoked []byte // id[16] entries
 	lastID  ids.PhotoID
 	bloom   []byte
-	scratch []byte
 
 	// failAfter, when > 0, injects a write failure once that many bytes
 	// have been written — the crash-injection suite's kill switch.
@@ -135,6 +140,7 @@ func newSegWriter(path string, expected int, failAfter int64) (*segWriter, error
 	sw := &segWriter{
 		f:         f,
 		w:         bufio.NewWriterSize(f, 1<<20),
+		index:     make([]byte, 0, (expected/indexStride+1)*24),
 		bloom:     make([]byte, (expected*segBloomBitsPerKey+7)/8),
 		failAfter: failAfter,
 	}
@@ -165,32 +171,29 @@ func (sw *segWriter) write(b []byte) error {
 	return err
 }
 
-// add appends one record; records must arrive in strictly ascending ID
-// order with no duplicates.
-func (sw *segWriter) add(rec *Record) error {
-	if sw.count > 0 && !idLess(sw.lastID, rec.ID) {
-		return fmt.Errorf("ledger: segment records out of order (%s after %s)", rec.ID, sw.lastID)
+// add appends one record as its encoded claim frame, which the writer
+// copies out and never decodes: a flush hands it a scratch encoding, a
+// merge the frame as it lies in the source segment. Records must arrive
+// in strictly ascending ID order with no duplicates; revoked says the
+// frame's state is revoked or permanently revoked.
+func (sw *segWriter) add(id ids.PhotoID, revoked bool, frame []byte) error {
+	if sw.count > 0 && !idLess(sw.lastID, id) {
+		return fmt.Errorf("ledger: segment records out of order (%s after %s)", id, sw.lastID)
 	}
-	sw.lastID = rec.ID
+	sw.lastID = id
+	b := id.Bytes()
 	if sw.count%indexStride == 0 {
-		b := rec.ID.Bytes()
 		sw.index = append(sw.index, b[:]...)
 		sw.index = binary.LittleEndian.AppendUint64(sw.index, uint64(sw.off))
 	}
-	if rec.State == StateRevoked || rec.State == StatePermanentlyRevoked {
-		b := rec.ID.Bytes()
+	if revoked {
 		sw.revoked = append(sw.revoked, b[:]...)
 	}
-	frame, err := appendClaimFrame(sw.scratch[:0], rec)
-	if err != nil {
-		return err
-	}
-	sw.scratch = frame[:0]
 	if err := sw.write(frame); err != nil {
 		return err
 	}
 	sw.off += int64(len(frame))
-	segBloomAdd(sw.bloom, segBloomK, rec.ID)
+	segBloomAdd(sw.bloom, segBloomK, id)
 	sw.count++
 	return nil
 }
@@ -414,122 +417,93 @@ func (sr *segReader) revokedIDs() []ids.PhotoID {
 	return out
 }
 
-// iter walks every record in the segment in ID order.
-func (sr *segReader) iter(fn func(*Record) error) error {
-	off := sr.dataStart
-	for off < sr.dataEnd {
-		payload, next, err := frameAt(sr.data[:sr.dataEnd], off)
-		if err != nil {
-			return fmt.Errorf("ledger: segment %s frame at %d: %w", sr.path, off, err)
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		if rec.kind != recClaim {
-			return fmt.Errorf("ledger: segment %s holds non-claim record", sr.path)
-		}
-		if err := fn(rec.rec); err != nil {
-			return err
-		}
-		off = next
-	}
-	return nil
-}
-
-// segCursor supports the k-way newest-wins merge used by compaction
-// and state dumps.
+// segCursor walks one segment's claim frames in ID order for the k-way
+// newest-wins merge used by compaction and state dumps. It reads a
+// frame's identifier and state byte and decodes nothing else.
 type segCursor struct {
-	sr   *segReader
-	off  int64
-	cur  *Record
-	curb [16]byte
-	done bool
-}
-
-func newSegCursor(sr *segReader) (*segCursor, error) {
-	c := &segCursor{sr: sr, off: sr.dataStart}
-	return c, c.advance()
+	sr     *segReader
+	next   int64  // offset of the frame after the current one
+	hi, lo uint64 // the current frame's identifier, as cutKey orders it
+	frame  []byte // the current frame, CRC-checked, aliasing the mapping
+	done   bool
 }
 
 func (c *segCursor) advance() error {
-	if c.off >= c.sr.dataEnd {
+	if c.next >= c.sr.dataEnd {
 		c.done = true
-		c.cur = nil
 		return nil
 	}
-	payload, next, err := frameAt(c.sr.data[:c.sr.dataEnd], c.off)
+	off := c.next
+	payload, next, err := frameAt(c.sr.data[:c.sr.dataEnd], off)
 	if err != nil {
-		return fmt.Errorf("ledger: segment %s frame at %d: %w", c.sr.path, c.off, err)
+		return fmt.Errorf("ledger: segment %s frame at %d: %w", c.sr.path, off, err)
 	}
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return err
-	}
-	if rec.kind != recClaim {
+	if len(payload) < 19 || payload[0] != recClaim {
 		return fmt.Errorf("ledger: segment %s holds non-claim record", c.sr.path)
 	}
-	c.cur = rec.rec
-	c.curb = rec.rec.ID.Bytes()
-	c.off = next
+	c.hi, c.lo = binary.BigEndian.Uint64(payload[1:9]), binary.BigEndian.Uint64(payload[9:17])
+	c.frame, c.next = c.sr.data[off:next], next
 	return nil
 }
 
-// mergeSegments walks the union of the given sources in ascending ID
-// order, yielding the newest version of each record. sources must be
-// ordered newest-first; a nil entry is skipped. memtable, when
-// non-nil, is treated as newer than every segment and must be sorted
-// ascending by ID.
-func mergeSegments(memtable []*Record, segs []*segReader, fn func(*Record) error) error {
-	cursors := make([]*segCursor, 0, len(segs))
-	for _, sr := range segs {
-		if sr == nil {
-			continue
-		}
-		c, err := newSegCursor(sr)
-		if err != nil {
+// frameRevoked reads the state byte of a claim frame.
+func frameRevoked(frame []byte) bool {
+	st := State(frame[frameHeaderSize+17])
+	return st == StateRevoked || st == StatePermanentlyRevoked
+}
+
+// mergeSegments walks the union of a memtable cut and the given segments
+// in ascending ID order, handing fn the newest version of each record as
+// its claim frame; fn must not keep the frame. segs must be ordered
+// newest-first. The cut (cut and its sorted keys, see sortCut; both nil
+// for a compaction) is newer than every segment, and its frames are
+// encoded here into one reused buffer; a segment's are passed as they
+// lie in its mapping, so merging segments never materializes a Record.
+func mergeSegments(cut []Record, keys []cutKey, segs []*segReader, fn func(id ids.PhotoID, revoked bool, frame []byte) error) error {
+	cursors := make([]segCursor, len(segs))
+	for i, sr := range segs {
+		cursors[i] = segCursor{sr: sr, next: sr.dataStart}
+		if err := cursors[i].advance(); err != nil {
 			return err
 		}
-		cursors = append(cursors, c)
 	}
-	mi := 0
+	var scratch []byte
 	for {
 		// Find the smallest ID among the memtable head and all cursors;
 		// on ties the newest source (memtable, then lowest cursor index)
 		// wins and all older sources advance past the ID.
-		var best *Record
-		var bestKey [16]byte
-		haveBest := false
-		if mi < len(memtable) {
-			best = memtable[mi]
-			bestKey = best.ID.Bytes()
-			haveBest = true
-		}
-		for _, c := range cursors {
-			if c.done {
-				continue
-			}
-			if !haveBest || bytes.Compare(c.curb[:], bestKey[:]) < 0 {
-				best = c.cur
-				bestKey = c.curb
-				haveBest = true
+		var best *segCursor
+		for i := range cursors {
+			if c := &cursors[i]; !c.done && (best == nil || keyLess(c.hi, c.lo, best.hi, best.lo)) {
+				best = c
 			}
 		}
-		if !haveBest {
+		var id ids.PhotoID
+		var hi, lo uint64
+		var frame []byte
+		switch {
+		case len(keys) > 0 && (best == nil || !keyLess(best.hi, best.lo, keys[0].hi, keys[0].lo)):
+			rec := &cut[keys[0].idx]
+			var err error
+			if scratch, err = appendClaimFrame(scratch[:0], rec); err != nil {
+				return err
+			}
+			id, hi, lo, frame = rec.ID, keys[0].hi, keys[0].lo, scratch
+			keys = keys[1:]
+		case best != nil:
+			hi, lo, frame = best.hi, best.lo, best.frame
+			id = ids.FromBytes([16]byte(frame[frameHeaderSize+1:]))
+		default:
 			return nil
 		}
-		if mi < len(memtable) && memtable[mi].ID == best.ID {
-			best = memtable[mi]
-			mi++
-		}
-		for _, c := range cursors {
-			for !c.done && c.curb == bestKey {
+		for i := range cursors {
+			for c := &cursors[i]; !c.done && c.hi == hi && c.lo == lo; {
 				if err := c.advance(); err != nil {
 					return err
 				}
 			}
 		}
-		if err := fn(best); err != nil {
+		if err := fn(id, frameRevoked(frame), frame); err != nil {
 			return err
 		}
 	}

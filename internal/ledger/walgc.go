@@ -13,22 +13,25 @@ import (
 
 // Group-commit write-ahead log.
 //
-// Appenders encode their record into the shared pending buffer under
-// gw.mu and then wait for a leader to make it durable. The first waiter
-// whose records are not yet synced becomes the leader: it swaps the
-// pending buffer out, writes and fsyncs it outside the lock, then
-// advances syncedSeq and wakes every waiter the batch covered. While
-// the leader is in write(2)/fsync(2), later appenders keep stacking
-// records into the fresh pending buffer, so N concurrent appends cost
-// ~1–2 fsyncs instead of N — the group commit the benchmark reports as
+// An appender that finds nothing staged and no leader at work leads at
+// once and writes its own encoded frames, uncopied: the serving path's
+// lone claim or op, and every bulk-restore chunk. Any other appender
+// copies its frames into the shared pending buffer under gw.mu and waits
+// for a leader to make them durable. The first waiter whose records are
+// not yet synced becomes the leader: it swaps the pending buffer for the
+// spare one, writes and fsyncs it outside the lock, then advances
+// syncedSeq and wakes every waiter the batch covered. While the leader
+// is in write(2)/fsync(2), later appenders keep stacking records into
+// the other buffer, so N concurrent appends cost ~1–2 fsyncs instead of
+// N — the group commit the benchmark reports as
 // ledger.wal_syncs_per_write.
 //
-// In WALSyncOS mode appends return once the record is in the pending
-// buffer and a leader has handed it to the OS without fsync; durability
-// is the caller's periodic Sync().
+// In WALSyncOS mode appends return once a leader has handed the record
+// to the OS without fsync; durability is the caller's periodic Sync().
 //
 // The log rotates at memtable flush: the engine freezes appends (it
-// holds every shard write-barrier), calls rotate, and replays only
+// read-locks every shard, and an appender holds its shard's write lock
+// across the append), calls rotate, and replays only
 // files at or above the manifest's wal_seq on recovery.
 
 type gcwal struct {
@@ -42,8 +45,10 @@ type gcwal struct {
 	seq  uint64 // current file sequence number
 	size int64  // bytes written to the current file
 
-	pending     []byte
-	pendingRecs int
+	// pending stages followers' frames; spare is the buffer the last
+	// leader wrote from, kept so that the two alternate without
+	// allocating.
+	pending, spare []byte
 
 	writeSeq  uint64 // records assigned, monotonically
 	syncedSeq uint64 // records durable (or handed to the OS)
@@ -59,6 +64,10 @@ type gcwal struct {
 }
 
 const walFilePrefix = "wal-"
+
+// walRetainBuf is the largest staging buffer kept for reuse; one that a
+// bulk restore grew past it is left to the collector.
+const walRetainBuf = 1 << 20
 
 func walFileName(seq uint64) string {
 	return fmt.Sprintf("%s%08d.wlog", walFilePrefix, seq)
@@ -118,9 +127,10 @@ func openGCWAL(dir string, seq uint64, durable bool) (*gcwal, error) {
 	return w, nil
 }
 
-// append stages frames (one or more complete frames, pre-encoded) and
+// append logs frames (one or more complete frames, pre-encoded) and
 // returns once they are durable (WALSyncBatch) or handed to the OS
 // (WALSyncOS). recs is the record count inside frames, for metrics.
+// The caller must leave frames alone until append returns.
 func (w *gcwal) append(frames []byte, recs int) error {
 	w.mu.Lock()
 	if w.err != nil {
@@ -128,11 +138,15 @@ func (w *gcwal) append(frames []byte, recs int) error {
 		w.mu.Unlock()
 		return err
 	}
-	w.pending = append(w.pending, frames...)
-	w.pendingRecs += recs
 	w.writeSeq++
 	myseq := w.writeSeq
 	w.records.Add(uint64(recs))
+	if !w.flushing && len(w.pending) == 0 {
+		// Every earlier byte is in the file, so these go next as they are.
+		w.lockedLeadFlush(frames)
+	} else {
+		w.pending = append(w.pending, frames...)
+	}
 
 	for w.syncedSeq < myseq {
 		if w.err != nil {
@@ -141,7 +155,7 @@ func (w *gcwal) append(frames []byte, recs int) error {
 			return err
 		}
 		if !w.flushing {
-			w.lockedLeadFlush()
+			w.lockedLeadFlush(nil)
 			continue
 		}
 		w.cond.Wait()
@@ -152,14 +166,18 @@ func (w *gcwal) append(frames []byte, recs int) error {
 }
 
 // lockedLeadFlush runs one group-commit batch. Called with w.mu held;
-// returns with w.mu held. The caller becomes the leader: it swaps the
-// pending buffer, performs the write and (in durable mode) the fsync
-// outside the lock, then publishes the new synced sequence.
-func (w *gcwal) lockedLeadFlush() {
+// returns with w.mu held. The caller becomes the leader: it takes own
+// (its frames, when nothing was staged) or else swaps the pending
+// buffer for the spare, performs the write and (in durable mode) the
+// fsync outside the lock, then publishes the new synced sequence.
+func (w *gcwal) lockedLeadFlush(own []byte) {
 	w.flushing = true
-	buf := w.pending
-	w.pending = nil
-	w.pendingRecs = 0
+	var staged []byte
+	buf := own
+	if own == nil {
+		staged, w.pending, w.spare = w.pending, w.spare[:0], nil
+		buf = staged
+	}
 	target := w.writeSeq
 	f := w.f
 	w.mu.Unlock()
@@ -175,6 +193,9 @@ func (w *gcwal) lockedLeadFlush() {
 
 	w.mu.Lock()
 	w.flushing = false
+	if staged != nil && cap(staged) <= walRetainBuf {
+		w.spare = staged[:0]
+	}
 	if werr != nil {
 		if w.err == nil {
 			w.err = fmt.Errorf("ledger: wal append: %w", werr)
@@ -199,7 +220,7 @@ func (w *gcwal) drain() {
 			return
 		}
 		if !w.flushing {
-			w.lockedLeadFlush()
+			w.lockedLeadFlush(nil)
 			continue
 		}
 		w.cond.Wait()
@@ -305,11 +326,19 @@ func replayWALFile(l *Ledger, path string, final bool) (claims uint64, err error
 		if derr != nil {
 			return claims, fmt.Errorf("ledger: wal %s at offset %d: %w", filepath.Base(path), off, derr)
 		}
-		isClaim := rec.kind == recClaim
+		// A claim frame for an id already held is its newer version.
+		fresh := false
+		if rec.kind == recClaim {
+			held, herr := l.holds(l.shardFor(rec.id), rec.id)
+			if herr != nil {
+				return claims, herr
+			}
+			fresh = !held
+		}
 		if aerr := applyBinRec(l, rec); aerr != nil {
 			return claims, fmt.Errorf("ledger: replaying wal %s: %w", filepath.Base(path), aerr)
 		}
-		if isClaim {
+		if fresh {
 			claims++
 		}
 		off = next

@@ -82,9 +82,12 @@ go test -race -run 'SignatureMatchesSeparateHashes|HashesBitIdenticalToFloatRefe
 # hammer — all named under the race detector. With them the validation
 # path's per-second proof memo (byte identity with a fresh Sign, state
 # flips inside one second, rollover, cap, the StatusBatch/Apply/flush
-# hammer), the state-only segment read against the decoding one, and
-# the claim-frame golden that pins segment and WAL bytes.
-go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden' \
+# hammer), the state-only segment read against the decoding one, the
+# claim-frame golden that pins segment and WAL bytes, and the bulk write
+# path: flush and 4-way compaction byte-identical to the retained
+# copy-sort-encode flush and decoding merge, a record mutated between a
+# flush's freeze and its eviction, and claims counted once.
+go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims' \
     ./internal/ledger
 go test -race -run 'PersistentLedgerSurvivesRestart' ./internal/integration
 
@@ -142,6 +145,9 @@ go test -race ./internal/obs
 # proofs is one array at each layer — 37 memo hits in Ledger.StatusBatch,
 # a 37-proof hop-2 frame decoded, a put on a full cache stripe, the
 # 48-id resolve page through ValidateBatch — and a registry adds none.
+# With them the ledger's bulk write path (TestWritePathAllocationBudget):
+# RestoreRecords of 10,000 records within 64 allocations, a memtable
+# freeze within 4 at any size, a compaction of 4 x 5,000 within 200.
 go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations' \
     ./internal/ledger ./internal/wire ./internal/proxy
 
@@ -162,10 +168,10 @@ go test -race -run 'Binary|ProxyClientCodecsAgree|ProxyClientAgainstLegacyProxy|
 # parsers): ten seconds over the seeded corpus plus fresh mutations.
 go test -run='^$' -fuzz=FuzzWireFrameDecode -fuzztime=10s ./internal/wire
 
-# The serving-path, derivative-lookup and obs on/off benchmarks compile
-# and run once each; nothing is timed here — `bash bench/run.sh` is
-# where numbers come from.
-go test -run='^$' -bench=Serving -benchtime=1x ./internal/ledger ./internal/proxy
+# The serving-path, write-path, derivative-lookup and obs on/off
+# benchmarks compile and run once each; nothing is timed here — `bash
+# bench/run.sh` is where numbers come from.
+go test -run='^$' -bench='Serving|RestoreFlush|Compact$' -benchtime=1x ./internal/ledger ./internal/proxy
 go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
 
 # Zero-alloc guard: the vectorized 8×8 DCT, the perceptual hashes (one
