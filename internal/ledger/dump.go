@@ -141,14 +141,9 @@ func (l *Ledger) RestoreRecords(recs []Record) error {
 				st.claimCount.Add(1)
 			}
 			sh.records[cp.ID] = cp
-			if cp.State == StateRevoked || cp.State == StatePermanentlyRevoked {
-				sh.revoked[cp.ID] = true
-			} else {
-				// Restoring a newer active version must clear any stale
-				// revoked-index entry, or future filter snapshots keep
-				// flagging a claim that is no longer revoked.
-				delete(sh.revoked, cp.ID)
-			}
+			// A newer active version clears a stale entry, or filter
+			// snapshots keep flagging a claim that is no longer revoked.
+			sh.setRevoked(cp.ID, cp.State)
 			sh.mu.Unlock()
 		}
 	}

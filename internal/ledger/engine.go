@@ -129,22 +129,27 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 	eng.claimCount.Store(man.Claims)
 	l.store = eng // applyBinRec and read paths need lookups during replay
 
-	// Rebuild the in-memory revoked sets from the per-segment revoked
-	// lists. A revoked entry in an older segment is shadowed if any
-	// newer segment holds a newer version of the record.
+	// Rebuild the in-memory revoked sets, with permanence, from the
+	// per-segment revoked lists. A revoked entry in an older segment is
+	// shadowed if any newer segment holds a newer version of the record;
+	// an unshadowed one reads its state byte from its own segment.
 	for i, sr := range segs {
 		for _, id := range sr.revokedIDs() {
 			shadowed := false
-			for j := 0; j < i && !shadowed; j++ {
-				ok, err := segs[j].contains(id)
-				if err != nil {
-					eng.closeSegs()
-					return nil, err
-				}
-				shadowed = ok
+			var err error
+			for j := 0; j < i && !shadowed && err == nil; j++ {
+				shadowed, err = segs[j].contains(id)
 			}
-			if !shadowed {
-				l.shardFor(id).revoked[id] = true
+			if !shadowed && err == nil {
+				st, held, serr := sr.lookupState(id)
+				if err = serr; err == nil && !held {
+					err = fmt.Errorf("ledger: segment %s lists revoked %s but holds no record of it", sr.path, id)
+				}
+				l.shardFor(id).setRevoked(id, st)
+			}
+			if err != nil {
+				eng.closeSegs()
+				return nil, err
 			}
 		}
 	}

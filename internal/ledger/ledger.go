@@ -412,9 +412,7 @@ func (l *Ledger) insertClaim(sh *shard, rec *Record) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.records[rec.ID] = rec
-	if rec.State == StateRevoked {
-		sh.revoked[rec.ID] = true
-	}
+	sh.setRevoked(rec.ID, rec.State)
 	l.metrics.claims.Inc()
 	if l.store != nil {
 		// Logged under the shard lock so a concurrent op on this claim
@@ -491,25 +489,18 @@ func (l *Ledger) Apply(id ids.PhotoID, op Op, sig []byte) error {
 		return ErrBadOpSeq
 	}
 	prev := rec.State
-	switch op {
-	case OpRevoke:
+	rec.State = StateActive
+	if op == OpRevoke {
 		rec.State = StateRevoked
-		sh.revoked[id] = true
-	case OpUnrevoke:
-		rec.State = StateActive
-		delete(sh.revoked, id)
 	}
+	sh.setRevoked(id, rec.State)
 	rec.OpSeq = next
 	l.metrics.ops.Inc()
 	if l.store != nil {
 		if err := l.store.logOp(id, op, next); err != nil {
 			rec.State = prev
 			rec.OpSeq = next - 1
-			if prev == StateRevoked {
-				sh.revoked[id] = true
-			} else {
-				delete(sh.revoked, id)
-			}
+			sh.setRevoked(id, prev)
 			return err
 		}
 	}
@@ -580,13 +571,12 @@ func (l *Ledger) PermanentRevoke(id ids.PhotoID) error {
 	}
 	prev := rec.State
 	rec.State = StatePermanentlyRevoked
-	sh.revoked[id] = true
+	sh.setRevoked(id, rec.State)
 	if l.store != nil {
 		if err := l.store.logPermanent(id); err != nil {
+			// The set agreed with prev before the change; make it again.
 			rec.State = prev
-			if prev != StateRevoked && prev != StatePermanentlyRevoked {
-				delete(sh.revoked, id)
-			}
+			sh.setRevoked(id, prev)
 			return err
 		}
 	}
@@ -600,11 +590,7 @@ func (l *Ledger) PermanentRevoke(id ids.PhotoID) error {
 func (l *Ledger) Status(id ids.PhotoID) (*StatusProof, error) {
 	sh := l.shardFor(id)
 	sh.mu.RLock()
-	rec, ok := sh.records[id]
-	var st State
-	if ok {
-		st = rec.State
-	}
+	st, ok := sh.state(id)
 	sh.mu.RUnlock()
 	if !ok && l.store != nil {
 		var err error
@@ -638,9 +624,10 @@ func (l *Ledger) fillSig(sh *shard, p *StatusProof) (memoized bool) {
 // StatusBatch answers one validation query per identifier, in input
 // order — the ledger half of the batch RPC that lets a page load
 // resolve dozens of photos in one round trip. Each touched shard is
-// visited once: states are read under its lock (memtable misses from
-// the segments, outside it), then the shard's proof memo is asked for
-// signatures this second has already produced. Only what it lacks is
+// visited once: states are read under its lock from the memtable and
+// the resident revoked set (what both miss — active or unknown ids —
+// from the segments, outside it), then the shard's proof memo is asked
+// for signatures this second has already produced. Only what it lacks is
 // signed, on the worker pool. All proofs in a batch share one IssuedAt
 // instant and one backing array, which is the caller's: nothing in the
 // ledger keeps a reference to it.
@@ -651,7 +638,7 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 	}
 	// One slab of indices: per shard a count, then the running end of
 	// its group; the inputs' shards; the inputs grouped by shard so each
-	// is locked once; a shard's memtable misses; the memo's misses.
+	// is locked once; what a shard cannot answer; the memo's misses.
 	ns := len(l.shards)
 	ints := make([]int, ns+4*n)
 	ends, shardOf, grouped := ints[:ns], ints[ns:ns+n], ints[ns+n:ns+2*n]
@@ -686,15 +673,15 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 		misses = misses[:0]
 		sh.mu.RLock()
 		for _, i := range mine {
-			if rec, ok := sh.records[batch[i]]; ok {
-				proofs[i].State = rec.State
+			if st, ok := sh.state(batch[i]); ok {
+				proofs[i].State = st
 			} else if l.store != nil {
 				misses = append(misses, i)
 			}
 		}
 		sh.mu.RUnlock()
-		// Memtable misses fall through to the storage engine (segment
-		// point lookups); unknown identifiers stay StateUnknown.
+		// The rest fall through to the storage engine (segment point
+		// lookups); unknown identifiers stay StateUnknown.
 		for _, i := range misses {
 			st, err := l.store.lookupState(batch[i])
 			if err != nil {

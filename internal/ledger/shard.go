@@ -40,12 +40,44 @@ const defaultShards = 64
 type shard struct {
 	mu      sync.RWMutex
 	records map[ids.PhotoID]*Record
-	revoked map[ids.PhotoID]bool // current revoked set (incl. permanent)
+	// revoked is the resident revoked set, whole whatever the memtable
+	// holds: an id is present while its newest version is revoked, and
+	// its value is true when that revocation is permanent. Filter
+	// snapshots are built from it, and it answers a status query for a
+	// revoked id the memtable misses (see state).
+	revoked map[ids.PhotoID]bool
 
 	// memo is this stripe of the per-second proof-signature memo
 	// (proof.go). It has its own mutex: a query writes to it while
 	// holding no record lock.
 	memo proofMemo
+}
+
+// state answers a status query from what the shard holds: the memtable,
+// then the resident revoked set. False means only the segments know the
+// id — it is active or unknown. The caller holds sh.mu.
+func (sh *shard) state(id ids.PhotoID) (State, bool) {
+	if rec, ok := sh.records[id]; ok {
+		return rec.State, true
+	}
+	perm, ok := sh.revoked[id]
+	switch {
+	case !ok:
+		return StateUnknown, false
+	case perm:
+		return StatePermanentlyRevoked, true
+	}
+	return StateRevoked, true
+}
+
+// setRevoked makes the resident set agree with st, id's newest state.
+// The caller holds sh.mu for writing (or owns the shard, in recovery).
+func (sh *shard) setRevoked(id ids.PhotoID, st State) {
+	if st == StateRevoked || st == StatePermanentlyRevoked {
+		sh.revoked[id] = st == StatePermanentlyRevoked
+	} else {
+		delete(sh.revoked, id)
+	}
 }
 
 // newShards allocates n initialized shards.

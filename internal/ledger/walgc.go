@@ -355,11 +355,7 @@ func applyBinRec(l *Ledger, r *binRec) error {
 	switch r.kind {
 	case recClaim:
 		sh.records[r.id] = r.rec
-		if r.rec.State == StateRevoked || r.rec.State == StatePermanentlyRevoked {
-			sh.revoked[r.id] = true
-		} else {
-			delete(sh.revoked, r.id)
-		}
+		sh.setRevoked(r.id, r.rec.State)
 	case recOp, recPerm:
 		rec, ok := sh.records[r.id]
 		if !ok && l.store != nil {
@@ -376,22 +372,17 @@ func applyBinRec(l *Ledger, r *binRec) error {
 		if !ok {
 			return fmt.Errorf("op for unknown claim %s", r.id)
 		}
-		if r.kind == recPerm {
+		switch {
+		case r.kind == recPerm:
 			rec.State = StatePermanentlyRevoked
-			sh.revoked[r.id] = true
-			return nil
-		}
-		switch r.op {
-		case OpRevoke:
-			rec.State = StateRevoked
-			sh.revoked[r.id] = true
-		case OpUnrevoke:
-			rec.State = StateActive
-			delete(sh.revoked, r.id)
+		case r.op == OpRevoke:
+			rec.State, rec.OpSeq = StateRevoked, r.seq
+		case r.op == OpUnrevoke:
+			rec.State, rec.OpSeq = StateActive, r.seq
 		default:
 			return fmt.Errorf("unknown op %d in wal", r.op)
 		}
-		rec.OpSeq = r.seq
+		sh.setRevoked(r.id, rec.State)
 	default:
 		return fmt.Errorf("unknown wal record kind %q", r.kind)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"irs/internal/dct"
@@ -268,6 +269,9 @@ func TestEmbedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
+	// A collection empties the pool; two in one measurement, likely when
+	// `go test ./...` loads the host, charged a whole plane to it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := DefaultConfig()
 	im := photo.Synth(35, 192, 128)
 	im.Meta.Set(photo.KeyIRSLedgerURL, "http://ledger.example")

@@ -15,9 +15,10 @@ import (
 // row pass over the luma plane serves all 64 pixel phases, one column
 // pass per image line serves the 8 phases of that line — and checks each
 // code phase's CRC on packed hard bits before it spends any float work
-// on a margin. Every vote and margin is accumulated in the order the
-// per-phase, per-block scan used, so results (Margin included) are
-// bit-identical to that scan, which the tests keep as the oracle.
+// on a margin. Every vote is accumulated in the order the per-phase,
+// per-block scan used, and every margin in the class order it uses, so
+// results (Margin included) are bit-identical to that scan, which the
+// tests keep as the oracle.
 
 // planes is the pooled working set of one extraction call: the luma
 // plane, for the full search its row pass, and the aligned read's
@@ -105,7 +106,7 @@ func (p *planes) readAligned(w, h int, cfg Config) (Result, error) {
 	if !ok {
 		return Result{}, ErrNotFound
 	}
-	return Result{Payload: payload, Margin: cfg.margin(&votes, bw, bh, 0, 0)}, nil
+	return Result{Payload: payload, Margin: cfg.margin(&votes, bw, bh)}, nil
 }
 
 // search is the full geometric search over the plane in p.luma.
@@ -158,9 +159,10 @@ type phaseCandidate struct {
 var noCandidate = phaseCandidate{res: Result{Margin: -1}}
 
 // keep replaces c by o when o read a codeword with a strictly greater
-// margin. Every level of the search — code phases, the px of a band,
-// the bands — folds its candidates through it in scan order, so the
-// first of equally good candidates wins, as in one serial scan.
+// margin. The px of a band and then the bands fold their candidates
+// through it in scan order, so the first of equally good candidates
+// wins, as in one serial scan; the code phases of one pixel phase always
+// tie, and sweep takes the first.
 func (c *phaseCandidate) keep(o phaseCandidate) {
 	if o.found && o.res.Margin > c.res.Margin {
 		*c = o
@@ -223,14 +225,14 @@ func (s *bandScratch) vote(rows []float64, w, py, bh int, cfg Config) {
 // its vote table, CRC first: hard bits are taken once per class and
 // packed by tile row, each cx gets its ring, and every (cy, cx) is then
 // a window of one — no per-candidate assembly, and no copy at all when
-// TileW is a multiple of 8. Only a word whose CRC passes gets a margin.
-// Candidates are visited cy-major, the serial scan's order.
+// TileW is a multiple of 8. The first word whose CRC passes is the
+// pixel phase's candidate and gets its margin; candidates are visited
+// cy-major, the serial scan's order.
 func (s *bandScratch) sweep(px, py, bw, bh int, cfg Config) phaseCandidate {
-	best := noCandidate
 	if bw < cfg.TileW || bh < cfg.TileH {
 		// Some class has no block. Every code phase reads every class,
 		// so none of them is covered.
-		return best
+		return noCandidate
 	}
 	votes := &s.votes[px]
 	var rows [codewordBits]uint64
@@ -245,15 +247,16 @@ func (s *bandScratch) sweep(px, py, bw, bh int, cfg Config) phaseCandidate {
 			if !ok {
 				continue
 			}
-			best.keep(phaseCandidate{found: true, res: Result{
+			// Every later code phase ties with this one (see margin).
+			return phaseCandidate{found: true, res: Result{
 				Payload:     payload,
-				Margin:      cfg.margin(votes, bw, bh, cy, cx),
+				Margin:      cfg.margin(votes, bw, bh),
 				PixelPhaseX: px, PixelPhaseY: py,
 				CodePhaseX: cx, CodePhaseY: cy,
-			}})
+			}}
 		}
 	}
-	return best
+	return noCandidate
 }
 
 // packRows takes the hard decision of every class: bit TileW-1-c of
@@ -307,24 +310,21 @@ func window(buf *[wordBytes]byte, ring *[2 * wordBytes]byte, off int) *[wordByte
 	return buf
 }
 
-// margin is the mean absolute per-slot vote of code phase (cy, cx),
-// summed in slot order. The block count of a class is the product of
-// how many of the bh block rows and bw block columns fall in it.
-func (c Config) margin(votes *[codewordBits]float64, bw, bh, cy, cx int) float64 {
+// margin is the mean absolute per-class vote of a pixel phase, summed in
+// class order. Every code phase reads the same 160 classes, so this is
+// each one's margin to the bit: code phases of one pixel phase tie
+// exactly and scan order decides, code phase (0, 0) first. (Summed in
+// each code phase's slot order, the same terms rounded apart by ~1e-15,
+// and that noise chose between a codeword and its CRC-valid twin.) The
+// block count of a class is the product of how many of the bh block
+// rows and bw block columns fall in it.
+func (c Config) margin(votes *[codewordBits]float64, bw, bh int) float64 {
 	var margin float64
 	for r := 0; r < c.TileH; r++ {
-		r0 := r - cy
-		if r0 < 0 {
-			r0 += c.TileH
-		}
-		nr := (bh - r0 + c.TileH - 1) / c.TileH
+		nr := (bh - r + c.TileH - 1) / c.TileH
 		for col := 0; col < c.TileW; col++ {
-			c0 := col - cx
-			if c0 < 0 {
-				c0 += c.TileW
-			}
-			n := nr * ((bw - c0 + c.TileW - 1) / c.TileW)
-			m := votes[r0*c.TileW+c0] / float64(n)
+			n := nr * ((bw - col + c.TileW - 1) / c.TileW)
+			m := votes[r*c.TileW+col] / float64(n)
 			if m < 0 {
 				m = -m
 			}

@@ -28,7 +28,9 @@ func decodeword(buf *[20]byte, bits []bool) ([PayloadBytes]byte, bool) {
 // the oracle for the single-coefficient kernel and the CRC-first sweep:
 // a full 2-D DCT of every block, then a fresh O(blocks) vote
 // accumulation, margin and CRC for every one of the 160 codeword
-// phases.
+// phases. One change: every code phase is scored with the margin of
+// code phase (0, 0), whose slots are the classes in order, so that code
+// phases tie exactly (see Config.margin).
 func refSearchPixelPhase(luma []float64, w, px, py, bw, bh int, cfg Config) (c phaseCandidate) {
 	src := dct.NewBlock(8)
 	coef := dct.NewBlock(8)
@@ -45,6 +47,7 @@ func refSearchPixelPhase(luma []float64, w, px, py, bw, bh int, cfg Config) (c p
 		}
 	}
 	c.res = Result{Margin: -1}
+	var phaseMargin float64
 	for cy := 0; cy < cfg.TileH; cy++ {
 		for cx := 0; cx < cfg.TileW; cx++ {
 			for i := range votes {
@@ -77,11 +80,14 @@ func refSearchPixelPhase(luma []float64, w, px, py, bw, bh int, cfg Config) (c p
 				continue
 			}
 			margin /= codewordBits
+			if cy == 0 && cx == 0 { // covered here iff at every code phase
+				phaseMargin = margin
+			}
 			payload, ok := decodeword(new([20]byte), hard)
-			if ok && margin > c.res.Margin {
+			if ok && phaseMargin > c.res.Margin {
 				c.res = Result{
 					Payload:     payload,
-					Margin:      margin,
+					Margin:      phaseMargin,
 					PixelPhaseX: px, PixelPhaseY: py,
 					CodePhaseX: cx, CodePhaseY: cy,
 				}

@@ -71,6 +71,70 @@ func TestCodewordDetectsFlips(t *testing.T) {
 	}
 }
 
+// twinShift returns the first column rotation cx in 1..TileW-1 under
+// which the tile rows of p's codeword read as another CRC-valid word —
+// what code phase (0, cx) of an image carrying p at (0, 0) decodes — or
+// 0 when p has no twin.
+func twinShift(p [PayloadBytes]byte, cfg Config) int {
+	bits := codeword(p)
+	var votes [codewordBits]float64
+	for i, b := range bits {
+		votes[i] = -1
+		if b {
+			votes[i] = 1
+		}
+	}
+	var rows [codewordBits]uint64
+	cfg.packRows(&rows, &votes)
+	var ring [2 * wordBytes]byte
+	for cx := 1; cx < cfg.TileW; cx++ {
+		cfg.assemble(&ring, &rows, cx)
+		if _, ok := checkword((*[wordBytes]byte)(ring[:wordBytes])); ok {
+			return cx
+		}
+	}
+	return 0
+}
+
+// TestTwinPayloadsReadBack: about one payload in 500 has a twin, so an
+// image carrying it holds two CRC-valid code phases that read the same
+// classes. The reader must return code phase (0, 0), the one Embed
+// wrote, at every size — not whichever float rounding favoured (seed
+// -175 at 136×118 read its twin at code phase (1, 0)).
+func TestTwinPayloadsReadBack(t *testing.T) {
+	cfg := DefaultConfig()
+	twins := [][PayloadBytes]byte{payloadFromSeed(-175)}
+	rng := rand.New(rand.NewSource(500))
+	tried := 0
+	for ; len(twins) < 6; tried++ {
+		var p [PayloadBytes]byte
+		rng.Read(p[:])
+		if twinShift(p, cfg) != 0 {
+			twins = append(twins, p)
+		}
+	}
+	if twinShift(twins[0], cfg) != 1 {
+		t.Fatal("the fuzz finding's payload has no twin at code phase (0, 1)")
+	}
+	t.Logf("5 twin payloads in %d random ones", tried)
+	for i, p := range twins {
+		for _, size := range [][2]int{{136, 118}, {192, 128}} {
+			for _, im := range []*photo.Image{photo.SynthRGB(-175, size[0], size[1]), photo.Synth(int64(i), size[0], size[1])} {
+				name := fmt.Sprintf("twin %d (%x) in %dx%dx%d", i, p, im.W, im.H, im.Channels)
+				marked, err := Embed(im, p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Extract(marked, cfg)
+				if err != nil || res.Payload != p || res.CodePhaseX != 0 || res.CodePhaseY != 0 {
+					t.Errorf("%s: read %x at code phase (%d, %d), %v", name, res.Payload, res.CodePhaseX, res.CodePhaseY, err)
+				}
+				checkAgainstReference(t, name, marked, cfg)
+			}
+		}
+	}
+}
+
 func TestEmbedExtractClean(t *testing.T) {
 	cfg := DefaultConfig()
 	im := photo.Synth(1, 192, 128)

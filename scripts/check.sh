@@ -63,9 +63,11 @@ go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMix
 # the writer: AddBasis8 against the Forward8/Inverse8 round trip, Embed
 # and Erase against the retained full-transform loop (byte-identical
 # pixels over gray/RGB, clamped, partial-block and fan-out sizes, four
-# config shapes, workers 1/2/8). Named under -race; then ten seconds
-# each of the reader's size/crop and the writer's seed/size fuzz target.
-go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance|EmbedMatchesReference' \
+# config shapes, workers 1/2/8), and payloads with a CRC-valid twin
+# code phase reading back their own id. Named under -race; then ten
+# seconds each of the reader's size/crop and the writer's seed/size fuzz
+# target, whose committed corpus replays the twin finding.
+go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance|EmbedMatchesReference|TwinPayloadsReadBack' \
     ./internal/dct ./internal/watermark
 go test -run='^$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s ./internal/watermark
 go test -run='^$' -fuzz=FuzzEmbedMatchesReference -fuzztime=10s ./internal/watermark
@@ -86,8 +88,12 @@ go test -race -run 'SignatureMatchesSeparateHashes|HashesBitIdenticalToFloatRefe
 # claim-frame golden that pins segment and WAL bytes, and the bulk write
 # path: flush and 4-way compaction byte-identical to the retained
 # copy-sort-encode flush and decoding merge, a record mutated between a
-# flush's freeze and its eviction, and claims counted once.
-go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims' \
+# flush's freeze and its eviction, and claims counted once. Last, the
+# resident revoked set that answers revoked ids: status answers against
+# the retained segment read over seeded histories, permanence across a
+# reopen, its rollback when the WAL refuses an op, and the
+# ops/StatusBatch/flush/compaction hammer.
+go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer' \
     ./internal/ledger
 go test -race -run 'PersistentLedgerSurvivesRestart' ./internal/integration
 
@@ -168,10 +174,10 @@ go test -race -run 'Binary|ProxyClientCodecsAgree|ProxyClientAgainstLegacyProxy|
 # parsers): ten seconds over the seeded corpus plus fresh mutations.
 go test -run='^$' -fuzz=FuzzWireFrameDecode -fuzztime=10s ./internal/wire
 
-# The serving-path, write-path, derivative-lookup and obs on/off
-# benchmarks compile and run once each; nothing is timed here — `bash
-# bench/run.sh` is where numbers come from.
-go test -run='^$' -bench='Serving|RestoreFlush|Compact$' -benchtime=1x ./internal/ledger ./internal/proxy
+# The serving-path (filter-positive batches included), write-path,
+# derivative-lookup and obs on/off benchmarks compile and run once each;
+# nothing is timed here — `bash bench/run.sh` is where numbers come from.
+go test -run='^$' -bench='Serving|StatusBatchFilterPositive|RestoreFlush|Compact$' -benchtime=1x ./internal/ledger ./internal/proxy
 go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
 
 # Zero-alloc guard: the vectorized 8×8 DCT, the perceptual hashes (one
