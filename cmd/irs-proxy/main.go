@@ -54,7 +54,6 @@ func main() {
 		cacheCap        = flag.Int("cache", 65536, "proof cache capacity (entries)")
 		cacheTTL        = flag.Duration("cache-ttl", 5*time.Minute, "proof cache TTL (revocation propagation bound)")
 		refreshInterval = flag.Duration("refresh-interval", time.Hour, "ledger filter refresh interval")
-		wireCodec       = flag.String("wire", "binary", "preferred upstream wire codec (json|binary); binary negotiates per ledger and falls back to JSON")
 	)
 	flag.Var(ledgers, "ledger", "ledger endpoint as id=url (repeatable)")
 	flag.Parse()
@@ -62,15 +61,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "irs-proxy: at least one -ledger id=url required")
 		os.Exit(2)
 	}
-	codec, err := wire.ParseCodec(*wireCodec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "irs-proxy: -wire: %v\n", err)
-		os.Exit(2)
-	}
 
 	dir := wire.NewDirectory()
 	for id, url := range ledgers {
-		dir.Register(id, wire.NewClientOpts(url, "", wire.ClientOptions{Codec: codec}))
+		dir.Register(id, wire.NewClient(url, ""))
 	}
 	ps := proxy.NewServer(proxy.Config{
 		CacheCapacity: *cacheCap,

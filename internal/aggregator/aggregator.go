@@ -127,12 +127,9 @@ type Config struct {
 	Name string
 	// Unlabeled selects the unlabeled-upload policy.
 	Unlabeled UnlabeledPolicy
-	// RecheckInterval is how often hosted photos are revalidated; zero
-	// means 1 hour.
+	// RecheckInterval is how often hosted photos are revalidated, and
+	// the oldest freshness proof Serve hands out; zero means 1 hour.
 	RecheckInterval time.Duration
-	// ProofMaxAge bounds how stale a served freshness proof may be; zero
-	// means RecheckInterval.
-	ProofMaxAge time.Duration
 	// Clock supplies time; nil means time.Now.
 	Clock func() time.Time
 	// CustodialLedger receives custodial claims (required when Unlabeled
@@ -140,8 +137,6 @@ type Config struct {
 	CustodialLedger wire.Service
 	// CustodialLedgerURL labels custodial claims.
 	CustodialLedgerURL string
-	// Watermark configures label extraction/embedding.
-	Watermark watermark.Config
 	// Index parameterizes the robust-hash database, including its
 	// optional observability registry (IndexConfig.Obs).
 	Index IndexConfig
@@ -173,6 +168,8 @@ type Aggregator struct {
 	cfg   Config
 	dir   *wire.Directory
 	clock func() time.Time
+	// wm configures label extraction and embedding.
+	wm watermark.Config
 
 	mu      sync.RWMutex
 	photos  map[ids.PhotoID]*hosted
@@ -198,16 +195,11 @@ func New(cfg Config, dir *wire.Directory) (*Aggregator, error) {
 	if cfg.RecheckInterval == 0 {
 		cfg.RecheckInterval = time.Hour
 	}
-	if cfg.ProofMaxAge == 0 {
-		cfg.ProofMaxAge = cfg.RecheckInterval
-	}
-	if cfg.Watermark.Delta == 0 {
-		cfg.Watermark = watermark.DefaultConfig()
-	}
 	return &Aggregator{
 		cfg:     cfg,
 		dir:     dir,
 		clock:   cfg.Clock,
+		wm:      watermark.DefaultConfig(),
 		photos:  make(map[ids.PhotoID]*hosted),
 		keys:    camera.NewKeyStore(""),
 		hashIdx: NewSigIndex(cfg.Index),
@@ -239,7 +231,7 @@ func (a *Aggregator) extractLabel(im *photo.Image) (metaID, wmID ids.PhotoID, me
 	if im.W*im.H <= fullSearchPixelBudget {
 		extract = watermark.ExtractFallback
 	}
-	if res, err := extract(im, a.cfg.Watermark); err == nil {
+	if res, err := extract(im, a.wm); err == nil {
 		wmID, wmOK = ids.FromBytes(res.Payload), true
 	}
 	return
@@ -294,7 +286,7 @@ func (a *Aggregator) custodialClaim(p *prep) (*camera.Owned, *photo.Image, error
 	if err != nil {
 		return nil, nil, err
 	}
-	labeled, err := camera.Label(p.im, receipt.ID, a.cfg.CustodialLedgerURL, a.cfg.Watermark)
+	labeled, err := camera.Label(p.im, receipt.ID, a.cfg.CustodialLedgerURL, a.wm)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -355,7 +347,7 @@ func (a *Aggregator) UploadVideo(v *photo.Video) (UploadResult, error) {
 			metaID, metaOK = id, true
 		}
 	}
-	if res, err := watermark.ExtractVideo(v, a.cfg.Watermark); err == nil {
+	if res, err := watermark.ExtractVideo(v, a.wm); err == nil {
 		wmID, wmOK = ids.FromBytes(res.Payload), true
 	}
 	switch {
@@ -431,7 +423,7 @@ func (a *Aggregator) ServeVideo(id ids.PhotoID) (*photo.Video, error) {
 	if !ok || h.video == nil {
 		return nil, ErrNotHosted
 	}
-	if a.clock().Sub(h.checkedAt) > a.cfg.ProofMaxAge {
+	if a.clock().Sub(h.checkedAt) > a.cfg.RecheckInterval {
 		if err := a.revalidate(id); err != nil {
 			return nil, err
 		}
@@ -451,14 +443,14 @@ var (
 )
 
 // Serve returns a copy of a hosted photo with the freshness proof
-// attached in metadata. If the held proof is older than ProofMaxAge the
-// photo is revalidated inline before serving.
+// attached in metadata. If the held proof is older than RecheckInterval
+// the photo is revalidated inline before serving.
 func (a *Aggregator) Serve(id ids.PhotoID) (*photo.Image, error) {
 	h, ok := a.snapshotHosted(id)
 	if !ok {
 		return nil, ErrNotHosted
 	}
-	if a.clock().Sub(h.checkedAt) > a.cfg.ProofMaxAge {
+	if a.clock().Sub(h.checkedAt) > a.cfg.RecheckInterval {
 		if err := a.revalidate(id); err != nil {
 			return nil, err
 		}

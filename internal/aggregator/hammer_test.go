@@ -94,7 +94,7 @@ func TestTakedownRevalidateUploadHammer(t *testing.T) {
 			}
 		}(w)
 	}
-	// Serve workers: advance the clock past ProofMaxAge each lap so
+	// Serve workers: advance the clock past RecheckInterval each lap so
 	// every Serve forces a revalidation racing the takedowns.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)

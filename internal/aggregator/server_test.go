@@ -150,7 +150,7 @@ func TestServerStats(t *testing.T) {
 }
 
 func TestServerStaleServeGone(t *testing.T) {
-	// After ProofMaxAge passes and the photo was revoked, GET returns
+	// After RecheckInterval passes and the photo was revoked, GET returns
 	// 410 Gone.
 	now := timeAt(0)
 	r := newRig(t, RejectUnlabeled, func() time.Time { return now })

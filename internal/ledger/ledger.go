@@ -214,7 +214,7 @@ var (
 	ErrBadSignature = errors.New("ledger: ownership signature invalid")
 	ErrNonRevocable = errors.New("ledger: this ledger does not permit revocation")
 	ErrPermanent    = errors.New("ledger: claim is permanently revoked")
-	ErrBadOpSeq     = errors.New("ledger: operation sequence mismatch (replay?)")
+	ErrBadOpSeq     = errors.New("ledger: operation sequence advanced concurrently")
 	ErrDuplicate    = errors.New("ledger: content already claimed here by this key")
 )
 
@@ -429,13 +429,13 @@ func (l *Ledger) insertClaim(sh *shard, rec *Record) error {
 // Apply executes a signed owner operation: sig must cover
 // OpMsg(id, op, record.OpSeq+1) under the claim's public key.
 //
-// Signature verification — up to 33 Ed25519 verifies when the replay
-// window is scanned — runs outside any lock: the record's public key
+// A signature that does not verify — forged, or replayed over an older
+// sequence number — is ErrBadSignature after exactly one Ed25519
+// verify. Verification runs outside any lock: the record's public key
 // and sequence number are read under a read lock, checked, and then the
 // write lock is retaken with the sequence number re-validated before
 // mutating. A concurrent operation that advanced the sequence in the
-// gap surfaces as ErrBadOpSeq, exactly as if it had been serialized
-// first.
+// gap surfaces as ErrBadOpSeq.
 func (l *Ledger) Apply(id ids.PhotoID, op Op, sig []byte) error {
 	if op != OpRevoke && op != OpUnrevoke {
 		return fmt.Errorf("ledger: unknown op %d", op)
@@ -455,18 +455,6 @@ func (l *Ledger) Apply(id ids.PhotoID, op Op, sig []byte) error {
 
 	next := seq + 1
 	if !ed25519.Verify(pub, opMsg(id, op, next), sig) {
-		// Distinguish replay (valid signature over an old sequence
-		// number) from a plainly bad signature, for operator
-		// diagnostics. Scan a bounded window of recent sequence numbers.
-		low := uint64(1)
-		if seq > 32 {
-			low = seq - 32
-		}
-		for s := seq; s >= low; s-- {
-			if ed25519.Verify(pub, opMsg(id, op, s), sig) {
-				return ErrBadOpSeq
-			}
-		}
 		return ErrBadSignature
 	}
 

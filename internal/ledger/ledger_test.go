@@ -159,13 +159,78 @@ func TestApplyRejectsReplay(t *testing.T) {
 	if err := l.Apply(r.ID, OpUnrevoke, o.signOp(r.ID, OpUnrevoke, 2)); err != nil {
 		t.Fatal(err)
 	}
-	// Replaying the old revoke signature must fail with ErrBadOpSeq.
-	if err := l.Apply(r.ID, OpRevoke, sig1); err != ErrBadOpSeq {
-		t.Errorf("replay: got %v, want ErrBadOpSeq", err)
+	// A replayed signature covers an old sequence number, so it does not
+	// verify for the next one.
+	if err := l.Apply(r.ID, OpRevoke, sig1); err != ErrBadSignature {
+		t.Errorf("replay: got %v, want ErrBadSignature", err)
 	}
 	p, _ := l.Status(r.ID)
 	if p.State != StateActive {
 		t.Errorf("replay changed state to %v", p.State)
+	}
+}
+
+// applyOps advances r's operation sequence to n with alternating signed
+// revokes and unrevokes, returning the signature of the last one.
+func applyOps(t *testing.T, l *Ledger, o *owner, id ids.PhotoID, n uint64) []byte {
+	t.Helper()
+	var sig []byte
+	for s := uint64(1); s <= n; s++ {
+		op := OpRevoke
+		if s%2 == 0 {
+			op = OpUnrevoke
+		}
+		sig = o.signOp(id, op, s)
+		if err := l.Apply(id, op, sig); err != nil {
+			t.Fatalf("op %d: %v", s, err)
+		}
+	}
+	return sig
+}
+
+// TestApplyReplayAtHighSequence: a valid signature replayed deep into a
+// claim's history is ErrBadSignature, like any other that does not
+// cover the next sequence number; the ledger does not scan past
+// sequence numbers to tell the two apart.
+func TestApplyReplayAtHighSequence(t *testing.T) {
+	l := newLedger(t)
+	o := newOwner(t)
+	r := o.claim(t, l, hashOf("deep replay"), false)
+	last := applyOps(t, l, o, r.ID, 40)
+	for name, sig := range map[string][]byte{
+		"latest": last,
+		"recent": o.signOp(r.ID, OpUnrevoke, 38),
+		"old":    o.signOp(r.ID, OpUnrevoke, 2),
+	} {
+		if err := l.Apply(r.ID, OpUnrevoke, sig); err != ErrBadSignature {
+			t.Errorf("%s replay at sequence 40: got %v, want ErrBadSignature", name, err)
+		}
+	}
+	if rec, err := l.Record(r.ID); err != nil || rec.OpSeq != 40 || rec.State != StateActive {
+		t.Errorf("replays moved the record: %+v %v", rec, err)
+	}
+}
+
+// TestApplyBadSignatureVerifiesOnce: a bad op signature costs one
+// Ed25519 verification, not one per recent sequence number. The message
+// for each verification is the one allocation on this path, so the
+// count of verifications shows as the count of allocations.
+func TestApplyBadSignatureVerifiesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted without the race detector")
+	}
+	l := newLedger(t)
+	o := newOwner(t)
+	r := o.claim(t, l, hashOf("bad signature"), false)
+	applyOps(t, l, o, r.ID, 40)
+	bad := make([]byte, ed25519.SignatureSize)
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := l.Apply(r.ID, OpRevoke, bad); err != ErrBadSignature {
+			t.Fatalf("bad signature: %v", err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a bad signature at sequence 40 cost %.0f allocations, want 1 (one verification)", allocs)
 	}
 }
 

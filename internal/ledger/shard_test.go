@@ -50,8 +50,10 @@ func TestShardedConcurrencyWithWAL(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// Each goroutine owns a disjoint slice of the pre-claimed
-			// ids so op sequences advance without ErrBadOpSeq noise.
+			// The workers' slices of the pre-claimed ids overlap, so an
+			// op signed from a stale read is refused: ErrBadSignature
+			// when another worker's op landed before Apply loaded the
+			// record, ErrBadOpSeq when it landed during verification.
 			for i := 0; i < iters; i++ {
 				id := preIDs[(g*iters+i)%pre]
 				rec, err := l.Record(id)
@@ -64,7 +66,7 @@ func TestShardedConcurrencyWithWAL(t *testing.T) {
 					op = OpUnrevoke
 				}
 				err = l.Apply(id, op, o.signOp(id, op, rec.OpSeq+1))
-				if err != nil && err != ErrBadOpSeq {
+				if err != nil && err != ErrBadOpSeq && err != ErrBadSignature {
 					t.Errorf("apply: %v", err)
 					return
 				}

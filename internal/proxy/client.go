@@ -3,13 +3,10 @@ package proxy
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
-	"sync/atomic"
 
 	"irs/internal/ids"
 	"irs/internal/ledger"
@@ -17,38 +14,30 @@ import (
 )
 
 // Client is the browser extension's view of a proxy: Validate for a
-// single image, ValidateBatch for a page-load round. Like wire.Client
-// it can prefer the IRSW1 codec and negotiates per request, so an
-// extension built against a binary-capable proxy keeps working against
-// an older JSON-only one (and the reverse) with identical answers.
+// single image, ValidateBatch for a page-load round. It speaks only
+// IRSW1; the proxy's JSON answers are for browsers and curl.
 type Client struct {
-	base  string
-	http  *http.Client
-	codec wire.Codec
-	// binOK records that the proxy advertised IRSW1, unlocking binary
-	// request bodies for the batch round.
-	binOK atomic.Bool
+	base string
+	http *http.Client
 }
 
 // NewClient builds a proxy client for base (e.g.
-// "http://127.0.0.1:8331") preferring the given codec.
-func NewClient(base string, codec wire.Codec) *Client {
-	return NewClientHTTP(base, codec, &http.Client{Transport: wire.NewTransport()})
+// "http://127.0.0.1:8331").
+func NewClient(base string) *Client {
+	return &Client{base: base, http: &http.Client{Transport: wire.NewTransport()}}
 }
 
 // NewClientHTTP is NewClient with an explicit *http.Client, e.g. to
-// share a connection pool.
-func NewClientHTTP(base string, codec wire.Codec, hc *http.Client) *Client {
-	return &Client{base: base, http: hc, codec: codec}
+// share a connection pool. The codec selects nothing: the parameter
+// stays only for callers that still pass one.
+func NewClientHTTP(base string, _ wire.Codec, hc *http.Client) *Client {
+	return &Client{base: base, http: hc}
 }
-
-// Codec reports the client's preferred encoding.
-func (c *Client) Codec() wire.Codec { return c.codec }
 
 // ClientResult is one validated answer as the extension consumes it.
 // Proof holds the marshaled ledger proof bytes exactly as the proxy
-// sent them (nil when the answer carries none), so cross-codec
-// comparisons can be byte-exact. The proofs of one binary response
+// sent them (nil when the answer carries none), so comparisons with the
+// proxy's JSON answer can be byte-exact. The proofs of one response
 // share a backing array (a copy of its payload), each clipped to its
 // own bytes.
 type ClientResult struct {
@@ -56,40 +45,6 @@ type ClientResult struct {
 	Source      Source
 	Displayable bool
 	Proof       []byte
-}
-
-// parseState inverts ledger.State.String for the JSON protocol.
-func parseState(s string) (ledger.State, error) {
-	for _, st := range []ledger.State{ledger.StateUnknown, ledger.StateActive,
-		ledger.StateRevoked, ledger.StatePermanentlyRevoked} {
-		if st.String() == s {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("proxy: bad state %q", s)
-}
-
-// parseSource inverts Source.String for the JSON protocol.
-func parseSource(s string) (Source, error) {
-	for _, src := range []Source{SourceFilter, SourceCache, SourceLedger, SourceStale} {
-		if src.String() == s {
-			return src, nil
-		}
-	}
-	return 0, fmt.Errorf("proxy: bad source %q", s)
-}
-
-// fromJSON converts one JSON answer.
-func fromJSON(r *ValidateResponse) (ClientResult, error) {
-	st, err := parseState(r.State)
-	if err != nil {
-		return ClientResult{}, err
-	}
-	src, err := parseSource(r.Source)
-	if err != nil {
-		return ClientResult{}, err
-	}
-	return ClientResult{State: st, Source: src, Displayable: r.Displayable, Proof: r.Proof}, nil
 }
 
 // fromWire converts one IRSW1 entry. The proof still aliases the payload
@@ -110,43 +65,10 @@ func fromWire(v wire.ValidateWire) (ClientResult, error) {
 	}, nil
 }
 
-// acceptFor returns the Accept header value for the client's codec.
-func (c *Client) acceptFor() string {
-	if c.codec == wire.CodecBinary {
-		return wire.ContentTypeBinary + ", " + wire.ContentTypeJSON
-	}
-	return wire.ContentTypeJSON
-}
-
-// note records the proxy's codec advertisement.
-func (c *Client) note(r *http.Response) {
-	if r.Header.Get(wire.WireHeader) == wire.WireV1 {
-		c.binOK.Store(true)
-	}
-}
-
 // Validate checks one image.
 func (c *Client) Validate(id ids.PhotoID) (ClientResult, error) {
-	req, err := http.NewRequest(http.MethodGet,
-		c.base+"/v1/validate?id="+url.QueryEscape(id.String()), nil)
-	if err != nil {
-		return ClientResult{}, err
-	}
-	req.Header.Set("Accept", c.acceptFor())
-	r, err := c.http.Do(req)
-	if err != nil {
-		return ClientResult{}, err
-	}
-	c.note(r)
-	if !wire.IsBinaryContent(r.Header.Get("Content-Type")) {
-		var resp ValidateResponse
-		if err := decodeJSONResp(r, &resp); err != nil {
-			return ClientResult{}, err
-		}
-		return fromJSON(&resp)
-	}
 	var out ClientResult
-	err = withFrame(r, func(body []byte) error {
+	err := c.exchange("/v1/validate?id="+url.QueryEscape(id.String()), nil, func(body []byte) error {
 		kind, payload, err := wire.DecodeMsg(body, wire.MaxFramePayload)
 		if err != nil {
 			return err
@@ -170,130 +92,73 @@ func (c *Client) ValidateBatch(batch []ids.PhotoID) ([]ClientResult, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	sendBinary := c.codec == wire.CodecBinary && c.binOK.Load()
-	out, advertised, err := c.batchOnce(batch, sendBinary)
-	if sendBinary && !advertised {
-		var we *wire.Error
-		if errors.As(err, &we) && we.Code >= 400 && we.Code < 500 {
-			// Rolled-back proxy: it refused the binary body at parse
-			// time, so one JSON re-encode is safe.
-			c.binOK.Store(false)
-			out, _, err = c.batchOnce(batch, false)
-		}
-	}
-	return out, err
-}
-
-func (c *Client) batchOnce(batch []ids.PhotoID, sendBinary bool) (out []ClientResult, advertised bool, err error) {
-	var body []byte
-	ct := wire.ContentTypeJSON
-	if sendBinary {
-		bp := wire.GetBuf()
-		defer wire.PutBuf(bp)
-		*bp = wire.EncodeValidateBatchReq(*bp, batch)
-		body = *bp
-		ct = wire.ContentTypeBinary
-	} else {
-		req := &ValidateBatchRequest{IDs: make([]string, len(batch))}
-		for i, id := range batch {
-			req.IDs[i] = id.String()
-		}
-		body, err = json.Marshal(req)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	hr, err := http.NewRequest(http.MethodPost, c.base+"/v1/validate/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, false, err
-	}
-	hr.Header.Set("Content-Type", ct)
-	hr.Header.Set("Accept", c.acceptFor())
-	r, err := c.http.Do(hr)
-	if err != nil {
-		return nil, false, err
-	}
-	advertised = r.Header.Get(wire.WireHeader) == wire.WireV1
-	c.note(r)
-	if !wire.IsBinaryContent(r.Header.Get("Content-Type")) {
-		var resp ValidateBatchResponse
-		if err := decodeJSONResp(r, &resp); err != nil {
-			return nil, advertised, err
-		}
-		if len(resp.Results) != len(batch) {
-			return nil, advertised, fmt.Errorf("proxy: %d results for %d ids", len(resp.Results), len(batch))
-		}
-		out = make([]ClientResult, len(batch))
-		for i := range resp.Results {
-			out[i], err = fromJSON(&resp.Results[i])
+	out := make([]ClientResult, len(batch))
+	err := c.exchange("/v1/validate/batch",
+		func(dst []byte) []byte { return wire.EncodeValidateBatchReq(dst, batch) },
+		func(fb []byte) error {
+			kind, payload, err := wire.DecodeMsg(fb, wire.MaxFramePayload)
 			if err != nil {
-				return nil, advertised, err
+				return err
 			}
-		}
-		return out, advertised, nil
-	}
-	out = make([]ClientResult, len(batch))
-	err = withFrame(r, func(fb []byte) error {
-		kind, payload, err := wire.DecodeMsg(fb, wire.MaxFramePayload)
-		if err != nil {
-			return err
-		}
-		if kind != wire.MsgValidateBatchResp {
-			return wire.ErrFrameCorrupt
-		}
-		// One copy of the payload, out of the pooled body, for every
-		// result's proof to alias.
-		n, err := wire.DecodeValidateBatchResp(bytes.Clone(payload), func(i int, v wire.ValidateWire) error {
-			if i >= len(batch) {
-				return fmt.Errorf("proxy: more results than the %d requested", len(batch))
+			if kind != wire.MsgValidateBatchResp {
+				return wire.ErrFrameCorrupt
 			}
-			cr, cerr := fromWire(v)
-			if cerr != nil {
-				return cerr
+			// One copy of the payload, out of the pooled body, for every
+			// result's proof to alias.
+			n, err := wire.DecodeValidateBatchResp(bytes.Clone(payload), func(i int, v wire.ValidateWire) error {
+				if i >= len(batch) {
+					return fmt.Errorf("proxy: more results than the %d requested", len(batch))
+				}
+				cr, cerr := fromWire(v)
+				if cerr != nil {
+					return cerr
+				}
+				out[i] = cr
+				return nil
+			})
+			if err != nil {
+				return err
 			}
-			out[i] = cr
+			if n != len(batch) {
+				return fmt.Errorf("proxy: %d results for %d ids", n, len(batch))
+			}
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-		if n != len(batch) {
-			return fmt.Errorf("proxy: %d results for %d ids", n, len(batch))
-		}
-		return nil
-	})
 	if err != nil {
-		return nil, advertised, err
+		return nil, err
 	}
-	return out, advertised, nil
+	return out, nil
 }
 
-// decodeJSONResp decodes a JSON response (success or protocol error),
-// draining the body for connection reuse.
-func decodeJSONResp(r *http.Response, v any) error {
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, 1<<20))
-		r.Body.Close()
-	}()
-	lim := io.LimitReader(r.Body, 1<<20)
-	if r.StatusCode/100 != 2 {
-		var e wire.Error
-		if err := json.NewDecoder(lim).Decode(&e); err == nil && e.Code != 0 {
-			return &e
-		}
-		return &wire.Error{Code: r.StatusCode, Message: r.Status}
+// exchange runs one request in IRSW1: a POST of the frame encode
+// appends, or a GET when encode is nil. A 2xx answer must be IRSW1; fn
+// receives its body in a pooled buffer, valid only during the call. The
+// body is read to its end, which leaves the connection reusable; one
+// that fails or runs past the frame bound is dropped with its
+// connection.
+func (c *Client) exchange(path string, encode func(dst []byte) []byte, fn func(body []byte) error) error {
+	method, body := http.MethodGet, io.Reader(nil)
+	if encode != nil {
+		bp := wire.GetBuf()
+		defer wire.PutBuf(bp)
+		*bp = encode(*bp)
+		method, body = http.MethodPost, bytes.NewReader(*bp)
 	}
-	if !strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentTypeJSON) {
-		return fmt.Errorf("proxy: unexpected content type %q", r.Header.Get("Content-Type"))
+	hr, err := http.NewRequest(method, c.base+path, body)
+	if err != nil {
+		return err
 	}
-	return json.NewDecoder(lim).Decode(v)
-}
-
-// withFrame reads a binary response body into a pooled buffer and hands
-// it to fn (the bytes are valid only during the call). The body is read
-// to its end, which leaves the connection reusable; one that fails or
-// runs past the frame bound is dropped with its connection.
-func withFrame(r *http.Response, fn func(body []byte) error) error {
+	if encode != nil {
+		hr.Header.Set("Content-Type", wire.ContentTypeBinary)
+	}
+	hr.Header.Set("Accept", wire.ContentTypeBinary)
+	r, err := c.http.Do(hr)
+	if err != nil {
+		return err
+	}
+	if r.StatusCode/100 != 2 || !wire.IsBinaryContent(r.Header.Get("Content-Type")) {
+		return errorResp(r)
+	}
 	defer r.Body.Close()
 	bp, err := wire.ReadBody(r.Body, wire.MaxFramePayload)
 	if err != nil {
@@ -301,4 +166,23 @@ func withFrame(r *http.Response, fn func(body []byte) error) error {
 	}
 	defer wire.PutBuf(bp)
 	return fn(*bp)
+}
+
+// errorResp turns a response that is not an IRSW1 answer into an
+// error: the protocol error for an error status, a protocol violation
+// for a 2xx in any other encoding. The body is drained for connection
+// reuse.
+func errorResp(r *http.Response) error {
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, 1<<20))
+		r.Body.Close()
+	}()
+	if r.StatusCode/100 == 2 {
+		return fmt.Errorf("proxy: answered %q, not IRSW1", r.Header.Get("Content-Type"))
+	}
+	var e wire.Error
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&e); err == nil && e.Code != 0 {
+		return &e
+	}
+	return &wire.Error{Code: r.StatusCode, Message: r.Status}
 }

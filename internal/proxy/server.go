@@ -11,8 +11,8 @@ import (
 
 // Server exposes a Validator over HTTP — the service a browser
 // extension points at. Like the ledger's wire.Server it speaks both
-// codecs on the hot routes: JSON always, IRSW1 when the request asks
-// for it, advertised on every response via X-IRS-Wire.
+// codecs on the hot routes, chosen per request: JSON always, IRSW1
+// when the request's Content-Type or Accept names it.
 //
 //	GET  /v1/validate?id=I  → ValidateResponse
 //	POST /v1/validate/batch → ValidateBatchResponse (page-load fan-in)
@@ -98,12 +98,8 @@ func (s *Server) writeBinary(w http.ResponseWriter, encode func(dst []byte) []by
 // Validator exposes the core for tests and operators.
 func (s *Server) Validator() *Validator { return s.v }
 
-// ServeHTTP implements http.Handler. Every response advertises IRSW1
-// support so binary-preferring extensions upgrade after first contact.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(wire.WireHeader, wire.WireV1)
-	s.mux.ServeHTTP(w, r)
-}
+// ServeHTTP implements http.Handler.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // admit runs admission control for one request of cost n; on denial it
 // answers 429 and reports false. Admission happens before the

@@ -127,25 +127,32 @@ func TestStatusBatchClientAgainstHostileServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer legit.Close()
+	rightProof, err := legit.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wrongProof, err := legit.Status(other)
 	if err != nil {
 		t.Fatal(err)
 	}
+	garbageProof := BeginFrame(nil)
+	garbageProof = append(garbageProof, MsgStatusBatchResp, 1, 2, 0, 'h', 'i')
+	garbageProof = FinishFrame(garbageProof, 0)
 
 	responses := []struct {
 		name string
-		body string
+		body []byte
 	}{
-		{"garbage json", `{"proofs": [42`},
-		{"empty proof list", `{"proofs":[]}`},
-		{"too many proofs", `{"proofs":["aGk=","aGk="]}`},
-		{"garbage proof bytes", `{"proofs":["aGk="]}`},
-		{"proof for the wrong id", mustBatchBody(t, wrongProof.Marshal())},
+		{"garbage frame", []byte("not a frame")},
+		{"empty proof list", EncodeStatusBatchResp(nil, nil)},
+		{"too many proofs", EncodeStatusBatchResp(nil, []*ledger.StatusProof{rightProof, rightProof})},
+		{"garbage proof bytes", garbageProof},
+		{"proof for the wrong id", EncodeStatusBatchResp(nil, []*ledger.StatusProof{wrongProof})},
 	}
 	for _, tc := range responses {
-		srv := hostileServer(t, http.StatusOK, "application/json", tc.body, nil)
+		srv := hostileServer(t, http.StatusOK, ContentTypeBinary, string(tc.body), nil)
 		c := NewClient(srv.URL, "")
-		if _, err := c.StatusBatch([]ids.PhotoID{id}); err == nil {
+		if ps, err := c.StatusBatch([]ids.PhotoID{id}); err == nil || ps != nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -153,8 +160,8 @@ func TestStatusBatchClientAgainstHostileServers(t *testing.T) {
 
 // TestClientRefusesUndefinedState: a proof for the right identifier
 // whose state byte names no state (a buggy or byzantine ledger) is an
-// error on both codecs and both status RPCs, not an answer a proxy would
-// cache for its TTL and a viewer's whole page would then choke on.
+// error on both status RPCs, not an answer a proxy would cache for its
+// TTL and a viewer's whole page would then choke on.
 func TestClientRefusesUndefinedState(t *testing.T) {
 	id := hostileID(t)
 	legit, err := ledger.New(ledger.Config{ID: 1})
@@ -177,36 +184,18 @@ func TestClientRefusesUndefinedState(t *testing.T) {
 	statusFrame := func(raw []byte) string {
 		return string(FinishFrame(bytes.Replace(EncodeStatusResp(nil, p), good, raw, 1), 0))
 	}
-	statusJSON := func(raw []byte) string {
-		data, err := json.Marshal(&StatusResponse{State: "active", Proof: raw})
-		if err != nil {
-			t.Fatal(err)
+	for _, wantErr := range []bool{false, true} {
+		raw := good
+		if wantErr {
+			raw = bad
 		}
-		return string(data)
-	}
-	for _, tc := range []struct {
-		name, contentType string
-		codec             Codec
-		batch, status     func(raw []byte) string
-	}{
-		{"json", ContentTypeJSON, CodecJSON, func(raw []byte) string { return mustBatchBody(t, raw) }, statusJSON},
-		{"binary", ContentTypeBinary, CodecBinary, batchFrame, statusFrame},
-	} {
-		for _, wantErr := range []bool{false, true} {
-			raw := good
-			if wantErr {
-				raw = bad
-			}
-			c := NewClientOpts(hostileServer(t, http.StatusOK, tc.contentType, tc.batch(raw), nil).URL, "",
-				ClientOptions{Codec: tc.codec})
-			if _, err := c.StatusBatch([]ids.PhotoID{id}); (err != nil) != wantErr {
-				t.Errorf("%s StatusBatch, undefined state %v: err = %v", tc.name, wantErr, err)
-			}
-			c = NewClientOpts(hostileServer(t, http.StatusOK, tc.contentType, tc.status(raw), nil).URL, "",
-				ClientOptions{Codec: tc.codec})
-			if _, err := c.Status(id); (err != nil) != wantErr {
-				t.Errorf("%s Status, undefined state %v: err = %v", tc.name, wantErr, err)
-			}
+		c := NewClient(hostileServer(t, http.StatusOK, ContentTypeBinary, batchFrame(raw), nil).URL, "")
+		if _, err := c.StatusBatch([]ids.PhotoID{id}); (err != nil) != wantErr {
+			t.Errorf("StatusBatch, undefined state %v: err = %v", wantErr, err)
+		}
+		c = NewClient(hostileServer(t, http.StatusOK, ContentTypeBinary, statusFrame(raw), nil).URL, "")
+		if _, err := c.Status(id); (err != nil) != wantErr {
+			t.Errorf("Status, undefined state %v: err = %v", wantErr, err)
 		}
 	}
 }
@@ -272,15 +261,6 @@ func TestReadBinaryBatchSizedByFrame(t *testing.T) {
 			}
 		}
 	}
-}
-
-func mustBatchBody(t *testing.T, proofs ...[]byte) string {
-	t.Helper()
-	data, err := json.Marshal(&StatusBatchResponse{Proofs: proofs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
 }
 
 // TestLoopbackStatusBatchBound: the in-process adapter enforces the

@@ -14,11 +14,10 @@ import (
 )
 
 // IRSW1 is the binary wire codec for the hot serving-path RPCs —
-// Status, StatusBatch, Validate, ValidateBatch, and FilterSync. The
-// JSON protocol stays as the compatibility fallback; IRSW1 is
-// negotiated per request via Accept/Content-Type so mixed-version
-// deployments (binary client against a JSON-only server, and the
-// reverse) keep working with identical semantics.
+// Status, StatusBatch, Validate, ValidateBatch, and FilterSync. The Go
+// clients speak only IRSW1 on them. Servers also answer JSON on every
+// route, chosen per request by its Content-Type and Accept, for
+// browsers and curl.
 //
 // Every IRSW1 body is exactly one frame, reusing the storage engine's
 // binrec conventions (length-prefixed, CRC32-C tagged, varint counts):
@@ -42,24 +41,17 @@ import (
 // corrupt — both are transport-class failures (the bytes did not
 // survive the network), never silent zero-value responses, so the
 // retry layer treats them exactly like a dropped connection under the
-// idempotency rules.
-//
-// Requests with bodies (the batch RPCs) are only sent in IRSW1 after
-// the server has advertised support via the X-IRS-Wire response
-// header, which every IRSW1-capable server sets on every response; a
-// binary-preferring client therefore opens JSON and upgrades after
-// first contact, and a rolled-back server is handled by one
-// re-encoded JSON retry (safe: the old server rejected the body at
-// parse time, before any state change).
+// idempotency rules. Error bodies are always the JSON wire.Error.
 
-// Codec selects the hot-RPC encoding a client prefers.
+// Codec names a hot-RPC encoding. The Go clients no longer choose one;
+// irs-bench's topology simulation serializes the server shapes under
+// each.
 type Codec int
 
 const (
-	// CodecJSON is the boring compatibility protocol (the default).
+	// CodecJSON is the JSON encoding servers answer for browsers.
 	CodecJSON Codec = iota
-	// CodecBinary advertises and, once the server has been seen to
-	// speak it, uses IRSW1 on the hot RPCs.
+	// CodecBinary is IRSW1.
 	CodecBinary
 )
 
@@ -71,7 +63,7 @@ func (c Codec) String() string {
 	return "json"
 }
 
-// ParseCodec maps the -wire flag values onto a Codec.
+// ParseCodec maps irs-bench's -wire flag values onto a Codec.
 func ParseCodec(s string) (Codec, error) {
 	switch strings.TrimSpace(s) {
 	case "json":
@@ -83,18 +75,12 @@ func ParseCodec(s string) (Codec, error) {
 	}
 }
 
-// Negotiation constants.
+// Media types.
 const (
-	// ContentTypeJSON is the compatibility encoding's media type.
+	// ContentTypeJSON is the JSON encoding's media type.
 	ContentTypeJSON = "application/json"
 	// ContentTypeBinary is the IRSW1 media type.
 	ContentTypeBinary = "application/x-irs-w1"
-	// WireHeader is the response header an IRSW1-capable server sets
-	// (value WireV1) on every response; clients treat it as permission
-	// to send binary request bodies.
-	WireHeader = "X-IRS-Wire"
-	// WireV1 names this codec revision.
-	WireV1 = "IRSW1"
 )
 
 // AcceptsBinary reports whether the request's Accept header names the

@@ -3,9 +3,14 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,40 +18,56 @@ import (
 	"irs/internal/ledger"
 )
 
-// fixedClock makes proofs deterministic so the two codecs can be
-// compared byte for byte.
+// fixedClock makes proofs deterministic so the server's JSON answer
+// and the client's IRSW1 one can be compared byte for byte.
 func fixedClock() time.Time { return time.Unix(1700000000, 0).UTC() }
 
-// newCodecEnv spins up one fixed-clock ledger server and two clients
-// against it, one per codec.
-func newCodecEnv(t *testing.T) (env *testEnv, jsonC, binC *Client) {
+// rawJSON fetches url with plain net/http, the way a browser or curl
+// asks: no IRSW1 in Accept, a JSON body when body is non-nil. It
+// decodes the JSON answer into v.
+func rawJSON(t *testing.T, url string, body, v any) {
 	t.Helper()
-	env = newEnv(t, ledger.Config{Clock: fixedClock}, "")
-	jsonC = env.client
-	binC = NewClientOpts(env.server.URL, "", ClientOptions{Codec: CodecBinary})
-	return env, jsonC, binC
+	var r *http.Response
+	var err error
+	if body == nil {
+		r, err = http.Get(url)
+	} else {
+		data, merr := json.Marshal(body)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		r, err = http.Post(url, ContentTypeJSON, bytes.NewReader(data))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusOK || !strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeJSON) {
+		t.Fatalf("%s: status %d, content type %q", url, r.StatusCode, r.Header.Get("Content-Type"))
+	}
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestBinaryStatusMatchesJSON pins the tentpole's identical-results
-// contract: the same ledger answered over IRSW1 and over JSON yields
-// byte-identical verified proofs.
+// TestBinaryStatusMatchesJSON pins the server's JSON path against the
+// client: on a fixed-clock ledger, the JSON answer a browser gets and
+// the IRSW1 answer the client decodes carry byte-identical proofs.
 func TestBinaryStatusMatchesJSON(t *testing.T) {
-	env, jsonC, binC := newCodecEnv(t)
+	env := newEnv(t, ledger.Config{Clock: fixedClock}, "")
 	k := newKeypair(t)
-	r1 := k.claimVia(t, jsonC, "codec photo 1", false)
-	r2 := k.claimVia(t, jsonC, "codec photo 2", true)
+	r1 := k.claimVia(t, env.client, "codec photo 1", false)
+	r2 := k.claimVia(t, env.client, "codec photo 2", true)
 
 	for _, id := range []ids.PhotoID{r1.ID, r2.ID} {
-		jp, err := jsonC.Status(id)
-		if err != nil {
-			t.Fatalf("json status: %v", err)
-		}
-		bp, err := binC.Status(id)
+		var jr StatusResponse
+		rawJSON(t, env.server.URL+"/v1/status?id="+id.String(), nil, &jr)
+		bp, err := env.client.Status(id)
 		if err != nil {
 			t.Fatalf("binary status: %v", err)
 		}
-		if !bytes.Equal(jp.Marshal(), bp.Marshal()) {
-			t.Errorf("id %s: codecs disagree on the proof bytes", id)
+		if !bytes.Equal(jr.Proof, bp.Marshal()) || jr.State != bp.State.String() {
+			t.Errorf("id %s: JSON answer %s differs from the IRSW1 one %v", id, jr.State, bp.State)
 		}
 		if err := ledger.VerifyProof(env.ledger.SigningKey(), bp, fixedClock(), 0); err != nil {
 			t.Errorf("binary proof does not verify: %v", err)
@@ -54,173 +75,191 @@ func TestBinaryStatusMatchesJSON(t *testing.T) {
 	}
 
 	batch := []ids.PhotoID{r1.ID, r2.ID, r1.ID}
-	jps, err := jsonC.StatusBatch(batch)
+	req := &StatusBatchRequest{}
+	for _, id := range batch {
+		req.IDs = append(req.IDs, id.String())
+	}
+	var jr StatusBatchResponse
+	rawJSON(t, env.server.URL+"/v1/status/batch", req, &jr)
+	bps, err := env.client.StatusBatch(batch)
 	if err != nil {
-		t.Fatalf("json batch: %v", err)
+		t.Fatalf("binary batch: %v", err)
 	}
-	// The Status calls above already upgraded the client (the server
-	// advertises IRSW1 on every response); two rounds exercise both the
-	// first binary-body batch and the steady-state one.
-	for round := 0; round < 2; round++ {
-		bps, err := binC.StatusBatch(batch)
-		if err != nil {
-			t.Fatalf("binary batch round %d: %v", round, err)
-		}
-		for i := range batch {
-			if !bytes.Equal(jps[i].Marshal(), bps[i].Marshal()) {
-				t.Errorf("round %d proof %d: codecs disagree", round, i)
-			}
-		}
+	if len(jr.Proofs) != len(batch) {
+		t.Fatalf("JSON batch carries %d proofs for %d ids", len(jr.Proofs), len(batch))
 	}
-	if !binC.binOK.Load() {
-		t.Error("binary client never observed the server's IRSW1 advertisement")
+	for i := range batch {
+		if !bytes.Equal(jr.Proofs[i], bps[i].Marshal()) {
+			t.Errorf("proof %d: JSON and IRSW1 answers differ", i)
+		}
 	}
 }
 
 // TestBinaryFilterSyncMatchesJSON pins the filter sync payload and
-// epoch across codecs.
+// epoch of the server's octet-stream answer against the client's IRSW1
+// one.
 func TestBinaryFilterSyncMatchesJSON(t *testing.T) {
-	env, jsonC, binC := newCodecEnv(t)
+	env := newEnv(t, ledger.Config{Clock: fixedClock}, "")
 	k := newKeypair(t)
-	k.claimVia(t, jsonC, "sync photo", true)
+	k.claimVia(t, env.client, "sync photo", true)
 	if _, err := env.ledger.BuildSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 
-	jpay, jepoch, err := jsonC.FilterSync(0, nil)
+	r, err := http.Get(env.server.URL + "/v1/filter/sync?from=0")
 	if err != nil {
-		t.Fatalf("json sync: %v", err)
+		t.Fatal(err)
 	}
-	bpay, bepoch, err := binC.FilterSync(0, nil)
+	jpay, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jepoch, err := strconv.ParseUint(r.Header.Get("X-IRS-Epoch"), 10, 64)
+	if err != nil {
+		t.Fatalf("octet-stream answer without an epoch: %v", err)
+	}
+	bpay, bepoch, err := env.client.FilterSync(0, nil)
 	if err != nil {
 		t.Fatalf("binary sync: %v", err)
 	}
 	if jepoch != bepoch {
-		t.Errorf("epochs disagree: json %d binary %d", jepoch, bepoch)
+		t.Errorf("epochs disagree: octet-stream %d binary %d", jepoch, bepoch)
 	}
-	if !bytes.Equal(jpay, bpay) {
-		t.Errorf("sync payloads disagree: json %d bytes, binary %d bytes", len(jpay), len(bpay))
+	if len(jpay) == 0 || !bytes.Equal(jpay, bpay) {
+		t.Errorf("sync payloads disagree: octet-stream %d bytes, binary %d bytes", len(jpay), len(bpay))
 	}
 }
 
-// legacyServer wraps a modern Server to behave like a pre-IRSW1
-// deployment: no advertisement, no binary responses, and binary
-// request bodies are rejected at parse time with a JSON 400 — which is
-// exactly what the old code did with a non-JSON body.
-func legacyServer(t *testing.T, l *ledger.Ledger) *httptest.Server {
-	t.Helper()
-	inner := NewServer(l, "")
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if IsBinaryContent(r.Header.Get("Content-Type")) {
-			WriteError(w, http.StatusBadRequest, "invalid character looking for beginning of value")
-			return
-		}
-		r.Header.Del("Accept")
-		inner.ServeHTTP(&headerStrippingWriter{ResponseWriter: w}, r)
-	}))
-	t.Cleanup(srv.Close)
-	return srv
+// recordingServer records the Content-Type and Accept of every request
+// before the handler it wraps serves it.
+type recordingServer struct {
+	mu          sync.Mutex
+	contentType []string
+	accept      []string
 }
 
-// headerStrippingWriter deletes the IRSW1 advertisement right before
-// headers are flushed.
-type headerStrippingWriter struct {
-	http.ResponseWriter
+func (rs *recordingServer) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rs.mu.Lock()
+		rs.contentType = append(rs.contentType, r.Header.Get("Content-Type"))
+		rs.accept = append(rs.accept, r.Header.Get("Accept"))
+		rs.mu.Unlock()
+		h.ServeHTTP(w, r)
+	})
 }
 
-func (w *headerStrippingWriter) WriteHeader(code int) {
-	w.Header().Del(WireHeader)
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *headerStrippingWriter) Write(b []byte) (int, error) {
-	w.Header().Del(WireHeader)
-	return w.ResponseWriter.Write(b)
-}
-
-// TestBinaryClientAgainstLegacyServer pins the downgrade direction of
-// mixed-version compat: a binary-preferring client must get identical
-// proofs from a JSON-only server, including the rollback case where
-// the client had already upgraded to binary request bodies.
-func TestBinaryClientAgainstLegacyServer(t *testing.T) {
-	l, err := ledger.New(ledger.Config{ID: 7, Clock: fixedClock})
+// TestClientFirstRequestIsIRSW1: a fresh client's very first hot
+// request already speaks IRSW1, with no JSON opening round and no JSON
+// in Accept.
+func TestClientFirstRequestIsIRSW1(t *testing.T) {
+	l, err := ledger.New(ledger.Config{ID: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	legacy := legacyServer(t, l)
-	modern := httptest.NewServer(NewServer(l, ""))
-	t.Cleanup(modern.Close)
-
-	k := newKeypair(t)
-	r := k.claimVia(t, NewClient(legacy.URL, ""), "legacy photo", false)
-	batch := []ids.PhotoID{r.ID, r.ID}
-
-	want, err := NewClient(legacy.URL, "").StatusBatch(batch)
+	defer l.Close()
+	id, err := ids.New(7)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// Fresh binary client against the legacy server: stays on JSON.
-	binC := NewClientOpts(legacy.URL, "", ClientOptions{Codec: CodecBinary})
-	got, err := binC.StatusBatch(batch)
-	if err != nil {
-		t.Fatalf("binary client vs legacy server: %v", err)
-	}
-	for i := range batch {
-		if !bytes.Equal(want[i].Marshal(), got[i].Marshal()) {
-			t.Errorf("proof %d: legacy answer differs", i)
-		}
-	}
-	if binC.binOK.Load() {
-		t.Error("client thinks a legacy server speaks IRSW1")
-	}
-	if p, err := binC.Status(r.ID); err != nil {
-		t.Fatalf("binary client status vs legacy server: %v", err)
-	} else if !bytes.Equal(p.Marshal(), want[0].Marshal()) {
-		t.Error("status proof differs from legacy answer")
 	}
 	if _, err := l.BuildSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := binC.FilterSync(0, nil); err != nil {
-		t.Fatalf("binary client filter sync vs legacy server: %v", err)
-	}
+	rec := &recordingServer{}
+	srv := httptest.NewServer(rec.wrap(NewServer(l, "")))
+	defer srv.Close()
 
-	// Rollback: a client that upgraded against a modern server is then
-	// pointed (same negotiation state) at a legacy one — e.g. a proxy
-	// behind a flapping load balancer. The binary body is rejected at
-	// parse time, so one JSON re-encode must recover, and the client
-	// must drop back to JSON bodies.
-	rolled := NewClientOpts(modern.URL, "", ClientOptions{Codec: CodecBinary})
-	if _, err := rolled.StatusBatch(batch); err != nil {
-		t.Fatalf("warm-up against modern server: %v", err)
+	if _, err := NewClient(srv.URL, "").StatusBatch([]ids.PhotoID{id}); err != nil {
+		t.Fatal(err)
 	}
-	if !rolled.binOK.Load() {
-		t.Fatal("warm-up did not upgrade the client")
+	if _, err := NewClient(srv.URL, "").Status(id); err != nil {
+		t.Fatal(err)
 	}
-	rolled.base = legacy.URL
-	got, err = rolled.StatusBatch(batch)
-	if err != nil {
-		t.Fatalf("rolled-back batch: %v", err)
+	if _, _, err := NewClient(srv.URL, "").FilterSync(0, nil); err != nil {
+		t.Fatal(err)
 	}
-	for i := range batch {
-		if !bytes.Equal(want[i].Marshal(), got[i].Marshal()) {
-			t.Errorf("rolled-back proof %d differs", i)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.contentType[0] != ContentTypeBinary {
+		t.Errorf("first StatusBatch sent Content-Type %q", rec.contentType[0])
+	}
+	for i, accept := range rec.accept {
+		if accept != ContentTypeBinary {
+			t.Errorf("request %d sent Accept %q, want %q", i, accept, ContentTypeBinary)
 		}
-	}
-	if rolled.binOK.Load() {
-		t.Error("client did not drop binary bodies after the rollback 400")
 	}
 }
 
-// binHostile serves exactly body with the IRSW1 content type and
-// advertisement, regardless of the request.
+// TestClientRefusesNonBinaryAnswer: a 2xx answer to a hot RPC in the
+// server's other encoding is a protocol error with no results, not a
+// downgrade. The server here is a real one whose requests lose their
+// Accept header, so it answers exactly what it answers curl.
+func TestClientRefusesNonBinaryAnswer(t *testing.T) {
+	env := newEnv(t, ledger.Config{}, "")
+	k := newKeypair(t)
+	id := k.claimVia(t, env.client, "json answer", true).ID
+	if _, err := env.ledger.BuildSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	inner := NewServer(env.ledger, "")
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, "")
+
+	if p, err := c.Status(id); err == nil || p != nil {
+		t.Errorf("JSON status answer accepted: %v, %v", p, err)
+	}
+	if ps, err := c.StatusBatch([]ids.PhotoID{id}); err == nil || ps != nil {
+		t.Errorf("JSON status batch answer accepted: %v, %v", ps, err)
+	}
+	if payload, latest, err := c.FilterSync(0, nil); err == nil || payload != nil || latest != 0 {
+		t.Errorf("octet-stream filter sync answer accepted: %d bytes, epoch %d, %v", len(payload), latest, err)
+	}
+	var te *TransportError
+	if _, err := c.Status(id); errors.As(err, &te) || Retryable(err, true) {
+		t.Errorf("a well-delivered answer in the wrong encoding is retryable: %v", err)
+	}
+}
+
+// TestServerSendsNoWireAdvertisement: no response — JSON, IRSW1 or
+// error — carries an X-IRS-Wire header.
+func TestServerSendsNoWireAdvertisement(t *testing.T) {
+	env := newEnv(t, ledger.Config{}, "")
+	id := hostileID(t)
+	for name, req := range map[string]func() (*http.Response, error){
+		"json status": func() (*http.Response, error) { return http.Get(env.server.URL + "/v1/status?id=" + id.String()) },
+		"binary batch": func() (*http.Response, error) {
+			hr, err := http.NewRequest(http.MethodPost, env.server.URL+"/v1/status/batch",
+				bytes.NewReader(EncodeStatusBatchReq(nil, []ids.PhotoID{id})))
+			if err != nil {
+				return nil, err
+			}
+			hr.Header.Set("Content-Type", ContentTypeBinary)
+			hr.Header.Set("Accept", ContentTypeBinary)
+			return http.DefaultClient.Do(hr)
+		},
+		"bad request": func() (*http.Response, error) { return http.Get(env.server.URL + "/v1/status?id=bogus") },
+	} {
+		r, err := req()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if v := r.Header.Get("X-Irs-Wire"); v != "" {
+			t.Errorf("%s: response carries X-Irs-Wire: %s", name, v)
+		}
+	}
+}
+
+// binHostile serves exactly body with the IRSW1 content type,
+// regardless of the request.
 func binHostile(t *testing.T, body []byte) *Client {
 	t.Helper()
-	srv := hostileServer(t, http.StatusOK, ContentTypeBinary, string(body),
-		map[string]string{WireHeader: WireV1})
-	return NewClientOpts(srv.URL, "", ClientOptions{Codec: CodecBinary})
+	srv := hostileServer(t, http.StatusOK, ContentTypeBinary, string(body), nil)
+	return NewClient(srv.URL, "")
 }
 
 // validStatusFrame builds one well-formed MsgStatusResp frame around
@@ -396,9 +435,6 @@ func TestServerRejectsBadBinaryBatch(t *testing.T) {
 			defer r.Body.Close()
 			if r.StatusCode != http.StatusBadRequest {
 				t.Errorf("status %d, want 400", r.StatusCode)
-			}
-			if r.Header.Get(WireHeader) != WireV1 {
-				t.Errorf("error response lost the IRSW1 advertisement")
 			}
 		})
 	}

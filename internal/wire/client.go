@@ -14,7 +14,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"irs/internal/bloom"
@@ -44,12 +43,8 @@ type ClientOptions struct {
 	// result-class counters (irs_wire_client_*) in the given registry.
 	// nil disables client instrumentation at zero per-call cost.
 	Obs *obs.Registry
-	// Codec selects the hot-RPC encoding. CodecJSON (the zero value)
-	// speaks the compatibility protocol everywhere; CodecBinary
-	// advertises IRSW1 on Status/StatusBatch/FilterSync and upgrades
-	// request bodies once the server has been seen to speak it. The
-	// choice is invisible to callers: same Service surface, same
-	// results, same error classification.
+	// Codec selects nothing: Status, StatusBatch and FilterSync always
+	// speak IRSW1. The field stays only for callers that still set it.
 	Codec Codec
 }
 
@@ -85,11 +80,6 @@ type rpcInstruments struct {
 // disabled state.
 type clientObs struct {
 	rpcs map[string]*rpcInstruments
-	// codec[0] counts responses decoded as JSON, codec[1] as IRSW1;
-	// rxBytes mirrors that split for response payload bytes where the
-	// size is known (always, for binary).
-	codec   [2]*obs.Counter
-	rxBytes [2]*obs.Counter
 }
 
 func newClientObs(reg *obs.Registry) *clientObs {
@@ -103,28 +93,7 @@ func newClientObs(reg *obs.Registry) *clientObs {
 			transport: reg.Counter("irs_wire_client_requests_total", l, obs.L("class", "transport")),
 		}
 	}
-	for i, name := range [2]string{"json", "binary"} {
-		l := obs.L("codec", name)
-		co.codec[i] = reg.Counter("irs_wire_client_codec_total", l)
-		co.rxBytes[i] = reg.Counter("irs_wire_client_rx_bytes_total", l)
-	}
 	return co
-}
-
-// observeCodec records one decoded response's encoding and size; n < 0
-// means the size is unknown.
-func (co *clientObs) observeCodec(binary bool, n int) {
-	if co == nil {
-		return
-	}
-	i := 0
-	if binary {
-		i = 1
-	}
-	co.codec[i].Inc()
-	if n >= 0 {
-		co.rxBytes[i].Add(uint64(n))
-	}
 }
 
 // observe records one finished RPC. Classes: "ok" for a successful
@@ -192,11 +161,6 @@ type Client struct {
 	// obs holds the pre-interned per-RPC instruments; nil when the
 	// client was built without ClientOptions.Obs.
 	obs *clientObs
-	// codec is the preferred hot-RPC encoding; binOK records whether
-	// the server has advertised IRSW1 (pointer so WithContext copies
-	// share the negotiation state).
-	codec Codec
-	binOK *atomic.Bool
 }
 
 // NewClient creates a client for the ledger at base (e.g.
@@ -220,25 +184,7 @@ func NewClientOpts(base string, adminToken string, opts ClientOptions) *Client {
 	if opts.Obs != nil {
 		co = newClientObs(opts.Obs)
 	}
-	return &Client{
-		base: base, admin: adminToken, http: hc, timeout: timeout, obs: co,
-		codec: opts.Codec, binOK: new(atomic.Bool),
-	}
-}
-
-// Codec reports the client's preferred hot-RPC encoding.
-func (c *Client) Codec() Codec { return c.codec }
-
-// acceptValue is the Accept header a binary-preferring client sends:
-// IRSW1 first, JSON as the declared fallback.
-const acceptValue = ContentTypeBinary + ", " + ContentTypeJSON
-
-// noteWire records the server's codec advertisement; once a response
-// has carried it, request bodies may be encoded in IRSW1.
-func (c *Client) noteWire(r *http.Response) {
-	if r.Header.Get(WireHeader) == WireV1 {
-		c.binOK.Store(true)
-	}
+	return &Client{base: base, admin: adminToken, http: hc, timeout: timeout, obs: co}
 }
 
 // Base returns the base URL the client targets.
@@ -295,7 +241,6 @@ func (c *Client) postJSON(rpc, path string, req, resp any, headers map[string]st
 	if err != nil {
 		return fmt.Errorf("wire: POST %s: %w", path, transportErr(err))
 	}
-	c.obs.observeCodec(false, int(r.ContentLength))
 	return decodeResponse(r, resp)
 }
 
@@ -313,7 +258,6 @@ func (c *Client) getJSON(rpc, path string, resp any) (err error) {
 	if err != nil {
 		return fmt.Errorf("wire: GET %s: %w", path, transportErr(err))
 	}
-	c.obs.observeCodec(false, int(r.ContentLength))
 	return decodeResponse(r, resp)
 }
 
@@ -367,120 +311,67 @@ func ReadBody(r io.Reader, max int) (*[]byte, error) {
 	}
 }
 
-// getBinary issues a GET advertising IRSW1 and dispatches the response
-// to exactly one decoder by Content-Type. onBinary receives the whole
-// framed body in a pooled buffer, valid only during the call; onJSON
-// is the compatibility path and receives the open response (it must
-// fully consume the body, e.g. via decodeResponse).
-func (c *Client) getBinary(rpc, path string, maxResp int, onBinary func(body []byte) error, onJSON func(r *http.Response) error) (err error) {
+// exchange runs one hot RPC in IRSW1: a POST of the frame encode
+// appends, or a GET when encode is nil. A 2xx answer must be IRSW1, and
+// onBinary receives its whole framed body in a pooled buffer, valid
+// only during the call; a 2xx in any other encoding is a protocol
+// error. Error statuses carry the JSON wire.Error.
+func (c *Client) exchange(rpc, path string, encode func(dst []byte) []byte, maxResp int, onBinary func(body []byte) error) (err error) {
 	if c.obs != nil {
 		start := time.Now()
 		defer func() { c.obs.observe(rpc, start, err) }()
 	}
-	hr, cancel, err := c.newRequest(http.MethodGet, path, nil)
+	method, body := http.MethodGet, io.Reader(nil)
+	if encode != nil {
+		bp := GetBuf()
+		defer PutBuf(bp)
+		*bp = encode(*bp)
+		method, body = http.MethodPost, bytes.NewReader(*bp)
+	}
+	hr, cancel, err := c.newRequest(method, path, body)
 	if err != nil {
 		return err
 	}
 	defer cancel()
-	hr.Header.Set("Accept", acceptValue)
+	if encode != nil {
+		hr.Header.Set("Content-Type", ContentTypeBinary)
+	}
+	hr.Header.Set("Accept", ContentTypeBinary)
 	r, err := c.http.Do(hr)
 	if err != nil {
-		return fmt.Errorf("wire: GET %s: %w", path, transportErr(err))
+		return fmt.Errorf("wire: %s %s: %w", method, path, transportErr(err))
 	}
-	c.noteWire(r)
 	if r.StatusCode/100 != 2 {
 		return decodeResponse(r, nil)
 	}
-	if !IsBinaryContent(r.Header.Get("Content-Type")) {
-		c.obs.observeCodec(false, int(r.ContentLength))
-		return onJSON(r)
+	if ct := r.Header.Get("Content-Type"); !IsBinaryContent(ct) {
+		drainClose(r.Body, maxBody)
+		return fmt.Errorf("wire: %s %s: answered %q, not IRSW1", method, path, ct)
 	}
 	defer drainClose(r.Body, int64(maxResp))
 	bp, rerr := ReadBody(r.Body, maxResp)
 	if rerr != nil {
-		return fmt.Errorf("wire: GET %s: %w", path, transportErr(rerr))
+		return fmt.Errorf("wire: %s %s: %w", method, path, transportErr(rerr))
 	}
 	defer PutBuf(bp)
-	c.obs.observeCodec(true, len(*bp))
 	if derr := onBinary(*bp); derr != nil {
-		return fmt.Errorf("wire: GET %s: %w", path, derr)
+		return fmt.Errorf("wire: %s %s: %w", method, path, derr)
 	}
 	return nil
 }
 
-// postNegotiated runs one body-bearing hot RPC under codec
-// negotiation. jsonReq builds the fallback request value (called only
-// when a JSON body is actually sent); encodeBinary appends the IRSW1
-// request frame. The request body is binary only once the server has
-// advertised IRSW1; if a rolled-back server then rejects a binary body
-// with a 4xx and no advertisement, the call is retried once re-encoded
-// as JSON — safe regardless of idempotency, because the old server
-// refused the body at parse time, before any state change.
-func (c *Client) postNegotiated(rpc, path string, jsonReq func() any, encodeBinary func(dst []byte) []byte, onBinary func(body []byte) error, onJSON func(r *http.Response) error) error {
-	sendBinary := c.binOK.Load()
-	advertised, err := c.postOnce(rpc, path, jsonReq, encodeBinary, sendBinary, onBinary, onJSON)
-	if sendBinary && !advertised {
-		var we *Error
-		if errors.As(err, &we) && we.Code >= 400 && we.Code < 500 {
-			c.binOK.Store(false)
-			_, err = c.postOnce(rpc, path, jsonReq, encodeBinary, false, onBinary, onJSON)
-		}
-	}
-	return err
-}
-
-// postOnce performs one negotiated POST exchange, reporting whether
-// the response advertised IRSW1 alongside the call's outcome.
-func (c *Client) postOnce(rpc, path string, jsonReq func() any, encodeBinary func(dst []byte) []byte, sendBinary bool, onBinary func(body []byte) error, onJSON func(r *http.Response) error) (advertised bool, err error) {
-	if c.obs != nil {
-		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
-	}
-	var body []byte
-	ct := ContentTypeJSON
-	if sendBinary {
-		bp := GetBuf()
-		defer PutBuf(bp)
-		*bp = encodeBinary(*bp)
-		body = *bp
-		ct = ContentTypeBinary
-	} else {
-		body, err = json.Marshal(jsonReq())
-		if err != nil {
-			return false, fmt.Errorf("wire: encoding request: %w", err)
-		}
-	}
-	hr, cancel, err := c.newRequest(http.MethodPost, path, bytes.NewReader(body))
+// decodeKind decodes an IRSW1 body that must hold a message of kind
+// want, returning its payload (aliasing body). Frame failures are
+// classified by frameErr.
+func decodeKind(body []byte, maxPayload int, want byte) ([]byte, error) {
+	kind, payload, err := DecodeMsg(body, maxPayload)
 	if err != nil {
-		return false, err
+		return nil, frameErr(err)
 	}
-	defer cancel()
-	hr.Header.Set("Content-Type", ct)
-	hr.Header.Set("Accept", acceptValue)
-	r, err := c.http.Do(hr)
-	if err != nil {
-		return false, fmt.Errorf("wire: POST %s: %w", path, transportErr(err))
+	if kind != want {
+		return nil, frameErr(ErrFrameCorrupt)
 	}
-	advertised = r.Header.Get(WireHeader) == WireV1
-	c.noteWire(r)
-	if r.StatusCode/100 != 2 {
-		return advertised, decodeResponse(r, nil)
-	}
-	if !IsBinaryContent(r.Header.Get("Content-Type")) {
-		c.obs.observeCodec(false, int(r.ContentLength))
-		return advertised, onJSON(r)
-	}
-	defer drainClose(r.Body, maxBody)
-	bp, rerr := ReadBody(r.Body, maxBody)
-	if rerr != nil {
-		return advertised, fmt.Errorf("wire: POST %s: %w", path, transportErr(rerr))
-	}
-	defer PutBuf(bp)
-	c.obs.observeCodec(true, len(*bp))
-	if derr := onBinary(*bp); derr != nil {
-		return advertised, fmt.Errorf("wire: POST %s: %w", path, derr)
-	}
-	return advertised, nil
+	return payload, nil
 }
 
 // Claim registers a photo and returns the receipt.
@@ -514,46 +405,19 @@ func (c *Client) Apply(id ids.PhotoID, op ledger.Op, seq uint64, sig []byte) err
 
 // Status validates a claim, returning the parsed signed proof.
 func (c *Client) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
-	path := "/v1/status?id=" + url.QueryEscape(id.String())
-	if c.codec != CodecBinary {
-		var resp StatusResponse
-		if err := c.getJSON("status", path, &resp); err != nil {
-			return nil, err
-		}
-		return ledger.UnmarshalProof(resp.Proof)
-	}
 	var proof *ledger.StatusProof
-	err := c.getBinary("status", path, maxBody,
+	err := c.exchange("status", "/v1/status?id="+url.QueryEscape(id.String()), nil, maxBody,
 		func(body []byte) error {
-			kind, payload, err := DecodeMsg(body, MaxFramePayload)
+			payload, err := decodeKind(body, MaxFramePayload, MsgStatusResp)
 			if err != nil {
-				return frameErr(err)
-			}
-			if kind != MsgStatusResp {
-				return frameErr(ErrFrameCorrupt)
+				return err
 			}
 			raw, err := DecodeStatusResp(payload)
 			if err != nil {
 				return frameErr(err)
 			}
-			p, perr := ledger.UnmarshalProof(raw)
-			if perr != nil {
-				return perr
-			}
-			proof = p
-			return nil
-		},
-		func(r *http.Response) error {
-			var resp StatusResponse
-			if err := decodeResponse(r, &resp); err != nil {
-				return err
-			}
-			p, perr := ledger.UnmarshalProof(resp.Proof)
-			if perr != nil {
-				return perr
-			}
-			proof = p
-			return nil
+			proof, err = ledger.UnmarshalProof(raw)
+			return err
 		})
 	if err != nil {
 		return nil, err
@@ -572,37 +436,11 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 	if len(batch) > MaxStatusBatch {
 		return nil, fmt.Errorf("wire: batch of %d exceeds limit %d", len(batch), MaxStatusBatch)
 	}
-	if c.codec != CodecBinary {
-		req := &StatusBatchRequest{IDs: make([]string, len(batch))}
-		for i, id := range batch {
-			req.IDs[i] = id.String()
-		}
-		var resp StatusBatchResponse
-		if err := c.postJSON("status_batch", "/v1/status/batch", req, &resp, nil); err != nil {
-			return nil, err
-		}
-		return fillProofs(batch, resp.Proofs)
-	}
 	var proofs []*ledger.StatusProof
-	err := c.postNegotiated("status_batch", "/v1/status/batch",
-		func() any {
-			req := &StatusBatchRequest{IDs: make([]string, len(batch))}
-			for i, id := range batch {
-				req.IDs[i] = id.String()
-			}
-			return req
-		},
-		func(dst []byte) []byte { return EncodeStatusBatchReq(dst, batch) },
+	err := c.exchange("status_batch", "/v1/status/batch",
+		func(dst []byte) []byte { return EncodeStatusBatchReq(dst, batch) }, maxBody,
 		func(body []byte) (err error) {
 			proofs, err = decodeStatusBatch(body, batch)
-			return err
-		},
-		func(r *http.Response) error {
-			var resp StatusBatchResponse
-			err := decodeResponse(r, &resp)
-			if err == nil {
-				proofs, err = fillProofs(batch, resp.Proofs)
-			}
 			return err
 		})
 	if err != nil {
@@ -615,12 +453,9 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 // proof per requested identifier, all in one backing array; nothing of
 // body is retained.
 func decodeStatusBatch(body []byte, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
-	kind, payload, err := DecodeMsg(body, MaxFramePayload)
+	payload, err := decodeKind(body, MaxFramePayload, MsgStatusBatchResp)
 	if err != nil {
-		return nil, frameErr(err)
-	}
-	if kind != MsgStatusBatchResp {
-		return nil, frameErr(ErrFrameCorrupt)
+		return nil, err
 	}
 	proofs := ledger.NewProofBatch(len(batch))
 	n, err := DecodeStatusBatchResp(payload, func(i int, raw []byte) error {
@@ -648,21 +483,6 @@ func checkProof(id ids.PhotoID, i int, raw []byte, p *ledger.StatusProof) error 
 		return fmt.Errorf("wire: proof %d attests %s, want %s", i, p.ID, id)
 	}
 	return nil
-}
-
-// fillProofs validates a JSON batch response's proofs against the
-// request and parses them into one backing array.
-func fillProofs(batch []ids.PhotoID, raws [][]byte) ([]*ledger.StatusProof, error) {
-	if len(raws) != len(batch) {
-		return nil, fmt.Errorf("wire: server returned %d proofs for %d ids", len(raws), len(batch))
-	}
-	proofs := ledger.NewProofBatch(len(batch))
-	for i, raw := range raws {
-		if err := checkProof(batch[i], i, raw, proofs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return proofs, nil
 }
 
 // Seq fetches the current operation sequence for owner-side signing.
@@ -743,21 +563,11 @@ func (c *Client) Filter() (epoch uint64, f *bloom.Filter, err error) {
 func (c *Client) FilterSync(from uint64, baseHash []byte) (payload []byte, latest uint64, err error) {
 	path := "/v1/filter/sync?from=" + strconv.FormatUint(from, 10) +
 		"&base=" + hex.EncodeToString(baseHash)
-	if c.codec != CodecBinary {
-		payload, latest, err = c.getRaw("filter_sync", path)
-		if err == nil && len(payload) == 0 {
-			payload = nil
-		}
-		return payload, latest, err
-	}
-	err = c.getBinary("filter_sync", path, maxFilterBytes,
+	err = c.exchange("filter_sync", path, nil, maxFilterBytes,
 		func(body []byte) error {
-			kind, p, err := DecodeMsg(body, maxFilterBytes)
+			p, err := decodeKind(body, maxFilterBytes, MsgFilterSyncResp)
 			if err != nil {
-				return frameErr(err)
-			}
-			if kind != MsgFilterSyncResp {
-				return frameErr(ErrFrameCorrupt)
+				return err
 			}
 			lat, upd, err := DecodeFilterSyncResp(p)
 			if err != nil {
@@ -768,25 +578,6 @@ func (c *Client) FilterSync(from uint64, baseHash []byte) (payload []byte, lates
 				// upd aliases the pooled decode buffer; the sync payload
 				// outlives this call.
 				payload = append([]byte(nil), upd...)
-			}
-			return nil
-		},
-		func(r *http.Response) error {
-			// Compatibility shape: raw octet-stream body, epoch in the
-			// X-IRS-Epoch header.
-			epoch, perr := strconv.ParseUint(r.Header.Get("X-IRS-Epoch"), 10, 64)
-			if perr != nil {
-				drainClose(r.Body, maxBody)
-				return fmt.Errorf("wire: missing epoch header on %s", path)
-			}
-			raw, rerr := io.ReadAll(io.LimitReader(r.Body, maxFilterBytes))
-			r.Body.Close()
-			if rerr != nil {
-				return transportErr(rerr)
-			}
-			latest = epoch
-			if len(raw) > 0 {
-				payload = raw
 			}
 			return nil
 		})

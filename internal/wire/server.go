@@ -17,9 +17,9 @@ import (
 
 // Server adapts a ledger.Ledger to the HTTP protocol. Construct with
 // NewServer and mount it anywhere an http.Handler goes. The server
-// speaks both codecs: JSON everywhere, and IRSW1 on the hot routes
-// (status, status batch, filter sync) when the request asks for it,
-// advertising the capability on every response via X-IRS-Wire.
+// speaks both codecs, chosen per request: JSON everywhere, and IRSW1
+// on the hot routes (status, status batch, filter sync) when the
+// request's Content-Type or Accept names it.
 type Server struct {
 	ledger *ledger.Ledger
 	// adminToken guards the permanent-revoke endpoint. Empty disables
@@ -111,10 +111,6 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		// Advertised on every response — including errors — so a
-		// binary-preferring client learns after first contact that it
-		// may send IRSW1 request bodies.
-		w.Header().Set(WireHeader, WireV1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		lat.Observe(time.Since(start).Seconds())

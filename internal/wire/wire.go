@@ -13,6 +13,7 @@
 //	POST /v1/claim         body ClaimRequest   → ClaimResponse
 //	POST /v1/op            body OpRequest      → empty
 //	GET  /v1/status?id=I   → StatusResponse (with marshaled signed proof)
+//	POST /v1/status/batch  body StatusBatchRequest → StatusBatchResponse
 //	GET  /v1/seq?id=I      → SeqQueryResponse (for owner-side op signing)
 //	GET  /v1/keys          → KeysResponse
 //	GET  /v1/filter        → binary bloom.Filter, X-IRS-Epoch header
@@ -22,6 +23,11 @@
 //	       X-IRS-Epoch header; H is the hex SHA-256 of the held filter
 //	POST /v1/admin/permanent-revoke  body AdminRevokeRequest → empty
 //	       (requires the configured bearer token; used by appeals)
+//
+// The hot routes (status, status batch, filter sync) also speak the
+// IRSW1 binary codec (binwire.go) when a request asks for it. Client
+// speaks only IRSW1 on them; the shapes above remain for browsers and
+// curl.
 //
 // The appeals complaint endpoint (POST /v1/appeal) is served by
 // appeals.Server and mounted alongside this one by cmd/irs-ledger.

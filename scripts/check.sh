@@ -154,7 +154,8 @@ go test -race ./internal/obs
 # With them the ledger's bulk write path (TestWritePathAllocationBudget):
 # RestoreRecords of 10,000 records within 64 allocations, a memtable
 # freeze within 4 at any size, a compaction of 4 x 5,000 within 200.
-go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations' \
+# And a bad op signature costs one Ed25519 verification, not a scan.
+go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce' \
     ./internal/ledger ./internal/wire ./internal/proxy
 
 # Fuzz the Prometheus exposition writer and the histogram: ten seconds
@@ -162,12 +163,13 @@ go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAlloc
 go test -run='^$' -fuzz=FuzzPrometheusText -fuzztime=10s ./internal/obs
 go test -run='^$' -fuzz=FuzzHistogramObserve -fuzztime=10s ./internal/obs
 
-# IRSW1 binary wire codec: the codec roundtrip/negotiation suite, the
-# mixed-version compat pins (binary client vs JSON-only server and the
-# upgrade-then-rollback path, at both the wire and proxy layers), the
-# hostile-frame TransportError classification, and the keep-alive pool
-# sizing, all named under the race detector.
-go test -race -run 'Binary|ProxyClientCodecsAgree|ProxyClientAgainstLegacyProxy|KeepAliveReuseAtHighConcurrency' \
+# IRSW1 binary wire codec: the codec roundtrip suite, the Go clients'
+# contract at both the wire and proxy layers (the first request is
+# already IRSW1, a 2xx in any other encoding is an error, no response
+# carries X-IRS-Wire), the servers' JSON answers byte-identical to the
+# clients' IRSW1 ones, the hostile-frame TransportError classification,
+# and the keep-alive pool sizing, all named under the race detector.
+go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency' \
     ./internal/wire ./internal/proxy
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
