@@ -10,7 +10,7 @@
 // Filter is the classic Bloom filter the paper sizes its argument
 // around. It supports incremental Add, OR-union across ledgers, exact
 // serialization, and delta-encoded updates (delta.go) for the hourly
-// refresh the paper proposes. (The xor and cache-line-blocked designs
+// refresh the paper proposes, served from numbered epochs (window.go). (The xor and cache-line-blocked designs
 // the paper cites as "recent advances" live beside their one caller,
 // the filter ablation in internal/expt.)
 //
@@ -32,19 +32,10 @@ import (
 	"irs/internal/parallel"
 )
 
-// splitmix64 is the standard 64-bit finalizer used to derive independent
-// hash values from a key.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Fold compresses a 128-bit identifier into the 64-bit key space used by
 // the filters.
 func Fold(hi, lo uint64) uint64 {
-	return splitmix64(hi ^ bits.RotateLeft64(lo, 32))
+	return parallel.SplitMix64(hi ^ bits.RotateLeft64(lo, 32))
 }
 
 var keySeed = maphash.MakeSeed()
@@ -132,8 +123,8 @@ func (f *Filter) AddAll(keys []uint64) {
 	}
 	parallel.ForChunks(len(keys), addAllChunk, func(_, lo, hi int) {
 		for _, key := range keys[lo:hi] {
-			h1 := splitmix64(key)
-			h2 := splitmix64(key ^ 0xdeadbeefcafef00d)
+			h1 := parallel.SplitMix64(key)
+			h2 := parallel.SplitMix64(key ^ 0xdeadbeefcafef00d)
 			for i := 0; i < f.k; i++ {
 				idx := (h1 + uint64(i)*h2) % f.m
 				atomic.OrUint64(&f.bits[idx/64], 1<<(idx%64))
@@ -144,8 +135,8 @@ func (f *Filter) AddAll(keys []uint64) {
 }
 
 func (f *Filter) addNoCount(key uint64) {
-	h1 := splitmix64(key)
-	h2 := splitmix64(key ^ 0xdeadbeefcafef00d)
+	h1 := parallel.SplitMix64(key)
+	h2 := parallel.SplitMix64(key ^ 0xdeadbeefcafef00d)
 	for i := 0; i < f.k; i++ {
 		idx := (h1 + uint64(i)*h2) % f.m
 		f.bits[idx/64] |= 1 << (idx % 64)
@@ -190,8 +181,8 @@ func (f *Filter) CountHits(keys []uint64) int {
 // Test reports whether key may be present. False positives occur at the
 // designed rate; false negatives never.
 func (f *Filter) Test(key uint64) bool {
-	h1 := splitmix64(key)
-	h2 := splitmix64(key ^ 0xdeadbeefcafef00d)
+	h1 := parallel.SplitMix64(key)
+	h2 := parallel.SplitMix64(key ^ 0xdeadbeefcafef00d)
 	for i := 0; i < f.k; i++ {
 		idx := (h1 + uint64(i)*h2) % f.m
 		if f.bits[idx/64]&(1<<(idx%64)) == 0 {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"irs/internal/parallel"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -30,10 +32,10 @@ func TestNoFalseNegatives(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 1000; i++ {
-		f.Add(splitmix64(i))
+		f.Add(parallel.SplitMix64(i))
 	}
 	for i := uint64(0); i < 1000; i++ {
-		if !f.Test(splitmix64(i)) {
+		if !f.Test(parallel.SplitMix64(i)) {
 			t.Fatalf("false negative for key %d", i)
 		}
 	}
@@ -50,12 +52,12 @@ func TestFPRNearDesign(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < n; i++ {
-		f.Add(splitmix64(i))
+		f.Add(parallel.SplitMix64(i))
 	}
 	var fp int
 	const probes = 100000
 	for i := uint64(0); i < probes; i++ {
-		if f.Test(splitmix64(1_000_000 + i)) {
+		if f.Test(parallel.SplitMix64(1_000_000 + i)) {
 			fp++
 		}
 	}
@@ -123,7 +125,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 500; i++ {
-		f.Add(splitmix64(i * 3))
+		f.Add(parallel.SplitMix64(i * 3))
 	}
 	got, err := Unmarshal(f.Marshal())
 	if err != nil {
@@ -133,7 +135,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Error("parameters changed in round trip")
 	}
 	for i := uint64(0); i < 500; i++ {
-		if !got.Test(splitmix64(i * 3)) {
+		if !got.Test(parallel.SplitMix64(i * 3)) {
 			t.Fatalf("round-tripped filter lost key %d", i)
 		}
 	}
@@ -183,7 +185,7 @@ func TestFillRatioAndEstimatedFPR(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 5000; i++ {
-		f.Add(splitmix64(i))
+		f.Add(parallel.SplitMix64(i))
 	}
 	fill := f.FillRatio()
 	if fill < 0.4 || fill > 0.6 {
@@ -296,7 +298,7 @@ func BenchmarkTest(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := uint64(0); i < 1<<20; i++ {
-		f.Add(splitmix64(i))
+		f.Add(parallel.SplitMix64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

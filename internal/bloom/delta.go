@@ -175,13 +175,19 @@ func Update(prev, next *Filter) ([]byte, error) {
 	return snap, nil
 }
 
+// IsSnapshot reports whether an Update payload is a full snapshot frame
+// rather than a delta.
+func IsSnapshot(payload []byte) bool {
+	return len(payload) >= len(filterMagic) && string(payload[:len(filterMagic)]) == filterMagic
+}
+
 // ApplyUpdate resolves an Update payload against the holder's base
 // filter, returning the new filter. Snapshot payloads ignore base (nil
 // is fine); delta payloads are applied to a clone, so base is never
 // mutated and an ErrBaseMismatch/ErrResultMismatch leaves the caller's
 // state intact for a snapshot re-pull.
 func ApplyUpdate(base *Filter, payload []byte) (*Filter, error) {
-	if len(payload) >= 6 && string(payload[:6]) == filterMagic {
+	if IsSnapshot(payload) {
 		return Unmarshal(payload)
 	}
 	if base == nil {

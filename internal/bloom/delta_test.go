@@ -3,6 +3,8 @@ package bloom
 import (
 	"testing"
 	"testing/quick"
+
+	"irs/internal/parallel"
 )
 
 // v1Frame hand-builds a well-formed frame of the removed IRSBD1 format:
@@ -20,11 +22,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 5000; i++ {
-		base.Add(splitmix64(i))
+		base.Add(parallel.SplitMix64(i))
 	}
 	next := base.Clone()
 	for i := uint64(5000); i < 5200; i++ {
-		next.Add(splitmix64(i))
+		next.Add(parallel.SplitMix64(i))
 	}
 	d, err := DeltaWithBase(base, next)
 	if err != nil {
@@ -71,11 +73,11 @@ func TestDeltaMuchSmallerThanFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 100000; i++ {
-		base.Add(splitmix64(i))
+		base.Add(parallel.SplitMix64(i))
 	}
 	next := base.Clone()
 	for i := uint64(100000); i < 100500; i++ { // 0.5% churn
-		next.Add(splitmix64(i))
+		next.Add(parallel.SplitMix64(i))
 	}
 	d, err := DeltaWithBase(base, next)
 	if err != nil {
@@ -140,11 +142,11 @@ func TestDeltaV2RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 5000; i++ {
-		base.Add(splitmix64(i))
+		base.Add(parallel.SplitMix64(i))
 	}
 	next := base.Clone()
 	for i := uint64(5000); i < 5200; i++ {
-		next.Add(splitmix64(i))
+		next.Add(parallel.SplitMix64(i))
 	}
 	d, err := DeltaWithBase(base, next)
 	if err != nil {
@@ -228,13 +230,13 @@ func TestUpdateCrossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 50000; i++ {
-		base.Add(splitmix64(i))
+		base.Add(parallel.SplitMix64(i))
 	}
 
 	// Low churn: delta wins.
 	low := base.Clone()
 	for i := uint64(50000); i < 50100; i++ {
-		low.Add(splitmix64(i))
+		low.Add(parallel.SplitMix64(i))
 	}
 	payload, err := Update(base, low)
 	if err != nil {
@@ -262,7 +264,7 @@ func TestUpdateCrossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 50000; i++ {
-		rebuilt.Add(splitmix64(i + 1_000_000))
+		rebuilt.Add(parallel.SplitMix64(i + 1_000_000))
 	}
 	payload, err = Update(base, rebuilt)
 	if err != nil {

@@ -13,7 +13,7 @@ func TestAddAllMatchesSerialAdd(t *testing.T) {
 	const n = 20_000
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = splitmix64(uint64(i) + 0xabcdef)
+		keys[i] = parallel.SplitMix64(uint64(i) + 0xabcdef)
 	}
 	want, err := New(1<<18, 6)
 	if err != nil {
@@ -50,12 +50,12 @@ func TestTestAllAndCountHits(t *testing.T) {
 	}
 	members := make([]uint64, 10_000)
 	for i := range members {
-		members[i] = splitmix64(uint64(i))
+		members[i] = parallel.SplitMix64(uint64(i))
 	}
 	f.AddAll(members)
 	probes := make([]uint64, 15_000)
 	for i := range probes {
-		probes[i] = splitmix64(uint64(i) + 5_000) // half members, half not
+		probes[i] = parallel.SplitMix64(uint64(i) + 5_000) // half members, half not
 	}
 	got := f.TestAll(probes)
 	hits := 0

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"irs/internal/bloom"
+	"irs/internal/parallel"
 	"irs/internal/photo"
 	"irs/internal/watermark"
 )
@@ -27,15 +28,15 @@ func AblationFilters(scale Scale, seed int64) (*Report, error) {
 	n := scale.pick(20_000, 500_000)
 	probes := scale.pick(100_000, 1_000_000)
 	keys := make([]uint64, n)
-	base := mix(uint64(seed))
+	base := parallel.SplitMix64(uint64(seed))
 	for i := range keys {
-		keys[i] = mix(base + uint64(i))
+		keys[i] = parallel.SplitMix64(base + uint64(i))
 	}
 	probe := func(test func(uint64) bool) (fpr float64, nsOp float64) {
 		fp := 0
 		start := time.Now()
 		for i := 0; i < probes; i++ {
-			if test(mix(base + uint64(2_000_000_000+i))) {
+			if test(parallel.SplitMix64(base + uint64(2_000_000_000+i))) {
 				fp++
 			}
 		}

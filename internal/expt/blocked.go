@@ -3,6 +3,8 @@ package expt
 import (
 	"fmt"
 	"math"
+
+	"irs/internal/parallel"
 )
 
 // blocked is a cache-line-blocked Bloom filter: each key is confined to
@@ -50,13 +52,13 @@ func newBlockedWithEstimate(n uint64, p float64) (*blocked, error) {
 
 // Add inserts a key.
 func (b *blocked) Add(key uint64) {
-	h := mix(key)
+	h := parallel.SplitMix64(key)
 	block := (h % b.numBlocks) * blockWords
-	g := mix(h)
+	g := parallel.SplitMix64(h)
 	for i := 0; i < b.k; i++ {
 		bit := (g >> (i * 9)) & 511 // 9 bits select within 512
 		if i >= 7 {                 // ran out of entropy; re-mix
-			g = mix(g)
+			g = parallel.SplitMix64(g)
 			bit = g & 511
 		}
 		b.words[block+bit/64] |= 1 << (bit % 64)
@@ -66,13 +68,13 @@ func (b *blocked) Add(key uint64) {
 
 // Test reports whether key may be present.
 func (b *blocked) Test(key uint64) bool {
-	h := mix(key)
+	h := parallel.SplitMix64(key)
 	block := (h % b.numBlocks) * blockWords
-	g := mix(h)
+	g := parallel.SplitMix64(h)
 	for i := 0; i < b.k; i++ {
 		bit := (g >> (i * 9)) & 511
 		if i >= 7 {
-			g = mix(g)
+			g = parallel.SplitMix64(g)
 			bit = g & 511
 		}
 		if b.words[block+bit/64]&(1<<(bit%64)) == 0 {

@@ -54,14 +54,14 @@ func E1BloomSizing(scale Scale, seed int64) (*Report, error) {
 		keys := make([]uint64, n)
 		parallel.ForChunks(n, 8192, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				keys[i] = mix(base + uint64(i))
+				keys[i] = parallel.SplitMix64(base + uint64(i))
 			}
 		})
 		f.AddAll(keys)
 		probeKeys := make([]uint64, probes)
 		parallel.ForChunks(probes, 8192, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				probeKeys[i] = mix(base + uint64(1_000_000_000+i))
+				probeKeys[i] = parallel.SplitMix64(base + uint64(1_000_000_000+i))
 			}
 		})
 		fp := f.CountHits(probeKeys)
@@ -100,12 +100,4 @@ func E1BloomSizing(scale Scale, seed int64) (*Report, error) {
 	r.AddNote("measured rows are a scale model: same bits/key and k as the paper's 1 GB/1 B point, so the FPR transfers")
 	r.AddNote("the ~2%% false-hit rate implies the §4.4 load reduction of 1/0.02 = 50x (measured end-to-end in E2)")
 	return r, nil
-}
-
-// mix is splitmix64, for generating filter key streams.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

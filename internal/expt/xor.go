@@ -47,7 +47,7 @@ func reduce(h uint32, n uint32) uint32 {
 // 32-bit windows of one 64-bit hash taken at rotations 0, 21 and 42, so
 // each window carries full entropy.
 func xorHashes(key, seed uint64, blockLength uint32) (h0, h1, h2 uint32) {
-	h := mix(key ^ seed)
+	h := parallel.SplitMix64(key ^ seed)
 	r0 := uint32(h)
 	r1 := uint32(bits.RotateLeft64(h, 21))
 	r2 := uint32(bits.RotateLeft64(h, 42))
@@ -105,12 +105,12 @@ func buildXor8(keys []uint64) (*xor8, error) {
 	queue := make([]uint32, 0, capacity)
 
 	for attempt := 0; attempt < 100; attempt++ {
-		seed := mix(uint64(attempt)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D)
+		seed := parallel.SplitMix64(uint64(attempt)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D)
 		parallel.ForChunks(n, xorHashChunk, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				k := keys[i]
 				h0, h1, h2 := xorHashes(k, seed, blockLength)
-				hs[i] = keySlots{h0: h0, h1: h1, h2: h2, fp: xorFingerprint(mix(k ^ seed))}
+				hs[i] = keySlots{h0: h0, h1: h1, h2: h2, fp: xorFingerprint(parallel.SplitMix64(k ^ seed))}
 			}
 		})
 		for i := range sets {
@@ -182,7 +182,7 @@ func (x *xor8) ContainsAll(keys []uint64) []bool {
 // ~1/256, never false negatives for built keys).
 func (x *xor8) Contains(key uint64) bool {
 	h0, h1, h2 := xorHashes(key, x.seed, x.blockLength)
-	want := xorFingerprint(mix(key ^ x.seed))
+	want := xorFingerprint(parallel.SplitMix64(key ^ x.seed))
 	return x.fingerprints[h0]^x.fingerprints[h1]^x.fingerprints[h2] == want
 }
 

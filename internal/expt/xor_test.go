@@ -10,7 +10,7 @@ import (
 func xorTestKeys(n int, offset uint64) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = mix(offset + uint64(i))
+		keys[i] = parallel.SplitMix64(offset + uint64(i))
 	}
 	return keys
 }
@@ -37,7 +37,7 @@ func TestXor8FPRNearQuarterPercent(t *testing.T) {
 	var fp int
 	const probes = 200000
 	for i := uint64(0); i < probes; i++ {
-		if x.Contains(mix(10_000_000 + i)) {
+		if x.Contains(parallel.SplitMix64(10_000_000 + i)) {
 			fp++
 		}
 	}
@@ -95,7 +95,7 @@ func TestBuildXor8WorkerInvariance(t *testing.T) {
 	const n = 30_000
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = mix(uint64(i) * 2654435761)
+		keys[i] = parallel.SplitMix64(uint64(i) * 2654435761)
 	}
 	build := func(w int) *xor8 {
 		prev := parallel.SetWorkers(w)
@@ -127,10 +127,10 @@ func TestBlockedNoFalseNegatives(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 10000; i++ {
-		f.Add(mix(i))
+		f.Add(parallel.SplitMix64(i))
 	}
 	for i := uint64(0); i < 10000; i++ {
-		if !f.Test(mix(i)) {
+		if !f.Test(parallel.SplitMix64(i)) {
 			t.Fatalf("false negative at %d", i)
 		}
 	}
@@ -146,12 +146,12 @@ func TestBlockedFPRReasonable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < n; i++ {
-		f.Add(mix(i))
+		f.Add(parallel.SplitMix64(i))
 	}
 	var fp int
 	const probes = 100000
 	for i := uint64(0); i < probes; i++ {
-		if f.Test(mix(5_000_000 + i)) {
+		if f.Test(parallel.SplitMix64(5_000_000 + i)) {
 			fp++
 		}
 	}
@@ -214,7 +214,7 @@ func BenchmarkBlockedTest(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := uint64(0); i < 1<<20; i++ {
-		f.Add(mix(i))
+		f.Add(parallel.SplitMix64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

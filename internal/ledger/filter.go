@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"errors"
 	"math"
 
 	"irs/internal/bloom"
@@ -61,8 +60,8 @@ func (l *Ledger) BuildSnapshot() (seq uint64, err error) {
 		sh.mu.RUnlock()
 	}
 
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
+	l.buildMu.Lock()
+	defer l.buildMu.Unlock()
 	// Sizing with hysteresis: deltas require identical filter
 	// parameters across epochs, so the previous size is reused as long
 	// as the current revoked population still fits it at the target
@@ -76,13 +75,11 @@ func (l *Ledger) BuildSnapshot() (seq uint64, err error) {
 	}
 	needM := uint64(math.Ceil(-float64(n) * math.Log(l.cfg.FilterFPR) / (math.Ln2 * math.Ln2)))
 	var f *bloom.Filter
-	if len(l.snapOrder) > 0 {
-		prev := l.snapshots[l.snapOrder[len(l.snapOrder)-1]]
-		if prev.M() >= needM {
-			f, err = bloom.New(prev.M(), prev.K())
-			if err != nil {
-				return 0, err
-			}
+	prevSeq, prev, ok := l.filters.Latest()
+	if ok && prev.M() >= needM {
+		f, err = bloom.New(prev.M(), prev.K())
+		if err != nil {
+			return 0, err
 		}
 	}
 	if f == nil {
@@ -94,66 +91,29 @@ func (l *Ledger) BuildSnapshot() (seq uint64, err error) {
 	for _, k := range keys {
 		f.Add(k)
 	}
-	l.snapSeq++
-	l.snapshots[l.snapSeq] = f
-	l.snapHashes[l.snapSeq] = f.Hash()
-	l.snapOrder = append(l.snapOrder, l.snapSeq)
-	for len(l.snapOrder) > l.maxHistory {
-		delete(l.snapshots, l.snapOrder[0])
-		delete(l.snapHashes, l.snapOrder[0])
-		l.snapOrder = l.snapOrder[1:]
-	}
-	return l.snapSeq, nil
+	seq = prevSeq + 1
+	l.filters.Install(seq, f)
+	return seq, nil
 }
 
-// ErrNoSnapshot is returned before the first BuildSnapshot.
-var ErrNoSnapshot = errors.New("ledger: no filter snapshot built yet")
+// ErrNoSnapshot is returned before the first BuildSnapshot. It is
+// bloom.ErrNoEpoch, the error every epoch window answers with while
+// empty, so it reaches a tier's downstream unchanged.
+var ErrNoSnapshot = bloom.ErrNoEpoch
 
 // FilterSnapshot returns the latest snapshot epoch and a copy of its
 // filter.
 func (l *Ledger) FilterSnapshot() (uint64, *bloom.Filter, error) {
-	l.snapMu.RLock()
-	defer l.snapMu.RUnlock()
-	if len(l.snapOrder) == 0 {
+	seq, f, ok := l.filters.Latest()
+	if !ok {
 		return 0, nil, ErrNoSnapshot
 	}
-	seq := l.snapOrder[len(l.snapOrder)-1]
-	return seq, l.snapshots[seq].Clone(), nil
+	return seq, f.Clone(), nil
 }
 
-// FilterSync is the sync protocol's server side: the caller
-// states the epoch it holds and the hash of the filter it actually has,
-// and always gets back whatever brings it to the latest epoch.
-//
-//   - Caller already at the latest epoch with the matching hash: empty
-//     payload (nothing to transfer).
-//   - Known epoch whose retained snapshot hashes to baseHash: the
-//     cheaper of a base-validated delta and a full snapshot
-//     (bloom.Update's size gate).
-//   - Anything else — epoch expired from history, epoch ahead of us (a
-//     restarted origin renumbering epochs), or a hash that doesn't
-//     match what we published under that epoch (the caller's copy is
-//     not what it thinks it is): a full snapshot. Mismatch is a normal
-//     sync outcome here, never an error.
-//
-// The only error is ErrNoSnapshot before the first build.
+// FilterSync is the sync protocol's serving half over the published
+// epochs: bloom.Window.Sync, whose only error is ErrNoSnapshot before
+// the first build.
 func (l *Ledger) FilterSync(from uint64, baseHash []byte) (payload []byte, latest uint64, err error) {
-	l.snapMu.RLock()
-	defer l.snapMu.RUnlock()
-	if len(l.snapOrder) == 0 {
-		return nil, 0, ErrNoSnapshot
-	}
-	latest = l.snapOrder[len(l.snapOrder)-1]
-	base := l.snapshots[from]
-	if base != nil {
-		want := l.snapHashes[from]
-		if len(baseHash) != 32 || string(baseHash) != string(want[:]) {
-			base = nil // right epoch number, wrong contents — resync fully
-		}
-	}
-	if base != nil && from == latest {
-		return nil, latest, nil
-	}
-	p, err := bloom.Update(base, l.snapshots[latest])
-	return p, latest, err
+	return l.filters.Sync(from, baseHash)
 }

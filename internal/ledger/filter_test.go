@@ -1,6 +1,8 @@
 package ledger
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"irs/internal/bloom"
@@ -267,6 +269,73 @@ func TestFilterSync(t *testing.T) {
 		if _, err := bloom.ApplyUpdate(nil, payload); err != nil {
 			t.Fatalf("epoch %d sync should carry a standalone snapshot: %v", from, err)
 		}
+	}
+}
+
+// TestBuildSnapshotConcurrentEpochsIncrease: concurrent builds each
+// publish their own epoch, the epochs are exactly 1..n, and a reader
+// polling beside them never sees the published epoch step back.
+func TestBuildSnapshotConcurrentEpochsIncrease(t *testing.T) {
+	const builders, rounds = 4, 25
+	l := newLedger(t)
+	if err := l.RestoreRecords(makeRecords(t, l.ID(), 50, 9)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, latest, err := l.FilterSync(0, nil)
+			if errors.Is(err, ErrNoSnapshot) {
+				continue
+			}
+			if err != nil || latest < last {
+				t.Errorf("reader saw epoch %d after %d (err %v)", latest, last, err)
+				return
+			}
+			last = latest
+		}
+	}()
+	got := make([][]uint64, builders)
+	var wg sync.WaitGroup
+	for b := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				seq, err := l.BuildSnapshot()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[b] = append(got[b], seq)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	seen := make(map[uint64]bool)
+	for b, seqs := range got {
+		for i, seq := range seqs {
+			if i > 0 && seq <= seqs[i-1] {
+				t.Errorf("builder %d: epoch %d after %d", b, seq, seqs[i-1])
+			}
+			if seen[seq] {
+				t.Errorf("epoch %d published twice", seq)
+			}
+			seen[seq] = true
+		}
+	}
+	if latest, _, _ := l.FilterSnapshot(); len(seen) != builders*rounds || latest != builders*rounds {
+		t.Errorf("%d distinct epochs, latest %d; want %d of each", len(seen), latest, builders*rounds)
 	}
 }
 

@@ -195,14 +195,10 @@ type Ledger struct {
 	// its ops in the log).
 	store *segEngine
 
-	// Filter snapshot state, guarded by snapMu (independent of the
-	// record shards).
-	snapMu     sync.RWMutex
-	snapSeq    uint64
-	snapshots  map[uint64]*bloom.Filter
-	snapHashes map[uint64][32]byte
-	snapOrder  []uint64
-	maxHistory int
+	// filters holds the published snapshot epochs; buildMu serializes
+	// BuildSnapshot so epochs strictly increase.
+	buildMu sync.Mutex
+	filters *bloom.Window
 
 	obsReg  *obs.Registry
 	metrics metrics
@@ -251,18 +247,16 @@ func New(cfg Config) (*Ledger, error) {
 		reg = obs.NewRegistry()
 	}
 	l := &Ledger{
-		cfg:        cfg,
-		clock:      clock,
-		obsReg:     reg,
-		metrics:    newMetrics(reg, cfg.ID),
-		shards:     newShards(cfg.Shards),
-		shardMask:  uint64(cfg.Shards - 1),
-		tsa:        authority,
-		signPub:    pub,
-		signKey:    priv,
-		snapshots:  make(map[uint64]*bloom.Filter),
-		snapHashes: make(map[uint64][32]byte),
-		maxHistory: hist,
+		cfg:       cfg,
+		clock:     clock,
+		obsReg:    reg,
+		metrics:   newMetrics(reg, cfg.ID),
+		shards:    newShards(cfg.Shards),
+		shardMask: uint64(cfg.Shards - 1),
+		tsa:       authority,
+		signPub:   pub,
+		signKey:   priv,
+		filters:   bloom.NewWindow(hist),
 	}
 	if cfg.Dir != "" {
 		if err := refuseLegacyDir(cfg.Dir); err != nil {

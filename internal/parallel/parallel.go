@@ -189,14 +189,22 @@ func ForChunks(n, chunkSize int, fn func(chunk, lo, hi int)) {
 	})
 }
 
-// SplitSeed derives an independent, deterministic seed for one chunk of
-// a seeded computation (splitmix64 over the pair), so parallel loops
-// can carry per-chunk rand streams whose output does not depend on the
-// worker count or schedule.
-func SplitSeed(seed int64, chunk int) int64 {
-	x := uint64(seed) ^ (uint64(chunk)+1)*0x9e3779b97f4a7c15
+// SplitMix64 is the SplitMix64 output function (Steele et al.): the
+// state advanced by the golden-ratio increment, then finalized. It is
+// the repository's one copy, behind the filter key derivation
+// (PROTOCOL.md), the band mixer's permutation stream, the experiments'
+// key streams and SplitSeed.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return int64(x ^ (x >> 31))
+	return x ^ (x >> 31)
+}
+
+// SplitSeed derives an independent, deterministic seed for one chunk of
+// a seeded computation (SplitMix64 over the pair), so parallel loops
+// can carry per-chunk rand streams whose output does not depend on the
+// worker count or schedule.
+func SplitSeed(seed int64, chunk int) int64 {
+	return int64(SplitMix64(uint64(seed) ^ (uint64(chunk)+1)*0x9e3779b97f4a7c15))
 }

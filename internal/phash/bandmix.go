@@ -34,6 +34,8 @@ package phash
 import (
 	"crypto/rand"
 	"encoding/binary"
+
+	"irs/internal/parallel"
 )
 
 // BandMixer is a keyed Hamming-distance-preserving bijection of 64-bit
@@ -46,35 +48,31 @@ type BandMixer struct {
 	tab  [8][256]uint64
 }
 
-// splitmix64 is the SplitMix64 output function — the standard seed
-// expander (Steele et al.); used here to stretch the key into the
-// permutation stream.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // NewBandMixer derives a mixer from key. The same key always yields
 // the same mixer, so persisted indexes or differential tests can pin
 // the permutation.
 func NewBandMixer(key uint64) *BandMixer {
 	m := &BandMixer{key: key}
+	// The SplitMix64 stream seeded with key stretches it into the
+	// permutation: each draw finalizes the state, then advances it.
 	st := key
-	// Fisher–Yates over the 64 bit positions, driven by the splitmix64
-	// stream. Modulo bias over j+1 ≤ 64 is ≤ 2⁻⁵⁸ — irrelevant here;
-	// any fixed permutation family works as long as it is keyed.
+	draw := func() uint64 {
+		v := parallel.SplitMix64(st)
+		st += 0x9e3779b97f4a7c15
+		return v
+	}
+	// Fisher–Yates over the 64 bit positions, driven by that stream.
+	// Modulo bias over j+1 ≤ 64 is ≤ 2⁻⁵⁸ — irrelevant here; any fixed
+	// permutation family works as long as it is keyed.
 	var perm [64]uint8
 	for i := range perm {
 		perm[i] = uint8(i)
 	}
 	for j := 63; j > 0; j-- {
-		k := int(splitmix64(&st) % uint64(j+1))
+		k := int(draw() % uint64(j+1))
 		perm[j], perm[k] = perm[k], perm[j]
 	}
-	m.mask = splitmix64(&st)
+	m.mask = draw()
 	for byteIdx := 0; byteIdx < 8; byteIdx++ {
 		for v := 0; v < 256; v++ {
 			var out uint64

@@ -277,7 +277,6 @@ type failingService struct {
 	err error
 }
 
-func (f *failingService) Filter() (uint64, *bloom.Filter, error)            { return 0, nil, f.err }
 func (f *failingService) FilterSync(uint64, []byte) ([]byte, uint64, error) { return nil, 0, f.err }
 func (f *failingService) Keys() (*wire.KeysResponse, error)                 { return nil, f.err }
 func (f *failingService) Status(ids.PhotoID) (*ledger.StatusProof, error)   { return nil, f.err }
@@ -336,7 +335,7 @@ func revokedRecords(t testing.TB, lid ids.LedgerID, n int) []ledger.Record {
 // heldFilterHash peeks at the validator's installed filter for a ledger
 // (white-box; the refresh tests assert convergence on exact bits).
 func heldFilterHash(v *Validator, lid ids.LedgerID) [32]byte {
-	return v.fset.Load().filters[lid].Hash()
+	return v.fset.Load().filters[lid].f.Hash()
 }
 
 // TestRefreshFiltersSurvivesFilterRebuild: a ledger whose revoked
@@ -458,7 +457,7 @@ func TestRefreshFiltersDetectsBaseMismatch(t *testing.T) {
 	}
 	// Every currently revoked claim must hit the refreshed filter — the
 	// "definitely not revoked" guarantee the corruption would break.
-	set := v.fset.Load().filters[ids.LedgerID(2)]
+	set := v.fset.Load().filters[ids.LedgerID(2)].f
 	for i := 10; i < 20; i++ {
 		if !set.Test(ledger.FilterKey(reps[i].ID)) {
 			t.Fatalf("revoked claim %d missing from refreshed filter", i)

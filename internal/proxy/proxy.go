@@ -26,6 +26,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -199,8 +200,13 @@ func normalizeStripes(n int) int {
 // locking; SetFilter publishes a fresh copy (filters change a few times
 // a minute at most — copy-on-write is cheap where it matters).
 type filterSet struct {
-	filters map[ids.LedgerID]*bloom.Filter
-	epochs  map[ids.LedgerID]uint64
+	filters map[ids.LedgerID]heldFilter
+}
+
+// heldFilter is one ledger's installed filter and its epoch.
+type heldFilter struct {
+	epoch uint64
+	f     *bloom.Filter
 }
 
 // Validator is the proxy core. Safe for concurrent use.
@@ -284,10 +290,7 @@ func NewValidator(cfg Config, query QueryFunc) *Validator {
 	for i := range v.sf {
 		v.sf[i].m = make(map[ids.PhotoID]*inflight)
 	}
-	v.fset.Store(&filterSet{
-		filters: make(map[ids.LedgerID]*bloom.Filter),
-		epochs:  make(map[ids.LedgerID]uint64),
-	})
+	v.fset.Store(&filterSet{filters: make(map[ids.LedgerID]heldFilter)})
 	return v
 }
 
@@ -302,36 +305,25 @@ func (v *Validator) SetBatchQuery(fn BatchQueryFunc) { v.batchQuery = fn }
 func (v *Validator) SetFilter(id ids.LedgerID, epoch uint64, f *bloom.Filter) {
 	v.setMu.Lock()
 	defer v.setMu.Unlock()
-	old := v.fset.Load()
-	next := &filterSet{
-		filters: make(map[ids.LedgerID]*bloom.Filter, len(old.filters)+1),
-		epochs:  make(map[ids.LedgerID]uint64, len(old.epochs)+1),
-	}
-	for k, val := range old.filters {
-		next.filters[k] = val
-	}
-	for k, val := range old.epochs {
-		next.epochs[k] = val
-	}
-	next.filters[id] = f
-	next.epochs[id] = epoch
-	v.fset.Store(next)
+	next := maps.Clone(v.fset.Load().filters)
+	next[id] = heldFilter{epoch: epoch, f: f}
+	v.fset.Store(&filterSet{filters: next})
 }
 
 // Epoch returns the held filter epoch for a ledger (0 if none).
 func (v *Validator) Epoch(id ids.LedgerID) uint64 {
-	return v.fset.Load().epochs[id]
+	return v.fset.Load().filters[id].epoch
 }
 
 // mightBeRevoked consults the per-ledger filters. Holding the issuing
 // ledger's filter and missing in it is the only "definitely not revoked"
 // answer; an absent filter means we cannot exclude revocation.
 func (v *Validator) mightBeRevoked(id ids.PhotoID) bool {
-	f, ok := v.fset.Load().filters[id.Ledger]
+	held, ok := v.fset.Load().filters[id.Ledger]
 	if !ok {
 		return true
 	}
-	return f.Test(ledger.FilterKey(id))
+	return held.f.Test(ledger.FilterKey(id))
 }
 
 // ErrNoQuery is returned when a ledger query is needed but no QueryFunc
@@ -718,10 +710,10 @@ func (e *RefreshError) Error() string {
 // "first error" regardless of refresh parallelism.
 func (e *RefreshError) Unwrap() error { return e.Failed[0] }
 
-// RefreshFilters pulls filter snapshots from every ledger in the
-// directory, using deltas when the proxy already holds an epoch and
-// falling back to full fetches when the delta is unavailable (expired
-// epoch or resized filter). Ledgers refresh in parallel; failures are
+// RefreshFilters runs one bloom.Pull round against every ledger in the
+// directory: a delta when the held epoch and bits allow one, a full
+// snapshot otherwise (cold start, expired epoch, resized filter,
+// restarted ledger). Ledgers refresh in parallel; failures are
 // collected into a RefreshError naming each failed ledger, with the
 // lowest-numbered ledger's error as the deterministic Unwrap target.
 //
@@ -773,37 +765,10 @@ func (v *Validator) refreshAll(dir *wire.Directory) error {
 }
 
 func (v *Validator) refreshOne(lid ids.LedgerID, client wire.Service) error {
-	set := v.fset.Load()
-	held := set.epochs[lid]
-	heldFilter := set.filters[lid]
-
-	if held > 0 && heldFilter != nil {
-		// Versioned sync: present the held epoch AND the hash of the
-		// filter we actually hold. The server decides delta vs snapshot
-		// by size, and a base mismatch — a ledger that rebuilt with
-		// different m/k mid-stream, or restarted and renumbered epochs so
-		// "epoch held" no longer names the bits we have — resolves to a
-		// snapshot instead of a corrupting delta or a failed refresh.
-		h := heldFilter.Hash()
-		payload, latest, err := client.FilterSync(held, h[:])
-		if err == nil {
-			if len(payload) == 0 {
-				return nil // server validated our base: already current
-			}
-			// ApplyUpdate works on a clone; the held filter is untouched
-			// if the payload turns out corrupt.
-			if f, aerr := bloom.ApplyUpdate(heldFilter, payload); aerr == nil {
-				v.SetFilter(lid, latest, f)
-				return nil
-			}
-		}
-		// Sync unavailable (older server) or payload rejected: fall
-		// through to the unconditional full fetch.
+	held := v.fset.Load().filters[lid]
+	next, latest, _, err := bloom.Pull(client.FilterSync, held.epoch, held.f)
+	if next != nil {
+		v.SetFilter(lid, latest, next)
 	}
-	epoch, f, err := client.Filter()
-	if err != nil {
-		return err
-	}
-	v.SetFilter(lid, epoch, f)
-	return nil
+	return err
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"irs/internal/bloom"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/wire"
@@ -20,8 +19,8 @@ import (
 // network would sit.
 type countingSync struct {
 	wire.Loopback
-	syncs, fulls atomic.Int64
-	hold         func(nth int64)
+	syncs atomic.Int64
+	hold  func(nth int64)
 }
 
 func (c *countingSync) FilterSync(held uint64, base []byte) ([]byte, uint64, error) {
@@ -31,11 +30,6 @@ func (c *countingSync) FilterSync(held uint64, base []byte) ([]byte, uint64, err
 		c.hold(n)
 	}
 	return payload, latest, err
-}
-
-func (c *countingSync) Filter() (uint64, *bloom.Filter, error) {
-	c.fulls.Add(1)
-	return c.Loopback.Filter()
 }
 
 // newSyncLedger builds an in-memory ledger at filter epoch 1 behind a
@@ -98,6 +92,7 @@ func TestRefreshEndpointSingleFlight(t *testing.T) {
 	entered.Store(0)
 	release := make(chan struct{})
 	for _, s := range stubs {
+		s.syncs.Store(0) // the first refresh's cold sync
 		s.advance(t)
 		s.hold = func(int64) { <-release }
 	}
@@ -156,6 +151,7 @@ func TestRefreshFiltersEpochNeverDecreases(t *testing.T) {
 	if err := v.RefreshFilters(dir); err != nil {
 		t.Fatal(err)
 	}
+	stub.syncs.Store(0) // the cold sync
 
 	// Slow pull: computes the epoch-2 answer, then stalls.
 	stub.advance(t)
@@ -253,7 +249,7 @@ func TestRefreshEndpointAdmission(t *testing.T) {
 	upstream := func() int64 {
 		var n int64
 		for _, s := range stubs {
-			n += s.syncs.Load() + s.fulls.Load()
+			n += s.syncs.Load()
 		}
 		return n
 	}

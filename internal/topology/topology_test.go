@@ -188,6 +188,73 @@ func TestFilterBaseMismatchFallback(t *testing.T) {
 	}
 }
 
+// TestFilterUpstreamRestartRenumbers: a regional and an edge holding
+// epochs 1–6 of one origin pull from a restarted origin that has only
+// reached epoch 3. Both must serve the new origin's bits from then on —
+// not keep their old epoch 6 as the newest — and the next pulls must be
+// current with nothing moved.
+func TestFilterUpstreamRestartRenumbers(t *testing.T) {
+	old := newOriginLedger(t, 3)
+	regional := NewFilterCache(TierRegional, 0, nil)
+	edge := NewFilterCache(TierEdge, 0, nil)
+	for i := 0; i < 6; i++ {
+		if err := old.RestoreRecords(fabRecords(t, 3, 5, func(int) bool { return true })); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := old.BuildSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := regional.Pull(old); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := edge.Pull(regional); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if epoch, _, _ := edge.Latest(); epoch != 6 {
+		t.Fatalf("edge at epoch %d before the restart, want 6", epoch)
+	}
+
+	restarted := newOriginLedger(t, 3)
+	revoked := fabRecords(t, 3, 40, func(int) bool { return true })
+	if err := restarted.RestoreRecords(revoked); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := restarted.BuildSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, want, err := restarted.FilterSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if changed, _, err := regional.Pull(restarted); err != nil || !changed {
+		t.Fatalf("regional pull across the restart: changed=%v err=%v", changed, err)
+	}
+	if changed, _, err := edge.Pull(regional); err != nil || !changed {
+		t.Fatalf("edge pull across the restart: changed=%v err=%v", changed, err)
+	}
+	for _, fc := range []*FilterCache{regional, edge} {
+		epoch, f, _ := fc.Latest()
+		if epoch != 3 || f.Hash() != want.Hash() {
+			t.Fatalf("tier serves epoch %d with the restarted origin's bits = %v, want epoch 3 and true",
+				epoch, f.Hash() == want.Hash())
+		}
+		for _, r := range revoked {
+			if !f.Test(ledger.FilterKey(r.ID)) {
+				t.Fatal("a revocation of the restarted origin is invisible to a tier")
+			}
+		}
+	}
+	if changed, n, err := regional.Pull(restarted); err != nil || changed || n != 0 {
+		t.Errorf("regional repeat pull: changed=%v bytes=%d err=%v, want current", changed, n, err)
+	}
+	if changed, n, err := edge.Pull(regional); err != nil || changed || n != 0 {
+		t.Errorf("edge repeat pull: changed=%v bytes=%d err=%v, want current", changed, n, err)
+	}
+}
+
 // TestReplicaCatchUp: log shipping end to end — claims and revocations
 // made at the origin appear in replica StatusBatch reads once a signed
 // checkpoint has gated the catch-up.

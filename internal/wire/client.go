@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"irs/internal/bloom"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/obs"
@@ -67,7 +66,7 @@ func NewTransport() *http.Transport {
 // per client at construction, never per call.
 var clientRPCs = []string{
 	"claim", "op", "status", "status_batch", "seq",
-	"keys", "filter", "filter_sync", "admin_revoke",
+	"keys", "filter_sync", "admin_revoke",
 }
 
 // rpcInstruments is one RPC's pre-interned series.
@@ -510,52 +509,6 @@ func (c *Client) Keys() (*KeysResponse, error) {
 // at proxy-held filters, so 1 GiB mirrors the paper's largest
 // browser-resident filter.
 const maxFilterBytes = 1 << 30
-
-// getRaw issues a GET whose successful body is binary (filters); error
-// bodies are still the JSON protocol error.
-func (c *Client) getRaw(rpc, path string) (raw []byte, epoch uint64, err error) {
-	if c.obs != nil {
-		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
-	}
-	hr, cancel, err := c.newRequest(http.MethodGet, path, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer cancel()
-	r, err := c.http.Do(hr)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wire: GET %s: %w", path, transportErr(err))
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		defer func() { _, _ = io.Copy(io.Discard, io.LimitReader(r.Body, maxBody)) }()
-		var e Error
-		if jerr := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(&e); jerr == nil && e.Code != 0 {
-			return nil, 0, &e
-		}
-		return nil, 0, &Error{Code: r.StatusCode, Message: r.Status}
-	}
-	epoch, err = strconv.ParseUint(r.Header.Get("X-IRS-Epoch"), 10, 64)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wire: missing epoch header on %s", path)
-	}
-	raw, err = io.ReadAll(io.LimitReader(r.Body, maxFilterBytes))
-	if err != nil {
-		return nil, 0, transportErr(err)
-	}
-	return raw, epoch, nil
-}
-
-// Filter downloads the latest revocation filter snapshot.
-func (c *Client) Filter() (epoch uint64, f *bloom.Filter, err error) {
-	raw, epoch, err := c.getRaw("filter", "/v1/filter")
-	if err != nil {
-		return 0, nil, err
-	}
-	f, err = bloom.Unmarshal(raw)
-	return epoch, f, err
-}
 
 // FilterSync runs one round of the sync protocol: the held
 // epoch and base-filter hash go up, an ApplyUpdate payload (or nothing,

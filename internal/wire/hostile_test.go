@@ -47,7 +47,7 @@ func TestClientAgainstGarbageJSON(t *testing.T) {
 	if _, err := c.Keys(); err == nil {
 		t.Error("garbage keys response accepted")
 	}
-	if _, _, err := c.Filter(); err == nil {
+	if _, _, err := c.FilterSync(0, nil); err == nil {
 		t.Error("garbage filter response accepted")
 	}
 }
@@ -72,8 +72,8 @@ func TestClientAgainstWrongShapes(t *testing.T) {
 func TestClientAgainstMissingEpochHeader(t *testing.T) {
 	srv := hostileServer(t, http.StatusOK, "application/octet-stream", "IRSBF1xxxx", nil)
 	c := NewClient(srv.URL, "")
-	if _, _, err := c.Filter(); err == nil {
-		t.Error("filter without epoch header accepted")
+	if _, _, err := c.FilterSync(0, nil); err == nil {
+		t.Error("cold sync without epoch header accepted")
 	}
 	if _, _, err := c.FilterSync(1, nil); err == nil {
 		t.Error("sync without epoch header accepted")

@@ -57,9 +57,13 @@ func TestLoopbackParity(t *testing.T) {
 	if _, err := l.BuildSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	epoch, f, err := lb.Filter()
+	snap, epoch, err := lb.FilterSync(0, nil)
 	if err != nil || epoch != 1 {
 		t.Fatalf("filter epoch %d err %v", epoch, err)
+	}
+	f, err := bloom.ApplyUpdate(nil, snap)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !f.Test(ledger.FilterKey(rec.ID)) {
 		t.Error("revoked claim missing from loopback filter")

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"irs/internal/bloom"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 )
@@ -290,16 +289,6 @@ func (r *RetryClient) Keys() (*KeysResponse, error) {
 		return e
 	})
 	return out, err
-}
-
-// Filter implements Service.
-func (r *RetryClient) Filter() (epoch uint64, f *bloom.Filter, err error) {
-	err = r.do(true, func(s Service) error {
-		var e error
-		epoch, f, e = s.Filter()
-		return e
-	})
-	return epoch, f, err
 }
 
 // FilterSync implements Service; idempotent, retried on any transport

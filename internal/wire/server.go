@@ -76,7 +76,6 @@ func NewServerOpts(l *ledger.Ledger, adminToken string, opts ServerOptions) *Ser
 	route("POST /v1/status/batch", "status_batch", s.handleStatusBatch)
 	route("GET /v1/seq", "seq", s.handleSeq)
 	route("GET /v1/keys", "keys", s.handleKeys)
-	route("GET /v1/filter", "filter", s.handleFilter)
 	route("GET /v1/filter/sync", "filter_sync", s.handleFilterSync)
 	route("POST /v1/admin/permanent-revoke", "admin_revoke", s.handleAdminRevoke)
 	if opts.Debug {
@@ -334,18 +333,6 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 		SigningKey:   s.ledger.SigningKey(),
 		TimestampKey: s.ledger.TimestampKey(),
 	})
-}
-
-func (s *Server) handleFilter(w http.ResponseWriter, r *http.Request) {
-	seq, f, err := s.ledger.FilterSnapshot()
-	if err != nil {
-		WriteError(w, statusFor(err), err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-IRS-Epoch", strconv.FormatUint(seq, 10))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(f.Marshal())
 }
 
 func (s *Server) handleFilterSync(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 
-	"irs/internal/bloom"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 )
@@ -25,7 +24,6 @@ type Service interface {
 	// that keeps one pointer past the call (a cache) pins all of them.
 	StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 	Keys() (*KeysResponse, error)
-	Filter() (epoch uint64, f *bloom.Filter, err error)
 	// FilterSync is the filter sync: the caller presents the
 	// epoch and hash of the filter it holds and receives whatever
 	// payload (base-validated delta or full snapshot, whichever is
@@ -96,11 +94,6 @@ func (lb *Loopback) Keys() (*KeysResponse, error) {
 		SigningKey:   lb.L.SigningKey(),
 		TimestampKey: lb.L.TimestampKey(),
 	}, nil
-}
-
-// Filter implements Service.
-func (lb *Loopback) Filter() (uint64, *bloom.Filter, error) {
-	return lb.L.FilterSnapshot()
 }
 
 // FilterSync implements Service.

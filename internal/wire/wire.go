@@ -16,11 +16,11 @@
 //	POST /v1/status/batch  body StatusBatchRequest → StatusBatchResponse
 //	GET  /v1/seq?id=I      → SeqQueryResponse (for owner-side op signing)
 //	GET  /v1/keys          → KeysResponse
-//	GET  /v1/filter        → binary bloom.Filter, X-IRS-Epoch header
 //	GET  /v1/filter/sync?from=E&base=H → binary update payload for
 //	       bloom.ApplyUpdate (delta or snapshot, whichever is
 //	       smaller; empty body when the caller is current),
-//	       X-IRS-Epoch header; H is the hex SHA-256 of the held filter
+//	       X-IRS-Epoch header; H is the hex SHA-256 of the held filter.
+//	       from=0 with no base is the cold fetch: always a snapshot
 //	POST /v1/admin/permanent-revoke  body AdminRevokeRequest → empty
 //	       (requires the configured bearer token; used by appeals)
 //

@@ -178,6 +178,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown fields", http.MethodPost, "/v1/op", `{"bogus":true}`, http.StatusBadRequest},
 		{"sync no from", http.MethodGet, "/v1/filter/sync", "", http.StatusBadRequest},
 		{"removed delta route", http.MethodGet, "/v1/filter/delta?from=1", "", http.StatusNotFound},
+		{"removed snapshot route", http.MethodGet, "/v1/filter", "", http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(tc.method, env.server.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
@@ -194,23 +195,29 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestFilterOverHTTP: the cold fetch is FilterSync(0, nil) — 404 before
+// the first build, then a standalone snapshot of the latest epoch.
 func TestFilterOverHTTP(t *testing.T) {
 	env := newEnv(t, ledger.Config{}, "")
 	k := newKeypair(t)
 	// No snapshot yet.
-	if _, _, err := env.client.Filter(); ErrStatus(err) != http.StatusNotFound {
+	if _, _, err := env.client.FilterSync(0, nil); ErrStatus(err) != http.StatusNotFound {
 		t.Errorf("pre-snapshot filter fetch: %v", err)
 	}
 	r := k.claimVia(t, env.client, "filtered", true) // revoked at birth
 	if _, err := env.ledger.BuildSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	epoch, f, err := env.client.Filter()
+	payload, epoch, err := env.client.FilterSync(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if epoch != 1 {
 		t.Errorf("epoch %d", epoch)
+	}
+	f, err := bloom.ApplyUpdate(nil, payload)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !f.Test(ledger.FilterKey(r.ID)) {
 		t.Error("revoked id missing from downloaded filter")

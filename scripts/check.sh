@@ -108,13 +108,16 @@ go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/ledger
 go test -run='^$' -fuzz=FuzzWALReplayBytes -fuzztime=10s ./internal/ledger
 
 # Multi-tier filter distribution and ledger replication: the topology
-# package suite (tier chaining, base-mismatch fallback, checkpoint
-# gate, anti-entropy resync) plus the named sync-protocol regressions
-# in bloom/ledger/wire/proxy — among them the proxy's single-flight
-# refresh (16 concurrent POST /v1/refresh cost one FilterSync per
-# ledger, a held epoch never steps back) — all under the race detector.
+# package suite (tier chaining, base-mismatch fallback, tiers converging
+# on a restarted origin that renumbered its epochs, checkpoint gate,
+# anti-entropy resync) plus the named sync-protocol regressions in
+# bloom/ledger/wire/proxy — the shared epoch window and pull step,
+# concurrent BuildSnapshot calls publishing strictly increasing epochs,
+# the proxy's single-flight refresh (16 concurrent POST /v1/refresh
+# cost one FilterSync per ledger, a held epoch never steps back) — all
+# under the race detector.
 go test -race ./internal/topology
-go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RefreshEndpointSingleFlight|RefreshFiltersEpochNeverDecreases|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary' \
+go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|WindowInstallDropsRenumberedEpochs|PullFallsBackToColdSync|BuildSnapshotConcurrentEpochsIncrease|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RefreshEndpointSingleFlight|RefreshFiltersEpochNeverDecreases|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary' \
     ./internal/bloom ./internal/ledger ./internal/wire ./internal/proxy
 
 # Fuzz the delta decoder (varint/gap parsing, v2 hash frames): ten
