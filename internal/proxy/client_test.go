@@ -115,7 +115,8 @@ func sameAnswer(j ValidateResponse, b ClientResult) bool {
 // TestProxyClientCodecsAgree pins the proxy's surviving JSON path
 // against the IRSW1 client: on a fixed-clock ledger, the browser's JSON
 // answer and the client's answer carry identical decisions and
-// byte-identical proofs, for the page round and for a single image.
+// byte-identical proofs, for the page round and for a single image
+// (the JSON-only GET against a one-id IRSW1 batch).
 // The proxy's upstream hop to the ledger speaks IRSW1, the only
 // encoding a wire.Client sends.
 func TestProxyClientCodecsAgree(t *testing.T) {
@@ -157,23 +158,29 @@ func testProxyClientCodecsAgree(t *testing.T) {
 		t.Errorf("revoked photo answered %+v", bres[1])
 	}
 
-	// The single-image GET agrees with the browser's JSON GET.
-	r, err := http.Get(st.proxySrv.URL + "/v1/validate?id=" + st.revoked.String())
+	// The single-image GET answers JSON even to a request asking for
+	// IRSW1, and agrees with a one-id IRSW1 batch.
+	hr, err := http.NewRequest(http.MethodGet, st.proxySrv.URL+"/v1/validate?id="+st.revoked.String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set("Accept", wire.ContentTypeBinary)
+	r, err := http.DefaultClient.Do(hr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var jone ValidateResponse
 	err = json.NewDecoder(r.Body).Decode(&jone)
 	r.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentTypeJSON) {
+		t.Fatalf("single validate: content type %q, %v", r.Header.Get("Content-Type"), err)
 	}
-	one, err := c.Validate(st.revoked)
+	one, err := c.ValidateBatch([]ids.PhotoID{st.revoked})
 	if err != nil {
-		t.Fatalf("validate: %v", err)
+		t.Fatalf("one-id batch: %v", err)
 	}
-	if !sameAnswer(jone, one) {
-		t.Errorf("single validate: JSON %+v vs IRSW1 %+v", jone, one)
+	if !sameAnswer(jone, one[0]) {
+		t.Errorf("single validate: JSON %+v vs IRSW1 %+v", jone, one[0])
 	}
 }
 
@@ -192,11 +199,11 @@ func TestProxyClientFirstRequestIsIRSW1(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	if _, err := NewClient(srv.URL).ValidateBatch([]ids.PhotoID{st.active, st.revoked}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewClient(srv.URL).Validate(st.revoked); err != nil {
-		t.Fatal(err)
+	c := NewClient(srv.URL)
+	for _, batch := range [][]ids.PhotoID{{st.active, st.revoked}, {st.revoked}} {
+		if _, err := c.ValidateBatch(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -224,9 +231,6 @@ func TestProxyClientRefusesJSONAnswer(t *testing.T) {
 
 	if res, err := c.ValidateBatch([]ids.PhotoID{st.active, st.revoked}); err == nil || res != nil {
 		t.Errorf("JSON batch answer accepted: %+v, %v", res, err)
-	}
-	if res, err := c.Validate(st.revoked); err == nil || res.Proof != nil || res.State != ledger.StateUnknown {
-		t.Errorf("JSON validate answer accepted: %+v, %v", res, err)
 	}
 	// An error status still surfaces as the proxy's protocol error.
 	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

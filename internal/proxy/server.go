@@ -5,27 +5,24 @@ import (
 
 	"irs/internal/ids"
 	"irs/internal/ledger"
-	"irs/internal/obs"
 	"irs/internal/wire"
 )
 
 // Server exposes a Validator over HTTP — the service a browser
 // extension points at. Like the ledger's wire.Server it speaks both
-// codecs on the hot routes, chosen per request: JSON always, IRSW1
-// when the request's Content-Type or Accept names it.
+// codecs on its batch route, chosen per request: JSON always, IRSW1
+// when the request's Content-Type or Accept names it. The single-image
+// route answers JSON only.
 //
 //	GET  /v1/validate?id=I  → ValidateResponse
 //	POST /v1/validate/batch → ValidateBatchResponse (page-load fan-in)
 //	POST /v1/refresh        → re-pull ledger filters (operator endpoint)
 //	GET  /v1/stats          → StatsSnapshot
 type Server struct {
-	v   *Validator
-	dir *wire.Directory
-	mux *http.ServeMux
-	// codecCtr/txBytes split hot-route responses by encoding: index 0
-	// JSON, 1 IRSW1.
-	codecCtr [2]*obs.Counter
-	txBytes  [2]*obs.Counter
+	v     *Validator
+	dir   *wire.Directory
+	mux   *http.ServeMux
+	codec wire.CodecWriter
 }
 
 // ValidateResponse is the proxy's answer to a browser.
@@ -61,38 +58,8 @@ func NewServer(cfg Config, dir *wire.Directory) *Server {
 	s.mux.HandleFunc("POST /v1/validate/batch", s.handleValidateBatch)
 	s.mux.HandleFunc("POST /v1/refresh", s.handleRefresh)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	reg := s.v.Registry()
-	for i, name := range [2]string{"json", "binary"} {
-		l := obs.L("codec", name)
-		s.codecCtr[i] = reg.Counter("irs_proxy_server_codec_total", l)
-		s.txBytes[i] = reg.Counter("irs_proxy_server_tx_bytes_total", l)
-	}
+	s.codec = wire.NewCodecWriter(s.v.Registry(), "irs_proxy_server")
 	return s
-}
-
-// observeCodec records one hot-route response's encoding; n < 0 means
-// the byte count is unknown.
-func (s *Server) observeCodec(binary bool, n int) {
-	i := 0
-	if binary {
-		i = 1
-	}
-	s.codecCtr[i].Inc()
-	if n >= 0 {
-		s.txBytes[i].Add(uint64(n))
-	}
-}
-
-// writeBinary writes one IRSW1 response frame built by encode into a
-// pooled buffer.
-func (s *Server) writeBinary(w http.ResponseWriter, encode func(dst []byte) []byte) {
-	bp := wire.GetBuf()
-	defer wire.PutBuf(bp)
-	*bp = encode(*bp)
-	w.Header().Set("Content-Type", wire.ContentTypeBinary)
-	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(*bp)
-	s.observeCodec(true, n)
 }
 
 // Validator exposes the core for tests and operators.
@@ -113,6 +80,29 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 	return false
 }
 
+// writeValidateErr answers a failed validation: the upstream ledger's
+// protocol status when it sent one, else 502.
+func writeValidateErr(w http.ResponseWriter, err error) {
+	st := wire.ErrStatus(err)
+	if st == 0 {
+		st = http.StatusBadGateway
+	}
+	wire.WriteError(w, st, err.Error())
+}
+
+// validateResponse is one answer in its JSON form.
+func validateResponse(res Result) ValidateResponse {
+	vr := ValidateResponse{
+		State:       res.State.String(),
+		Source:      res.Source.String(),
+		Displayable: res.State == ledger.StateActive,
+	}
+	if res.Proof != nil {
+		vr.Proof = res.Proof.Marshal()
+	}
+	return vr
+}
+
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, 1) {
 		return
@@ -124,34 +114,20 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.v.Validate(id)
 	if err != nil {
-		if st := wire.ErrStatus(err); st != 0 {
-			wire.WriteError(w, st, err.Error())
-			return
-		}
-		wire.WriteError(w, http.StatusBadGateway, err.Error())
+		writeValidateErr(w, err)
 		return
 	}
-	if wire.AcceptsBinary(r) {
-		s.writeBinary(w, func(dst []byte) []byte {
-			return wire.EncodeValidateResp(dst, byte(res.State), byte(res.Source),
-				res.State == ledger.StateActive, res.Proof)
-		})
-		return
-	}
-	s.observeCodec(false, -1)
-	resp := &ValidateResponse{
-		State:       res.State.String(),
-		Source:      res.Source.String(),
-		Displayable: res.State == ledger.StateActive,
-	}
-	if res.Proof != nil {
-		resp.Proof = res.Proof.Marshal()
-	}
-	wire.WriteJSON(w, http.StatusOK, resp)
+	s.codec.Write(w, r, nil, func() int {
+		vr := validateResponse(res)
+		wire.WriteJSON(w, http.StatusOK, &vr)
+		return -1
+	})
 }
 
 // ValidateBatchRequest is a page worth of identifiers; the extension
-// sends one of these per page instead of one GET per image.
+// sends one of these per page instead of one GET per image. It is
+// wire.StatusBatchRequest's shape, which wire.ReadIDBatch reads for
+// both batch routes.
 type ValidateBatchRequest struct {
 	IDs []string `json:"ids"`
 }
@@ -162,74 +138,33 @@ type ValidateBatchResponse struct {
 }
 
 func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
-	var batch []ids.PhotoID
-	if wire.IsBinaryContent(r.Header.Get("Content-Type")) {
-		var err error
-		batch, err = wire.ReadBinaryBatch(r.Body, wire.MsgValidateBatchReq)
-		if err != nil {
-			wire.WriteError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	} else {
-		var req ValidateBatchRequest
-		if err := wire.ReadJSON(r.Body, &req); err != nil {
-			wire.WriteError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if len(req.IDs) == 0 {
-			wire.WriteError(w, http.StatusBadRequest, "batch must name at least one id")
-			return
-		}
-		if len(req.IDs) > wire.MaxStatusBatch {
-			wire.WriteError(w, http.StatusBadRequest, "batch exceeds limit")
-			return
-		}
-		batch = make([]ids.PhotoID, len(req.IDs))
-		for i, raw := range req.IDs {
-			id, err := ids.Parse(raw)
-			if err != nil {
-				wire.WriteError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			batch[i] = id
-		}
+	batch, err := wire.ReadIDBatch(r, wire.MsgValidateBatchReq)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	if !s.admit(w, r, len(batch)) {
 		return
 	}
 	results, err := s.v.ValidateBatch(batch)
 	if err != nil {
-		if st := wire.ErrStatus(err); st != 0 {
-			wire.WriteError(w, st, err.Error())
-			return
-		}
-		wire.WriteError(w, http.StatusBadGateway, err.Error())
+		writeValidateErr(w, err)
 		return
 	}
-	if wire.AcceptsBinary(r) {
-		s.writeBinary(w, func(dst []byte) []byte {
-			return wire.EncodeValidateBatchResp(dst, len(results),
-				func(i int) (byte, byte, bool, *ledger.StatusProof) {
-					res := results[i]
-					return byte(res.State), byte(res.Source),
-						res.State == ledger.StateActive, res.Proof
-				})
-		})
-		return
-	}
-	s.observeCodec(false, -1)
-	resp := &ValidateBatchResponse{Results: make([]ValidateResponse, len(results))}
-	for i, res := range results {
-		resp.Results[i] = ValidateResponse{
-			State:       res.State.String(),
-			Source:      res.Source.String(),
-			Displayable: res.State == ledger.StateActive,
+	s.codec.Write(w, r, func(dst []byte) []byte {
+		return wire.EncodeValidateBatchResp(dst, len(results),
+			func(i int) (byte, byte, bool, *ledger.StatusProof) {
+				res := results[i]
+				return byte(res.State), byte(res.Source), res.State == ledger.StateActive, res.Proof
+			})
+	}, func() int {
+		resp := &ValidateBatchResponse{Results: make([]ValidateResponse, len(results))}
+		for i, res := range results {
+			resp.Results[i] = validateResponse(res)
 		}
-		if res.Proof != nil {
-			resp.Results[i].Proof = res.Proof.Marshal()
-		}
-	}
-	wire.WriteJSON(w, http.StatusOK, resp)
+		wire.WriteJSON(w, http.StatusOK, resp)
+		return -1
+	})
 }
 
 // handleRefresh costs the caller one admission token per registered

@@ -13,11 +13,11 @@ import (
 	"irs/internal/ledger"
 )
 
-// IRSW1 is the binary wire codec for the hot serving-path RPCs —
-// Status, StatusBatch, Validate, ValidateBatch, and FilterSync. The Go
-// clients speak only IRSW1 on them. Servers also answer JSON on every
-// route, chosen per request by its Content-Type and Accept, for
-// browsers and curl.
+// IRSW1 is the binary wire codec for the four hot serving-path RPCs —
+// Status, StatusBatch, ValidateBatch, and FilterSync. The Go clients
+// speak only IRSW1 on them, through Hop.Exchange. Servers also answer
+// JSON on every route, chosen per request by its Content-Type and
+// Accept, for browsers and curl.
 //
 // Every IRSW1 body is exactly one frame, reusing the storage engine's
 // binrec conventions (length-prefixed, CRC32-C tagged, varint counts):
@@ -30,7 +30,6 @@ import (
 //	status batch req:    'B' | uvarint n | n × id[16]
 //	status batch resp:   'b' | uvarint n | n × (u16 len | proof)
 //	filter sync resp:    'f' | uvarint latest epoch | update payload
-//	validate resp:       'v' | entry
 //	validate batch req:  'W' | uvarint n | n × id[16]
 //	validate batch resp: 'w' | uvarint n | n × entry
 //	entry:               state u8 | source u8 | displayable u8 |
@@ -100,7 +99,6 @@ const (
 	MsgStatusBatchReq    = byte('B')
 	MsgStatusBatchResp   = byte('b')
 	MsgFilterSyncResp    = byte('f')
-	MsgValidateResp      = byte('v')
 	MsgValidateBatchReq  = byte('W')
 	MsgValidateBatchResp = byte('w')
 )
@@ -248,21 +246,10 @@ func EncodeStatusBatchReq(dst []byte, batch []ids.PhotoID) []byte {
 	return appendIDBatch(dst, MsgStatusBatchReq, batch)
 }
 
-// DecodeStatusBatchReq walks a StatusBatch request payload (the bytes
-// after the message kind), handing each identifier to fn in order.
-func DecodeStatusBatchReq(payload []byte, fn func(i int, id ids.PhotoID) error) (int, error) {
-	return decodeIDBatch(payload, fn)
-}
-
 // EncodeValidateBatchReq encodes a ValidateBatch request frame onto
 // dst (the browser→proxy mirror of EncodeStatusBatchReq).
 func EncodeValidateBatchReq(dst []byte, batch []ids.PhotoID) []byte {
 	return appendIDBatch(dst, MsgValidateBatchReq, batch)
-}
-
-// DecodeValidateBatchReq walks a ValidateBatch request payload.
-func DecodeValidateBatchReq(payload []byte, fn func(i int, id ids.PhotoID) error) (int, error) {
-	return decodeIDBatch(payload, fn)
 }
 
 // appendProof appends a u16-length-prefixed proof encoding.
@@ -408,28 +395,6 @@ func takeValidateEntry(payload []byte) (v ValidateWire, rest []byte, err error) 
 		v.Proof = proof
 	}
 	return v, rest, nil
-}
-
-// EncodeValidateResp encodes a single validate response frame onto
-// dst. proof may be nil (filter-miss answers carry none).
-func EncodeValidateResp(dst []byte, state, source byte, displayable bool, p *ledger.StatusProof) []byte {
-	start := len(dst)
-	dst = BeginFrame(dst)
-	dst = append(dst, MsgValidateResp)
-	dst = appendValidateEntry(dst, state, source, displayable, p)
-	return FinishFrame(dst, start)
-}
-
-// DecodeValidateResp decodes a single validate response payload.
-func DecodeValidateResp(payload []byte) (ValidateWire, error) {
-	v, rest, err := takeValidateEntry(payload)
-	if err != nil {
-		return v, err
-	}
-	if len(rest) != 0 {
-		return v, ErrFrameCorrupt
-	}
-	return v, nil
 }
 
 // EncodeValidateBatchResp encodes a ValidateBatch response frame onto

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -254,83 +253,6 @@ func TestServerSendsNoWireAdvertisement(t *testing.T) {
 	}
 }
 
-// binHostile serves exactly body with the IRSW1 content type,
-// regardless of the request.
-func binHostile(t *testing.T, body []byte) *Client {
-	t.Helper()
-	srv := hostileServer(t, http.StatusOK, ContentTypeBinary, string(body), nil)
-	return NewClient(srv.URL, "")
-}
-
-// validStatusFrame builds one well-formed MsgStatusResp frame around
-// garbage proof bytes (frame-valid, proof-invalid).
-func validStatusFrame(proofLen int) []byte {
-	var b []byte
-	b = BeginFrame(b)
-	b = append(b, MsgStatusResp)
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(proofLen))
-	b = append(b, l[:]...)
-	b = append(b, make([]byte, proofLen)...)
-	return FinishFrame(b, 0)
-}
-
-// TestBinaryFrameErrorsAreTransport pins the satellite contract: a
-// truncated or CRC-flipped frame is a TransportError — retryable under
-// the idempotency rules — never a silent zero-value response.
-func TestBinaryFrameErrorsAreTransport(t *testing.T) {
-	whole := validStatusFrame(ledger.MarshaledProofSize)
-	corrupt := append([]byte(nil), whole...)
-	corrupt[len(corrupt)-1] ^= 0x01 // payload bit flip vs recorded CRC
-
-	cases := map[string][]byte{
-		"empty":       {},
-		"short":       whole[:5],
-		"truncated":   whole[:len(whole)-3],
-		"crc-flipped": corrupt,
-		"trailing":    append(append([]byte(nil), whole...), 0xFF),
-		"wrong-kind": func() []byte {
-			b := append([]byte(nil), whole...)
-			b[frameHeader] = MsgFilterSyncResp
-			return FinishFrame(b, 0)
-		}(),
-	}
-	for name, body := range cases {
-		t.Run(name, func(t *testing.T) {
-			c := binHostile(t, body)
-			p, err := c.Status(hostileID(t))
-			if err == nil {
-				t.Fatalf("hostile frame accepted, proof=%v", p)
-			}
-			if p != nil {
-				t.Errorf("non-nil proof alongside error")
-			}
-			var te *TransportError
-			if !errors.As(err, &te) {
-				t.Fatalf("want TransportError, got %T: %v", err, err)
-			}
-			if !Retryable(err, true) {
-				t.Error("frame error not retryable for idempotent RPC")
-			}
-			if Retryable(err, false) {
-				t.Error("mid-flight frame error retryable for non-idempotent RPC")
-			}
-		})
-	}
-
-	// A frame-valid body whose proof is semantically bad is a protocol
-	// error, not transport: the bytes arrived intact.
-	c := binHostile(t, validStatusFrame(ledger.MarshaledProofSize))
-	_, err := c.Status(hostileID(t))
-	if err == nil {
-		t.Fatal("garbage proof accepted")
-	}
-	var te *TransportError
-	if errors.As(err, &te) {
-		t.Errorf("semantic proof failure misclassified as transport: %v", err)
-	}
-}
-
 // TestBinaryRoundtrips unit-tests each IRSW1 message codec.
 func TestBinaryRoundtrips(t *testing.T) {
 	id1, err := ids.New(3)
@@ -349,7 +271,7 @@ func TestBinaryRoundtrips(t *testing.T) {
 		t.Fatalf("batch req decode: kind %c err %v", kind, err)
 	}
 	var got []ids.PhotoID
-	n, err := DecodeStatusBatchReq(payload, func(i int, id ids.PhotoID) error {
+	n, err := decodeIDBatch(payload, func(i int, id ids.PhotoID) error {
 		got = append(got, id)
 		return nil
 	})
@@ -410,32 +332,5 @@ func TestBinaryRoundtrips(t *testing.T) {
 	})
 	if err != nil || n != 2 {
 		t.Fatalf("validate batch roundtrip: n=%d err=%v", n, err)
-	}
-}
-
-// TestServerRejectsBadBinaryBatch pins the server side of hostile
-// input: malformed IRSW1 request bodies are a 400, mirroring the JSON
-// validation failures, and never crash the handler.
-func TestServerRejectsBadBinaryBatch(t *testing.T) {
-	env := newEnv(t, ledger.Config{}, "")
-	bodies := map[string][]byte{
-		"empty":      {},
-		"garbage":    []byte("not a frame at all"),
-		"zero-count": EncodeStatusBatchReq(nil, nil),
-		"truncated":  EncodeStatusBatchReq(nil, []ids.PhotoID{hostileID(t)})[:10],
-		"wrong-kind": EncodeStatusResp(nil, &ledger.StatusProof{}),
-	}
-	for name, body := range bodies {
-		t.Run(name, func(t *testing.T) {
-			r, err := http.Post(env.server.URL+"/v1/status/batch", ContentTypeBinary,
-				bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Body.Close()
-			if r.StatusCode != http.StatusBadRequest {
-				t.Errorf("status %d, want 400", r.StatusCode)
-			}
-		})
 	}
 }

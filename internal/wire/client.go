@@ -148,18 +148,31 @@ func transportErr(err error) error {
 	return &TransportError{PreSend: preSendFailure(err), Err: err}
 }
 
-// Client speaks the ledger protocol. It is safe for concurrent use.
-type Client struct {
+// Hop is the HTTP half of one IRSW1 hop: the base URL, the http.Client
+// that reaches it, and the per-exchange deadline. Client (hop 2, proxy →
+// ledger) and proxy.Client (hop 1, browser → proxy) each hold one, and
+// every hot RPC of either runs through Exchange.
+type Hop struct {
 	base    string
 	http    *http.Client
-	admin   string
 	timeout time.Duration
 	// ctx, when non-nil, is the base context every request derives from
-	// (WithContext); nil means context.Background().
+	// (Client.WithContext); nil means context.Background().
 	ctx context.Context
-	// obs holds the pre-interned per-RPC instruments; nil when the
-	// client was built without ClientOptions.Obs.
+	// obs holds the pre-interned per-RPC instruments; nil when the hop
+	// was built without ClientOptions.Obs.
 	obs *clientObs
+}
+
+// NewHop returns a hop to base over hc with no per-exchange deadline
+// and no instruments, so an exchange allocates no context: the shape
+// hop 1 runs in.
+func NewHop(base string, hc *http.Client) Hop { return Hop{base: base, http: hc} }
+
+// Client speaks the ledger protocol. It is safe for concurrent use.
+type Client struct {
+	hop   Hop
+	admin string
 }
 
 // NewClient creates a client for the ledger at base (e.g.
@@ -183,34 +196,34 @@ func NewClientOpts(base string, adminToken string, opts ClientOptions) *Client {
 	if opts.Obs != nil {
 		co = newClientObs(opts.Obs)
 	}
-	return &Client{base: base, admin: adminToken, http: hc, timeout: timeout, obs: co}
+	return &Client{hop: Hop{base: base, http: hc, timeout: timeout, obs: co}, admin: adminToken}
 }
 
 // Base returns the base URL the client targets.
-func (c *Client) Base() string { return c.base }
+func (c *Client) Base() string { return c.hop.base }
 
 // WithContext returns a copy of the client whose requests derive from
 // ctx — cancel the context and in-flight calls abort. The retry layer
 // uses this to enforce per-attempt deadlines.
 func (c *Client) WithContext(ctx context.Context) Service {
 	cp := *c
-	cp.ctx = ctx
+	cp.hop.ctx = ctx
 	return &cp
 }
 
-// newRequest builds a request carrying the client's context and
-// deadline. The returned cancel must be called once the response body
-// is fully consumed.
-func (c *Client) newRequest(method, path string, body io.Reader) (*http.Request, context.CancelFunc, error) {
-	ctx := c.ctx
+// newRequest builds a request carrying the hop's context and deadline.
+// The returned cancel must be called once the response body is fully
+// consumed.
+func (h *Hop) newRequest(method, path string, body io.Reader) (*http.Request, context.CancelFunc, error) {
+	ctx := h.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cancel := context.CancelFunc(func() {})
-	if c.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+	if h.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, h.timeout)
 	}
-	hr, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	hr, err := http.NewRequestWithContext(ctx, method, h.base+path, body)
 	if err != nil {
 		cancel()
 		return nil, nil, err
@@ -219,15 +232,15 @@ func (c *Client) newRequest(method, path string, body io.Reader) (*http.Request,
 }
 
 func (c *Client) postJSON(rpc, path string, req, resp any, headers map[string]string) (err error) {
-	if c.obs != nil {
+	if c.hop.obs != nil {
 		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
+		defer func() { c.hop.obs.observe(rpc, start, err) }()
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("wire: encoding request: %w", err)
 	}
-	hr, cancel, err := c.newRequest(http.MethodPost, path, bytes.NewReader(body))
+	hr, cancel, err := c.hop.newRequest(http.MethodPost, path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -236,7 +249,7 @@ func (c *Client) postJSON(rpc, path string, req, resp any, headers map[string]st
 	for k, v := range headers {
 		hr.Header.Set(k, v)
 	}
-	r, err := c.http.Do(hr)
+	r, err := c.hop.http.Do(hr)
 	if err != nil {
 		return fmt.Errorf("wire: POST %s: %w", path, transportErr(err))
 	}
@@ -244,16 +257,16 @@ func (c *Client) postJSON(rpc, path string, req, resp any, headers map[string]st
 }
 
 func (c *Client) getJSON(rpc, path string, resp any) (err error) {
-	if c.obs != nil {
+	if c.hop.obs != nil {
 		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
+		defer func() { c.hop.obs.observe(rpc, start, err) }()
 	}
-	hr, cancel, err := c.newRequest(http.MethodGet, path, nil)
+	hr, cancel, err := c.hop.newRequest(http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}
 	defer cancel()
-	r, err := c.http.Do(hr)
+	r, err := c.hop.http.Do(hr)
 	if err != nil {
 		return fmt.Errorf("wire: GET %s: %w", path, transportErr(err))
 	}
@@ -269,14 +282,6 @@ func frameErr(err error) error {
 		return &TransportError{Err: err}
 	}
 	return err
-}
-
-// drainClose empties (bounded) and closes a response body so the
-// connection stays reusable; the binary paths share decodeResponse's
-// keep-alive contract.
-func drainClose(body io.ReadCloser, limit int64) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(body, limit))
-	body.Close()
 }
 
 // ReadBody drains r into a buffer borrowed with GetBuf, which the
@@ -310,15 +315,17 @@ func ReadBody(r io.Reader, max int) (*[]byte, error) {
 	}
 }
 
-// exchange runs one hot RPC in IRSW1: a POST of the frame encode
-// appends, or a GET when encode is nil. A 2xx answer must be IRSW1, and
-// onBinary receives its whole framed body in a pooled buffer, valid
-// only during the call; a 2xx in any other encoding is a protocol
-// error. Error statuses carry the JSON wire.Error.
-func (c *Client) exchange(rpc, path string, encode func(dst []byte) []byte, maxResp int, onBinary func(body []byte) error) (err error) {
-	if c.obs != nil {
+// Exchange runs one hot RPC in IRSW1: a POST of the frame encode
+// appends, or a GET when encode is nil. A 2xx answer must be one IRSW1
+// frame of the given kind within max bytes; decode receives its payload
+// in a pooled buffer, valid only during the call. A 2xx in any other
+// encoding is a protocol error, and error statuses carry the JSON
+// wire.Error. Bytes that failed to move, or a frame (or payload) that
+// did not arrive intact, are a *TransportError.
+func (h *Hop) Exchange(rpc, path string, encode func(dst []byte) []byte, kind byte, max int, decode func(payload []byte) error) (err error) {
+	if h.obs != nil {
 		start := time.Now()
-		defer func() { c.obs.observe(rpc, start, err) }()
+		defer func() { h.obs.observe(rpc, start, err) }()
 	}
 	method, body := http.MethodGet, io.Reader(nil)
 	if encode != nil {
@@ -327,7 +334,7 @@ func (c *Client) exchange(rpc, path string, encode func(dst []byte) []byte, maxR
 		*bp = encode(*bp)
 		method, body = http.MethodPost, bytes.NewReader(*bp)
 	}
-	hr, cancel, err := c.newRequest(method, path, body)
+	hr, cancel, err := h.newRequest(method, path, body)
 	if err != nil {
 		return err
 	}
@@ -336,41 +343,35 @@ func (c *Client) exchange(rpc, path string, encode func(dst []byte) []byte, maxR
 		hr.Header.Set("Content-Type", ContentTypeBinary)
 	}
 	hr.Header.Set("Accept", ContentTypeBinary)
-	r, err := c.http.Do(hr)
+	r, err := h.http.Do(hr)
 	if err != nil {
 		return fmt.Errorf("wire: %s %s: %w", method, path, transportErr(err))
 	}
-	if r.StatusCode/100 != 2 {
-		return decodeResponse(r, nil)
-	}
-	if ct := r.Header.Get("Content-Type"); !IsBinaryContent(ct) {
-		drainClose(r.Body, maxBody)
+	if ct := r.Header.Get("Content-Type"); r.StatusCode/100 != 2 || !IsBinaryContent(ct) {
+		if err := decodeResponse(r, nil); err != nil {
+			return err
+		}
 		return fmt.Errorf("wire: %s %s: answered %q, not IRSW1", method, path, ct)
 	}
-	defer drainClose(r.Body, int64(maxResp))
-	bp, rerr := ReadBody(r.Body, maxResp)
-	if rerr != nil {
-		return fmt.Errorf("wire: %s %s: %w", method, path, transportErr(rerr))
+	// A body read to its end leaves the connection reusable as it is;
+	// one that fails or runs past max is dropped with its connection.
+	bp, err := ReadBody(r.Body, max)
+	r.Body.Close()
+	if err != nil {
+		return fmt.Errorf("wire: %s %s: %w", method, path, transportErr(err))
 	}
 	defer PutBuf(bp)
-	if derr := onBinary(*bp); derr != nil {
-		return fmt.Errorf("wire: %s %s: %w", method, path, derr)
+	got, payload, err := DecodeMsg(*bp, max)
+	if err == nil && got != kind {
+		err = ErrFrameCorrupt
+	}
+	if err == nil {
+		err = decode(payload)
+	}
+	if err != nil {
+		return fmt.Errorf("wire: %s %s: %w", method, path, frameErr(err))
 	}
 	return nil
-}
-
-// decodeKind decodes an IRSW1 body that must hold a message of kind
-// want, returning its payload (aliasing body). Frame failures are
-// classified by frameErr.
-func decodeKind(body []byte, maxPayload int, want byte) ([]byte, error) {
-	kind, payload, err := DecodeMsg(body, maxPayload)
-	if err != nil {
-		return nil, frameErr(err)
-	}
-	if kind != want {
-		return nil, frameErr(ErrFrameCorrupt)
-	}
-	return payload, nil
 }
 
 // Claim registers a photo and returns the receipt.
@@ -405,15 +406,11 @@ func (c *Client) Apply(id ids.PhotoID, op ledger.Op, seq uint64, sig []byte) err
 // Status validates a claim, returning the parsed signed proof.
 func (c *Client) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
 	var proof *ledger.StatusProof
-	err := c.exchange("status", "/v1/status?id="+url.QueryEscape(id.String()), nil, maxBody,
-		func(body []byte) error {
-			payload, err := decodeKind(body, MaxFramePayload, MsgStatusResp)
-			if err != nil {
-				return err
-			}
+	err := c.hop.Exchange("status", "/v1/status?id="+url.QueryEscape(id.String()), nil, MsgStatusResp, maxBody,
+		func(payload []byte) error {
 			raw, err := DecodeStatusResp(payload)
 			if err != nil {
-				return frameErr(err)
+				return err
 			}
 			proof, err = ledger.UnmarshalProof(raw)
 			return err
@@ -432,14 +429,14 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	if len(batch) > MaxStatusBatch {
-		return nil, fmt.Errorf("wire: batch of %d exceeds limit %d", len(batch), MaxStatusBatch)
+	if err := CheckBatchSize(len(batch)); err != nil {
+		return nil, err
 	}
 	var proofs []*ledger.StatusProof
-	err := c.exchange("status_batch", "/v1/status/batch",
-		func(dst []byte) []byte { return EncodeStatusBatchReq(dst, batch) }, maxBody,
-		func(body []byte) (err error) {
-			proofs, err = decodeStatusBatch(body, batch)
+	err := c.hop.Exchange("status_batch", "/v1/status/batch",
+		func(dst []byte) []byte { return EncodeStatusBatchReq(dst, batch) }, MsgStatusBatchResp, maxBody,
+		func(payload []byte) (err error) {
+			proofs, err = decodeStatusBatch(payload, batch)
 			return err
 		})
 	if err != nil {
@@ -448,14 +445,10 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 	return proofs, nil
 }
 
-// decodeStatusBatch parses an IRSW1 StatusBatch response body into one
-// proof per requested identifier, all in one backing array; nothing of
-// body is retained.
-func decodeStatusBatch(body []byte, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
-	payload, err := decodeKind(body, MaxFramePayload, MsgStatusBatchResp)
-	if err != nil {
-		return nil, err
-	}
+// decodeStatusBatch parses an IRSW1 StatusBatch response payload into
+// one proof per requested identifier, all in one backing array; nothing
+// of payload is retained.
+func decodeStatusBatch(payload []byte, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 	proofs := ledger.NewProofBatch(len(batch))
 	n, err := DecodeStatusBatchResp(payload, func(i int, raw []byte) error {
 		if i >= len(batch) {
@@ -464,7 +457,7 @@ func decodeStatusBatch(body []byte, batch []ids.PhotoID) ([]*ledger.StatusProof,
 		return checkProof(batch[i], i, raw, proofs[i])
 	})
 	if err != nil {
-		return nil, frameErr(err)
+		return nil, err
 	}
 	if n != len(batch) {
 		return nil, fmt.Errorf("wire: server returned %d proofs for %d ids", n, len(batch))
@@ -516,15 +509,11 @@ const maxFilterBytes = 1 << 30
 func (c *Client) FilterSync(from uint64, baseHash []byte) (payload []byte, latest uint64, err error) {
 	path := "/v1/filter/sync?from=" + strconv.FormatUint(from, 10) +
 		"&base=" + hex.EncodeToString(baseHash)
-	err = c.exchange("filter_sync", path, nil, maxFilterBytes,
-		func(body []byte) error {
-			p, err := decodeKind(body, maxFilterBytes, MsgFilterSyncResp)
-			if err != nil {
-				return err
-			}
+	err = c.hop.Exchange("filter_sync", path, nil, MsgFilterSyncResp, maxFilterBytes,
+		func(p []byte) error {
 			lat, upd, err := DecodeFilterSyncResp(p)
 			if err != nil {
-				return frameErr(err)
+				return err
 			}
 			latest = lat
 			if len(upd) > 0 {

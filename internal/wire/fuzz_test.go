@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"irs/internal/ids"
@@ -8,11 +11,12 @@ import (
 )
 
 // FuzzWireFrameDecode drives the whole IRSW1 decode surface with
-// hostile bytes: the frame layer, then every message decoder that a
-// client or server would dispatch to by kind. Nothing may panic, and
-// no decoder may iterate or allocate past the declared bounds — the
-// count checks in decodeIDBatch/DecodeStatusBatchResp are exactly what
-// this target guards.
+// hostile bytes: the shared id-batch reader both batch routes use, the
+// frame layer, then every message decoder that a client or server
+// would dispatch to by kind. Nothing may panic, and no decoder may
+// iterate or allocate past the declared bounds — the count checks in
+// decodeIDBatch/DecodeStatusBatchResp are exactly what this target
+// guards.
 func FuzzWireFrameDecode(f *testing.F) {
 	id, _ := ids.New(1)
 	proof := &ledger.StatusProof{ID: id, State: ledger.StateActive}
@@ -27,7 +31,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 		EncodeStatusResp(nil, proof),
 		EncodeStatusBatchResp(nil, []*ledger.StatusProof{proof}),
 		EncodeFilterSyncResp(nil, 99, []byte("delta")),
-		EncodeValidateResp(nil, 1, 0, true, nil),
+		EncodeValidateBatchReq(nil, make([]ids.PhotoID, MaxStatusBatch+1)),
 		EncodeValidateBatchResp(nil, 1, func(int) (byte, byte, bool, *ledger.StatusProof) {
 			return 1, 2, true, proof
 		}),
@@ -47,7 +51,14 @@ func FuzzWireFrameDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, payload, err := DecodeMsg(data, MaxFramePayload)
+		for _, kind := range []byte{MsgStatusBatchReq, MsgValidateBatchReq} {
+			r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data))
+			r.Header.Set("Content-Type", ContentTypeBinary)
+			if batch, err := ReadIDBatch(r, kind); err == nil && (len(batch) == 0 || len(batch) > MaxStatusBatch) {
+				t.Fatalf("kind %c: reader accepted a batch of %d", kind, len(batch))
+			}
+		}
+		_, payload, err := DecodeMsg(data, MaxFramePayload)
 		if err != nil {
 			return
 		}
@@ -55,7 +66,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 		// kind byte re-routes the same bytes through a different parser.
 		decoders := []func([]byte){
 			func(p []byte) {
-				n, _ := DecodeStatusBatchReq(p, func(int, ids.PhotoID) error { return nil })
+				n, _ := decodeIDBatch(p, func(int, ids.PhotoID) error { return nil })
 				if n > MaxStatusBatch {
 					t.Fatalf("id batch over limit: %d", n)
 				}
@@ -73,7 +84,6 @@ func FuzzWireFrameDecode(f *testing.F) {
 			},
 			func(p []byte) { _, _ = DecodeStatusResp(p) },
 			func(p []byte) { _, _, _ = DecodeFilterSyncResp(p) },
-			func(p []byte) { _, _ = DecodeValidateResp(p) },
 			func(p []byte) {
 				_, _ = DecodeValidateBatchResp(p, func(int, ValidateWire) error { return nil })
 			},
@@ -81,6 +91,5 @@ func FuzzWireFrameDecode(f *testing.F) {
 		for _, dec := range decoders {
 			dec(payload)
 		}
-		_ = kind
 	})
 }

@@ -93,19 +93,6 @@ func TestClientAgainstHTMLErrorPage(t *testing.T) {
 	}
 }
 
-func TestClientAgainstConnectionRefused(t *testing.T) {
-	srv := httptest.NewServer(http.NotFoundHandler())
-	url := srv.URL
-	srv.Close()
-	c := NewClient(url, "")
-	if _, err := c.Status(hostileID(t)); err == nil {
-		t.Error("dead server produced a status")
-	}
-	if _, err := c.Seq(hostileID(t)); err == nil {
-		t.Error("dead server produced a seq")
-	}
-}
-
 func TestClientAgainstOversizedBody(t *testing.T) {
 	// A body beyond the client's read limit must not OOM; the truncated
 	// JSON then fails to parse.

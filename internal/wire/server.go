@@ -27,11 +27,7 @@ type Server struct {
 	adminToken string
 	mux        *http.ServeMux
 	obsReg     *obs.Registry
-	// codecCtr/txBytes split hot-route responses by encoding:
-	// index 0 JSON, 1 IRSW1. Bytes are counted where the handler knows
-	// them (always, for binary frames).
-	codecCtr [2]*obs.Counter
-	txBytes  [2]*obs.Counter
+	codec      CodecWriter
 }
 
 // ServerOptions tunes the optional server surfaces.
@@ -61,12 +57,8 @@ func NewServerOpts(l *ledger.Ledger, adminToken string, opts ServerOptions) *Ser
 	if reg == nil {
 		reg = l.Registry()
 	}
-	s := &Server{ledger: l, adminToken: adminToken, mux: http.NewServeMux(), obsReg: reg}
-	for i, name := range [2]string{"json", "binary"} {
-		l := obs.L("codec", name)
-		s.codecCtr[i] = reg.Counter("irs_wire_server_codec_total", l)
-		s.txBytes[i] = reg.Counter("irs_wire_server_tx_bytes_total", l)
-	}
+	s := &Server{ledger: l, adminToken: adminToken, mux: http.NewServeMux(), obsReg: reg,
+		codec: NewCodecWriter(reg, "irs_wire_server")}
 	route := func(pattern, name string, h http.HandlerFunc) {
 		s.mux.HandleFunc(pattern, s.instrument(name, h))
 	}
@@ -127,36 +119,84 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// observeCodec records one hot-route response's encoding; n < 0 means
-// the byte count is unknown.
-func (s *Server) observeCodec(binary bool, n int) {
-	i := 0
-	if binary {
+// CodecWriter writes the 2xx answers of a server's hot routes, IRSW1
+// or not as the request asks, and counts them by codec in
+// <prefix>_codec_total{codec} and <prefix>_tx_bytes_total{codec}.
+type CodecWriter struct {
+	// codec/tx: index 0 JSON (any non-IRSW1 answer), 1 IRSW1.
+	codec, tx [2]*obs.Counter
+}
+
+// NewCodecWriter interns the writer's counters in reg under prefix
+// (irs_wire_server at the ledger, irs_proxy_server at the proxy).
+func NewCodecWriter(reg *obs.Registry, prefix string) CodecWriter {
+	var cw CodecWriter
+	for i, name := range [2]string{"json", "binary"} {
+		l := obs.L("codec", name)
+		cw.codec[i] = reg.Counter(prefix+"_codec_total", l)
+		cw.tx[i] = reg.Counter(prefix+"_tx_bytes_total", l)
+	}
+	return cw
+}
+
+// Write answers r with 200. When encode is non-nil and r's Accept names
+// IRSW1, the answer is the frame encode appends to a pooled buffer —
+// the steady-state zero-allocation server encode path. Otherwise other
+// writes the answer and returns its byte count, or -1 when it does not
+// know it.
+func (cw *CodecWriter) Write(w http.ResponseWriter, r *http.Request, encode func(dst []byte) []byte, other func() int) {
+	i, n := 0, 0
+	if encode != nil && AcceptsBinary(r) {
+		bp := GetBuf()
+		defer PutBuf(bp)
+		*bp = encode(*bp)
+		w.Header().Set("Content-Type", ContentTypeBinary)
+		w.WriteHeader(http.StatusOK)
 		i = 1
+		n, _ = w.Write(*bp)
+	} else {
+		n = other()
 	}
-	s.codecCtr[i].Inc()
+	cw.codec[i].Inc()
 	if n >= 0 {
-		s.txBytes[i].Add(uint64(n))
+		cw.tx[i].Add(uint64(n))
 	}
 }
 
-// writeBinary writes one IRSW1 response frame built by encode into a
-// pooled buffer — the steady-state zero-allocation server encode path.
-func (s *Server) writeBinary(w http.ResponseWriter, encode func(dst []byte) []byte) {
-	bp := GetBuf()
-	defer PutBuf(bp)
-	*bp = encode(*bp)
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(*bp)
-	s.observeCodec(true, n)
+// ReadIDBatch reads the identifier batch of a POST to a batch route
+// (/v1/status/batch with kind MsgStatusBatchReq, /v1/validate/batch
+// with MsgValidateBatchReq): an IRSW1 frame of that kind when the
+// request's Content-Type names IRSW1, else JSON {"ids":[…]}. Every
+// error is the caller's 400: a body that does not parse, an empty
+// batch, or one over MaxStatusBatch.
+func ReadIDBatch(r *http.Request, kind byte) ([]ids.PhotoID, error) {
+	if IsBinaryContent(r.Header.Get("Content-Type")) {
+		return readBinaryBatch(r.Body, kind)
+	}
+	var req StatusBatchRequest
+	if err := ReadJSON(r.Body, &req); err != nil {
+		return nil, err
+	}
+	if len(req.IDs) == 0 {
+		return nil, errors.New("wire: batch must name at least one id")
+	}
+	if err := CheckBatchSize(len(req.IDs)); err != nil {
+		return nil, err
+	}
+	batch := make([]ids.PhotoID, len(req.IDs))
+	for i, raw := range req.IDs {
+		id, err := ids.Parse(raw)
+		if err != nil {
+			return nil, fmt.Errorf("wire: id %d: %w", i, err)
+		}
+		batch[i] = id
+	}
+	return batch, nil
 }
 
-// ReadBinaryBatch parses an IRSW1 id-batch request body of the given
-// message kind (MsgStatusBatchReq here, MsgValidateBatchReq at the
-// proxy). A frame that does not parse is a client error (400),
-// mirroring the JSON validation failures.
-func ReadBinaryBatch(body io.Reader, wantKind byte) ([]ids.PhotoID, error) {
+// readBinaryBatch parses an IRSW1 id-batch request body of the given
+// message kind.
+func readBinaryBatch(body io.Reader, wantKind byte) ([]ids.PhotoID, error) {
 	bp, err := ReadBody(body, maxBody)
 	if err != nil {
 		return nil, ErrFrameTruncated
@@ -251,66 +291,31 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	if AcceptsBinary(r) {
-		s.writeBinary(w, func(dst []byte) []byte { return EncodeStatusResp(dst, proof) })
-		return
-	}
-	s.observeCodec(false, -1)
-	WriteJSON(w, http.StatusOK, &StatusResponse{
-		State: proof.State.String(),
-		Proof: proof.Marshal(),
+	s.codec.Write(w, r, func(dst []byte) []byte { return EncodeStatusResp(dst, proof) }, func() int {
+		WriteJSON(w, http.StatusOK, &StatusResponse{State: proof.State.String(), Proof: proof.Marshal()})
+		return -1
 	})
 }
 
 func (s *Server) handleStatusBatch(w http.ResponseWriter, r *http.Request) {
-	var batch []ids.PhotoID
-	if IsBinaryContent(r.Header.Get("Content-Type")) {
-		var err error
-		batch, err = ReadBinaryBatch(r.Body, MsgStatusBatchReq)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	} else {
-		var req StatusBatchRequest
-		if err := ReadJSON(r.Body, &req); err != nil {
-			WriteError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if len(req.IDs) == 0 {
-			WriteError(w, http.StatusBadRequest, "batch must name at least one id")
-			return
-		}
-		if len(req.IDs) > MaxStatusBatch {
-			WriteError(w, http.StatusBadRequest,
-				fmt.Sprintf("batch of %d exceeds limit %d", len(req.IDs), MaxStatusBatch))
-			return
-		}
-		batch = make([]ids.PhotoID, len(req.IDs))
-		for i, raw := range req.IDs {
-			id, err := ids.Parse(raw)
-			if err != nil {
-				WriteError(w, http.StatusBadRequest, fmt.Sprintf("id %d: %v", i, err))
-				return
-			}
-			batch[i] = id
-		}
+	batch, err := ReadIDBatch(r, MsgStatusBatchReq)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	proofs, err := s.ledger.StatusBatch(batch)
 	if err != nil {
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	if AcceptsBinary(r) {
-		s.writeBinary(w, func(dst []byte) []byte { return EncodeStatusBatchResp(dst, proofs) })
-		return
-	}
-	s.observeCodec(false, -1)
-	resp := &StatusBatchResponse{Proofs: make([][]byte, len(proofs))}
-	for i, p := range proofs {
-		resp.Proofs[i] = p.Marshal()
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	s.codec.Write(w, r, func(dst []byte) []byte { return EncodeStatusBatchResp(dst, proofs) }, func() int {
+		resp := &StatusBatchResponse{Proofs: make([][]byte, len(proofs))}
+		for i, p := range proofs {
+			resp.Proofs[i] = p.Marshal()
+		}
+		WriteJSON(w, http.StatusOK, resp)
+		return -1
+	})
 }
 
 func (s *Server) handleSeq(w http.ResponseWriter, r *http.Request) {
@@ -352,19 +357,15 @@ func (s *Server) handleFilterSync(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	if AcceptsBinary(r) {
-		// IRSW1 carries the epoch in-band and CRC-protects the update
-		// payload end to end; no epoch header round trip.
-		s.writeBinary(w, func(dst []byte) []byte {
-			return EncodeFilterSyncResp(dst, latest, payload)
-		})
-		return
-	}
-	s.observeCodec(false, len(payload))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-IRS-Epoch", strconv.FormatUint(latest, 10))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(payload)
+	// IRSW1 carries the epoch in-band and CRC-protects the update
+	// payload end to end; the octet stream needs the epoch header.
+	s.codec.Write(w, r, func(dst []byte) []byte { return EncodeFilterSyncResp(dst, latest, payload) }, func() int {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("X-IRS-Epoch", strconv.FormatUint(latest, 10))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(payload)
+		return len(payload)
+	})
 }
 
 func (s *Server) handleAdminRevoke(w http.ResponseWriter, r *http.Request) {

@@ -81,8 +81,8 @@ func (lb *Loopback) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
 // StatusBatch implements Service. The bound is enforced even in
 // process so loopback and HTTP deployments share limits.
 func (lb *Loopback) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
-	if len(batch) > MaxStatusBatch {
-		return nil, fmt.Errorf("wire: batch of %d exceeds limit %d", len(batch), MaxStatusBatch)
+	if err := CheckBatchSize(len(batch)); err != nil {
+		return nil, err
 	}
 	return lb.L.StatusBatch(batch)
 }

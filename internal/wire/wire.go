@@ -171,6 +171,16 @@ type StatusResponse struct {
 // send them.
 const MaxStatusBatch = 256
 
+// CheckBatchSize is the one batch bound clients and servers share: it
+// refuses a batch of more than MaxStatusBatch identifiers, so a client
+// fails before any bytes move.
+func CheckBatchSize(n int) error {
+	if n > MaxStatusBatch {
+		return fmt.Errorf("wire: batch of %d exceeds limit %d", n, MaxStatusBatch)
+	}
+	return nil
+}
+
 // StatusBatchRequest validates many claims in one round trip — the
 // request-fan-in half of the serving path (per-object round trips are
 // the cost that kills per-image indirection; see DESIGN.md "Serving

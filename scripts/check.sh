@@ -170,9 +170,11 @@ go test -run='^$' -fuzz=FuzzHistogramObserve -fuzztime=10s ./internal/obs
 # contract at both the wire and proxy layers (the first request is
 # already IRSW1, a 2xx in any other encoding is an error, no response
 # carries X-IRS-Wire), the servers' JSON answers byte-identical to the
-# clients' IRSW1 ones, the hostile-frame TransportError classification,
-# and the keep-alive pool sizing, all named under the race detector.
-go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency' \
+# clients' IRSW1 ones, both hops' hostile-frame and dead-server
+# TransportError classification and shared client batch bound, the one
+# hostile-request table run against both batch routes, and the
+# keep-alive pool sizing, all named under the race detector.
+go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|ServerRejectsHostileBodies' \
     ./internal/wire ./internal/proxy
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
