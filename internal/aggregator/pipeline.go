@@ -45,7 +45,6 @@
 package aggregator
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -64,7 +63,10 @@ import (
 
 // UploadItem is one unit of streaming upload work: either an already
 // decoded image, or a raw IRSP container to decode inside the pipeline
-// (Raw is used only when Image is nil).
+// (Raw is used only when Image is nil). Raw is parsed in place
+// (photo.ParseIRSP) and the pipeline reads it until the item's result
+// is out, so it must not be written before then; nothing the pipeline
+// keeps refers to it afterwards.
 type UploadItem struct {
 	Image *photo.Image
 	Raw   []byte
@@ -107,11 +109,7 @@ type prep struct {
 	idx int
 	raw []byte
 	im  *photo.Image
-	// owned marks an image the pipeline decoded from raw itself: nobody
-	// else refers to it, so hosting keeps it without a copy. An image
-	// the caller supplied stays the caller's.
-	owned bool
-	err   error // decode failure; terminal
+	err error // decode failure; terminal
 
 	metaID, wmID ids.PhotoID
 	metaOK, wmOK bool
@@ -214,14 +212,13 @@ func (o *pipeObs) depth(q pipeQueue, n int) {
 func (a *Aggregator) prepare(p *prep, po *pipeObs) {
 	if p.im == nil {
 		start := time.Now()
-		im, err := photo.DecodeIRSP(bytes.NewReader(p.raw))
+		im, err := photo.ParseIRSP(p.raw)
 		po.observe(stageDecode, start)
 		if err != nil {
 			p.err = err
 			return
 		}
-		p.im, p.owned = im, true
-		p.raw = nil
+		p.im, p.raw = im, nil
 	}
 	start := time.Now()
 	p.metaID, p.wmID, p.metaOK, p.wmOK = a.extractLabel(p.im)
@@ -390,11 +387,10 @@ func (a *Aggregator) commit(p *prep) (UploadResult, error) {
 	default:
 		return a.deny(DenyRevoked), nil
 	}
-	im := p.im
-	if !p.owned {
-		im = im.Clone()
-	}
-	a.host(id, im, p.proof, false, p.sig)
+	// p.im is the caller's image or, parsed from Raw, a view into the
+	// caller's bytes: either may be written once this returns, so the
+	// hosted photo is a copy.
+	a.host(id, p.im.Clone(), p.proof, false, p.sig)
 	return UploadResult{Accepted: true, ID: id}, nil
 }
 

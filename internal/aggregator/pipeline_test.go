@@ -918,11 +918,11 @@ func TestCustodialClaimUsesReceiptProof(t *testing.T) {
 	}
 }
 
-// TestHostOwnership: hosting copies an image only when somebody else
-// can still write to it. A caller-supplied image (Upload, UploadItem.
-// Image) may be scribbled over afterwards without the hosted photo
-// changing; an image the pipeline decoded from Raw is hosted as it is,
-// and so is the relabeled copy a custodial claim makes.
+// TestHostOwnership: hosting copies an image whenever somebody else can
+// still write to it. A caller-supplied image (Upload, UploadItem.Image)
+// and the bytes an image was parsed from in place (UploadItem.Raw) may
+// be scribbled over afterwards without the hosted photo changing; the
+// relabeled copy a custodial claim makes is hosted as it is.
 func TestHostOwnership(t *testing.T) {
 	r := newRig(t, CustodialClaim, nil)
 	scribble := func(im *photo.Image) {
@@ -991,9 +991,16 @@ func TestHostOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, res := commitRaw(encode(labeled))
-	if r.agg.photos[res.ID].img != p.im {
-		t.Error("an image decoded from Raw was copied to be hosted")
+	raw := encode(labeled)
+	p, res := commitRaw(raw)
+	if r.agg.photos[res.ID].img == p.im {
+		t.Error("an image parsed in place from Raw was hosted without a copy")
+	}
+	for i := range raw {
+		raw[i] ^= 0xff
+	}
+	if got, err := r.agg.Serve(res.ID); err != nil || !got.Equal(labeled) || got.Meta.Get(photo.KeyIRSID) != labeled.Meta.Get(photo.KeyIRSID) {
+		t.Errorf("the hosted photo changed when the bytes it was parsed from were written (%v)", err)
 	}
 
 	// Custodial: the hosted image is the copy camera.Label made, so the
@@ -1004,8 +1011,7 @@ func TestHostOwnership(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	commitRaw(encode(photo.Synth(1204, 192, 128)))
-	raw := encode(photo.Synth(1205, 192, 128))
-	custodial := &prep{raw: raw}
+	custodial := &prep{raw: encode(photo.Synth(1205, 192, 128))}
 	r.agg.prepare(custodial, nil)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"sync"
 
 	"irs/internal/ids"
 	"irs/internal/photo"
@@ -105,27 +107,54 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, status, resp)
 }
 
-// readBatchBody reads a whole batch request body, at most
-// maxUploadBytes of it: in one allocation when the request declares its
-// length, through a buffer that grows with the bytes received when it
-// does not (chunked encoding).
-func readBatchBody(r *http.Request) ([]byte, error) {
+// maxRetainBody is the largest batch body buffer bodyPool keeps: an
+// album of this repository's photos is a few hundred KiB, and a rare
+// huge one is not worth holding between requests.
+const maxRetainBody = 1 << 20
+
+// bodyChunk is the first capacity a batch body read gets when its
+// buffer has none.
+const bodyChunk = 32 << 10
+
+// bodyPool recycles batch body buffers between requests. It is the
+// aggregator's own: wire's codec pool holds 4 KiB frames, from which
+// every album would regrow.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBatchBody reads a whole batch request body into buf[:0] and
+// returns it, with whatever buf grew to even on error. A declared
+// Content-Length is a claim: the buffer grows only as bytes arrive,
+// doubling, up to that length (maxUploadBytes when none is declared),
+// and a body that ends short of its declaration is an error.
+func readBatchBody(r *http.Request, buf []byte) ([]byte, error) {
 	if r.ContentLength > maxUploadBytes {
-		return nil, fmt.Errorf("batch body of %d bytes exceeds limit", r.ContentLength)
+		return buf, fmt.Errorf("batch body of %d bytes exceeds limit", r.ContentLength)
 	}
+	limit := maxUploadBytes
 	if r.ContentLength >= 0 {
-		body := make([]byte, r.ContentLength)
-		if _, err := io.ReadFull(r.Body, body); err != nil {
-			return nil, fmt.Errorf("batch body: %w", err)
+		limit = int(r.ContentLength)
+	}
+	// One byte past the limit tells a body longer than allowed.
+	src := io.LimitReader(r.Body, int64(limit)+1)
+	body := buf[:0]
+	for {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(max(len(body), bodyChunk), limit+1-len(body)))
 		}
-		return body, nil
+		n, err := src.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return body, fmt.Errorf("batch body: %w", err)
+		}
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("batch body: %w", err)
+	if len(body) > limit {
+		return body, fmt.Errorf("batch body exceeds its limit of %d bytes", limit)
 	}
-	if len(body) > maxUploadBytes {
-		return nil, fmt.Errorf("batch body exceeds limit of %d bytes", maxUploadBytes)
+	if r.ContentLength >= 0 && len(body) < limit {
+		return body, fmt.Errorf("batch body: %w after %d of %d declared bytes", io.ErrUnexpectedEOF, len(body), limit)
 	}
 	return body, nil
 }
@@ -163,7 +192,21 @@ func splitBatch(body []byte) ([]UploadItem, error) {
 // malformed container fails only its own slot, a malformed framing the
 // whole request.
 func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := readBatchBody(r)
+	bp := bodyPool.Get().(*[]byte)
+	body, err := readBatchBody(r, *bp)
+	// The frames are parsed in place, so the buffer goes back only once
+	// UploadAll has returned — this runs after the handler's last line.
+	// By then no stage can read it: UploadAll returns after the
+	// committer has drained, which is after every compute worker has
+	// left prepare; commit copies every image it hosts, the parser
+	// copies metadata strings, and a status call abandoned past its
+	// deadline holds identifiers only.
+	defer func() {
+		if cap(body) <= maxRetainBody {
+			*bp = body[:0]
+			bodyPool.Put(bp)
+		}
+	}()
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 
@@ -354,5 +357,184 @@ func TestServerBatchUploadHostileDimensions(t *testing.T) {
 	}
 	if m := r.agg.MetricsSnapshot(); m.Uploads != 0 || r.agg.HostedCount() != 0 {
 		t.Errorf("hostile containers counted as uploads: %+v", m)
+	}
+}
+
+// batchBody frames IRSP containers as POST /v1/upload/batch takes them.
+func batchBody(t *testing.T, ims ...*photo.Image) []byte {
+	t.Helper()
+	var body []byte
+	for _, im := range ims {
+		var frame bytes.Buffer
+		if err := photo.EncodeIRSP(&frame, im); err != nil {
+			t.Fatal(err)
+		}
+		body = binary.BigEndian.AppendUint32(body, uint32(frame.Len()))
+		body = append(body, frame.Bytes()...)
+	}
+	return body
+}
+
+// postBatch serves one batch request in-process.
+func postBatch(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/upload/batch", bytes.NewReader(body)))
+	return rec
+}
+
+// TestServerBatchBodySizedByBytesReceived: a declared Content-Length is
+// the sender's claim like any length inside the body. A request that
+// declares 64 MiB and sends 10 bytes is a 400 that costs what was sent,
+// not what was declared.
+func TestServerBatchBodySizedByBytesReceived(t *testing.T) {
+	r := newRig(t, RejectUnlabeled, nil)
+	h := NewServer(r.agg)
+	post := func() int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/upload/batch", bytes.NewReader(make([]byte, 10)))
+		req.ContentLength = maxUploadBytes
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	post()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := post()
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", code)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a 10-byte body declaring %d bytes allocated %d bytes, want under 1 MiB", maxUploadBytes, got)
+	}
+}
+
+// TestUploadBatchAllocationBudget: once warm, a 16-image album of
+// hosted photos POSTed to the server allocates the pixels it hosts plus
+// at most 64 KiB — the body is read into a recycled buffer and every
+// frame is parsed in place, so nothing else is the size of an image.
+// Without the race detector, with GC off while it measures. Pools are
+// per P, so the album is posted twice to warm them and its cheapest of
+// three measured posts is the one held to the budget.
+func TestUploadBatchAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	r := newRig(t, RejectUnlabeled, nil)
+	h := NewServer(r.agg)
+	ims := make([]*photo.Image, 16)
+	pixels := 0
+	for i := range ims {
+		im, _, err := r.cam.ClaimAndLabel(r.cam.Shoot(2100+int64(i), 192, 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ims[i], pixels = im, pixels+len(im.Pix)
+	}
+	body := batchBody(t, ims...)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 2; i++ {
+		if rec := postBatch(h, body); rec.Code != http.StatusOK {
+			t.Fatalf("warm-up album: status %d", rec.Code)
+		}
+	}
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/upload/batch", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		var out BatchUploadResponse
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("status %d, decode %v", rec.Code, err)
+		}
+		for i, res := range out.Results {
+			if !res.Accepted {
+				t.Fatalf("item %d: %+v, want hosted", i, res)
+			}
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a %d-byte album hosting %d pixel bytes allocated %d bytes", len(body), pixels, least)
+	if ceiling := uint64(pixels + 64<<10); least > ceiling {
+		t.Errorf("a %d-byte album hosting %d pixel bytes allocated %d bytes, ceiling %d", len(body), pixels, least, ceiling)
+	}
+}
+
+// TestUploadBatchBodyReuse: batch bodies are recycled between requests
+// and their frames parsed in place, so a hosted photo that still
+// pointed into one would change when a later album overwrote it.
+// Several goroutines POST different albums through one server, two
+// each; afterwards every hosted photo hashes as its source does, and
+// every decision is serial Upload's. Named under -race in check.sh.
+func TestUploadBatchBodyReuse(t *testing.T) {
+	r := newRig(t, RejectUnlabeled, nil)
+	h := NewServer(r.agg)
+	const goroutines, perGoroutine = 4, 2
+	type album struct {
+		ims  []*photo.Image
+		body []byte
+		got  BatchUploadResponse
+	}
+	albums := make([]*album, goroutines*perGoroutine)
+	for a := range albums {
+		seed := int64(3000 + 10*a)
+		var ims []*photo.Image
+		for i := int64(0); i < 2; i++ {
+			im, _, err := r.cam.ClaimAndLabel(r.cam.Shoot(seed+i, 192, 128))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ims = append(ims, im)
+		}
+		revoked, owned, err := r.cam.ClaimAndLabel(r.cam.Shoot(seed+2, 192, 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.cam.Revoke(owned.ID); err != nil {
+			t.Fatal(err)
+		}
+		ims = append(ims, revoked, photo.Synth(seed+3, 160, 96))
+		albums[a] = &album{ims: ims, body: batchBody(t, ims...)}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, al := range albums[g*perGoroutine : (g+1)*perGoroutine] {
+				rec := postBatch(h, al.body)
+				if err := json.NewDecoder(rec.Body).Decode(&al.got); err != nil || rec.Code != http.StatusOK {
+					t.Errorf("status %d, decode %v", rec.Code, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	serial := freshAgg(t, r, RejectUnlabeled)
+	for a, al := range albums {
+		if len(al.got.Results) != len(al.ims) {
+			t.Fatalf("album %d: %d results for %d frames", a, len(al.got.Results), len(al.ims))
+		}
+		for i, src := range al.ims {
+			want, err := serial.Upload(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := al.got.Results[i]
+			if got.Accepted != want.Accepted || got.Reason != want.Reason.String() || (want.Accepted && got.ID != want.ID.String()) {
+				t.Errorf("album %d item %d: batch %+v, serial %+v", a, i, got, want)
+			}
+			if !want.Accepted {
+				continue
+			}
+			hosted, ok := r.agg.Hosted(want.ID)
+			if !ok || hosted.ContentHash() != src.ContentHash() {
+				t.Errorf("album %d item %d: the hosted photo does not hash as its source (hosted %v)", a, i, ok)
+			}
+		}
 	}
 }

@@ -108,18 +108,93 @@ func readClaimed(br *bufio.Reader, src io.Reader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeIRSP reads an IRSP container from r.
+// DecodeIRSP reads an IRSP container from r. It reads r through a
+// bufio.Reader — r itself when r is one of the default size or larger —
+// and stops at the container's last byte, so consecutive containers
+// decode from one reader (the video container's frames do).
 func DecodeIRSP(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(irspMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	return parseIRSP(&irspSource{br: bufio.NewReader(r), src: r})
+}
+
+// ParseIRSP parses the IRSP container at the start of b in place, with
+// no read buffer and no copy of the pixels: the image's Pix is a
+// sub-slice of b (its capacity ends where the pixels do), so b must not
+// be written while the image is in use, and whoever keeps the image
+// beyond b's lifetime keeps a copy (Image.Clone). Metadata strings are
+// copied. Bytes after the container are ignored, as DecodeIRSP leaves
+// them unread: b is accepted and rejected exactly as DecodeIRSP accepts
+// and rejects bytes.NewReader(b).
+func ParseIRSP(b []byte) (*Image, error) {
+	return parseIRSP(&irspSource{mem: b})
+}
+
+// irspSource is where the IRSP parser takes its bytes from: a container
+// held in memory (mem, consumed from the front) when br is nil, else
+// the stream br, which reads src. Either way a length the container
+// claims is checked against the bytes really there before anything is
+// sized by it.
+type irspSource struct {
+	mem []byte
+	br  *bufio.Reader
+	src io.Reader
+}
+
+// next returns the next n bytes for the parser to read and drop. From a
+// stream they are valid only until the following call.
+func (s *irspSource) next(n int) ([]byte, error) {
+	if s.br == nil || n > s.br.Size() {
+		return s.keep(n)
+	}
+	b, err := s.br.Peek(n)
+	if err != nil {
+		return nil, io.ErrUnexpectedEOF
+	}
+	_, _ = s.br.Discard(n)
+	return b, nil
+}
+
+// keep returns the next n bytes for the image to keep: from memory a
+// sub-slice of the container whose capacity ends with it, from a stream
+// a buffer sized by the bytes received (readClaimed).
+func (s *irspSource) keep(n int) ([]byte, error) {
+	if s.br != nil {
+		return readClaimed(s.br, s.src, n)
+	}
+	if n > len(s.mem) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := s.mem[:n:n]
+	s.mem = s.mem[n:]
+	return b, nil
+}
+
+// str reads one length-prefixed metadata string.
+func (s *irspSource) str() (string, error) {
+	b, err := s.next(4)
+	if err != nil {
+		return "", err
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n > 1<<20 {
+		return "", fmt.Errorf("metadata string too long: %d", n)
+	}
+	if b, err = s.next(int(n)); err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// parseIRSP is the one IRSP parser, over either byte source.
+func parseIRSP(s *irspSource) (*Image, error) {
+	magic, err := s.next(len(irspMagic))
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	if string(magic) != irspMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic)
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := s.next(12)
+	if err != nil {
 		return nil, fmt.Errorf("%w: short header", ErrBadFormat)
 	}
 	w := int(binary.BigEndian.Uint32(hdr[0:]))
@@ -128,39 +203,29 @@ func DecodeIRSP(r io.Reader) (*Image, error) {
 	if w <= 0 || h <= 0 || w > maxDim || h > maxDim || (ch != 1 && ch != 3) {
 		return nil, fmt.Errorf("%w: bad dimensions %dx%dx%d", ErrBadFormat, w, h, ch)
 	}
-	var nMeta uint32
-	if err := binary.Read(br, binary.BigEndian, &nMeta); err != nil {
+	count, err := s.next(4)
+	if err != nil {
 		return nil, fmt.Errorf("%w: short metadata count", ErrBadFormat)
 	}
+	nMeta := binary.BigEndian.Uint32(count)
 	if nMeta > 1<<16 {
 		return nil, fmt.Errorf("%w: absurd metadata count %d", ErrBadFormat, nMeta)
-	}
-	readStr := func() (string, error) {
-		var n uint32
-		if err := binary.Read(br, binary.BigEndian, &n); err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", fmt.Errorf("metadata string too long: %d", n)
-		}
-		b, err := readClaimed(br, r, int(n))
-		return string(b), err
 	}
 	// Metadata first, pixels last, each sized by what has arrived: the
 	// header's dimensions are the sender's claim.
 	im := &Image{W: w, H: h, Channels: ch, Meta: NewMetadata()}
 	for i := uint32(0); i < nMeta; i++ {
-		k, err := readStr()
+		k, err := s.str()
 		if err != nil {
 			return nil, fmt.Errorf("%w: metadata key: %v", ErrBadFormat, err)
 		}
-		v, err := readStr()
+		v, err := s.str()
 		if err != nil {
 			return nil, fmt.Errorf("%w: metadata value: %v", ErrBadFormat, err)
 		}
 		im.Meta.Set(k, v)
 	}
-	pix, err := readClaimed(br, r, w*h*ch)
+	pix, err := s.keep(w * h * ch)
 	if err != nil {
 		return nil, fmt.Errorf("%w: short pixel data", ErrBadFormat)
 	}

@@ -76,18 +76,8 @@ func (im *Image) SetGray(x, y int, v byte) {
 // Luma returns the full luma plane as float64 values, row-major, suitable
 // for DCT processing. The slice is freshly allocated.
 func (im *Image) Luma() []float64 {
-	return im.LumaInto(nil)
-}
-
-// LumaInto is Luma into a caller-owned buffer: it fills and returns
-// buf[:W*H], allocating only when buf's capacity is short, so a reader
-// that keeps its planes between images allocates nothing per image.
-func (im *Image) LumaInto(buf []float64) []float64 {
 	n := im.W * im.H
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	out := buf[:n]
+	out := make([]float64, n)
 	if im.Channels == 1 {
 		for i, p := range im.Pix[:n] {
 			out[i] = float64(p)

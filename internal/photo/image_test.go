@@ -60,34 +60,6 @@ func TestLumaRoundTripGray(t *testing.T) {
 	}
 }
 
-// TestLumaIntoReusesBuffer: the caller-buffer fill equals Luma for gray
-// and RGB, overwrites whatever the buffer held, and allocates only when
-// the buffer is too small.
-func TestLumaIntoReusesBuffer(t *testing.T) {
-	buf := make([]float64, 0, 40*24)
-	for _, im := range []*Image{Synth(3, 40, 24), SynthRGB(4, 40, 24), Synth(5, 16, 16)} {
-		want := im.Luma()
-		for i := range buf[:cap(buf)] {
-			buf[:cap(buf)][i] = -1
-		}
-		got := im.LumaInto(buf)
-		if &got[0] != &buf[:1][0] {
-			t.Errorf("%dx%d: LumaInto reallocated a large-enough buffer", im.W, im.H)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%dx%d: len %d, want %d", im.W, im.H, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%dx%d: LumaInto[%d] = %v, Luma = %v", im.W, im.H, i, got[i], want[i])
-			}
-		}
-	}
-	if got := Synth(6, 64, 64).LumaInto(buf); len(got) != 64*64 {
-		t.Errorf("LumaInto with a short buffer returned len %d", len(got))
-	}
-}
-
 func TestSetLumaRGBPreservesChroma(t *testing.T) {
 	im := SynthRGB(2, 16, 16)
 	l := im.Luma()

@@ -83,6 +83,29 @@ func refErase(im *photo.Image, cfg Config, seed int64) (*photo.Image, []float64,
 	return out, luma, nil
 }
 
+// embedPlane and erasePlane are the writer's rank-1 update over a whole
+// float64 luma plane, as Embed and Erase ran it before they read and
+// wrote 8-bit pixels one block at a time: the float samples they leave
+// are what checkEmbedAgainstReference holds to the reference's.
+func (c Config) embedPlane(luma []float64, w, h int, bits *[codewordBits]bool) {
+	for by := 0; by < h/8; by++ {
+		row := bits[(by%c.TileH)*c.TileW:][:c.TileW]
+		for bx := 0; bx < w/8; bx++ {
+			c.requantize(luma[by*8*w+bx*8:], w, row[bx%c.TileW])
+		}
+	}
+}
+
+func (c Config) erasePlane(luma []float64, w, h int, seed int64) {
+	state := uint64(seed)*2862933555777941757 + 3037000493
+	for by := 0; by < h/8; by++ {
+		for bx := 0; bx < w/8; bx++ {
+			state = state*6364136223846793005 + 1442695040888963407
+			c.requantize(luma[by*8*w+bx*8:], w, state>>63 == 1)
+		}
+	}
+}
+
 // lumaTolerance bounds how far a sample of the rank-1 update may sit
 // from the Forward8/Inverse8 round trip's: both are the same real
 // number computed two ways, each good to ~1e-13 on 8-bit input.
@@ -262,9 +285,14 @@ func FuzzEmbedMatchesReference(f *testing.F) {
 	})
 }
 
+// cloneSink keeps the clones TestEmbedSteadyStateAllocs measures on the
+// heap, where Embed's copy goes.
+var cloneSink *photo.Image
+
 // TestEmbedSteadyStateAllocs: with the plane pool warm, Embed allocates
-// the image it returns (pixels, metadata, the struct) and nothing the
-// size of a plane.
+// the image it returns (pixels, metadata, the struct) and nothing else:
+// exactly what Clone allocates, gray and RGB, below the fan-out and
+// past it.
 func TestEmbedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -273,34 +301,44 @@ func TestEmbedSteadyStateAllocs(t *testing.T) {
 	// `go test ./...` loads the host, charged a whole plane to it.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := DefaultConfig()
-	im := photo.Synth(35, 192, 128)
-	im.Meta.Set(photo.KeyIRSLedgerURL, "http://ledger.example")
 	payload := payloadFromSeed(35)
-	for _, workers := range []int{1, 2} {
-		prev := parallel.SetWorkers(workers)
-		run := func() {
-			if _, err := Embed(im, payload, cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run()
+	perCall := func(f func()) (allocs, bytes float64) {
+		f()
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			run()
+			f()
 		}
 		runtime.ReadMemStats(&after)
-		parallel.SetWorkers(prev)
-		allocs := float64(after.Mallocs-before.Mallocs) / runs
-		perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs
-		t.Logf("workers=%d: Embed steady state: %.1f allocs, %.0f B per call", workers, allocs, perCall)
-		// The clone is the pixels plus the Image, the metadata map and its
-		// bucket, which 1 KiB covers along with the fan-out's few small
-		// objects; a luma plane would be 8× the pixels.
-		if ceiling := float64(len(im.Pix) + 1024); allocs > 16 || perCall > ceiling {
-			t.Errorf("workers=%d: Embed allocates %.1f objects / %.0f B per call, want ≤ 16 objects and ≤ %.0f B (the output image + metadata)",
-				workers, allocs, perCall, ceiling)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, im := range []*photo.Image{photo.Synth(35, 192, 128), photo.SynthRGB(36, 192, 128), photo.Synth(37, 523, 267)} {
+		im.Meta.Set(photo.KeyIRSLedgerURL, "http://ledger.example")
+		cloneAllocs, cloneBytes := perCall(func() { cloneSink = im.Clone() })
+		for _, workers := range []int{1, 2} {
+			prev := parallel.SetWorkers(workers)
+			allocs, bytes := perCall(func() {
+				if _, err := Embed(im, payload, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			parallel.SetWorkers(prev)
+			t.Logf("%dx%dx%d workers=%d: Embed %.1f allocs, %.0f B per call; Clone %.1f, %.0f B",
+				im.W, im.H, im.Channels, workers, allocs, bytes, cloneAllocs, cloneBytes)
+			// sync.Pool grows its per-P chain (two objects, ~180 B) when
+			// the goroutine lands on a P it has not used, at most a
+			// couple of times in a measurement. Past serialBelowBlocks
+			// the fan-out adds its closure, the codeword copy its tasks
+			// share and the pool's few small objects.
+			slackAllocs, slackBytes := 0.25, 32.0
+			if (im.W/8)*(im.H/8) >= serialBelowBlocks {
+				slackAllocs, slackBytes = 16, 1024
+			}
+			if allocs > cloneAllocs+slackAllocs || bytes > cloneBytes+slackBytes {
+				t.Errorf("%dx%dx%d workers=%d: Embed allocates %.1f objects / %.0f B per call, want what Clone does (%.1f / %.0f B) plus %.0f / %.0f B",
+					im.W, im.H, im.Channels, workers, allocs, bytes, cloneAllocs, cloneBytes, slackAllocs, slackBytes)
+			}
 		}
 	}
 }

@@ -12,23 +12,64 @@ import (
 // the block transform: dct.Coef8 / RowPass8 / ColPass8 compute that
 // coefficient alone, bit-identical to dct.Forward8's output (same terms,
 // same order). The full search shares the work across alignments — one
-// row pass over the luma plane serves all 64 pixel phases, one column
-// pass per image line serves the 8 phases of that line — and checks each
+// row pass over the image serves all 64 pixel phases, one column pass
+// per image line serves the 8 phases of that line — and checks each
 // code phase's CRC on packed hard bits before it spends any float work
 // on a margin. Every vote is accumulated in the order the per-phase,
 // per-block scan used, and every margin in the class order it uses, so
 // results (Margin included) are bit-identical to that scan, which the
 // tests keep as the oracle.
+//
+// Reader and writer work on the 8-bit luma and widen it to float64 one
+// 8×8 block (the aligned read, Embed, Erase) or one image line (the row
+// pass) at a time: the widened samples are exactly the values of
+// photo.Image.Luma, so the kernels compute on the numbers a whole
+// float64 plane would hold, and none is built.
 
-// planes is the pooled working set of one extraction call: the luma
-// plane, for the full search its row pass, and the aligned read's
-// candidate word (pooled because crc32.Checksum's argument escapes).
+// planes is the pooled working set of one watermark call: an RGB
+// image's 8-bit luma (a gray image is read from its own pixels), for
+// the full search one widened image line and the row-pass plane, and
+// the aligned read's candidate word (pooled because crc32.Checksum's
+// argument escapes).
 type planes struct {
-	luma, rows []float64
+	gray       []byte
+	line, rows []float64
 	ring       [2 * wordBytes]byte
 }
 
 var planePool = sync.Pool{New: func() any { return new(planes) }}
+
+// luma8 returns im's luma as a row-major 8-bit plane: a gray image's
+// own pixels, or for RGB p.gray filled by photo.Image.Gray's integer
+// BT.601 formula.
+func (p *planes) luma8(im *photo.Image) []byte {
+	n := im.W * im.H
+	if im.Channels == 1 {
+		return im.Pix[:n]
+	}
+	if cap(p.gray) < n {
+		p.gray = make([]byte, n)
+	}
+	gray := p.gray[:n]
+	pix := im.Pix[:3*n]
+	for i := range gray {
+		r, g, b := int(pix[3*i]), int(pix[3*i+1]), int(pix[3*i+2])
+		gray[i] = byte((299*r + 587*g + 114*b) / 1000)
+	}
+	return gray
+}
+
+// widenBlock widens the 8×8 block at (x0, y0) of an 8-bit plane of row
+// stride w into blk and returns it, a block of row stride 8.
+func widenBlock(blk *[64]float64, luma []byte, w, x0, y0 int) []float64 {
+	for r := 0; r < 8; r++ {
+		src, dst := (*[8]byte)(luma[(y0+r)*w+x0:]), (*[8]float64)(blk[r*8:])
+		for c, v := range src {
+			dst[c] = float64(v)
+		}
+	}
+	return blk[:]
+}
 
 // bandScratch is the working set of one pixel-phase row (fixed py, the
 // eight px): a line of carrier coefficients, the eight vote tables and
@@ -60,7 +101,8 @@ func ExtractAligned(im *photo.Image, cfg Config) (Result, error) {
 
 // ExtractFallback is what an ingest path does with an image of unknown
 // history: ExtractAligned, and when that reads nothing, Extract — over
-// one luma plane. The result is that of the first attempt to succeed.
+// one 8-bit luma plane. The result is that of the first attempt to
+// succeed.
 func ExtractFallback(im *photo.Image, cfg Config) (Result, error) {
 	return extract(im, cfg, true, true)
 }
@@ -71,28 +113,30 @@ func extract(im *photo.Image, cfg Config, aligned, full bool) (Result, error) {
 	}
 	p := planePool.Get().(*planes)
 	defer planePool.Put(p)
-	p.luma = im.LumaInto(p.luma)
+	luma := p.luma8(im)
 	if aligned {
-		res, err := p.readAligned(im.W, im.H, cfg)
+		res, err := p.readAligned(luma, im.W, im.H, cfg)
 		if err == nil || !full {
 			return res, err
 		}
 	}
-	return p.search(im.W, im.H, cfg)
+	return p.search(luma, im.W, im.H, cfg)
 }
 
-// readAligned reads pixel phase (0, 0) at code phase (0, 0). Serial:
-// a block costs 72 multiply-adds, less than handing it to the pool.
-func (p *planes) readAligned(w, h int, cfg Config) (Result, error) {
+// readAligned reads pixel phase (0, 0) at code phase (0, 0) of the
+// w×h 8-bit plane luma. Serial: a block costs 72 multiply-adds, less
+// than handing it to the pool.
+func (p *planes) readAligned(luma []byte, w, h int, cfg Config) (Result, error) {
 	bw, bh := w/8, h/8
 	if bw < cfg.TileW || bh < cfg.TileH {
 		return Result{}, ErrTooSmall
 	}
 	var votes [codewordBits]float64
+	var blk [64]float64
 	for by := 0; by < bh; by++ {
 		idx, end := (by%cfg.TileH)*cfg.TileW, (by%cfg.TileH+1)*cfg.TileW
 		for bx := 0; bx < bw; bx++ {
-			c := dct.Coef8(p.luma[by*8*w+bx*8:], w, cfg.CoefU, cfg.CoefV)
+			c := dct.Coef8(widenBlock(&blk, luma, w, bx*8, by*8), 8, cfg.CoefU, cfg.CoefV)
 			votes[idx] += qimSoft(c, cfg.Delta)
 			if idx++; idx == end {
 				idx -= cfg.TileW
@@ -109,9 +153,9 @@ func (p *planes) readAligned(w, h int, cfg Config) (Result, error) {
 	return Result{Payload: payload, Margin: cfg.margin(&votes, bw, bh)}, nil
 }
 
-// search is the full geometric search over the plane in p.luma.
-func (p *planes) search(w, h int, cfg Config) (Result, error) {
-	rows := p.rowPass(w, h, cfg.CoefV)
+// search is the full geometric search over the w×h 8-bit plane luma.
+func (p *planes) search(luma []byte, w, h int, cfg Config) (Result, error) {
+	rows := p.rowPass(luma, w, h, cfg.CoefV)
 	// One pool task per py: a column pass over the plane plus eight
 	// 160-phase sweeps, enough work to be worth the hand-off.
 	var bands [8]phaseCandidate
@@ -132,19 +176,28 @@ func (p *planes) search(w, h int, cfg Config) (Result, error) {
 	return best.res, nil
 }
 
-// rowPass fills p.rows from p.luma: rows[y*w+x] is the row-pass term of
-// output column v for the window starting at (x, y), x ≤ w-8. A block's
-// eight terms are the same whichever of the 64 grids the block belongs
-// to, so the plane is computed once per image.
-func (p *planes) rowPass(w, h, v int) []float64 {
+// rowPass fills p.rows from the w×h 8-bit plane luma: rows[y*w+x] is
+// the row-pass term of output column v for the window starting at
+// (x, y), x ≤ w-8. A block's eight terms are the same whichever of the
+// 64 grids the block belongs to, so the plane is computed once per
+// image. Each image line is widened into p.line just before its pass.
+func (p *planes) rowPass(luma []byte, w, h, v int) []float64 {
 	if cap(p.rows) < w*h {
 		p.rows = make([]float64, w*h)
 	}
 	rows := p.rows[:w*h]
-	if w >= 8 {
-		for y := 0; y < h; y++ {
-			dct.RowPass8(rows[y*w:y*w+w-7], p.luma[y*w:(y+1)*w], v)
+	if w < 8 {
+		return rows
+	}
+	if cap(p.line) < w {
+		p.line = make([]float64, w)
+	}
+	line := p.line[:w]
+	for y := 0; y < h; y++ {
+		for x, s := range luma[y*w : (y+1)*w] {
+			line[x] = float64(s)
 		}
+		dct.RowPass8(rows[y*w:y*w+w-7], line, v)
 	}
 	return rows
 }

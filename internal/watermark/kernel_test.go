@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"irs/internal/dct"
@@ -212,13 +213,21 @@ func TestSearchPixelPhaseBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rgb, err := Embed(photo.SynthRGB(32, 200, 152), [PayloadBytes]byte{16, 15, 14}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rgb, err = photo.Crop(rgb, 5, 3, 190, 145); err != nil {
+			t.Fatal(err)
+		}
 		for name, im := range map[string]*photo.Image{
-			"aligned":  marked,
-			"cropped":  cropped,
-			"unmarked": base,
+			"aligned":     marked,
+			"cropped":     cropped,
+			"rgb-cropped": rgb,
+			"unmarked":    base,
 		} {
-			p := &planes{luma: im.Luma()}
-			rows := p.rowPass(im.W, im.H, cfg.CoefV)
+			p, luma := new(planes), im.Luma()
+			rows := p.rowPass(p.luma8(im), im.W, im.H, cfg.CoefV)
 			var s bandScratch
 			hits := 0
 			for py := 0; py < 8; py++ {
@@ -227,7 +236,7 @@ func TestSearchPixelPhaseBitIdentical(t *testing.T) {
 				for px := 0; px < 8; px++ {
 					bw := (im.W - px) / 8
 					got := s.sweep(px, py, bw, bh, cfg)
-					want := refSearchPixelPhase(p.luma, im.W, px, py, bw, bh, cfg)
+					want := refSearchPixelPhase(luma, im.W, px, py, bw, bh, cfg)
 					if got.found != want.found || got.res != want.res {
 						t.Errorf("%s/%s phase (%d,%d): got %+v found=%v, reference %+v found=%v",
 							cname, name, px, py, got.res, got.found, want.res, want.found)
@@ -401,8 +410,8 @@ func TestExtractZeroAllocSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &planes{luma: marked.Luma()}
-	rows := p.rowPass(marked.W, marked.H, cfg.CoefV)
+	p := new(planes)
+	rows := p.rowPass(p.luma8(marked), marked.W, marked.H, cfg.CoefV)
 	if !searchBand(rows, marked.W, marked.H, 0, cfg).found { // warms the pool
 		t.Fatal("band 0 of an aligned image read nothing")
 	}
@@ -414,16 +423,28 @@ func TestExtractZeroAllocSearch(t *testing.T) {
 }
 
 // TestExtractSteadyStateAllocs is the whole-call ceiling: with the
-// pools warm a full search of an unmarked image — aligned attempt
-// included — allocates neither a luma nor a row plane, only the
-// fan-out's few small objects.
+// pools warm an aligned read of a gray image allocates nothing, and a
+// full search of an unmarked image — aligned attempt included — neither
+// a luma nor a row plane, only the fan-out's few small objects.
 func TestExtractSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	// A collection empties the pools mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := DefaultConfig()
 	im := photo.Synth(34, 192, 128)
+	marked, err := Embed(im, payloadFromSeed(34), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExtractAligned(marked, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = ExtractAligned(marked, cfg) }); n != 0 {
+		t.Errorf("ExtractAligned of a gray image allocates %v times per call, want 0", n)
+	}
 	run := func() {
 		if _, err := ExtractFallback(im, cfg); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("unmarked image: %v", err)

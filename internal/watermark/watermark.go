@@ -56,10 +56,10 @@ import (
 // parallelism (the determinism contract in internal/parallel).
 const blockRowChunk = 4
 
-// serialBelowBlocks is the plane size, in 8×8 blocks, under which Embed
-// does not fan out: a block costs ~110 ns, so a small plane is done
-// before a second worker has been started and has pulled the plane out
-// of the first one's cache. Measured on 2 vCPU: 1,536 blocks (384×256)
+// serialBelowBlocks is the image size, in 8×8 blocks, under which Embed
+// does not fan out: a block costs ~110 ns, so a small image is done
+// before a second worker has been started and has pulled its pixels
+// out of the first one's cache. Measured on 2 vCPU: 1,536 blocks (384×256)
 // take 150 µs serially and 185 µs fanned out, 3,072 blocks (512×384)
 // 450 µs and 250 µs. Like blockRowChunk it depends on the image alone,
 // and either way writes the same pixels.
@@ -131,11 +131,17 @@ const maxTileW = 40
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// codeword expands a payload to its 160 coded bits.
+// codeword expands a payload to its 160 coded bits. The CRC is
+// crc32.Checksum's, taken a byte at a time through the same table so
+// that payload stays on the stack (Checksum's argument escapes).
 func codeword(payload [PayloadBytes]byte) [codewordBits]bool {
 	var buf [wordBytes]byte
 	copy(buf[:], payload[:])
-	binary.BigEndian.PutUint32(buf[PayloadBytes:], crc32.Checksum(payload[:], castagnoli))
+	crc := ^uint32(0)
+	for _, b := range payload {
+		crc = castagnoli[byte(crc)^b] ^ crc>>8
+	}
+	binary.BigEndian.PutUint32(buf[PayloadBytes:], ^crc)
 	var bits [codewordBits]bool
 	for i := range bits {
 		bits[i] = buf[i/8]>>(7-uint(i%8))&1 == 1
@@ -168,42 +174,86 @@ func Embed(im *photo.Image, payload [PayloadBytes]byte, cfg Config) (*photo.Imag
 		return nil, ErrTooSmall
 	}
 	bits := codeword(payload)
-	return rewriteLuma(im, func(luma []float64) { cfg.embedPlane(luma, im.W, im.H, &bits) }), nil
+	return rewrite(im, func(out *photo.Image, luma []byte) { cfg.embedBlocks(out, luma, &bits) }), nil
 }
 
-// rewriteLuma returns a copy of im whose luma plane has been through
-// edit. The plane is pooled scratch: edit must not keep it.
-func rewriteLuma(im *photo.Image, edit func(luma []float64)) *photo.Image {
+// rewrite returns a copy of im whose blocks edit has requantized, given
+// the copy and im's 8-bit luma. For RGB the luma is pooled scratch:
+// edit must not keep it.
+func rewrite(im *photo.Image, edit func(out *photo.Image, luma []byte)) *photo.Image {
 	p := planePool.Get().(*planes)
 	defer planePool.Put(p)
-	p.luma = im.LumaInto(p.luma)
-	edit(p.luma)
 	out := im.Clone()
-	out.SetLuma(p.luma)
+	edit(out, p.luma8(im))
 	return out
 }
 
-// embedPlane requantizes every whole 8×8 block of a w×h luma plane to
-// carry its slot of the tiled codeword.
-func (c Config) embedPlane(luma []float64, w, h int, bits *[codewordBits]bool) {
-	bw, bh := w/8, h/8
-	embedRows := func(_, lo, hi int) {
-		for by := lo; by < hi; by++ {
-			row := bits[(by%c.TileH)*c.TileW:][:c.TileW]
-			for bx := 0; bx < bw; bx++ {
-				c.requantize(luma[by*8*w+bx*8:], w, row[bx%c.TileW])
-			}
-		}
-	}
-	if bw*bh < serialBelowBlocks {
-		embedRows(0, 0, bh)
+// embedBlocks requantizes every whole 8×8 block of out to carry its
+// slot of the tiled codeword.
+func (c Config) embedBlocks(out *photo.Image, luma []byte, bits *[codewordBits]bool) {
+	bh := out.H / 8
+	if (out.W/8)*bh < serialBelowBlocks {
+		c.embedRows(out, luma, bits, 0, bh)
 		return
 	}
 	// Block rows are independent (each task reads and writes a disjoint
-	// band of the luma plane), so the grid fans out across the pool;
-	// every block's pixels are a pure function of its input block, so
-	// output is byte-identical to the serial scan at any worker count.
-	parallel.ForChunks(bh, blockRowChunk, embedRows)
+	// band of pixels), so the grid fans out across the pool; every
+	// block's pixels are a pure function of its input block, so output
+	// is byte-identical to the serial scan at any worker count. The
+	// tasks share a copy of bits, so the caller's stays on its stack.
+	shared := *bits
+	parallel.ForChunks(bh, blockRowChunk, func(_, lo, hi int) { c.embedRows(out, luma, &shared, lo, hi) })
+}
+
+// embedRows embeds block rows [lo, hi).
+func (c Config) embedRows(out *photo.Image, luma []byte, bits *[codewordBits]bool, lo, hi int) {
+	for by := lo; by < hi; by++ {
+		row := bits[(by%c.TileH)*c.TileW:][:c.TileW]
+		for bx := 0; bx < out.W/8; bx++ {
+			c.requantizeBlock(out, luma, bx*8, by*8, row[bx%c.TileW])
+		}
+	}
+}
+
+// requantizeBlock requantizes the block at (x0, y0) of out, whose luma
+// the 8-bit plane luma holds, and writes it back with
+// photo.Image.SetLuma's per-pixel rule: a gray sample becomes the new
+// luma, an RGB pixel's channels each move by the luma's change, rounded
+// and clamped to [0, 255]. Pixels outside whole blocks keep their luma,
+// which SetLuma would write back unchanged, so they are left alone.
+func (c Config) requantizeBlock(out *photo.Image, luma []byte, x0, y0 int, bit bool) {
+	var blk [64]float64
+	c.requantize(widenBlock(&blk, luma, out.W, x0, y0), 8, bit)
+	for r := 0; r < 8; r++ {
+		o := (y0+r)*out.W + x0
+		src := (*[8]float64)(blk[r*8:])
+		if out.Channels == 1 {
+			dst := (*[8]byte)(out.Pix[o:])
+			for k, v := range src {
+				dst[k] = clampByte(v)
+			}
+			continue
+		}
+		old, dst := (*[8]byte)(luma[o:]), (*[24]byte)(out.Pix[3*o:])
+		for k, v := range src {
+			d := v - float64(old[k])
+			dst[3*k] = clampByte(float64(dst[3*k]) + d)
+			dst[3*k+1] = clampByte(float64(dst[3*k+1]) + d)
+			dst[3*k+2] = clampByte(float64(dst[3*k+2]) + d)
+		}
+	}
+}
+
+// clampByte rounds v to the nearest byte, clamping to [0, 255], as
+// photo.Image.SetLuma does.
+func clampByte(v float64) byte {
+	if v <= 0 {
+		return 0
+	}
+	if v >= 255 {
+		return 255
+	}
+	return byte(v + 0.5)
 }
 
 // requantize moves the carrier coefficient of the 8×8 block at block[0]
@@ -264,17 +314,17 @@ func Erase(im *photo.Image, cfg Config, seed int64) (*photo.Image, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return rewriteLuma(im, func(luma []float64) { cfg.erasePlane(luma, im.W, im.H, seed) }), nil
+	return rewrite(im, func(out *photo.Image, luma []byte) { cfg.eraseBlocks(out, luma, seed) }), nil
 }
 
-// erasePlane requantizes every whole block of the plane to a bit drawn
-// from seed's stream.
-func (c Config) erasePlane(luma []float64, w, h int, seed int64) {
+// eraseBlocks requantizes every whole block of out to a bit drawn from
+// seed's stream.
+func (c Config) eraseBlocks(out *photo.Image, luma []byte, seed int64) {
 	state := uint64(seed)*2862933555777941757 + 3037000493
-	for by := 0; by < h/8; by++ {
-		for bx := 0; bx < w/8; bx++ {
+	for by := 0; by < out.H/8; by++ {
+		for bx := 0; bx < out.W/8; bx++ {
 			state = state*6364136223846793005 + 1442695040888963407
-			c.requantize(luma[by*8*w+bx*8:], w, state>>63 == 1)
+			c.requantizeBlock(out, luma, bx*8, by*8, state>>63 == 1)
 		}
 	}
 }

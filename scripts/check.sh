@@ -5,8 +5,8 @@
 # here covers single-core CI machines too.
 #
 # Wall-clock budget for the whole script: 15 minutes on a 2-core host
-# (the full -race suite is about half of it, the nine ten-second
-# fuzzers another minute and a half). The elapsed time is printed
+# (the full -race suite is about half of it, the ten ten-second
+# fuzzers another minute and forty seconds). The elapsed time is printed
 # beside "all green" and gates nothing: no stage here compares two
 # wall-clock latencies, because on a shared host that asserts nothing.
 set -eu
@@ -34,14 +34,20 @@ go test -race -run 'Faulty|Retry|Breaker|Degrade|FailOpen|FailClosed|WAL|Directo
 go test -race -run 'IndexConcurrentUploadLookupTakeDown|IndexedLinearDifferential|LookupHashFirstMatch|ClearsHashDB' \
     ./internal/aggregator
 
-# The batch endpoint's framing: hostile length prefixes and frame counts
-# are 400s that allocate by what was sent, not by what was claimed; one
-# layer down, a well-framed container whose header claims 16384×16384×3
-# fails its own slot the same way (64 of them through the endpoint, and
-# the decoders on their own with and without a reader that knows its
-# length).
-go test -race -run 'ServerBatchUpload' ./internal/aggregator
-go test -race -run 'DecodeSizesBuffersByBytesReceived|DecodeGrowsWithUnsizedReader' ./internal/photo
+# The batch endpoint's framing: a declared Content-Length, hostile
+# length prefixes and frame counts are 400s that allocate by what was
+# sent, not by what was claimed; one layer down, a well-framed container
+# whose header claims 16384×16384×3 fails its own slot the same way (64
+# of them through the endpoint, and the decoders on their own with and
+# without a reader that knows its length). Bodies are recycled and
+# parsed in place, so concurrent albums through one server must host
+# exactly their sources' pixels and decide as serial Upload does (ten
+# times over). The in-memory parser and the stream decoder are held to
+# the retained stream decoder, video containers included, then fuzzed
+# for ten seconds.
+go test -race -count=10 -run 'ServerBatchUpload|ServerBatchBodySizedByBytesReceived|UploadBatchBodyReuse' ./internal/aggregator
+go test -race -run 'DecodeSizesBuffersByBytesReceived|DecodeGrowsWithUnsizedReader|ParseIRSPMatchesReference|VideoCodec' ./internal/photo
+go test -run='^$' -fuzz=FuzzParseIRSP -fuzztime=10s ./internal/photo
 
 # Upload pipeline: ordered-commit determinism against the serial path,
 # cancellation drain (mid-window included), poisoned-item isolation,
@@ -49,8 +55,9 @@ go test -race -run 'DecodeSizesBuffersByBytesReceived|DecodeGrowsWithUnsizedRead
 # input at workers 1/4/8, per-batch fault parity, a slow batch not
 # stalling compute, the per-batch deadline), then the claim answer's
 # first proof end to end: ledger, wire (mixed versions), and the
-# aggregator's one-Status fallback, and who owns a hosted image (a
-# caller's is copied, the pipeline's own are not). Named under -race.
+# aggregator's one-Status fallback, and who owns a hosted image (what a
+# caller can still write is copied, a custodial relabel is not). Named
+# under -race.
 go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|PipelinePoisonedItem|PipelineStatus|VideoUploadWorkerInvariance|CustodialClaimUsesReceiptProof|HostOwnership' \
     ./internal/aggregator
 go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMixedVersions' \
@@ -158,8 +165,11 @@ go test -race ./internal/obs
 # RestoreRecords of 10,000 records within 64 allocations, a memtable
 # freeze within 4 at any size, a compaction of 4 x 5,000 within 200.
 # And a bad op signature costs one Ed25519 verification, not a scan.
-go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce' \
-    ./internal/ledger ./internal/wire ./internal/proxy
+# The upload path: a 16-image album through the batch endpoint within
+# its hosted pixels plus 64 KiB, an aligned watermark read of a gray
+# image allocating nothing, and Embed allocating only its output.
+go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs' \
+    ./internal/ledger ./internal/wire ./internal/proxy ./internal/aggregator ./internal/watermark
 
 # Fuzz the Prometheus exposition writer and the histogram: ten seconds
 # each over the seeded corpus plus fresh mutations.
