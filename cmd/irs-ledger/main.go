@@ -12,46 +12,25 @@
 package main
 
 import (
-	"crypto/ed25519"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"irs/internal/appeals"
+	"irs/internal/core"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/wire"
 )
 
-// trustList collects repeated -trust-ledger id=url flags: peer ledgers
-// whose claim timestamps this ledger's appeals desk will accept as
-// complainant evidence.
-type trustList map[ids.LedgerID]string
-
-func (l trustList) String() string { return fmt.Sprintf("%v", map[ids.LedgerID]string(l)) }
-
-func (l trustList) Set(v string) error {
-	id, url, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want id=url, got %q", v)
-	}
-	n, err := strconv.ParseUint(id, 10, 32)
-	if err != nil || n == 0 {
-		return fmt.Errorf("bad ledger id %q", id)
-	}
-	l[ids.LedgerID(n)] = url
-	return nil
-}
-
 func main() {
-	trusted := trustList{}
+	// trusted are the peer ledgers whose claim timestamps this ledger's
+	// appeals desk accepts as complainant evidence.
+	trusted := core.Endpoints{}
 	var (
 		id            = flag.Uint("id", 1, "ledger identifier (nonzero; rides in every issued photo id)")
 		addr          = flag.String("addr", ":8330", "listen address")
@@ -81,26 +60,37 @@ func main() {
 		os.Exit(2)
 	}
 
-	l, err := ledger.New(ledger.Config{
-		ID:           ids.LedgerID(*id),
-		Dir:          *dir,
-		NonRevocable: *nonRevocable,
-		FilterFPR:    *fpr,
-		WALSync:      sync,
+	lid := ids.LedgerID(*id)
+	sys, err := core.Build(core.Spec{
+		Ledgers: []ledger.Config{{
+			ID:           lid,
+			Dir:          *dir,
+			NonRevocable: *nonRevocable,
+			FilterFPR:    *fpr,
+			WALSync:      sync,
+		}},
+		Remote: trusted,
 	})
 	if err != nil {
 		log.Fatalf("irs-ledger: %v", err)
 	}
-	defer l.Close()
+	l, _ := sys.Ledger(lid) // Build opened it
 
 	// Initial snapshot so proxies can pull a filter immediately.
 	if _, err := l.BuildSnapshot(); err != nil {
 		log.Fatalf("irs-ledger: initial snapshot: %v", err)
 	}
+	stopTicker, tickerDone := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(tickerDone)
 		t := time.NewTicker(*snapInterval)
 		defer t.Stop()
-		for range t.C {
+		for {
+			select {
+			case <-stopTicker:
+				return
+			case <-t.C:
+			}
 			if seq, err := l.BuildSnapshot(); err != nil {
 				log.Printf("irs-ledger: snapshot: %v", err)
 			} else {
@@ -115,13 +105,11 @@ func main() {
 
 	handler := http.Handler(wire.NewServerOpts(l, *adminToken, wire.ServerOptions{Debug: *debug}))
 	if *enableAppeals {
-		adj := appeals.NewAdjudicator(l, nil)
+		adj, err := sys.NewAdjudicator(lid, nil)
+		if err != nil {
+			log.Fatalf("irs-ledger: trusted ledgers: %v", err)
+		}
 		for peerID, url := range trusted {
-			keys, err := wire.NewClient(url, "").Keys()
-			if err != nil {
-				log.Fatalf("irs-ledger: fetching keys from trusted ledger %d at %s: %v", peerID, url, err)
-			}
-			adj.TrustLedger(peerID, ed25519.PublicKey(keys.TimestampKey))
 			log.Printf("irs-ledger: trusting timestamps from ledger %d (%s)", peerID, url)
 		}
 		mux := http.NewServeMux()
@@ -129,22 +117,15 @@ func main() {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("irs-ledger: shutting down")
-		srv.Close()
-	}()
 	claims, revoked := l.Count()
 	log.Printf("irs-ledger: ledger %d serving on %s (%d claims, %d revoked, dir=%q)",
 		*id, *addr, claims, revoked, *dir)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	err = core.Serve(*addr, handler)
+	// Every handler has returned; stop the ticker before the ledger
+	// closes under it.
+	close(stopTicker)
+	<-tickerDone
+	if err := errors.Join(err, sys.Close()); err != nil {
 		log.Fatalf("irs-ledger: %v", err)
 	}
 }

@@ -16,39 +16,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
-	"irs/internal/ids"
+	"irs/internal/core"
 	"irs/internal/proxy"
-	"irs/internal/wire"
 )
 
-// ledgerList collects repeated -ledger id=url flags.
-type ledgerList map[ids.LedgerID]string
-
-func (l ledgerList) String() string { return fmt.Sprintf("%v", map[ids.LedgerID]string(l)) }
-
-func (l ledgerList) Set(v string) error {
-	id, url, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want id=url, got %q", v)
-	}
-	n, err := strconv.ParseUint(id, 10, 32)
-	if err != nil || n == 0 {
-		return fmt.Errorf("bad ledger id %q", id)
-	}
-	l[ids.LedgerID(n)] = url
-	return nil
-}
-
 func main() {
-	ledgers := ledgerList{}
+	ledgers := core.Endpoints{}
 	var (
 		addr            = flag.String("addr", ":8331", "listen address")
 		cacheCap        = flag.Int("cache", 65536, "proof cache capacity (entries)")
@@ -62,41 +38,30 @@ func main() {
 		os.Exit(2)
 	}
 
-	dir := wire.NewDirectory()
-	for id, url := range ledgers {
-		dir.Register(id, wire.NewClient(url, ""))
+	sys, err := core.Build(core.Spec{
+		Remote: ledgers,
+		Proxy:  &proxy.Config{CacheCapacity: *cacheCap, CacheTTL: *cacheTTL, UseFilter: true},
+	})
+	if err != nil {
+		log.Fatalf("irs-proxy: %v", err)
 	}
-	ps := proxy.NewServer(proxy.Config{
-		CacheCapacity: *cacheCap,
-		CacheTTL:      *cacheTTL,
-		UseFilter:     true,
-	}, dir)
-
-	if err := ps.Validator().RefreshFilters(dir); err != nil {
+	if err := sys.RefreshFilters(); err != nil {
 		log.Printf("irs-proxy: initial filter refresh: %v (continuing; filters refresh on the timer)", err)
 	}
 	go func() {
 		t := time.NewTicker(*refreshInterval)
 		defer t.Stop()
 		for range t.C {
-			if err := ps.Validator().RefreshFilters(dir); err != nil {
+			if err := sys.RefreshFilters(); err != nil {
 				log.Printf("irs-proxy: filter refresh: %v", err)
 			} else {
-				log.Printf("irs-proxy: filters refreshed; stats %+v", ps.Validator().Stats())
+				log.Printf("irs-proxy: filters refreshed; stats %+v", sys.Proxy().Validator().Stats())
 			}
 		}
 	}()
 
-	srv := &http.Server{Addr: *addr, Handler: ps, ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("irs-proxy: shutting down")
-		srv.Close()
-	}()
 	log.Printf("irs-proxy: serving on %s for %d ledgers", *addr, len(ledgers))
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := core.Serve(*addr, sys.Proxy()); err != nil {
 		log.Fatalf("irs-proxy: %v", err)
 	}
 }

@@ -19,38 +19,15 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
-	"irs/internal/ids"
-	"irs/internal/ledger"
+	"irs/internal/core"
 	"irs/internal/proxy"
 	"irs/internal/relay"
-	"irs/internal/wire"
 )
 
-type ledgerList map[ids.LedgerID]string
-
-func (l ledgerList) String() string { return fmt.Sprintf("%v", map[ids.LedgerID]string(l)) }
-
-func (l ledgerList) Set(v string) error {
-	id, url, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want id=url, got %q", v)
-	}
-	n, err := strconv.ParseUint(id, 10, 32)
-	if err != nil || n == 0 {
-		return fmt.Errorf("bad ledger id %q", id)
-	}
-	l[ids.LedgerID(n)] = url
-	return nil
-}
-
 func main() {
-	ledgers := ledgerList{}
+	ledgers := core.Endpoints{}
 	var (
 		mode            = flag.String("mode", "", "egress or ingress")
 		addr            = flag.String("addr", ":8332", "listen address")
@@ -67,41 +44,27 @@ func main() {
 			fmt.Fprintln(os.Stderr, "irs-relay: egress mode needs at least one -ledger id=url")
 			os.Exit(2)
 		}
-		dir := wire.NewDirectory()
-		for id, url := range ledgers {
-			dir.Register(id, wire.NewClient(url, ""))
+		// The same proxy role as irs-proxy, answering the egress.
+		sys, err := core.Build(core.Spec{
+			Remote: ledgers,
+			Proxy:  &proxy.Config{UseFilter: true, CacheCapacity: 65536},
+		})
+		if err != nil {
+			log.Fatalf("irs-relay: %v", err)
 		}
-		val := proxy.NewValidator(proxy.Config{UseFilter: true, CacheCapacity: 65536},
-			func(id ids.PhotoID) (*ledger.StatusProof, error) {
-				c, err := dir.For(id)
-				if err != nil {
-					return nil, err
-				}
-				return c.Status(id)
-			})
-		if err := val.RefreshFilters(dir); err != nil {
+		if err := sys.RefreshFilters(); err != nil {
 			log.Printf("irs-relay: initial filter refresh: %v (continuing)", err)
 		}
 		go func() {
 			t := time.NewTicker(*refreshInterval)
 			defer t.Stop()
 			for range t.C {
-				if err := val.RefreshFilters(dir); err != nil {
+				if err := sys.RefreshFilters(); err != nil {
 					log.Printf("irs-relay: filter refresh: %v", err)
 				}
 			}
 		}()
-		eg, err := relay.NewEgress(func(id ids.PhotoID) (ledger.State, []byte, error) {
-			res, err := val.Validate(id)
-			if err != nil {
-				return ledger.StateUnknown, nil, err
-			}
-			var proof []byte
-			if res.Proof != nil {
-				proof = res.Proof.Marshal()
-			}
-			return res.State, proof, nil
-		})
+		eg, err := relay.NewEgress(sys.Proxy().Validator().Resolve)
 		if err != nil {
 			log.Fatalf("irs-relay: %v", err)
 		}
@@ -121,15 +84,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("irs-relay: shutting down")
-		srv.Close()
-	}()
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := core.Serve(*addr, handler); err != nil {
 		log.Fatalf("irs-relay: %v", err)
 	}
 }

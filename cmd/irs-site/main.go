@@ -17,38 +17,16 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"irs/internal/aggregator"
+	"irs/internal/core"
 	"irs/internal/ids"
-	"irs/internal/wire"
 )
 
-type ledgerList map[ids.LedgerID]string
-
-func (l ledgerList) String() string { return fmt.Sprintf("%v", map[ids.LedgerID]string(l)) }
-
-func (l ledgerList) Set(v string) error {
-	id, url, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want id=url, got %q", v)
-	}
-	n, err := strconv.ParseUint(id, 10, 32)
-	if err != nil || n == 0 {
-		return fmt.Errorf("bad ledger id %q", id)
-	}
-	l[ids.LedgerID(n)] = url
-	return nil
-}
-
 func main() {
-	ledgers := ledgerList{}
+	ledgers := core.Endpoints{}
 	var (
 		name            = flag.String("name", "irs-site", "site name for logs")
 		addr            = flag.String("addr", ":8334", "listen address")
@@ -62,9 +40,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	dir := wire.NewDirectory()
-	for id, url := range ledgers {
-		dir.Register(id, wire.NewClient(url, ""))
+	sys, err := core.Build(core.Spec{Remote: ledgers})
+	if err != nil {
+		log.Fatalf("irs-site: %v", err)
 	}
 	cfg := aggregator.Config{
 		Name:            *name,
@@ -72,16 +50,13 @@ func main() {
 		RecheckInterval: *recheckInterval,
 	}
 	if *custodial != 0 {
-		url, ok := ledgers[ids.LedgerID(*custodial)]
-		if !ok {
+		if _, ok := ledgers[ids.LedgerID(*custodial)]; !ok {
 			fmt.Fprintf(os.Stderr, "irs-site: -custodial-ledger %d is not among -ledger entries\n", *custodial)
 			os.Exit(2)
 		}
 		cfg.Unlabeled = aggregator.CustodialClaim
-		cfg.CustodialLedger = wire.NewClient(url, "")
-		cfg.CustodialLedgerURL = url
 	}
-	agg, err := aggregator.New(cfg, dir)
+	agg, err := sys.NewAggregator(cfg, ids.LedgerID(*custodial))
 	if err != nil {
 		log.Fatalf("irs-site: %v", err)
 	}
@@ -100,21 +75,9 @@ func main() {
 		}
 	}()
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           aggregator.NewServer(agg),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("irs-site: shutting down")
-		srv.Close()
-	}()
 	log.Printf("irs-site: %q serving on %s (%d ledgers, custodial=%v, recheck every %s)",
 		*name, *addr, len(ledgers), cfg.Unlabeled == aggregator.CustodialClaim, *recheckInterval)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := core.Serve(*addr, aggregator.NewServer(agg)); err != nil {
 		log.Fatalf("irs-site: %v", err)
 	}
 }

@@ -15,22 +15,23 @@ import (
 	"fmt"
 	"log"
 
-	"irs/internal/camera"
-	"irs/internal/ids"
+	"irs/internal/core"
 	"irs/internal/ledger"
 	"irs/internal/proxy"
 	"irs/internal/relay"
 	"irs/internal/tokens"
-	"irs/internal/wire"
 )
 
 func main() {
-	// --- The ledger and its payment service ---
-	l, err := ledger.New(ledger.Config{ID: 1})
+	// --- The ledger, its proxy, and its payment service ---
+	sys, err := core.Build(core.Spec{
+		Ledgers: []ledger.Config{{ID: 1}},
+		Proxy:   &proxy.Config{UseFilter: true, CacheCapacity: 64},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer l.Close()
+	defer sys.Close()
 	issuer, err := tokens.NewIssuer()
 	if err != nil {
 		log.Fatal(err)
@@ -61,8 +62,11 @@ func main() {
 	if err := issuer.Redeem(mixed["alice"]); err != nil {
 		log.Fatal(err)
 	}
-	cam := camera.New(&wire.Loopback{L: l}, "irs://ledger/1", nil)
-	labeled, owned, err := cam.ClaimAndLabel(cam.Shoot(42, 256, 160))
+	cam, err := sys.NewOwner(1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, owned, err := cam.ClaimAndLabel(cam.Shoot(42, 256, 160))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,35 +78,12 @@ func main() {
 	if err := cam.Revoke(owned.ID); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := l.BuildSnapshot(); err != nil {
+	if err := sys.RefreshFilters(); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("\n4. A viewer validates Alice's (revoked) photo through the oblivious relay:")
-	dir := wire.NewDirectory()
-	dir.Register(1, &wire.Loopback{L: l})
-	val := proxy.NewValidator(proxy.Config{UseFilter: true, CacheCapacity: 64},
-		func(id ids.PhotoID) (*ledger.StatusProof, error) {
-			svc, err := dir.For(id)
-			if err != nil {
-				return nil, err
-			}
-			return svc.Status(id)
-		})
-	if err := val.RefreshFilters(dir); err != nil {
-		log.Fatal(err)
-	}
-	egress, err := relay.NewEgress(func(id ids.PhotoID) (ledger.State, []byte, error) {
-		res, err := val.Validate(id)
-		if err != nil {
-			return ledger.StateUnknown, nil, err
-		}
-		var proof []byte
-		if res.Proof != nil {
-			proof = res.Proof.Marshal()
-		}
-		return res.State, proof, nil
-	})
+	egress, err := relay.NewEgress(sys.Proxy().Validator().Resolve)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,5 +107,4 @@ func main() {
 	fmt.Printf("   egress resolved it blindly: state = %s\n", resp.State)
 	fmt.Println("\n   ingress knows WHO asked but not WHAT;")
 	fmt.Println("   egress knows WHAT was asked but not WHO. (§4.2)")
-	_ = labeled
 }

@@ -15,36 +15,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"net/url"
 	"time"
 
-	"irs/internal/camera"
+	"irs/internal/core"
 	"irs/internal/ledger"
 	"irs/internal/proxy"
-	"irs/internal/wire"
 )
 
 func main() {
-	// --- Ledger service ---
-	l, err := ledger.New(ledger.Config{ID: 1})
+	// --- Ledger and proxy services, each on its own loopback listener ---
+	sys, err := core.Build(core.Spec{
+		Ledgers: []ledger.Config{{ID: 1}},
+		HTTP:    true,
+		Proxy:   &proxy.Config{UseFilter: true, CacheCapacity: 1024},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer l.Close()
-	ledgerURL := mustServe(wire.NewServer(l, ""))
-	fmt.Printf("ledger serving at   %s\n", ledgerURL)
-
-	// --- Proxy service ---
-	dir := wire.NewDirectory()
-	dir.Register(1, wire.NewClient(ledgerURL, ""))
-	ps := proxy.NewServer(proxy.Config{UseFilter: true, CacheCapacity: 1024}, dir)
-	proxyURL := mustServe(ps)
+	defer sys.Close()
+	proxyURL := sys.ProxyURL()
+	fmt.Printf("ledger serving at   %s\n", sys.URL(1))
 	fmt.Printf("proxy serving at    %s\n\n", proxyURL)
 
 	// --- Owner claims a gallery over HTTP ---
-	cam := camera.New(wire.NewClient(ledgerURL, ""), ledgerURL, nil)
+	cam, err := sys.NewOwner(1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	const nPhotos = 24
 	type entry struct {
 		id      string
@@ -64,20 +63,15 @@ func main() {
 			gallery[i].revoked = true
 		}
 	}
-	if _, err := l.BuildSnapshot(); err != nil {
+	if err := sys.RefreshFilters(); err != nil {
 		log.Fatal(err)
 	}
-	resp, err := http.Post(proxyURL+"/v1/refresh", "application/json", nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
 	fmt.Printf("claimed %d photos (every 6th revoked); proxy holds the revocation filter\n\n", nPhotos)
 
 	// --- Scroll session ---
 	fmt.Println("scrolling the gallery (extension validates each image):")
 	httpc := &http.Client{Timeout: 5 * time.Second}
-	var checked, blocked int
+	var checked, blocked, wrong int
 	var total time.Duration
 	for _, e := range gallery {
 		start := time.Now()
@@ -101,13 +95,14 @@ func main() {
 		fmt.Printf("  %s  %-7s via %-6s in %8s", e.id[:12]+"…", marker, v.Source, el.Round(10*time.Microsecond))
 		if e.revoked != !v.Displayable {
 			fmt.Printf("  << WRONG DECISION")
+			wrong++
 		}
 		fmt.Println()
 	}
 	fmt.Printf("\n%d images checked, %d blocked, mean check %s\n",
 		checked, blocked, (total / time.Duration(checked)).Round(10*time.Microsecond))
 
-	st := ps.Validator().Stats()
+	st := sys.Proxy().Validator().Stats()
 	fmt.Printf("proxy answered: %d from filter (no ledger contact), %d from cache, %d from ledger\n",
 		st.FilterMisses, st.CacheHits, st.LedgerQueries)
 
@@ -141,19 +136,15 @@ func main() {
 		}
 		if gallery[i].revoked != !v.Displayable {
 			fmt.Printf("  %s  << WRONG DECISION\n", gallery[i].id[:12]+"…")
+			wrong++
 		}
 	}
 	fmt.Printf("  %d images in one POST: %d blocked, %s total (vs %s for %d per-image GETs)\n",
 		len(batch.Results), blocked, batchEl.Round(10*time.Microsecond), total.Round(10*time.Microsecond), checked)
 
 	fmt.Println("\nthe ledger never learns which user viewed what — it sees only the proxy (§4.2)")
-}
-
-func mustServe(h http.Handler) string {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
+	if wrong > 0 {
+		sys.Close()
+		log.Fatalf("%d wrong decisions", wrong)
 	}
-	go (&http.Server{Handler: h}).Serve(ln)
-	return "http://" + ln.Addr().String()
 }

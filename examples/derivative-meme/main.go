@@ -17,11 +17,12 @@ import (
 
 	"irs/internal/aggregator"
 	"irs/internal/core"
+	"irs/internal/ledger"
 	"irs/internal/photo"
 )
 
 func main() {
-	sys, err := core.NewSystem(core.Options{Ledgers: 2})
+	sys, err := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 2}}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	site, err := sys.NewAggregator("memesite", aggregator.RejectUnlabeled, 2)
+	site, err := sys.NewAggregator(aggregator.Config{Name: "memesite"}, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,11 +18,12 @@ import (
 
 	"irs/internal/aggregator"
 	"irs/internal/core"
+	"irs/internal/ledger"
 	"irs/internal/photo"
 )
 
 func main() {
-	sys, err := core.NewSystem(core.Options{Ledgers: 2})
+	sys, err := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 2}}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func main() {
 	// birth*; the owner opts photos in explicitly.
 	victim.AutoRevoke = true
 
-	site, err := sys.NewAggregator("photosite", aggregator.RejectUnlabeled, 2)
+	site, err := sys.NewAggregator(aggregator.Config{Name: "photosite"}, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

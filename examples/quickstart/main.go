@@ -9,12 +9,13 @@ import (
 	"log"
 
 	"irs/internal/core"
+	"irs/internal/ledger"
 	"irs/internal/photo"
 )
 
 func main() {
 	// One system, two commercial ledgers.
-	sys, err := core.NewSystem(core.Options{Ledgers: 2})
+	sys, err := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 2}}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func main() {
 	if err := alice.Unrevoke(owned.ID); err != nil {
 		log.Fatal(err)
 	}
-	sys.Proxy().Invalidate(owned.ID)
+	sys.Proxy().Validator().Invalidate(owned.ID)
 	dec = sys.View(labeled)
 	fmt.Printf("view after unrevoke:    display=%v (%s)\n", dec.Display, dec.Reason)
 }

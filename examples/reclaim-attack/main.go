@@ -19,12 +19,13 @@ import (
 
 	"irs/internal/appeals"
 	"irs/internal/core"
+	"irs/internal/ledger"
 	"irs/internal/watermark"
 )
 
 func main() {
 	now := time.Date(2022, 11, 14, 9, 0, 0, 0, time.UTC)
-	sys, err := core.NewSystem(core.Options{Ledgers: 2, Clock: func() time.Time { return now }})
+	sys, err := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 2}}, Clock: func() time.Time { return now }})
 	if err != nil {
 		log.Fatal(err)
 	}

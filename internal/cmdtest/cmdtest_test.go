@@ -5,6 +5,7 @@
 package cmdtest
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -286,7 +287,22 @@ func TestLedgerRejectsBadFlags(t *testing.T) {
 	if err == nil {
 		t.Errorf("proxy with no ledgers accepted:\n%s", out)
 	}
-	_ = out
+	// The one id=url parser behind every binary's -ledger and
+	// -trust-ledger refuses an empty URL and a repeated id: a usage
+	// error, exit 2. (A binary that accepted one would serve until the
+	// deadline kills it.)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, args := range [][]string{
+		{"irs-proxy", "-addr", "127.0.0.1:0", "-ledger", "1="},
+		{"irs-site", "-addr", "127.0.0.1:0", "-ledger", "1=http://127.0.0.1:1", "-ledger", "1=http://127.0.0.1:2"},
+		{"irs-ledger", "-addr", "127.0.0.1:0", "-trust-ledger", "2="},
+	} {
+		out, err := exec.CommandContext(ctx, filepath.Join(binDir, args[0]), args[1:]...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%q: %v, want exit 2:\n%s", args, err, out)
+		}
+	}
 }
 
 // TestAppealViaCLI runs the §5 attack against two real ledger

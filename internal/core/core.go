@@ -5,22 +5,33 @@
 //
 // A downstream user embeds IRS in three steps:
 //
-//	sys, _ := core.NewSystem(core.Options{Ledgers: 2})
-//	alice := sys.NewOwner("ledger-1")
+//	sys, _ := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 2}}})
+//	alice, _ := sys.NewOwner(1)
 //	labeled, owned, _ := alice.ClaimAndLabel(alice.Shoot(1, 256, 192))
 //	... share labeled ...
 //	_ = alice.Revoke(owned.ID)
 //	sys.RefreshFilters()
 //	dec := sys.View(labeled)   // dec.Display == false
 //
-// System assembles in-process components (wire.Loopback); the cmd/
-// binaries assemble the identical pieces over HTTP. Both paths exercise
-// the same ledger, proxy, and aggregator code.
+// Build is the one assembly of the stack: the examples, the integration
+// tests, the experiments and the cmd/ service binaries all describe
+// their deployment as a Spec. Ledgers link in-process (wire.Loopback),
+// over loopback HTTP, or to a remote URL; every link runs the same
+// ledger, proxy, and aggregator code.
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log"
+	"net"
+	"net/http"
+	"os"
+	"os/signal"
+	"strconv"
+	"strings"
+	"syscall"
 	"time"
 
 	"irs/internal/aggregator"
@@ -34,98 +45,103 @@ import (
 	"irs/internal/wire"
 )
 
-// Options configures a local System.
-type Options struct {
-	// Ledgers is how many commercial ledgers to run (≥ 1). Ledger IDs
-	// are 1..N.
-	Ledgers int
-	// DataDir persists ledger state under DataDir/ledger-<id>; empty
-	// means in-memory.
-	DataDir string
-	// Clock drives every component; nil means time.Now. Experiments
-	// inject virtual clocks.
-	Clock func() time.Time
-	// ProxyCache is the proxy's proof-cache capacity; 0 uses 4096.
-	ProxyCache int
-	// ProxyTTL is the proxy cache TTL (the revocation propagation
-	// bound); 0 uses 5 minutes.
-	ProxyTTL time.Duration
-	// NonRevocableLedgers lists ledger IDs to run under the §5
-	// human-rights policy.
-	NonRevocableLedgers []ids.LedgerID
+// Spec describes a deployment. It holds the component configurations
+// themselves; Build adds only the links between them.
+type Spec struct {
+	// Ledgers are the ledgers this process runs (IDs nonzero and
+	// distinct; an empty Dir keeps one in memory).
+	Ledgers []ledger.Config
+	// Remote lists ledgers run elsewhere by base URL; each is linked
+	// through a wire.Client.
+	Remote Endpoints
+	// HTTP serves every local ledger and the proxy on a loopback
+	// listener and links the ledgers through wire.Client, as separate
+	// services would be; false links them in-process (wire.Loopback).
+	HTTP bool
+	// Proxy configures the validation proxy in front of the directory;
+	// nil means a filter-fronted proxy with a 4096-entry proof cache.
+	Proxy *proxy.Config
+	// AdminToken guards the permanent-revoke endpoint of the ledgers
+	// served over HTTP, and is presented by every wire.Client linked.
+	AdminToken string
 	// BrowserFilter additionally holds the revocation filters inside
 	// the browser itself — §4.4: "during early adoption, when the photo
 	// population is small ..., one could use the same strategy to
 	// reduce the load on the proxies by inserting a Bloom filter in
 	// browsers themselves." Filter misses then never leave the device.
 	BrowserFilter bool
+	// Clock fills every nil component clock; nil means time.Now.
+	// Experiments inject virtual clocks.
+	Clock func() time.Time
 }
 
-// System is a fully wired in-process IRS deployment.
+// System is a built IRS deployment.
 type System struct {
-	opts      Options
+	spec      Spec
 	ledgers   map[ids.LedgerID]*ledger.Ledger
+	urls      map[ids.LedgerID]string
 	directory *wire.Directory
-	validator *proxy.Validator
+	proxy     *proxy.Server
+	proxyURL  string
+	// servers are the loopback listeners of HTTP mode, ledgers first.
+	servers []*http.Server
 	// browserVal is the optional in-browser filter layer; its "ledger
 	// queries" are requests to the proxy.
 	browserVal *proxy.Validator
 	wmCfg      watermark.Config
 }
 
-// NewSystem builds a System.
-func NewSystem(opts Options) (*System, error) {
-	if opts.Ledgers < 1 {
+// Build opens the spec's ledgers, links each into one directory, and
+// puts a proxy.Server in front of it. On error everything opened so far
+// is closed again.
+func Build(spec Spec) (_ *System, err error) {
+	if len(spec.Ledgers)+len(spec.Remote) == 0 {
 		return nil, errors.New("core: at least one ledger required")
 	}
-	nonRev := make(map[ids.LedgerID]bool)
-	for _, id := range opts.NonRevocableLedgers {
-		nonRev[id] = true
-	}
 	s := &System{
-		opts:      opts,
+		spec:      spec,
 		ledgers:   make(map[ids.LedgerID]*ledger.Ledger),
+		urls:      make(map[ids.LedgerID]string),
 		directory: wire.NewDirectory(),
 		wmCfg:     watermark.DefaultConfig(),
 	}
-	for i := 1; i <= opts.Ledgers; i++ {
-		id := ids.LedgerID(i)
-		cfg := ledger.Config{ID: id, Clock: opts.Clock, NonRevocable: nonRev[id]}
-		if opts.DataDir != "" {
-			cfg.Dir = fmt.Sprintf("%s/ledger-%d", opts.DataDir, i)
-		}
-		l, err := ledger.New(cfg)
+	defer func() {
 		if err != nil {
 			s.Close()
+		}
+	}()
+	for _, cfg := range spec.Ledgers {
+		if err := s.open(cfg); err != nil {
 			return nil, err
 		}
-		s.ledgers[id] = l
-		s.directory.Register(id, &wire.Loopback{L: l})
 	}
-	cacheCap := opts.ProxyCache
-	if cacheCap == 0 {
-		cacheCap = 4096
+	for id, url := range spec.Remote {
+		if _, dup := s.urls[id]; dup {
+			return nil, fmt.Errorf("core: ledger %d is both local and remote", id)
+		}
+		s.link(id, url)
 	}
-	s.validator = proxy.NewValidator(proxy.Config{
-		CacheCapacity: cacheCap,
-		CacheTTL:      opts.ProxyTTL,
-		UseFilter:     true,
-		Clock:         opts.Clock,
-	}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
-		svc, err := s.directory.For(id)
-		if err != nil {
+	pcfg := proxy.Config{CacheCapacity: 4096, UseFilter: true}
+	if spec.Proxy != nil {
+		pcfg = *spec.Proxy
+	}
+	if pcfg.Clock == nil {
+		pcfg.Clock = spec.Clock
+	}
+	s.proxy = proxy.NewServer(pcfg, s.directory)
+	if spec.HTTP {
+		if s.proxyURL, err = s.serve(s.proxy); err != nil {
 			return nil, err
 		}
-		return svc.Status(id)
-	})
-	if opts.BrowserFilter {
+	}
+	if spec.BrowserFilter {
 		// The browser layer has no proof cache of its own (the proxy
 		// caches); its upstream "query" is the proxy.
 		s.browserVal = proxy.NewValidator(proxy.Config{
 			UseFilter: true,
-			Clock:     opts.Clock,
+			Clock:     spec.Clock,
 		}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
-			res, err := s.validator.Validate(id)
+			res, err := s.proxy.Validator().Validate(id)
 			if err != nil {
 				return nil, err
 			}
@@ -141,22 +157,66 @@ func NewSystem(opts Options) (*System, error) {
 	return s, nil
 }
 
-// ProxyQueries reports how many validations reached the proxy — the
-// quantity the §4.4 browser-resident filter reduces.
-func (s *System) ProxyQueries() uint64 { return s.validator.Stats().Total }
-
-// Close releases all ledgers.
-func (s *System) Close() error {
-	var firstErr error
-	for _, l := range s.ledgers {
-		if err := l.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+// open starts one local ledger and links it into the directory.
+func (s *System) open(cfg ledger.Config) error {
+	if _, dup := s.ledgers[cfg.ID]; dup {
+		return fmt.Errorf("core: ledger %d listed twice", cfg.ID)
 	}
-	return firstErr
+	if cfg.Clock == nil {
+		cfg.Clock = s.spec.Clock
+	}
+	l, err := ledger.New(cfg)
+	if err != nil {
+		return err
+	}
+	s.ledgers[cfg.ID] = l
+	if !s.spec.HTTP {
+		s.urls[cfg.ID] = fmt.Sprintf("irs://ledger/%d", cfg.ID)
+		s.directory.Register(cfg.ID, &wire.Loopback{L: l})
+		return nil
+	}
+	url, err := s.serve(wire.NewServer(l, s.spec.AdminToken))
+	if err == nil {
+		s.link(cfg.ID, url)
+	}
+	return err
 }
 
-// Ledger returns a ledger by ID.
+func (s *System) link(id ids.LedgerID, url string) {
+	s.urls[id] = url
+	s.directory.Register(id, wire.NewClient(url, s.spec.AdminToken))
+}
+
+// serve starts h on a loopback listener and returns its base URL.
+func (s *System) serve(h http.Handler) (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	srv := newServer(h)
+	go srv.Serve(ln)
+	s.servers = append(s.servers, srv)
+	return "http://" + ln.Addr().String(), nil
+}
+
+// ProxyQueries reports how many validations reached the proxy — the
+// quantity the §4.4 browser-resident filter reduces.
+func (s *System) ProxyQueries() uint64 { return s.proxy.Validator().Stats().Total }
+
+// Close shuts down the HTTP listeners, proxy first, letting requests in
+// flight finish, then closes the ledgers.
+func (s *System) Close() error {
+	var errs []error
+	for i := len(s.servers) - 1; i >= 0; i-- {
+		errs = append(errs, shutdown(s.servers[i]))
+	}
+	for _, l := range s.ledgers {
+		errs = append(errs, l.Close())
+	}
+	return errors.Join(errs...)
+}
+
+// Ledger returns a local ledger by ID.
 func (s *System) Ledger(id ids.LedgerID) (*ledger.Ledger, error) {
 	l, ok := s.ledgers[id]
 	if !ok {
@@ -165,65 +225,75 @@ func (s *System) Ledger(id ids.LedgerID) (*ledger.Ledger, error) {
 	return l, nil
 }
 
+// URL is the base URL of a ledger: its loopback listener in HTTP mode,
+// its Remote entry, or irs://ledger/<id> when linked in-process. Owners
+// label with it.
+func (s *System) URL(id ids.LedgerID) string { return s.urls[id] }
+
+// ProxyURL is the proxy's loopback base URL in HTTP mode, else "".
+func (s *System) ProxyURL() string { return s.proxyURL }
+
 // Directory exposes the ledger directory for components that validate.
 func (s *System) Directory() *wire.Directory { return s.directory }
 
-// Proxy exposes the proxy validator.
-func (s *System) Proxy() *proxy.Validator { return s.validator }
+// Proxy exposes the validation proxy.
+func (s *System) Proxy() *proxy.Server { return s.proxy }
 
 // NewOwner creates owner-side camera software claiming on the given
-// ledger ("ledger-1" style names or numeric IDs 1..N map directly).
+// ledger through its directory service.
 func (s *System) NewOwner(ledgerID ids.LedgerID) (*camera.Camera, error) {
-	l, ok := s.ledgers[ledgerID]
-	if !ok {
-		return nil, fmt.Errorf("core: no ledger %d", ledgerID)
+	svc, err := s.directory.ForLedger(ledgerID)
+	if err != nil {
+		return nil, err
 	}
-	return camera.New(&wire.Loopback{L: l}, fmt.Sprintf("irs://ledger/%d", ledgerID), nil), nil
+	return camera.New(svc, s.urls[ledgerID], nil), nil
 }
 
 // NewAggregator creates an IRS-supporting content aggregator validating
-// against this system's ledgers. Custodial claims go to custodialLedger.
-func (s *System) NewAggregator(name string, policy aggregator.UnlabeledPolicy, custodialLedger ids.LedgerID) (*aggregator.Aggregator, error) {
-	svc, ok := s.ledgers[custodialLedger]
-	if !ok && policy == aggregator.CustodialClaim {
+// against this system's directory. Custodial claims go to
+// custodialLedger's directory service; a nil cfg.Clock takes the spec's.
+func (s *System) NewAggregator(cfg aggregator.Config, custodialLedger ids.LedgerID) (*aggregator.Aggregator, error) {
+	if cfg.Clock == nil {
+		cfg.Clock = s.spec.Clock
+	}
+	if svc, err := s.directory.ForLedger(custodialLedger); err == nil {
+		cfg.CustodialLedger = svc
+		cfg.CustodialLedgerURL = s.urls[custodialLedger]
+	} else if cfg.Unlabeled == aggregator.CustodialClaim {
 		return nil, fmt.Errorf("core: no ledger %d for custodial claims", custodialLedger)
-	}
-	cfg := aggregator.Config{
-		Name:      name,
-		Unlabeled: policy,
-		Clock:     s.opts.Clock,
-	}
-	if ok {
-		cfg.CustodialLedger = &wire.Loopback{L: svc}
-		cfg.CustodialLedgerURL = fmt.Sprintf("irs://ledger/%d", custodialLedger)
 	}
 	return aggregator.New(cfg, s.directory)
 }
 
 // NewAdjudicator creates the appeals adjudicator for claims on the given
-// ledger, trusting every ledger in the system as a timestamp source.
+// local ledger, trusting every ledger in the directory as a timestamp
+// source (remote ones answer with their keys over the wire).
 func (s *System) NewAdjudicator(ledgerID ids.LedgerID, review appeals.ReviewFunc) (*appeals.Adjudicator, error) {
-	l, ok := s.ledgers[ledgerID]
-	if !ok {
-		return nil, fmt.Errorf("core: no ledger %d", ledgerID)
+	l, err := s.Ledger(ledgerID)
+	if err != nil {
+		return nil, err
 	}
 	adj := appeals.NewAdjudicator(l, review)
-	for id, other := range s.ledgers {
-		adj.TrustLedger(id, other.TimestampKey())
+	for id, svc := range s.directory.All() {
+		keys, err := svc.Keys()
+		if err != nil {
+			return nil, fmt.Errorf("core: keys of ledger %d at %s: %w", id, s.urls[id], err)
+		}
+		adj.TrustLedger(id, keys.TimestampKey)
 	}
 	return adj, nil
 }
 
-// RefreshFilters rebuilds every ledger's revocation filter snapshot and
-// pulls them into the proxy (and, when enabled, the browser-resident
-// filter) — the hourly cycle of §4.4.
+// RefreshFilters rebuilds every local ledger's revocation filter
+// snapshot and pulls the filters into the proxy (and, when enabled, the
+// browser-resident filter) — the hourly cycle of §4.4.
 func (s *System) RefreshFilters() error {
 	for _, l := range s.ledgers {
 		if _, err := l.BuildSnapshot(); err != nil {
 			return err
 		}
 	}
-	if err := s.validator.RefreshFilters(s.directory); err != nil {
+	if err := s.proxy.Validator().RefreshFilters(s.directory); err != nil {
 		return err
 	}
 	if s.browserVal != nil {
@@ -255,7 +325,7 @@ func (s *System) View(im *photo.Image) ViewDecision {
 	if !found {
 		return ViewDecision{Display: true, Reason: "unlabeled"}
 	}
-	val := s.validator
+	val := s.proxy.Validator()
 	if s.browserVal != nil {
 		val = s.browserVal
 	}
@@ -281,4 +351,75 @@ func (s *System) extractID(im *photo.Image) (ids.PhotoID, bool) {
 		return ids.FromBytes(res.Payload), true
 	}
 	return ids.PhotoID{}, false
+}
+
+// Endpoints maps ledger IDs to service base URLs. As a flag.Value it
+// collects repeated id=url flags, refusing a zero or non-numeric id, an
+// empty URL, and an id given twice.
+type Endpoints map[ids.LedgerID]string
+
+// String implements flag.Value.
+func (e Endpoints) String() string { return fmt.Sprintf("%v", map[ids.LedgerID]string(e)) }
+
+// Set implements flag.Value.
+func (e Endpoints) Set(v string) error {
+	id, url, ok := strings.Cut(v, "=")
+	if !ok {
+		return fmt.Errorf("want id=url, got %q", v)
+	}
+	n, err := strconv.ParseUint(id, 10, 32)
+	if err != nil || n == 0 {
+		return fmt.Errorf("bad ledger id %q", id)
+	}
+	lid := ids.LedgerID(n)
+	if url == "" {
+		return fmt.Errorf("ledger %d: empty url", lid)
+	}
+	if prev, dup := e[lid]; dup {
+		return fmt.Errorf("ledger %d given twice (%s and %s)", lid, prev, url)
+	}
+	e[lid] = url
+	return nil
+}
+
+// shutdownGrace bounds how long a stopping server waits for the requests
+// in flight.
+const shutdownGrace = 10 * time.Second
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+}
+
+// shutdown stops srv, waiting up to shutdownGrace for its handlers.
+func shutdown(srv *http.Server) error {
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	return srv.Shutdown(ctx)
+}
+
+// Serve runs h on addr until the process receives SIGINT or SIGTERM,
+// then shuts down: it stops accepting, waits for the requests in flight
+// (up to shutdownGrace) and only then returns, so the caller may close
+// what the handlers read.
+func Serve(addr string, h http.Handler) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return serve(ctx, ln, h)
+}
+
+func serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := newServer(h)
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		log.Printf("stopping: draining requests in flight on %s", ln.Addr())
+		return shutdown(srv)
+	}
 }

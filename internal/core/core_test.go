@@ -14,12 +14,18 @@ import (
 	"irs/internal/watermark"
 )
 
-func newSystem(t *testing.T, opts Options) *System {
-	t.Helper()
-	if opts.Ledgers == 0 {
-		opts.Ledgers = 2
+// ledgers configures n in-memory ledgers with IDs 1..n.
+func ledgers(n int) []ledger.Config {
+	cfgs := make([]ledger.Config, n)
+	for i := range cfgs {
+		cfgs[i].ID = ids.LedgerID(i + 1)
 	}
-	s, err := NewSystem(opts)
+	return cfgs
+}
+
+func build(t *testing.T, spec Spec) *System {
+	t.Helper()
+	s, err := Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +34,16 @@ func newSystem(t *testing.T, opts Options) *System {
 }
 
 func TestSystemValidation(t *testing.T) {
-	if _, err := NewSystem(Options{}); err == nil {
+	if _, err := Build(Spec{}); err == nil {
 		t.Error("zero ledgers accepted")
 	}
-	s := newSystem(t, Options{Ledgers: 1})
+	if _, err := Build(Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 1}}}); err == nil {
+		t.Error("duplicate ledger accepted")
+	}
+	if _, err := Build(Spec{Ledgers: ledgers(1), Remote: Endpoints{1: "http://127.0.0.1:1"}}); err == nil {
+		t.Error("ledger both local and remote accepted")
+	}
+	s := build(t, Spec{Ledgers: ledgers(1)})
 	if _, err := s.Ledger(9); err == nil {
 		t.Error("unknown ledger returned")
 	}
@@ -46,7 +58,7 @@ func TestSystemValidation(t *testing.T) {
 func TestClaimShareRevokeView(t *testing.T) {
 	// The headline lifecycle: claim → share → view OK → revoke →
 	// refresh → view blocked.
-	s := newSystem(t, Options{Ledgers: 2})
+	s := build(t, Spec{Ledgers: ledgers(2)})
 	alice, err := s.NewOwner(1)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +96,7 @@ func TestClaimShareRevokeView(t *testing.T) {
 }
 
 func TestViewStrippedMetadataUsesWatermark(t *testing.T) {
-	s := newSystem(t, Options{Ledgers: 1})
+	s := build(t, Spec{Ledgers: ledgers(1)})
 	alice, err := s.NewOwner(1)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +125,7 @@ func TestViewStrippedMetadataUsesWatermark(t *testing.T) {
 }
 
 func TestViewUnlabeledDisplays(t *testing.T) {
-	s := newSystem(t, Options{Ledgers: 1})
+	s := build(t, Spec{Ledgers: ledgers(1)})
 	dec := s.View(photo.Synth(3, 192, 128))
 	if !dec.Display || dec.Reason != "unlabeled" {
 		t.Errorf("unlabeled view: %+v", dec)
@@ -121,7 +133,7 @@ func TestViewUnlabeledDisplays(t *testing.T) {
 }
 
 func TestMultiLedgerRouting(t *testing.T) {
-	s := newSystem(t, Options{Ledgers: 3})
+	s := build(t, Spec{Ledgers: ledgers(3)})
 	for lid := ids.LedgerID(1); lid <= 3; lid++ {
 		owner, err := s.NewOwner(lid)
 		if err != nil {
@@ -141,7 +153,7 @@ func TestMultiLedgerRouting(t *testing.T) {
 }
 
 func TestNonRevocableLedgerOption(t *testing.T) {
-	s := newSystem(t, Options{Ledgers: 2, NonRevocableLedgers: []ids.LedgerID{2}})
+	s := build(t, Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 2, NonRevocable: true}}})
 	rights, err := s.NewOwner(2)
 	if err != nil {
 		t.Fatal(err)
@@ -163,12 +175,12 @@ func TestFullPipelineWithAggregatorAndAppeal(t *testing.T) {
 	// 4. An attacker re-claims a copy; the appeal kills it.
 	now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	s := newSystem(t, Options{Ledgers: 2, Clock: clock})
+	s := build(t, Spec{Ledgers: ledgers(2), Clock: clock})
 	alice, err := s.NewOwner(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := s.NewAggregator("photosite", aggregator.RejectUnlabeled, 2)
+	agg, err := s.NewAggregator(aggregator.Config{Name: "photosite"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +278,7 @@ func TestPersistentSystemRecovers(t *testing.T) {
 	dir := t.TempDir()
 	var savedID ids.PhotoID
 	{
-		s, err := NewSystem(Options{Ledgers: 1, DataDir: dir})
+		s, err := Build(Spec{Ledgers: []ledger.Config{{ID: 1, Dir: dir}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +298,7 @@ func TestPersistentSystemRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := NewSystem(Options{Ledgers: 1, DataDir: dir})
+	s, err := Build(Spec{Ledgers: []ledger.Config{{ID: 1, Dir: dir}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +319,7 @@ func TestPersistentSystemRecovers(t *testing.T) {
 func TestBrowserResidentFilter(t *testing.T) {
 	// §4.4 early-adoption option: the filter lives in the browser, so
 	// not-revoked views never even reach the proxy.
-	s := newSystem(t, Options{Ledgers: 1, BrowserFilter: true})
+	s := build(t, Spec{Ledgers: ledgers(1), BrowserFilter: true})
 	alice, err := s.NewOwner(1)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +365,7 @@ func TestViewValidationFailureDefaultDeny(t *testing.T) {
 	// A labeled photo pointing at a ledger this system doesn't know:
 	// validation cannot complete, so the extension must not display
 	// (Goal #3's default-deny posture).
-	s := newSystem(t, Options{Ledgers: 1})
+	s := build(t, Spec{Ledgers: ledgers(1)})
 	foreign, err := ids.New(42) // ledger 42 is not in the directory
 	if err != nil {
 		t.Fatal(err)

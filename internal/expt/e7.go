@@ -5,11 +5,10 @@ import (
 	"time"
 
 	"irs/internal/appeals"
-	"irs/internal/camera"
+	"irs/internal/core"
 	"irs/internal/ledger"
 	"irs/internal/photo"
 	"irs/internal/watermark"
-	"irs/internal/wire"
 )
 
 // E7Appeals regenerates the §5 attack analysis: "a more sophisticated
@@ -35,20 +34,27 @@ func E7Appeals(scale Scale, seed int64) (*Report, error) {
 
 	now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	vl, err := ledger.New(ledger.Config{ID: 1, Clock: clock})
+	sys, err := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 2}}, Clock: clock})
 	if err != nil {
 		return nil, err
 	}
-	defer vl.Close()
-	al, err := ledger.New(ledger.Config{ID: 2, Clock: clock})
+	defer sys.Close()
+	victim, err := sys.NewOwner(1)
 	if err != nil {
 		return nil, err
 	}
-	defer al.Close()
-	victim := camera.New(&wire.Loopback{L: vl}, "irs://1", nil)
-	attacker := camera.New(&wire.Loopback{L: al}, "irs://2", nil)
-	adj := appeals.NewAdjudicator(al, nil)
-	adj.TrustLedger(1, vl.TimestampKey())
+	attacker, err := sys.NewOwner(2)
+	if err != nil {
+		return nil, err
+	}
+	al, err := sys.Ledger(2)
+	if err != nil {
+		return nil, err
+	}
+	adj, err := sys.NewAdjudicator(2, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	strategies := []struct {
 		name      string

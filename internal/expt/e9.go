@@ -9,11 +9,11 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
-	"net"
 	"net/http"
 	"net/url"
 	"time"
 
+	"irs/internal/core"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/netsim"
@@ -43,30 +43,17 @@ func E9EndToEnd(scale Scale, seed int64) (*Report, error) {
 	nPhotos := scale.pick(40, 300)
 	nScroll := scale.pick(200, 2000)
 
-	// Ledger over real HTTP.
-	l, err := ledger.New(ledger.Config{ID: 1, FilterFPR: 0.02})
+	// Ledger and proxy, each over real HTTP.
+	sys, err := core.Build(core.Spec{
+		Ledgers: []ledger.Config{{ID: 1, FilterFPR: 0.02}},
+		HTTP:    true,
+		Proxy:   &proxy.Config{UseFilter: true, CacheCapacity: nPhotos},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer l.Close()
-	ledgerURL, stopLedger, err := serve(wire.NewServer(l, ""))
-	if err != nil {
-		return nil, err
-	}
-	defer stopLedger()
-
-	dir := wire.NewDirectory()
-	dir.Register(1, wire.NewClient(ledgerURL, ""))
-
-	// Proxy over real HTTP.
-	psrv := proxy.NewServer(proxy.Config{UseFilter: true, CacheCapacity: nPhotos}, dir)
-	proxyURL, stopProxy, err := serve(psrv)
-	if err != nil {
-		return nil, err
-	}
-	defer stopProxy()
-
-	client := wire.NewClient(ledgerURL, "")
+	defer sys.Close()
+	client := wire.NewClient(sys.URL(1), "")
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
@@ -108,13 +95,8 @@ func E9EndToEnd(scale Scale, seed int64) (*Report, error) {
 		}
 		revokeLat = append(revokeLat, time.Since(start))
 	}
-	if _, err := l.BuildSnapshot(); err != nil {
+	if err := sys.RefreshFilters(); err != nil {
 		return nil, err
-	}
-	if resp, err := http.Post(proxyURL+"/v1/refresh", "application/json", nil); err != nil {
-		return nil, err
-	} else {
-		resp.Body.Close()
 	}
 
 	// Scroll session: validate random claimed photos through the proxy.
@@ -125,7 +107,7 @@ func E9EndToEnd(scale Scale, seed int64) (*Report, error) {
 	for i := 0; i < nScroll; i++ {
 		id := receipts[rng.Intn(nPhotos)].ID
 		start := time.Now()
-		disp, err := validateHTTP(httpc, proxyURL, id)
+		disp, err := validateHTTP(httpc, sys.ProxyURL(), id)
 		if err != nil {
 			return nil, err
 		}
@@ -142,22 +124,11 @@ func E9EndToEnd(scale Scale, seed int64) (*Report, error) {
 	r.AddRow("revoke (HTTP)", fmt.Sprintf("%d", len(revokeLat)), q(revokeLat, 0.5), q(revokeLat, 0.95), "signed op")
 	r.AddRow("validate via proxy", fmt.Sprintf("%d", len(checkLat)), q(checkLat, 0.5), q(checkLat, 0.95),
 		fmt.Sprintf("%d blocked (revoked)", blocked))
-	st := psrv.Validator().Stats()
+	st := sys.Proxy().Validator().Stats()
 	r.AddNote("proxy outcomes: %d filter-miss (local), %d cache hits, %d ledger queries over %d checks",
 		st.FilterMisses, st.CacheHits, st.LedgerQueries, st.Total)
 	r.AddNote("loopback check latency is far below perceptual thresholds; WAN latency is modeled separately in E3/E4")
 	return r, nil
-}
-
-// serve starts an http.Handler on a loopback listener.
-func serve(h http.Handler) (baseURL string, stop func(), err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: h}
-	go srv.Serve(ln)
-	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }
 
 func validateHTTP(c *http.Client, base string, id ids.PhotoID) (displayable bool, err error) {

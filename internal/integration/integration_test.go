@@ -9,13 +9,13 @@ import (
 	"crypto/ed25519"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"irs/internal/aggregator"
 	"irs/internal/appeals"
 	"irs/internal/camera"
+	"irs/internal/core"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/proxy"
@@ -27,49 +27,46 @@ import (
 
 // deployment is a two-ledger HTTP-wired IRS installation.
 type deployment struct {
-	ledgers    map[ids.LedgerID]*ledger.Ledger
-	ledgerURLs map[ids.LedgerID]string
-	dir        *wire.Directory
-	proxySrv   *httptest.Server
-	proxy      *proxy.Server
-	clock      *time.Time
+	sys   *core.System
+	clock *time.Time
 }
 
 func newDeployment(t *testing.T, adminToken string) *deployment {
 	t.Helper()
 	now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
-	d := &deployment{
-		ledgers:    map[ids.LedgerID]*ledger.Ledger{},
-		ledgerURLs: map[ids.LedgerID]string{},
-		dir:        wire.NewDirectory(),
-		clock:      &now,
+	d := &deployment{clock: &now}
+	sys, err := core.Build(core.Spec{
+		Ledgers:    []ledger.Config{{ID: 1}, {ID: 2}},
+		HTTP:       true,
+		Proxy:      &proxy.Config{UseFilter: true, CacheCapacity: 1024},
+		AdminToken: adminToken,
+		Clock:      func() time.Time { return *d.clock },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	clock := func() time.Time { return *d.clock }
-	for _, id := range []ids.LedgerID{1, 2} {
-		l, err := ledger.New(ledger.Config{ID: id, Clock: clock})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(wire.NewServer(l, adminToken))
-		t.Cleanup(func() { srv.Close(); l.Close() })
-		d.ledgers[id] = l
-		d.ledgerURLs[id] = srv.URL
-		d.dir.Register(id, wire.NewClient(srv.URL, adminToken))
-	}
-	d.proxy = proxy.NewServer(proxy.Config{UseFilter: true, CacheCapacity: 1024, Clock: clock}, d.dir)
-	d.proxySrv = httptest.NewServer(d.proxy)
-	t.Cleanup(d.proxySrv.Close)
+	t.Cleanup(func() { sys.Close() })
+	d.sys = sys
 	return d
+}
+
+func (d *deployment) ledger(t *testing.T, lid ids.LedgerID) *ledger.Ledger {
+	t.Helper()
+	l, err := d.sys.Ledger(lid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func (d *deployment) refresh(t *testing.T) {
 	t.Helper()
-	for _, l := range d.ledgers {
-		if _, err := l.BuildSnapshot(); err != nil {
+	for _, lid := range []ids.LedgerID{1, 2} {
+		if _, err := d.ledger(t, lid).BuildSnapshot(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	resp, err := http.Post(d.proxySrv.URL+"/v1/refresh", "application/json", nil)
+	resp, err := http.Post(d.sys.ProxyURL()+"/v1/refresh", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +78,11 @@ func (d *deployment) refresh(t *testing.T) {
 
 func (d *deployment) camera(t *testing.T, lid ids.LedgerID) *camera.Camera {
 	t.Helper()
-	return camera.New(wire.NewClient(d.ledgerURLs[lid], ""), d.ledgerURLs[lid], nil)
+	cam, err := d.sys.NewOwner(lid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cam
 }
 
 func TestAppealEntirelyOverHTTP(t *testing.T) {
@@ -114,8 +115,10 @@ func TestAppealEntirelyOverHTTP(t *testing.T) {
 	// Adjudication runs at ledger 2 (in-process, as the ledger
 	// operator), but the resulting permanent revocation is also
 	// exercised through the HTTP admin endpoint to prove the wire path.
-	adj := appeals.NewAdjudicator(d.ledgers[2], nil)
-	adj.TrustLedger(1, d.ledgers[1].TimestampKey())
+	adj, err := d.sys.NewAdjudicator(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v, err := adj.Decide(&appeals.Complaint{
 		Original:       orig,
 		OriginalToken:  owned.Receipt.Timestamp,
@@ -131,7 +134,7 @@ func TestAppealEntirelyOverHTTP(t *testing.T) {
 	}
 	// Admin endpoint: revoking an already-permanently-revoked claim is
 	// idempotent at the HTTP layer.
-	adminClient := wire.NewClient(d.ledgerURLs[2], "admin-sekrit")
+	adminClient := wire.NewClient(d.sys.URL(2), "admin-sekrit")
 	if err := adminClient.PermanentRevoke(attackOwned.ID); err != nil {
 		t.Fatalf("admin revoke over HTTP: %v", err)
 	}
@@ -146,35 +149,36 @@ func TestAppealEntirelyOverHTTP(t *testing.T) {
 
 func TestLedgerOutageDefaultDeny(t *testing.T) {
 	// Goal #3 posture under failure: if validation cannot complete, the
-	// photo must not display.
-	l, err := ledger.New(ledger.Config{ID: 1})
+	// photo must not display. The ledger runs in one deployment; a
+	// browser-side deployment reaches it as a remote ledger.
+	ledgerSide, err := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}}, HTTP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	srv := httptest.NewServer(wire.NewServer(l, ""))
-	dir := wire.NewDirectory()
-	dir.Register(1, wire.NewClient(srv.URL, ""))
-
-	cam := camera.New(wire.NewClient(srv.URL, ""), srv.URL, nil)
-	_, owned, err := cam.ClaimAndLabel(cam.Shoot(2, 192, 128))
+	viewer, err := core.Build(core.Spec{Remote: core.Endpoints{1: ledgerSide.URL(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := proxy.NewValidator(proxy.Config{UseFilter: true}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
-		c, err := dir.For(id)
-		if err != nil {
-			return nil, err
-		}
-		return c.Status(id)
-	})
+	defer viewer.Close()
+	cam, err := viewer.NewOwner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeled, owned, err := cam.ClaimAndLabel(cam.Shoot(2, 192, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// No filter held → every validation needs the ledger. Kill it.
-	srv.Close()
-	if _, err := v.Validate(owned.ID); err == nil {
+	if err := ledgerSide.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := viewer.Proxy().Validator().Validate(owned.ID); err == nil {
 		t.Fatal("validation succeeded against a dead ledger")
 	}
-	// The browser-extension policy turns that error into deny — covered
-	// by core.View; here we assert the error actually propagates.
+	// The browser-extension policy turns that error into deny.
+	if dec := viewer.View(labeled); dec.Display || dec.ID != owned.ID {
+		t.Errorf("photo of a dead ledger displayed: %+v", dec)
+	}
 }
 
 func TestStaleFilterStillSafe(t *testing.T) {
@@ -205,7 +209,7 @@ func TestStaleFilterStillSafe(t *testing.T) {
 	}
 	// No refresh: the proxy's filter is stale.
 
-	val := d.proxy.Validator()
+	val := d.sys.Proxy().Validator()
 	resOld, err := val.Validate(ownedOld.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -248,18 +252,7 @@ func TestRelayAgainstLiveProxyStack(t *testing.T) {
 	}
 	d.refresh(t)
 
-	val := d.proxy.Validator()
-	eg, err := relay.NewEgress(func(id ids.PhotoID) (ledger.State, []byte, error) {
-		res, err := val.Validate(id)
-		if err != nil {
-			return ledger.StateUnknown, nil, err
-		}
-		var proof []byte
-		if res.Proof != nil {
-			proof = res.Proof.Marshal()
-		}
-		return res.State, proof, nil
-	})
+	eg, err := relay.NewEgress(d.sys.Proxy().Validator().Resolve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +280,7 @@ func TestRelayAgainstLiveProxyStack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ledger.VerifyProof(d.ledgers[1].SigningKey(), p, *d.clock, time.Hour); err != nil {
+		if err := ledger.VerifyProof(d.ledger(t, 1).SigningKey(), p, *d.clock, time.Hour); err != nil {
 			t.Errorf("relayed proof does not verify: %v", err)
 		}
 	}
@@ -364,7 +357,7 @@ func TestAggregatorFleetConvergence(t *testing.T) {
 	}
 	var sites []*aggregator.Aggregator
 	for i := 0; i < 3; i++ {
-		agg, err := aggregator.New(aggregator.Config{Name: "site"}, d.dir)
+		agg, err := aggregator.New(aggregator.Config{Name: "site"}, d.sys.Directory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,13 +382,14 @@ func TestAggregatorFleetConvergence(t *testing.T) {
 }
 
 func TestPNMInteropWithRealListener(t *testing.T) {
-	// Smoke the serve() path used by examples: raw net.Listen + proxy.
+	// Smoke the built proxy behind a listener of the caller's own, the
+	// way a binary mounts it: raw net.Listen + http.Server.
 	d := newDeployment(t, "")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: d.proxy}
+	srv := &http.Server{Handler: d.sys.Proxy()}
 	go srv.Serve(ln)
 	defer srv.Close()
 	resp, err := http.Get("http://" + ln.Addr().String() + "/v1/stats")

@@ -371,6 +371,21 @@ func (v *Validator) Validate(id ids.PhotoID) (Result, error) {
 	return Result{State: p.State, Source: SourceLedger, Proof: p}, nil
 }
 
+// Resolve is Validate in relay.Resolver's shape — the state and the
+// marshalled proof (nil for a filter answer) — so an oblivious egress
+// resolves through the proxy as is.
+func (v *Validator) Resolve(id ids.PhotoID) (ledger.State, []byte, error) {
+	res, err := v.Validate(id)
+	if err != nil {
+		return ledger.StateUnknown, nil, err
+	}
+	var proof []byte
+	if res.Proof != nil {
+		proof = res.Proof.Marshal()
+	}
+	return res.State, proof, nil
+}
+
 // degrade answers a validation whose upstream resolution failed,
 // according to the configured DegradePolicy, and classifies the
 // occurrence: a stale answer under FailOpenFresh is StaleServed, a

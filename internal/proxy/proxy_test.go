@@ -280,6 +280,38 @@ func TestQueryError(t *testing.T) {
 	}
 }
 
+func TestResolveIsValidateMarshalled(t *testing.T) {
+	// The relay egress's miss path: a filter answer carries no proof,
+	// a ledger answer its proof's wire bytes, a failure StateUnknown.
+	fl := newFakeLedger()
+	v := NewValidator(Config{UseFilter: true, CacheCapacity: 10}, fl.query)
+	revoked, active := mustNewID(t, 1), mustNewID(t, 1)
+	f, err := bloom.NewWithEstimate(1024, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Add(ledger.FilterKey(revoked))
+	v.SetFilter(1, 1, f)
+	fl.states[revoked] = ledger.StateRevoked
+
+	if st, proof, err := v.Resolve(active); err != nil || st != ledger.StateActive || proof != nil {
+		t.Errorf("filter answer: %v %x %v", st, proof, err)
+	}
+	st, proof, err := v.Resolve(revoked)
+	if err != nil || st != ledger.StateRevoked {
+		t.Fatalf("ledger answer: %v %v", st, err)
+	}
+	p, err := ledger.UnmarshalProof(proof)
+	if err != nil || p.ID != revoked || p.State != ledger.StateRevoked {
+		t.Errorf("proof %+v %v", p, err)
+	}
+	v.Invalidate(revoked)
+	fl.err = errors.New("ledger down")
+	if st, proof, err := v.Resolve(revoked); err == nil || st != ledger.StateUnknown || proof != nil {
+		t.Errorf("failed answer: %v %x %v", st, proof, err)
+	}
+}
+
 func TestSingleflightCollapsesConcurrent(t *testing.T) {
 	var mu sync.Mutex
 	queries := 0

@@ -25,7 +25,7 @@ import (
 // render the watermark unreadable. This would render the picture
 // unsharable, which is self-defeating."
 func TestNaiveManglerIsSelfDefeating(t *testing.T) {
-	sys, err := core.NewSystem(core.Options{Ledgers: 1})
+	sys, err := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestNaiveManglerIsSelfDefeating(t *testing.T) {
 	if err := sys.RefreshFilters(); err != nil {
 		t.Fatal(err)
 	}
-	agg, err := sys.NewAggregator("site", aggregator.RejectUnlabeled, 1)
+	agg, err := sys.NewAggregator(aggregator.Config{Name: "site"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestNaiveManglerIsSelfDefeating(t *testing.T) {
 // the aforementioned appeals process." Both halves asserted.
 func TestSophisticatedReclaimerBeatsAutomationLosesAppeal(t *testing.T) {
 	now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
-	sys, err := core.NewSystem(core.Options{Ledgers: 2, Clock: func() time.Time { return now }})
+	sys, err := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 2}}, Clock: func() time.Time { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSophisticatedReclaimerBeatsAutomationLosesAppeal(t *testing.T) {
 // not allow their revocation (and would deny the appeals process if it
 // appeared the appeal was done under duress)."
 func TestCensorshipResistantLedger(t *testing.T) {
-	sys, err := core.NewSystem(core.Options{Ledgers: 2, NonRevocableLedgers: []ids.LedgerID{2}})
+	sys, err := core.Build(core.Spec{Ledgers: []ledger.Config{{ID: 1}, {ID: 2, NonRevocable: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}

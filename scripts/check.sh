@@ -243,6 +243,24 @@ if [ "$ok" != 1 ]; then
     exit 1
 fi
 
+# The one deployment assembly, core.Build: its in-process and
+# loopback-HTTP links decide alike (view decisions, answer sources,
+# proof bytes, a stripped copy, a foreign ledger's default deny), the
+# id=url flag parser every binary shares refuses bad entries, a stopping
+# server drains the request in flight before it returns, and the relay
+# egress resolves through proxy.Validator.Resolve. Named under -race.
+go test -race -run 'BuildLinksAgree|EndpointsFlag|ServeDrainsInFlightRequests|ResolveIsValidateMarshalled' \
+    ./internal/core ./internal/proxy
+
+# Every example runs to completion: a non-zero exit (a wrong decision
+# in browser-extension included) or a hang fails the gate.
+for ex in examples/*/; do
+    if ! timeout 120 go run "./${ex%/}" >/tmp/irs_example_check.log 2>&1; then
+        echo "check.sh: example ${ex%/} failed (see /tmp/irs_example_check.log)" >&2
+        exit 1
+    fi
+done
+
 # Adversarial suite: keyed-band-mixer identity/differential proofs,
 # the crafted-collision degradation regression, the admission-control
 # suite (identical decisions under benign traffic, flood isolation,
