@@ -246,10 +246,10 @@ func (a *Aggregator) deny(reason DenyReason) UploadResult {
 
 // Upload runs the §3.2 pipeline on an uploaded image: the stateless
 // prepare half (label extraction, provenance check — see the paper
-// note below — signature, status read) followed by the stateful commit
-// half. UploadStream runs the same two halves with prepare fanned out
-// across workers, so serial and streamed uploads share one decision
-// path.
+// note below — signature), the status read, and the stateful commit
+// half. UploadAll runs the same three steps over an album, prepare
+// fanned out across the parallel pool and one StatusBatch per ledger,
+// so single and album uploads share one decision path.
 //
 // A provenance manifest, when present, must verify and must agree with
 // the label (§2: IRS "can benefit from the adoption of the C2PA
@@ -259,7 +259,7 @@ func (a *Aggregator) Upload(im *photo.Image) (UploadResult, error) {
 	a.metrics.Uploads++
 	a.mu.Unlock()
 	p := prep{im: im}
-	a.prepare(&p, nil)
+	a.prepare(&p)
 	if p.wantStatus {
 		if svc, err := a.dir.For(p.metaID); err != nil {
 			p.statusErr = err

@@ -8,6 +8,7 @@ import (
 
 	"irs/internal/camera"
 	"irs/internal/ledger"
+	"irs/internal/parallel"
 	"irs/internal/photo"
 	"irs/internal/wire"
 )
@@ -69,11 +70,11 @@ func BenchmarkUploadPipeline(b *testing.B) {
 	r, items := benchFixture(b, batch)
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(map[int]string{1: "workers1", 4: "workers4", 8: "workers8"}[workers], func(b *testing.B) {
+			defer parallel.SetWorkers(parallel.SetWorkers(workers))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				agg := benchAgg(b, r)
-				results := agg.UploadAll(context.Background(), items,
-					PipelineConfig{Workers: workers})
+				results := agg.UploadAll(context.Background(), items)
 				for _, res := range results {
 					if res.Err != nil || !res.Result.Accepted {
 						b.Fatalf("item %d: %+v %v", res.Index, res.Result, res.Err)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/netsim"
-	"irs/internal/obs"
 	"irs/internal/parallel"
 	"irs/internal/phash"
 	"irs/internal/photo"
@@ -188,9 +186,7 @@ func TestPipelineDecisionsMatchSerial(t *testing.T) {
 
 		for _, workers := range []int{1, 2, 4, 8} {
 			agg := freshAgg(t, r, policy)
-			reg := obs.NewRegistry()
-			results := agg.UploadAll(context.Background(), items,
-				PipelineConfig{Workers: workers, Obs: reg})
+			results := uploadAllAt(agg, workers, items)
 			if len(results) != len(items) {
 				t.Fatalf("policy %v workers %d: %d results for %d items",
 					policy, workers, len(results), len(items))
@@ -215,111 +211,87 @@ func TestPipelineDecisionsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestPipelineCancellationDrains cancels mid-stream and checks the
-// stream shuts down promptly, without deadlock, and reports every
-// unadmitted item with a non-nil error in input order.
-func TestPipelineCancellationDrains(t *testing.T) {
-	r := newRig(t, RejectUnlabeled, nil)
-	labeled, _, err := r.cam.ClaimAndLabel(r.cam.Shoot(950, 192, 128))
+// uploadAllAt runs UploadAll with the parallel pool pinned to workers.
+func uploadAllAt(agg *Aggregator, workers int, items []UploadItem) []StreamResult {
+	defer parallel.SetWorkers(parallel.SetWorkers(workers))
+	return agg.UploadAll(context.Background(), items)
+}
+
+// TestUploadAllCancellation: a context cancelled before the call
+// touches neither the ledgers nor the aggregator, and every item
+// carries the context's error; a context cancelled while the album's
+// status batch is on the wire changes nothing, since every item has
+// been prepared by then and is decided as serial Upload decides it.
+func TestUploadAllCancellation(t *testing.T) {
+	r := newRig(t, CustodialClaim, nil)
+	spy1, spy2 := spyOn(t, r, 1), spyOn(t, r, 2)
+	agg, err := New(Config{
+		Name:               "cancel",
+		Unlabeled:          CustodialClaim,
+		CustodialLedger:    spy2,
+		CustodialLedgerURL: "local://2",
+	}, r.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 40
-	items := make([]UploadItem, n)
-	for i := range items {
-		items[i] = UploadItem{Image: labeled}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-
-	// Cancel once a few results have been emitted, from a consumer-side
-	// hook: wrap UploadAll's stream manually so we can cancel mid-drain.
-	in := make(chan UploadItem)
-	go func() {
-		defer close(in)
-		for i, it := range items {
-			if i == n/2 {
-				// The second half is offered only to a cancelled stream.
-				// Without this a starved consumer can see its fifth result
-				// after every item has been admitted (the committer's
-				// reorder buffer takes what the channels cannot), and the
-				// partial-drain check below fails on a loaded host.
-				<-ctx.Done()
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case in <- it:
+	var items []UploadItem
+	for i := int64(0); i < 6; i++ {
+		im := photo.Synth(1500+i, 192, 128) // unlabeled: custodial
+		if i%2 == 0 {
+			if im, _, err = r.cam.ClaimAndLabel(r.cam.Shoot(1500+i, 192, 128)); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}()
-	out := r.agg.UploadStream(ctx, in, PipelineConfig{Workers: 4, Depth: 2})
-	var processed int32
-	donech := make(chan struct{})
-	go func() {
-		defer close(donech)
-		for res := range out {
-			if res.Err == nil && !res.Result.Accepted {
-				panic("labeled-active upload denied")
-			}
-			if atomic.AddInt32(&processed, 1) == 5 {
-				cancel()
-			}
-		}
-	}()
-	select {
-	case <-donech:
-	case <-time.After(30 * time.Second):
-		t.Fatal("stream did not drain after cancellation")
+		items = append(items, UploadItem{Image: im})
 	}
-	got := atomic.LoadInt32(&processed)
-	if got < 5 || got == n {
-		t.Errorf("processed %d of %d items; want partial drain >= 5", got, n)
-	}
-	cancel()
-
-	// Cancellation inside a status window: three items of an 8-item
-	// window are admitted, then ctx is cancelled with the input still
-	// open. The batcher must flush the partial window — its items are
-	// decided, not dropped — and the stream must close. (The feeder may
-	// drop the item it holds when the cancel lands, hence two or three.)
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	in2 := make(chan UploadItem)
-	out2 := r.agg.UploadStream(ctx2, in2, PipelineConfig{Workers: 2, Depth: 8})
-	for _, it := range items[:3] {
-		in2 <- it
-	}
-	cancel2()
-	drained := make(chan int)
-	go func() {
-		n := 0
-		for res := range out2 {
-			if res.Err != nil || !res.Result.Accepted {
-				t.Errorf("mid-window item %d: %+v err=%v", res.Index, res.Result, res.Err)
-			}
-			n++
+	calls := func() int64 {
+		var n int64
+		for _, s := range []*spyService{spy1, spy2} {
+			n += s.statuses.Load() + s.batches.Load() + s.claims.Load()
 		}
-		drained <- n
-	}()
-	select {
-	case n := <-drained:
-		if n < 2 || n > 3 {
-			t.Errorf("mid-window cancel emitted %d results, want 2 or 3", n)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("stream did not drain after a mid-window cancellation")
+		return n
 	}
 
-	// UploadAll on an already-cancelled context: every item reports the
-	// context error without touching the aggregator.
 	dead, deadCancel := context.WithCancel(context.Background())
 	deadCancel()
-	results := r.agg.UploadAll(dead, items[:4], PipelineConfig{Workers: 2})
+	uploads := agg.MetricsSnapshot().Uploads
+	for _, workers := range []int{1, 4} {
+		prev := parallel.SetWorkers(workers)
+		results := agg.UploadAll(dead, items)
+		parallel.SetWorkers(prev)
+		for i, res := range results {
+			if res.Index != i || !errors.Is(res.Err, context.Canceled) {
+				t.Errorf("workers %d item %d under a cancelled context: %+v", workers, i, res)
+			}
+		}
+	}
+	if n := calls(); n != 0 {
+		t.Errorf("a cancelled album made %d ledger calls", n)
+	}
+	if got := agg.MetricsSnapshot().Uploads; got != uploads {
+		t.Errorf("a cancelled album counted %d uploads", got-uploads)
+	}
+
+	serialAgg := freshAgg(t, r, CustodialClaim)
+	serial := make([]decision, len(items))
+	for i, it := range items {
+		serial[i] = toDecision(serialAgg.Upload(it.Image))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spy1.statusBatch = func(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+		cancel()
+		return spy1.Service.StatusBatch(batch)
+	}
+	prev := parallel.SetWorkers(4)
+	results := agg.UploadAll(ctx, items)
+	parallel.SetWorkers(prev)
+	if ctx.Err() == nil {
+		t.Fatal("the album sent no status batch")
+	}
 	for i, res := range results {
-		if res.Err == nil {
-			t.Errorf("item %d processed under cancelled context", i)
-		} else if !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, ErrSkipped) {
-			t.Errorf("item %d error %v", i, res.Err)
+		if got := toDecision(res.Result, res.Err); got != serial[i] {
+			t.Errorf("item %d after a cancel mid-status: %+v (err %v), serial %+v", i, got, res.Err, serial[i])
 		}
 	}
 }
@@ -341,7 +313,7 @@ func TestPipelinePoisonedItem(t *testing.T) {
 		{Raw: []byte{0xde, 0xad}},
 		{Raw: buf.Bytes()},
 	}
-	results := r.agg.UploadAll(context.Background(), items, PipelineConfig{Workers: 3})
+	results := uploadAllAt(r.agg, 3, items)
 	if results[0].Err != nil || !results[0].Result.Accepted || results[0].Result.ID != owned.ID {
 		t.Errorf("item 0: %+v err=%v", results[0].Result, results[0].Err)
 	}
@@ -440,29 +412,12 @@ func spyOn(t *testing.T, r *rig, lid ids.LedgerID) *spyService {
 	return spy
 }
 
-// streamAll runs items through UploadStream and collects the results.
-func streamAll(agg *Aggregator, items []UploadItem, cfg PipelineConfig) []StreamResult {
-	in := make(chan UploadItem)
-	go func() {
-		defer close(in)
-		for _, it := range items {
-			in <- it
-		}
-	}()
-	var results []StreamResult
-	for res := range agg.UploadStream(context.Background(), in, cfg) {
-		results = append(results, res)
-	}
-	return results
-}
-
-// TestPipelineStatusRequestCount pins what the batching status stage is
-// for: the ledger requests of an upload run are a function of its input
+// TestPipelineStatusRequestCount pins what the batched status step is
+// for: the ledger requests of an album are a function of its content
 // alone. An album with labeled items on two ledgers plus unlabeled,
 // mismatched and malformed ones costs UploadAll exactly two StatusBatch
 // requests, no Status, and one Claim per custodial item, at any worker
-// count; UploadStream pays one StatusBatch per ledger per Depth-sized
-// window. Decisions equal serial Upload item by item either way.
+// count. Decisions equal serial Upload item by item.
 func TestPipelineStatusRequestCount(t *testing.T) {
 	r := newRig(t, CustodialClaim, nil)
 	spy1, spy2 := spyOn(t, r, 1), spyOn(t, r, 2)
@@ -552,7 +507,7 @@ func TestPipelineStatusRequestCount(t *testing.T) {
 		t.Fatalf("serial: %d Status calls, want %d", got, wantSerial)
 	}
 
-	check := func(name string, results []StreamResult, wantBatches int) {
+	check := func(name string, results []StreamResult) {
 		t.Helper()
 		if len(results) != len(items) {
 			t.Fatalf("%s: %d results for %d items", name, len(results), len(items))
@@ -571,56 +526,37 @@ func TestPipelineStatusRequestCount(t *testing.T) {
 			batches += s.batches.Load()
 			claims += s.claims.Load()
 		}
-		if statuses != 0 || batches != int64(wantBatches) || claims != int64(custodial) {
-			t.Errorf("%s: %d Status, %d StatusBatch, %d Claim; want 0, %d, %d",
-				name, statuses, batches, claims, wantBatches, custodial)
+		if statuses != 0 || batches != 2 || claims != int64(custodial) {
+			t.Errorf("%s: %d Status, %d StatusBatch, %d Claim; want 0, 2, %d",
+				name, statuses, batches, claims, custodial)
 		}
-	}
-	const depth = 2
-	type windowLedger struct {
-		window int
-		lid    ids.LedgerID
-	}
-	streamBatches := make(map[windowLedger]bool)
-	for i, lid := range ledgerOf {
-		if lid != 0 {
-			streamBatches[windowLedger{i / depth, lid}] = true
-		}
-	}
-	if windows := (len(items) + depth - 1) / depth; len(streamBatches) <= windows/2 || len(streamBatches) > 2*windows {
-		t.Fatalf("corpus yields %d stream batches over %d windows", len(streamBatches), windows)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		for _, s := range spies {
 			s.reset()
 		}
-		check(fmt.Sprintf("UploadAll workers=%d", workers),
-			newAgg().UploadAll(context.Background(), items, PipelineConfig{Workers: workers}), 2)
-		for _, s := range spies {
-			s.reset()
-		}
-		check(fmt.Sprintf("UploadStream workers=%d depth=%d", workers, depth),
-			streamAll(newAgg(), items, PipelineConfig{Workers: workers, Depth: depth}), len(streamBatches))
+		check(fmt.Sprintf("UploadAll workers=%d", workers), uploadAllAt(newAgg(), workers, items))
 	}
 }
 
 // TestPipelineStatusFaultParity replays one corpus, labeled on two
-// ledgers, against status endpoints that fail per netsim.Faulty fate
-// draws — one fate per status batch, that is per (window, ledger).
-// Fates are pre-drawn in issue order and looked up by the identifiers a
-// request carries, so the serial path (one Status per item, given its
-// batch's fate) and the pipeline at any worker count observe the same
-// fault for the same item: every item of a lost batch is
-// DenyLedgerUnreachable, and every item of any other batch — the same
-// window's batch to the other ledger included — decides as serial.
+// ledgers and uploaded as 4-item albums, against status endpoints that
+// fail per netsim.Faulty fate draws — one fate per status batch, that
+// is per (album, ledger). Fates are pre-drawn in issue order and looked
+// up by the identifiers a request carries, so the serial path (one
+// Status per item, given its batch's fate) and UploadAll at any worker
+// count observe the same fault for the same item: every item of a lost
+// batch is DenyLedgerUnreachable, and every item of any other batch —
+// the same album's batch to the other ledger included — decides as
+// serial.
 func TestPipelineStatusFaultParity(t *testing.T) {
 	r := newRig(t, RejectUnlabeled, nil)
 	cam2 := camera.New(&wire.Loopback{L: r.custLedger}, "local://2", nil)
 
-	const n, depth = 12, 4
+	const n, album = 12, 4
 	type batchKey struct {
-		window int
-		lid    ids.LedgerID
+		album int
+		lid   ids.LedgerID
 	}
 	items := make([]UploadItem, 0, n)
 	keyOf := make(map[ids.PhotoID]batchKey, n)
@@ -640,7 +576,7 @@ func TestPipelineStatusFaultParity(t *testing.T) {
 			}
 		}
 		items = append(items, UploadItem{Image: labeled})
-		k := batchKey{i / depth, owned.ID.Ledger}
+		k := batchKey{i / album, owned.ID.Ledger}
 		keyOf[owned.ID] = k
 		itemKey = append(itemKey, k)
 	}
@@ -650,8 +586,8 @@ func TestPipelineStatusFaultParity(t *testing.T) {
 	// are then looked up by content, so real-time call order cannot
 	// reshuffle which batch they land on.
 	var keys []batchKey
-	for w := 0; w < n/depth; w++ {
-		keys = append(keys, batchKey{w, 1}, batchKey{w, 2})
+	for a := 0; a < n/album; a++ {
+		keys = append(keys, batchKey{a, 1}, batchKey{a, 2})
 	}
 	sched := netsim.NewScheduler(1)
 	faulty, err := netsim.NewFaulty(netsim.NewLink(sched, netsim.Fixed(time.Millisecond), 0),
@@ -720,9 +656,10 @@ func TestPipelineStatusFaultParity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, 8} {
-		results := streamAll(freshAgg(t, r, RejectUnlabeled), items, PipelineConfig{Workers: workers, Depth: depth})
-		if len(results) != n {
-			t.Fatalf("workers %d: %d results", workers, len(results))
+		agg := freshAgg(t, r, RejectUnlabeled)
+		var results []StreamResult
+		for lo := 0; lo < n; lo += album {
+			results = append(results, uploadAllAt(agg, workers, items[lo:lo+album])...)
 		}
 		for i, res := range results {
 			if got := toDecision(res.Result, res.Err); got != serial[i] {
@@ -730,124 +667,6 @@ func TestPipelineStatusFaultParity(t *testing.T) {
 					workers, i, itemKey[i], got, serial[i])
 			}
 		}
-	}
-}
-
-// TestPipelineStatusStageConcurrency proves a slow status batch does
-// not stall the compute workers: with one worker and windows of two,
-// the first window's request is held on the wire until the worker has
-// hashed the whole next window. A pipeline that fetched status inside
-// its compute stage would never get there, and the guard fails the
-// held batch instead.
-func TestPipelineStatusStageConcurrency(t *testing.T) {
-	r := newRig(t, RejectUnlabeled, nil)
-	const n, depth = 6, 2
-	items := make([]UploadItem, n)
-	for i := range items {
-		labeled, _, err := r.cam.ClaimAndLabel(r.cam.Shoot(1100+int64(i), 192, 128))
-		if err != nil {
-			t.Fatal(err)
-		}
-		items[i] = UploadItem{Image: labeled}
-	}
-
-	reg := obs.NewRegistry()
-	hashed := reg.Histogram("irs_upload_stage_seconds", nil, obs.L("stage", "hash"))
-	spy := spyOn(t, r, 1)
-	var first sync.Once
-	spy.statusBatch = func(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
-		var err error
-		first.Do(func() {
-			guard := time.Now().Add(20 * time.Second)
-			for hashed.Snapshot().Count < 2*depth {
-				if time.Now().After(guard) {
-					err = errors.New("compute stalled behind a status batch in flight")
-					return
-				}
-				time.Sleep(time.Millisecond)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return spy.Service.StatusBatch(batch)
-	}
-
-	results := streamAll(r.agg, items, PipelineConfig{Workers: 1, Depth: depth, Obs: reg})
-	if len(results) != n {
-		t.Fatalf("%d results for %d items", len(results), n)
-	}
-	for i, res := range results {
-		if res.Err != nil || !res.Result.Accepted {
-			t.Fatalf("item %d: %+v err=%v", i, res.Result, res.Err)
-		}
-	}
-	if got := spy.batches.Load(); got != n/depth {
-		t.Errorf("%d status batches, want %d", got, n/depth)
-	}
-	sizes := reg.Histogram("irs_upload_status_batch_ids", nil).Snapshot()
-	if sizes.Count != n/depth || sizes.Sum != n {
-		t.Errorf("irs_upload_status_batch_ids saw %d requests of %v ids, want %d of %d", sizes.Count, sizes.Sum, n/depth, n)
-	}
-}
-
-// TestPipelineStatusDeadline: a hung ledger costs its own batch the
-// deadline and nothing else — its items commit as
-// DenyLedgerUnreachable, the same window's items on a healthy ledger
-// are hosted, the stream drains promptly, and once the ledger lets go
-// the abandoned call's goroutine exits instead of blocking on a send
-// nobody receives.
-func TestPipelineStatusDeadline(t *testing.T) {
-	r := newRig(t, RejectUnlabeled, nil)
-	cam2 := camera.New(&wire.Loopback{L: r.custLedger}, "local://2", nil)
-	items := make([]UploadItem, 5)
-	hung := make([]bool, len(items))
-	for i := range items {
-		cam := r.cam
-		if hung[i] = i%2 == 0; !hung[i] {
-			cam = cam2
-		}
-		labeled, _, err := cam.ClaimAndLabel(cam.Shoot(1200+int64(i), 192, 128))
-		if err != nil {
-			t.Fatal(err)
-		}
-		items[i] = UploadItem{Image: labeled}
-	}
-
-	hang := make(chan struct{})
-	var release sync.Once
-	t.Cleanup(func() { release.Do(func() { close(hang) }) })
-	spyOn(t, r, 1).statusBatch = func([]ids.PhotoID) ([]*ledger.StatusProof, error) {
-		<-hang
-		return nil, errors.New("unreachable")
-	}
-
-	before := runtime.NumGoroutine()
-	start := time.Now()
-	results := r.agg.UploadAll(context.Background(), items,
-		PipelineConfig{Workers: 2, StatusTimeout: 100 * time.Millisecond})
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("hung ledger stalled the stream for %v", elapsed)
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("item %d: err %v", i, res.Err)
-		}
-		if hung[i] && (res.Result.Accepted || res.Result.Reason != DenyLedgerUnreachable) {
-			t.Fatalf("item %d: %+v, want DenyLedgerUnreachable", i, res.Result)
-		}
-		if !hung[i] && !res.Result.Accepted {
-			t.Fatalf("item %d on the healthy ledger: %+v", i, res.Result)
-		}
-	}
-
-	release.Do(func() { close(hang) })
-	for guard := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(guard) {
-			t.Fatalf("%d goroutines before the stream, %d after the hung call returned",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -888,7 +707,7 @@ func TestCustodialClaimUsesReceiptProof(t *testing.T) {
 		upload := map[string]func(*photo.Image) (UploadResult, error){
 			"Upload": agg.Upload,
 			"UploadAll": func(im *photo.Image) (UploadResult, error) {
-				res := agg.UploadAll(context.Background(), []UploadItem{{Image: im}}, PipelineConfig{Workers: 2})[0]
+				res := agg.UploadAll(context.Background(), []UploadItem{{Image: im}})[0]
 				return res.Result, res.Err
 			},
 		}
@@ -943,7 +762,7 @@ func TestHostOwnership(t *testing.T) {
 	if res, err := r.agg.Upload(viaUpload); err != nil || !res.Accepted {
 		t.Fatalf("Upload: %+v, %v", res, err)
 	}
-	if res := r.agg.UploadAll(context.Background(), []UploadItem{{Image: viaItem}}, PipelineConfig{})[0]; res.Err != nil || !res.Result.Accepted {
+	if res := r.agg.UploadAll(context.Background(), []UploadItem{{Image: viaItem}})[0]; res.Err != nil || !res.Result.Accepted {
 		t.Fatalf("UploadAll with Image set: %+v", res)
 	}
 	scribble(viaUpload)
@@ -974,7 +793,7 @@ func TestHostOwnership(t *testing.T) {
 	commitRaw := func(raw []byte) (*prep, UploadResult) {
 		t.Helper()
 		p := &prep{raw: raw}
-		r.agg.prepare(p, nil)
+		r.agg.prepare(p)
 		if p.err != nil {
 			t.Fatal(p.err)
 		}
@@ -1012,7 +831,7 @@ func TestHostOwnership(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	commitRaw(encode(photo.Synth(1204, 192, 128)))
 	custodial := &prep{raw: encode(photo.Synth(1205, 192, 128))}
-	r.agg.prepare(custodial, nil)
+	r.agg.prepare(custodial)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err = r.agg.commit(custodial)

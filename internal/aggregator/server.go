@@ -187,20 +187,18 @@ func splitBatch(body []byte) ([]UploadItem, error) {
 }
 
 // handleUploadBatch accepts a concatenation of length-prefixed IRSP
-// containers and runs them through the backpressured upload pipeline as
-// one album. Decoding happens on the pipeline's compute workers; a
-// malformed container fails only its own slot, a malformed framing the
-// whole request.
+// containers and ingests them with UploadAll as one album. Decoding
+// happens in prepare, across the parallel pool; a malformed container
+// fails only its own slot, a malformed framing the whole request.
 func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 	bp := bodyPool.Get().(*[]byte)
 	body, err := readBatchBody(r, *bp)
 	// The frames are parsed in place, so the buffer goes back only once
 	// UploadAll has returned — this runs after the handler's last line.
-	// By then no stage can read it: UploadAll returns after the
-	// committer has drained, which is after every compute worker has
-	// left prepare; commit copies every image it hosts, the parser
-	// copies metadata strings, and a status call abandoned past its
-	// deadline holds identifiers only.
+	// By then nothing reads it: UploadAll returns after every prepare
+	// and every status call has returned and every item has committed;
+	// commit copies every image it hosts, and the parser copies
+	// metadata strings.
 	defer func() {
 		if cap(body) <= maxRetainBody {
 			*bp = body[:0]
@@ -216,7 +214,7 @@ func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	results := s.agg.UploadAll(r.Context(), items, PipelineConfig{})
+	results := s.agg.UploadAll(r.Context(), items)
 	resp := &BatchUploadResponse{Results: make([]BatchUploadItem, len(results))}
 	for i, res := range results {
 		item := &resp.Results[i]

@@ -49,16 +49,16 @@ go test -race -count=10 -run 'ServerBatchUpload|ServerBatchBodySizedByBytesRecei
 go test -race -run 'DecodeSizesBuffersByBytesReceived|DecodeGrowsWithUnsizedReader|ParseIRSPMatchesReference|VideoCodec' ./internal/photo
 go test -run='^$' -fuzz=FuzzParseIRSP -fuzztime=10s ./internal/photo
 
-# Upload pipeline: ordered-commit determinism against the serial path,
-# cancellation drain (mid-window included), poisoned-item isolation,
-# and the batching status stage (request count as a function of the
-# input at workers 1/4/8, per-batch fault parity, a slow batch not
-# stalling compute, the per-batch deadline), then the claim answer's
+# Album ingest: ordered-commit determinism against the serial path,
+# cancellation (before the call and mid-status), poisoned-item
+# isolation, and the batched status step (request count as a function
+# of the album at workers 1/4/8, per-(album, ledger) fault parity),
+# then the claim answer's
 # first proof end to end: ledger, wire (mixed versions), and the
 # aggregator's one-Status fallback, and who owns a hosted image (what a
 # caller can still write is copied, a custodial relabel is not). Named
 # under -race.
-go test -race -run 'PipelineDecisionsMatchSerial|PipelineCancellationDrains|PipelinePoisonedItem|PipelineStatus|VideoUploadWorkerInvariance|CustodialClaimUsesReceiptProof|HostOwnership' \
+go test -race -run 'PipelineDecisionsMatchSerial|UploadAllCancellation|PipelinePoisonedItem|PipelineStatusRequestCount|PipelineStatusFaultParity|VideoUploadWorkerInvariance|CustodialClaimUsesReceiptProof|HostOwnership' \
     ./internal/aggregator
 go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMixedVersions' \
     ./internal/ledger ./internal/wire
