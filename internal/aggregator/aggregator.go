@@ -168,8 +168,6 @@ type Aggregator struct {
 	cfg   Config
 	dir   *wire.Directory
 	clock func() time.Time
-	// wm configures label extraction and embedding.
-	wm watermark.Config
 
 	mu      sync.RWMutex
 	photos  map[ids.PhotoID]*hosted
@@ -199,7 +197,6 @@ func New(cfg Config, dir *wire.Directory) (*Aggregator, error) {
 		cfg:     cfg,
 		dir:     dir,
 		clock:   cfg.Clock,
-		wm:      watermark.DefaultConfig(),
 		photos:  make(map[ids.PhotoID]*hosted),
 		keys:    camera.NewKeyStore(""),
 		hashIdx: NewSigIndex(cfg.Index),
@@ -211,11 +208,12 @@ func New(cfg Config, dir *wire.Directory) (*Aggregator, error) {
 
 // fullSearchPixelBudget bounds the images eligible for the full
 // geometric watermark search (64 pixel phases × 160 codeword phases).
-// The search is quadratic-ish in pixels, so a hostile multi-megapixel
-// upload could otherwise pin a core for minutes per request. Larger
-// images get the cheap aligned pass only — which covers every
-// unmodified upload; a cropped giant panorama falls back to the deny
-// path (partial label) rather than a compute sink.
+// The search is linear in pixels (one row and one column pass, about 16
+// multiply-adds a pixel), but a hostile album of multi-megapixel
+// uploads would still buy up to a core-second per image at no cost to
+// the sender. Larger images get the cheap aligned pass only — which
+// covers every unmodified upload; a cropped giant panorama falls back
+// to the deny path (partial label) rather than a compute sink.
 const fullSearchPixelBudget = 512 * 512
 
 // extractLabel reads both label halves, preferring the cheap aligned
@@ -231,7 +229,7 @@ func (a *Aggregator) extractLabel(im *photo.Image) (metaID, wmID ids.PhotoID, me
 	if im.W*im.H <= fullSearchPixelBudget {
 		extract = watermark.ExtractFallback
 	}
-	if res, err := extract(im, a.wm); err == nil {
+	if res, err := extract(im, watermark.DefaultConfig()); err == nil {
 		wmID, wmOK = ids.FromBytes(res.Payload), true
 	}
 	return
@@ -286,7 +284,7 @@ func (a *Aggregator) custodialClaim(p *prep) (*camera.Owned, *photo.Image, error
 	if err != nil {
 		return nil, nil, err
 	}
-	labeled, err := camera.Label(p.im, receipt.ID, a.cfg.CustodialLedgerURL, a.wm)
+	labeled, err := camera.Label(p.im, receipt.ID, a.cfg.CustodialLedgerURL, watermark.DefaultConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -347,7 +345,7 @@ func (a *Aggregator) UploadVideo(v *photo.Video) (UploadResult, error) {
 			metaID, metaOK = id, true
 		}
 	}
-	if res, err := watermark.ExtractVideo(v, a.wm); err == nil {
+	if res, err := watermark.ExtractVideo(v, watermark.DefaultConfig()); err == nil {
 		wmID, wmOK = ids.FromBytes(res.Payload), true
 	}
 	switch {

@@ -131,8 +131,6 @@ type Adjudicator struct {
 	tsaKeys map[ids.LedgerID]ed25519.PublicKey
 	// review is the optional human-inspection hook.
 	review ReviewFunc
-	// wmCfg extracts the copy's watermark label.
-	wmCfg watermark.Config
 }
 
 // NewAdjudicator creates an adjudicator for the given ledger. Trusted
@@ -142,7 +140,6 @@ func NewAdjudicator(l *ledger.Ledger, review ReviewFunc) *Adjudicator {
 		ledger:  l,
 		tsaKeys: make(map[ids.LedgerID]ed25519.PublicKey),
 		review:  review,
-		wmCfg:   watermark.DefaultConfig(),
 	}
 	// A ledger always trusts its own timestamps.
 	a.tsaKeys[l.ID()] = l.TimestampKey()
@@ -205,10 +202,10 @@ func (a *Adjudicator) copyCarriesLabel(copy *photo.Image, contested ids.PhotoID)
 			return true
 		}
 	}
-	if res, err := watermark.ExtractAligned(copy, a.wmCfg); err == nil && ids.FromBytes(res.Payload) == contested {
+	if res, err := watermark.ExtractAligned(copy, watermark.DefaultConfig()); err == nil && ids.FromBytes(res.Payload) == contested {
 		return true
 	}
-	if res, err := watermark.Extract(copy, a.wmCfg); err == nil && ids.FromBytes(res.Payload) == contested {
+	if res, err := watermark.Extract(copy, watermark.DefaultConfig()); err == nil && ids.FromBytes(res.Payload) == contested {
 		return true
 	}
 	return false

@@ -53,7 +53,6 @@ type Owned struct {
 type Camera struct {
 	svc       wire.Service
 	ledgerURL string
-	wmCfg     watermark.Config
 	store     *KeyStore
 	// AutoRevoke claims photos already revoked (§4.4: "many photos will
 	// be automatically registered and revoked"), so nothing becomes
@@ -73,7 +72,7 @@ func New(svc wire.Service, ledgerURL string, store *KeyStore) *Camera {
 	if store == nil {
 		store = NewKeyStore("")
 	}
-	return &Camera{svc: svc, ledgerURL: ledgerURL, wmCfg: watermark.DefaultConfig(), store: store}
+	return &Camera{svc: svc, ledgerURL: ledgerURL, store: store}
 }
 
 // Store exposes the camera's key store.
@@ -115,7 +114,7 @@ func (c *Camera) ClaimAndLabel(im *photo.Image) (*photo.Image, *Owned, error) {
 	if err := c.store.Put(owned); err != nil {
 		return nil, nil, err
 	}
-	labeled, err := Label(im, receipt.ID, c.ledgerURL, c.wmCfg)
+	labeled, err := Label(im, receipt.ID, c.ledgerURL, watermark.DefaultConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -194,7 +193,7 @@ func (c *Camera) ClaimAndLabelVideo(v *photo.Video) (*photo.Video, *Owned, error
 	if err := c.store.Put(owned); err != nil {
 		return nil, nil, err
 	}
-	labeled, err := watermark.EmbedVideo(v, receipt.ID.Bytes(), c.wmCfg)
+	labeled, err := watermark.EmbedVideo(v, receipt.ID.Bytes(), watermark.DefaultConfig())
 	if err != nil {
 		return nil, nil, fmt.Errorf("camera: video watermarking: %w", err)
 	}

@@ -88,7 +88,6 @@ type System struct {
 	// browserVal is the optional in-browser filter layer; its "ledger
 	// queries" are requests to the proxy.
 	browserVal *proxy.Validator
-	wmCfg      watermark.Config
 }
 
 // Build opens the spec's ledgers, links each into one directory, and
@@ -103,7 +102,6 @@ func Build(spec Spec) (_ *System, err error) {
 		ledgers:   make(map[ids.LedgerID]*ledger.Ledger),
 		urls:      make(map[ids.LedgerID]string),
 		directory: wire.NewDirectory(),
-		wmCfg:     watermark.DefaultConfig(),
 	}
 	defer func() {
 		if err != nil {
@@ -347,7 +345,7 @@ func (s *System) extractID(im *photo.Image) (ids.PhotoID, bool) {
 			return id, true
 		}
 	}
-	if res, err := watermark.ExtractFallback(im, s.wmCfg); err == nil {
+	if res, err := watermark.ExtractFallback(im, watermark.DefaultConfig()); err == nil {
 		return ids.FromBytes(res.Payload), true
 	}
 	return ids.PhotoID{}, false

@@ -1,6 +1,8 @@
 package watermark
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"irs/internal/dct"
@@ -78,9 +80,8 @@ type bandScratch struct {
 	coef  []float64
 	votes [8][codewordBits]float64
 	// ring[cx] is the word code phase (0, cx) reads, written twice over,
-	// so that every (cy, cx) is a 160-bit window of it (see assemble).
-	ring [maxTileW][2 * wordBytes]byte
-	word [wordBytes]byte
+	// so that every (cy, cx) is a slice of it (see assemble).
+	ring [tileW][2 * wordBytes]byte
 }
 
 var bandPool = sync.Pool{New: func() any { return new(bandScratch) }}
@@ -128,34 +129,31 @@ func extract(im *photo.Image, cfg Config, aligned, full bool) (Result, error) {
 // than handing it to the pool.
 func (p *planes) readAligned(luma []byte, w, h int, cfg Config) (Result, error) {
 	bw, bh := w/8, h/8
-	if bw < cfg.TileW || bh < cfg.TileH {
+	if bw < tileW || bh < tileH {
 		return Result{}, ErrTooSmall
 	}
 	var votes [codewordBits]float64
 	var blk [64]float64
 	for by := 0; by < bh; by++ {
-		idx, end := (by%cfg.TileH)*cfg.TileW, (by%cfg.TileH+1)*cfg.TileW
+		row := (by % tileH) * tileW
 		for bx := 0; bx < bw; bx++ {
-			c := dct.Coef8(widenBlock(&blk, luma, w, bx*8, by*8), 8, cfg.CoefU, cfg.CoefV)
-			votes[idx] += qimSoft(c, cfg.Delta)
-			if idx++; idx == end {
-				idx -= cfg.TileW
-			}
+			c := dct.Coef8(widenBlock(&blk, luma, w, bx*8, by*8), 8, coefU, coefV)
+			votes[row+bx%tileW] += qimSoft(c, cfg.Delta)
 		}
 	}
-	var rows [codewordBits]uint64
-	cfg.packRows(&rows, &votes)
-	cfg.assemble(&p.ring, &rows, 0)
+	var rows [tileH]uint16
+	packRows(&rows, &votes)
+	assemble(&p.ring, &rows, 0)
 	payload, ok := checkword((*[wordBytes]byte)(p.ring[:wordBytes]))
 	if !ok {
 		return Result{}, ErrNotFound
 	}
-	return Result{Payload: payload, Margin: cfg.margin(&votes, bw, bh)}, nil
+	return Result{Payload: payload, Margin: margin(&votes, bw, bh)}, nil
 }
 
 // search is the full geometric search over the w×h 8-bit plane luma.
 func (p *planes) search(luma []byte, w, h int, cfg Config) (Result, error) {
-	rows := p.rowPass(luma, w, h, cfg.CoefV)
+	rows := p.rowPass(luma, w, h)
 	// One pool task per py: a column pass over the plane plus eight
 	// 160-phase sweeps, enough work to be worth the hand-off.
 	var bands [8]phaseCandidate
@@ -177,11 +175,11 @@ func (p *planes) search(luma []byte, w, h int, cfg Config) (Result, error) {
 }
 
 // rowPass fills p.rows from the w×h 8-bit plane luma: rows[y*w+x] is
-// the row-pass term of output column v for the window starting at
-// (x, y), x ≤ w-8. A block's eight terms are the same whichever of the
+// the row-pass term of carrier column coefV for the eight samples
+// starting at (x, y), x ≤ w-8. A block's eight terms are the same whichever of the
 // 64 grids the block belongs to, so the plane is computed once per
 // image. Each image line is widened into p.line just before its pass.
-func (p *planes) rowPass(luma []byte, w, h, v int) []float64 {
+func (p *planes) rowPass(luma []byte, w, h int) []float64 {
 	if cap(p.rows) < w*h {
 		p.rows = make([]float64, w*h)
 	}
@@ -197,7 +195,7 @@ func (p *planes) rowPass(luma []byte, w, h, v int) []float64 {
 		for x, s := range luma[y*w : (y+1)*w] {
 			line[x] = float64(s)
 		}
-		dct.RowPass8(rows[y*w:y*w+w-7], line, v)
+		dct.RowPass8(rows[y*w:y*w+w-7], line, coefV)
 	}
 	return rows
 }
@@ -227,24 +225,24 @@ func (c *phaseCandidate) keep(o phaseCandidate) {
 func searchBand(rows []float64, w, h, py int, cfg Config) phaseCandidate {
 	best := noCandidate
 	bh := (h - py) / 8
-	if w/8 < cfg.TileW || bh < cfg.TileH {
+	if w/8 < tileW || bh < tileH {
 		return best // no phase of this band holds a whole tile
 	}
 	s := bandPool.Get().(*bandScratch)
 	defer bandPool.Put(s)
 	s.vote(rows, w, py, bh, cfg)
 	for px := range s.votes {
-		best.keep(s.sweep(px, py, (w-px)/8, bh, cfg))
+		best.keep(s.sweep(px, py, (w-px)/8, bh))
 	}
 	return best
 }
 
 // vote fills the eight vote tables of band py: votes[px][class] sums
 // the soft decisions of every block of pixel phase (px, py) in residue
-// class ((by mod TileH), (bx mod TileW)), by-major then bx-major.
+// class ((by mod tileH), (bx mod tileW)), by-major then bx-major.
 //
 // For any codeword phase (cy, cx) the vote for slot (r, c) is the class
-// ((r-cy) mod TileH, (c-cx) mod TileW): every code phase reads this one
+// ((r-cy) mod tileH, (c-cx) mod tileW): every code phase reads this one
 // table, cyclically shifted.
 func (s *bandScratch) vote(rows []float64, w, py, bh int, cfg Config) {
 	n := w - 7 // block positions per line
@@ -261,49 +259,46 @@ func (s *bandScratch) vote(rows []float64, w, py, bh int, cfg Config) {
 		}
 		// coef[x] is the carrier of the block at (x, py+by*8); x = px+bx*8
 		// walks the eight phases' blocks in bx order.
-		dct.ColPass8(coef, &lines, cfg.CoefU)
-		idx, end := (by%cfg.TileH)*cfg.TileW, (by%cfg.TileH+1)*cfg.TileW
+		dct.ColPass8(coef, &lines, coefU)
+		row := (by % tileH) * tileW
 		for x := 0; x < n; x += 8 {
+			idx := row + x/8%tileW
 			for px, c := range coef[x:min(x+8, n)] {
 				s.votes[px][idx] += qimSoft(c, cfg.Delta)
-			}
-			if idx++; idx == end {
-				idx -= cfg.TileW
 			}
 		}
 	}
 }
 
-// sweep scores the TileH×TileW code phases of pixel phase (px, py) from
-// its vote table, CRC first: hard bits are taken once per class and
-// packed by tile row, each cx gets its ring, and every (cy, cx) is then
-// a window of one — no per-candidate assembly, and no copy at all when
-// TileW is a multiple of 8. The first word whose CRC passes is the
-// pixel phase's candidate and gets its margin; candidates are visited
-// cy-major, the serial scan's order.
-func (s *bandScratch) sweep(px, py, bw, bh int, cfg Config) phaseCandidate {
-	if bw < cfg.TileW || bh < cfg.TileH {
+// sweep scores the tileH×tileW code phases of pixel phase (px, py)
+// from its vote table, CRC first: hard bits are taken once per class
+// and packed by tile row, each cx gets its ring, and every (cy, cx) is
+// then a slice of one — no per-candidate assembly and no copy. The
+// first word whose CRC passes is the pixel phase's candidate and gets
+// its margin; candidates are visited cy-major, the serial scan's order.
+func (s *bandScratch) sweep(px, py, bw, bh int) phaseCandidate {
+	if bw < tileW || bh < tileH {
 		// Some class has no block. Every code phase reads every class,
 		// so none of them is covered.
 		return noCandidate
 	}
 	votes := &s.votes[px]
-	var rows [codewordBits]uint64
-	cfg.packRows(&rows, votes)
-	for cx := 0; cx < cfg.TileW; cx++ {
-		cfg.assemble(&s.ring[cx], &rows, cx)
+	var rows [tileH]uint16
+	packRows(&rows, votes)
+	for cx := range s.ring {
+		assemble(&s.ring[cx], &rows, cx)
 	}
-	for cy := 0; cy < cfg.TileH; cy++ {
-		off := (codewordBits - cy*cfg.TileW) % codewordBits
-		for cx := 0; cx < cfg.TileW; cx++ {
-			payload, ok := checkword(window(&s.word, &s.ring[cx], off))
+	for cy := 0; cy < tileH; cy++ {
+		off := wordBytes - 2*cy
+		for cx := range s.ring {
+			payload, ok := checkword((*[wordBytes]byte)(s.ring[cx][off:]))
 			if !ok {
 				continue
 			}
 			// Every later code phase ties with this one (see margin).
 			return phaseCandidate{found: true, res: Result{
 				Payload:     payload,
-				Margin:      cfg.margin(votes, bw, bh),
+				Margin:      margin(votes, bw, bh),
 				PixelPhaseX: px, PixelPhaseY: py,
 				CodePhaseX: cx, CodePhaseY: cy,
 			}}
@@ -312,13 +307,13 @@ func (s *bandScratch) sweep(px, py, bw, bh int, cfg Config) phaseCandidate {
 	return noCandidate
 }
 
-// packRows takes the hard decision of every class: bit TileW-1-c of
-// rows[r] is set when class (r, c) votes 1, so a row reads MSB-first in
-// column order.
-func (c Config) packRows(rows *[codewordBits]uint64, votes *[codewordBits]float64) {
-	for r := 0; r < c.TileH; r++ {
-		var w uint64
-		for _, v := range votes[r*c.TileW : (r+1)*c.TileW] {
+// packRows takes the hard decision of every class: bit 15-c of rows[r]
+// is set when class (r, c) votes 1, so a row reads MSB-first in column
+// order.
+func packRows(rows *[tileH]uint16, votes *[codewordBits]float64) {
+	for r := range rows {
+		var w uint16
+		for _, v := range votes[r*tileW : (r+1)*tileW] {
 			w <<= 1
 			if v > 0 {
 				w |= 1
@@ -328,39 +323,17 @@ func (c Config) packRows(rows *[codewordBits]uint64, votes *[codewordBits]float6
 	}
 }
 
-// assemble packs the 160 hard bits code phase (0, cx) reads, slot-major
-// — slot row r is class row r rotated right by cx within its TileW bits
-// — and writes them to ring twice, end to end. Moving the code phase
-// down by cy rows rotates that 160-bit string by cy·TileW bits, so code
-// phase (cy, cx) is the window of ring starting cy·TileW bits before
-// the second copy. TileW need not be a multiple of 8: rows are shifted
-// into an accumulator that emits whole bytes (validate keeps
-// TileW+7 ≤ 64).
-func (c Config) assemble(ring *[2 * wordBytes]byte, rows *[codewordBits]uint64, cx int) {
-	mask := uint64(1)<<c.TileW - 1
-	var acc uint64
-	pending, k := 0, 0
-	for _, w := range rows[:c.TileH] {
-		acc = acc<<c.TileW | (w>>cx|w<<(c.TileW-cx))&mask
-		for pending += c.TileW; pending >= 8; k++ {
-			pending -= 8
-			ring[k] = byte(acc >> pending)
-		}
+// assemble writes the 160 hard bits code phase (0, cx) reads to ring
+// twice, end to end: slot row r is class row r rotated right by cx, two
+// big-endian bytes. Moving the code phase down by cy rows rotates that
+// word by cy rows, so code phase (cy, cx) is the word of ring starting
+// 2·cy bytes before the second copy.
+func assemble(ring *[2 * wordBytes]byte, rows *[tileH]uint16, cx int) {
+	for r, w := range rows {
+		w = bits.RotateLeft16(w, -cx)
+		binary.BigEndian.PutUint16(ring[2*r:], w)
+		binary.BigEndian.PutUint16(ring[wordBytes+2*r:], w)
 	}
-	copy(ring[wordBytes:], ring[:wordBytes])
-}
-
-// window returns the 160 bits of ring starting at bit off < 160: ring
-// itself when off is on a byte boundary, else a shifted copy in buf.
-func window(buf *[wordBytes]byte, ring *[2 * wordBytes]byte, off int) *[wordBytes]byte {
-	o, sh := off/8, uint(off%8)
-	if sh == 0 {
-		return (*[wordBytes]byte)(ring[o : o+wordBytes])
-	}
-	for i := range buf {
-		buf[i] = ring[o+i]<<sh | ring[o+i+1]>>(8-sh)
-	}
-	return buf
 }
 
 // margin is the mean absolute per-class vote of a pixel phase, summed in
@@ -371,18 +344,18 @@ func window(buf *[wordBytes]byte, ring *[2 * wordBytes]byte, off int) *[wordByte
 // and that noise chose between a codeword and its CRC-valid twin.) The
 // block count of a class is the product of how many of the bh block
 // rows and bw block columns fall in it.
-func (c Config) margin(votes *[codewordBits]float64, bw, bh int) float64 {
-	var margin float64
-	for r := 0; r < c.TileH; r++ {
-		nr := (bh - r + c.TileH - 1) / c.TileH
-		for col := 0; col < c.TileW; col++ {
-			n := nr * ((bw - col + c.TileW - 1) / c.TileW)
-			m := votes[r*c.TileW+col] / float64(n)
+func margin(votes *[codewordBits]float64, bw, bh int) float64 {
+	var sum float64
+	for r := 0; r < tileH; r++ {
+		nr := (bh - r + tileH - 1) / tileH
+		for col := 0; col < tileW; col++ {
+			n := nr * ((bw - col + tileW - 1) / tileW)
+			m := votes[r*tileW+col] / float64(n)
 			if m < 0 {
 				m = -m
 			}
-			margin += m
+			sum += m
 		}
 	}
-	return margin / codewordBits
+	return sum / codewordBits
 }

@@ -31,11 +31,11 @@ func decodeword(buf *[20]byte, bits []bool) ([PayloadBytes]byte, bool) {
 // accumulation, margin and CRC for every one of the 160 codeword
 // phases. One change: every code phase is scored with the margin of
 // code phase (0, 0), whose slots are the classes in order, so that code
-// phases tie exactly (see Config.margin).
+// phases tie exactly (see margin).
 func refSearchPixelPhase(luma []float64, w, px, py, bw, bh int, cfg Config) (c phaseCandidate) {
 	src := dct.NewBlock(8)
 	coef := dct.NewBlock(8)
-	ci := cfg.CoefU*8 + cfg.CoefV
+	ci := coefU*8 + coefV
 	votes := make([]float64, codewordBits)
 	counts := make([]int, codewordBits)
 	hard := make([]bool, codewordBits)
@@ -49,16 +49,16 @@ func refSearchPixelPhase(luma []float64, w, px, py, bw, bh int, cfg Config) (c p
 	}
 	c.res = Result{Margin: -1}
 	var phaseMargin float64
-	for cy := 0; cy < cfg.TileH; cy++ {
-		for cx := 0; cx < cfg.TileW; cx++ {
+	for cy := 0; cy < tileH; cy++ {
+		for cx := 0; cx < tileW; cx++ {
 			for i := range votes {
 				votes[i] = 0
 				counts[i] = 0
 			}
 			for by := 0; by < bh; by++ {
-				row := ((by + cy) % cfg.TileH) * cfg.TileW
+				row := ((by + cy) % tileH) * tileW
 				for bx := 0; bx < bw; bx++ {
-					idx := row + (bx+cx)%cfg.TileW
+					idx := row + (bx+cx)%tileW
 					votes[idx] += soft[by*bw+bx]
 					counts[idx]++
 				}
@@ -128,16 +128,16 @@ func refExtract(im *photo.Image, cfg Config) (Result, error) {
 func refExtractAligned(im *photo.Image, cfg Config) (Result, error) {
 	luma := im.Luma()
 	src, coef := dct.NewBlock(8), dct.NewBlock(8)
-	ci := cfg.CoefU*8 + cfg.CoefV
+	ci := coefU*8 + coefV
 	bw, bh := im.W/8, im.H/8
 	var votes [codewordBits]float64
 	var counts [codewordBits]int
 	for by := 0; by < bh; by++ {
-		row := (by % cfg.TileH) * cfg.TileW
+		row := (by % tileH) * tileW
 		for bx := 0; bx < bw; bx++ {
 			loadBlock(src, luma, im.W, bx*8, by*8)
 			dct.Forward2D(coef, src)
-			idx := row + bx%cfg.TileW
+			idx := row + bx%tileW
 			votes[idx] += qimSoft(coef.Data[ci], cfg.Delta)
 			counts[idx]++
 		}
@@ -186,69 +186,56 @@ func checkAgainstReference(t *testing.T, name string, im *photo.Image, cfg Confi
 	}
 }
 
-// kernelConfigs are the default and the non-default shapes the kernel
-// must handle: another carrier, and tile widths that are not a multiple
-// of 8 (rows straddle byte boundaries in the assembled word).
-func kernelConfigs() map[string]Config {
-	return map[string]Config{
-		"default":   DefaultConfig(),
-		"carrier24": {Delta: 24, CoefU: 2, CoefV: 4, TileW: 16, TileH: 10},
-		"tile10x16": {Delta: 24, CoefU: 3, CoefV: 2, TileW: 10, TileH: 16},
-		"tile20x8":  {Delta: 24, CoefU: 1, CoefV: 3, TileW: 20, TileH: 8},
-	}
-}
-
 // TestSearchPixelPhaseBitIdentical pins the kernel to the scan it
 // replaced, one pixel phase at a time: identical candidate, margin
 // (exactly) and phase coordinates at all 64 phases, on watermarked,
-// cropped and unmarked inputs, for every config shape.
+// cropped and unmarked inputs.
 func TestSearchPixelPhaseBitIdentical(t *testing.T) {
-	for cname, cfg := range kernelConfigs() {
-		base := photo.Synth(31, 200, 152)
-		marked, err := Embed(base, [PayloadBytes]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cropped, err := photo.Crop(marked, 13, 9, 176, 140)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rgb, err := Embed(photo.SynthRGB(32, 200, 152), [PayloadBytes]byte{16, 15, 14}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rgb, err = photo.Crop(rgb, 5, 3, 190, 145); err != nil {
-			t.Fatal(err)
-		}
-		for name, im := range map[string]*photo.Image{
-			"aligned":     marked,
-			"cropped":     cropped,
-			"rgb-cropped": rgb,
-			"unmarked":    base,
-		} {
-			p, luma := new(planes), im.Luma()
-			rows := p.rowPass(p.luma8(im), im.W, im.H, cfg.CoefV)
-			var s bandScratch
-			hits := 0
-			for py := 0; py < 8; py++ {
-				bh := (im.H - py) / 8
-				s.vote(rows, im.W, py, bh, cfg)
-				for px := 0; px < 8; px++ {
-					bw := (im.W - px) / 8
-					got := s.sweep(px, py, bw, bh, cfg)
-					want := refSearchPixelPhase(luma, im.W, px, py, bw, bh, cfg)
-					if got.found != want.found || got.res != want.res {
-						t.Errorf("%s/%s phase (%d,%d): got %+v found=%v, reference %+v found=%v",
-							cname, name, px, py, got.res, got.found, want.res, want.found)
-					}
-					if want.found {
-						hits++
-					}
+	cfg := DefaultConfig()
+	base := photo.Synth(31, 200, 152)
+	marked, err := Embed(base, [PayloadBytes]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cropped, err := photo.Crop(marked, 13, 9, 176, 140)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rgb, err := Embed(photo.SynthRGB(32, 200, 152), [PayloadBytes]byte{16, 15, 14}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rgb, err = photo.Crop(rgb, 5, 3, 190, 145); err != nil {
+		t.Fatal(err)
+	}
+	for name, im := range map[string]*photo.Image{
+		"aligned":     marked,
+		"cropped":     cropped,
+		"rgb-cropped": rgb,
+		"unmarked":    base,
+	} {
+		p, luma := new(planes), im.Luma()
+		rows := p.rowPass(p.luma8(im), im.W, im.H)
+		var s bandScratch
+		hits := 0
+		for py := 0; py < 8; py++ {
+			bh := (im.H - py) / 8
+			s.vote(rows, im.W, py, bh, cfg)
+			for px := 0; px < 8; px++ {
+				bw := (im.W - px) / 8
+				got := s.sweep(px, py, bw, bh)
+				want := refSearchPixelPhase(luma, im.W, px, py, bw, bh, cfg)
+				if got.found != want.found || got.res != want.res {
+					t.Errorf("%s phase (%d,%d): got %+v found=%v, reference %+v found=%v",
+						name, px, py, got.res, got.found, want.res, want.found)
+				}
+				if want.found {
+					hits++
 				}
 			}
-			if (hits > 0) != (name != "unmarked") {
-				t.Errorf("%s/%s: %d phases read a codeword", cname, name, hits)
-			}
+		}
+		if (hits > 0) != (name != "unmarked") {
+			t.Errorf("%s: %d phases read a codeword", name, hits)
 		}
 	}
 }
@@ -271,6 +258,10 @@ func TestExtractMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wide, err := Embed(photo.Synth(43, 200, 152), payloadFromSeed(43), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	crop := func(im *photo.Image, x0, y0, w, h int) *photo.Image {
 		c, err := photo.Crop(im, x0, y0, w, h)
 		if err != nil {
@@ -286,6 +277,7 @@ func TestExtractMatchesReference(t *testing.T) {
 		"crop-1-1":       crop(marked, 1, 1, 190, 126),
 		"crop-13-11":     crop(marked, 13, 11, 166, 106),
 		"crop-7-9-tight": crop(marked, 7, 9, 135, 87),
+		"crop-11-6":      crop(wide, 11, 6, 180, 143),
 		"crop+jpeg80":    photo.CompressJPEGLike(crop(marked, 13, 11, 166, 106), 80),
 		"crop+jpeg90":    photo.CompressJPEGLike(crop(marked, 5, 3, 184, 120), 90),
 		"jpeg-q70":       photo.CompressJPEGLike(marked, 70),
@@ -308,15 +300,6 @@ func TestExtractMatchesReference(t *testing.T) {
 	cases["scale-75"] = scaled
 	for name, im := range cases {
 		checkAgainstReference(t, name, im, cfg)
-	}
-	// The non-default shapes, whole-call: a crop that keeps one tile of
-	// each.
-	for cname, cfg := range kernelConfigs() {
-		wm, err := Embed(photo.Synth(43, 200, 152), payloadFromSeed(43), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstReference(t, cname+"/crop", crop(wm, 11, 6, 180, 143), cfg)
 	}
 }
 
@@ -351,49 +334,45 @@ func FuzzExtractMatchesReference(f *testing.F) {
 }
 
 // TestAssembleMatchesSlotOrder checks the sweep's word for every code
-// phase — packed rows, rotated and doubled, then windowed — against the
-// slot-by-slot definition, for every tile width validate accepts (most
-// are not a multiple of 8, so rows and windows straddle bytes).
+// phase — packed rows, rotated and doubled, then sliced — against the
+// slot-by-slot definition, and that assemble overwrites every byte of
+// the ring.
 func TestAssembleMatchesSlotOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	widths := 0
-	for tileW := 1; tileW <= codewordBits; tileW++ {
-		cfg := Config{Delta: 24, CoefU: 3, CoefV: 2, TileW: tileW, TileH: codewordBits / tileW}
-		if cfg.validate() != nil {
-			continue
-		}
-		widths++
+	for trial := 0; trial < 20; trial++ {
 		var votes [codewordBits]float64
 		for i := range votes {
 			votes[i] = rng.Float64() - 0.5
 		}
-		var rows [codewordBits]uint64
-		cfg.packRows(&rows, &votes)
-		for cx := 0; cx < cfg.TileW; cx++ {
-			var ring [2 * wordBytes]byte
-			for i := range ring {
-				ring[i] = 0xAA // every byte must be overwritten
+		var rows [tileH]uint16
+		packRows(&rows, &votes)
+		for cx := 0; cx < tileW; cx++ {
+			var ring, other [2 * wordBytes]byte
+			for i := range other {
+				other[i] = 0xFF
 			}
-			cfg.assemble(&ring, &rows, cx)
-			for cy := 0; cy < cfg.TileH; cy++ {
-				var want, buf [wordBytes]byte
-				for r := 0; r < cfg.TileH; r++ {
-					for c := 0; c < cfg.TileW; c++ {
-						r0, c0 := (r-cy+cfg.TileH)%cfg.TileH, (c-cx+cfg.TileW)%cfg.TileW
-						if i := r*cfg.TileW + c; votes[r0*cfg.TileW+c0] > 0 {
+			assemble(&ring, &rows, cx)
+			if assemble(&other, &rows, cx); other != ring {
+				t.Fatalf("trial %d cx %d: assemble left bytes of the ring unwritten: %x vs %x", trial, cx, ring, other)
+			}
+			for cy := 0; cy < tileH; cy++ {
+				var want [wordBytes]byte
+				for r := 0; r < tileH; r++ {
+					for c := 0; c < tileW; c++ {
+						r0, c0 := (r-cy+tileH)%tileH, (c-cx+tileW)%tileW
+						if i := r*tileW + c; votes[r0*tileW+c0] > 0 {
 							want[i/8] |= 1 << (7 - uint(i%8))
 						}
 					}
 				}
-				got := window(&buf, &ring, (codewordBits-cy*cfg.TileW)%codewordBits)
-				if *got != want {
-					t.Fatalf("TileW %d code phase (%d,%d): word %x, want %x", tileW, cx, cy, *got, want)
+				if got := (*[wordBytes]byte)(ring[wordBytes-2*cy:]); *got != want {
+					t.Fatalf("trial %d code phase (%d,%d): word %x, want %x", trial, cx, cy, *got, want)
+				}
+				if cy == 0 && [wordBytes]byte(ring[:wordBytes]) != want {
+					t.Fatalf("trial %d cx %d: first copy %x, want %x", trial, cx, ring[:wordBytes], want)
 				}
 			}
 		}
-	}
-	if widths != 10 {
-		t.Errorf("%d tile widths accepted, want 10 (1, 2, 4, 5, 8, 10, 16, 20, 32, 40)", widths)
 	}
 }
 
@@ -411,7 +390,7 @@ func TestExtractZeroAllocSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := new(planes)
-	rows := p.rowPass(p.luma8(marked), marked.W, marked.H, cfg.CoefV)
+	rows := p.rowPass(p.luma8(marked), marked.W, marked.H)
 	if !searchBand(rows, marked.W, marked.H, 0, cfg).found { // warms the pool
 		t.Fatal("band 0 of an aligned image read nothing")
 	}

@@ -10,10 +10,10 @@
 //
 //   - The 128-bit payload (an ids.PhotoID) is extended with a CRC-32 to
 //     a 160-bit codeword.
-//   - The codeword is laid out on a TileW×TileH grid of 8×8 luma blocks
-//     (16×10 = 160 slots) and tiled periodically across the image, so
-//     every region of at least TileW·8 × TileH·8 pixels carries a full
-//     copy and overlapping copies vote.
+//   - The codeword is laid out on a 16×10 grid of 8×8 luma blocks (160
+//     slots) and tiled periodically across the image, so every region
+//     of at least 128×80 pixels carries a full copy and overlapping
+//     copies vote.
 //   - Each block carries one bit by quantization index modulation (QIM)
 //     of one mid-band DCT coefficient: the coefficient is moved to the
 //     nearest point of a lattice with step 2Δ whose phase (0 or Δ)
@@ -65,18 +65,24 @@ const blockRowChunk = 4
 // and either way writes the same pixels.
 const serialBelowBlocks = 2048
 
-// Config parameterizes the embedder. The zero value is not valid; use
-// DefaultConfig.
+// The label format (PROTOCOL.md §Watermark): the codeword is laid out
+// row-major on a tileW×tileH grid of 8×8 blocks, and each block carries
+// its bit in DCT coefficient (coefU, coefV). Every labeled photo and
+// every reader must agree on them, so they are constants; changing one
+// is a format revision.
+const (
+	tileW, tileH = 16, 10
+	coefU, coefV = 3, 2
+	// minWidth and minHeight are the smallest image holding one tile.
+	minWidth, minHeight = tileW * 8, tileH * 8
+)
+
+// Config parameterizes the embedder and the reader. The zero value is
+// not valid; use DefaultConfig.
 type Config struct {
 	// Delta is the QIM half-step: lattice step is 2*Delta. Larger is more
 	// robust and more visible.
 	Delta float64
-	// CoefU, CoefV select the carrier coefficient (row, column) in the
-	// 8×8 DCT block. Must be a mid-band position, not (0,0).
-	CoefU, CoefV int
-	// TileW, TileH are the codeword layout dimensions in blocks; their
-	// product must equal PayloadBits + 32.
-	TileW, TileH int
 }
 
 // PayloadBytes is the payload size: a 16-byte photo identifier.
@@ -92,42 +98,20 @@ const codewordBits = PayloadBits + 32
 // bit 7-i%8 of byte i/8.
 const wordBytes = codewordBits / 8
 
+// A tile is one codeword, and a tile row one uint16 (packRows).
+var _ = [1]int{}[tileW*tileH-codewordBits] + [1]int{}[tileW-16]
+
 // DefaultConfig returns the tuned production configuration.
 func DefaultConfig() Config {
-	return Config{Delta: 24, CoefU: 3, CoefV: 2, TileW: 16, TileH: 10}
+	return Config{Delta: 24}
 }
-
-// MinWidth and MinHeight report the smallest image the default config can
-// label with at least one full codeword tile.
-func (c Config) MinWidth() int  { return c.TileW * 8 }
-func (c Config) MinHeight() int { return c.TileH * 8 }
 
 func (c Config) validate() error {
 	if c.Delta <= 0 {
 		return errors.New("watermark: Delta must be positive")
 	}
-	if c.CoefU <= 0 && c.CoefV <= 0 {
-		return errors.New("watermark: carrier must not be the DC coefficient")
-	}
-	if c.CoefU < 0 || c.CoefU > 7 || c.CoefV < 0 || c.CoefV > 7 {
-		return errors.New("watermark: carrier coefficient outside 8x8 block")
-	}
-	if c.TileW < 1 || c.TileW > maxTileW {
-		return errors.New("watermark: TileW must be between 1 and 40")
-	}
-	if c.TileW*c.TileH != codewordBits {
-		return errors.New("watermark: TileW*TileH must equal 160")
-	}
 	return nil
 }
-
-// maxTileW is the widest tile row the code-phase sweep can hold: a
-// row's hard bits are packed into one uint64 and shifted into the
-// codeword behind at most 7 pending bits, so TileW+7 must not exceed
-// 64. 40 is the largest divisor of 160 under that; the two layouts it
-// excludes (80×2, 160×1) would need 640 or 1,280 pixels of width per
-// tile.
-const maxTileW = 40
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -170,7 +154,7 @@ func Embed(im *photo.Image, payload [PayloadBytes]byte, cfg Config) (*photo.Imag
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if im.W < cfg.MinWidth() || im.H < cfg.MinHeight() {
+	if im.W < minWidth || im.H < minHeight {
 		return nil, ErrTooSmall
 	}
 	bits := codeword(payload)
@@ -208,9 +192,9 @@ func (c Config) embedBlocks(out *photo.Image, luma []byte, bits *[codewordBits]b
 // embedRows embeds block rows [lo, hi).
 func (c Config) embedRows(out *photo.Image, luma []byte, bits *[codewordBits]bool, lo, hi int) {
 	for by := lo; by < hi; by++ {
-		row := bits[(by%c.TileH)*c.TileW:][:c.TileW]
+		row := bits[(by%tileH)*tileW:][:tileW]
 		for bx := 0; bx < out.W/8; bx++ {
-			c.requantizeBlock(out, luma, bx*8, by*8, row[bx%c.TileW])
+			c.requantizeBlock(out, luma, bx*8, by*8, row[bx%tileW])
 		}
 	}
 }
@@ -265,8 +249,8 @@ func clampByte(v float64) byte {
 // (dct.AddBasis8) — 144 multiply-adds where Forward8 → quantize →
 // Inverse8 spent 2,048, for the same pixels.
 func (c Config) requantize(block []float64, stride int, bit bool) {
-	coef := dct.Coef8(block, stride, c.CoefU, c.CoefV)
-	dct.AddBasis8(block, stride, c.CoefU, c.CoefV, qimQuantize(coef, c.Delta, bit)-coef)
+	coef := dct.Coef8(block, stride, coefU, coefV)
+	dct.AddBasis8(block, stride, coefU, coefV, qimQuantize(coef, c.Delta, bit)-coef)
 }
 
 // qimQuantize moves c to the nearest lattice point of step 2Δ with phase

@@ -17,30 +17,12 @@ func payloadFromSeed(seed int64) [PayloadBytes]byte {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig()
-	if err := good.validate(); err != nil {
+	if err := DefaultConfig().validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := []Config{
-		{Delta: 0, CoefU: 3, CoefV: 2, TileW: 16, TileH: 10},
-		{Delta: 24, CoefU: 0, CoefV: 0, TileW: 16, TileH: 10},
-		{Delta: 24, CoefU: 9, CoefV: 2, TileW: 16, TileH: 10},
-		{Delta: 24, CoefU: 3, CoefV: 2, TileW: 16, TileH: 11},
-		// Rows wider than the sweep's packed-row word, and a product of
-		// 160 that is no layout at all.
-		{Delta: 24, CoefU: 3, CoefV: 2, TileW: 80, TileH: 2},
-		{Delta: 24, CoefU: 3, CoefV: 2, TileW: 160, TileH: 1},
-		{Delta: 24, CoefU: 3, CoefV: 2, TileW: -16, TileH: -10},
-	}
-	for i, c := range bad {
-		if err := c.validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-	for _, tileW := range []int{1, 5, 10, 20, 32, 40} {
-		c := Config{Delta: 24, CoefU: 3, CoefV: 2, TileW: tileW, TileH: codewordBits / tileW}
-		if err := c.validate(); err != nil {
-			t.Errorf("TileW %d rejected: %v", tileW, err)
+	for _, delta := range []float64{0, -24} {
+		if err := (Config{Delta: delta}).validate(); err == nil {
+			t.Errorf("Delta %v accepted", delta)
 		}
 	}
 }
@@ -71,11 +53,11 @@ func TestCodewordDetectsFlips(t *testing.T) {
 	}
 }
 
-// twinShift returns the first column rotation cx in 1..TileW-1 under
+// twinShift returns the first column rotation cx in 1..tileW-1 under
 // which the tile rows of p's codeword read as another CRC-valid word —
 // what code phase (0, cx) of an image carrying p at (0, 0) decodes — or
 // 0 when p has no twin.
-func twinShift(p [PayloadBytes]byte, cfg Config) int {
+func twinShift(p [PayloadBytes]byte) int {
 	bits := codeword(p)
 	var votes [codewordBits]float64
 	for i, b := range bits {
@@ -84,11 +66,11 @@ func twinShift(p [PayloadBytes]byte, cfg Config) int {
 			votes[i] = 1
 		}
 	}
-	var rows [codewordBits]uint64
-	cfg.packRows(&rows, &votes)
+	var rows [tileH]uint16
+	packRows(&rows, &votes)
 	var ring [2 * wordBytes]byte
-	for cx := 1; cx < cfg.TileW; cx++ {
-		cfg.assemble(&ring, &rows, cx)
+	for cx := 1; cx < tileW; cx++ {
+		assemble(&ring, &rows, cx)
 		if _, ok := checkword((*[wordBytes]byte)(ring[:wordBytes])); ok {
 			return cx
 		}
@@ -109,11 +91,11 @@ func TestTwinPayloadsReadBack(t *testing.T) {
 	for ; len(twins) < 6; tried++ {
 		var p [PayloadBytes]byte
 		rng.Read(p[:])
-		if twinShift(p, cfg) != 0 {
+		if twinShift(p) != 0 {
 			twins = append(twins, p)
 		}
 	}
-	if twinShift(twins[0], cfg) != 1 {
+	if twinShift(twins[0]) != 1 {
 		t.Fatal("the fuzz finding's payload has no twin at code phase (0, 1)")
 	}
 	t.Logf("5 twin payloads in %d random ones", tried)

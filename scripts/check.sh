@@ -20,6 +20,27 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# Every name in every -run pattern below must match a test, fuzz target
+# or example in the packages its line names. A renamed test would
+# otherwise leave its named group running nothing, and passing.
+runs=$(awk '/\\$/ { sub(/\\$/, ""); buf = buf $0; next } { print buf $0; buf = "" }' scripts/check.sh |
+    grep -E "^ *go test .*-run[= ]'" | grep -v -- "-run='^\$'")
+listed=$(go test -list . $(echo "$runs" | tr ' ' '\n' | grep '^\./' | sort -u) |
+    awk '/^(Test|Fuzz|Example)/ { names = names " " $1; next } /^ok/ { print $2 names; names = "" }')
+echo "$runs" | while read -r line; do
+    names=""
+    for pkg in $(echo "$line" | tr ' ' '\n' | grep '^\./'); do
+        names="$names $(echo "$listed" | grep "^irs/${pkg#./} " | cut -d' ' -f2-)"
+    done
+    pattern=$(echo "$line" | sed -E "s/.*-run[= ]'([^']*)'.*/\1/")
+    for name in $(echo "$pattern" | tr '|' ' '); do
+        if ! echo "$names" | tr ' ' '\n' | grep -Eq -- "$name"; then
+            echo "check.sh: -run name $name matches no test in: $line" >&2
+            exit 1
+        fi
+    done
+done
+
 go vet ./...
 go test -race ./...
 
@@ -65,16 +86,17 @@ go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMix
 
 # Watermark reader: the single-coefficient DCT kernels against
 # Forward8, and the sliding kernel + CRC-first sweep against the
-# retained full-transform per-phase scan (all 64 pixel phases, four
-# config shapes, the E6 transform matrix, worker counts 1/2/4/8); and
-# the writer: AddBasis8 against the Forward8/Inverse8 round trip, Embed
-# and Erase against the retained full-transform loop (byte-identical
-# pixels over gray/RGB, clamped, partial-block and fan-out sizes, four
-# config shapes, workers 1/2/8), and payloads with a CRC-valid twin
-# code phase reading back their own id. Named under -race; then ten
-# seconds each of the reader's size/crop and the writer's seed/size fuzz
-# target, whose committed corpus replays the twin finding.
-go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance|EmbedMatchesReference|TwinPayloadsReadBack' \
+# retained full-transform per-phase scan (all 64 pixel phases, the E6
+# transform matrix, worker counts 1/2/4/8); and the writer: AddBasis8
+# against the Forward8/Inverse8 round trip, Embed and Erase against the
+# retained full-transform loop (byte-identical pixels over gray/RGB,
+# clamped, partial-block and fan-out sizes, workers 1/2/8), the golden
+# hashes that pin the label format's pixels, and payloads with a
+# CRC-valid twin code phase reading back their own id. Named under
+# -race; then ten seconds each of the reader's size/crop and the
+# writer's seed/size fuzz target, whose committed corpus replays the
+# twin finding.
+go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance|EmbedMatchesReference|TwinPayloadsReadBack|EmbedGolden' \
     ./internal/dct ./internal/watermark
 go test -run='^$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s ./internal/watermark
 go test -run='^$' -fuzz=FuzzEmbedMatchesReference -fuzztime=10s ./internal/watermark
