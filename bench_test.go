@@ -174,7 +174,7 @@ func obsBenchValidator(b *testing.B, reg *obs.Registry) (*proxy.Validator, ids.P
 		b.Fatal(err)
 	}
 	v := proxy.NewValidator(proxy.Config{CacheCapacity: 64, Obs: reg},
-		func(id ids.PhotoID) (*ledger.StatusProof, error) { return l.Status(id) })
+		func(_ ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) { return l.StatusBatch(batch) })
 	if _, err := v.Validate(rec.ID); err != nil {
 		b.Fatal(err)
 	}

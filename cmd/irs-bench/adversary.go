@@ -400,16 +400,11 @@ type advFaultService struct {
 
 var errAdvTransient = fmt.Errorf("adversary: transient upstream failure")
 
-func (s *advFaultService) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
-	s.queries.Add(1)
+func (s *advFaultService) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	s.queries.Add(uint64(len(batch)))
 	if s.fail.CompareAndSwap(true, false) {
 		return nil, &wire.TransportError{PreSend: true, Err: errAdvTransient}
 	}
-	return s.Service.Status(id)
-}
-
-func (s *advFaultService) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
-	s.queries.Add(uint64(len(batch)))
 	return s.Service.StatusBatch(batch)
 }
 
@@ -427,8 +422,7 @@ func advHerdOnce(cfg adversaryConfig, backend *serveLedger, celebrity ids.PhotoI
 		CacheTTL:      time.Minute,
 		Stripes:       16,
 		Clock:         func() time.Time { return now },
-	}, svc.Status)
-	v.SetBatchQuery(func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	}, func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		return svc.StatusBatch(page)
 	})
 	// Warm the whole population so collateral traffic is cache hits.
@@ -589,13 +583,6 @@ func (s *advBudgetService) take(n int64) error {
 	return nil
 }
 
-func (s *advBudgetService) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
-	if err := s.take(1); err != nil {
-		return nil, err
-	}
-	return s.Service.Status(id)
-}
-
 func (s *advBudgetService) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 	if err := s.take(int64(len(batch))); err != nil {
 		return nil, err
@@ -634,8 +621,7 @@ func advStampedeOnce(cfg adversaryConfig, backend *serveLedger, truth map[ids.Ph
 		Stripes:       16,
 		Clock:         func() time.Time { return now },
 		Admission:     adm,
-	}, svc.Status)
-	v.SetBatchQuery(func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	}, func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		return svc.StatusBatch(page)
 	})
 

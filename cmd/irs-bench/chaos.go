@@ -129,13 +129,6 @@ type chaosService struct {
 // errLedgerDown is the injected failure.
 var errLedgerDown = fmt.Errorf("chaos: ledger down")
 
-func (c *chaosService) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
-	if c.down.Load() {
-		return nil, &wire.TransportError{PreSend: true, Err: errLedgerDown}
-	}
-	return c.Service.Status(id)
-}
-
 func (c *chaosService) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 	if c.down.Load() {
 		return nil, &wire.TransportError{PreSend: true, Err: errLedgerDown}
@@ -212,10 +205,7 @@ func runChaosOnce(cfg chaosConfig, backend *serveLedger, spec chaosSpec, truth m
 		Clock:         clock,
 		Obs:           reg,
 		Tracer:        tracer,
-	}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
-		return svc.Status(id)
-	})
-	v.SetBatchQuery(func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	}, func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		return svc.StatusBatch(page)
 	})
 

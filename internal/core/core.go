@@ -138,18 +138,22 @@ func Build(spec Spec) (_ *System, err error) {
 		s.browserVal = proxy.NewValidator(proxy.Config{
 			UseFilter: true,
 			Clock:     spec.Clock,
-		}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
-			res, err := s.proxy.Validator().Validate(id)
+		}, func(_ ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+			results, err := s.proxy.Validator().ValidateBatch(batch)
 			if err != nil {
 				return nil, err
 			}
-			if res.Proof != nil {
-				return res.Proof, nil
+			proofs := make([]*ledger.StatusProof, len(results))
+			for i, res := range results {
+				proofs[i] = res.Proof
+				if proofs[i] == nil {
+					// Filter-miss answers carry no proof; synthesize the
+					// state for the caller. IssuedAt is zero: there is no
+					// ledger attestation to misrepresent.
+					proofs[i] = &ledger.StatusProof{ID: batch[i], State: res.State}
+				}
 			}
-			// Filter-miss answers carry no proof; synthesize the state
-			// for the caller. IssuedAt is zero: there is no ledger
-			// attestation to misrepresent.
-			return &ledger.StatusProof{ID: id, State: res.State}, nil
+			return proofs, nil
 		})
 	}
 	return s, nil

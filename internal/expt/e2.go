@@ -131,7 +131,7 @@ func E2LedgerLoad(scale Scale, seed int64) (*Report, error) {
 		return nil, err
 	}
 
-	query := func(id ids.PhotoID) (*ledger.StatusProof, error) { return l.Status(id) }
+	query := func(_ ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) { return l.StatusBatch(batch) }
 	arms := []struct {
 		name   string
 		cfg    proxy.Config

@@ -41,13 +41,6 @@ type outageService struct {
 	down atomic.Bool
 }
 
-func (s *outageService) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
-	if s.down.Load() {
-		return nil, &wire.TransportError{PreSend: true, Err: fmt.Errorf("outage")}
-	}
-	return s.Service.Status(id)
-}
-
 func (s *outageService) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 	if s.down.Load() {
 		return nil, &wire.TransportError{PreSend: true, Err: fmt.Errorf("outage")}
@@ -169,10 +162,7 @@ func testConservation(t *testing.T, shards, workers int) {
 		Breaker:       proxy.BreakerConfig{Enabled: true, FailureThreshold: 3, Cooldown: 5 * time.Second},
 		Clock:         clock,
 		Obs:           obs.NewRegistry(),
-	}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
-		return svc.Status(id)
-	})
-	v.SetBatchQuery(func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	}, func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		return svc.StatusBatch(page)
 	})
 	v.SetFilter(1, seq, filter)

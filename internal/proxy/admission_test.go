@@ -36,7 +36,7 @@ func TestAdmissionIdenticalDecisionsUnderBenign(t *testing.T) {
 			CacheTTL:      time.Minute,
 			Clock:         clock,
 			Admission:     adm,
-		}, fl.query)
+		}, fl.batch)
 	}
 	flBase, flAdm := newFakeLedger(), newFakeLedger()
 	base := build(AdmissionConfig{}, flBase)

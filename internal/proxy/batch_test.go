@@ -26,19 +26,8 @@ func newBatchEnv(t *testing.T, cfg Config) *batchEnv {
 	t.Helper()
 	fl := newFakeLedger()
 	e := &batchEnv{fl: fl}
-	e.seq = NewValidator(cfg, fl.query)
-	e.bat = NewValidator(cfg, fl.query)
-	e.bat.SetBatchQuery(func(_ ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
-		out := make([]*ledger.StatusProof, len(batch))
-		for i, id := range batch {
-			p, err := fl.query(id)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = p
-		}
-		return out, nil
-	})
+	e.seq = NewValidator(cfg, fl.batch)
+	e.bat = NewValidator(cfg, fl.batch)
 	return e
 }
 
@@ -160,48 +149,12 @@ func TestValidateBatchMatchesSequentialNoCache(t *testing.T) {
 	e.runPage(t, []ids.PhotoID{a, b, a, a, b})
 }
 
-// TestValidateBatchFallbackPerID: without a BatchQueryFunc the batch
-// path resolves per id but keeps the same results and counters.
-func TestValidateBatchFallbackPerID(t *testing.T) {
-	fl := newFakeLedger()
-	seq := NewValidator(Config{CacheCapacity: 16, CacheTTL: time.Hour}, fl.query)
-	bat := NewValidator(Config{CacheCapacity: 16, CacheTTL: time.Hour}, fl.query)
-	var page []ids.PhotoID
-	for i := 0; i < 6; i++ {
-		id := mustNewID(t, 1)
-		fl.states[id] = ledger.StateActive
-		page = append(page, id)
-	}
-	page = append(page, page[0])
-	want := make([]Result, len(page))
-	for i, id := range page {
-		r, err := seq.Validate(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-	got, err := bat.ValidateBatch(page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range page {
-		if got[i].State != want[i].State || got[i].Source != want[i].Source {
-			t.Errorf("result %d: %v/%v vs %v/%v", i, got[i].Source, got[i].State, want[i].Source, want[i].State)
-		}
-	}
-	if s, b := seq.Stats(), bat.Stats(); s != b {
-		t.Errorf("stats diverge: %+v vs %+v", s, b)
-	}
-}
-
 // TestValidateBatchGroupsPerLedger: a mixed-ledger page produces one
 // upstream call per ledger, ids in first-appearance order.
 func TestValidateBatchGroupsPerLedger(t *testing.T) {
 	var mu sync.Mutex
 	calls := make(map[ids.LedgerID][]ids.PhotoID)
-	v := NewValidator(Config{}, nil)
-	v.SetBatchQuery(func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	v := NewValidator(Config{}, func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		mu.Lock()
 		calls[lid] = append(calls[lid], batch...)
 		mu.Unlock()
@@ -257,8 +210,7 @@ func TestValidateBatchUpstreamErrors(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		v := NewValidator(Config{}, nil)
-		v.SetBatchQuery(tc.fn)
+		v := NewValidator(Config{}, tc.fn)
 		if _, err := v.ValidateBatch([]ids.PhotoID{id}); err == nil {
 			t.Errorf("%s: error swallowed", tc.name)
 		}
@@ -508,13 +460,6 @@ func benchValidator(b *testing.B) (*Validator, []ids.PhotoID) {
 	query := func(id ids.PhotoID) (*ledger.StatusProof, error) {
 		return &ledger.StatusProof{ID: id, State: states[id], IssuedAt: time.Now()}, nil
 	}
-	v := NewValidator(Config{CacheCapacity: 1024, CacheTTL: time.Hour}, query)
-	v.SetBatchQuery(func(_ ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
-		out := make([]*ledger.StatusProof, len(batch))
-		for i, id := range batch {
-			out[i], _ = query(id)
-		}
-		return out, nil
-	})
+	v := NewValidator(Config{CacheCapacity: 1024, CacheTTL: time.Hour}, perID(query))
 	return v, population
 }

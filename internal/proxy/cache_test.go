@@ -342,11 +342,7 @@ func TestProofOwnership(t *testing.T) {
 	}
 	want := append([]ledger.StatusProof(nil), upstream...)
 	queries := 0
-	v := NewValidator(Config{CacheCapacity: 64, CacheTTL: time.Hour}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
-		queries++
-		return byID[id], nil
-	})
-	v.SetBatchQuery(func(_ ids.LedgerID, sub []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	v := NewValidator(Config{CacheCapacity: 64, CacheTTL: time.Hour}, func(_ ids.LedgerID, sub []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		queries++
 		out := make([]*ledger.StatusProof, len(sub))
 		for i, id := range sub {
@@ -422,9 +418,8 @@ func resolveMix(t testing.TB, cfg Config, hits int) (v *Validator, page, queried
 		answers[page[i]] = &slab[i]
 	}
 	cfg.UseFilter = true
-	v = NewValidator(cfg, nil)
 	out := make([]*ledger.StatusProof, len(page))
-	v.SetBatchQuery(func(_ ids.LedgerID, sub []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	v = NewValidator(cfg, func(_ ids.LedgerID, sub []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		for i, id := range sub {
 			out[i] = answers[id]
 		}
@@ -565,9 +560,7 @@ func TestCacheHammer(t *testing.T) {
 		copy(p.Sig[:], id.Rec[:])
 		return p
 	}
-	v := NewValidator(Config{UseFilter: true, CacheCapacity: 64, CacheTTL: time.Hour},
-		func(id ids.PhotoID) (*ledger.StatusProof, error) { return proofFor(id), nil })
-	v.SetBatchQuery(func(_ ids.LedgerID, sub []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	v := NewValidator(Config{UseFilter: true, CacheCapacity: 64, CacheTTL: time.Hour}, func(_ ids.LedgerID, sub []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		out := ledger.NewProofBatch(len(sub))
 		for i, id := range sub {
 			*out[i] = *proofFor(id)

@@ -20,7 +20,7 @@ func fakeClock(start time.Time) (func() time.Time, func(time.Duration)) {
 func TestFailClosedPropagatesAndCountsUnavailable(t *testing.T) {
 	fl := newFakeLedger()
 	fl.err = errors.New("ledger down")
-	v := NewValidator(Config{CacheCapacity: 16}, fl.query)
+	v := NewValidator(Config{CacheCapacity: 16}, fl.batch)
 	if _, err := v.Validate(mustNewID(t, 1)); err == nil {
 		t.Fatal("fail-closed validation of an unreachable ledger succeeded")
 	}
@@ -37,7 +37,7 @@ func TestFailOpenFreshServesStaleWithinBound(t *testing.T) {
 		CacheTTL:      time.Minute,
 		Degrade:       DegradePolicy{Mode: DegradeFailOpenFresh, StaleTTL: time.Hour},
 		Clock:         clock,
-	}, fl.query)
+	}, fl.batch)
 	id := mustNewID(t, 1)
 	fl.states[id] = ledger.StateActive
 	if _, err := v.Validate(id); err != nil {
@@ -80,7 +80,7 @@ func TestFailOpenFreshStaleRequeriesOnRecovery(t *testing.T) {
 		CacheTTL:      time.Minute,
 		Degrade:       DegradePolicy{Mode: DegradeFailOpenFresh, StaleTTL: time.Hour},
 		Clock:         clock,
-	}, fl.query)
+	}, fl.batch)
 	id := mustNewID(t, 1)
 	fl.states[id] = ledger.StateActive
 	if _, err := v.Validate(id); err != nil {
@@ -107,7 +107,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 	v := NewValidator(Config{
 		Breaker: BreakerConfig{Enabled: true, FailureThreshold: 3, Cooldown: 5 * time.Second},
 		Clock:   clock,
-	}, fl.query)
+	}, fl.batch)
 	for i := 0; i < 3; i++ {
 		if _, err := v.Validate(mustNewID(t, 1)); err == nil {
 			t.Fatal("down ledger validated")
@@ -140,7 +140,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	v := NewValidator(Config{
 		Breaker: BreakerConfig{Enabled: true, FailureThreshold: 2, Cooldown: 5 * time.Second},
 		Clock:   clock,
-	}, fl.query)
+	}, fl.batch)
 	id := mustNewID(t, 1)
 	fl.states[id] = ledger.StateActive
 	for i := 0; i < 2; i++ {
@@ -186,8 +186,7 @@ func TestBreakerBatchFastFail(t *testing.T) {
 		CacheCapacity: 16,
 		Breaker:       BreakerConfig{Enabled: true, FailureThreshold: 2, Cooldown: 5 * time.Second},
 		Clock:         clock,
-	}, nil)
-	v.SetBatchQuery(func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	}, func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		calls++
 		return nil, down
 	})
@@ -226,8 +225,7 @@ func TestBreakerHalfOpenConcurrentAdmission(t *testing.T) {
 		CacheCapacity: 64,
 		Breaker:       BreakerConfig{Enabled: true, FailureThreshold: 2, Cooldown: 5 * time.Second},
 		Clock:         clock,
-	}, nil)
-	v.SetBatchQuery(func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	}, func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		if down.Load() {
 			return nil, errors.New("ledger down")
 		}
@@ -322,8 +320,7 @@ func TestFailOpenFreshBatchMixesStaleAndLive(t *testing.T) {
 		CacheTTL:      time.Minute,
 		Degrade:       DegradePolicy{Mode: DegradeFailOpenFresh, StaleTTL: time.Hour},
 		Clock:         clock,
-	}, nil)
-	v.SetBatchQuery(func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	}, func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		if downLedgers[lid] {
 			return nil, fmt.Errorf("ledger %d down", lid)
 		}

@@ -46,14 +46,7 @@ func TestObsAddsNoAllocations(t *testing.T) {
 	}
 
 	measure := func(reg *obs.Registry) (batch, serial float64) {
-		v := NewValidator(Config{UseFilter: true, CacheCapacity: 1024, CacheTTL: time.Hour, Obs: reg}, query)
-		v.SetBatchQuery(func(_ ids.LedgerID, sub []ids.PhotoID) ([]*ledger.StatusProof, error) {
-			out := make([]*ledger.StatusProof, len(sub))
-			for i, id := range sub {
-				out[i], _ = query(id)
-			}
-			return out, nil
-		})
+		v := NewValidator(Config{UseFilter: true, CacheCapacity: 1024, CacheTTL: time.Hour, Obs: reg}, perID(query))
 		v.SetFilter(1, 1, filter)
 		if _, err := v.ValidateBatch(page); err != nil { // warm the cache third
 			t.Fatal(err)

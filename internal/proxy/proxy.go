@@ -87,13 +87,11 @@ type Result struct {
 	Proof *ledger.StatusProof
 }
 
-// QueryFunc resolves a status against the authoritative ledger. The
-// HTTP server uses a wire.Directory; simulations count invocations.
-type QueryFunc func(ids.PhotoID) (*ledger.StatusProof, error)
-
 // BatchQueryFunc resolves many statuses against one ledger in a single
-// upstream round trip (wire.Service.StatusBatch). Proofs come back in
-// request order, one per identifier.
+// upstream round trip (wire.Service.StatusBatch): the validator's one
+// upstream contract. Proofs come back in request order, one per
+// identifier. The HTTP server resolves through a wire.Directory;
+// simulations count invocations.
 type BatchQueryFunc func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 
 // DegradeMode selects what the proxy answers when a ledger cannot be
@@ -172,7 +170,7 @@ type Config struct {
 	// server's /debug/metrics and to collect per-outcome latency.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records per-request stage spans
-	// (filter → cache → upstream → degrade). nil disables tracing with
+	// (scan → upstream → finalize). nil disables tracing with
 	// no hot-path branches beyond the nil-receiver checks.
 	Tracer *obs.Tracer
 }
@@ -211,10 +209,9 @@ type heldFilter struct {
 
 // Validator is the proxy core. Safe for concurrent use.
 type Validator struct {
-	cfg        Config
-	query      QueryFunc
-	batchQuery BatchQueryFunc
-	cache      *cache
+	cfg   Config
+	query BatchQueryFunc
+	cache *cache
 
 	// fset is the current filter snapshot; setMu serializes writers.
 	fset  atomic.Pointer[filterSet]
@@ -243,20 +240,32 @@ type Validator struct {
 
 type sfStripe struct {
 	mu sync.Mutex
-	m  map[ids.PhotoID]*inflight
+	m  map[ids.PhotoID]sfEntry
+}
+
+// sfEntry registers an identifier as being fetched: it is queryIDs[j]
+// of the call that leads fl. box, made by the first call to wait on it,
+// receives the leader's copy of the proof.
+type sfEntry struct {
+	fl  *inflight
+	j   int32
+	box *ledger.StatusProof
 }
 
 // inflight is one upstream call in progress that later callers wait on
-// instead of repeating: a status query (proof, err) or a filter refresh
-// (err only). The results are set before done closes.
+// instead of repeating: one call's status fetch or a filter refresh.
+// The results are set before done closes.
 type inflight struct {
-	done  chan struct{}
-	proof *ledger.StatusProof
-	err   error
+	done chan struct{}
+	// A status fetch: the leading call's answers, by its unique index.
+	answers []answer
+	// A filter refresh.
+	err error
 }
 
-// NewValidator creates a proxy core that resolves misses through query.
-func NewValidator(cfg Config, query QueryFunc) *Validator {
+// NewValidator creates a proxy core that resolves misses through query;
+// nil leaves it answering from its filters and cache alone.
+func NewValidator(cfg Config, query BatchQueryFunc) *Validator {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -288,16 +297,11 @@ func NewValidator(cfg Config, query QueryFunc) *Validator {
 		adm:      newAdmission(cfg.Admission, cfg.Clock, reg),
 	}
 	for i := range v.sf {
-		v.sf[i].m = make(map[ids.PhotoID]*inflight)
+		v.sf[i].m = make(map[ids.PhotoID]sfEntry)
 	}
 	v.fset.Store(&filterSet{filters: make(map[ids.LedgerID]heldFilter)})
 	return v
 }
-
-// SetBatchQuery installs the grouped upstream resolver used by
-// ValidateBatch. Without one, batch validations fall back to per-ID
-// queries. Set before serving traffic; the field is not synchronized.
-func (v *Validator) SetBatchQuery(fn BatchQueryFunc) { v.batchQuery = fn }
 
 // SetFilter installs or replaces a ledger's revocation filter snapshot.
 // Readers racing with the swap see either the old or the new snapshot,
@@ -326,49 +330,19 @@ func (v *Validator) mightBeRevoked(id ids.PhotoID) bool {
 	return held.f.Test(ledger.FilterKey(id))
 }
 
-// ErrNoQuery is returned when a ledger query is needed but no QueryFunc
-// was provided.
+// ErrNoQuery is returned when a ledger query is needed but the
+// validator has no BatchQueryFunc.
 var ErrNoQuery = errors.New("proxy: no ledger query configured")
 
-// Validate answers whether the photo may be displayed, consulting the
-// filter, then the cache, then the ledger. Every call lands in exactly
-// one outcome counter (see the conservation invariant on outcome).
+// Validate answers whether the photo may be displayed: a page of one
+// through ValidateBatch, so it consults the filter, then the cache, then
+// the ledger, and shares an in-flight query with concurrent pages.
 func (v *Validator) Validate(id ids.PhotoID) (Result, error) {
-	v.st.total.Inc()
-	start := v.st.begin()
-	tr := v.tracer.Start("validate")
-	defer tr.End()
-	if v.cfg.UseFilter {
-		tr.Stage("filter")
-		if !v.mightBeRevoked(id) {
-			tr.Notef("miss")
-			v.st.done(outFilterMiss, start)
-			return Result{State: ledger.StateActive, Source: SourceFilter}, nil
-		}
-	}
-	tr.Stage("cache")
-	var cached ledger.StatusProof
-	if v.cache.get(id, &cached) {
-		tr.Notef("hit")
-		v.st.done(outCacheHit, start)
-		p := cached // the heap copy only a hit pays for
-		return Result{State: p.State, Source: SourceCache, Proof: &p}, nil
-	}
-	tr.Stage("upstream")
-	p, err := v.queryOnce(id)
+	res, err := v.ValidateBatch([]ids.PhotoID{id})
 	if err != nil {
-		tr.Stage("degrade")
-		res, o, derr := v.degrade(id, err)
-		tr.Notef("%s", outcomeNames[o])
-		v.st.done(o, start)
-		return res, derr
+		return Result{}, err
 	}
-	v.cache.put(id, p)
-	// Singleflight waiters count here too: their occurrence was
-	// answered by a ledger round trip (Source says so), even though
-	// the table collapsed it into another caller's request.
-	v.st.done(outLedgerQuery, start)
-	return Result{State: p.State, Source: SourceLedger, Proof: p}, nil
+	return res[0], nil
 }
 
 // Resolve is Validate in relay.Resolver's shape — the state and the
@@ -384,27 +358,6 @@ func (v *Validator) Resolve(id ids.PhotoID) (ledger.State, []byte, error) {
 		proof = res.Proof.Marshal()
 	}
 	return res.State, proof, nil
-}
-
-// degrade answers a validation whose upstream resolution failed,
-// according to the configured DegradePolicy, and classifies the
-// occurrence: a stale answer under FailOpenFresh is StaleServed, a
-// breaker fast-fail that found no stale fallback is BreakerFastFails,
-// and any other unanswered validation is Unavailable. Exactly one
-// outcome per call keeps the conservation invariant exact (the old
-// code counted an open breaker in querySF and then again here).
-func (v *Validator) degrade(id ids.PhotoID, err error) (Result, outcome, error) {
-	if v.cfg.Degrade.Mode == DegradeFailOpenFresh {
-		var stale ledger.StatusProof
-		if v.cache.getStale(id, &stale) {
-			p := stale
-			return Result{State: p.State, Source: SourceStale, Proof: &p}, outStaleServed, nil
-		}
-	}
-	if errors.Is(err, ErrBreakerOpen) {
-		return Result{}, outBreakerFastFail, err
-	}
-	return Result{}, outUnavailable, err
 }
 
 // proofSlab holds one call's own copies of cached proofs, allocated a
@@ -430,14 +383,14 @@ func (s *proofSlab) keep(p *ledger.StatusProof, want int) *ledger.StatusProof {
 // every occurrence counts toward Total; filter and cache answers count
 // per occurrence; of a must-query identifier's occurrences the first is
 // a ledger answer and the rest are cache hits (they would have hit the
-// proof the first occurrence cached). The upstream difference is the
-// point: unique must-query identifiers are grouped per ledger and
-// resolved in one StatusBatch round trip each, instead of one round
-// trip per identifier.
+// proof the first occurrence cached). Upstream, unique must-query
+// identifiers are grouped per ledger into one StatusBatch round trip
+// each, and one a concurrent call is already fetching is waited for
+// (resolveBatch) — still a ledger answer, collapsed into another call's.
 //
-// The proofs in the results are the caller's: cached ones are copies
-// made for this call, queried ones sit in the array their StatusBatch
-// answer arrived in (the cache keeps its own copy).
+// The proofs in the results are the caller's: cached and shared ones
+// are copies made for this call, queried ones sit in the array their
+// StatusBatch answer arrived in (the cache keeps its own copy).
 func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 	n := len(batch)
 	results := make([]Result, n)
@@ -450,10 +403,11 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 	// of unique identifier j are the list first[j] → next[…] → -1 over
 	// batch indices, last[j] its end; table finds j by identifier — open
 	// addressing on Hash64, a power of two of slots at most half full,
-	// each 0 or j+1.
+	// each 0 or j+1. The second half of the identifier array is
+	// resolveBatch's scratch.
 	var (
 		kept                     proofSlab
-		queryIDs                 []ids.PhotoID // unique must-query IDs, first-appearance order
+		queryIDs, sub            []ids.PhotoID // queryIDs: unique must-query IDs, first-appearance order
 		first, last, next, table []int32
 	)
 	for i, id := range batch {
@@ -474,7 +428,8 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 			slots := 1 << bits.Len(uint(2*rest-1))
 			links := make([]int32, n+2*rest+slots)
 			next, first, last, table = links[:n], links[n:n:n+rest], links[n+rest:n+rest:n+2*rest], links[n+2*rest:]
-			queryIDs = make([]ids.PhotoID, 0, rest)
+			idbuf := make([]ids.PhotoID, 2*rest)
+			queryIDs, sub = idbuf[:0:rest], idbuf[rest:]
 		}
 		next[i] = -1
 		h := id.Hash64() & uint64(len(table)-1)
@@ -494,11 +449,18 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 		return results, nil
 	}
 	tr.Stage("upstream")
-	answers := v.resolveBatch(queryIDs)
+	answers := make([]answer, len(queryIDs))
+	// The scan is done with last and table: they become resolveBatch's
+	// scratch (table has at least 2·len(queryIDs) slots).
+	v.resolveBatch(queryIDs, answers, last, table[:len(queryIDs)+1], sub, &kept)
 	tr.Stage("finalize")
 	var firstErr error
 	for j, a := range answers {
 		if a.err != nil {
+			// The one outage classifier, per occurrence so the partition
+			// stays exact: a recent-enough stale proof under
+			// FailOpenFresh, else an open breaker is a fast-fail and
+			// anything else is unavailable.
 			if v.cfg.Degrade.Mode == DegradeFailOpenFresh {
 				var stale ledger.StatusProof
 				if v.cache.getStale(queryIDs[j], &stale) {
@@ -510,9 +472,6 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 					continue
 				}
 			}
-			// Same classification as degrade: an open breaker is a
-			// fast-fail, anything else is unavailable — per occurrence,
-			// so the partition stays exact.
 			o := outUnavailable
 			if errors.Is(a.err, ErrBreakerOpen) {
 				o = outBreakerFastFail
@@ -526,7 +485,6 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 			continue
 		}
 		p := a.proof
-		v.cache.put(queryIDs[j], p)
 		for i := first[j]; i >= 0; i = next[i] {
 			if i == first[j] || v.cfg.CacheCapacity <= 0 {
 				v.st.done(outLedgerQuery, start)
@@ -550,45 +508,123 @@ type answer struct {
 	err   error
 }
 
-// resolveBatch fetches proofs for unique identifiers, grouped by ledger
-// and chunked to the wire limit, answers[j] being queryIDs[j]'s. Error
-// precedence is by unique-ID index (first-appearance order), so the
-// caller's (results, error) pair is deterministic at any worker count.
-func (v *Validator) resolveBatch(queryIDs []ids.PhotoID) []answer {
-	answers := make([]answer, len(queryIDs))
-	if v.batchQuery == nil {
-		// Per-ID fallback, still collapsed through singleflight. The
-		// caller owns the outcome accounting.
-		parallel.Do(len(queryIDs), func(j int) {
-			answers[j].proof, answers[j].err = v.querySF(queryIDs[j])
-		})
-		return answers
+// sfWait is this call's queryIDs[j] waiting on another call's flight.
+type sfWait struct {
+	j  int32
+	on sfEntry
+}
+
+// resolveBatch answers queryIDs, answers[j] being queryIDs[j]'s,
+// through the singleflight table — a load and a privacy measure (the
+// ledger sees one aggregate query, §4.2). The call leads every
+// identifier no flight is fetching yet and joins the flight of each
+// other one. It fetches what it leads, caches the answers, retires its
+// flights and wakes their waiters before it waits for any flight it
+// joined, so calls waiting on each other cannot deadlock. A waiter
+// copies its answer into kept: the proofs are still the caller's. led,
+// cuts and sub are scratch as long as queryIDs (cuts one longer).
+//
+// A waiter whose flight failed re-enters once instead of adopting the
+// error: the failure belonged to the leader's attempt (a transient
+// fault, or a breaker that has since closed), and handing it to every
+// waiter turns one failed request into a herd of failures — what the
+// celebrity-takedown attack arm measures. One re-entry bounds the extra
+// upstream load at 2× per caller; if the retry fails too, the error
+// stands.
+func (v *Validator) resolveBatch(queryIDs []ids.PhotoID, answers []answer, led, cuts []int32, sub []ids.PhotoID, kept *proofSlab) {
+	if v.query == nil {
+		for j := range answers {
+			answers[j].err = ErrNoQuery
+		}
+		return
 	}
-	// Order the unique indices by ledger — stably, so ascending within
-	// one — and cut the runs of one ledger to the wire limit.
-	idxs := make([]int32, len(queryIDs))
-	for j := range idxs {
-		idxs[j] = int32(j)
+	todo := led[:len(queryIDs)] // the unique indices to register
+	for j := range todo {
+		todo[j] = int32(j)
 	}
-	slices.SortStableFunc(idxs, func(a, b int32) int {
-		return cmp.Compare(queryIDs[a].Ledger, queryIDs[b].Ledger)
-	})
-	sub := make([]ids.PhotoID, len(queryIDs)) // queryIDs in idxs order
-	for k, j := range idxs {
-		sub[k] = queryIDs[j]
-	}
-	var cuts []int // chunk c is idxs[cuts[c]:cuts[c+1]]
-	for k := range sub {
-		if k == 0 || sub[k].Ledger != sub[k-1].Ledger || k-cuts[len(cuts)-1] == wire.MaxStatusBatch {
-			cuts = append(cuts, k)
+	var waits []sfWait
+	for reentry := false; ; reentry = true {
+		fl := &inflight{done: make(chan struct{}), answers: answers}
+		led, waits = todo[:0], waits[:0] // led fills todo's array behind the reads
+		for _, j := range todo {
+			id := queryIDs[j]
+			s := &v.sf[id.Hash64()&v.sfMask]
+			s.mu.Lock()
+			if e, ok := s.m[id]; ok {
+				if e.box == nil {
+					e.box = new(ledger.StatusProof)
+					s.m[id] = e
+				}
+				waits = append(waits, sfWait{j, e})
+			} else {
+				s.m[id] = sfEntry{fl: fl, j: j}
+				led = append(led, j)
+			}
+			s.mu.Unlock()
+		}
+		if len(led) > 0 {
+			v.fetch(queryIDs, answers, led, cuts, sub)
+		}
+		for _, j := range led {
+			id, p := queryIDs[j], answers[j].proof
+			if p != nil {
+				v.cache.put(id, p)
+			}
+			s := &v.sf[id.Hash64()&v.sfMask]
+			s.mu.Lock()
+			// The fetched proofs sit in the upstream's array, which this
+			// call's caller may scribble on once it returns: waiters copy
+			// from the box.
+			if box := s.m[id].box; box != nil && p != nil {
+				*box = *p
+			}
+			delete(s.m, id)
+			s.mu.Unlock()
+		}
+		close(fl.done)
+		todo = led[:0]
+		for k, w := range waits {
+			<-w.on.fl.done
+			a := w.on.fl.answers[w.on.j]
+			if a.err != nil && !reentry {
+				todo = append(todo, w.j)
+				continue
+			}
+			if a.err == nil {
+				a.proof = kept.keep(w.on.box, len(waits)-k)
+			}
+			answers[w.j] = a
+		}
+		if len(todo) == 0 {
+			return
 		}
 	}
-	cuts = append(cuts, len(sub))
+}
+
+// fetch resolves queryIDs[j] for every j in led, grouped by ledger and
+// cut to the wire limit, one StatusBatch round trip per chunk in
+// parallel. It reorders led by ledger (stably, so ascending within
+// one); cuts and sub are scratch.
+func (v *Validator) fetch(queryIDs []ids.PhotoID, answers []answer, led, cuts []int32, sub []ids.PhotoID) {
+	slices.SortStableFunc(led, func(a, b int32) int {
+		return cmp.Compare(queryIDs[a].Ledger, queryIDs[b].Ledger)
+	})
+	sub = sub[:len(led)] // queryIDs in led order
+	for k, j := range led {
+		sub[k] = queryIDs[j]
+	}
+	cuts = cuts[:0] // chunk c is led[cuts[c]:cuts[c+1]]
+	for k := range sub {
+		if k == 0 || sub[k].Ledger != sub[k-1].Ledger || k-int(cuts[len(cuts)-1]) == wire.MaxStatusBatch {
+			cuts = append(cuts, int32(k))
+		}
+	}
+	cuts = append(cuts, int32(len(sub)))
 	parallel.Do(len(cuts)-1, func(c int) {
-		idxs, sub := idxs[cuts[c]:cuts[c+1]], sub[cuts[c]:cuts[c+1]]
+		led, sub := led[cuts[c]:cuts[c+1]], sub[cuts[c]:cuts[c+1]]
 		lid := sub[0].Ledger
 		ps, err := v.queryChunk(lid, sub)
-		for k, j := range idxs {
+		for k, j := range led {
 			switch {
 			case err != nil:
 				answers[j].err = err
@@ -603,7 +639,6 @@ func (v *Validator) resolveBatch(queryIDs []ids.PhotoID) []answer {
 			}
 		}
 	})
-	return answers
 }
 
 // queryChunk makes one upstream batch call through the ledger's
@@ -615,7 +650,7 @@ func (v *Validator) queryChunk(lid ids.LedgerID, sub []ids.PhotoID) ([]*ledger.S
 		return nil, fmt.Errorf("proxy: ledger %d: %w", lid, ErrBreakerOpen)
 	}
 	up := v.st.begin()
-	ps, err := v.batchQuery(lid, sub)
+	ps, err := v.query(lid, sub)
 	v.st.observeUpstream(v.st.upstreamBatch, up)
 	if err == nil && len(ps) != len(sub) {
 		err = fmt.Errorf("proxy: ledger %d returned %d proofs for %d ids", lid, len(ps), len(sub))
@@ -624,68 +659,6 @@ func (v *Validator) queryChunk(lid ids.LedgerID, sub []ids.PhotoID) ([]*ledger.S
 		br.record(err == nil, v.cfg.Clock())
 	}
 	return ps, err
-}
-
-// queryOnce collapses concurrent queries for the same identifier into a
-// single upstream request — both a load and a privacy measure (the
-// ledger sees one aggregate query, §4.2).
-func (v *Validator) queryOnce(id ids.PhotoID) (*ledger.StatusProof, error) {
-	return v.querySF(id)
-}
-
-// querySF is the singleflight core. It performs the upstream call but
-// counts nothing: outcome accounting happens at the occurrence level in
-// Validate/ValidateBatch, so singleflight waiters and leaders classify
-// identically and the conservation invariant holds.
-//
-// A waiter that joined a flight whose leader failed re-enters once
-// instead of adopting the error: the leader's failure belonged to the
-// leader's attempt (a transient fault, or a breaker that has since
-// closed), and propagating it to every waiter turns one failed request
-// into a whole herd of failures — the celebrity-takedown attack arm
-// measures exactly that amplification. One re-entry bounds the extra
-// upstream load at 2× per caller while letting a recovered upstream
-// answer the herd; if the retry flight fails too, the error stands.
-func (v *Validator) querySF(id ids.PhotoID) (*ledger.StatusProof, error) {
-	if v.query == nil {
-		return nil, ErrNoQuery
-	}
-	s := &v.sf[id.Hash64()&v.sfMask]
-	reentered := false
-	for {
-		s.mu.Lock()
-		if fl, ok := s.m[id]; ok {
-			s.mu.Unlock()
-			<-fl.done
-			if fl.err != nil && !reentered {
-				reentered = true
-				continue
-			}
-			return fl.proof, fl.err
-		}
-		fl := &inflight{done: make(chan struct{})}
-		s.m[id] = fl
-		s.mu.Unlock()
-
-		if br := v.breakerFor(id.Ledger); br != nil && !br.allow(v.cfg.Clock()) {
-			fl.err = fmt.Errorf("proxy: ledger %d: %w", id.Ledger, ErrBreakerOpen)
-		} else {
-			up := v.st.begin()
-			fl.proof, fl.err = v.query(id)
-			v.st.observeUpstream(v.st.upstreamQuery, up)
-			if br != nil {
-				br.record(fl.err == nil, v.cfg.Clock())
-			}
-		}
-		// Retire the flight before waking its waiters: a waiter that
-		// re-enters after a failed flight must not find that flight
-		// still registered and fail on it a second time.
-		s.mu.Lock()
-		delete(s.m, id)
-		s.mu.Unlock()
-		close(fl.done)
-		return fl.proof, fl.err
-	}
 }
 
 // Invalidate drops a cached proof, forcing the next validation to

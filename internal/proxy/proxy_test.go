@@ -11,7 +11,8 @@ import (
 	"irs/internal/ledger"
 )
 
-// fakeLedger is an in-process QueryFunc with call counting.
+// fakeLedger is an in-process ledger with call counting: every
+// identifier it answers is one query.
 type fakeLedger struct {
 	mu      sync.Mutex
 	states  map[ids.PhotoID]ledger.State
@@ -37,6 +38,27 @@ func (f *fakeLedger) query(id ids.PhotoID) (*ledger.StatusProof, error) {
 	return &ledger.StatusProof{ID: id, State: st, IssuedAt: time.Now()}, nil
 }
 
+// batch is the fake's BatchQueryFunc.
+func (f *fakeLedger) batch(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	return perID(f.query)(lid, batch)
+}
+
+// perID makes a BatchQueryFunc of a per-identifier answer: fn answers
+// each identifier in turn, and its first error fails the batch.
+func perID(fn func(ids.PhotoID) (*ledger.StatusProof, error)) BatchQueryFunc {
+	return func(_ ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+		out := make([]*ledger.StatusProof, len(batch))
+		for i, id := range batch {
+			p, err := fn(id)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = p
+		}
+		return out, nil
+	}
+}
+
 func mustNewID(t testing.TB, l ids.LedgerID) ids.PhotoID {
 	t.Helper()
 	id, err := ids.New(l)
@@ -48,7 +70,7 @@ func mustNewID(t testing.TB, l ids.LedgerID) ids.PhotoID {
 
 func TestFilterMissAnswersLocally(t *testing.T) {
 	fl := newFakeLedger()
-	v := NewValidator(Config{UseFilter: true, CacheCapacity: 10}, fl.query)
+	v := NewValidator(Config{UseFilter: true, CacheCapacity: 10}, fl.batch)
 	// Filter over one revoked id.
 	revoked := mustNewID(t, 1)
 	active := mustNewID(t, 1)
@@ -89,7 +111,7 @@ func TestFilterMissAnswersLocally(t *testing.T) {
 
 func TestNoFilterAlwaysQueries(t *testing.T) {
 	fl := newFakeLedger()
-	v := NewValidator(Config{UseFilter: true, CacheCapacity: 0}, fl.query)
+	v := NewValidator(Config{UseFilter: true, CacheCapacity: 0}, fl.batch)
 	// No filter installed for ledger 1 → cannot exclude revocation.
 	id := mustNewID(t, 1)
 	fl.states[id] = ledger.StateActive
@@ -103,7 +125,7 @@ func TestNoFilterAlwaysQueries(t *testing.T) {
 
 func TestCacheHit(t *testing.T) {
 	fl := newFakeLedger()
-	v := NewValidator(Config{CacheCapacity: 16, CacheTTL: time.Minute}, fl.query)
+	v := NewValidator(Config{CacheCapacity: 16, CacheTTL: time.Minute}, fl.batch)
 	id := mustNewID(t, 1)
 	fl.states[id] = ledger.StateActive
 	for i := 0; i < 5; i++ {
@@ -128,7 +150,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
 	fl := newFakeLedger()
-	v := NewValidator(Config{CacheCapacity: 16, CacheTTL: time.Minute, Clock: clock}, fl.query)
+	v := NewValidator(Config{CacheCapacity: 16, CacheTTL: time.Minute, Clock: clock}, fl.batch)
 	id := mustNewID(t, 1)
 	fl.states[id] = ledger.StateActive
 	if _, err := v.Validate(id); err != nil {
@@ -227,7 +249,7 @@ func TestCacheStaleBoundary(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	fl := newFakeLedger()
-	v := NewValidator(Config{CacheCapacity: 2, CacheTTL: time.Hour}, fl.query)
+	v := NewValidator(Config{CacheCapacity: 2, CacheTTL: time.Hour}, fl.batch)
 	a, b, c := mustNewID(t, 1), mustNewID(t, 1), mustNewID(t, 1)
 	for _, id := range []ids.PhotoID{a, b, c} {
 		fl.states[id] = ledger.StateActive
@@ -250,7 +272,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	fl := newFakeLedger()
-	v := NewValidator(Config{CacheCapacity: 4, CacheTTL: time.Hour}, fl.query)
+	v := NewValidator(Config{CacheCapacity: 4, CacheTTL: time.Hour}, fl.batch)
 	id := mustNewID(t, 1)
 	fl.states[id] = ledger.StateActive
 	if _, err := v.Validate(id); err != nil {
@@ -270,7 +292,7 @@ func TestInvalidate(t *testing.T) {
 func TestQueryError(t *testing.T) {
 	fl := newFakeLedger()
 	fl.err = errors.New("ledger down")
-	v := NewValidator(Config{}, fl.query)
+	v := NewValidator(Config{}, fl.batch)
 	if _, err := v.Validate(mustNewID(t, 1)); err == nil {
 		t.Error("ledger error swallowed")
 	}
@@ -284,7 +306,7 @@ func TestResolveIsValidateMarshalled(t *testing.T) {
 	// The relay egress's miss path: a filter answer carries no proof,
 	// a ledger answer its proof's wire bytes, a failure StateUnknown.
 	fl := newFakeLedger()
-	v := NewValidator(Config{UseFilter: true, CacheCapacity: 10}, fl.query)
+	v := NewValidator(Config{UseFilter: true, CacheCapacity: 10}, fl.batch)
 	revoked, active := mustNewID(t, 1), mustNewID(t, 1)
 	f, err := bloom.NewWithEstimate(1024, 0.02)
 	if err != nil {
@@ -316,13 +338,13 @@ func TestSingleflightCollapsesConcurrent(t *testing.T) {
 	var mu sync.Mutex
 	queries := 0
 	release := make(chan struct{})
-	v := NewValidator(Config{CacheCapacity: 4}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
+	v := NewValidator(Config{CacheCapacity: 4}, perID(func(id ids.PhotoID) (*ledger.StatusProof, error) {
 		mu.Lock()
 		queries++
 		mu.Unlock()
 		<-release
 		return &ledger.StatusProof{ID: id, State: ledger.StateActive, IssuedAt: time.Now()}, nil
-	})
+	}))
 	id := mustNewID(t, 1)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -347,7 +369,7 @@ func TestSingleflightCollapsesConcurrent(t *testing.T) {
 
 func TestStatsReset(t *testing.T) {
 	fl := newFakeLedger()
-	v := NewValidator(Config{}, fl.query)
+	v := NewValidator(Config{}, fl.batch)
 	if _, err := v.Validate(mustNewID(t, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +405,7 @@ func TestSingleflightPropagatesErrors(t *testing.T) {
 	calls := 0
 	fail := true
 	release := make(chan struct{})
-	v := NewValidator(Config{CacheCapacity: 4}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
+	v := NewValidator(Config{CacheCapacity: 4}, perID(func(id ids.PhotoID) (*ledger.StatusProof, error) {
 		mu.Lock()
 		calls++
 		shouldFail := fail
@@ -393,7 +415,7 @@ func TestSingleflightPropagatesErrors(t *testing.T) {
 			return nil, errors.New("upstream exploded")
 		}
 		return &ledger.StatusProof{ID: id, State: ledger.StateActive, IssuedAt: time.Now()}, nil
-	})
+	}))
 	id := mustNewID(t, 1)
 	var wg sync.WaitGroup
 	errs := make([]error, 6)
@@ -442,7 +464,7 @@ func TestSingleflightHerdRecoversFromLeaderFailure(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
 	release := make(chan struct{})
-	v := NewValidator(Config{CacheCapacity: 4}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
+	v := NewValidator(Config{CacheCapacity: 4}, perID(func(id ids.PhotoID) (*ledger.StatusProof, error) {
 		mu.Lock()
 		calls++
 		first := calls == 1
@@ -452,7 +474,7 @@ func TestSingleflightHerdRecoversFromLeaderFailure(t *testing.T) {
 			return nil, errors.New("transient fault")
 		}
 		return &ledger.StatusProof{ID: id, State: ledger.StateActive, IssuedAt: time.Now()}, nil
-	})
+	}))
 	id := mustNewID(t, 1)
 	var wg sync.WaitGroup
 	errs := make([]error, herd)
@@ -495,7 +517,7 @@ func TestSingleflightRetiresFlightBeforeWaking(t *testing.T) {
 	calls := 0
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	v := NewValidator(Config{CacheCapacity: 4}, func(id ids.PhotoID) (*ledger.StatusProof, error) {
+	v := NewValidator(Config{CacheCapacity: 4}, perID(func(id ids.PhotoID) (*ledger.StatusProof, error) {
 		mu.Lock()
 		calls++
 		first := calls == 1
@@ -506,7 +528,7 @@ func TestSingleflightRetiresFlightBeforeWaking(t *testing.T) {
 			return nil, errors.New("transient fault")
 		}
 		return &ledger.StatusProof{ID: id, State: ledger.StateActive, IssuedAt: time.Now()}, nil
-	})
+	}))
 	id := mustNewID(t, 1)
 	var wg sync.WaitGroup
 	var leaderErr, waiterErr error
@@ -527,8 +549,9 @@ func TestSingleflightRetiresFlightBeforeWaking(t *testing.T) {
 
 	s := &v.sf[id.Hash64()&v.sfMask]
 	s.mu.Lock()
-	fl := s.m[id]
-	if fl == nil {
+	e, ok := s.m[id]
+	fl := e.fl
+	if !ok {
 		s.mu.Unlock()
 		t.Fatal("leader's flight is not registered while its query is in progress")
 	}
@@ -554,10 +577,137 @@ func TestSingleflightRetiresFlightBeforeWaking(t *testing.T) {
 	}
 }
 
+// TestPageHerdAsksSharedIDOnce is the herd on the page path: eight
+// concurrent ValidateBatch pages, each the shared, just invalidated id
+// plus one id of its own. A StatusBatch asking the shared id is held at
+// the ledger until every other page has fetched its own id; a page
+// registers all its ids before it fetches any, so by then each of them
+// waits on the flight of the page that leads the shared id (without
+// singleflight, all eight are held until the deadline). Without a
+// fault the shared id is asked upstream once. With one fault on the
+// leader's StatusBatch exactly the leader's page fails, and every other
+// page re-enters and succeeds.
+func TestPageHerdAsksSharedIDOnce(t *testing.T) {
+	const pages = 8
+	for _, fault := range []bool{false, true} {
+		shared := mustNewID(t, 1)
+		var (
+			mu        sync.Mutex
+			hold      bool
+			armed     bool
+			leaderOwn ids.PhotoID
+			asked     = map[ids.PhotoID]int{}
+		)
+		ownAsked := make(chan struct{}, pages)
+		release := make(chan struct{})
+		v := NewValidator(Config{CacheCapacity: 64, CacheTTL: time.Hour}, func(_ ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+			mu.Lock()
+			withShared := false
+			for _, id := range batch {
+				asked[id]++
+				withShared = withShared || id == shared
+			}
+			held := withShared && hold
+			for _, id := range batch {
+				if held && id != shared && leaderOwn == (ids.PhotoID{}) {
+					leaderOwn = id
+				}
+			}
+			fail := withShared && armed
+			armed = armed && !withShared
+			mu.Unlock()
+			if !withShared {
+				ownAsked <- struct{}{}
+			}
+			if held {
+				<-release
+			}
+			if fail {
+				return nil, errors.New("transient fault")
+			}
+			out := make([]*ledger.StatusProof, len(batch))
+			for i, id := range batch {
+				out[i] = &ledger.StatusProof{ID: id, State: ledger.StateRevoked, IssuedAt: time.Now()}
+			}
+			return out, nil
+		})
+		if _, err := v.ValidateBatch([]ids.PhotoID{shared}); err != nil {
+			t.Fatal(err)
+		}
+		v.Invalidate(shared)
+		v.ResetStats()
+		mu.Lock()
+		hold, armed, asked = true, fault, map[ids.PhotoID]int{}
+		mu.Unlock()
+
+		own := make([]ids.PhotoID, pages)
+		res := make([][]Result, pages)
+		errs := make([]error, pages)
+		var wg sync.WaitGroup
+		for p := range own {
+			own[p] = mustNewID(t, 1)
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				res[p], errs[p] = v.ValidateBatch([]ids.PhotoID{own[p], shared})
+			}(p)
+		}
+		deadline := time.After(10 * time.Second)
+		for p := 0; p < pages-1; p++ {
+			select {
+			case <-ownAsked:
+			case <-deadline:
+				t.Errorf("fault=%v: only %d of %d other pages fetched their own id beside the held shared one", fault, p, pages-1)
+				p = pages
+			}
+		}
+		close(release)
+		wg.Wait()
+
+		mu.Lock()
+		sharedAsks := asked[shared]
+		mu.Unlock()
+		failed, proofs := 0, map[*ledger.StatusProof]bool{}
+		for p, err := range errs {
+			if err != nil {
+				failed++
+				if !fault || own[p] != leaderOwn {
+					t.Errorf("fault=%v: page %d failed (leader %v): %v", fault, p, own[p] == leaderOwn, err)
+				}
+				continue
+			}
+			r := res[p][1]
+			if r.Source != SourceLedger || r.State != ledger.StateRevoked || r.Proof == nil || r.Proof.ID != shared {
+				t.Errorf("fault=%v: page %d shared answer %v/%v %+v", fault, p, r.Source, r.State, r.Proof)
+			} else if proofs[r.Proof] {
+				t.Errorf("fault=%v: page %d shares its shared proof with another page", fault, p)
+			}
+			proofs[r.Proof] = true
+		}
+		st := v.Stats()
+		if fault {
+			if failed != 1 {
+				t.Errorf("fault=%v: %d of %d pages failed after one fault on the leader's StatusBatch; want the leader's alone", fault, failed, pages)
+			}
+			if sharedAsks < 2 || sharedAsks > pages {
+				t.Errorf("fault=%v: shared id asked %d times, want 2..%d (the failed flight, then re-entry)", fault, sharedAsks, pages)
+			}
+			if st.Unavailable != 2 || st.LedgerQueries != 2*pages-2 {
+				t.Errorf("fault=%v: stats %+v, want the leader's two occurrences unavailable", fault, st)
+			}
+		} else if sharedAsks != 1 {
+			t.Errorf("fault=%v: shared id asked upstream %d times by %d concurrent pages, want 1 (singleflight)", fault, sharedAsks, pages)
+		}
+		if st.Total != 2*pages {
+			t.Errorf("fault=%v: stats %+v, want %d occurrences", fault, st, 2*pages)
+		}
+	}
+}
+
 func TestErrorsAreNotCached(t *testing.T) {
 	fl := newFakeLedger()
 	fl.err = errors.New("down")
-	v := NewValidator(Config{CacheCapacity: 8, CacheTTL: time.Hour}, fl.query)
+	v := NewValidator(Config{CacheCapacity: 8, CacheTTL: time.Hour}, fl.batch)
 	id := mustNewID(t, 1)
 	if _, err := v.Validate(id); err == nil {
 		t.Fatal("error swallowed")

@@ -40,14 +40,7 @@ type ValidateResponse struct {
 // NewServer wires a Validator whose misses resolve through dir.
 func NewServer(cfg Config, dir *wire.Directory) *Server {
 	s := &Server{dir: dir, mux: http.NewServeMux()}
-	s.v = NewValidator(cfg, func(id ids.PhotoID) (*ledger.StatusProof, error) {
-		c, err := dir.For(id)
-		if err != nil {
-			return nil, err
-		}
-		return c.Status(id)
-	})
-	s.v.SetBatchQuery(func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	s.v = NewValidator(cfg, func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		c, err := dir.ForLedger(lid)
 		if err != nil {
 			return nil, err

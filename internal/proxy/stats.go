@@ -47,7 +47,6 @@ type stats struct {
 	total         *obs.Counter
 	outcomes      [numOutcomes]*obs.Counter
 	validateSec   [numOutcomes]*obs.Histogram
-	upstreamQuery *obs.Histogram
 	upstreamBatch *obs.Histogram
 }
 
@@ -61,7 +60,6 @@ func newStats(reg *obs.Registry, timed bool, clock func() time.Time) stats {
 		for o := outcome(0); o < numOutcomes; o++ {
 			s.validateSec[o] = reg.Histogram("irs_proxy_validate_seconds", nil, obs.L("outcome", outcomeNames[o]))
 		}
-		s.upstreamQuery = reg.Histogram("irs_proxy_upstream_seconds", nil, obs.L("kind", "query"))
 		s.upstreamBatch = reg.Histogram("irs_proxy_upstream_seconds", nil, obs.L("kind", "batch"))
 	}
 	return s

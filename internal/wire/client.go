@@ -403,17 +403,17 @@ func (c *Client) Apply(id ids.PhotoID, op ledger.Op, seq uint64, sig []byte) err
 	return c.postJSON("op", "/v1/op", &OpRequest{ID: id.String(), Op: int(op), Seq: seq, Sig: sig}, nil, nil)
 }
 
-// Status validates a claim, returning the parsed signed proof.
+// Status validates a claim, returning the parsed signed proof. The
+// response is rejected unless its proof attests id.
 func (c *Client) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
-	var proof *ledger.StatusProof
+	proof := new(ledger.StatusProof)
 	err := c.hop.Exchange("status", "/v1/status?id="+url.QueryEscape(id.String()), nil, MsgStatusResp, maxBody,
 		func(payload []byte) error {
 			raw, err := DecodeStatusResp(payload)
 			if err != nil {
 				return err
 			}
-			proof, err = ledger.UnmarshalProof(raw)
-			return err
+			return checkProof(id, 0, raw, proof)
 		})
 	if err != nil {
 		return nil, err

@@ -67,6 +67,22 @@ func TestClientAgainstWrongShapes(t *testing.T) {
 	if _, err := NewClient(srv2.URL, "").Keys(); err == nil {
 		t.Error("short keys accepted")
 	}
+
+	// A well-formed IRSW1 status frame whose signed proof attests a
+	// different id than the one asked about.
+	l, err := ledger.New(ledger.Config{ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	other, err := l.Status(hostileID(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv3 := hostileServer(t, http.StatusOK, ContentTypeBinary, string(EncodeStatusResp(nil, other)), nil)
+	if p, err := NewClient(srv3.URL, "").Status(hostileID(t)); err == nil {
+		t.Errorf("status proof for %s accepted", p.ID)
+	}
 }
 
 func TestClientAgainstMissingEpochHeader(t *testing.T) {

@@ -171,10 +171,13 @@ go test -race -run 'LookupQuickArmsAgree|TopologyQuickStateHashGate|ChaosQuickRe
 # LRU against the retained container/list one step for step, who owns a
 # proof at each hand-off, an undefined state byte failing its own id
 # and staying out of the cache, and the ValidateBatch/Invalidate/
-# SetFilter hammer on one 64-entry stripe.
+# SetFilter hammer on one 64-entry stripe; and the singleflight table
+# that pages share in-flight ids through, each waiter copying its proof
+# (concurrent pages ask a shared id once, a leader's fault fails its
+# page alone).
 go test -race -run 'MetricsConservation' ./internal/integration
 go test -race -run 'ChaosObsDeterminism' ./cmd/irs-bench
-go test -race -run 'ObsAddsNoAllocations|CacheMatchesListReference|CacheHammer|ProofOwnership|UndefinedState' \
+go test -race -run 'ObsAddsNoAllocations|CacheMatchesListReference|CacheHammer|ProofOwnership|UndefinedState|Singleflight|PageHerd' \
     ./internal/proxy ./internal/ledger ./internal/wire
 go test -race ./internal/obs
 
@@ -203,10 +206,11 @@ go test -run='^$' -fuzz=FuzzHistogramObserve -fuzztime=10s ./internal/obs
 # already IRSW1, a 2xx in any other encoding is an error, no response
 # carries X-IRS-Wire), the servers' JSON answers byte-identical to the
 # clients' IRSW1 ones, both hops' hostile-frame and dead-server
-# TransportError classification and shared client batch bound, the one
+# TransportError classification and shared client batch bound, a
+# status proof for an id other than the one asked refused, the one
 # hostile-request table run against both batch routes, and the
 # keep-alive pool sizing, all named under the race detector.
-go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|ServerRejectsHostileBodies' \
+go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies' \
     ./internal/wire ./internal/proxy
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
@@ -288,12 +292,13 @@ done
 # suite (identical decisions under benign traffic, flood isolation,
 # key churn, POST /v1/refresh charged one token per ledger and denied
 # with no upstream call), the singleflight herd leader-failure
-# contract, and the takedown/revalidation/upload torn-state hammer,
-# named under -race. The adversary harness itself runs at quick scale
-# in AdversaryQuickDeterministicAndGated.
+# contract for single ids and for pages, and the
+# takedown/revalidation/upload torn-state hammer, named under -race.
+# The adversary harness itself runs at quick scale in
+# AdversaryQuickDeterministicAndGated.
 go test -race -run 'BandMixer|CraftedCollisions|KeyedIndexedLinearDifferential' \
     ./internal/phash ./internal/aggregator
-go test -race -run 'Admission|ClientKey|Singleflight' ./internal/proxy
+go test -race -run 'Admission|ClientKey|Singleflight|PageHerd' ./internal/proxy
 go test -race -run 'TakedownRevalidateUploadHammer' ./internal/aggregator
 go test -race -run 'AdversaryQuickDeterministicAndGated' ./cmd/irs-bench
 
