@@ -192,6 +192,17 @@ func (f *Filter) Test(key uint64) bool {
 	return true
 }
 
+// Probes appends to dst the k bit positions key maps to, in probe
+// order (a position can repeat): the bits Add sets and Test reads.
+func (f *Filter) Probes(key uint64, dst []uint64) []uint64 {
+	h1 := parallel.SplitMix64(key)
+	h2 := parallel.SplitMix64(key ^ 0xdeadbeefcafef00d)
+	for i := 0; i < f.k; i++ {
+		dst = append(dst, (h1+uint64(i)*h2)%f.m)
+	}
+	return dst
+}
+
 // FillRatio returns the fraction of set bits.
 func (f *Filter) FillRatio() float64 {
 	var set int
@@ -253,19 +264,27 @@ func (f *Filter) Reset() {
 // answer every Test identically hash alike, which is the equivalence
 // the sync protocol's base-hash validation needs. (n can legitimately
 // differ between a snapshot and the same bits reached via deltas.)
+//
+// The digest input is m ∥ k ∥ the big-endian bit words; the words are
+// fed through a 4 KiB stack buffer, so hashing allocates nothing.
 func (f *Filter) Hash() [32]byte {
 	h := sha256.New()
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[0:], f.m)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(f.k))
-	h.Write(hdr[:])
-	var wb [8]byte
+	var buf [4096]byte
+	binary.BigEndian.PutUint64(buf[0:], f.m)
+	binary.BigEndian.PutUint32(buf[8:], uint32(f.k))
+	h.Write(buf[:12])
+	n := 0
 	for _, w := range f.bits {
-		binary.BigEndian.PutUint64(wb[:], w)
-		h.Write(wb[:])
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.BigEndian.PutUint64(buf[n:], w)
+		n += 8
 	}
+	h.Write(buf[:n])
 	var sum [32]byte
-	copy(sum[:], h.Sum(nil))
+	h.Sum(sum[:0])
 	return sum
 }
 

@@ -1,6 +1,8 @@
 package bloom
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -304,5 +306,28 @@ func BenchmarkTest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.Test(uint64(i))
+	}
+}
+
+// TestHashMatchesProtocol pins Hash to PROTOCOL.md's digest,
+// SHA-256(m ∥ k ∥ big-endian words), for bit arrays on both sides of
+// the 4 KiB chunks Hash feeds the digest in.
+func TestHashMatchesProtocol(t *testing.T) {
+	for _, words := range []uint64{1, 511, 512, 513, 1025} {
+		f, err := New(64*words, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 3*words; i++ {
+			f.Add(i)
+		}
+		stream := binary.BigEndian.AppendUint64(nil, f.m)
+		stream = binary.BigEndian.AppendUint32(stream, uint32(f.k))
+		for _, w := range f.bits {
+			stream = binary.BigEndian.AppendUint64(stream, w)
+		}
+		if f.Hash() != sha256.Sum256(stream) {
+			t.Errorf("%d words: Hash differs from SHA-256 of the protocol's byte stream", words)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,13 @@ import (
 // the same header and gap list with no base or result hash, so a
 // receiver could check only m and k. Apply must reject it.
 func v1Frame(prev, next *Filter) []byte {
-	return encodeGaps(putDeltaHeader([]byte("IRSBD1"), prev, next), prev, next)
+	out := binary.BigEndian.AppendUint64([]byte("IRSBD1"), prev.m)
+	out = binary.BigEndian.AppendUint32(out, uint32(prev.k))
+	out = binary.BigEndian.AppendUint64(out, prev.n)
+	out = binary.BigEndian.AppendUint64(out, next.n)
+	flips := diffFlips(prev.bits, next.bits)
+	count, _ := gapsLen(flips)
+	return appendGaps(out, count, flips)
 }
 
 // TestDeltaRoundTrip compares the bit arrays word by word — an oracle

@@ -77,16 +77,16 @@ func TestPullFallsBackToColdSync(t *testing.T) {
 		}
 		return w.Sync(from, baseHash)
 	}
-	next, latest, n, err := Pull(src, 3, held)
-	if err != nil || latest != 4 || next.Hash() != target.Hash() {
-		t.Fatalf("Pull: latest %d, err %v", latest, err)
+	next, _, n, err := Pull(src, Held{Epoch: 3, F: held})
+	if err != nil || next.Epoch != 4 || next.F.Hash() != target.Hash() {
+		t.Fatalf("Pull: latest %d, err %v", next.Epoch, err)
 	}
 	if len(calls) != 2 || calls[1] != 0 || n != len(wrongBase)+len(target.Marshal()) {
 		t.Errorf("calls %v moving %d bytes, want a cold second call moving both payloads", calls, n)
 	}
 
-	next, latest, n, err = Pull(w.Sync, 4, target)
-	if err != nil || next != nil || latest != 4 || n != 0 {
-		t.Errorf("current holder: next %v latest %d bytes %d err %v", next, latest, n, err)
+	next, _, n, err = Pull(w.Sync, Held{Epoch: 4, F: target})
+	if err != nil || next.F != nil || next.Epoch != 4 || n != 0 {
+		t.Errorf("current holder: next %v latest %d bytes %d err %v", next.F, next.Epoch, n, err)
 	}
 }

@@ -274,11 +274,17 @@ func TestFilterSync(t *testing.T) {
 
 // TestBuildSnapshotConcurrentEpochsIncrease: concurrent builds each
 // publish their own epoch, the epochs are exactly 1..n, and a reader
-// polling beside them never sees the published epoch step back.
+// polling beside them never sees the published epoch step back. Ids
+// are revoked (permanently, so never unrevoked) while the builds run,
+// and the population stays under the sizing floor, so every filter is
+// the same size and its bits only grow: once an epoch holds a revoked
+// id, every later epoch holds it — a build that collected the revoked
+// set before an earlier-published build must not publish after it.
 func TestBuildSnapshotConcurrentEpochsIncrease(t *testing.T) {
-	const builders, rounds = 4, 25
+	const builders, rounds, revokers = 4, 25, 2
 	l := newLedger(t)
-	if err := l.RestoreRecords(makeRecords(t, l.ID(), 50, 9)); err != nil {
+	recs := makeRecords(t, l.ID(), 400, 9)
+	if err := l.RestoreRecords(recs); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -286,6 +292,7 @@ func TestBuildSnapshotConcurrentEpochsIncrease(t *testing.T) {
 	go func() {
 		defer close(readerDone)
 		var last uint64
+		var held []byte
 		for {
 			select {
 			case <-stop:
@@ -300,9 +307,32 @@ func TestBuildSnapshotConcurrentEpochsIncrease(t *testing.T) {
 				t.Errorf("reader saw epoch %d after %d (err %v)", latest, last, err)
 				return
 			}
-			last = latest
+			epoch, f, _ := l.filters.Latest()
+			bits := f.Marshal()[26:]
+			if held != nil && epoch > last {
+				for i := range held {
+					if held[i]&^bits[i] != 0 {
+						t.Errorf("epoch %d lacks a revoked id's bits that epoch %d held", epoch, last)
+						return
+					}
+				}
+			}
+			last, held = epoch, bits
 		}
 	}()
+	var revoking sync.WaitGroup
+	for r := 0; r < revokers; r++ {
+		revoking.Add(1)
+		go func() {
+			defer revoking.Done()
+			for i := r; i < len(recs); i += revokers {
+				if err := l.PermanentRevoke(recs[i].ID); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
 	got := make([][]uint64, builders)
 	var wg sync.WaitGroup
 	for b := range got {
@@ -320,6 +350,7 @@ func TestBuildSnapshotConcurrentEpochsIncrease(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	revoking.Wait()
 	close(stop)
 	<-readerDone
 	seen := make(map[uint64]bool)
@@ -336,6 +367,15 @@ func TestBuildSnapshotConcurrentEpochsIncrease(t *testing.T) {
 	}
 	if latest, _, _ := l.FilterSnapshot(); len(seen) != builders*rounds || latest != builders*rounds {
 		t.Errorf("%d distinct epochs, latest %d; want %d of each", len(seen), latest, builders*rounds)
+	}
+	if _, err := l.BuildSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	_, f, _ := l.FilterSnapshot()
+	for i := range recs {
+		if !f.Test(FilterKey(recs[i].ID)) {
+			t.Fatalf("revoked id %d missing from the epoch built after every revoke", i)
+		}
 	}
 }
 

@@ -196,8 +196,10 @@ type Ledger struct {
 	store *segEngine
 
 	// filters holds the published snapshot epochs; buildMu serializes
-	// BuildSnapshot so epochs strictly increase.
+	// BuildSnapshot so epochs strictly increase, and guards build, the
+	// filter's counting shadow and the builder's reused buffers.
 	buildMu sync.Mutex
+	build   filterBuild
 	filters *bloom.Window
 
 	obsReg  *obs.Registry
@@ -413,7 +415,7 @@ func (l *Ledger) insertClaim(sh *shard, rec *Record) error {
 		// cannot reach the WAL before the claim entry it depends on.
 		if err := l.store.logClaim(rec); err != nil {
 			delete(sh.records, rec.ID)
-			delete(sh.revoked, rec.ID)
+			sh.setRevoked(rec.ID, StateActive)
 			return err
 		}
 	}

@@ -19,9 +19,10 @@ import (
 //     under idMu in claim order, exactly as the old global lock
 //     serialized it (experiments claim serially, so the stream is a
 //     pure function of the seed);
-//   - filter snapshots: Bloom bits are an order-insensitive OR, so
-//     iterating shards in fixed index order yields byte-identical
-//     filters to the single-map build;
+//   - filter snapshots: Bloom bits are an order-insensitive OR, and a
+//     filter bit's shadow counter a sum, so draining shards in fixed
+//     index order yields byte-identical filters to the single-map
+//     build;
 //   - WAL: an operation on a record is appended while holding that
 //     record's shard write lock, so per-record entry order (claim
 //     before its ops, ops in sequence order) is preserved, which is
@@ -47,6 +48,15 @@ type shard struct {
 	// revoked id the memtable misses (see state).
 	revoked map[ids.PhotoID]bool
 
+	// changes logs, in order, the filter keys whose membership of
+	// revoked flipped since a filter epoch last drained this shard. Its
+	// storage is reused from epoch to epoch. A shard whose log would
+	// pass changeCap stops logging and sets changesLost, which sends the
+	// next epoch through a full rebuild (filter.go).
+	changes     []filterChange
+	changeCap   int
+	changesLost bool
+
 	// memo is this stripe of the per-second proof-signature memo
 	// (proof.go). It has its own mutex: a query writes to it while
 	// holding no record lock.
@@ -70,13 +80,31 @@ func (sh *shard) state(id ids.PhotoID) (State, bool) {
 	return StateRevoked, true
 }
 
-// setRevoked makes the resident set agree with st, id's newest state.
-// The caller holds sh.mu for writing (or owns the shard, in recovery).
+// filterChange is one logged flip of revoked membership: the id's
+// filter key, and whether it joined the set.
+type filterChange struct {
+	key uint64
+	add bool
+}
+
+// setRevoked makes the resident set agree with st, id's newest state,
+// and logs a membership flip for the next filter epoch. It is the one
+// place revoked membership changes. The caller holds sh.mu for writing
+// (or owns the shard, in recovery).
 func (sh *shard) setRevoked(id ids.PhotoID, st State) {
-	if st == StateRevoked || st == StatePermanentlyRevoked {
+	_, was := sh.revoked[id]
+	now := st == StateRevoked || st == StatePermanentlyRevoked
+	if now {
 		sh.revoked[id] = st == StatePermanentlyRevoked
-	} else {
+	} else if was {
 		delete(sh.revoked, id)
+	}
+	switch {
+	case was == now || sh.changesLost:
+	case len(sh.changes) == sh.changeCap:
+		sh.changesLost = true
+	default:
+		sh.changes = append(sh.changes, filterChange{key: FilterKey(id), add: now})
 	}
 }
 
@@ -87,6 +115,7 @@ func newShards(n int) []shard {
 		s[i].records = make(map[ids.PhotoID]*Record)
 		s[i].revoked = make(map[ids.PhotoID]bool)
 		s[i].memo.max = max(1, memoMaxEntries/n)
+		s[i].changeCap = max(1, changeLogMax/n)
 	}
 	return s
 }

@@ -287,7 +287,7 @@ func revokedRecords(t testing.TB, lid ids.LedgerID, n int) []ledger.Record {
 // heldFilterHash peeks at the validator's installed filter for a ledger
 // (white-box; the refresh tests assert convergence on exact bits).
 func heldFilterHash(v *Validator, lid ids.LedgerID) [32]byte {
-	return v.fset.Load().filters[lid].f.Hash()
+	return v.fset.Load().filters[lid].F.Hash()
 }
 
 // TestRefreshFiltersSurvivesFilterRebuild: a ledger whose revoked
@@ -409,7 +409,7 @@ func TestRefreshFiltersDetectsBaseMismatch(t *testing.T) {
 	}
 	// Every currently revoked claim must hit the refreshed filter — the
 	// "definitely not revoked" guarantee the corruption would break.
-	set := v.fset.Load().filters[ids.LedgerID(2)].f
+	set := v.fset.Load().filters[ids.LedgerID(2)].F
 	for i := 10; i < 20; i++ {
 		if !set.Test(ledger.FilterKey(reps[i].ID)) {
 			t.Fatalf("revoked claim %d missing from refreshed filter", i)

@@ -197,14 +197,11 @@ func normalizeStripes(n int) int {
 // filters. Readers load it through an atomic pointer and probe without
 // locking; SetFilter publishes a fresh copy (filters change a few times
 // a minute at most — copy-on-write is cheap where it matters).
+// Each ledger's entry carries the filter's hash for the next refresh
+// to present; SetFilter leaves it nil, and that refresh hashes the
+// filter itself.
 type filterSet struct {
-	filters map[ids.LedgerID]heldFilter
-}
-
-// heldFilter is one ledger's installed filter and its epoch.
-type heldFilter struct {
-	epoch uint64
-	f     *bloom.Filter
+	filters map[ids.LedgerID]bloom.Held
 }
 
 // Validator is the proxy core. Safe for concurrent use.
@@ -299,7 +296,7 @@ func NewValidator(cfg Config, query BatchQueryFunc) *Validator {
 	for i := range v.sf {
 		v.sf[i].m = make(map[ids.PhotoID]sfEntry)
 	}
-	v.fset.Store(&filterSet{filters: make(map[ids.LedgerID]heldFilter)})
+	v.fset.Store(&filterSet{filters: make(map[ids.LedgerID]bloom.Held)})
 	return v
 }
 
@@ -307,16 +304,20 @@ func NewValidator(cfg Config, query BatchQueryFunc) *Validator {
 // Readers racing with the swap see either the old or the new snapshot,
 // never a mix.
 func (v *Validator) SetFilter(id ids.LedgerID, epoch uint64, f *bloom.Filter) {
+	v.setFilter(id, bloom.Held{Epoch: epoch, F: f})
+}
+
+func (v *Validator) setFilter(id ids.LedgerID, held bloom.Held) {
 	v.setMu.Lock()
 	defer v.setMu.Unlock()
 	next := maps.Clone(v.fset.Load().filters)
-	next[id] = heldFilter{epoch: epoch, f: f}
+	next[id] = held
 	v.fset.Store(&filterSet{filters: next})
 }
 
 // Epoch returns the held filter epoch for a ledger (0 if none).
 func (v *Validator) Epoch(id ids.LedgerID) uint64 {
-	return v.fset.Load().filters[id].epoch
+	return v.fset.Load().filters[id].Epoch
 }
 
 // mightBeRevoked consults the per-ledger filters. Holding the issuing
@@ -327,7 +328,7 @@ func (v *Validator) mightBeRevoked(id ids.PhotoID) bool {
 	if !ok {
 		return true
 	}
-	return held.f.Test(ledger.FilterKey(id))
+	return held.F.Test(ledger.FilterKey(id))
 }
 
 // ErrNoQuery is returned when a ledger query is needed but the
@@ -754,9 +755,9 @@ func (v *Validator) refreshAll(dir *wire.Directory) error {
 
 func (v *Validator) refreshOne(lid ids.LedgerID, client wire.Service) error {
 	held := v.fset.Load().filters[lid]
-	next, latest, _, err := bloom.Pull(client.FilterSync, held.epoch, held.f)
-	if next != nil {
-		v.SetFilter(lid, latest, next)
+	next, _, _, err := bloom.Pull(client.FilterSync, held)
+	if next.F != nil {
+		v.setFilter(lid, next)
 	}
 	return err
 }

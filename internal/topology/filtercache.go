@@ -66,19 +66,19 @@ func (fc *FilterCache) FilterSync(from uint64, baseHash []byte) ([]byte, uint64,
 }
 
 // Pull advances the cache one sync round against an upstream tier
-// (bloom.Pull, snapshot fallback included). Returns whether a new epoch
-// was installed and the payload bytes transferred.
+// (bloom.Window.Pull, snapshot fallback included): it presents the held
+// epoch's stored hash, and keeps a delta answer as the new epoch's
+// step. Returns whether a new epoch was installed and the payload bytes
+// transferred.
 func (fc *FilterCache) Pull(src Syncer) (changed bool, bytes int, err error) {
-	held, f, _ := fc.w.Latest()
-	next, latest, bytes, err := bloom.Pull(src.FilterSync, held, f)
-	if err != nil {
+	changed, bytes, err = fc.w.Pull(src.FilterSync)
+	switch {
+	case err != nil:
 		return false, bytes, err
-	}
-	if next == nil {
+	case !changed:
 		fc.m.pullCurrent.Inc()
 		return false, 0, nil
 	}
-	fc.w.Install(latest, next)
 	fc.m.pullChanged.Inc()
 	fc.m.pullBytes.Add(uint64(bytes))
 	return true, bytes, nil

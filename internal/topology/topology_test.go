@@ -422,3 +422,38 @@ func TestReplicaResync(t *testing.T) {
 		t.Errorf("resyncs = %v (ok=%v), want 1", got, ok)
 	}
 }
+
+// TestIdlePullAllocatesNothing: a tier already at its upstream's epoch
+// presents the hash it stored at install and gets nothing back — no
+// hashing of the held filter, no allocation — whether the upstream is
+// the origin ledger or another tier.
+func TestIdlePullAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted without the race detector")
+	}
+	origin := newOriginLedger(t, 1)
+	if err := origin.RestoreRecords(fabRecords(t, 1, 64, func(i int) bool { return i%2 == 0 })); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := origin.BuildSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	regional := NewFilterCache(TierRegional, 0, nil)
+	edge := NewFilterCache(TierEdge, 0, nil)
+	for _, hop := range []struct {
+		tier *FilterCache
+		src  Syncer
+	}{{regional, origin}, {edge, regional}} {
+		if changed, _, err := hop.tier.Pull(hop.src); err != nil || !changed {
+			t.Fatalf("first pull: changed %v, %v", changed, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if changed, _, err := hop.tier.Pull(hop.src); err != nil || changed {
+				t.Fatalf("idle pull: changed %v, %v", changed, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("idle pull allocates %v times, want 0", allocs)
+		}
+	}
+}

@@ -141,18 +141,26 @@ go test -run='^$' -fuzz=FuzzWALReplayBytes -fuzztime=10s ./internal/ledger
 # on a restarted origin that renumbered its epochs, checkpoint gate,
 # anti-entropy resync) plus the named sync-protocol regressions in
 # bloom/ledger/wire/proxy — the shared epoch window and pull step,
-# concurrent BuildSnapshot calls publishing strictly increasing epochs,
-# the proxy's single-flight refresh (16 concurrent POST /v1/refresh
-# cost one FilterSync per ledger, a held epoch never steps back) — all
-# under the race detector.
+# concurrent BuildSnapshot calls publishing strictly increasing epochs
+# whose revoked sets only grow under concurrent revokes, the
+# incremental epochs held to the full rebuild (filter bytes and every
+# FilterSync answer, at shard counts 1/4/16, across a resize, a log
+# overflow, WAL-refused ops and a reopen, and with saturating shadow
+# counters), the proxy's single-flight refresh (16 concurrent POST
+# /v1/refresh cost one FilterSync per ledger, a held epoch never steps
+# back) — all under the race detector.
 go test -race ./internal/topology
-go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|WindowInstallDropsRenumberedEpochs|PullFallsBackToColdSync|BuildSnapshotConcurrentEpochsIncrease|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RefreshEndpointSingleFlight|RefreshFiltersEpochNeverDecreases|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary' \
+go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|WindowInstallDropsRenumberedEpochs|PullFallsBackToColdSync|BuildSnapshotConcurrentEpochsIncrease|IncrementalEpochsMatchFullBuild|IncrementalEpochsSaturationFallback|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RefreshEndpointSingleFlight|RefreshFiltersEpochNeverDecreases|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary' \
     ./internal/bloom ./internal/ledger ./internal/wire ./internal/proxy
 
-# Fuzz the delta decoder (varint/gap parsing, v2 hash frames): ten
-# seconds over the seeded corpus plus fresh mutations. The pattern is
-# anchored because -fuzz matches by prefix and FuzzApply* share one.
+# Fuzz the delta decoder (varint/gap parsing, v2 hash frames), then the
+# epoch window's retained deltas: merged steps byte-identical to
+# DeltaWithBase of their ends, and a window following by Pull answering
+# alike. Ten seconds each over the seeded corpus plus fresh mutations.
+# The patterns are anchored because -fuzz matches by prefix and FuzzApply*
+# share one.
 go test -run='^$' -fuzz='^FuzzApplyUpdate$' -fuzztime=10s ./internal/bloom
+go test -run='^$' -fuzz='^FuzzMergeDeltas$' -fuzztime=10s ./internal/bloom
 
 # The surviving irs-bench harnesses at smoke size, in-process: each
 # returns an error when a gate it enforces before timing fails (-lookup
@@ -192,9 +200,11 @@ go test -race ./internal/obs
 # And a bad op signature costs one Ed25519 verification, not a scan.
 # The upload path: a 16-image album through the batch endpoint within
 # its hosted pixels plus 64 KiB, an aligned watermark read of a gray
-# image allocating nothing, and Embed allocating only its output.
-go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs' \
-    ./internal/ledger ./internal/wire ./internal/proxy ./internal/aggregator ./internal/watermark
+# image allocating nothing, and Embed allocating only its output. A
+# filter tier already at its upstream's epoch pulls without hashing or
+# allocating.
+go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs|IdlePullAllocatesNothing' \
+    ./internal/ledger ./internal/wire ./internal/proxy ./internal/aggregator ./internal/watermark ./internal/topology
 
 # Fuzz the Prometheus exposition writer and the histogram: ten seconds
 # each over the seeded corpus plus fresh mutations.
@@ -218,9 +228,10 @@ go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisem
 go test -run='^$' -fuzz=FuzzWireFrameDecode -fuzztime=10s ./internal/wire
 
 # The serving-path (filter-positive batches included), write-path,
-# derivative-lookup and obs on/off benchmarks compile and run once each;
-# nothing is timed here — `bash bench/run.sh` is where numbers come from.
-go test -run='^$' -bench='Serving|StatusBatchFilterPositive|RestoreFlush|Compact$' -benchtime=1x ./internal/ledger ./internal/proxy
+# filter-epoch (10^6 revoked ids), derivative-lookup and obs on/off
+# benchmarks compile and run once each; nothing is timed here —
+# `bash bench/run.sh` is where numbers come from.
+go test -run='^$' -bench='Serving|StatusBatchFilterPositive|RestoreFlush|Compact$|BuildSnapshotScale' -benchtime=1x ./internal/ledger ./internal/proxy
 go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
 
 # Zero-alloc guard: the vectorized 8×8 DCT, the perceptual hashes (one
