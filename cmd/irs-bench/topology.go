@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"irs/internal/bloom"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/netsim"
@@ -40,7 +41,7 @@ import (
 // Arms:
 //
 //   - tiered@I: origin → R regional replicas → R×E edges. Filters flow
-//     origin ledger → regional FilterCache → edge FilterCache via the
+//     origin ledger → regional window → edge window (bloom.Window) via the
 //     versioned sync protocol (size-gated deltas, snapshot fallback);
 //     records flow through signed checkpoint shipping, and every
 //     replica must pass the StateHash gate before its reads count.
@@ -298,7 +299,7 @@ func wireResolve(codec wire.Codec, q func([]ids.PhotoID) ([]*ledger.StatusProof,
 
 // edgeSim is the per-edge serving state of one arm.
 type edgeSim struct {
-	fc       *topology.FilterCache
+	window   *bloom.Window
 	rng      *rand.Rand
 	zipf     *rand.Zipf
 	link     *wanLink // resolution + filter-pull WAN hop
@@ -308,7 +309,7 @@ type edgeSim struct {
 // installCheck records staleness samples for every planned revocation
 // the edge's newest filter now flags.
 func (e *edgeSim) installCheck(now time.Duration, revs []revocationEvent, samples *[]float64) {
-	_, f, ok := e.fc.Latest()
+	_, f, ok := e.window.Latest()
 	if !ok {
 		return
 	}
@@ -397,7 +398,7 @@ func runTopologyArm(cfg topologyConfig, intervalSec int, flat bool, codec wire.C
 
 	// Record plane + warm start (not timed: cold sync is PR-7's story,
 	// the window measures steady state).
-	regionalFCs := make([]*topology.FilterCache, nRegionals)
+	regionalWindows := make([]*bloom.Window, nRegionals)
 	replicas := make([]*topology.Replica, nRegionals)
 	regionalLinks := make([]*wanLink, nRegionals)
 	cp, err := origin.Checkpoint()
@@ -406,8 +407,8 @@ func runTopologyArm(cfg topologyConfig, intervalSec int, flat bool, codec wire.C
 	}
 	lastCP = cp
 	for j := 0; j < nRegionals; j++ {
-		regionalFCs[j] = topology.NewFilterCache(topology.TierRegional, 0, reg)
-		if _, _, err := regionalFCs[j].Pull(origin.L); err != nil {
+		regionalWindows[j] = bloom.NewWindow(bloom.RelayHistory)
+		if _, _, err := regionalWindows[j].Pull(origin.L.FilterSync); err != nil {
 			return arm, err
 		}
 		regionalLinks[j], err = newWANLink(sched, 50*time.Millisecond, 0.002, armSeed+int64(j))
@@ -469,17 +470,17 @@ func runTopologyArm(cfg topologyConfig, intervalSec int, flat bool, codec wire.C
 		}
 		erng := rand.New(rand.NewSource(armSeed + 0x20000 + int64(k)))
 		edges[k] = &edgeSim{
-			fc:       topology.NewFilterCache(topology.TierEdge, 0, reg),
+			window:   bloom.NewWindow(bloom.RelayHistory),
 			rng:      erng,
 			zipf:     rand.NewZipf(erng, cfg.Zipf, 1, uint64(cfg.IDs-1)),
 			link:     edgeLinks[k],
 			seenRevs: make(map[int]bool),
 		}
-		var src topology.Syncer = regionalFCs[k/nEdgesPer]
+		src := regionalWindows[k/nEdgesPer].Sync
 		if flat {
-			src = origin.L
+			src = origin.L.FilterSync
 		}
-		if _, _, err := edges[k].fc.Pull(src); err != nil {
+		if _, _, err := edges[k].window.Pull(src); err != nil {
 			return arm, err
 		}
 	}
@@ -526,7 +527,7 @@ func runTopologyArm(cfg topologyConfig, intervalSec int, flat bool, codec wire.C
 				regionalLinks[j].request(func(err error, _ time.Duration) {
 					if err == nil {
 						originReqs += 2
-						if _, n, perr := regionalFCs[j].Pull(origin.L); perr == nil {
+						if _, n, perr := regionalWindows[j].Pull(origin.L.FilterSync); perr == nil {
 							syncBytes += uint64(n)
 						}
 						if cerr := replicas[j].CatchUp(origin, lastCP); cerr != nil {
@@ -545,9 +546,9 @@ func runTopologyArm(cfg topologyConfig, intervalSec int, flat bool, codec wire.C
 	// flat) over the edge WAN hop, then harvest staleness samples.
 	for k := 0; k < nEdges; k++ {
 		k := k
-		var src topology.Syncer = regionalFCs[k/nEdgesPer]
+		src := regionalWindows[k/nEdgesPer].Sync
 		if flat {
-			src = origin.L
+			src = origin.L.FilterSync
 		}
 		var syncLoop func()
 		syncLoop = func() {
@@ -556,7 +557,7 @@ func runTopologyArm(cfg topologyConfig, intervalSec int, flat bool, codec wire.C
 					if flat {
 						originReqs++
 					}
-					if _, n, perr := edges[k].fc.Pull(src); perr == nil {
+					if _, n, perr := edges[k].window.Pull(src); perr == nil {
 						syncBytes += uint64(n)
 					}
 					edges[k].installCheck(sched.Now(), revs, &staleness)
@@ -581,7 +582,7 @@ func runTopologyArm(cfg topologyConfig, intervalSec int, flat bool, codec wire.C
 			}
 			for p := 0; p < sample; p++ {
 				totalW += weight
-				_, f, ok := e.fc.Latest()
+				_, f, ok := e.window.Latest()
 				if !ok {
 					continue // no filter yet: page unservable, counted against availability
 				}

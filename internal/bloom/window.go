@@ -6,16 +6,18 @@ import (
 	"iter"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Numbered filter epochs (§4.4's hourly updates). Every holder of a
-// revocation filter — the ledger that publishes it, each topology tier
-// that relays it, the proxy that probes it — speaks one sync protocol:
-// the caller presents the epoch it holds and the hash of the bits it
-// actually has, and gets back the Update payload (or nothing) that
-// brings it to the latest epoch. Window is the serving half, a bounded
-// history of epochs; Pull is the client half. Both sit beside
-// Update/ApplyUpdate so the install and serve rules exist once.
+// revocation filter — the ledger that publishes it, each tier that
+// relays it, the proxy and the browser layer that probe it — is a
+// Window and speaks one sync protocol: the caller presents the epoch it
+// holds and the hash of the bits it actually has, and gets back the
+// Update payload (or nothing) that brings it to the latest epoch.
+// Window.Sync is the serving half, Window.Pull the client half. Both sit
+// beside Update/ApplyUpdate so the install, serve and pull rules exist
+// once.
 //
 // An epoch costs what changed. Window holds only its newest epoch as a
 // filter; every older one is its hash, its population and the step
@@ -31,27 +33,32 @@ import (
 var ErrNoEpoch = errors.New("bloom: no filter epoch published yet")
 
 // SyncFunc is one round of the sync protocol's serving half:
-// Window.Sync or anything that forwards to one (a ledger, a tier, a
+// Window.Sync or anything that forwards to one (a ledger, a proxy, a
 // wire client).
 type SyncFunc func(from uint64, baseHash []byte) (payload []byte, latest uint64, err error)
 
-// Held is what a holder of one epoch keeps: its number, its filter
-// (shared, never mutated) and the filter's hash, which is immutable and
-// nil only when F is. The zero Held holds nothing.
-type Held struct {
-	Epoch uint64
-	F     *Filter
-	Hash  []byte
+// held is what a holder of one epoch keeps: its number, its filter
+// (shared, never mutated) and the filter's hash, nil only when f is.
+// The zero held holds nothing.
+type held struct {
+	epoch uint64
+	f     *Filter
+	hash  []byte
 }
 
 // Window retains the newest epochs of a filter in increasing epoch
 // order, up to a history bound, so callers a few epochs behind still
 // get deltas. Safe for concurrent use; installed filters are shared and
 // must not be mutated.
+//
+// Installs are serialized, and Pull installs an answer only onto the
+// epoch it presented: when another install lands during its round
+// trip, that install stands. So a held epoch never steps back behind a
+// slower, older answer, whatever the upstream.
 type Window struct {
 	mu      sync.RWMutex
 	epochs  []windowEpoch
-	latest  *Filter // the newest epoch's filter
+	latest  atomic.Pointer[Filter] // the newest epoch's filter, set in push
 	history int
 }
 
@@ -65,6 +72,11 @@ type windowEpoch struct {
 	frame []byte
 	xor   []uint64
 }
+
+// RelayHistory is the epochs a holder that relays a filter keeps — a
+// tier, a proxy, a browser layer: enough that a downstream lagging
+// several sync intervals still gets deltas.
+const RelayHistory = 8
 
 // NewWindow returns an empty window retaining up to history epochs (at
 // least one).
@@ -82,46 +94,46 @@ func NewWindow(history int) *Window {
 // both bit arrays; Pull and Advance install what changed without one.
 func (w *Window) Install(epoch uint64, f *Filter) {
 	h := f.Hash()
-	w.put(Held{Epoch: epoch, F: f, Hash: h[:]}, nil, nil)
-}
-
-// put installs next. A delta frame that takes base — the newest epoch
-// when the caller read it — to next is kept as the step when base is
-// still the newest; otherwise the step is diffed here.
-func (w *Window) put(next Held, base *Filter, frame []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.put(held{epoch: epoch, f: f, hash: h[:]}, nil)
+}
+
+// put installs next. A delta frame that takes the newest epoch to next
+// is kept as the step; otherwise the step is diffed here. The caller
+// holds w.mu.
+func (w *Window) put(next held, frame []byte) {
 	keep := len(w.epochs)
-	for keep > 0 && w.epochs[keep-1].epoch >= next.Epoch {
+	for keep > 0 && w.epochs[keep-1].epoch >= next.epoch {
 		keep--
 	}
-	e := windowEpoch{epoch: next.Epoch, n: next.F.n, hash: next.Hash}
-	switch prev := w.latest; {
-	case keep == 0 || prev.m != next.F.m || prev.k != next.F.k:
+	e := windowEpoch{epoch: next.epoch, n: next.f.n, hash: next.hash}
+	switch prev := w.latest.Load(); {
+	case keep == 0 || prev.m != next.f.m || prev.k != next.f.k:
 		// Nothing retained can reach next by a delta: Update answers a
 		// base of other parameters with a snapshot, and so does a
 		// window that keeps none.
 		keep = 0
-	case frame != nil && base == prev && keep == len(w.epochs) &&
-		len(frame) < snapshotLen(len(next.F.bits)) && string(frame[34:66]) == string(w.epochs[keep-1].hash):
+	case frame != nil && keep == len(w.epochs) &&
+		len(frame) < snapshotLen(len(next.f.bits)) && string(frame[34:66]) == string(w.epochs[keep-1].hash):
 		e.frame = withPrevN(frame, w.epochs[keep-1].n)
 	default:
 		// Diff against the newest filter, then undo the steps of the
 		// entries this install drops: x = bits(entry keep-1) ^ bits(next).
-		x := make([]uint64, len(next.F.bits))
+		x := make([]uint64, len(next.f.bits))
 		for i := range x {
-			x[i] = prev.bits[i] ^ next.F.bits[i]
+			x[i] = prev.bits[i] ^ next.f.bits[i]
 		}
 		for _, d := range w.epochs[keep:] {
 			d.xorInto(x)
 		}
 		p := w.epochs[keep-1]
-		ends := deltaEnds{m: next.F.m, k: next.F.k, prevN: p.n, nextN: e.n, prevHash: p.hash, nextHash: e.hash}
+		ends := deltaEnds{m: next.f.m, k: next.f.k, prevN: p.n, nextN: e.n, prevHash: p.hash, nextHash: e.hash}
 		if e.frame = ends.frame(len(x), diffFlips(x, nil)); e.frame == nil {
 			e.xor = x
 		}
 	}
-	w.push(keep, e, next.F)
+	w.push(keep, e, next.f)
 }
 
 // push drops the entries from keep on, appends e as the newest epoch
@@ -136,7 +148,7 @@ func (w *Window) push(keep int, e windowEpoch, f *Filter) {
 	}
 	// The oldest entry's step leads from an epoch no longer retained.
 	w.epochs[0].frame, w.epochs[0].xor = nil, nil
-	w.latest = f
+	w.latest.Store(f)
 }
 
 // withPrevN returns frame with its base population set to n, copying
@@ -172,7 +184,7 @@ func (e *windowEpoch) xorInto(x []uint64) {
 // install meanwhile.
 func (w *Window) Advance(epoch uint64, flips []uint64, n uint64) error {
 	w.mu.RLock()
-	prev := w.latest
+	prev := w.latest.Load()
 	var last windowEpoch
 	if prev != nil {
 		last = w.epochs[len(w.epochs)-1]
@@ -200,30 +212,35 @@ func (w *Window) Advance(epoch uint64, flips []uint64, n uint64) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.latest != prev {
+	if w.latest.Load() != prev {
 		return errors.New("bloom: window changed during advance")
 	}
 	w.push(len(w.epochs), e, next)
 	return nil
 }
 
+// Filter returns the newest epoch's filter (shared, do not mutate), or
+// nil before the first install. It takes no lock: a probe on the
+// serving path costs one atomic load.
+func (w *Window) Filter() *Filter { return w.latest.Load() }
+
 // Latest returns the newest epoch and its filter (shared, do not
 // mutate), or ok=false before the first Install.
 func (w *Window) Latest() (epoch uint64, f *Filter, ok bool) {
-	h := w.held()
-	return h.Epoch, h.F, h.F != nil
-}
-
-// held returns the newest epoch, or the zero Held before the first
-// Install.
-func (w *Window) held() Held {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
+	h := w.newest()
+	return h.epoch, h.f, h.f != nil
+}
+
+// newest returns the newest epoch, or the zero held before the first
+// install. The caller holds w.mu.
+func (w *Window) newest() held {
 	if len(w.epochs) == 0 {
-		return Held{}
+		return held{}
 	}
 	e := &w.epochs[len(w.epochs)-1]
-	return Held{Epoch: e.epoch, F: w.latest, Hash: e.hash}
+	return held{epoch: e.epoch, f: w.latest.Load(), hash: e.hash}
 }
 
 // RetainedBytes is the memory the window's history holds: the newest
@@ -231,10 +248,11 @@ func (w *Window) held() Held {
 func (w *Window) RetainedBytes() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	if w.latest == nil {
+	latest := w.latest.Load()
+	if latest == nil {
 		return 0
 	}
-	total := 8 * len(w.latest.bits)
+	total := 8 * len(latest.bits)
 	for _, e := range w.epochs {
 		total += len(e.hash) + len(e.frame) + 8*len(e.xor)
 	}
@@ -271,21 +289,21 @@ func (w *Window) Sync(from uint64, baseHash []byte) (payload []byte, latest uint
 			base = i
 		}
 	}
-	latest = w.epochs[last].epoch
+	latest, f := w.epochs[last].epoch, w.latest.Load()
 	switch {
 	case base == last:
 		return nil, latest, nil
 	case base < 0:
-		return w.latest.Marshal(), latest, nil
+		return f.Marshal(), latest, nil
 	case base == last-1 && w.epochs[last].frame != nil:
 		return w.epochs[last].frame, latest, nil
 	case base == last-1:
-		return w.latest.Marshal(), latest, nil
+		return f.Marshal(), latest, nil
 	}
 	b, e := &w.epochs[base], &w.epochs[last]
-	ends := deltaEnds{m: w.latest.m, k: w.latest.k, prevN: b.n, nextN: e.n, prevHash: b.hash, nextHash: e.hash}
-	if payload = ends.frame(len(w.latest.bits), w.mergeSteps(base+1)); payload == nil {
-		payload = w.latest.Marshal()
+	ends := deltaEnds{m: f.m, k: f.k, prevN: b.n, nextN: e.n, prevHash: b.hash, nextHash: e.hash}
+	if payload = ends.frame(len(f.bits), w.mergeSteps(base+1)); payload == nil {
+		payload = f.Marshal()
 	}
 	return payload, latest, nil
 }
@@ -298,7 +316,7 @@ func (w *Window) mergeSteps(from int) iter.Seq[uint64] {
 	steps := w.epochs[from:]
 	for _, s := range steps {
 		if s.xor != nil {
-			x := make([]uint64, len(w.latest.bits))
+			x := make([]uint64, len(w.latest.Load().bits))
 			for i := range steps {
 				steps[i].xorInto(x)
 			}
@@ -335,56 +353,47 @@ func xorMerge(dst, a, b []uint64) []uint64 {
 	return append(dst, b[j:]...)
 }
 
-// Pull is one client round of the sync protocol for a holder of held
-// (the zero Held: it holds nothing). It presents (epoch, hash) to src
-// and applies the answer. A payload the held filter cannot absorb (an
-// upstream restart, local corruption) is retried once as a cold
-// src(0, nil) — the full-snapshot fallback — so Pull converges
-// whenever the upstream serves at all. next.F is nil (and next.Epoch
-// the upstream's latest) when the holder is already current; payload is the answer next was built from, and bytes
-// counts the payload bytes moved.
-//
-// A held filter without its hash is hashed here; a held hash is
-// trusted, so a current holder computes nothing.
-func Pull(src SyncFunc, held Held) (next Held, payload []byte, bytes int, err error) {
-	if held.F != nil && held.Hash == nil {
-		h := held.F.Hash()
-		held.Hash = h[:]
-	}
-	payload, latest, err := src(held.Epoch, held.Hash)
+// Pull is the client half of the sync protocol: one round against src
+// from the newest held epoch (epoch 0 and no hash when the window holds
+// nothing). It presents the epoch and its stored hash, applies the
+// answer and installs it, keeping a delta it was sent as the new
+// epoch's step. A payload the held filter cannot absorb (an upstream
+// restart, local corruption) is retried once as a cold src(0, nil) —
+// the full-snapshot fallback — so Pull converges whenever the upstream
+// serves at all. It reports whether it installed an epoch and the
+// payload bytes moved; a current holder hashes and allocates nothing.
+// An answer that arrives after another install landed is dropped: that
+// install stands, and the next round starts from it.
+func (w *Window) Pull(src SyncFunc) (changed bool, bytes int, err error) {
+	w.mu.RLock()
+	h := w.newest()
+	w.mu.RUnlock()
+	payload, latest, err := src(h.epoch, h.hash)
 	if err != nil || len(payload) == 0 {
-		return Held{Epoch: latest}, nil, 0, err
+		return false, 0, err
 	}
 	bytes = len(payload)
-	// applyUpdate works on a clone: held is untouched if the payload
-	// turns out not to apply.
-	f, h, err := applyUpdate(held.F, held.Hash, payload)
+	// applyUpdate works on a clone: the held filter is untouched if the
+	// payload turns out not to apply.
+	f, sum, err := applyUpdate(h.f, h.hash, payload)
 	if err != nil {
 		if payload, latest, err = src(0, nil); err != nil {
-			return Held{}, nil, bytes, err
+			return false, bytes, err
 		}
 		bytes += len(payload)
-		if f, h, err = applyUpdate(nil, nil, payload); err != nil {
-			return Held{}, nil, bytes, err
+		if f, sum, err = applyUpdate(nil, nil, payload); err != nil {
+			return false, bytes, err
 		}
-	}
-	return Held{Epoch: latest, F: f, Hash: h[:]}, payload, bytes, nil
-}
-
-// Pull advances the window one round against src (the package Pull,
-// from the newest held epoch) and installs the answer, keeping a delta
-// it was sent as the new epoch's step. It reports whether an epoch was
-// installed and the payload bytes moved.
-func (w *Window) Pull(src SyncFunc) (changed bool, bytes int, err error) {
-	held := w.held()
-	next, payload, bytes, err := Pull(src, held)
-	if err != nil || next.F == nil {
-		return false, bytes, err
 	}
 	var frame []byte
 	if !IsSnapshot(payload) {
 		frame = payload
 	}
-	w.put(next, held.F, frame)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if cur := w.newest(); cur.epoch != h.epoch || cur.f != h.f {
+		return false, bytes, nil
+	}
+	w.put(held{epoch: latest, f: f, hash: sum[:]}, frame)
 	return true, bytes, nil
 }

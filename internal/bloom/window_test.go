@@ -63,8 +63,10 @@ func TestPullFallsBackToColdSync(t *testing.T) {
 	w := NewWindow(2)
 	target := windowFilter(t, 50)
 	w.Install(4, target)
-	held := windowFilter(t, 20)
-	// A delta computed from some other base: ErrBaseMismatch on held.
+	follower := NewWindow(2)
+	follower.Install(3, windowFilter(t, 20))
+	// A delta computed from some other base: ErrBaseMismatch on the
+	// follower's epoch 3.
 	wrongBase, err := DeltaWithBase(windowFilter(t, 10), target)
 	if err != nil {
 		t.Fatal(err)
@@ -72,21 +74,23 @@ func TestPullFallsBackToColdSync(t *testing.T) {
 	var calls []uint64
 	src := func(from uint64, baseHash []byte) ([]byte, uint64, error) {
 		calls = append(calls, from)
-		if len(calls) == 1 {
+		if from == 3 {
 			return wrongBase, 4, nil
 		}
 		return w.Sync(from, baseHash)
 	}
-	next, _, n, err := Pull(src, Held{Epoch: 3, F: held})
-	if err != nil || next.Epoch != 4 || next.F.Hash() != target.Hash() {
-		t.Fatalf("Pull: latest %d, err %v", next.Epoch, err)
+	changed, n, err := follower.Pull(src)
+	epoch, f, _ := follower.Latest()
+	if err != nil || !changed || epoch != 4 || f.Hash() != target.Hash() {
+		t.Fatalf("Pull: changed %v, latest %d, err %v", changed, epoch, err)
 	}
 	if len(calls) != 2 || calls[1] != 0 || n != len(wrongBase)+len(target.Marshal()) {
 		t.Errorf("calls %v moving %d bytes, want a cold second call moving both payloads", calls, n)
 	}
 
-	next, _, n, err = Pull(w.Sync, Held{Epoch: 4, F: target})
-	if err != nil || next.F != nil || next.Epoch != 4 || n != 0 {
-		t.Errorf("current holder: next %v latest %d bytes %d err %v", next.F, next.Epoch, n, err)
+	calls = calls[:0]
+	changed, n, err = follower.Pull(src)
+	if epoch, _, _ := follower.Latest(); err != nil || changed || epoch != 4 || n != 0 || len(calls) != 1 {
+		t.Errorf("current holder: changed %v latest %d bytes %d calls %d err %v", changed, epoch, n, len(calls), err)
 	}
 }

@@ -25,10 +25,12 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -287,19 +289,30 @@ func (s *System) NewAdjudicator(ledgerID ids.LedgerID, review appeals.ReviewFunc
 }
 
 // RefreshFilters rebuilds every local ledger's revocation filter
-// snapshot and pulls the filters into the proxy (and, when enabled, the
-// browser-resident filter) — the hourly cycle of §4.4.
+// snapshot and pulls the filters into the proxy — the hourly cycle of
+// §4.4. The browser-resident filter, when enabled, pulls from the proxy
+// and never from a ledger: a browser is a sync client of its proxy
+// alone.
 func (s *System) RefreshFilters() error {
 	for _, l := range s.ledgers {
 		if _, err := l.BuildSnapshot(); err != nil {
 			return err
 		}
 	}
-	if err := s.proxy.Validator().RefreshFilters(s.directory); err != nil {
+	pv := s.proxy.Validator()
+	if err := pv.RefreshFilters(s.directory); err != nil {
 		return err
 	}
-	if s.browserVal != nil {
-		return s.browserVal.RefreshFilters(s.directory)
+	if s.browserVal == nil {
+		return nil
+	}
+	for _, lid := range slices.Sorted(maps.Keys(s.directory.All())) {
+		up := func(from uint64, baseHash []byte) ([]byte, uint64, error) {
+			return pv.FilterSync(lid, from, baseHash)
+		}
+		if _, _, err := s.browserVal.Pull(lid, up); err != nil {
+			return fmt.Errorf("core: browser filter of ledger %d: %w", lid, err)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"irs/internal/photo"
 	"irs/internal/proxy"
 	"irs/internal/watermark"
+	"irs/internal/wire"
 )
 
 // ledgers configures n in-memory ledgers with IDs 1..n.
@@ -358,6 +361,58 @@ func TestBrowserResidentFilter(t *testing.T) {
 	}
 	if q := s.ProxyQueries(); q == 0 {
 		t.Error("revoked view never reached the proxy")
+	}
+}
+
+// syncCounter counts the filter syncs that reach one ledger.
+type syncCounter struct {
+	wire.Service
+	syncs atomic.Int64
+}
+
+func (c *syncCounter) FilterSync(from uint64, baseHash []byte) ([]byte, uint64, error) {
+	c.syncs.Add(1)
+	return c.Service.FilterSync(from, baseHash)
+}
+
+// TestBrowserFilterPullsFromProxy: with the browser-resident filter on,
+// one refresh reaches each ledger once — the proxy's pull — and the
+// browser ends up holding the proxy's filter bytes.
+func TestBrowserFilterPullsFromProxy(t *testing.T) {
+	s := build(t, Spec{Ledgers: ledgers(2), BrowserFilter: true})
+	counters := map[ids.LedgerID]*syncCounter{}
+	for lid, svc := range s.directory.All() {
+		counters[lid] = &syncCounter{Service: svc}
+		s.directory.Register(lid, counters[lid])
+	}
+	alice, err := s.NewOwner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		_, owned, err := alice.ClaimAndLabel(alice.Shoot(int64(60+round), 192, 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := alice.Revoke(owned.ID); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RefreshFilters(); err != nil {
+			t.Fatal(err)
+		}
+		for lid, c := range counters {
+			if n := c.syncs.Swap(0); n != 1 {
+				t.Errorf("round %d: ledger %d served %d filter syncs in one refresh, want 1", round, lid, n)
+			}
+			want, _, err := s.proxy.Validator().FilterSync(lid, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := s.browserVal.FilterSync(lid, 0, nil)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("round %d: ledger %d: browser filter differs from the proxy's (%v)", round, lid, err)
+			}
+		}
 	}
 }
 

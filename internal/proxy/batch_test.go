@@ -277,17 +277,13 @@ func TestRefreshFiltersCollectsErrors(t *testing.T) {
 // revocation filter without the owner claiming ceremony.
 func revokedRecords(t testing.TB, lid ids.LedgerID, n int) []ledger.Record {
 	t.Helper()
-	recs := make([]ledger.Record, n)
-	for i := range recs {
-		recs[i] = ledger.Record{ID: mustNewID(t, lid), State: ledger.StateRevoked}
-	}
-	return recs
+	return records(t, lid, n, func(int) bool { return true })
 }
 
 // heldFilterHash peeks at the validator's installed filter for a ledger
 // (white-box; the refresh tests assert convergence on exact bits).
 func heldFilterHash(v *Validator, lid ids.LedgerID) [32]byte {
-	return v.fset.Load().filters[lid].F.Hash()
+	return v.fset.Load().windows[lid].Filter().Hash()
 }
 
 // TestRefreshFiltersSurvivesFilterRebuild: a ledger whose revoked
@@ -409,7 +405,7 @@ func TestRefreshFiltersDetectsBaseMismatch(t *testing.T) {
 	}
 	// Every currently revoked claim must hit the refreshed filter — the
 	// "definitely not revoked" guarantee the corruption would break.
-	set := v.fset.Load().filters[ids.LedgerID(2)].F
+	set := v.fset.Load().windows[ids.LedgerID(2)].Filter()
 	for i := 10; i < 20; i++ {
 		if !set.Test(ledger.FilterKey(reps[i].ID)) {
 			t.Fatalf("revoked claim %d missing from refreshed filter", i)

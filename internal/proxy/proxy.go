@@ -15,8 +15,9 @@
 // in server.go exposes it over HTTP for the runnable binaries.
 //
 // Serving-path concurrency: the proof cache and the singleflight table
-// are lock-striped by identifier hash, and the per-ledger filter set is
-// a copy-on-write snapshot behind an atomic pointer, so the read path
+// are lock-striped by identifier hash, and the per-ledger filter
+// windows sit in a copy-on-write map behind an atomic pointer, each
+// publishing its newest filter through one more, so the read path
 // (filter probe → cache probe) takes no shared lock and at most one
 // stripe lock. Config.Stripes = 1 restores the pre-stripe single-lock
 // layout, one global LRU, which experiment E2 models.
@@ -193,15 +194,15 @@ func normalizeStripes(n int) int {
 	return p
 }
 
-// filterSet is an immutable snapshot of the per-ledger revocation
-// filters. Readers load it through an atomic pointer and probe without
-// locking; SetFilter publishes a fresh copy (filters change a few times
-// a minute at most — copy-on-write is cheap where it matters).
-// Each ledger's entry carries the filter's hash for the next refresh
-// to present; SetFilter leaves it nil, and that refresh hashes the
-// filter itself.
+// filterSet is an immutable map from each ledger to its filter window:
+// the validator is a filter holder like a ledger or a tier, installing,
+// serving and pulling through bloom.Window. Readers load the map
+// through an atomic pointer and probe without locking; a ledger's first
+// install or pull publishes a copy that adds its window (ledgers come
+// and go far less often than epochs). Until a window holds an epoch,
+// its ledger's photos might be revoked.
 type filterSet struct {
-	filters map[ids.LedgerID]bloom.Held
+	windows map[ids.LedgerID]*bloom.Window
 }
 
 // Validator is the proxy core. Safe for concurrent use.
@@ -210,7 +211,7 @@ type Validator struct {
 	query BatchQueryFunc
 	cache *cache
 
-	// fset is the current filter snapshot; setMu serializes writers.
+	// fset is the current filter windows; setMu serializes adding one.
 	fset  atomic.Pointer[filterSet]
 	setMu sync.Mutex
 
@@ -296,39 +297,80 @@ func NewValidator(cfg Config, query BatchQueryFunc) *Validator {
 	for i := range v.sf {
 		v.sf[i].m = make(map[ids.PhotoID]sfEntry)
 	}
-	v.fset.Store(&filterSet{filters: make(map[ids.LedgerID]bloom.Held)})
+	v.fset.Store(&filterSet{windows: make(map[ids.LedgerID]*bloom.Window)})
 	return v
 }
 
-// SetFilter installs or replaces a ledger's revocation filter snapshot.
-// Readers racing with the swap see either the old or the new snapshot,
-// never a mix.
-func (v *Validator) SetFilter(id ids.LedgerID, epoch uint64, f *bloom.Filter) {
-	v.setFilter(id, bloom.Held{Epoch: epoch, F: f})
-}
-
-func (v *Validator) setFilter(id ids.LedgerID, held bloom.Held) {
+// window returns a ledger's filter window, publishing an empty one the
+// first time.
+func (v *Validator) window(lid ids.LedgerID) *bloom.Window {
+	if w, ok := v.fset.Load().windows[lid]; ok {
+		return w
+	}
 	v.setMu.Lock()
 	defer v.setMu.Unlock()
-	next := maps.Clone(v.fset.Load().filters)
-	next[id] = held
-	v.fset.Store(&filterSet{filters: next})
+	cur := v.fset.Load().windows
+	if w, ok := cur[lid]; ok {
+		return w
+	}
+	w := bloom.NewWindow(bloom.RelayHistory)
+	next := maps.Clone(cur)
+	next[lid] = w
+	v.fset.Store(&filterSet{windows: next})
+	return w
+}
+
+// SetFilter installs f as a ledger's filter epoch (bloom.Window.Install:
+// held epochs at or past epoch are dropped first). Readers racing with
+// the install see either the old or the new filter, never a mix.
+func (v *Validator) SetFilter(lid ids.LedgerID, epoch uint64, f *bloom.Filter) {
+	v.window(lid).Install(epoch, f)
+}
+
+// Pull advances a ledger's filter one sync round against src — the
+// ledger, another validator's FilterSync, any upstream holder — with
+// bloom.Window.Pull. It reports whether an epoch was installed and the
+// payload bytes moved.
+func (v *Validator) Pull(lid ids.LedgerID, src bloom.SyncFunc) (changed bool, bytes int, err error) {
+	return v.window(lid).Pull(src)
+}
+
+// FilterSync serves a ledger's held epochs to a downstream holder with
+// the serve rule the ledger itself uses (bloom.Window.Sync), so
+// validators chain the way tiers do. bloom.ErrNoEpoch until the ledger's
+// first epoch.
+func (v *Validator) FilterSync(lid ids.LedgerID, from uint64, baseHash []byte) ([]byte, uint64, error) {
+	w, ok := v.fset.Load().windows[lid]
+	if !ok {
+		return nil, 0, bloom.ErrNoEpoch
+	}
+	payload, latest, err := w.Sync(from, baseHash)
+	if err == nil {
+		v.st.served(payload)
+	}
+	return payload, latest, err
 }
 
 // Epoch returns the held filter epoch for a ledger (0 if none).
-func (v *Validator) Epoch(id ids.LedgerID) uint64 {
-	return v.fset.Load().filters[id].Epoch
+func (v *Validator) Epoch(lid ids.LedgerID) uint64 {
+	w, ok := v.fset.Load().windows[lid]
+	if !ok {
+		return 0
+	}
+	epoch, _, _ := w.Latest()
+	return epoch
 }
 
 // mightBeRevoked consults the per-ledger filters. Holding the issuing
 // ledger's filter and missing in it is the only "definitely not revoked"
-// answer; an absent filter means we cannot exclude revocation.
+// answer; a ledger without a filter epoch might have revoked anything.
 func (v *Validator) mightBeRevoked(id ids.PhotoID) bool {
-	held, ok := v.fset.Load().filters[id.Ledger]
+	w, ok := v.fset.Load().windows[id.Ledger]
 	if !ok {
 		return true
 	}
-	return held.F.Test(ledger.FilterKey(id))
+	f := w.Filter()
+	return f == nil || f.Test(ledger.FilterKey(id))
 }
 
 // ErrNoQuery is returned when a ledger query is needed but the
@@ -699,7 +741,7 @@ func (e *RefreshError) Error() string {
 // "first error" regardless of refresh parallelism.
 func (e *RefreshError) Unwrap() error { return e.Failed[0] }
 
-// RefreshFilters runs one bloom.Pull round against every ledger in the
+// RefreshFilters runs one Pull round against every ledger in the
 // directory: a delta when the held epoch and bits allow one, a full
 // snapshot otherwise (cold start, expired epoch, resized filter,
 // restarted ledger). Ledgers refresh in parallel; failures are
@@ -708,9 +750,8 @@ func (e *RefreshError) Unwrap() error { return e.Failed[0] }
 //
 // One refresh runs at a time: a caller that arrives while another is
 // running waits for it and shares its result, so N concurrent callers
-// cost each ledger one sync, and two pulls of one ledger can never
-// race to install their answers out of order (the slower, older one
-// last).
+// cost each ledger one sync. (A window never installs a slower, older
+// answer over a newer epoch either way.)
 func (v *Validator) RefreshFilters(dir *wire.Directory) error {
 	v.refreshMu.Lock()
 	if fl := v.refreshing; fl != nil {
@@ -739,7 +780,8 @@ func (v *Validator) refreshAll(dir *wire.Directory) error {
 	}
 	sort.Slice(lids, func(a, b int) bool { return lids[a] < lids[b] })
 	errs := parallel.Map(lids, func(_ int, lid ids.LedgerID) error {
-		return v.refreshOne(lid, all[lid])
+		_, _, err := v.Pull(lid, all[lid].FilterSync)
+		return err
 	})
 	var failed []*LedgerError
 	for i, err := range errs {
@@ -751,13 +793,4 @@ func (v *Validator) refreshAll(dir *wire.Directory) error {
 		return nil
 	}
 	return &RefreshError{Failed: failed}
-}
-
-func (v *Validator) refreshOne(lid ids.LedgerID, client wire.Service) error {
-	held := v.fset.Load().filters[lid]
-	next, _, _, err := bloom.Pull(client.FilterSync, held)
-	if next.F != nil {
-		v.setFilter(lid, next)
-	}
-	return err
 }

@@ -142,7 +142,8 @@ func TestRefreshEndpointSingleFlight(t *testing.T) {
 
 // TestRefreshFiltersEpochNeverDecreases: a pull whose answer (epoch 2)
 // is still in flight must not be overtaken by a later pull that
-// installs epoch 3 and then be installed over it.
+// installs epoch 3 and then be installed over it — through
+// RefreshFilters, and through Pull from a chained upstream validator.
 func TestRefreshFiltersEpochNeverDecreases(t *testing.T) {
 	stub := newSyncLedger(t, 2)
 	dir := wire.NewDirectory()
@@ -221,12 +222,53 @@ func TestRefreshFiltersEpochNeverDecreases(t *testing.T) {
 			}
 		}()
 	}
+	// Chained arm: a downstream validator pulls from v through an
+	// upstream that stalls every other answer after computing it, from
+	// several goroutines at once and with no single-flight around them.
+	down := NewValidator(Config{UseFilter: true}, nil)
+	var downCalls atomic.Int64
+	slowUp := func(from uint64, base []byte) ([]byte, uint64, error) {
+		payload, latest, err := v.FilterSync(2, from, base)
+		if downCalls.Add(1)%2 == 0 {
+			time.Sleep(200 * time.Microsecond)
+		}
+		return payload, latest, err
+	}
+	var downHigh atomic.Uint64
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := down.Pull(2, slowUp); err != nil {
+					t.Error(err)
+					return
+				}
+				before := downHigh.Load()
+				got := down.Epoch(2)
+				if got < before {
+					t.Errorf("chained: held epoch %d after %d had been seen", got, before)
+					return
+				}
+				for cur := before; got > cur && !downHigh.CompareAndSwap(cur, got); cur = downHigh.Load() {
+				}
+			}
+		}()
+	}
 	for i := 0; i < 40; i++ {
 		stub.advance(t)
 		time.Sleep(250 * time.Microsecond)
 	}
 	close(stop)
 	wg.Wait()
+	if downHigh.Load() < 2 {
+		t.Errorf("chained validator reached epoch %d only", downHigh.Load())
+	}
 }
 
 // TestRefreshEndpointAdmission: a refresh costs one token per

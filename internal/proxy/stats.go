@@ -3,6 +3,7 @@ package proxy
 import (
 	"time"
 
+	"irs/internal/bloom"
 	"irs/internal/obs"
 )
 
@@ -46,6 +47,7 @@ type stats struct {
 
 	total         *obs.Counter
 	outcomes      [numOutcomes]*obs.Counter
+	syncs         [3]*obs.Counter // FilterSync answers served: up to date, delta, snapshot
 	validateSec   [numOutcomes]*obs.Histogram
 	upstreamBatch *obs.Histogram
 }
@@ -55,6 +57,9 @@ func newStats(reg *obs.Registry, timed bool, clock func() time.Time) stats {
 	s.total = reg.Counter("irs_proxy_validations_total")
 	for o := outcome(0); o < numOutcomes; o++ {
 		s.outcomes[o] = reg.Counter("irs_proxy_outcomes_total", obs.L("outcome", outcomeNames[o]))
+	}
+	for i, kind := range []string{"uptodate", "delta", "snapshot"} {
+		s.syncs[i] = reg.Counter("irs_proxy_filter_syncs_total", obs.L("kind", kind))
 	}
 	if timed {
 		for o := outcome(0); o < numOutcomes; o++ {
@@ -82,6 +87,18 @@ func (s *stats) begin() time.Time {
 		return s.clock()
 	}
 	return time.Time{}
+}
+
+// served counts one FilterSync answer by its kind.
+func (s *stats) served(payload []byte) {
+	switch {
+	case len(payload) == 0:
+		s.syncs[0].Inc()
+	case bloom.IsSnapshot(payload):
+		s.syncs[2].Inc()
+	default:
+		s.syncs[1].Inc()
+	}
 }
 
 // observeUpstream records one upstream round trip.

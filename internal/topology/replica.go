@@ -81,7 +81,7 @@ func NewOrigin(l *ledger.Ledger, reg *obs.Registry) (*Origin, error) {
 	if err != nil {
 		return nil, fmt.Errorf("topology: replication keygen: %w", err)
 	}
-	return &Origin{L: l, pub: pub, priv: priv, m: newReplicaMetrics(reg, TierOrigin)}, nil
+	return &Origin{L: l, pub: pub, priv: priv, m: newReplicaMetrics(reg, "origin")}, nil
 }
 
 // ReplicationKey returns the public key that verifies checkpoints.
@@ -210,7 +210,7 @@ func NewReplica(id ids.LedgerID, verifyKey ed25519.PublicKey, reg *obs.Registry)
 	if err != nil {
 		return nil, err
 	}
-	return &Replica{L: l, verifyKey: verifyKey, m: newReplicaMetrics(reg, TierRegional), newLedger: mk}, nil
+	return &Replica{L: l, verifyKey: verifyKey, m: newReplicaMetrics(reg, "regional"), newLedger: mk}, nil
 }
 
 // AppliedSeq returns the log position the replica has ingested through.

@@ -136,22 +136,27 @@ go test -race -run 'PersistentLedgerSurvivesRestart' ./internal/integration
 go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/ledger
 go test -run='^$' -fuzz=FuzzWALReplayBytes -fuzztime=10s ./internal/ledger
 
-# Multi-tier filter distribution and ledger replication: the topology
-# package suite (tier chaining, base-mismatch fallback, tiers converging
-# on a restarted origin that renumbered its epochs, checkpoint gate,
-# anti-entropy resync) plus the named sync-protocol regressions in
-# bloom/ledger/wire/proxy — the shared epoch window and pull step,
-# concurrent BuildSnapshot calls publishing strictly increasing epochs
-# whose revoked sets only grow under concurrent revokes, the
-# incremental epochs held to the full rebuild (filter bytes and every
-# FilterSync answer, at shard counts 1/4/16, across a resize, a log
-# overflow, WAL-refused ops and a reopen, and with saturating shadow
-# counters), the proxy's single-flight refresh (16 concurrent POST
-# /v1/refresh cost one FilterSync per ledger, a held epoch never steps
-# back) — all under the race detector.
+# Ledger replication: the topology package suite (log shipping, the
+# signed checkpoint gate, anti-entropy resync). Then the filter plane,
+# whose every holder is a bloom.Window — the ledger, each tier, the
+# proxy and the browser layer — by the named sync-protocol regressions
+# in bloom/ledger/wire/proxy/core: the shared epoch window and pull
+# step, validator chains (ledger → validator → validator → validator)
+# converging by delta, falling back to a snapshot on a base mismatch
+# and following an origin that restarted and renumbered its epochs,
+# every hop's filter bytes and FilterSync answers equal to the
+# ledger's, concurrent BuildSnapshot calls publishing strictly
+# increasing epochs whose revoked sets only grow under concurrent
+# revokes, the incremental epochs held to the full rebuild (filter
+# bytes and every FilterSync answer, at shard counts 1/4/16, across a
+# resize, a log overflow, WAL-refused ops and a reopen, and with
+# saturating shadow counters), the proxy's single-flight refresh (16
+# concurrent POST /v1/refresh cost one FilterSync per ledger, a held
+# epoch never steps back, chained or not), and the browser layer
+# pulling from its proxy alone — all under the race detector.
 go test -race ./internal/topology
-go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|WindowInstallDropsRenumberedEpochs|PullFallsBackToColdSync|BuildSnapshotConcurrentEpochsIncrease|IncrementalEpochsMatchFullBuild|IncrementalEpochsSaturationFallback|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RefreshEndpointSingleFlight|RefreshFiltersEpochNeverDecreases|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary' \
-    ./internal/bloom ./internal/ledger ./internal/wire ./internal/proxy
+go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|WindowInstallDropsRenumberedEpochs|PullFallsBackToColdSync|BuildSnapshotConcurrentEpochsIncrease|IncrementalEpochsMatchFullBuild|IncrementalEpochsSaturationFallback|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RefreshEndpointSingleFlight|RefreshFiltersEpochNeverDecreases|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary|FilterPropagation|FilterPullErrors|FilterBaseMismatchFallback|FilterUpstreamRestartRenumbers|ValidatorChainMatchesDirect|BrowserFilterPullsFromProxy' \
+    ./internal/bloom ./internal/ledger ./internal/wire ./internal/proxy ./internal/core
 
 # Fuzz the delta decoder (varint/gap parsing, v2 hash frames), then the
 # epoch window's retained deltas: merged steps byte-identical to
@@ -201,10 +206,10 @@ go test -race ./internal/obs
 # The upload path: a 16-image album through the batch endpoint within
 # its hosted pixels plus 64 KiB, an aligned watermark read of a gray
 # image allocating nothing, and Embed allocating only its output. A
-# filter tier already at its upstream's epoch pulls without hashing or
+# validator already at its upstream's epoch pulls without hashing or
 # allocating.
 go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs|IdlePullAllocatesNothing' \
-    ./internal/ledger ./internal/wire ./internal/proxy ./internal/aggregator ./internal/watermark ./internal/topology
+    ./internal/ledger ./internal/wire ./internal/proxy ./internal/aggregator ./internal/watermark
 
 # Fuzz the Prometheus exposition writer and the histogram: ten seconds
 # each over the seeded corpus plus fresh mutations.
