@@ -293,7 +293,9 @@ func (s *SiteAdjudicator) TrustLedger(id ids.LedgerID, tsaKey ed25519.PublicKey)
 
 // Decide adjudicates a complaint against a hosted photo, taking it down
 // (and revoking any custodial claim) when upheld. c.ContestedID names
-// the hosted photo.
+// the hosted photo. When the custodial revocation fails, the verdict is
+// still Upheld — the local takedown happened — and the error says that
+// other sites may go on serving the copy.
 func (s *SiteAdjudicator) Decide(c *Complaint) (Verdict, error) {
 	ad := &Adjudicator{tsaKeys: s.tsaKeys, review: s.review}
 	if err := ad.verifyEvidence(c); err != nil {
@@ -312,15 +314,19 @@ func (s *SiteAdjudicator) Decide(c *Complaint) (Verdict, error) {
 			Detail: fmt.Sprintf("robust-hash similarity %.3f below the derivation bar", sim)}, nil
 	}
 	s.agg.TakeDown(c.ContestedID)
+	v := Verdict{Outcome: Upheld, Similarity: sim,
+		Detail: "hosted copy derived from original; taken down"}
 	// Revoke the custodial claim so other sites holding the same label
 	// also stop serving it.
 	if owned, ok := s.agg.CustodialKeys().Get(c.ContestedID); ok && s.custodial != nil {
 		seq, err := s.custodial.Seq(owned.ID)
 		if err == nil {
 			sig := ed25519.Sign(owned.PrivKey, ledger.OpMsg(owned.ID, ledger.OpRevoke, seq+1))
-			_ = s.custodial.Apply(owned.ID, ledger.OpRevoke, seq+1, sig)
+			err = s.custodial.Apply(owned.ID, ledger.OpRevoke, seq+1, sig)
+		}
+		if err != nil {
+			return v, fmt.Errorf("appeals: taken down, but revoking custodial claim %s failed: %w", owned.ID, err)
 		}
 	}
-	return Verdict{Outcome: Upheld, Similarity: sim,
-		Detail: "hosted copy derived from original; taken down"}, nil
+	return v, nil
 }

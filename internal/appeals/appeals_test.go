@@ -1,6 +1,7 @@
 package appeals
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -298,21 +299,30 @@ func TestClassifySimilarity(t *testing.T) {
 	}
 }
 
-func TestSiteAppealCustodial(t *testing.T) {
-	// Victim's unlabeled photo leaks; a site custodially claims and
-	// hosts it; the victim appeals to the site.
+// siteAppeal is the custodial branch of §3.2: a victim's unlabeled
+// photo leaks, a site claims it custodially on ledger cl and hosts it
+// as id, and the victim's complaint to the site.
+type siteAppeal struct {
+	vl, cl    *ledger.Ledger
+	agg       *aggregator.Aggregator
+	id        ids.PhotoID
+	complaint *Complaint
+}
+
+func newSiteAppeal(t *testing.T) *siteAppeal {
+	t.Helper()
 	now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
 	vl, err := ledger.New(ledger.Config{ID: 1, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { vl.Close() })
 	cl, err := ledger.New(ledger.Config{ID: 2, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer vl.Close()
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
 	dir := wire.NewDirectory()
 	dir.Register(1, &wire.Loopback{L: vl})
 	dir.Register(2, &wire.Loopback{L: cl})
@@ -342,32 +352,93 @@ func TestSiteAppealCustodial(t *testing.T) {
 	if !res.Accepted || !res.Custodial {
 		t.Fatalf("upload %+v", res)
 	}
-
-	sadj := NewSiteAdjudicator(agg, &wire.Loopback{L: cl}, nil)
-	sadj.TrustLedger(1, vl.TimestampKey())
-	v, err := sadj.Decide(&Complaint{
+	return &siteAppeal{vl: vl, cl: cl, agg: agg, id: res.ID, complaint: &Complaint{
 		Original:       orig,
 		OriginalToken:  owned.Receipt.Timestamp,
 		OriginalLedger: 1,
 		ContestedID:    res.ID,
-	})
+	}}
+}
+
+func TestSiteAppealCustodial(t *testing.T) {
+	sa := newSiteAppeal(t)
+	sadj := NewSiteAdjudicator(sa.agg, &wire.Loopback{L: sa.cl}, nil)
+	sadj.TrustLedger(1, sa.vl.TimestampKey())
+	v, err := sadj.Decide(sa.complaint)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Outcome != Upheld {
 		t.Fatalf("site verdict %v (%s)", v.Outcome, v.Detail)
 	}
-	if agg.Hosts(res.ID) {
+	if sa.agg.Hosts(sa.id) {
 		t.Error("photo still hosted after upheld site appeal")
 	}
 	// The custodial claim is now revoked, so other sites holding the
 	// same labeled copy will take it down on their next recheck.
-	p, err := cl.Status(res.ID)
+	p, err := sa.cl.Status(sa.id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.State != ledger.StateRevoked {
 		t.Errorf("custodial claim state %v after appeal", p.State)
+	}
+}
+
+var errCustodialDown = errors.New("custodial ledger unreachable")
+
+// failingService fails Seq or Apply and passes every other call on.
+type failingService struct {
+	wire.Service
+	failSeq, failApply bool
+}
+
+func (f *failingService) Seq(id ids.PhotoID) (uint64, error) {
+	if f.failSeq {
+		return 0, errCustodialDown
+	}
+	return f.Service.Seq(id)
+}
+
+func (f *failingService) Apply(id ids.PhotoID, op ledger.Op, seq uint64, sig []byte) error {
+	if f.failApply {
+		return errCustodialDown
+	}
+	return f.Service.Apply(id, op, seq, sig)
+}
+
+// TestSiteAppealReportsFailedCustodialRevoke: when the custodial
+// claim's Seq or its revoking Apply fails, Decide says so. The verdict
+// is still Upheld and the copy is taken down here, but the claim stays
+// active, so other sites would go on serving the copy.
+func TestSiteAppealReportsFailedCustodialRevoke(t *testing.T) {
+	for name, svc := range map[string]*failingService{
+		"seq":   {failSeq: true},
+		"apply": {failApply: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sa := newSiteAppeal(t)
+			svc.Service = &wire.Loopback{L: sa.cl}
+			sadj := NewSiteAdjudicator(sa.agg, svc, nil)
+			sadj.TrustLedger(1, sa.vl.TimestampKey())
+			v, err := sadj.Decide(sa.complaint)
+			if !errors.Is(err, errCustodialDown) {
+				t.Fatalf("Decide error %v, want the custodial failure", err)
+			}
+			if v.Outcome != Upheld {
+				t.Errorf("site verdict %v (%s), want upheld", v.Outcome, v.Detail)
+			}
+			if sa.agg.Hosts(sa.id) {
+				t.Error("photo still hosted after upheld site appeal")
+			}
+			p, err := sa.cl.Status(sa.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.State != ledger.StateActive {
+				t.Errorf("custodial claim state %v, though its revocation failed", p.State)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"irs/internal/ids"
 	"irs/internal/ledger"
+	"irs/internal/tsa"
 )
 
 // benchProofs builds a full batch of signed-shape proofs (the
@@ -76,6 +77,46 @@ func BenchmarkStatusDecodeBinary(b *testing.B) {
 		if _, err := DecodeStatusBatchResp(payload, func(int, []byte) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpClaimCodecBinary is the write plane's hop-2 framing: one
+// signed owner op and one claim, request and answer, each encoded into
+// a pooled buffer and decoded in place — pinned at 0 allocs/op by the
+// check.sh guard.
+func BenchmarkOpClaimCodecBinary(b *testing.B) {
+	proof := benchProofs(b, 1)[0]
+	sig := make([]byte, 64)
+	req := &ClaimRequest{ContentHash: make([]byte, 32), PubKey: make([]byte, 32), HashSig: sig, Custodial: true}
+	rc := ledger.Receipt{ID: proof.ID, Timestamp: &tsa.Token{Time: proof.IssuedAt, Sig: sig}, Proof: proof}
+	decode := func(frame []byte, kind byte) []byte {
+		k, payload, err := DecodeMsg(frame, MaxFramePayload)
+		if err != nil || k != kind {
+			b.Fatalf("kind %c: %v", k, err)
+		}
+		return payload
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bp := GetBuf()
+		*bp = EncodeOpReq((*bp)[:0], proof.ID, ledger.OpRevoke, uint64(i), sig)
+		if _, _, _, _, err := DecodeOpReq(decode(*bp, MsgOpReq)); err != nil {
+			b.Fatal(err)
+		}
+		*bp = EncodeOpResp((*bp)[:0])
+		if err := DecodeOpResp(decode(*bp, MsgOpResp)); err != nil {
+			b.Fatal(err)
+		}
+		*bp = EncodeClaimReq((*bp)[:0], req)
+		if _, err := DecodeClaimReq(decode(*bp, MsgClaimReq)); err != nil {
+			b.Fatal(err)
+		}
+		*bp = EncodeClaimResp((*bp)[:0], rc)
+		if _, _, _, err := DecodeClaimResp(decode(*bp, MsgClaimResp)); err != nil {
+			b.Fatal(err)
+		}
+		PutBuf(bp)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,11 +14,12 @@ import (
 	"irs/internal/ledger"
 )
 
-// IRSW1 is the binary wire codec for the four hot serving-path RPCs —
-// Status, StatusBatch, ValidateBatch, and FilterSync. The Go clients
-// speak only IRSW1 on them, through Hop.Exchange. Servers also answer
-// JSON on every route, chosen per request by its Content-Type and
-// Accept, for browsers and curl.
+// IRSW1 is the binary wire codec for the hot RPCs of both hops: the
+// serving path's Status, StatusBatch, ValidateBatch and FilterSync, and
+// the write plane's signed owner ops and claims. The Go clients speak
+// only IRSW1 on them, through Hop.Exchange. Servers also answer JSON on
+// every route, chosen per request by its Content-Type and Accept, for
+// browsers and curl.
 //
 // Every IRSW1 body is exactly one frame, reusing the storage engine's
 // binrec conventions (length-prefixed, CRC32-C tagged, varint counts):
@@ -34,6 +36,13 @@ import (
 //	validate batch resp: 'w' | uvarint n | n × entry
 //	entry:               state u8 | source u8 | displayable u8 |
 //	                     u16 len | proof
+//	op req:              'O' | id[16] | op u8 | uvarint seq | sig[64]
+//	op resp:             'o'
+//	claim req:           'C' | flags u8 | hash[32] | pub[32] | sig[64]
+//	                     (flags: bit 0 custodial, bit 1 revoked at
+//	                     birth; no other bit may be set)
+//	claim resp:          'c' | id[16] | u16 len | timestamp token |
+//	                     u16 len | proof (length 0: no proof)
 //
 // The CRC covers the payload only. A frame whose claimed extent runs
 // past the body is truncated; a complete frame failing its CRC is
@@ -101,6 +110,10 @@ const (
 	MsgFilterSyncResp    = byte('f')
 	MsgValidateBatchReq  = byte('W')
 	MsgValidateBatchResp = byte('w')
+	MsgOpReq             = byte('O')
+	MsgOpResp            = byte('o')
+	MsgClaimReq          = byte('C')
+	MsgClaimResp         = byte('c')
 )
 
 // Frame geometry. RPC frames share the request/response body bound;
@@ -260,8 +273,8 @@ func appendProof(dst []byte, p *ledger.StatusProof) []byte {
 	return p.AppendMarshal(dst)
 }
 
-// takeProof slices a u16-length-prefixed byte field off payload.
-func takeProof(payload []byte) (proof, rest []byte, err error) {
+// takeField slices a u16-length-prefixed byte field off payload.
+func takeField(payload []byte) (field, rest []byte, err error) {
 	if len(payload) < 2 {
 		return nil, nil, ErrFrameCorrupt
 	}
@@ -285,7 +298,7 @@ func EncodeStatusResp(dst []byte, p *ledger.StatusProof) []byte {
 // DecodeStatusResp returns the proof bytes of a single-status response
 // payload (aliasing payload).
 func DecodeStatusResp(payload []byte) ([]byte, error) {
-	proof, rest, err := takeProof(payload)
+	proof, rest, err := takeField(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +333,7 @@ func DecodeStatusBatchResp(payload []byte, fn func(i int, proof []byte) error) (
 	}
 	rest := payload[used:]
 	for i := 0; i < int(n); i++ {
-		proof, r, err := takeProof(rest)
+		proof, r, err := takeField(rest)
 		if err != nil {
 			return 0, err
 		}
@@ -387,7 +400,7 @@ func takeValidateEntry(payload []byte) (v ValidateWire, rest []byte, err error) 
 		return v, nil, ErrFrameCorrupt
 	}
 	v.State, v.Source, v.Displayable = payload[0], payload[1], payload[2] != 0
-	proof, rest, err := takeProof(payload[3:])
+	proof, rest, err := takeField(payload[3:])
 	if err != nil {
 		return v, nil, err
 	}
@@ -433,4 +446,151 @@ func DecodeValidateBatchResp(payload []byte, fn func(i int, v ValidateWire) erro
 		return 0, ErrFrameCorrupt
 	}
 	return int(n), nil
+}
+
+// Claim request flag bits.
+const (
+	claimCustodial      = 1 << 0
+	claimRevokedAtBirth = 1 << 1
+)
+
+// Sizes of the write plane's fixed fields: an Ed25519 signature, a
+// SHA-256 content hash and an Ed25519 public key.
+const (
+	sigSize  = ed25519.SignatureSize
+	hashSize = 32
+	pubSize  = ed25519.PublicKeySize
+)
+
+// EncodeOpReq encodes a signed owner op request frame onto dst. sig is
+// the frame's last field and goes in as given: a server refuses one
+// that is not 64 bytes.
+func EncodeOpReq(dst []byte, id ids.PhotoID, op ledger.Op, seq uint64, sig []byte) []byte {
+	start := len(dst)
+	dst = BeginFrame(dst)
+	b := id.Bytes()
+	dst = append(append(dst, MsgOpReq), b[:]...)
+	dst = binary.AppendUvarint(append(dst, byte(op)), seq)
+	dst = append(dst, sig...)
+	return FinishFrame(dst, start)
+}
+
+// DecodeOpReq splits an op request payload into its fields; sig
+// aliases payload. The op byte is returned as sent: which ops exist is
+// the server's check, shared with the JSON form.
+func DecodeOpReq(payload []byte) (id ids.PhotoID, op ledger.Op, seq uint64, sig []byte, err error) {
+	const head = 16 + 1 // id, op
+	if len(payload) < head {
+		return id, 0, 0, nil, ErrFrameCorrupt
+	}
+	seq, used := binary.Uvarint(payload[head:])
+	if used <= 0 || len(payload) != head+used+sigSize {
+		return id, 0, 0, nil, ErrFrameCorrupt
+	}
+	sig = payload[head+used:]
+	return ids.FromBytes([16]byte(payload[:16])), ledger.Op(payload[16]), seq, sig[:sigSize:sigSize], nil
+}
+
+// EncodeOpResp encodes the empty op answer frame onto dst.
+func EncodeOpResp(dst []byte) []byte {
+	start := len(dst)
+	dst = append(BeginFrame(dst), MsgOpResp)
+	return FinishFrame(dst, start)
+}
+
+// DecodeOpResp checks an op answer payload, which is empty.
+func DecodeOpResp(payload []byte) error {
+	if len(payload) != 0 {
+		return ErrFrameCorrupt
+	}
+	return nil
+}
+
+// checkClaimReq refuses a claim request whose fields the IRSW1 frame
+// cannot carry: a content hash, public key and signature of other than
+// 32, 32 and 64 bytes would misalign the fixed-size fields.
+func checkClaimReq(req *ClaimRequest) error {
+	if len(req.ContentHash) != hashSize || len(req.PubKey) != pubSize || len(req.HashSig) != sigSize {
+		return fmt.Errorf("wire: claim needs a %d-byte hash, %d-byte key and %d-byte signature, have %d, %d and %d",
+			hashSize, pubSize, sigSize, len(req.ContentHash), len(req.PubKey), len(req.HashSig))
+	}
+	return nil
+}
+
+// EncodeClaimReq encodes a claim request frame onto dst. The request
+// must pass checkClaimReq.
+func EncodeClaimReq(dst []byte, req *ClaimRequest) []byte {
+	start := len(dst)
+	dst = BeginFrame(dst)
+	var flags byte
+	if req.Custodial {
+		flags |= claimCustodial
+	}
+	if req.RevokedAtBirth {
+		flags |= claimRevokedAtBirth
+	}
+	dst = append(dst, MsgClaimReq, flags)
+	dst = append(append(append(dst, req.ContentHash...), req.PubKey...), req.HashSig...)
+	return FinishFrame(dst, start)
+}
+
+// DecodeClaimReq decodes a claim request payload. The byte fields of
+// the request alias payload.
+func DecodeClaimReq(payload []byte) (ClaimRequest, error) {
+	const size = 1 + hashSize + pubSize + sigSize
+	if len(payload) != size || payload[0]&^(claimCustodial|claimRevokedAtBirth) != 0 {
+		return ClaimRequest{}, ErrFrameCorrupt
+	}
+	const pub = 1 + hashSize
+	const sig = pub + pubSize
+	return ClaimRequest{
+		ContentHash:    payload[1:pub:pub],
+		PubKey:         payload[pub:sig:sig],
+		HashSig:        payload[sig:size:size],
+		Custodial:      payload[0]&claimCustodial != 0,
+		RevokedAtBirth: payload[0]&claimRevokedAtBirth != 0,
+	}, nil
+}
+
+// EncodeClaimResp encodes a claim answer frame onto dst: the issued
+// identifier, the marshaled timestamp token and, when the receipt has
+// one, the claim's first proof.
+func EncodeClaimResp(dst []byte, rc ledger.Receipt) []byte {
+	start := len(dst)
+	dst = BeginFrame(dst)
+	b := rc.ID.Bytes()
+	dst = append(append(dst, MsgClaimResp), b[:]...)
+	at := len(dst)
+	dst = rc.Timestamp.AppendMarshal(append(dst, 0, 0))
+	binary.LittleEndian.PutUint16(dst[at:], uint16(len(dst)-at-2))
+	if rc.Proof == nil {
+		dst = append(dst, 0, 0)
+	} else {
+		dst = appendProof(dst, rc.Proof)
+	}
+	return FinishFrame(dst, start)
+}
+
+// DecodeClaimResp splits a claim answer payload into the identifier,
+// the timestamp token bytes and the proof bytes (nil when the answer
+// carries none); both alias payload.
+func DecodeClaimResp(payload []byte) (id ids.PhotoID, token, proof []byte, err error) {
+	if len(payload) < 16 {
+		return id, nil, nil, ErrFrameCorrupt
+	}
+	token, rest, err := takeField(payload[16:])
+	if err != nil {
+		return id, nil, nil, err
+	}
+	proof, rest, err = takeField(rest)
+	if err != nil {
+		return id, nil, nil, err
+	}
+	if len(rest) != 0 {
+		return id, nil, nil, ErrFrameCorrupt
+	}
+	if len(proof) == 0 {
+		proof = nil
+	}
+	return ids.FromBytes([16]byte(payload[:16])), token, proof, nil
 }

@@ -130,10 +130,11 @@ func TestBinaryFilterSyncMatchesJSON(t *testing.T) {
 	}
 }
 
-// recordingServer records the Content-Type and Accept of every request
-// before the handler it wraps serves it.
+// recordingServer records the method, Content-Type and Accept of every
+// request before the handler it wraps serves it.
 type recordingServer struct {
 	mu          sync.Mutex
+	method      []string
 	contentType []string
 	accept      []string
 }
@@ -141,6 +142,7 @@ type recordingServer struct {
 func (rs *recordingServer) wrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rs.mu.Lock()
+		rs.method = append(rs.method, r.Method+" "+r.URL.Path)
 		rs.contentType = append(rs.contentType, r.Header.Get("Content-Type"))
 		rs.accept = append(rs.accept, r.Header.Get("Accept"))
 		rs.mu.Unlock()
@@ -150,7 +152,8 @@ func (rs *recordingServer) wrap(h http.Handler) http.Handler {
 
 // TestClientFirstRequestIsIRSW1: a fresh client's very first hot
 // request already speaks IRSW1, with no JSON opening round and no JSON
-// in Accept.
+// in Accept — the write plane's claims and owner ops included, so the
+// client sends no JSON body at all.
 func TestClientFirstRequestIsIRSW1(t *testing.T) {
 	l, err := ledger.New(ledger.Config{ID: 7})
 	if err != nil {
@@ -177,14 +180,25 @@ func TestClientFirstRequestIsIRSW1(t *testing.T) {
 	if _, _, err := NewClient(srv.URL, "").FilterSync(0, nil); err != nil {
 		t.Fatal(err)
 	}
+	k := newKeypair(t)
+	rc, err := NewClient(srv.URL, "").Claim(k.claimOf("first claim", false, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewClient(srv.URL, "").Apply(rc.ID, ledger.OpRevoke, 1, k.signOp(rc.ID, ledger.OpRevoke, 1)); err != nil {
+		t.Fatal(err)
+	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.contentType[0] != ContentTypeBinary {
-		t.Errorf("first StatusBatch sent Content-Type %q", rec.contentType[0])
+	if len(rec.method) != 5 {
+		t.Fatalf("%d requests for 5 calls: %v", len(rec.method), rec.method)
 	}
-	for i, accept := range rec.accept {
-		if accept != ContentTypeBinary {
-			t.Errorf("request %d sent Accept %q, want %q", i, accept, ContentTypeBinary)
+	for i, m := range rec.method {
+		if strings.HasPrefix(m, http.MethodPost) && rec.contentType[i] != ContentTypeBinary {
+			t.Errorf("%s sent Content-Type %q", m, rec.contentType[i])
+		}
+		if rec.accept[i] != ContentTypeBinary {
+			t.Errorf("%s sent Accept %q, want %q", m, rec.accept[i], ContentTypeBinary)
 		}
 	}
 }
@@ -216,6 +230,12 @@ func TestClientRefusesNonBinaryAnswer(t *testing.T) {
 	}
 	if payload, latest, err := c.FilterSync(0, nil); err == nil || payload != nil || latest != 0 {
 		t.Errorf("octet-stream filter sync answer accepted: %d bytes, epoch %d, %v", len(payload), latest, err)
+	}
+	if rc, err := c.Claim(k.claimOf("json claim answer", false, false)); err == nil || rc.Timestamp != nil {
+		t.Errorf("JSON claim answer accepted: %+v, %v", rc, err)
+	}
+	if err := c.Apply(id, ledger.OpUnrevoke, 1, k.signOp(id, ledger.OpUnrevoke, 1)); err == nil {
+		t.Error("JSON op answer accepted")
 	}
 	var te *TransportError
 	if _, err := c.Status(id); errors.As(err, &te) || Retryable(err, true) {

@@ -42,8 +42,9 @@ type ClientOptions struct {
 	// result-class counters (irs_wire_client_*) in the given registry.
 	// nil disables client instrumentation at zero per-call cost.
 	Obs *obs.Registry
-	// Codec selects nothing: Status, StatusBatch and FilterSync always
-	// speak IRSW1. The field stays only for callers that still set it.
+	// Codec selects nothing: Claim, Apply, Status, StatusBatch and
+	// FilterSync always speak IRSW1. The field stays only for callers
+	// that still set it.
 	Codec Codec
 }
 
@@ -374,33 +375,51 @@ func (h *Hop) Exchange(rpc, path string, encode func(dst []byte) []byte, kind by
 	return nil
 }
 
-// Claim registers a photo and returns the receipt.
+// Claim registers a photo and returns the receipt. A request whose
+// hash, key or signature is not 32, 32 and 64 bytes is refused before
+// any bytes move: the IRSW1 claim frame's fields have fixed sizes.
 func (c *Client) Claim(req *ClaimRequest) (ledger.Receipt, error) {
-	var resp ClaimResponse
-	if err := c.postJSON("claim", "/v1/claim", req, &resp, nil); err != nil {
+	if err := checkClaimReq(req); err != nil {
 		return ledger.Receipt{}, err
 	}
-	id, err := ids.Parse(resp.ID)
+	var rc ledger.Receipt
+	err := c.hop.Exchange("claim", "/v1/claim",
+		func(dst []byte) []byte { return EncodeClaimReq(dst, req) }, MsgClaimResp, maxBody,
+		func(payload []byte) error {
+			id, token, proof, err := DecodeClaimResp(payload)
+			if err != nil {
+				return err
+			}
+			rc, err = receiptOf(id, token, proof)
+			return err
+		})
 	if err != nil {
-		return ledger.Receipt{}, fmt.Errorf("wire: server returned bad id: %w", err)
+		return ledger.Receipt{}, err
 	}
-	tok, err := tsa.Unmarshal(resp.Timestamp)
+	return rc, nil
+}
+
+// receiptOf builds the receipt of a claim answer; nothing of token or
+// proof is retained.
+func receiptOf(id ids.PhotoID, token, proof []byte) (ledger.Receipt, error) {
+	tok, err := tsa.Unmarshal(token)
 	if err != nil {
 		return ledger.Receipt{}, fmt.Errorf("wire: server returned bad timestamp: %w", err)
 	}
 	// The proof is an optional saving of one Status call, so one that is
 	// absent, malformed or about another claim is dropped, never allowed
 	// to cost the caller the receipt of a claim the ledger has recorded.
-	var proof *ledger.StatusProof
-	if p, err := ledger.UnmarshalProof(resp.Proof); err == nil && p.ID == id {
-		proof = p
+	var p *ledger.StatusProof
+	if q, err := ledger.UnmarshalProof(proof); err == nil && q.ID == id {
+		p = q
 	}
-	return ledger.Receipt{ID: id, Timestamp: tok, Proof: proof}, nil
+	return ledger.Receipt{ID: id, Timestamp: tok, Proof: p}, nil
 }
 
 // Apply submits a signed revoke/unrevoke.
 func (c *Client) Apply(id ids.PhotoID, op ledger.Op, seq uint64, sig []byte) error {
-	return c.postJSON("op", "/v1/op", &OpRequest{ID: id.String(), Op: int(op), Seq: seq, Sig: sig}, nil, nil)
+	return c.hop.Exchange("op", "/v1/op",
+		func(dst []byte) []byte { return EncodeOpReq(dst, id, op, seq, sig) }, MsgOpResp, maxBody, DecodeOpResp)
 }
 
 // Status validates a claim, returning the parsed signed proof. The

@@ -8,12 +8,14 @@ import (
 
 	"irs/internal/ids"
 	"irs/internal/ledger"
+	"irs/internal/tsa"
 )
 
 // FuzzWireFrameDecode drives the whole IRSW1 decode surface with
 // hostile bytes: the shared id-batch reader both batch routes use, the
 // frame layer, then every message decoder that a client or server
-// would dispatch to by kind. Nothing may panic, and no decoder may
+// would dispatch to by kind, the write plane's op and claim frames
+// included. Nothing may panic, and no decoder may
 // iterate or allocate past the declared bounds — the count checks in
 // decodeIDBatch/DecodeStatusBatchResp are exactly what this target
 // guards.
@@ -35,6 +37,12 @@ func FuzzWireFrameDecode(f *testing.F) {
 		EncodeValidateBatchResp(nil, 1, func(int) (byte, byte, bool, *ledger.StatusProof) {
 			return 1, 2, true, proof
 		}),
+		EncodeOpReq(nil, id, ledger.OpRevoke, 300, make([]byte, 64)),
+		EncodeOpResp(nil),
+		EncodeClaimReq(nil, &ClaimRequest{ContentHash: make([]byte, 32), PubKey: make([]byte, 32),
+			HashSig: make([]byte, 64), Custodial: true}),
+		EncodeClaimResp(nil, ledger.Receipt{ID: id, Timestamp: &tsa.Token{Sig: make([]byte, 64)}, Proof: proof}),
+		EncodeClaimResp(nil, ledger.Receipt{ID: id, Timestamp: &tsa.Token{Sig: make([]byte, 64)}}),
 	}
 	whole := EncodeStatusBatchResp(nil, []*ledger.StatusProof{proof})
 	seeds = append(seeds, whole[:len(whole)-2])
@@ -86,6 +94,24 @@ func FuzzWireFrameDecode(f *testing.F) {
 			func(p []byte) { _, _, _ = DecodeFilterSyncResp(p) },
 			func(p []byte) {
 				_, _ = DecodeValidateBatchResp(p, func(int, ValidateWire) error { return nil })
+			},
+			func(p []byte) {
+				if _, _, _, sig, err := DecodeOpReq(p); err == nil && len(sig) != 64 {
+					t.Fatalf("op request decoded with a %d-byte signature", len(sig))
+				}
+			},
+			func(p []byte) { _ = DecodeOpResp(p) },
+			func(p []byte) {
+				if req, err := DecodeClaimReq(p); err == nil && checkClaimReq(&req) != nil {
+					t.Fatalf("claim request decoded with fields of %d, %d and %d bytes",
+						len(req.ContentHash), len(req.PubKey), len(req.HashSig))
+				}
+			},
+			func(p []byte) {
+				_, token, proof, err := DecodeClaimResp(p)
+				if err == nil && len(token)+len(proof) > len(p) {
+					t.Fatal("claim answer fields exceed payload")
+				}
 			},
 		}
 		for _, dec := range decoders {

@@ -24,6 +24,12 @@ func hostileServer(t *testing.T, status int, contentType, body string, headers m
 	return srv
 }
 
+// sizedClaim is a claim request whose fields have the sizes an IRSW1
+// frame carries, so the client sends it.
+func sizedClaim() *ClaimRequest {
+	return &ClaimRequest{ContentHash: make([]byte, 32), PubKey: make([]byte, 32), HashSig: make([]byte, 64)}
+}
+
 func hostileID(t *testing.T) ids.PhotoID {
 	t.Helper()
 	id, err := ids.New(1)
@@ -38,7 +44,7 @@ func hostileID(t *testing.T) ids.PhotoID {
 func TestClientAgainstGarbageJSON(t *testing.T) {
 	srv := hostileServer(t, http.StatusOK, "application/json", `{"id": 42, "ts": "not-b64"`, nil)
 	c := NewClient(srv.URL, "")
-	if _, err := c.Claim(&ClaimRequest{ContentHash: make([]byte, 32)}); err == nil {
+	if _, err := c.Claim(sizedClaim()); err == nil {
 		t.Error("garbage claim response accepted")
 	}
 	if _, err := c.Status(hostileID(t)); err == nil {
@@ -57,8 +63,14 @@ func TestClientAgainstWrongShapes(t *testing.T) {
 	srv := hostileServer(t, http.StatusOK, "application/json",
 		`{"id":"notanid","ts":"aGVsbG8="}`, nil)
 	c := NewClient(srv.URL, "")
-	if _, err := c.Claim(&ClaimRequest{ContentHash: make([]byte, 32)}); err == nil {
+	if _, err := c.Claim(sizedClaim()); err == nil {
 		t.Error("bad id in claim response accepted")
+	}
+
+	// A well-formed IRSW1 claim answer whose timestamp token is not one.
+	srv1 := hostileServer(t, http.StatusOK, ContentTypeBinary, string(claimFrame(hostileID(t), []byte("short"), nil)), nil)
+	if rc, err := NewClient(srv1.URL, "").Claim(sizedClaim()); err == nil {
+		t.Errorf("claim answer with a bad token accepted: %+v", rc)
 	}
 
 	// Keys with short key material.

@@ -18,8 +18,8 @@ import (
 // Server adapts a ledger.Ledger to the HTTP protocol. Construct with
 // NewServer and mount it anywhere an http.Handler goes. The server
 // speaks both codecs, chosen per request: JSON everywhere, and IRSW1
-// on the hot routes (status, status batch, filter sync) when the
-// request's Content-Type or Accept names it.
+// on the hot routes (claim, op, status, status batch, filter sync)
+// when the request's Content-Type or Accept names it.
 type Server struct {
 	ledger *ledger.Ledger
 	// adminToken guards the permanent-revoke endpoint. Empty disables
@@ -194,21 +194,35 @@ func ReadIDBatch(r *http.Request, kind byte) ([]ids.PhotoID, error) {
 	return batch, nil
 }
 
+// readMsg reads an IRSW1 request body that must be one frame of kind
+// want into a buffer borrowed with GetBuf, and returns the buffer and
+// the message payload (aliasing it). The caller returns the buffer with
+// PutBuf once it is done with the payload. Every error is the caller's
+// 400.
+func readMsg(body io.Reader, want byte) (*[]byte, []byte, error) {
+	bp, err := ReadBody(body, maxBody)
+	if err != nil {
+		return nil, nil, ErrFrameTruncated
+	}
+	kind, payload, err := DecodeMsg(*bp, MaxFramePayload)
+	if err == nil && kind != want {
+		err = ErrFrameCorrupt
+	}
+	if err != nil {
+		PutBuf(bp)
+		return nil, nil, err
+	}
+	return bp, payload, nil
+}
+
 // readBinaryBatch parses an IRSW1 id-batch request body of the given
 // message kind.
 func readBinaryBatch(body io.Reader, wantKind byte) ([]ids.PhotoID, error) {
-	bp, err := ReadBody(body, maxBody)
-	if err != nil {
-		return nil, ErrFrameTruncated
-	}
-	defer PutBuf(bp)
-	kind, payload, err := DecodeMsg(*bp, MaxFramePayload)
+	bp, payload, err := readMsg(body, wantKind)
 	if err != nil {
 		return nil, err
 	}
-	if kind != wantKind {
-		return nil, ErrFrameCorrupt
-	}
+	defer PutBuf(bp)
 	var batch []ids.PhotoID
 	if _, err := decodeIDBatch(payload, func(i int, id ids.PhotoID) error {
 		if batch == nil {
@@ -224,9 +238,22 @@ func readBinaryBatch(body io.Reader, wantKind byte) ([]ids.PhotoID, error) {
 	return batch, nil
 }
 
+// handleClaim registers a photo. An IRSW1 request is decoded in place:
+// its hash, key and signature alias the pooled body, which is safe
+// because the ledger copies the key and signature it keeps.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var req ClaimRequest
-	if err := ReadJSON(r.Body, &req); err != nil {
+	if IsBinaryContent(r.Header.Get("Content-Type")) {
+		bp, payload, err := readMsg(r.Body, MsgClaimReq)
+		if err == nil {
+			defer PutBuf(bp)
+			req, err = DecodeClaimReq(payload)
+		}
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	} else if err := ReadJSON(r.Body, &req); err != nil {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -247,37 +274,67 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	resp := &ClaimResponse{
-		ID:        receipt.ID.String(),
-		Timestamp: receipt.Timestamp.Marshal(),
-	}
-	if receipt.Proof != nil {
-		resp.Proof = receipt.Proof.Marshal()
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	s.codec.Write(w, r, func(dst []byte) []byte { return EncodeClaimResp(dst, receipt) }, func() int {
+		resp := &ClaimResponse{
+			ID:        receipt.ID.String(),
+			Timestamp: receipt.Timestamp.Marshal(),
+		}
+		if receipt.Proof != nil {
+			resp.Proof = receipt.Proof.Marshal()
+		}
+		WriteJSON(w, http.StatusOK, resp)
+		return -1
+	})
 }
 
+// handleOp applies a signed owner op. An IRSW1 request is decoded in
+// place: its signature aliases the pooled body, which the ledger only
+// verifies.
 func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
-	var req OpRequest
-	if err := ReadJSON(r.Body, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
+	var (
+		id  ids.PhotoID
+		op  ledger.Op
+		sig []byte
+	)
+	if IsBinaryContent(r.Header.Get("Content-Type")) {
+		bp, payload, err := readMsg(r.Body, MsgOpReq)
+		if err == nil {
+			defer PutBuf(bp)
+			id, op, _, sig, err = DecodeOpReq(payload)
+		}
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	} else {
+		var req OpRequest
+		if err := ReadJSON(r.Body, &req); err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		var err error
+		if id, err = ids.Parse(req.ID); err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		// op stays 0, refused below, unless req.Op names an op.
+		if req.Op == int(ledger.OpRevoke) || req.Op == int(ledger.OpUnrevoke) {
+			op = ledger.Op(req.Op)
+		}
+		sig = req.Sig
 	}
-	id, err := ids.Parse(req.ID)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	op := ledger.Op(req.Op)
 	if op != ledger.OpRevoke && op != ledger.OpUnrevoke {
 		WriteError(w, http.StatusBadRequest, "op must be 1 (revoke) or 2 (unrevoke)")
 		return
 	}
-	if err := s.ledger.Apply(id, op, req.Sig); err != nil {
+	if err := s.ledger.Apply(id, op, sig); err != nil {
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, struct{}{})
+	s.codec.Write(w, r, EncodeOpResp, func() int {
+		WriteJSON(w, http.StatusOK, struct{}{})
+		return -1
+	})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

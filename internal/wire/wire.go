@@ -24,10 +24,10 @@
 //	POST /v1/admin/permanent-revoke  body AdminRevokeRequest → empty
 //	       (requires the configured bearer token; used by appeals)
 //
-// The hot routes (status, status batch, filter sync) also speak the
-// IRSW1 binary codec (binwire.go) when a request asks for it. Client
-// speaks only IRSW1 on them; the shapes above remain for browsers and
-// curl.
+// The hot routes — claim and op, the write plane's, and status, status
+// batch and filter sync, the serving path's — also speak the IRSW1
+// binary codec (binwire.go) when a request asks for it. Client speaks
+// only IRSW1 on them; the shapes above remain for browsers and curl.
 //
 // The appeals complaint endpoint (POST /v1/appeal) is served by
 // appeals.Server and mounted alongside this one by cmd/irs-ledger.

@@ -426,10 +426,11 @@ func TestClaimCarriesFirstProof(t *testing.T) {
 }
 
 // TestClaimProofMixedVersions pins both directions of the optional
-// proof field. A ledger that predates it (or sends one that is
-// malformed, or attests another claim) costs the client the proof and
-// nothing else: the receipt survives, Proof is nil, and the caller asks
-// Status. A client that predates it decodes today's answer unharmed.
+// proof field. An answer without one (length 0, what a ledger that
+// does not issue it sends), or with one that is malformed or attests
+// another claim, costs the client the proof and nothing else: the
+// receipt survives, Proof is nil, and the caller asks Status. A JSON
+// client that predates the field decodes today's answer unharmed.
 func TestClaimProofMixedVersions(t *testing.T) {
 	l, err := ledger.New(ledger.Config{ID: 7})
 	if err != nil {
@@ -441,29 +442,33 @@ func TestClaimProofMixedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rewrite func(*ClaimResponse)
+	var rewrite func(proof []byte) []byte
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/claim" {
+		if r.URL.Path != "/v1/claim" || !AcceptsBinary(r) {
 			inner.ServeHTTP(w, r)
 			return
 		}
 		rec := httptest.NewRecorder()
 		inner.ServeHTTP(rec, r)
-		var resp ClaimResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		_, payload, err := DecodeMsg(rec.Body.Bytes(), MaxFramePayload)
+		if err != nil {
 			t.Errorf("claim answer: %v", err)
 		}
-		rewrite(&resp)
-		WriteJSON(w, rec.Code, &resp)
+		id, token, proof, err := DecodeClaimResp(payload)
+		if err != nil {
+			t.Errorf("claim answer: %v", err)
+		}
+		w.Header().Set("Content-Type", ContentTypeBinary)
+		w.Write(claimFrame(id, token, rewrite(proof)))
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL, "")
 	k := newKeypair(t)
 
-	for name, fn := range map[string]func(*ClaimResponse){
-		"omitted":       func(r *ClaimResponse) { r.Proof = nil },
-		"malformed":     func(r *ClaimResponse) { r.Proof = r.Proof[:len(r.Proof)-1] },
-		"another claim": func(r *ClaimResponse) { r.Proof = other.Marshal() },
+	for name, fn := range map[string]func([]byte) []byte{
+		"omitted":       func([]byte) []byte { return nil },
+		"malformed":     func(p []byte) []byte { return p[:len(p)-1] },
+		"another claim": func([]byte) []byte { return other.Marshal() },
 	} {
 		rewrite = fn
 		r := k.claimVia(t, c, "mixed "+name, false)
@@ -478,9 +483,8 @@ func TestClaimProofMixedVersions(t *testing.T) {
 		}
 	}
 
-	// An old client: the answer's shape before the field, decoded the
-	// way Client decodes every answer.
-	rewrite = func(*ClaimResponse) {}
+	// An old client: the JSON answer's shape before the field, decoded
+	// the way JSON answers are decoded.
 	h := sha256.Sum256([]byte("old client"))
 	body, err := json.Marshal(&ClaimRequest{ContentHash: h[:], PubKey: k.pub, HashSig: ed25519.Sign(k.priv, ledger.ClaimMsg(h))})
 	if err != nil {
@@ -500,4 +504,17 @@ func TestClaimProofMixedVersions(t *testing.T) {
 	if _, err := ids.Parse(old.ID); err != nil || len(old.Timestamp) == 0 {
 		t.Errorf("old client decoded %+v (%v)", old, err)
 	}
+}
+
+// claimFrame builds a claim answer frame from raw fields, so a test can
+// send one its server would not.
+func claimFrame(id ids.PhotoID, token, proof []byte) []byte {
+	b := append(BeginFrame(nil), MsgClaimResp)
+	idb := id.Bytes()
+	b = append(b, idb[:]...)
+	for _, f := range [][]byte{token, proof} {
+		b = append(b, byte(len(f)), byte(len(f)>>8))
+		b = append(b, f...)
+	}
+	return FinishFrame(b, 0)
 }

@@ -85,7 +85,8 @@ go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMix
     ./internal/ledger ./internal/wire
 
 # Watermark reader: the single-coefficient DCT kernels against
-# Forward8, and the sliding kernel + CRC-first sweep against the
+# Forward8, the sweep's rolled CRC against a fresh checksum at every
+# code phase, and the sliding kernel + CRC-first sweep against the
 # retained full-transform per-phase scan (all 64 pixel phases, the E6
 # transform matrix, worker counts 1/2/4/8); and the writer: AddBasis8
 # against the Forward8/Inverse8 round trip, Embed and Erase against the
@@ -96,7 +97,7 @@ go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMix
 # -race; then ten seconds each of the reader's size/crop and the
 # writer's seed/size fuzz target, whose committed corpus replays the
 # twin finding.
-go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance|EmbedMatchesReference|TwinPayloadsReadBack|EmbedGolden' \
+go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|CRCRollMatchesChecksum|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance|EmbedMatchesReference|TwinPayloadsReadBack|EmbedGolden' \
     ./internal/dct ./internal/watermark
 go test -run='^$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s ./internal/watermark
 go test -run='^$' -fuzz=FuzzEmbedMatchesReference -fuzztime=10s ./internal/watermark
@@ -218,14 +219,19 @@ go test -run='^$' -fuzz=FuzzHistogramObserve -fuzztime=10s ./internal/obs
 
 # IRSW1 binary wire codec: the codec roundtrip suite, the Go clients'
 # contract at both the wire and proxy layers (the first request is
-# already IRSW1, a 2xx in any other encoding is an error, no response
-# carries X-IRS-Wire), the servers' JSON answers byte-identical to the
-# clients' IRSW1 ones, both hops' hostile-frame and dead-server
-# TransportError classification and shared client batch bound, a
-# status proof for an id other than the one asked refused, the one
-# hostile-request table run against both batch routes, and the
-# keep-alive pool sizing, all named under the race detector.
-go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies' \
+# already IRSW1, claims and owner ops included, a 2xx in any other
+# encoding is an error, no response carries X-IRS-Wire), the servers'
+# JSON answers byte-identical to the clients' IRSW1 ones, both hops'
+# hostile-frame and dead-server TransportError classification and
+# shared client batch bound, a status proof for an id other than the
+# one asked refused, the one hostile-request table run against both
+# batch routes and both write routes, and the keep-alive pool sizing.
+# With them the write plane: the same claims and ops as JSON and as
+# IRSW1 on twin ledgers (state, receipts and wire errors alike), the
+# in-place decode that keeps nothing of the pooled body, the op and
+# claim frame roundtrips, and a claim the frame cannot carry refused
+# before it is sent. All named under the race detector.
+go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|ClaimClientRefusesMisSizedFields' \
     ./internal/wire ./internal/proxy
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
@@ -240,8 +246,9 @@ go test -run='^$' -bench='Serving|StatusBatchFilterPositive|RestoreFlush|Compact
 go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
 
 # Zero-alloc guard: the vectorized 8×8 DCT, the perceptual hashes (one
-# alone and the fused three-hash signature), and the IRSW1 wire codec's server-encode and client-decode
-# hot paths must stay allocation-free; any allocs/op > 0 here means a
+# alone and the fused three-hash signature), and the IRSW1 wire codec's
+# server-encode and client-decode hot paths, the write plane's op and
+# claim frames included, must stay allocation-free; any allocs/op > 0 here means a
 # scratch pool, unrolled loop, or pooled codec buffer regressed. 1000
 # iterations, not 10: sync.Pool is per-P, so on a 2-core host the timed
 # loop can start on the P the warm-up did not fill, and that one cold
@@ -249,7 +256,8 @@ go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
 # real per-call allocation still reads >= 1.
 for pkg_bench in "./internal/dct BenchmarkDCT8x8" "./internal/phash BenchmarkPHash$" \
     "./internal/phash BenchmarkNewSignature/192x128" \
-    "./internal/wire BenchmarkStatusEncodeBinary" "./internal/wire BenchmarkStatusDecodeBinary"; do
+    "./internal/wire BenchmarkStatusEncodeBinary" "./internal/wire BenchmarkStatusDecodeBinary" \
+    "./internal/wire BenchmarkOpClaimCodecBinary"; do
     pkg=${pkg_bench% *}
     bench=${pkg_bench#* }
     out=$(go test -run='^$' -bench="$bench" -benchtime=1000x -benchmem "$pkg")
