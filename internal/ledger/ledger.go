@@ -40,6 +40,7 @@ package ledger
 
 import (
 	"crypto/ed25519"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -153,13 +154,6 @@ type Config struct {
 	// under the identifier-issue lock, so a plain *math/rand.Rand is
 	// fine.
 	Rand io.Reader
-	// Keys, when non-nil, supplies the seeds of the timestamp
-	// authority's key and then the status-signing key in place of
-	// crypto/rand. Ledgers given equal Keys and Rand streams and one
-	// clock answer the same requests with the same bytes, which lets a
-	// test hold two codecs to one history. Production ledgers leave it
-	// nil.
-	Keys io.Reader
 	// Obs is the metrics registry the ledger's counters are interned
 	// in (series irs_ledger_*_total{ledger=...}); nil means a private
 	// registry, which keeps Metrics() working at identical cost.
@@ -232,11 +226,11 @@ func New(cfg Config) (*Ledger, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	authority, err := tsa.NewWithClock(cfg.Keys, clock)
+	authority, err := tsa.NewWithClock(clock)
 	if err != nil {
 		return nil, err
 	}
-	pub, priv, err := ed25519.GenerateKey(cfg.Keys)
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: keygen: %w", err)
 	}

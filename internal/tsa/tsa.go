@@ -14,11 +14,11 @@ package tsa
 
 import (
 	"crypto/ed25519"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 )
@@ -85,19 +85,22 @@ type Authority struct {
 // New creates an authority with a fresh Ed25519 keypair and the real
 // clock.
 func New() (*Authority, error) {
-	return NewWithClock(nil, time.Now)
-}
-
-// NewWithClock creates an authority using the supplied clock — the
-// simulators drive this with virtual time — and a key drawn from r, or
-// from crypto/rand when r is nil: authorities given equal streams and
-// clocks issue identical tokens.
-func NewWithClock(r io.Reader, now func() time.Time) (*Authority, error) {
-	pub, priv, err := ed25519.GenerateKey(r)
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("tsa: keygen: %w", err)
 	}
-	return &Authority{priv: priv, pub: pub, now: now}, nil
+	return &Authority{priv: priv, pub: pub, now: time.Now}, nil
+}
+
+// NewWithClock creates an authority using the supplied clock — the
+// simulators drive this with virtual time.
+func NewWithClock(now func() time.Time) (*Authority, error) {
+	a, err := New()
+	if err != nil {
+		return nil, err
+	}
+	a.now = now
+	return a, nil
 }
 
 // PublicKey returns the verification key.

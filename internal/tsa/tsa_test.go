@@ -138,7 +138,7 @@ func TestConcurrentStampsUnique(t *testing.T) {
 func TestEarlier(t *testing.T) {
 	base := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 	clock := base
-	a, err := NewWithClock(nil, func() time.Time { return clock })
+	a, err := NewWithClock(func() time.Time { return clock })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestEarlier(t *testing.T) {
 
 func TestClockInjection(t *testing.T) {
 	want := time.Date(2030, 1, 2, 3, 4, 5, 0, time.UTC)
-	a, err := NewWithClock(nil, func() time.Time { return want })
+	a, err := NewWithClock(func() time.Time { return want })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package watermark
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"math/bits"
 	"sync"
 
@@ -274,11 +273,9 @@ func (s *bandScratch) vote(rows []float64, w, py, bh int, cfg Config) {
 // sweep scores the tileH×tileW code phases of pixel phase (px, py)
 // from its vote table, CRC first: hard bits are taken once per class
 // and packed by tile row, each cx gets its ring, and every (cy, cx) is
-// then a slice of one — no per-candidate assembly and no copy. Each cx
-// computes one CRC, of code phase (0, cx), and reaches every later cy
-// by rolling it (see crcRoll). The first word whose CRC passes, in the
-// serial scan's cy-major order, is the pixel phase's candidate and gets
-// its margin.
+// then a slice of one — no per-candidate assembly and no copy. The
+// first word whose CRC passes is the pixel phase's candidate and gets
+// its margin; candidates are visited cy-major, the serial scan's order.
 func (s *bandScratch) sweep(px, py, bw, bh int) phaseCandidate {
 	if bw < tileW || bh < tileH {
 		// Some class has no block. Every code phase reads every class,
@@ -291,93 +288,23 @@ func (s *bandScratch) sweep(px, py, bw, bh int) phaseCandidate {
 	for cx := range s.ring {
 		assemble(&s.ring[cx], &rows, cx)
 	}
-	// Scanning every cy of one cx before the next, a match is the
-	// candidate if no smaller cy matched at any cx, nor this cy at a
-	// smaller cx.
-	bestCy, bestCx := tileH, 0
-	for cx := range s.ring {
-		ring := &s.ring[cx]
-		g := crcRegister(ring[wordBytes : wordBytes+PayloadBytes])
-		for cy := 0; cy < bestCy; cy++ {
-			off := wordBytes - 2*cy
-			if cy > 0 {
-				g = crcRoll(g, ring[off:off+PayloadBytes+2])
+	for cy := 0; cy < tileH; cy++ {
+		off := wordBytes - 2*cy
+		for cx := range s.ring {
+			payload, ok := checkword((*[wordBytes]byte)(s.ring[cx][off:]))
+			if !ok {
+				continue
 			}
-			if g == crcRegisterOf(binary.BigEndian.Uint32(ring[off+PayloadBytes:])) {
-				bestCy, bestCx = cy, cx
-				break
-			}
+			// Every later code phase ties with this one (see margin).
+			return phaseCandidate{found: true, res: Result{
+				Payload:     payload,
+				Margin:      margin(votes, bw, bh),
+				PixelPhaseX: px, PixelPhaseY: py,
+				CodePhaseX: cx, CodePhaseY: cy,
+			}}
 		}
 	}
-	if bestCy == tileH {
-		return noCandidate
-	}
-	var payload [PayloadBytes]byte
-	copy(payload[:], s.ring[bestCx][wordBytes-2*bestCy:])
-	// Every later code phase ties with this one (see margin).
-	return phaseCandidate{found: true, res: Result{
-		Payload:     payload,
-		Margin:      margin(votes, bw, bh),
-		PixelPhaseX: px, PixelPhaseY: py,
-		CodePhaseX: bestCx, CodePhaseY: bestCy,
-	}}
-}
-
-// The sweep's rolling CRC works on the CRC-32C register of a payload
-// without its initial value, g(b_0 … b_15) = Σ A^(15-i)(T[b_i]), where
-// T is the table and A(c) = T[byte(c)] ^ c>>8 is one table step on a
-// zero byte: crc32.Checksum of the same bytes is ^(A^16(^0) ^ g), and g
-// is linear in the bytes. Code phase (cy+1, cx) reads the 16 payload
-// bytes two before those of (cy, cx), so its g is that of (cy, cx) with
-// the last two bytes taken off (A undone, the byte XORed back) and two
-// put in front (XOR with A^14 or A^15 of their table entries): four
-// table steps instead of a checksum.
-var (
-	// crcUnstepTab undoes A: A(c) has top byte T[byte(c)]>>24, and that
-	// top byte of T is a different one for every index
-	// (TestCRCRollMatchesChecksum fails otherwise).
-	crcUnstepTab [256]uint32
-	// crcPrepend[j][y] is A^(14+j)(T[y]), the term byte y adds to g in
-	// front of 14+j bytes.
-	crcPrepend [2][256]uint32
-	// crcInit16 is A^16(^0), what the initial value adds to the register
-	// of 16 bytes.
-	crcInit16 uint32
-)
-
-func crcStep(c uint32) uint32 { return castagnoli[byte(c)] ^ c>>8 }
-
-func init() {
-	for k, t := range castagnoli {
-		crcUnstepTab[t>>24] = t<<8 ^ uint32(k)
-	}
-	for y, t := range castagnoli {
-		for i := 0; i < 14; i++ {
-			t = crcStep(t)
-		}
-		crcPrepend[0][y], crcPrepend[1][y] = t, crcStep(t)
-	}
-	crcInit16 = ^uint32(0)
-	for i := 0; i < PayloadBytes; i++ {
-		crcInit16 = crcStep(crcInit16)
-	}
-}
-
-// crcRegister returns g of a 16-byte payload, from one checksum.
-func crcRegister(payload []byte) uint32 {
-	return ^crc32.Checksum(payload, castagnoli) ^ crcInit16
-}
-
-// crcRegisterOf maps a codeword's CRC field onto the g its payload
-// must have.
-func crcRegisterOf(want uint32) uint32 { return ^want ^ crcInit16 }
-
-// crcRoll turns g of w[2:18] into g of w[0:16].
-func crcRoll(g uint32, w []byte) uint32 {
-	_ = w[17]
-	g = g<<8 ^ crcUnstepTab[g>>24] ^ uint32(w[17])
-	g = g<<8 ^ crcUnstepTab[g>>24] ^ uint32(w[16])
-	return g ^ crcPrepend[0][w[1]] ^ crcPrepend[1][w[0]]
+	return noCandidate
 }
 
 // packRows takes the hard decision of every class: bit 15-c of rows[r]

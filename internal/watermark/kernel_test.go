@@ -1,10 +1,8 @@
 package watermark
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -373,41 +371,6 @@ func TestAssembleMatchesSlotOrder(t *testing.T) {
 				if cy == 0 && [wordBytes]byte(ring[:wordBytes]) != want {
 					t.Fatalf("trial %d cx %d: first copy %x, want %x", trial, cx, ring[:wordBytes], want)
 				}
-			}
-		}
-	}
-}
-
-// TestCRCRollMatchesChecksum holds the sweep's rolled CRC register to a
-// fresh crc32.Checksum at every code phase of random rings, and to
-// checkword's verdict on words whose CRC field is right or one bit off.
-func TestCRCRollMatchesChecksum(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		var ring [2 * wordBytes]byte
-		rng.Read(ring[:])
-		if trial%2 == 0 {
-			// Make code phase cy = trial%tileH CRC-valid (maybe flipped).
-			cy := trial / 2 % tileH
-			w := ring[wordBytes-2*cy:]
-			crc := crc32.Checksum(w[:PayloadBytes], castagnoli)
-			if trial%4 == 0 {
-				crc ^= 1 << uint(rng.Intn(32))
-			}
-			binary.BigEndian.PutUint32(w[PayloadBytes:], crc)
-		}
-		g := crcRegister(ring[wordBytes : wordBytes+PayloadBytes])
-		for cy := 0; cy < tileH; cy++ {
-			off := wordBytes - 2*cy
-			if cy > 0 {
-				g = crcRoll(g, ring[off:off+PayloadBytes+2])
-			}
-			if want := crcRegister(ring[off : off+PayloadBytes]); g != want {
-				t.Fatalf("trial %d cy %d: rolled register %08x, want %08x", trial, cy, g, want)
-			}
-			_, ok := checkword((*[wordBytes]byte)(ring[off:]))
-			if got := g == crcRegisterOf(binary.BigEndian.Uint32(ring[off+PayloadBytes:])); got != ok {
-				t.Fatalf("trial %d cy %d: rolled CRC says %v, checkword %v", trial, cy, got, ok)
 			}
 		}
 	}

@@ -100,8 +100,8 @@ func BenchmarkOpClaimCodecBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bp := GetBuf()
-		*bp = EncodeOpReq((*bp)[:0], proof.ID, ledger.OpRevoke, uint64(i), sig)
-		if _, _, _, _, err := DecodeOpReq(decode(*bp, MsgOpReq)); err != nil {
+		*bp = EncodeOpReq((*bp)[:0], proof.ID, ledger.OpRevoke, sig)
+		if _, _, _, err := DecodeOpReq(decode(*bp, MsgOpReq)); err != nil {
 			b.Fatal(err)
 		}
 		*bp = EncodeOpResp((*bp)[:0])

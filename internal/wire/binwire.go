@@ -36,7 +36,7 @@ import (
 //	validate batch resp: 'w' | uvarint n | n × entry
 //	entry:               state u8 | source u8 | displayable u8 |
 //	                     u16 len | proof
-//	op req:              'O' | id[16] | op u8 | uvarint seq | sig[64]
+//	op req:              'O' | id[16] | op u8 | sig[64]
 //	op resp:             'o'
 //	claim req:           'C' | flags u8 | hash[32] | pub[32] | sig[64]
 //	                     (flags: bit 0 custodial, bit 1 revoked at
@@ -462,33 +462,27 @@ const (
 	pubSize  = ed25519.PublicKeySize
 )
 
-// EncodeOpReq encodes a signed owner op request frame onto dst. sig is
-// the frame's last field and goes in as given: a server refuses one
-// that is not 64 bytes.
-func EncodeOpReq(dst []byte, id ids.PhotoID, op ledger.Op, seq uint64, sig []byte) []byte {
+// EncodeOpReq encodes a signed owner op request frame onto dst. sig
+// must be 64 bytes (Client.Apply checks). The frame carries no
+// sequence number: the ledger verifies sig over its record's next one.
+func EncodeOpReq(dst []byte, id ids.PhotoID, op ledger.Op, sig []byte) []byte {
 	start := len(dst)
 	dst = BeginFrame(dst)
 	b := id.Bytes()
 	dst = append(append(dst, MsgOpReq), b[:]...)
-	dst = binary.AppendUvarint(append(dst, byte(op)), seq)
-	dst = append(dst, sig...)
+	dst = append(append(dst, byte(op)), sig...)
 	return FinishFrame(dst, start)
 }
 
 // DecodeOpReq splits an op request payload into its fields; sig
 // aliases payload. The op byte is returned as sent: which ops exist is
 // the server's check, shared with the JSON form.
-func DecodeOpReq(payload []byte) (id ids.PhotoID, op ledger.Op, seq uint64, sig []byte, err error) {
-	const head = 16 + 1 // id, op
-	if len(payload) < head {
-		return id, 0, 0, nil, ErrFrameCorrupt
+func DecodeOpReq(payload []byte) (id ids.PhotoID, op ledger.Op, sig []byte, err error) {
+	const size = 16 + 1 + sigSize // id, op, sig
+	if len(payload) != size {
+		return id, 0, nil, ErrFrameCorrupt
 	}
-	seq, used := binary.Uvarint(payload[head:])
-	if used <= 0 || len(payload) != head+used+sigSize {
-		return id, 0, 0, nil, ErrFrameCorrupt
-	}
-	sig = payload[head+used:]
-	return ids.FromBytes([16]byte(payload[:16])), ledger.Op(payload[16]), seq, sig[:sigSize:sigSize], nil
+	return ids.FromBytes([16]byte(payload[:16])), ledger.Op(payload[16]), payload[17:size:size], nil
 }
 
 // EncodeOpResp encodes the empty op answer frame onto dst.

@@ -416,10 +416,16 @@ func receiptOf(id ids.PhotoID, token, proof []byte) (ledger.Receipt, error) {
 	return ledger.Receipt{ID: id, Timestamp: tok, Proof: p}, nil
 }
 
-// Apply submits a signed revoke/unrevoke.
-func (c *Client) Apply(id ids.PhotoID, op ledger.Op, seq uint64, sig []byte) error {
+// Apply submits a signed revoke/unrevoke. seq is not sent: the ledger
+// verifies sig over its record's next sequence number. A signature that
+// is not 64 bytes is refused before any bytes move, as Claim refuses a
+// mis-sized field.
+func (c *Client) Apply(id ids.PhotoID, op ledger.Op, _ uint64, sig []byte) error {
+	if len(sig) != sigSize {
+		return fmt.Errorf("wire: op needs a %d-byte signature, have %d", sigSize, len(sig))
+	}
 	return c.hop.Exchange("op", "/v1/op",
-		func(dst []byte) []byte { return EncodeOpReq(dst, id, op, seq, sig) }, MsgOpResp, maxBody, DecodeOpResp)
+		func(dst []byte) []byte { return EncodeOpReq(dst, id, op, sig) }, MsgOpResp, maxBody, DecodeOpResp)
 }
 
 // Status validates a claim, returning the parsed signed proof. The

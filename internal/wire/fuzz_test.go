@@ -37,7 +37,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 		EncodeValidateBatchResp(nil, 1, func(int) (byte, byte, bool, *ledger.StatusProof) {
 			return 1, 2, true, proof
 		}),
-		EncodeOpReq(nil, id, ledger.OpRevoke, 300, make([]byte, 64)),
+		EncodeOpReq(nil, id, ledger.OpRevoke, make([]byte, 64)),
 		EncodeOpResp(nil),
 		EncodeClaimReq(nil, &ClaimRequest{ContentHash: make([]byte, 32), PubKey: make([]byte, 32),
 			HashSig: make([]byte, 64), Custodial: true}),
@@ -96,7 +96,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 				_, _ = DecodeValidateBatchResp(p, func(int, ValidateWire) error { return nil })
 			},
 			func(p []byte) {
-				if _, _, _, sig, err := DecodeOpReq(p); err == nil && len(sig) != 64 {
+				if _, _, sig, err := DecodeOpReq(p); err == nil && len(sig) != 64 {
 					t.Fatalf("op request decoded with a %d-byte signature", len(sig))
 				}
 			},

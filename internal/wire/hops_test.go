@@ -170,10 +170,10 @@ func TestStatusBatchClientRefusesOversized(t *testing.T) {
 	}
 }
 
-// TestClaimClientRefusesMisSizedFields: a claim whose hash, key or
-// signature has a size the IRSW1 frame cannot carry fails before any
-// bytes move, instead of reaching the ledger misaligned.
-func TestClaimClientRefusesMisSizedFields(t *testing.T) {
+// TestWriteClientRefusesMisSizedFields: a claim whose hash, key or
+// signature, or an op whose signature, has the wrong size never leaves
+// the client, since the fixed-size IRSW1 fields would misalign.
+func TestWriteClientRefusesMisSizedFields(t *testing.T) {
 	url, hits := countingServer(t, http.StatusBadRequest, wire.ContentTypeJSON, nil)
 	c := wire.NewClient(url, "")
 	for name, req := range map[string]*wire.ClaimRequest{
@@ -183,7 +183,16 @@ func TestClaimClientRefusesMisSizedFields(t *testing.T) {
 		"shifted": {ContentHash: make([]byte, 31), PubKey: make([]byte, 33), HashSig: make([]byte, 64)},
 	} {
 		if _, err := c.Claim(req); err == nil {
-			t.Errorf("%s: claim sent", name)
+			t.Errorf("claim %s: sent", name)
+		}
+	}
+	id, err := ids.New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 63, 65} {
+		if err := c.Apply(id, ledger.OpRevoke, 1, make([]byte, n)); err == nil {
+			t.Errorf("op with a %d-byte signature: sent", n)
 		}
 	}
 	if n := hits.Load(); n != 0 {
@@ -212,7 +221,7 @@ func (fx *hostileFixture) op(op ledger.Op, trim int) []byte {
 	} else {
 		sig = append(sig, make([]byte, trim)...)
 	}
-	return wire.EncodeOpReq(nil, fx.id, op, 1, sig)
+	return wire.EncodeOpReq(nil, fx.id, op, sig)
 }
 
 // claim returns a correctly signed claim of fx.fresh.

@@ -112,7 +112,7 @@ func TestClientAgainstHTMLErrorPage(t *testing.T) {
 	// A misconfigured reverse proxy answering 502 with HTML.
 	srv := hostileServer(t, http.StatusBadGateway, "text/html", "<html>bad gateway</html>", nil)
 	c := NewClient(srv.URL, "")
-	err := c.Apply(hostileID(t), ledger.OpRevoke, 1, []byte("sig"))
+	err := c.Apply(hostileID(t), ledger.OpRevoke, 1, make([]byte, 64))
 	if err == nil {
 		t.Fatal("502 HTML accepted")
 	}

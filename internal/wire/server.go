@@ -300,7 +300,7 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 		bp, payload, err := readMsg(r.Body, MsgOpReq)
 		if err == nil {
 			defer PutBuf(bp)
-			id, op, _, sig, err = DecodeOpReq(payload)
+			id, op, sig, err = DecodeOpReq(payload)
 		}
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, err.Error())

@@ -149,7 +149,9 @@ type OpRequest struct {
 	ID string `json:"id"`
 	// Op is 1 (revoke) or 2 (unrevoke), matching ledger.Op.
 	Op int `json:"op"`
-	// Seq is the operation sequence the signature covers.
+	// Seq is the operation sequence the signature covers. The server
+	// does not read it: the ledger verifies against the record's next
+	// sequence, and the IRSW1 op frame has no such field.
 	Seq uint64 `json:"seq"`
 	// Sig is the signature over ledger.OpMsg(id, op, seq).
 	Sig []byte `json:"sig"`

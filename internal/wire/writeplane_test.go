@@ -18,12 +18,13 @@ import (
 	"irs/internal/tsa"
 )
 
-// twinLedger returns a ledger that answers like every other twinLedger
-// of the same policy: one identifier, clock, id stream and key stream.
+// twinLedger returns a ledger that issues the same identifiers as
+// every other twinLedger of the same policy: one ledger id, clock and
+// id stream. Its keys are its own.
 func twinLedger(t *testing.T, nonRevocable bool) *ledger.Ledger {
 	t.Helper()
 	l, err := ledger.New(ledger.Config{ID: 7, Clock: fixedClock, NonRevocable: nonRevocable,
-		Rand: mrand.New(mrand.NewSource(1)), Keys: mrand.New(mrand.NewSource(2))})
+		Rand: mrand.New(mrand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +40,7 @@ type writeDiff struct {
 	jl, bl  *ledger.Ledger
 	jsonURL string
 	bin     *Client
+	claimed []ids.PhotoID
 }
 
 func newWriteDiff(t *testing.T, nonRevocable bool) *writeDiff {
@@ -92,7 +94,8 @@ func (d *writeDiff) sameError(name string, code int, jerr, berr error) {
 }
 
 // claim registers req both ways, wants code, and on success returns the
-// receipt, the same from both.
+// IRSW1 receipt, which must match the JSON one but for the signatures,
+// each of which must verify against its own ledger's keys.
 func (d *writeDiff) claim(name string, req *ClaimRequest, code int) ledger.Receipt {
 	d.t.Helper()
 	raw, jerr := d.postJSON("/v1/claim", req)
@@ -101,14 +104,53 @@ func (d *writeDiff) claim(name string, req *ClaimRequest, code int) ledger.Recei
 	if code != 0 || jerr != nil || berr != nil {
 		return ledger.Receipt{}
 	}
-	// Today's JSON answer, byte for byte, of the receipt IRSW1 carried.
-	want, err := json.Marshal(&ClaimResponse{ID: brc.ID.String(), Timestamp: brc.Timestamp.Marshal(), Proof: brc.Proof.Marshal()})
+	// The JSON answer is today's encoding of its receipt, byte for byte.
+	var resp ClaimResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		d.t.Fatalf("%s: JSON answer %q: %v", name, raw, err)
+	}
+	jid, err := ids.Parse(resp.ID)
+	if err != nil {
+		d.t.Fatalf("%s: JSON answer id: %v", name, err)
+	}
+	jrc, err := receiptOf(jid, resp.Timestamp, resp.Proof)
+	if err != nil {
+		d.t.Fatalf("%s: JSON answer: %v", name, err)
+	}
+	jresp := &ClaimResponse{ID: jrc.ID.String(), Timestamp: jrc.Timestamp.Marshal()}
+	if jrc.Proof != nil {
+		jresp.Proof = jrc.Proof.Marshal()
+	}
+	want, err := json.Marshal(jresp)
 	if err != nil {
 		d.t.Fatal(err)
 	}
 	if !bytes.Equal(raw, append(want, '\n')) {
-		d.t.Errorf("%s: JSON answer\n%s\ndiffers from the IRSW1 receipt's\n%s", name, raw, want)
+		d.t.Errorf("%s: JSON answer\n%s\nis not the encoding of its receipt\n%s", name, raw, want)
 	}
+
+	jt, bt := jrc.Timestamp, brc.Timestamp
+	if jrc.ID != brc.ID || jt.Serial != bt.Serial || !jt.Time.Equal(bt.Time) || jt.Digest != bt.Digest {
+		d.t.Errorf("%s: receipts differ: JSON %v %+v, IRSW1 %v %+v", name, jrc.ID, jt, brc.ID, bt)
+	}
+	jp, bp := jrc.Proof, brc.Proof
+	if (jp == nil) != (bp == nil) || jp != nil && (jp.ID != bp.ID || jp.State != bp.State || !jp.IssuedAt.Equal(bp.IssuedAt)) {
+		d.t.Errorf("%s: proofs differ: JSON %+v, IRSW1 %+v", name, jp, bp)
+	}
+	for _, s := range []struct {
+		l  *ledger.Ledger
+		rc ledger.Receipt
+	}{{d.jl, jrc}, {d.bl, brc}} {
+		if err := tsa.Verify(s.l.TimestampKey(), s.rc.Timestamp); err != nil {
+			d.t.Errorf("%s: token: %v", name, err)
+		}
+		if s.rc.Proof != nil {
+			if err := ledger.VerifyProof(s.l.SigningKey(), s.rc.Proof, fixedClock(), 0); err != nil {
+				d.t.Errorf("%s: proof: %v", name, err)
+			}
+		}
+	}
+	d.claimed = append(d.claimed, brc.ID)
 	return brc
 }
 
@@ -123,13 +165,28 @@ func (d *writeDiff) op(name string, id ids.PhotoID, op ledger.Op, seq uint64, si
 	}
 }
 
-// sameState fails unless the twins' claim state is identical.
+// sameState fails unless the twins hold the same claims, record for
+// record: content hash, owner key and signature, timestamp (but for
+// its signature), state, op sequence and custody.
 func (d *writeDiff) sameState() {
 	d.t.Helper()
-	jh, jerr := d.jl.StateHash()
-	bh, berr := d.bl.StateHash()
-	if jerr != nil || berr != nil || jh != bh {
-		d.t.Errorf("state hashes differ: JSON %x (%v), IRSW1 %x (%v)", jh, jerr, bh, berr)
+	jc, jr := d.jl.Count()
+	bc, br := d.bl.Count()
+	if jc != bc || jr != br || jc != len(d.claimed) {
+		d.t.Errorf("counts differ: JSON %d claims, %d revoked; IRSW1 %d, %d; %d claimed", jc, jr, bc, br, len(d.claimed))
+	}
+	for _, id := range d.claimed {
+		j, jerr := d.jl.Record(id)
+		b, berr := d.bl.Record(id)
+		if jerr != nil || berr != nil {
+			d.t.Fatalf("record %v: %v (JSON), %v (IRSW1)", id, jerr, berr)
+		}
+		jt, bt := j.Timestamp, b.Timestamp
+		if j.ContentHash != b.ContentHash || !bytes.Equal(j.PubKey, b.PubKey) || !bytes.Equal(j.HashSig, b.HashSig) ||
+			j.State != b.State || j.OpSeq != b.OpSeq || j.Custodial != b.Custodial ||
+			jt.Serial != bt.Serial || !jt.Time.Equal(bt.Time) || jt.Digest != bt.Digest {
+			d.t.Errorf("record %v differs:\nJSON  %+v\nIRSW1 %+v", id, j, b)
+		}
 	}
 }
 
@@ -146,9 +203,9 @@ func (k keypair) signOp(id ids.PhotoID, op ledger.Op, seq uint64) []byte {
 
 // TestWritePlaneJSONMatchesIRSW1: the same claims and owner ops, sent
 // as JSON to one ledger and as IRSW1 to its twin, leave the same claim
-// state, give the same receipts (identifier, timestamp token and proof
-// bytes, the JSON answer byte for byte what it was), and fail with the
-// same wire error: a bad signature, an unknown identifier, a stale
+// records, give the same receipts (identifier, timestamp token and proof
+// fields, each signature verifying against its own ledger; the JSON
+// answer byte for byte what it was), and fail with the same wire error: a bad signature, an unknown identifier, a stale
 // sequence, a permanent revocation and a non-revocable ledger.
 func TestWritePlaneJSONMatchesIRSW1(t *testing.T) {
 	d := newWriteDiff(t, false)
@@ -235,7 +292,7 @@ func TestWriteRoutesKeepNothingOfPooledBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, usedOp := serve("/v1/op", EncodeOpReq(nil, id, ledger.OpRevoke, 1, k.signOp(id, ledger.OpRevoke, 1)))
+		_, usedOp := serve("/v1/op", EncodeOpReq(nil, id, ledger.OpRevoke, k.signOp(id, ledger.OpRevoke, 1)))
 		if usedClaim || usedOp {
 			scribbled++
 		}
@@ -263,13 +320,13 @@ func TestWriteFrameRoundtrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	sig := bytes.Repeat([]byte{7}, 64)
-	kind, payload, err := DecodeMsg(EncodeOpReq(nil, id, ledger.OpUnrevoke, 1<<40, sig), MaxFramePayload)
+	kind, payload, err := DecodeMsg(EncodeOpReq(nil, id, ledger.OpUnrevoke, sig), MaxFramePayload)
 	if err != nil || kind != MsgOpReq {
 		t.Fatalf("op req: kind %c err %v", kind, err)
 	}
-	gid, op, seq, gsig, err := DecodeOpReq(payload)
-	if err != nil || gid != id || op != ledger.OpUnrevoke || seq != 1<<40 || !bytes.Equal(gsig, sig) {
-		t.Fatalf("op req roundtrip: %v %v %d %x %v", gid, op, seq, gsig, err)
+	gid, op, gsig, err := DecodeOpReq(payload)
+	if err != nil || gid != id || op != ledger.OpUnrevoke || !bytes.Equal(gsig, sig) {
+		t.Fatalf("op req roundtrip: %v %v %x %v", gid, op, gsig, err)
 	}
 	if kind, payload, err = DecodeMsg(EncodeOpResp(nil), MaxFramePayload); err != nil || kind != MsgOpResp || DecodeOpResp(payload) != nil {
 		t.Fatalf("op resp: kind %c err %v", kind, err)

@@ -85,8 +85,7 @@ go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMix
     ./internal/ledger ./internal/wire
 
 # Watermark reader: the single-coefficient DCT kernels against
-# Forward8, the sweep's rolled CRC against a fresh checksum at every
-# code phase, and the sliding kernel + CRC-first sweep against the
+# Forward8, and the sliding kernel + CRC-first sweep against the
 # retained full-transform per-phase scan (all 64 pixel phases, the E6
 # transform matrix, worker counts 1/2/4/8); and the writer: AddBasis8
 # against the Forward8/Inverse8 round trip, Embed and Erase against the
@@ -97,7 +96,7 @@ go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMix
 # -race; then ten seconds each of the reader's size/crop and the
 # writer's seed/size fuzz target, whose committed corpus replays the
 # twin finding.
-go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|CRCRollMatchesChecksum|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance|EmbedMatchesReference|TwinPayloadsReadBack|EmbedGolden' \
+go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|SearchPixelPhaseBitIdentical|ExtractMatchesReference|AssembleMatchesSlotOrder|EmbedExtractWorkerInvariance|EmbedMatchesReference|TwinPayloadsReadBack|EmbedGolden' \
     ./internal/dct ./internal/watermark
 go test -run='^$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s ./internal/watermark
 go test -run='^$' -fuzz=FuzzEmbedMatchesReference -fuzztime=10s ./internal/watermark
@@ -229,9 +228,9 @@ go test -run='^$' -fuzz=FuzzHistogramObserve -fuzztime=10s ./internal/obs
 # With them the write plane: the same claims and ops as JSON and as
 # IRSW1 on twin ledgers (state, receipts and wire errors alike), the
 # in-place decode that keeps nothing of the pooled body, the op and
-# claim frame roundtrips, and a claim the frame cannot carry refused
-# before it is sent. All named under the race detector.
-go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|ClaimClientRefusesMisSizedFields' \
+# claim frame roundtrips, and a claim or op the frame cannot carry
+# refused before it is sent. All named under the race detector.
+go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields' \
     ./internal/wire ./internal/proxy
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
