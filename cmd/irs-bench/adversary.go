@@ -420,7 +420,6 @@ func advHerdOnce(cfg adversaryConfig, backend *serveLedger, celebrity ids.PhotoI
 	v := proxy.NewValidator(proxy.Config{
 		CacheCapacity: cfg.HerdIDs * 2,
 		CacheTTL:      time.Minute,
-		Stripes:       16,
 		Clock:         func() time.Time { return now },
 	}, func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		return svc.StatusBatch(page)
@@ -523,7 +522,7 @@ func runAdvHerd(cfg adversaryConfig, report *advReport) error {
 	backend, err := setupServeLedger(serveConfig{
 		Workers: 1, IDs: cfg.HerdIDs, Batch: 64, Pages: 1,
 		Revoked: 0.1, Zipf: 1.1, Seed: cfg.Seed ^ 0x4e2d,
-	}, 0)
+	})
 	if err != nil {
 		return err
 	}
@@ -618,7 +617,6 @@ func advStampedeOnce(cfg adversaryConfig, backend *serveLedger, truth map[ids.Ph
 	v := proxy.NewValidator(proxy.Config{
 		CacheCapacity: cfg.StampedeIDs * 2,
 		CacheTTL:      time.Minute,
-		Stripes:       16,
 		Clock:         func() time.Time { return now },
 		Admission:     adm,
 	}, func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
@@ -747,7 +745,7 @@ func runAdvStampede(cfg adversaryConfig, report *advReport) error {
 	backend, err := setupServeLedger(serveConfig{
 		Workers: 1, IDs: cfg.StampedeIDs, Batch: cfg.StampedeBatch, Pages: 1,
 		Revoked: 0.1, Zipf: 1.1, Seed: cfg.Seed ^ 0x57a3,
-	}, 0)
+	})
 	if err != nil {
 		return err
 	}

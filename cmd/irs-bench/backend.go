@@ -41,12 +41,11 @@ type serveLedger struct {
 }
 
 // setupServeLedger claims cfg.IDs photos (a deterministic fraction
-// revoked at birth) on a ledger with the given shard count.
-func setupServeLedger(cfg serveConfig, shards int) (*serveLedger, error) {
+// revoked at birth) on an in-memory ledger.
+func setupServeLedger(cfg serveConfig) (*serveLedger, error) {
 	l, err := ledger.New(ledger.Config{
-		ID:     1,
-		Shards: shards,
-		Rand:   rand.New(rand.NewSource(cfg.Seed ^ 0x5e21)),
+		ID:   1,
+		Rand: rand.New(rand.NewSource(cfg.Seed ^ 0x5e21)),
 	})
 	if err != nil {
 		return nil, err

@@ -199,7 +199,6 @@ func runChaosOnce(cfg chaosConfig, backend *serveLedger, spec chaosSpec, truth m
 	v := proxy.NewValidator(proxy.Config{
 		CacheCapacity: cfg.IDs * 2,
 		CacheTTL:      cacheTTL,
-		Stripes:       16,
 		Degrade:       proxy.DegradePolicy{Mode: spec.degrade, StaleTTL: time.Hour},
 		Breaker:       proxy.BreakerConfig{Enabled: spec.breaker, FailureThreshold: 5, Cooldown: 5 * time.Second},
 		Clock:         clock,
@@ -426,7 +425,7 @@ func runChaosArm(cfg chaosConfig, backend *serveLedger, spec chaosSpec, truth ma
 
 // runChaos executes every posture and writes the report.
 func runChaos(cfg chaosConfig) error {
-	backend, err := setupServeLedger(cfg.serveConfig(), 0)
+	backend, err := setupServeLedger(cfg.serveConfig())
 	if err != nil {
 		return err
 	}

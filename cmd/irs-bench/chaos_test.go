@@ -32,7 +32,7 @@ func TestChaosObsDeterminism(t *testing.T) {
 				Outage:  0.25,
 				Seed:    42,
 			}
-			backend, err := setupServeLedger(cfg.serveConfig(), 0)
+			backend, err := setupServeLedger(cfg.serveConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -479,27 +479,30 @@ func (a *Aggregator) revalidate(id ids.PhotoID) error {
 // claim is still active, take the photo down otherwise. Takedowns also
 // drop the photo's hash-DB entries — a removed photo must stop
 // resolving derivative lookups, or its identifier keeps denying
-// re-uploads of its derivatives forever.
-func (a *Aggregator) applyRecheck(id ids.PhotoID, proof *ledger.StatusProof) {
+// re-uploads of its derivatives forever. It reports whether this call
+// took the photo down.
+func (a *Aggregator) applyRecheck(id ids.PhotoID, proof *ledger.StatusProof) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.metrics.Rechecks++
 	h, ok := a.photos[id]
 	if !ok {
-		return
+		return false
 	}
 	if proof.State != ledger.StateActive {
 		delete(a.photos, id)
 		a.hashIdx.Remove(id)
 		a.metrics.TakenDown++
-		return
+		return true
 	}
 	h.proof = proof
 	h.checkedAt = a.clock()
+	return false
 }
 
 // RecheckAll revalidates every hosted photo — the periodic pass §3.2
-// prescribes. Returns how many photos were taken down.
+// prescribes. Returns how many photos the pass itself took down: a
+// TakeDown or a Serve revalidation landing meanwhile is not counted.
 //
 // Identifiers are grouped per ledger into StatusBatch requests of at
 // most wire.MaxStatusBatch and fanned out across the worker pool, so a
@@ -534,18 +537,17 @@ func (a *Aggregator) RecheckAll() (takenDown int, err error) {
 		batches = append(batches, idsToCheck[start:end])
 		start = end
 	}
-	before := a.MetricsSnapshot().TakenDown
 	proofs, firstErr := parallel.MapErr(batches, func(_ int, b []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		return a.statusBatch(b)
 	})
 	for bi, batchProofs := range proofs {
 		for pi, proof := range batchProofs {
-			if proof != nil {
-				a.applyRecheck(batches[bi][pi], proof)
+			if proof != nil && a.applyRecheck(batches[bi][pi], proof) {
+				takenDown++
 			}
 		}
 	}
-	return int(a.MetricsSnapshot().TakenDown - before), firstErr
+	return takenDown, firstErr
 }
 
 // Hosted returns a metadata-free clone of a hosted photo's pixels, for

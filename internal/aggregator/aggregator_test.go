@@ -383,6 +383,50 @@ func TestRecheckTakesDownRevoked(t *testing.T) {
 	}
 }
 
+// takeDownFirst answers StatusBatch only after taking another photo
+// down, as a site-level appeal landing mid-pass would.
+type takeDownFirst struct {
+	wire.Service
+	agg   *Aggregator
+	other ids.PhotoID
+}
+
+func (s *takeDownFirst) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+	s.agg.TakeDown(s.other)
+	return s.Service.StatusBatch(batch)
+}
+
+// TestRecheckCountsOnlyItsOwnTakedowns: RecheckAll reports the photos
+// its own pass removed, not every takedown that lands while it runs.
+func TestRecheckCountsOnlyItsOwnTakedowns(t *testing.T) {
+	r := newRig(t, RejectUnlabeled, nil)
+	var hosted []ids.PhotoID
+	for seed := int64(30); seed < 32; seed++ {
+		labeled, owned, err := r.cam.ClaimAndLabel(r.cam.Shoot(seed, 192, 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := r.agg.Upload(labeled); err != nil || !res.Accepted {
+			t.Fatalf("upload: %+v %v", res, err)
+		}
+		hosted = append(hosted, owned.ID)
+	}
+	if err := r.cam.Revoke(hosted[0]); err != nil {
+		t.Fatal(err)
+	}
+	r.dir.Register(1, &takeDownFirst{Service: &wire.Loopback{L: r.ownerLedger}, agg: r.agg, other: hosted[1]})
+	down, err := r.agg.RecheckAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if down != 1 {
+		t.Errorf("RecheckAll reported %d takedowns, want 1 (the revoked photo; the other was an appeal's)", down)
+	}
+	if got := r.agg.MetricsSnapshot().TakenDown; got != 2 {
+		t.Errorf("TakenDown metric %d, want 2", got)
+	}
+}
+
 func TestServeRevalidatesStaleProof(t *testing.T) {
 	now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }

@@ -8,15 +8,14 @@
 // on ledgers by a factor of fifty."
 //
 // Filter is the classic Bloom filter the paper sizes its argument
-// around. It supports incremental Add, OR-union across ledgers, exact
-// serialization, and delta-encoded updates (delta.go) for the hourly
-// refresh the paper proposes, served from numbered epochs (window.go). (The xor and cache-line-blocked designs
-// the paper cites as "recent advances" live beside their one caller,
+// around. It supports incremental Add, exact serialization, and
+// delta-encoded updates (delta.go) for the hourly refresh the paper
+// proposes, served from numbered epochs (window.go). (The xor and
+// cache-line-blocked designs the paper cites as "recent advances" live beside their one caller,
 // the filter ablation in internal/expt.)
 //
 // Filters consume pre-hashed 64-bit keys. Callers fold larger
-// identifiers (e.g. the 128-bit ids.PhotoID) with Fold or hash raw bytes
-// with KeyBytes.
+// identifiers (e.g. the 128-bit ids.PhotoID) with Fold.
 package bloom
 
 import (
@@ -24,7 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -37,11 +35,6 @@ import (
 func Fold(hi, lo uint64) uint64 {
 	return parallel.SplitMix64(hi ^ bits.RotateLeft64(lo, 32))
 }
-
-var keySeed = maphash.MakeSeed()
-
-// KeyBytes hashes an arbitrary byte string into the filter key space.
-func KeyBytes(b []byte) uint64 { return maphash.Bytes(keySeed, b) }
 
 // Filter is a standard Bloom filter with k hash functions over m bits,
 // using Kirsch–Mitzenmacher double hashing. The zero value is unusable;
@@ -143,19 +136,6 @@ func (f *Filter) addNoCount(key uint64) {
 	}
 }
 
-// TestAll probes a batch of keys across the worker pool, returning
-// per-key results in input order. The filter must not be mutated
-// concurrently.
-func (f *Filter) TestAll(keys []uint64) []bool {
-	out := make([]bool, len(keys))
-	parallel.ForChunks(len(keys), addAllChunk, func(_, lo, hi int) {
-		for i, key := range keys[lo:hi] {
-			out[lo+i] = f.Test(key)
-		}
-	})
-	return out
-}
-
 // CountHits returns how many keys of the batch the filter reports as
 // present — the probe loop of the filter-sizing experiments, with the
 // per-chunk tallies combined in chunk order.
@@ -212,12 +192,6 @@ func (f *Filter) FillRatio() float64 {
 	return float64(set) / float64(f.m)
 }
 
-// EstimatedFPR returns the false-positive rate implied by the current
-// fill ratio: fill^k.
-func (f *Filter) EstimatedFPR() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
-}
-
 // TheoreticalFPR returns the design-time false-positive rate for a filter
 // of m bits and k hashes holding n keys: (1 - e^{-kn/m})^k. E1 uses this
 // to extrapolate to the paper's 1 GB / 10⁹ operating point.
@@ -229,34 +203,11 @@ func TheoreticalFPR(m uint64, k int, n uint64) float64 {
 // different parameters.
 var ErrMismatch = errors.New("bloom: filter parameters mismatch")
 
-// Union ORs other into f — the proxy-side aggregation across ledgers
-// (§4.4: "take the OR of all ledger Bloom filters"). Both filters must
-// share m and k. The population estimate becomes the sum (an upper
-// bound; overlap is not measurable).
-func (f *Filter) Union(other *Filter) error {
-	if f.m != other.m || f.k != other.k {
-		return ErrMismatch
-	}
-	for i, w := range other.bits {
-		f.bits[i] |= w
-	}
-	f.n += other.n
-	return nil
-}
-
 // Clone returns a deep copy.
 func (f *Filter) Clone() *Filter {
 	out := &Filter{m: f.m, k: f.k, n: f.n, bits: make([]uint64, len(f.bits))}
 	copy(out.bits, f.bits)
 	return out
-}
-
-// Reset clears the filter in place.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.n = 0
 }
 
 // Hash returns the SHA-256 of the filter's parameters and bit array.

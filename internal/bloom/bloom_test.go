@@ -88,39 +88,6 @@ func TestTheoreticalFPRPaperPoint(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a, err := New(1<<14, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(1<<14, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 100; i++ {
-		a.Add(i)
-		b.Add(1000 + i)
-	}
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 100; i++ {
-		if !a.Test(i) || !a.Test(1000+i) {
-			t.Fatalf("union missing key %d", i)
-		}
-	}
-	if a.N() != 200 {
-		t.Errorf("union N = %d, want 200", a.N())
-	}
-	c, err := New(1<<13, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Union(c); err != ErrMismatch {
-		t.Errorf("mismatched union: got %v, want ErrMismatch", err)
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	f, err := NewWithEstimate(500, 0.01)
 	if err != nil {
@@ -164,7 +131,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCloneAndReset(t *testing.T) {
+func TestClone(t *testing.T) {
 	f, err := New(1<<10, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -175,9 +142,8 @@ func TestCloneAndReset(t *testing.T) {
 	if f.Test(2) {
 		t.Error("clone shares bits")
 	}
-	f.Reset()
-	if f.Test(1) || f.N() != 0 || f.FillRatio() != 0 {
-		t.Error("reset incomplete")
+	if !c.Test(1) || c.N() != 2 {
+		t.Error("clone lost the original's key or count")
 	}
 }
 
@@ -193,7 +159,8 @@ func TestFillRatioAndEstimatedFPR(t *testing.T) {
 	if fill < 0.4 || fill > 0.6 {
 		t.Errorf("fill ratio %.3f, want ~0.5 at design load", fill)
 	}
-	est := f.EstimatedFPR()
+	// The false-positive rate the fill implies, fill^k.
+	est := math.Pow(fill, float64(f.K()))
 	if est < 0.005 || est > 0.06 {
 		t.Errorf("estimated FPR %.4f, want near 0.02", est)
 	}
@@ -205,17 +172,6 @@ func TestFold(t *testing.T) {
 	}
 	if Fold(0, 0) == Fold(0, 1) {
 		t.Error("Fold ignores lo")
-	}
-}
-
-func TestKeyBytesStable(t *testing.T) {
-	a := KeyBytes([]byte("hello"))
-	b := KeyBytes([]byte("hello"))
-	if a != b {
-		t.Error("KeyBytes not stable within a process")
-	}
-	if a == KeyBytes([]byte("world")) {
-		t.Error("distinct strings collided (astronomically unlikely)")
 	}
 }
 
@@ -235,43 +191,6 @@ func TestQuickNoFalseNegatives(t *testing.T) {
 		}
 		for _, k := range keys {
 			if !fl.Test(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: union contains everything either filter contains.
-func TestQuickUnionSuperset(t *testing.T) {
-	f := func(a, b []uint64) bool {
-		fa, err := New(1<<12, 4)
-		if err != nil {
-			return false
-		}
-		fb, err := New(1<<12, 4)
-		if err != nil {
-			return false
-		}
-		for _, k := range a {
-			fa.Add(k)
-		}
-		for _, k := range b {
-			fb.Add(k)
-		}
-		if err := fa.Union(fb); err != nil {
-			return false
-		}
-		for _, k := range a {
-			if !fa.Test(k) {
-				return false
-			}
-		}
-		for _, k := range b {
-			if !fa.Test(k) {
 				return false
 			}
 		}

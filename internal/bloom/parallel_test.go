@@ -40,8 +40,8 @@ func TestAddAllMatchesSerialAdd(t *testing.T) {
 	}
 }
 
-// TestTestAllAndCountHits checks batch probes against element-wise Test.
-func TestTestAllAndCountHits(t *testing.T) {
+// TestCountHits checks the batch probe count against element-wise Test.
+func TestCountHits(t *testing.T) {
 	prev := parallel.SetWorkers(8)
 	defer parallel.SetWorkers(prev)
 	f, err := NewWithEstimate(10_000, 0.02)
@@ -57,21 +57,16 @@ func TestTestAllAndCountHits(t *testing.T) {
 	for i := range probes {
 		probes[i] = parallel.SplitMix64(uint64(i) + 5_000) // half members, half not
 	}
-	got := f.TestAll(probes)
 	hits := 0
-	for i, key := range probes {
-		want := f.Test(key)
-		if got[i] != want {
-			t.Fatalf("TestAll[%d] = %v, Test = %v", i, got[i], want)
-		}
-		if want {
+	for _, key := range probes {
+		if f.Test(key) {
 			hits++
 		}
 	}
 	if c := f.CountHits(probes); c != hits {
 		t.Errorf("CountHits = %d, want %d", c, hits)
 	}
-	if len(f.TestAll(nil)) != 0 || f.CountHits(nil) != 0 {
+	if f.CountHits(nil) != 0 {
 		t.Error("empty batch mishandled")
 	}
 }

@@ -266,14 +266,6 @@ func Load(p PagePlan, mode Mode, connections int) LoadResult {
 	return res
 }
 
-// Overhead evaluates the plan under baseline and mode, returning the
-// added full-render delay (never negative: both runs share all draws).
-func Overhead(p PagePlan, mode Mode, connections int) time.Duration {
-	base := Load(p, ModeOff, connections)
-	with := Load(p, mode, connections)
-	return with.FullRender - base.FullRender
-}
-
 // PinterestSpec is the photo-heavy page model of §4.3's overlap claim:
 // dozens of images whose bodies take 300 ms–1.2 s to transfer with
 // metadata in the first 50 ms. The slowest-to-slack image has

@@ -106,12 +106,18 @@ func TestConnectionPoolQueueing(t *testing.T) {
 	}
 }
 
+// overhead is the full-render delay mode adds to the plan's baseline
+// load (never negative: both runs share all draws).
+func overhead(p PagePlan, mode Mode, connections int) time.Duration {
+	return Load(p, mode, connections).FullRender - Load(p, ModeOff, connections).FullRender
+}
+
 func TestOverheadNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	spec := PinterestSpec(netsim.Fixed(150 * time.Millisecond))
 	for i := 0; i < 50; i++ {
 		p := spec.Sample(rng)
-		if d := Overhead(p, ModePipelined, 6); d < 0 {
+		if d := overhead(p, ModePipelined, 6); d < 0 {
 			t.Fatalf("negative overhead %v", d)
 		}
 	}
@@ -128,7 +134,7 @@ func TestPinterestZeroDelayCrossover(t *testing.T) {
 		if r.CheckStalled != 0 {
 			t.Fatalf("check at 240ms stalled %d images", r.CheckStalled)
 		}
-		if Overhead(p, ModePipelined, 6) != 0 {
+		if overhead(p, ModePipelined, 6) != 0 {
 			t.Fatalf("check at 240ms added render delay")
 		}
 	}

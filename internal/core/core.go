@@ -203,10 +203,6 @@ func (s *System) serve(h http.Handler) (string, error) {
 	return "http://" + ln.Addr().String(), nil
 }
 
-// ProxyQueries reports how many validations reached the proxy — the
-// quantity the §4.4 browser-resident filter reduces.
-func (s *System) ProxyQueries() uint64 { return s.proxy.Validator().Stats().Total }
-
 // Close shuts down the HTTP listeners, proxy first, letting requests in
 // flight finish, then closes the ledgers.
 func (s *System) Close() error {
@@ -271,7 +267,9 @@ func (s *System) NewAggregator(cfg aggregator.Config, custodialLedger ids.Ledger
 
 // NewAdjudicator creates the appeals adjudicator for claims on the given
 // local ledger, trusting every ledger in the directory as a timestamp
-// source (remote ones answer with their keys over the wire).
+// source (remote ones answer with their keys over the wire). An entry
+// whose keys name another ledger is refused: its timestamps are not
+// that ledger's evidence.
 func (s *System) NewAdjudicator(ledgerID ids.LedgerID, review appeals.ReviewFunc) (*appeals.Adjudicator, error) {
 	l, err := s.Ledger(ledgerID)
 	if err != nil {
@@ -282,6 +280,9 @@ func (s *System) NewAdjudicator(ledgerID ids.LedgerID, review appeals.ReviewFunc
 		keys, err := svc.Keys()
 		if err != nil {
 			return nil, fmt.Errorf("core: keys of ledger %d at %s: %w", id, s.urls[id], err)
+		}
+		if ids.LedgerID(keys.LedgerID) != id {
+			return nil, fmt.Errorf("core: ledger %d at %s answers with the keys of ledger %d", id, s.urls[id], keys.LedgerID)
 		}
 		adj.TrustLedger(id, keys.TimestampKey)
 	}

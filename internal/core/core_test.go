@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -277,6 +278,21 @@ func TestFullPipelineWithAggregatorAndAppeal(t *testing.T) {
 	}
 }
 
+// TestAdjudicatorRefusesMislabeledLedger: a directory entry for ledger
+// 2 that points at ledger 3 must not make ledger 3's timestamps count
+// as ledger 2's evidence.
+func TestAdjudicatorRefusesMislabeledLedger(t *testing.T) {
+	three := build(t, Spec{Ledgers: []ledger.Config{{ID: 3}}, HTTP: true})
+	s := build(t, Spec{Ledgers: []ledger.Config{{ID: 1}}, Remote: Endpoints{2: three.URL(3)}})
+	_, err := s.NewAdjudicator(1, nil)
+	if err == nil {
+		t.Fatal("adjudicator trusted ledger 3's keys as ledger 2's")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "ledger 2") || !strings.Contains(msg, "ledger 3") {
+		t.Errorf("error %q does not name both ledgers", msg)
+	}
+}
+
 func TestPersistentSystemRecovers(t *testing.T) {
 	dir := t.TempDir()
 	var savedID ids.PhotoID
@@ -350,7 +366,7 @@ func TestBrowserResidentFilter(t *testing.T) {
 			t.Fatalf("active view blocked: %+v", dec)
 		}
 	}
-	if q := s.ProxyQueries(); q != 0 {
+	if q := s.Proxy().Validator().Stats().Total; q != 0 {
 		t.Errorf("active views reached the proxy %d times; browser filter should absorb them", q)
 	}
 	// The revoked photo hits the browser filter and goes through the
@@ -359,7 +375,7 @@ func TestBrowserResidentFilter(t *testing.T) {
 	if dec.Display {
 		t.Fatalf("revoked photo displayed: %+v", dec)
 	}
-	if q := s.ProxyQueries(); q == 0 {
+	if q := s.Proxy().Validator().Stats().Total; q == 0 {
 		t.Error("revoked view never reached the proxy")
 	}
 }

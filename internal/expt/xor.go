@@ -166,18 +166,6 @@ func buildXor8(keys []uint64) (*xor8, error) {
 	return nil, fmt.Errorf("%w after 100 seeds (duplicate keys?)", errBuildFailed)
 }
 
-// ContainsAll probes a batch of keys across the worker pool, returning
-// per-key results in input order.
-func (x *xor8) ContainsAll(keys []uint64) []bool {
-	out := make([]bool, len(keys))
-	parallel.ForChunks(len(keys), xorHashChunk, func(_, lo, hi int) {
-		for i, key := range keys[lo:hi] {
-			out[lo+i] = x.Contains(key)
-		}
-	})
-	return out
-}
-
 // Contains reports whether key may be in the set (false positives at
 // ~1/256, never false negatives for built keys).
 func (x *xor8) Contains(key uint64) bool {

@@ -114,8 +114,8 @@ func TestBuildXor8WorkerInvariance(t *testing.T) {
 			t.Errorf("workers=%d: filter differs from serial build", w)
 		}
 	}
-	for i, ok := range base.ContainsAll(keys) {
-		if !ok {
+	for i, key := range keys {
+		if !base.Contains(key) {
 			t.Fatalf("built key %d reported absent", i)
 		}
 	}

@@ -35,11 +35,6 @@ type PhotoID struct {
 	Rec [12]byte
 }
 
-// Zero reports whether p is the never-issued zero identifier.
-func (p PhotoID) Zero() bool {
-	return p.Ledger == 0 && p.Rec == [12]byte{}
-}
-
 // Bytes returns the 16-byte big-endian encoding of p.
 func (p PhotoID) Bytes() [16]byte {
 	var b [16]byte

@@ -24,16 +24,13 @@ func TestNewIsUnique(t *testing.T) {
 }
 
 func TestZero(t *testing.T) {
-	var z PhotoID
-	if !z.Zero() {
-		t.Error("zero value should report Zero")
-	}
+	// The zero identifier is never issued.
 	id, err := New(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id.Zero() {
-		t.Error("issued id should not report Zero")
+	if id == (PhotoID{}) {
+		t.Error("New issued the zero id")
 	}
 }
 

@@ -6,7 +6,6 @@
 package integration
 
 import (
-	"crypto/ed25519"
 	"net"
 	"net/http"
 	"testing"
@@ -20,7 +19,6 @@ import (
 	"irs/internal/ledger"
 	"irs/internal/proxy"
 	"irs/internal/relay"
-	"irs/internal/tokens"
 	"irs/internal/watermark"
 	"irs/internal/wire"
 )
@@ -283,64 +281,6 @@ func TestRelayAgainstLiveProxyStack(t *testing.T) {
 		if err := ledger.VerifyProof(d.ledger(t, 1).SigningKey(), p, *d.clock, time.Hour); err != nil {
 			t.Errorf("relayed proof does not verify: %v", err)
 		}
-	}
-}
-
-func TestAnonymousPaidClaimFlow(t *testing.T) {
-	// §3.2's privacy-focused ledger: buy tokens, mix, claim with a
-	// mixed token. The ledger's payment record cannot identify the
-	// claimer better than the mixing set.
-	iss, err := tokens.NewIssuer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	market := tokens.NewMarket()
-	users := []string{"alice", "bob", "carol", "dave"}
-	bought := map[string]*tokens.Token{}
-	for _, u := range users {
-		tok, err := iss.Sell(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bought[u] = tok
-		market.Deposit(u, tok)
-	}
-	mixed, err := market.Mix()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Alice claims, paying with her mixed token.
-	l, err := ledger.New(ledger.Config{ID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := iss.Redeem(mixed["alice"]); err != nil {
-		t.Fatalf("redeeming mixed token: %v", err)
-	}
-	cam := camera.New(&wire.Loopback{L: l}, "local://1", nil)
-	_, owned, err := cam.ClaimAndLabel(cam.Shoot(6, 192, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The ledger's leaked-database view: the redeemed serial's buyer.
-	buyer, ok := iss.SoldTo(mixed["alice"].Serial)
-	if !ok {
-		t.Fatal("sale record missing")
-	}
-	// The claim record itself carries no payment linkage at all.
-	rec, err := l.Record(owned.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.PubKey) != ed25519.PublicKeySize {
-		t.Fatal("claim record malformed")
-	}
-	t.Logf("issuer's best guess for the payer: %q (actual claimer: alice)", buyer)
-	// Double-spend of the same token by bob must fail.
-	if err := iss.Redeem(mixed["alice"]); err != tokens.ErrDoubleSpend {
-		t.Errorf("double spend: %v", err)
 	}
 }
 

@@ -213,7 +213,6 @@ var (
 	ErrNonRevocable = errors.New("ledger: this ledger does not permit revocation")
 	ErrPermanent    = errors.New("ledger: claim is permanently revoked")
 	ErrBadOpSeq     = errors.New("ledger: operation sequence advanced concurrently")
-	ErrDuplicate    = errors.New("ledger: content already claimed here by this key")
 )
 
 // New creates a ledger. If cfg.Dir is non-empty, prior state is recovered

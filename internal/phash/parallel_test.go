@@ -7,7 +7,7 @@ import (
 	"irs/internal/photo"
 )
 
-// TestBatchMatchesElementwise checks every batch API against its
+// TestBatchMatchesElementwise checks the batch signature against its
 // per-image function at several worker counts.
 func TestBatchMatchesElementwise(t *testing.T) {
 	ims := make([]*photo.Image, 24)
@@ -16,18 +16,15 @@ func TestBatchMatchesElementwise(t *testing.T) {
 	}
 	for _, w := range []int{1, 4, 8} {
 		prev := parallel.SetWorkers(w)
-		a, d, p, s := AHashAll(ims), DHashAll(ims), PHashAll(ims), SignatureAll(ims)
+		s := SignatureAll(ims)
 		parallel.SetWorkers(prev)
 		for i, im := range ims {
-			if a[i] != AHash(im) || d[i] != DHash(im) || p[i] != PHash(im) {
-				t.Fatalf("workers=%d: batch hash %d differs from element-wise", w, i)
-			}
 			if s[i] != NewSignature(im) {
 				t.Fatalf("workers=%d: batch signature %d differs", w, i)
 			}
 		}
 	}
-	if len(PHashAll(nil)) != 0 {
+	if len(SignatureAll(nil)) != 0 {
 		t.Error("empty batch mishandled")
 	}
 }

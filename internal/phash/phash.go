@@ -22,7 +22,6 @@
 package phash
 
 import (
-	"math"
 	"math/bits"
 	"sync"
 
@@ -327,36 +326,10 @@ func (s Signature) Matches(o Signature) bool {
 	return votes >= 2
 }
 
-// Batch APIs: aggregators hash whole upload sets and rebuild
-// robust-hash databases over every hosted photo (§3.2), which is
-// per-image independent work — each batch call fans the set out across
-// the worker pool, with results in input order.
-
-// AHashAll computes AHash for every image concurrently.
-func AHashAll(ims []*photo.Image) []Hash {
-	return parallel.Map(ims, func(_ int, im *photo.Image) Hash { return AHash(im) })
-}
-
-// DHashAll computes DHash for every image concurrently.
-func DHashAll(ims []*photo.Image) []Hash {
-	return parallel.Map(ims, func(_ int, im *photo.Image) Hash { return DHash(im) })
-}
-
-// PHashAll computes PHash for every image concurrently.
-func PHashAll(ims []*photo.Image) []Hash {
-	return parallel.Map(ims, func(_ int, im *photo.Image) Hash { return PHash(im) })
-}
-
-// SignatureAll computes the full three-hash signature for every image
-// concurrently.
+// SignatureAll computes the full three-hash signature for every image,
+// fanning the set out across the worker pool: aggregators hash whole
+// upload sets and rebuild robust-hash databases over every hosted photo
+// (§3.2). Results are in input order.
 func SignatureAll(ims []*photo.Image) []Signature {
 	return parallel.Map(ims, func(_ int, im *photo.Image) Signature { return NewSignature(im) })
 }
-
-// ExpectedRandomDistance is the mean Hamming distance between hashes of
-// unrelated images (32 for ideal 64-bit hashes); exported for the E7
-// experiment's separation report.
-const ExpectedRandomDistance = 32
-
-// NormalizedDistance maps a raw distance to [0,1].
-func NormalizedDistance(d int) float64 { return math.Min(1, float64(d)/64) }

@@ -59,7 +59,7 @@ func TestUnrelatedImagesFar(t *testing.T) {
 	}
 	mean := float64(total) / float64(pairs)
 	if mean < 16 || mean > 48 {
-		t.Errorf("mean unrelated pHash distance %g, want near %d", mean, ExpectedRandomDistance)
+		t.Errorf("mean unrelated pHash distance %g, want near 32", mean)
 	}
 }
 
@@ -157,18 +157,6 @@ func TestMedianOddEven(t *testing.T) {
 	median(in)
 	if in[0] != 5 || in[1] != 1 || in[2] != 3 {
 		t.Error("median mutated input")
-	}
-}
-
-func TestNormalizedDistance(t *testing.T) {
-	if NormalizedDistance(0) != 0 {
-		t.Error("0 should normalize to 0")
-	}
-	if NormalizedDistance(64) != 1 {
-		t.Error("64 should normalize to 1")
-	}
-	if NormalizedDistance(100) != 1 {
-		t.Error("overrange should clamp to 1")
 	}
 }
 

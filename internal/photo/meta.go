@@ -55,9 +55,6 @@ func (m Metadata) Set(key, value string) {
 	m.kv[key] = value
 }
 
-// Delete removes key.
-func (m Metadata) Delete(key string) { delete(m.kv, key) }
-
 // Len returns the number of entries.
 func (m Metadata) Len() int { return len(m.kv) }
 

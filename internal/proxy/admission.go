@@ -15,10 +15,10 @@ package proxy
 //     as the proxy as a whole has headroom. A flooder exhausts its own
 //     bucket and the pool's sustained rate, then is denied; the other
 //     clients' private buckets are untouched.
-//   - At most MaxClients buckets are tracked. When the table is full,
-//     unseen clients are served from the overflow pool only — a
-//     client-key-churn attack cannot grow memory without bound, and it
-//     cannot mint fresh Burst allowances either.
+//   - At most admissionMaxClients buckets are tracked. When the table
+//     is full, unseen clients are served from the overflow pool only —
+//     a client-key-churn attack cannot grow memory without bound, and
+//     it cannot mint fresh Burst allowances either.
 //
 // Accounting is integer microtokens with floor rounding and explicit
 // saturation, so the bucket can never go negative and a request is
@@ -61,10 +61,10 @@ type AdmissionConfig struct {
 	OverflowRate float64
 	// OverflowBurst is the shared pool's capacity; 0 means 4×Burst.
 	OverflowBurst float64
-	// MaxClients bounds the tracked-bucket table; 0 means 4096.
-	// Clients beyond the cap are admitted from the overflow pool only.
-	MaxClients int
 }
+
+// admissionMaxClients bounds the tracked-bucket table.
+const admissionMaxClients = 4096
 
 // microToken is the fixed-point scale: one token = 1e6 microtokens.
 // All bucket arithmetic is integer microtokens with floor rounding, so
@@ -128,7 +128,7 @@ type admission struct {
 	burstMicro     int64
 	ovRateMicro    int64
 	ovBurstMicro   int64
-	maxClients     int64
+	maxClients     int64 // admissionMaxClients; tests lower it
 	clock          func() time.Time
 	clientCount    atomic.Int64
 	stripes        [admissionStripes]admStripe
@@ -162,16 +162,12 @@ func newAdmission(cfg AdmissionConfig, clock func() time.Time, reg *obs.Registry
 	burst := clampTokens(cfg.Burst, 2*rate, 1, 1e6)
 	ovRate := clampTokens(cfg.OverflowRate, rate, 0.001, 1e6)
 	ovBurst := clampTokens(cfg.OverflowBurst, 4*burst, 1, 1e6)
-	maxClients := cfg.MaxClients
-	if maxClients <= 0 {
-		maxClients = 4096
-	}
 	a := &admission{
 		rateMicro:      int64(rate * microToken),
 		burstMicro:     int64(burst * microToken),
 		ovRateMicro:    int64(ovRate * microToken),
 		ovBurstMicro:   int64(ovBurst * microToken),
-		maxClients:     int64(maxClients),
+		maxClients:     admissionMaxClients,
 		clock:          clock,
 		admitted:       reg.Counter("irs_proxy_admission_total", obs.L("decision", "admitted")),
 		denied:         reg.Counter("irs_proxy_admission_total", obs.L("decision", "denied")),
@@ -213,7 +209,7 @@ func (a *admission) admit(client string, n int) bool {
 	b := st.m[client]
 	if b == nil {
 		// First sight of this client: grant a fresh bucket unless the
-		// table is at MaxClients (then it rides the overflow pool only —
+		// table is at maxClients (then it rides the overflow pool only —
 		// key churn must not mint burst allowances).
 		if a.clientCount.Load() < a.maxClients {
 			b = &tbucket{tok: a.burstMicro, last: now}

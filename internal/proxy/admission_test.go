@@ -125,9 +125,10 @@ func TestAdmissionMaxClientsRidesOverflow(t *testing.T) {
 		Obs:   reg,
 		Admission: AdmissionConfig{
 			Enabled: true, Rate: 5, Burst: 5,
-			OverflowRate: 5, OverflowBurst: 8, MaxClients: 2,
+			OverflowRate: 5, OverflowBurst: 8,
 		},
 	}, nil)
+	v.adm.maxClients = 2
 	if !v.Admit("a", 1) || !v.Admit("b", 1) {
 		t.Fatal("tracked clients denied their first request")
 	}
@@ -142,7 +143,7 @@ func TestAdmissionMaxClientsRidesOverflow(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	if g, _ := obs.Value(snap, "irs_proxy_admission_clients"); g != 2 {
-		t.Fatalf("tracked clients gauge = %v, want 2 (MaxClients)", g)
+		t.Fatalf("tracked clients gauge = %v, want 2 (maxClients)", g)
 	}
 	if d, _ := obs.Value(snap, "irs_proxy_admission_total", obs.L("decision", "denied")); d != 92 {
 		t.Fatalf("denied counter = %v, want 92", d)
@@ -217,9 +218,10 @@ func FuzzAdmissionAccounting(f *testing.F) {
 		reg := obs.NewRegistry()
 		cfg := AdmissionConfig{
 			Enabled: true, Rate: 3, Burst: 7,
-			OverflowRate: 2, OverflowBurst: 11, MaxClients: 4,
+			OverflowRate: 2, OverflowBurst: 11,
 		}
 		a := newAdmission(cfg, clock, reg)
+		a.maxClients = 4
 
 		var admittedCost int64 // microtokens actually admitted
 		var forwardNs int64    // total forward clock movement
@@ -242,7 +244,7 @@ func FuzzAdmissionAccounting(f *testing.F) {
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], int64(ops[i+1])
 			switch op % 4 {
-			case 0, 1: // request from one of 8 client keys (> MaxClients)
+			case 0, 1: // request from one of 8 client keys (> maxClients)
 				client := fmt.Sprintf("c%d", op%8)
 				wasTracked := a.stripeFor(client).m[client] != nil
 				cost := arg%10 + 1

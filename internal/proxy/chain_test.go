@@ -186,8 +186,10 @@ func TestFilterBaseMismatchFallback(t *testing.T) {
 	// entirely different bits.
 	epoch := regional.Epoch(3)
 	good := regional.fset.Load().windows[3].Filter()
-	bogus := good.Clone()
-	bogus.Reset()
+	bogus, err := bloom.New(good.M(), good.K())
+	if err != nil {
+		t.Fatal(err)
+	}
 	bogus.Add(12345)
 	edge.SetFilter(3, epoch, bogus)
 

@@ -15,7 +15,6 @@ package tsa
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -117,32 +116,13 @@ func (a *Authority) Stamp(digest [32]byte) *Token {
 	return t
 }
 
-// StampMessage hashes msg with SHA-256 and stamps the digest.
-func (a *Authority) StampMessage(msg []byte) *Token {
-	return a.Stamp(sha256.Sum256(msg))
-}
-
-// Verification errors.
-var (
-	ErrBadSignature = errors.New("tsa: signature verification failed")
-	ErrWrongDigest  = errors.New("tsa: token digest does not match message")
-)
+// ErrBadSignature is Verify's error for a token its key did not sign.
+var ErrBadSignature = errors.New("tsa: signature verification failed")
 
 // Verify checks a token's signature against the authority public key.
 func Verify(pub ed25519.PublicKey, t *Token) error {
 	if !ed25519.Verify(pub, t.canonical(), t.Sig) {
 		return ErrBadSignature
-	}
-	return nil
-}
-
-// VerifyMessage checks both the signature and that the token covers msg.
-func VerifyMessage(pub ed25519.PublicKey, t *Token, msg []byte) error {
-	if err := Verify(pub, t); err != nil {
-		return err
-	}
-	if t.Digest != sha256.Sum256(msg) {
-		return ErrWrongDigest
 	}
 	return nil
 }

@@ -13,29 +13,24 @@ func TestStampVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := a.StampMessage([]byte("hello"))
-	if err := VerifyMessage(a.PublicKey(), tok, []byte("hello")); err != nil {
+	tok := stamp(a, []byte("hello"))
+	if err := Verify(a.PublicKey(), tok); err != nil {
 		t.Fatalf("verify: %v", err)
+	}
+	if tok.Digest != sha256.Sum256([]byte("hello")) {
+		t.Error("token does not carry the stamped digest")
 	}
 }
 
-func TestVerifyRejectsWrongMessage(t *testing.T) {
-	a, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok := a.StampMessage([]byte("hello"))
-	if err := VerifyMessage(a.PublicKey(), tok, []byte("other")); err != ErrWrongDigest {
-		t.Errorf("got %v, want ErrWrongDigest", err)
-	}
-}
+// stamp stamps the SHA-256 of msg.
+func stamp(a *Authority, msg []byte) *Token { return a.Stamp(sha256.Sum256(msg)) }
 
 func TestVerifyRejectsTamperedToken(t *testing.T) {
 	a, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := a.StampMessage([]byte("hello"))
+	tok := stamp(a, []byte("hello"))
 
 	mutTime := *tok
 	mutTime.Time = tok.Time.Add(time.Hour)
@@ -65,7 +60,7 @@ func TestVerifyRejectsWrongAuthority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := a.StampMessage([]byte("x"))
+	tok := stamp(a, []byte("x"))
 	if err := Verify(b.PublicKey(), tok); err == nil {
 		t.Error("token verified under a different authority's key")
 	}
@@ -76,7 +71,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := a.StampMessage([]byte("payload"))
+	tok := stamp(a, []byte("payload"))
 	got, err := Unmarshal(tok.Marshal())
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +117,7 @@ func TestConcurrentStampsUnique(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			serials[i] = a.StampMessage([]byte{byte(i)}).Serial
+			serials[i] = stamp(a, []byte{byte(i)}).Serial
 		}(i)
 	}
 	wg.Wait()
@@ -142,15 +137,15 @@ func TestEarlier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1 := a.StampMessage([]byte("first"))
+	t1 := stamp(a, []byte("first"))
 	clock = base.Add(time.Second)
-	t2 := a.StampMessage([]byte("second"))
+	t2 := stamp(a, []byte("second"))
 	if !Earlier(t1, t2) || Earlier(t2, t1) {
 		t.Error("time ordering wrong")
 	}
 	// Same-instant: serial breaks the tie.
-	t3 := a.StampMessage([]byte("third"))
-	t4 := a.StampMessage([]byte("fourth"))
+	t3 := stamp(a, []byte("third"))
+	t4 := stamp(a, []byte("fourth"))
 	if !Earlier(t3, t4) {
 		t.Error("serial tie-break wrong")
 	}
@@ -162,7 +157,7 @@ func TestClockInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := a.StampMessage([]byte("x"))
+	tok := stamp(a, []byte("x"))
 	if !tok.Time.Equal(want) {
 		t.Errorf("token time %v, want %v", tok.Time, want)
 	}
@@ -186,7 +181,7 @@ func BenchmarkVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tok := a.StampMessage([]byte("bench"))
+	tok := stamp(a, []byte("bench"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -246,7 +246,7 @@ func (c *Client) postJSON(rpc, path string, req, resp any, headers map[string]st
 		return err
 	}
 	defer cancel()
-	hr.Header.Set("Content-Type", "application/json")
+	hr.Header.Set("Content-Type", ContentTypeJSON)
 	for k, v := range headers {
 		hr.Header.Set(k, v)
 	}

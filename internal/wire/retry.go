@@ -52,21 +52,23 @@ type RetryConfig struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth; 0 means 2s.
 	MaxBackoff time.Duration
-	// BudgetCap is the retry-token reservoir: each retry spends one
-	// token, each successful call refills BudgetRefill, and an empty
-	// reservoir turns retries off until successes refill it — the
-	// standard guard against retry storms amplifying an outage.
-	// 0 means 10.
-	BudgetCap float64
-	// BudgetRefill is the per-success refill; 0 means 0.1.
-	BudgetRefill float64
 	// Seed feeds the jitter source, making backoff sequences
 	// reproducible in experiments.
 	Seed int64
-	// Sleep is the backoff sleeper; nil means time.Sleep. Tests and the
-	// chaos harness inject their own.
+	// Sleep is the backoff sleeper; nil means time.Sleep. Tests inject
+	// a fake clock here.
 	Sleep func(time.Duration)
 }
+
+// The retry budget is a token reservoir shared by every call: each
+// retry spends one token, each successful call refills
+// retryBudgetRefill up to retryBudgetCap, and an empty reservoir turns
+// retries off until successes refill it — the standard guard against
+// retry storms amplifying an outage.
+const (
+	retryBudgetCap    = 10
+	retryBudgetRefill = 0.1
+)
 
 // RetryStats counts decorator outcomes.
 type RetryStats struct {
@@ -109,12 +111,6 @@ func NewRetryClient(svc Service, cfg RetryConfig) *RetryClient {
 	if cfg.MaxBackoff == 0 {
 		cfg.MaxBackoff = 2 * time.Second
 	}
-	if cfg.BudgetCap == 0 {
-		cfg.BudgetCap = 10
-	}
-	if cfg.BudgetRefill == 0 {
-		cfg.BudgetRefill = 0.1
-	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
@@ -122,7 +118,7 @@ func NewRetryClient(svc Service, cfg RetryConfig) *RetryClient {
 		svc:    svc,
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		budget: cfg.BudgetCap,
+		budget: retryBudgetCap,
 	}
 }
 
@@ -179,10 +175,7 @@ func (r *RetryClient) spend() bool {
 func (r *RetryClient) refill() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.budget += r.cfg.BudgetRefill
-	if r.budget > r.cfg.BudgetCap {
-		r.budget = r.cfg.BudgetCap
-	}
+	r.budget = min(r.budget+retryBudgetRefill, retryBudgetCap)
 }
 
 // backoff computes the jittered delay before retry number n (0-based).

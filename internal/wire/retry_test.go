@@ -121,48 +121,59 @@ func TestRetryProtocolErrorsNotRetried(t *testing.T) {
 
 func TestRetryBudgetExhaustion(t *testing.T) {
 	down := &TransportError{Err: errors.New("down")}
-	errs := make([]error, 100)
-	for i := range errs {
-		errs[i] = down
-	}
-	svc := &scriptedService{errs: errs}
-	rc := NewRetryClient(svc, RetryConfig{
-		MaxAttempts:  4,
-		BudgetCap:    3, // three retry tokens total
-		BudgetRefill: 1,
-		Sleep:        func(time.Duration) {},
-	})
+	svc := &scriptedService{}
+	rc := NewRetryClient(svc, RetryConfig{MaxAttempts: 4, Sleep: func(time.Duration) {}})
 	id := testID(t)
-	// First call: 1 try + 3 retries, draining the budget.
-	if _, err := rc.Status(id); err == nil {
-		t.Fatal("down service succeeded")
+	// script makes the next calls fail with errs, then succeed.
+	script := func(errs ...error) {
+		for len(svc.errs) < svc.calls {
+			svc.errs = append(svc.errs, nil)
+		}
+		svc.errs = append(svc.errs[:svc.calls], errs...)
 	}
-	after := svc.calls
-	if after != 4 {
-		t.Fatalf("first call made %d attempts, want 4", after)
+	// drain fails calls until one is denied its retry, and returns the
+	// retries spent on the way.
+	drain := func() uint64 {
+		t.Helper()
+		before := rc.Stats().Retries
+		for {
+			script(down, down, down, down)
+			start := svc.calls
+			if _, err := rc.Status(id); err == nil {
+				t.Fatal("down service succeeded")
+			}
+			if svc.calls-start == 1 {
+				return rc.Stats().Retries - before
+			}
+		}
 	}
-	// Budget empty: subsequent calls fail after a single attempt.
-	if _, err := rc.Status(id); err == nil {
-		t.Fatal("down service succeeded")
+	succeed := func(n int) {
+		t.Helper()
+		script()
+		for i := 0; i < n; i++ {
+			if _, err := rc.Status(id); err != nil {
+				t.Fatalf("recovery call: %v", err)
+			}
+		}
 	}
-	if svc.calls != after+1 {
-		t.Errorf("budget-empty call made %d extra attempts, want 1", svc.calls-after)
+
+	// The reservoir starts full: a down service gets exactly the cap in
+	// retries, then every call fails after a single attempt.
+	if got := drain(); got != retryBudgetCap {
+		t.Fatalf("full budget allowed %d retries, want %d", got, retryBudgetCap)
 	}
 	if rc.Stats().BudgetDenied == 0 {
 		t.Error("budget denial not counted")
 	}
-	// A success refills one token; the next failure earns one retry.
-	svc.errs = svc.errs[:svc.calls] // next call succeeds
-	if _, err := rc.Status(id); err != nil {
-		t.Fatalf("recovery call: %v", err)
+	// One and a half tokens' worth of successes earn one retry.
+	succeed(int(1.5 / retryBudgetRefill))
+	if got := drain(); got != 1 {
+		t.Errorf("refilled budget allowed %d retries, want 1", got)
 	}
-	svc.errs = append(svc.errs[:svc.calls], down, down, down, down)
-	before := svc.calls
-	if _, err := rc.Status(id); err == nil {
-		t.Fatal("down again but succeeded")
-	}
-	if got := svc.calls - before; got != 2 {
-		t.Errorf("refilled budget allowed %d attempts, want 2 (1 try + 1 earned retry)", got)
+	// Refill stops at the cap, however long the service stays up.
+	succeed(100 * retryBudgetCap / retryBudgetRefill)
+	if got := drain(); got != retryBudgetCap {
+		t.Errorf("after a long recovery the budget allowed %d retries, want the cap %d", got, retryBudgetCap)
 	}
 }
 
@@ -178,7 +189,6 @@ func TestRetryBackoffSeededAndCapped(t *testing.T) {
 			MaxAttempts: 6,
 			BaseBackoff: 10 * time.Millisecond,
 			MaxBackoff:  40 * time.Millisecond,
-			BudgetCap:   100,
 			Seed:        seed,
 			Sleep:       noSleep(&sleeps),
 		})

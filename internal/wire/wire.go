@@ -52,7 +52,7 @@ func (e *Error) Error() string { return fmt.Sprintf("wire: %d %s", e.Code, e.Mes
 
 // WriteJSON writes v as a JSON response with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ContentTypeJSON)
 	w.WriteHeader(status)
 	// Encoding errors after WriteHeader cannot be reported to the client;
 	// they surface as a truncated body.
@@ -206,8 +206,6 @@ type KeysResponse struct {
 	SigningKey []byte `json:"signing_key"`
 	// TimestampKey verifies claim timestamp tokens.
 	TimestampKey []byte `json:"timestamp_key"`
-	// NonRevocable reports the §5 human-rights policy mode.
-	NonRevocable bool `json:"non_revocable,omitempty"`
 }
 
 // AdminRevokeRequest is the appeals process's permanent revocation.

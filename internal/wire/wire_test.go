@@ -5,8 +5,10 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -82,6 +84,22 @@ func TestClaimStatusOverHTTP(t *testing.T) {
 	keys, err := env.client.Keys()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The /v1/keys body is the id and the two keys, byte for byte.
+	resp, err := http.Get(env.server.URL + "/v1/keys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b64 := base64.StdEncoding.EncodeToString
+	want := fmt.Sprintf(`{"ledger_id":7,"signing_key":%q,"timestamp_key":%q}`+"\n",
+		b64(keys.SigningKey), b64(keys.TimestampKey))
+	if string(body) != want || resp.Header.Get("Content-Type") != ContentTypeJSON {
+		t.Errorf("/v1/keys answered %q (%s), want %q", body, resp.Header.Get("Content-Type"), want)
 	}
 	// Timestamp token must verify against the published TSA key and
 	// cover the photo's content hash (the ledger stamps the hash itself).

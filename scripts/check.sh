@@ -13,7 +13,7 @@ set -eu
 cd "$(dirname "$0")/.."
 start=$(date +%s)
 
-unformatted=$(gofmt -l cmd internal bench_test.go doc.go examples 2>/dev/null || true)
+unformatted=$(gofmt -l cmd internal *.go examples 2>/dev/null || true)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -21,16 +21,17 @@ if [ -n "$unformatted" ]; then
 fi
 
 # Every name in every -run pattern below must match a test, fuzz target
-# or example in the packages its line names. A renamed test would
-# otherwise leave its named group running nothing, and passing.
+# or example in the packages its line names ("." is the root package,
+# irs). A renamed test would otherwise leave its named group running
+# nothing, and passing.
 runs=$(awk '/\\$/ { sub(/\\$/, ""); buf = buf $0; next } { print buf $0; buf = "" }' scripts/check.sh |
     grep -E "^ *go test .*-run[= ]'" | grep -v -- "-run='^\$'")
-listed=$(go test -list . $(echo "$runs" | tr ' ' '\n' | grep '^\./' | sort -u) |
+listed=$(go test -list . $(echo "$runs" | tr ' ' '\n' | grep -E '^\.(/|$)' | sort -u) |
     awk '/^(Test|Fuzz|Example)/ { names = names " " $1; next } /^ok/ { print $2 names; names = "" }')
 echo "$runs" | while read -r line; do
     names=""
-    for pkg in $(echo "$line" | tr ' ' '\n' | grep '^\./'); do
-        names="$names $(echo "$listed" | grep "^irs/${pkg#./} " | cut -d' ' -f2-)"
+    for pkg in $(echo "$line" | tr ' ' '\n' | grep -E '^\.(/|$)'); do
+        names="$names $(echo "$listed" | grep "^irs${pkg#.} " | cut -d' ' -f2-)"
     done
     pattern=$(echo "$line" | sed -E "s/.*-run[= ]'([^']*)'.*/\1/")
     for name in $(echo "$pattern" | tr '|' ' '); do
@@ -43,6 +44,12 @@ done
 
 go vet ./...
 go test -race ./...
+
+# The exported surface is the surface that runs: every exported name
+# under internal/ is named by non-test code beside its declaration,
+# every config field is set outside its own package, and every
+# exception is an allowlist entry with its reason (exports_test.go).
+go test -run 'TestEveryExportHasACaller' .
 
 # Fault-injection and degradation paths re-run under the race detector
 # explicitly (they are the newest concurrency surface; -race ./... above
