@@ -49,6 +49,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "irs-ledger: -id must be nonzero")
 		os.Exit(2)
 	}
+	if *snapInterval <= 0 {
+		fmt.Fprintf(os.Stderr, "irs-ledger: -snapshot-interval must be positive (got %v)\n", *snapInterval)
+		os.Exit(2)
+	}
 	var sync ledger.WALSyncMode
 	switch *walSync {
 	case "os":

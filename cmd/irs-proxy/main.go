@@ -37,6 +37,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "irs-proxy: at least one -ledger id=url required")
 		os.Exit(2)
 	}
+	if *refreshInterval <= 0 {
+		fmt.Fprintf(os.Stderr, "irs-proxy: -refresh-interval must be positive (got %v)\n", *refreshInterval)
+		os.Exit(2)
+	}
 
 	sys, err := core.Build(core.Spec{
 		Remote: ledgers,

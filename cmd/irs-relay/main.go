@@ -44,6 +44,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "irs-relay: egress mode needs at least one -ledger id=url")
 			os.Exit(2)
 		}
+		if *refreshInterval <= 0 {
+			fmt.Fprintf(os.Stderr, "irs-relay: -refresh-interval must be positive (got %v)\n", *refreshInterval)
+			os.Exit(2)
+		}
 		// The same proxy role as irs-proxy, answering the egress.
 		sys, err := core.Build(core.Spec{
 			Remote: ledgers,

@@ -39,6 +39,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "irs-site: at least one -ledger id=url required")
 		os.Exit(2)
 	}
+	if *recheckInterval <= 0 {
+		fmt.Fprintf(os.Stderr, "irs-site: -recheck-interval must be positive (got %v)\n", *recheckInterval)
+		os.Exit(2)
+	}
 
 	sys, err := core.Build(core.Spec{Remote: ledgers})
 	if err != nil {

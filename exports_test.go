@@ -1,12 +1,16 @@
 package irs
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
-	"go/scanner"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -34,28 +38,36 @@ var callerAllowlist = map[string]string{
 	"photo.MeanAbsDiff":          "test fixture: frame fidelity in the video codec tests",
 	"photo.Image.SetGray":        "test fixture: hand-built pixels in the image tests",
 	"photo.Metadata.HasIRSLabel": "test fixture: checks a label survived or was stripped",
+	"photo.Image.Equal":          "test fixture: the photo and watermark tests compare images with it",
 
 	// Paper mechanisms that no binary exposes yet.
-	"aggregator.Aggregator.UploadVideo": "paper mechanism: the §3 video path (no upload route yet)",
-	"aggregator.Aggregator.ServeVideo":  "paper mechanism: the §3 video path (no serve route yet)",
-	"camera.Camera.ClaimAndLabelVideo":  "paper mechanism: the §3 video path (no owner tool yet)",
-	"photo.EncodeIRSV":                  "paper mechanism: the IRSV video container",
-	"photo.DecodeIRSV":                  "paper mechanism: the IRSV video container",
-	"photo.TranscodeVideo":              "paper mechanism: the benign video transform the §3 video path must survive",
-	"photo.DropFrames":                  "paper mechanism: the frame-rate transform the §3 video path must survive",
-	"photo.Metadata.StripNonIRS":        "paper mechanism: §3.2's IRS-supporting site keeps only the label",
-	"appeals.NewSiteAdjudicator":        "paper mechanism: §5 site-side appeals (irs-site has no appeals route yet)",
-	"provenance.Chain.AddPublished":     "paper mechanism: §5 provenance publication events",
-	"browser.AlmanacGoodThreshold":      "paper mechanism: the Web Almanac bar §4.3 measures page loads against",
-	"core.Spec.BrowserFilter":           "paper mechanism: §4.4's browser-resident filter (no binary runs a browser)",
+	"aggregator.Aggregator.UploadVideo":   "paper mechanism: the §3 video path (no upload route yet)",
+	"aggregator.Aggregator.ServeVideo":    "paper mechanism: the §3 video path (no serve route yet)",
+	"camera.Camera.ClaimAndLabelVideo":    "paper mechanism: the §3 video path (no owner tool yet)",
+	"camera.Camera.Record":                "paper mechanism: the §2 video path (the camera's clip source)",
+	"photo.EncodeIRSV":                    "paper mechanism: the IRSV video container",
+	"photo.DecodeIRSV":                    "paper mechanism: the IRSV video container",
+	"photo.TranscodeVideo":                "paper mechanism: the benign video transform the §3 video path must survive",
+	"photo.DropFrames":                    "paper mechanism: the frame-rate transform the §3 video path must survive",
+	"photo.Metadata.StripNonIRS":          "paper mechanism: §3.2's IRS-supporting site keeps only the label",
+	"appeals.NewSiteAdjudicator":          "paper mechanism: §5 site-side appeals (irs-site has no appeals route yet)",
+	"appeals.SiteAdjudicator.Decide":      "paper mechanism: §5 site-side appeals (irs-site has no appeals route yet)",
+	"appeals.SiteAdjudicator.TrustLedger": "paper mechanism: §5 site-side appeals (irs-site has no appeals route yet)",
+	"provenance.Chain.AddPublished":       "paper mechanism: §5 provenance publication events",
+	"browser.AlmanacGoodThreshold":        "paper mechanism: the Web Almanac bar §4.3 measures page loads against",
+	"core.Spec.BrowserFilter":             "paper mechanism: §4.4's browser-resident filter (no binary runs a browser)",
 
 	// Named ROADMAP items.
-	"obs.Tracer.DumpString":          "ROADMAP item 10: trace dumps on a debug route",
-	"topology.Replica.AppliedSeq":    "ROADMAP item 15: replica lag in the topology report",
-	"netsim.FaultConfig.SpikeProb":   "ROADMAP item 2: latency spikes in the chaos schedule",
-	"netsim.FaultConfig.Spike":       "ROADMAP item 2: latency spikes in the chaos schedule",
-	"netsim.FaultConfig.FailLatency": "ROADMAP item 2: timeout-shaped failures in the chaos schedule",
-	"netsim.FaultConfig.Outages":     "ROADMAP item 2: scheduled outages in the chaos schedule",
+	"obs.Tracer.DumpString":           "ROADMAP item 10: trace dumps on a debug route",
+	"topology.Replica.AppliedSeq":     "ROADMAP item 15: replica lag in the topology report",
+	"topology.Origin.Claim":           "ROADMAP item 15: replaces Origin, which irs-bench -topology feeds through Restore only",
+	"topology.Origin.Apply":           "ROADMAP item 15: replaces Origin, which irs-bench -topology feeds through Restore only",
+	"topology.Origin.PermanentRevoke": "ROADMAP item 15: replaces Origin, which irs-bench -topology feeds through Restore only",
+	"topology.Origin.Seq":             "ROADMAP item 15: replaces Origin, which irs-bench -topology feeds through Restore only",
+	"netsim.FaultConfig.SpikeProb":    "ROADMAP item 2: latency spikes in the chaos schedule",
+	"netsim.FaultConfig.Spike":        "ROADMAP item 2: latency spikes in the chaos schedule",
+	"netsim.FaultConfig.FailLatency":  "ROADMAP item 2: timeout-shaped failures in the chaos schedule",
+	"netsim.FaultConfig.Outages":      "ROADMAP item 2: scheduled outages in the chaos schedule",
 
 	// Test accessors.
 	"proxy.Validator.BreakerState": "test accessor: breaker transitions",
@@ -63,6 +75,8 @@ var callerAllowlist = map[string]string{
 	"bloom.Window.RetainedBytes":   "test accessor: the epoch window's memory bound",
 	"bloom.Filter.FillRatio":       "test accessor: a filter's fill at its design load",
 	"netsim.Scheduler.Pending":     "test accessor: the event queue drains",
+	"camera.Camera.Store":          "test accessor: the keys a camera claimed",
+	"core.System.Directory":        "test accessor: the ledger directory a built stack validates against",
 
 	// Deployment credentials.
 	"core.Spec.AdminToken": "deployment credential: guards permanent revocation; binaries pass their own",
@@ -71,155 +85,157 @@ var callerAllowlist = map[string]string{
 	"wire.RetryConfig.Sleep": "test clock: backoffs without sleeping",
 }
 
-// implicitCalls are method names the standard library calls through
-// its interfaces (fmt, errors, sort, container/heap, net/http): the
-// method's declaration is what puts it to use.
-var implicitCalls = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true, "ServeHTTP": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-}
-
-// scanRoots are the trees whose non-test files count as callers.
+// callerModules are the module roots whose packages count as callers.
 // bench/ is its own module but calls the internal packages as any
 // binary does.
-var scanRoots = []string{"internal", "cmd", "examples", "bench"}
+var callerModules = []string{".", "bench"}
+
+// listedPackage is the part of `go list -json` output the guard reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Export     string // the compiled export data
+	GoFiles    []string
+	Standard   bool
+}
 
 // export is one exported declaration under check.
 type export struct {
-	key  string // "pkg.Name", "pkg.Type.Method" or "pkg.Struct.Field"
-	name string // the identifier its callers use
-	dir  string // the declaring package's directory
-	// field marks a config field, live once set outside dir; anything
-	// else is live once named anywhere but at a declaration.
+	key string       // "pkg.Name", "pkg.Type.Method" or "pkg.Struct.Field"
+	obj types.Object // what its callers resolve to
+	dir string       // the declaring package's directory
+	// field marks a config field, live once set outside its package;
+	// anything else is live once used anywhere but at its declaration.
 	field bool
 }
 
 // TestEveryExportHasACaller keeps the exported surface the surface that
-// runs. It tokenizes every non-test .go file under scanRoots and fails
-// when
+// runs. It type-checks the non-test files of every package in the root
+// and bench/ modules and fails when
 //
 //	(a) an exported func, method, type, const or var declared under
-//	    internal/ is named nowhere but at a declaration;
+//	    internal/ has no use outside its declaration. A method is also
+//	    used when its receiver type implements an interface, declared
+//	    in the repo or the standard library, with a method of its name;
 //	(b) an exported field of an exported *Config, *Options or *Policy
 //	    struct, or of Spec, is never set outside its own package, as a
 //	    composite-literal key or by an x.F = assignment;
 //	(c) a callerAllowlist entry is stale: the name has a caller now,
 //	    or no longer exists.
 //
-// Matching is by token, not by type: declarations that share a name
-// share their callers, so a collision can hide a dead name but never
-// flag a live one.
+// Identifiers resolve through go/types, so a use counts only for the
+// object it names: declarations that share a name do not share callers.
 func TestEveryExportHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
-	var exports []export
-	declared := map[token.Pos]bool{} // the declaring identifiers
-	named := map[string]bool{}       // identifiers used anywhere else
-	setIn := map[string][]string{}   // identifier → directories setting it
-
-	scan := func(path string) error {
-		src, err := os.ReadFile(path)
+	exportData := map[string]string{} // standard package → export data
+	var sources []listedPackage       // repo packages, dependencies first
+	listed := map[string]bool{}
+	for _, dir := range callerModules {
+		cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
+		cmd.Dir = dir
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
 		if err != nil {
-			return err
+			t.Fatalf("go list in %s: %v", dir, err)
 		}
-		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.Dir(path)
-		pkg := filepath.Base(dir)
-		internal := strings.HasPrefix(path, "internal"+string(filepath.Separator))
-		add := func(id *ast.Ident, key string, field bool) {
-			declared[id.Pos()] = true
-			if internal && id.IsExported() {
-				exports = append(exports, export{key, id.Name, dir, field})
+		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+			var p listedPackage
+			if err := dec.Decode(&p); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				switch {
-				case d.Recv == nil:
-					add(d.Name, pkg+"."+d.Name.Name, false)
-				case implicitCalls[d.Name.Name]:
-					declared[d.Name.Pos()] = true
-				default:
-					add(d.Name, pkg+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name, false)
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name, pkg+"."+s.Name.Name, false)
-						if st, ok := s.Type.(*ast.StructType); ok && s.Name.IsExported() && isConfigName(s.Name.Name) {
-							for _, fl := range st.Fields.List {
-								for _, id := range fl.Names {
-									add(id, pkg+"."+s.Name.Name+"."+id.Name, true)
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(id, pkg+"."+id.Name, false)
-						}
-					}
-				}
+			switch {
+			case p.Standard:
+				exportData[p.ImportPath] = p.Export
+			case !listed[p.ImportPath] && len(p.GoFiles) > 0:
+				listed[p.ImportPath] = true
+				sources = append(sources, p)
 			}
-		}
-
-		// The tokens: an identifier is named unless it declares, and set
-		// when it is a composite-literal key ({F: or , F:) or the target
-		// of an x.F op= assignment.
-		var sc scanner.Scanner
-		sc.Init(fset.File(f.Pos()), src, nil, 0)
-		var before token.Token // the token before the pending identifier
-		var pending string     // an identifier whose successor is unread
-		var prev token.Token
-		for {
-			pos, tok, lit := sc.Scan()
-			if pending != "" {
-				key := tok == token.COLON && (before == token.LBRACE || before == token.COMMA)
-				if key || (before == token.PERIOD && isAssign(tok)) {
-					setIn[pending] = append(setIn[pending], dir)
-				}
-				pending = ""
-			}
-			if tok == token.EOF {
-				return nil
-			}
-			if tok == token.IDENT && !declared[pos] {
-				named[lit] = true
-				pending, before = lit, prev
-			}
-			prev = tok
 		}
 	}
-	for _, root := range scanRoots {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			switch {
-			case err != nil:
-				return err
-			case d.IsDir() && d.Name() == "testdata":
-				return filepath.SkipDir
-			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-				return nil
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exportData[path])
+	})
+
+	// Type-check the repo from source, so every package resolves a
+	// repo import to the same objects.
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	fileOf := map[*ast.File]*types.Package{}
+	var exports []export
+	for _, p := range sources {
+		var pkgFiles []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return scan(path)
-		})
+			pkgFiles = append(pkgFiles, f)
+		}
+		pkg, err := conf.Check(p.ImportPath, fset, pkgFiles, info)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checked[p.ImportPath] = pkg
+		for _, f := range pkgFiles {
+			fileOf[f] = pkg
+		}
+		if strings.HasPrefix(p.ImportPath, "irs/internal/") {
+			dir := strings.TrimPrefix(p.ImportPath, "irs/")
+			exports = append(exports, declaredExports(pkg, pkgFiles, info, dir)...)
+		}
+	}
+
+	// (a) Uses, and the methods an interface reaches.
+	used := map[types.Object]bool{}
+	for _, obj := range info.Uses {
+		used[origin(obj)] = true
+	}
+	for _, m := range implicitMethods(checked, std, exportData) {
+		used[m] = true
+	}
+
+	// (b) Sets: composite-literal keys and assignment targets.
+	setOutside := map[types.Object]bool{}
+	set := func(id *ast.Ident, where *types.Package) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != where {
+			setOutside[v.Origin()] = true
+		}
+	}
+	for f, where := range fileOf {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set(id, where)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set(sel.Sel, where)
+					}
+				}
+			}
+			return true
+		})
 	}
 
 	live := func(e export) bool {
-		if !e.field {
-			return named[e.name]
+		if e.field {
+			return setOutside[e.obj]
 		}
-		for _, dir := range setIn[e.name] {
-			if dir != e.dir {
-				return true
-			}
-		}
-		return false
+		return used[e.obj]
 	}
 	var failures []string
 	exists := map[string]bool{}
@@ -233,7 +249,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		case e.field:
 			failures = append(failures, e.key+": field never set outside "+e.dir)
 		default:
-			failures = append(failures, e.key+": named only at its declaration in "+e.dir)
+			failures = append(failures, e.key+": used only at its declaration in "+e.dir)
 		}
 	}
 	for key, reason := range callerAllowlist {
@@ -251,6 +267,127 @@ func TestEveryExportHasACaller(t *testing.T) {
 	if len(failures) > 0 {
 		t.Log("delete what has no caller, give it one, or add it to callerAllowlist with the reason it stays")
 	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// declaredExports lists a package's exported top-level funcs, methods,
+// types, consts and vars, and the exported fields of its config structs.
+func declaredExports(pkg *types.Package, files []*ast.File, info *types.Info, dir string) []export {
+	var out []export
+	add := func(id *ast.Ident, key string, field bool) {
+		if id.IsExported() {
+			out = append(out, export{pkg.Name() + "." + key, info.Defs[id], dir, field})
+		}
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name, d.Name.Name, false)
+				} else {
+					add(d.Name, recvName(d.Recv.List[0].Type)+"."+d.Name.Name, false)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, s.Name.Name, false)
+						if st, ok := s.Type.(*ast.StructType); ok && s.Name.IsExported() && isConfigName(s.Name.Name) {
+							for _, fl := range st.Fields.List {
+								for _, id := range fl.Names {
+									add(id, s.Name.Name+"."+id.Name, true)
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							add(id, id.Name, false)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// implicitMethods are the repo's methods that a named interface can
+// call: for each repo type and each interface it implements, the type's
+// methods of that interface's method names. The interfaces are those at
+// package scope in the repo and in every standard package it depends
+// on, error, and the interface{ Unwrap() error } that errors.Is, As and
+// Unwrap declare inside their bodies, where export data cannot see it.
+func implicitMethods(repo map[string]*types.Package, std types.Importer, exportData map[string]string) []types.Object {
+	errType := types.Universe.Lookup("error").Type()
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
+	ifaces := []*types.Interface{
+		errType.Underlying().(*types.Interface),
+		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete(),
+	}
+	var concrete []*types.Named // the repo's non-interface types
+	scan := func(p *types.Package, fromRepo bool) {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() > 0 {
+				continue
+			}
+			switch u := named.Underlying().(type) {
+			case *types.Interface:
+				if u.IsMethodSet() && u.NumMethods() > 0 {
+					ifaces = append(ifaces, u)
+				}
+			default:
+				if fromRepo {
+					concrete = append(concrete, named)
+				}
+			}
+		}
+	}
+	for _, p := range repo {
+		scan(p, true)
+	}
+	for path := range exportData {
+		if p, err := std.Import(path); err == nil {
+			scan(p, false)
+		}
+	}
+	var out []types.Object
+	for _, named := range concrete {
+		ptr := types.NewPointer(named)
+		for _, iface := range ifaces {
+			if !types.Implements(ptr, iface) {
+				continue
+			}
+			for i := range iface.NumMethods() {
+				obj, _, _ := types.LookupFieldOrMethod(ptr, false, named.Obj().Pkg(), iface.Method(i).Name())
+				if obj != nil {
+					out = append(out, origin(obj))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// origin maps a method or field of an instantiated generic type to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
 
 // recvName is a method receiver's type name without pointer or type
@@ -275,14 +412,4 @@ func recvName(e ast.Expr) string {
 func isConfigName(n string) bool {
 	return n == "Spec" || strings.HasSuffix(n, "Config") ||
 		strings.HasSuffix(n, "Options") || strings.HasSuffix(n, "Policy")
-}
-
-func isAssign(t token.Token) bool {
-	switch t {
-	case token.ASSIGN, token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
-		token.QUO_ASSIGN, token.REM_ASSIGN, token.AND_ASSIGN, token.OR_ASSIGN,
-		token.XOR_ASSIGN, token.SHL_ASSIGN, token.SHR_ASSIGN, token.AND_NOT_ASSIGN:
-		return true
-	}
-	return false
 }

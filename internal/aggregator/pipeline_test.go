@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -599,7 +600,7 @@ func TestPipelineStatusFaultParity(t *testing.T) {
 	for i := range keys {
 		faulty.Request(func(err error) { fates[i] = err })
 	}
-	sched.Run()
+	sched.RunUntil(time.Duration(math.MaxInt64))
 	fateFor := make(map[batchKey]error, len(keys))
 	lost := 0
 	for i, k := range keys {

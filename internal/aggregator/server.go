@@ -19,8 +19,8 @@ import (
 //
 //	POST /v1/upload          body: IRSP container → UploadResponse
 //	POST /v1/upload/batch    body: repeated [u32 length][IRSP container]
-//	                           → BatchUploadResponse, processed through
-//	                           the streaming pipeline
+//	                           → BatchUploadResponse, the album
+//	                           processed by one UploadAll call
 //	GET  /v1/photo?id=I      → IRSP container (with freshness proof in
 //	                           metadata), 404/410 when absent/taken down
 //	POST /v1/recheck         → RecheckResponse (operator endpoint)

@@ -79,9 +79,6 @@ func (f *Filter) M() uint64 { return f.m }
 // K returns the number of hash functions.
 func (f *Filter) K() int { return f.k }
 
-// N returns the number of keys added.
-func (f *Filter) N() uint64 { return f.n }
-
 // SizeBytes returns the bit-array size in bytes.
 func (f *Filter) SizeBytes() uint64 { return f.m / 8 }
 

@@ -41,8 +41,8 @@ func TestNoFalseNegatives(t *testing.T) {
 			t.Fatalf("false negative for key %d", i)
 		}
 	}
-	if f.N() != 1000 {
-		t.Errorf("N = %d, want 1000", f.N())
+	if f.n != 1000 {
+		t.Errorf("N = %d, want 1000", f.n)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.M() != f.M() || got.K() != f.K() || got.N() != f.N() {
+	if got.M() != f.M() || got.K() != f.K() || got.n != f.n {
 		t.Error("parameters changed in round trip")
 	}
 	for i := uint64(0); i < 500; i++ {
@@ -142,7 +142,7 @@ func TestClone(t *testing.T) {
 	if f.Test(2) {
 		t.Error("clone shares bits")
 	}
-	if !c.Test(1) || c.N() != 2 {
+	if !c.Test(1) || c.n != 2 {
 		t.Error("clone lost the original's key or count")
 	}
 }

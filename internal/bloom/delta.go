@@ -25,7 +25,7 @@ import (
 // but the wrong *contents* (a restarted ledger renumbering its epochs,
 // a proxy that missed an update) would corrupt it silently, and a
 // corrupted revocation filter means false negatives — revoked photos
-// served as "definitely not revoked". So Apply refuses a wrong base up
+// served as "definitely not revoked". So apply refuses a wrong base up
 // front (ErrBaseMismatch) and verifies the result hash after flipping:
 // a delta either reproduces the target exactly or fails loudly.
 //
@@ -44,7 +44,7 @@ var ErrBaseMismatch = errors.New("bloom: delta base filter mismatch")
 
 // ErrResultMismatch is returned when a delta applied cleanly but the
 // resulting bits do not hash to the encoded expectation (a corrupted or
-// forged frame). The filter passed to Apply must be discarded.
+// forged frame). The filter passed to apply must be discarded.
 var ErrResultMismatch = errors.New("bloom: delta result hash mismatch")
 
 // Frame layout: magic(6) ∥ header(28) ∥ baseHash(32) ∥ nextHash(32) ∥ gaps.
@@ -161,7 +161,7 @@ func ends(prev, next *Filter) deltaEnds {
 }
 
 // DeltaWithBase computes the update that transforms prev into next,
-// carrying the SHA-256 of both endpoints so Apply can reject a wrong
+// carrying the SHA-256 of both endpoints so apply can reject a wrong
 // base (ErrBaseMismatch) instead of silently corrupting the filter.
 func DeltaWithBase(prev, next *Filter) ([]byte, error) {
 	if prev.m != next.m || prev.k != next.k {
@@ -172,20 +172,12 @@ func DeltaWithBase(prev, next *Filter) ([]byte, error) {
 	return ends(prev, next).appendFrame(make([]byte, 0, deltaHeaderLen+size), count, flips), nil
 }
 
-// Apply mutates f by the given delta. f must be the exact base the
-// delta was computed from: its hash is checked before any bit flips
-// (ErrBaseMismatch) and the result hash after (ErrResultMismatch — f
-// must then be discarded). Snapshot ordering is the caller's
-// responsibility; ledgers number snapshots so proxies apply them in
-// order.
-func Apply(f *Filter, delta []byte) error {
-	_, err := apply(f, nil, delta)
-	return err
-}
-
-// apply is Apply for a caller that already knows f's hash (baseHash;
-// nil: hash f here). It returns the result's hash, so the result check
-// is the only hash a holder computes per epoch.
+// apply mutates f by the given delta. f must be the exact base the
+// delta was computed from: its hash (baseHash, or computed here when
+// nil) is checked before any bit flips (ErrBaseMismatch) and the result
+// hash after (ErrResultMismatch — f must then be discarded). It returns
+// the result's hash, so the result check is the only hash a holder
+// computes per epoch.
 func apply(f *Filter, baseHash []byte, delta []byte) ([32]byte, error) {
 	var got [32]byte
 	if len(delta) < deltaHeaderLen || string(delta[:6]) != deltaMagic {

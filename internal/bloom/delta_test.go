@@ -40,11 +40,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	applied := base.Clone()
-	if err := Apply(applied, d); err != nil {
+	if _, err := apply(applied, nil, d); err != nil {
 		t.Fatal(err)
 	}
-	if applied.N() != next.N() {
-		t.Errorf("N after apply = %d, want %d", applied.N(), next.N())
+	if applied.n != next.n {
+		t.Errorf("N after apply = %d, want %d", applied.n, next.n)
 	}
 	for i := range next.bits {
 		if applied.bits[i] != next.bits[i] {
@@ -67,7 +67,7 @@ func TestDeltaEmpty(t *testing.T) {
 		t.Errorf("no-change delta is %d bytes", len(d))
 	}
 	cp := base.Clone()
-	if err := Apply(cp, d); err != nil {
+	if _, err := apply(cp, nil, d); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,7 +112,7 @@ func TestDeltaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply(b, d); err != ErrMismatch {
+	if _, err := apply(b, nil, d); err != ErrMismatch {
 		t.Errorf("apply to mismatched filter: got %v, want ErrMismatch", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestApplyRejectsGarbage(t *testing.T) {
 		"truncated": d[:len(d)-4],
 		"v1 frame":  v1Frame(f, next),
 	} {
-		if err := Apply(f.Clone(), b); err == nil {
+		if _, err := apply(f.Clone(), nil, b); err == nil {
 			t.Errorf("Apply accepted %s", name)
 		}
 		if _, err := ApplyUpdate(f, b); err == nil {
@@ -160,14 +160,14 @@ func TestDeltaV2RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	applied := base.Clone()
-	if err := Apply(applied, d); err != nil {
+	if _, err := apply(applied, nil, d); err != nil {
 		t.Fatal(err)
 	}
 	if applied.Hash() != next.Hash() {
 		t.Fatal("v2 delta did not reproduce target")
 	}
-	if applied.N() != next.N() {
-		t.Errorf("N after apply = %d, want %d", applied.N(), next.N())
+	if applied.n != next.n {
+		t.Errorf("N after apply = %d, want %d", applied.n, next.n)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestDeltaV2WrongBase(t *testing.T) {
 	}
 	wrong.Add(99)
 	before := wrong.Hash()
-	if err := Apply(wrong, d); err != ErrBaseMismatch {
+	if _, err := apply(wrong, nil, d); err != ErrBaseMismatch {
 		t.Fatalf("got %v, want ErrBaseMismatch", err)
 	}
 	if wrong.Hash() != before {
@@ -204,7 +204,7 @@ func TestDeltaV2WrongBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply(other, d); err != ErrMismatch {
+	if _, err := apply(other, nil, d); err != ErrMismatch {
 		t.Fatalf("got %v, want ErrMismatch", err)
 	}
 }
@@ -223,7 +223,7 @@ func TestDeltaV2ResultTamper(t *testing.T) {
 	// Corrupt the expected-result hash: the gaps apply cleanly but the
 	// outcome no longer matches, so the frame must be rejected.
 	d[66] ^= 0xff
-	if err := Apply(base.Clone(), d); err != ErrResultMismatch {
+	if _, err := apply(base.Clone(), nil, d); err != ErrResultMismatch {
 		t.Fatalf("got %v, want ErrResultMismatch", err)
 	}
 }
@@ -393,10 +393,10 @@ func TestQuickUpdateExact(t *testing.T) {
 			return false
 		}
 		viaDelta := base.Clone()
-		if err := Apply(viaDelta, d); err != nil {
+		if _, err := apply(viaDelta, nil, d); err != nil {
 			return false
 		}
-		return viaDelta.Hash() == next.Hash() && viaDelta.N() == next.N()
+		return viaDelta.Hash() == next.Hash() && viaDelta.n == next.n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -424,7 +424,7 @@ func TestQuickDeltaExact(t *testing.T) {
 			return false
 		}
 		got := base.Clone()
-		if err := Apply(got, d); err != nil {
+		if _, err := apply(got, nil, d); err != nil {
 			return false
 		}
 		for i := range got.bits {
@@ -432,7 +432,7 @@ func TestQuickDeltaExact(t *testing.T) {
 				return false
 			}
 		}
-		return got.N() == next.N()
+		return got.n == next.n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -52,7 +52,7 @@ func FuzzApply(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = Apply(fl, data) // must not panic
+		_, err = apply(fl, nil, data) // must not panic
 		if err == nil && bytes.HasPrefix(data, []byte("IRSBD1")) {
 			t.Fatal("accepted a frame of the removed IRSBD1 format")
 		}

@@ -34,8 +34,8 @@ func TestAddAllMatchesSerialAdd(t *testing.T) {
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Errorf("workers=%d: AddAll filter differs from serial Add loop", w)
 		}
-		if got.N() != want.N() {
-			t.Errorf("workers=%d: N=%d want %d", w, got.N(), want.N())
+		if got.n != want.n {
+			t.Errorf("workers=%d: N=%d want %d", w, got.n, want.n)
 		}
 	}
 }

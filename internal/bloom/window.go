@@ -26,7 +26,7 @@ import (
 // the XOR of the two bit arrays. A holder further behind gets the
 // retained steps XOR-merged into one frame, byte-identical to
 // DeltaWithBase of the two filters. Each held epoch carries its hash,
-// so Pull presents it and Apply checks the base against it: the only
+// so Pull presents it and apply checks the base against it: the only
 // hash a holder computes per epoch is the result check.
 
 // ErrNoEpoch is returned by Window.Sync before the first Install.

@@ -372,13 +372,6 @@ func (k *KeyStore) List() []ids.PhotoID {
 	return out
 }
 
-// Len reports the number of records.
-func (k *KeyStore) Len() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.owned)
-}
-
 func (k *KeyStore) saveLocked() error {
 	if k.path == "" {
 		return nil

@@ -54,8 +54,8 @@ func TestClaimAndLabel(t *testing.T) {
 		t.Errorf("ledger claims = %d", claims)
 	}
 	// Keystore holds the record.
-	if cam.Store().Len() != 1 {
-		t.Errorf("keystore len %d", cam.Store().Len())
+	if len(cam.Store().List()) != 1 {
+		t.Errorf("keystore len %d", len(cam.Store().List()))
 	}
 	got, ok := cam.Store().Get(owned.ID)
 	if !ok || got.ContentHash != im.ContentHash() {
@@ -176,8 +176,8 @@ func TestKeyStorePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ks.Len() != 1 {
-		t.Fatalf("reloaded %d records", ks.Len())
+	if len(ks.List()) != 1 {
+		t.Fatalf("reloaded %d records", len(ks.List()))
 	}
 	got, ok := ks.Get(owned.ID)
 	if !ok {
@@ -200,7 +200,7 @@ func TestLoadKeyStoreMissingFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing file should yield empty store: %v", err)
 	}
-	if ks.Len() != 0 {
+	if len(ks.List()) != 0 {
 		t.Error("nonempty store from missing file")
 	}
 }

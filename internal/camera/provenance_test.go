@@ -36,8 +36,7 @@ func TestClaimAndLabelAttachesProvenance(t *testing.T) {
 	if !ok || id != owned.ID {
 		t.Errorf("chain claim id %v, want %v", id, owned.ID)
 	}
-	origin, ok := chain.Origin()
-	if !ok || !origin.Equal(cam.Device.Pub) {
+	if first := chain.Assertions[0]; first.Action != provenance.ActionCreated || !cam.Device.Pub.Equal(ed25519.PublicKey(first.Actor)) {
 		t.Error("chain origin is not the device key")
 	}
 	// Three assertions: created, claim, label edit.

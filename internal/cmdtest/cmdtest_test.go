@@ -303,6 +303,23 @@ func TestLedgerRejectsBadFlags(t *testing.T) {
 			t.Errorf("%q: %v, want exit 2:\n%s", args, err, out)
 		}
 	}
+	// A non-positive interval is refused at start-up by name, not left
+	// to panic in time.NewTicker once the binary serves. A panic exits
+	// 2 as well, so the output must name the flag and hold no panic.
+	for _, args := range [][]string{
+		{"irs-ledger", "-id", "1", "-addr", "127.0.0.1:0", "-snapshot-interval", "0"},
+		{"irs-proxy", "-addr", "127.0.0.1:0", "-ledger", "1=http://127.0.0.1:1", "-refresh-interval", "-1s"},
+		{"irs-relay", "-mode", "egress", "-addr", "127.0.0.1:0", "-ledger", "1=http://127.0.0.1:1", "-refresh-interval", "0"},
+		{"irs-site", "-addr", "127.0.0.1:0", "-ledger", "1=http://127.0.0.1:1", "-recheck-interval", "0"},
+	} {
+		out, err := exec.CommandContext(ctx, filepath.Join(binDir, args[0]), args[1:]...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%q: %v, want exit 2:\n%s", args, err, out)
+		}
+		if flag := args[len(args)-2]; !strings.Contains(string(out), flag) || strings.Contains(string(out), "panic:") {
+			t.Errorf("%q: output does not refuse %s by name:\n%s", args, flag, out)
+		}
+	}
 }
 
 // TestAppealViaCLI runs the §5 attack against two real ledger

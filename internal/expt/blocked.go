@@ -20,7 +20,6 @@ type blocked struct {
 	numBlocks uint64
 	k         int
 	words     []uint64 // 8 words (512 bits) per block
-	n         uint64
 }
 
 const blockWords = 8 // 512-bit blocks
@@ -63,7 +62,6 @@ func (b *blocked) Add(key uint64) {
 		}
 		b.words[block+bit/64] |= 1 << (bit % 64)
 	}
-	b.n++
 }
 
 // Test reports whether key may be present.
@@ -86,9 +84,3 @@ func (b *blocked) Test(key uint64) bool {
 
 // M returns the total size in bits.
 func (b *blocked) M() uint64 { return b.numBlocks * 512 }
-
-// N returns the number of keys added.
-func (b *blocked) N() uint64 { return b.n }
-
-// SizeBytes returns the filter size in bytes.
-func (b *blocked) SizeBytes() uint64 { return b.numBlocks * 64 }

@@ -178,13 +178,6 @@ func Parse(s string) (PhotoID, error) {
 	return FromBytes(raw), nil
 }
 
-// Key returns p in a form usable as a filter/cache key: the raw 16 bytes
-// as a string. This avoids allocating the display form on hot paths.
-func (p PhotoID) Key() string {
-	b := p.Bytes()
-	return string(b[:])
-}
-
 // Uint64Pair folds the identifier into two uint64s for use as hash input
 // by the filter implementations.
 func (p PhotoID) Uint64Pair() (hi, lo uint64) {

@@ -132,16 +132,6 @@ func TestParseRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestKeyLength(t *testing.T) {
-	id, err := New(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(id.Key()) != 16 {
-		t.Errorf("Key length = %d, want 16", len(id.Key()))
-	}
-}
-
 func TestUint64PairDistinct(t *testing.T) {
 	a, err := New(1)
 	if err != nil {

@@ -154,10 +154,6 @@ type Config struct {
 	// under the identifier-issue lock, so a plain *math/rand.Rand is
 	// fine.
 	Rand io.Reader
-	// Obs is the metrics registry the ledger's counters are interned
-	// in (series irs_ledger_*_total{ledger=...}); nil means a private
-	// registry, which keeps Metrics() working at identical cost.
-	Obs *obs.Registry
 	// Engine selects nothing: a non-empty Dir always means the segment
 	// engine. The field survives only because the frozen bench/ module
 	// sets it.
@@ -243,10 +239,7 @@ func New(cfg Config) (*Ledger, error) {
 		hist = 25
 	}
 	cfg.Shards = normalizeShards(cfg.Shards)
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	l := &Ledger{
 		cfg:       cfg,
 		clock:     clock,

@@ -70,9 +70,6 @@ func TestClaimAndStatus(t *testing.T) {
 	if p.State != StateActive {
 		t.Errorf("state = %v, want active", p.State)
 	}
-	if !p.Displayable() {
-		t.Error("active claim should be displayable")
-	}
 	if err := VerifyProof(l.SigningKey(), p, time.Now(), time.Minute); err != nil {
 		t.Errorf("proof verification: %v", err)
 	}
@@ -103,9 +100,6 @@ func TestRevokedAtBirth(t *testing.T) {
 	}
 	if p.State != StateRevoked {
 		t.Errorf("state = %v, want revoked", p.State)
-	}
-	if p.Displayable() {
-		t.Error("revoked claim displayable")
 	}
 	// Owner unrevokes to share.
 	if err := l.Apply(r.ID, OpUnrevoke, o.signOp(r.ID, OpUnrevoke, 1)); err != nil {
@@ -301,9 +295,6 @@ func TestStatusUnknownSigned(t *testing.T) {
 	}
 	if p.State != StateUnknown {
 		t.Errorf("state = %v, want unknown", p.State)
-	}
-	if p.Displayable() {
-		t.Error("unknown claim displayable")
 	}
 	if err := VerifyProof(l.SigningKey(), p, time.Now(), time.Minute); err != nil {
 		t.Errorf("unknown-state proof must still verify: %v", err)

@@ -8,8 +8,7 @@ import (
 )
 
 // metrics holds the ledger's interned obs instruments. The counters
-// live in an obs.Registry (shared when Config.Obs is set, private
-// otherwise) so the same numbers that experiments read also appear on
+// live in the ledger's own obs.Registry so the same numbers that experiments read also appear on
 // /debug/metrics; the struct itself is just the pre-interned pointers
 // the hot paths increment.
 type metrics struct {
@@ -78,5 +77,5 @@ func (l *Ledger) Metrics() MetricsSnapshot {
 }
 
 // Registry returns the observability registry this ledger's counters
-// live in (the one passed as Config.Obs, or the private default).
+// live in; the ledger's wire.Server interns its route series there too.
 func (l *Ledger) Registry() *obs.Registry { return l.obsReg }

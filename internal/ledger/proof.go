@@ -139,13 +139,6 @@ func VerifyProof(pub ed25519.PublicKey, p *StatusProof, now time.Time, maxAge ti
 	return nil
 }
 
-// Displayable reports whether a proof authorizes showing the photo:
-// only active claims may be displayed, saved, or reshared (§3.1,
-// Validating). Unknown claims are the caller's policy decision — the
-// aggregator rejects or custodially claims them — so Displayable is
-// false for them too.
-func (p *StatusProof) Displayable() bool { return p.State == StateActive }
-
 // Marshal encodes the proof for wire transport.
 func (p *StatusProof) Marshal() []byte {
 	return p.AppendMarshal(make([]byte, 0, MarshaledProofSize))

@@ -188,11 +188,6 @@ func (f *Faulty) Request(done func(err error)) {
 	}
 }
 
-// Trace returns the recorded fault events in issue order.
-func (f *Faulty) Trace() []FaultEvent {
-	return append([]FaultEvent(nil), f.trace...)
-}
-
 // TraceString renders the whole trace, one event per line — the
 // byte-identical replay check two runs with the same seed must pass.
 func (f *Faulty) TraceString() string {

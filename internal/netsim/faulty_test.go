@@ -38,7 +38,7 @@ func TestFaultyOutageWindow(t *testing.T) {
 			})
 		})
 	}
-	s.Run()
+	s.RunUntil(forever)
 	// Requests at t=50,60,70,80,90 fall in [50,100); the one at 100 does
 	// not (half-open window).
 	if outc != 5 || okc != 10 {
@@ -66,7 +66,7 @@ func TestFaultyLossRate(t *testing.T) {
 			})
 		})
 	}
-	s.Run()
+	s.RunUntil(forever)
 	if lost+ok != n {
 		t.Fatalf("callbacks %d, want %d", lost+ok, n)
 	}
@@ -99,7 +99,7 @@ func TestFaultySpikesStretchLatency(t *testing.T) {
 			})
 		})
 	}
-	s.Run()
+	s.RunUntil(forever)
 	var base, spiked int
 	for _, d := range lat {
 		switch d {
@@ -134,7 +134,7 @@ func TestFaultyFailLatency(t *testing.T) {
 		}
 		failedAt = s.Now()
 	})
-	s.Run()
+	s.RunUntil(forever)
 	if failedAt != 30*time.Millisecond {
 		t.Errorf("failure surfaced at %v, want 30ms (the simulated connect timeout)", failedAt)
 	}
@@ -159,7 +159,7 @@ func TestFaultyTraceReplay(t *testing.T) {
 				f.Request(func(error) {})
 			})
 		}
-		s.Run()
+		s.RunUntil(forever)
 		return f.TraceString()
 	}
 	a, b := run(7), run(7)
@@ -191,8 +191,8 @@ func TestFaultyOutageDoesNotShiftFate(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			s.At(time.Duration(i)*10*time.Millisecond, func() { f.Request(func(error) {}) })
 		}
-		s.Run()
-		return f.Trace()
+		s.RunUntil(forever)
+		return f.trace
 	}
 	clean := run(nil)
 	window := Outage{Start: 300 * time.Millisecond, End: 500 * time.Millisecond}

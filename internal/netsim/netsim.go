@@ -105,13 +105,12 @@ func (h eventHeap) Less(i, j int) bool {
 func (h eventHeap) Swap(i, j int)         { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)           { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any             { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() *event          { return h[0] }
 func (h eventHeap) isEmpty() bool         { return len(h) == 0 }
 func (h eventHeap) nextAt() time.Duration { return h[0].at }
 
 // Scheduler is a single-threaded discrete-event simulator. Time is a
 // Duration since simulation start. Not safe for concurrent use; all
-// callbacks run on the caller's goroutine inside Run.
+// callbacks run on the caller's goroutine inside RunUntil.
 type Scheduler struct {
 	now    time.Duration
 	seq    uint64
@@ -127,10 +126,6 @@ func NewScheduler(seed int64) *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Rand exposes the scheduler's deterministic source so model components
-// share one stream.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
-
 // At schedules fn at an absolute virtual time; times in the past run at
 // the current time.
 func (s *Scheduler) At(t time.Duration, fn func()) {
@@ -143,17 +138,6 @@ func (s *Scheduler) At(t time.Duration, fn func()) {
 
 // After schedules fn after a delay from now.
 func (s *Scheduler) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
-
-// Run executes events in order until none remain, returning the final
-// virtual time.
-func (s *Scheduler) Run() time.Duration {
-	for !s.events.isEmpty() {
-		e := heap.Pop(&s.events).(*event)
-		s.now = e.at
-		e.fn()
-	}
-	return s.now
-}
 
 // RunUntil executes events with time ≤ limit; remaining events stay
 // queued. Returns the virtual time reached (limit if events remain).

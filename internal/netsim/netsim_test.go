@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -61,13 +62,17 @@ func TestLogNormalDist(t *testing.T) {
 	}
 }
 
+// forever is a RunUntil limit past every event a test schedules.
+const forever = time.Duration(math.MaxInt64)
+
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler(1)
 	var order []int
-	s.At(30*time.Millisecond, func() { order = append(order, 3) })
+	var end time.Duration
+	s.At(30*time.Millisecond, func() { order = append(order, 3); end = s.Now() })
 	s.At(10*time.Millisecond, func() { order = append(order, 1) })
 	s.At(20*time.Millisecond, func() { order = append(order, 2) })
-	end := s.Run()
+	s.RunUntil(forever)
 	if end != 30*time.Millisecond {
 		t.Errorf("end time %v", end)
 	}
@@ -83,7 +88,7 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 		i := i
 		s.At(10*time.Millisecond, func() { order = append(order, i) })
 	}
-	s.Run()
+	s.RunUntil(forever)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-time events reordered: %v", order)
@@ -100,7 +105,7 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 			fired = append(fired, s.Now())
 		})
 	})
-	s.Run()
+	s.RunUntil(forever)
 	if len(fired) != 2 || fired[0] != 5*time.Millisecond || fired[1] != 12*time.Millisecond {
 		t.Errorf("fired at %v", fired)
 	}
@@ -112,7 +117,7 @@ func TestSchedulerPastEventRunsNow(t *testing.T) {
 	s.At(10*time.Millisecond, func() {
 		s.At(1*time.Millisecond, func() { at = s.Now() }) // in the past
 	})
-	s.Run()
+	s.RunUntil(forever)
 	if at != 10*time.Millisecond {
 		t.Errorf("past event ran at %v, want clamped to 10ms", at)
 	}
@@ -134,7 +139,7 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 25*time.Millisecond {
 		t.Errorf("now = %v", s.Now())
 	}
-	s.Run()
+	s.RunUntil(forever)
 	if count != 5 {
 		t.Errorf("total %d", count)
 	}
@@ -144,10 +149,11 @@ func TestLinkUnlimited(t *testing.T) {
 	s := NewScheduler(1)
 	l := NewLink(s, Fixed(10*time.Millisecond), 0)
 	var done int
+	var end time.Duration
 	for i := 0; i < 10; i++ {
-		l.Request(func() { done++ })
+		l.Request(func() { done++; end = s.Now() })
 	}
-	end := s.Run()
+	s.RunUntil(forever)
 	if done != 10 {
 		t.Errorf("done %d", done)
 	}
@@ -164,10 +170,11 @@ func TestLinkConcurrencyLimit(t *testing.T) {
 	s := NewScheduler(1)
 	l := NewLink(s, Fixed(10*time.Millisecond), 2)
 	var done int
+	var end time.Duration
 	for i := 0; i < 6; i++ {
-		l.Request(func() { done++ })
+		l.Request(func() { done++; end = s.Now() })
 	}
-	end := s.Run()
+	s.RunUntil(forever)
 	if done != 6 {
 		t.Errorf("done %d", done)
 	}
@@ -181,10 +188,12 @@ func TestDeterminism(t *testing.T) {
 	run := func() time.Duration {
 		s := NewScheduler(42)
 		l := NewLink(s, LogNormal{Median: 20 * time.Millisecond, Sigma: 0.6}, 4)
+		var end time.Duration
 		for i := 0; i < 50; i++ {
-			l.Request(func() {})
+			l.Request(func() { end = s.Now() })
 		}
-		return s.Run()
+		s.RunUntil(forever)
+		return end
 	}
 	if run() != run() {
 		t.Error("identical seeds produced different schedules")
@@ -241,6 +250,6 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			s.After(time.Duration(j)*time.Microsecond, func() {})
 		}
-		s.Run()
+		s.RunUntil(forever)
 	}
 }

@@ -130,6 +130,3 @@ func (s HistSnapshot) Quantile(p float64) float64 {
 	}
 	return s.Bounds[len(s.Bounds)-1]
 }
-
-// Quantile is the instrument-side convenience wrapper.
-func (h *Histogram) Quantile(p float64) float64 { return h.Snapshot().Quantile(p) }

@@ -17,21 +17,13 @@ func Handler(r *Registry) http.Handler {
 // RegisterDebug mounts the observability surface on mux:
 //
 //	GET /debug/metrics  — Prometheus text for reg
-//	GET /debug/traces   — text dump of tracer's retained spans (when
-//	                      tracer is non-nil)
 //	/debug/pprof/...    — the stdlib profiler endpoints
 //
 // The caller decides exposure: these endpoints reveal operational
 // detail (and pprof can run CPU profiles on demand), so servers mount
 // them only behind an explicit debug flag.
-func RegisterDebug(mux *http.ServeMux, reg *Registry, tracer *Tracer) {
+func RegisterDebug(mux *http.ServeMux, reg *Registry) {
 	mux.Handle("GET /debug/metrics", Handler(reg))
-	if tracer != nil {
-		mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			tracer.Dump(w)
-		})
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

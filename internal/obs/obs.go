@@ -64,9 +64,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set overwrites the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 

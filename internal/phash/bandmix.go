@@ -43,7 +43,6 @@ import (
 // derived deterministically from the key. The nil mixer is the
 // identity, so unkeyed code paths pay nothing.
 type BandMixer struct {
-	key  uint64
 	mask uint64
 	tab  [8][256]uint64
 }
@@ -52,7 +51,7 @@ type BandMixer struct {
 // the same mixer, so persisted indexes or differential tests can pin
 // the permutation.
 func NewBandMixer(key uint64) *BandMixer {
-	m := &BandMixer{key: key}
+	m := new(BandMixer)
 	// The SplitMix64 stream seeded with key stretches it into the
 	// permutation: each draw finalizes the state, then advances it.
 	st := key
@@ -98,14 +97,6 @@ func NewRandomBandMixer() *BandMixer {
 		panic("phash: crypto/rand unavailable: " + err.Error())
 	}
 	return NewBandMixer(binary.LittleEndian.Uint64(b[:]))
-}
-
-// Key returns the key the mixer was derived from (0 for nil).
-func (m *BandMixer) Key() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.key
 }
 
 // Mix applies the keyed isometry. The nil receiver is the identity.

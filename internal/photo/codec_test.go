@@ -116,7 +116,7 @@ func TestPNMStripsMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Meta.Len() != 0 {
+	if len(got.Meta.Keys()) != 0 {
 		t.Error("PNM round trip preserved metadata; it must strip")
 	}
 	if !im.Equal(got) {

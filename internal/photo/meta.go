@@ -55,9 +55,6 @@ func (m Metadata) Set(key, value string) {
 	m.kv[key] = value
 }
 
-// Len returns the number of entries.
-func (m Metadata) Len() int { return len(m.kv) }
-
 // Keys returns all keys in sorted order.
 func (m Metadata) Keys() []string {
 	keys := make([]string, 0, len(m.kv))

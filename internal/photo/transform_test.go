@@ -227,7 +227,7 @@ func TestMetadataStrip(t *testing.T) {
 		t.Error("StripNonIRS kept EXIF")
 	}
 	m.StripAll()
-	if m.Len() != 0 {
+	if len(m.Keys()) != 0 {
 		t.Error("StripAll left entries")
 	}
 }
@@ -235,7 +235,7 @@ func TestMetadataStrip(t *testing.T) {
 func TestMetadataBasics(t *testing.T) {
 	m := NewMetadata()
 	m.Set("", "ignored")
-	if m.Len() != 0 {
+	if len(m.Keys()) != 0 {
 		t.Error("empty key stored")
 	}
 	m.Set("k", "v")

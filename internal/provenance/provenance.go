@@ -235,15 +235,6 @@ func (c *Chain) ClaimID() (ids.PhotoID, bool) {
 	return ids.PhotoID{}, false
 }
 
-// Origin returns the capture assertion's actor key — the device that
-// started the chain.
-func (c *Chain) Origin() (ed25519.PublicKey, bool) {
-	if len(c.Assertions) == 0 || c.Assertions[0].Action != ActionCreated {
-		return nil, false
-	}
-	return ed25519.PublicKey(c.Assertions[0].Actor), true
-}
-
 // Embed serializes the chain into the photo's metadata.
 func (c *Chain) Embed(im *photo.Image) error {
 	b, err := json.Marshal(c)

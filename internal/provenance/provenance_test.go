@@ -63,8 +63,7 @@ func TestFullChainLifecycle(t *testing.T) {
 	if !ok || got != id {
 		t.Errorf("claim id %v ok=%v", got, ok)
 	}
-	origin, ok := chain.Origin()
-	if !ok || !origin.Equal(device.Pub) {
+	if first := chain.Assertions[0]; first.Action != ActionCreated || !device.Pub.Equal(ed25519.PublicKey(first.Actor)) {
 		t.Error("origin device lost")
 	}
 }

@@ -18,15 +18,10 @@ type Client struct {
 	hop wire.Hop
 }
 
-// NewClient builds a proxy client for base (e.g.
-// "http://127.0.0.1:8331").
-func NewClient(base string) *Client {
-	return NewClientHTTP(base, wire.CodecBinary, &http.Client{Transport: wire.NewTransport()})
-}
-
-// NewClientHTTP is NewClient with an explicit *http.Client, e.g. to
-// share a connection pool. The codec selects nothing: the parameter
-// stays only for callers that still pass one.
+// NewClientHTTP builds a proxy client for base (e.g.
+// "http://127.0.0.1:8331") over hc, e.g. to share a connection pool.
+// The codec selects nothing: the parameter stays only for callers that
+// still pass one.
 func NewClientHTTP(base string, _ wire.Codec, hc *http.Client) *Client {
 	return &Client{hop: wire.NewHop(base, hc)}
 }
@@ -73,7 +68,7 @@ func (c *Client) ValidateBatch(batch []ids.PhotoID) ([]ClientResult, error) {
 		return nil, err
 	}
 	out := make([]ClientResult, len(batch))
-	err := c.hop.Exchange("validate_batch", "/v1/validate/batch",
+	err := c.hop.Exchange("/v1/validate/batch",
 		func(dst []byte) []byte { return wire.EncodeValidateBatchReq(dst, batch) },
 		wire.MsgValidateBatchResp, wire.MaxFramePayload,
 		func(payload []byte) error {

@@ -126,7 +126,7 @@ func TestProxyClientCodecsAgree(t *testing.T) {
 func testProxyClientCodecsAgree(t *testing.T) {
 	st := newCodecStack(t)
 	batch := []ids.PhotoID{st.active, st.revoked, st.active}
-	c := NewClient(st.proxySrv.URL)
+	c := NewClientHTTP(st.proxySrv.URL, wire.CodecBinary, http.DefaultClient)
 
 	// Two rounds: the first resolves the revoked photo at the ledger and
 	// caches it, so in the second both encodings answer from the cache.
@@ -199,7 +199,7 @@ func TestProxyClientFirstRequestIsIRSW1(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL)
+	c := NewClientHTTP(srv.URL, wire.CodecBinary, http.DefaultClient)
 	for _, batch := range [][]ids.PhotoID{{st.active, st.revoked}, {st.revoked}} {
 		if _, err := c.ValidateBatch(batch); err != nil {
 			t.Fatal(err)
@@ -227,7 +227,7 @@ func TestProxyClientRefusesJSONAnswer(t *testing.T) {
 		st.proxySrv.Config.Handler.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	c := NewClient(srv.URL)
+	c := NewClientHTTP(srv.URL, wire.CodecBinary, http.DefaultClient)
 
 	if res, err := c.ValidateBatch([]ids.PhotoID{st.active, st.revoked}); err == nil || res != nil {
 		t.Errorf("JSON batch answer accepted: %+v, %v", res, err)
@@ -237,7 +237,7 @@ func TestProxyClientRefusesJSONAnswer(t *testing.T) {
 		wire.WriteError(w, http.StatusBadGateway, "upstream down")
 	}))
 	defer down.Close()
-	_, err := NewClient(down.URL).ValidateBatch([]ids.PhotoID{st.active})
+	_, err := NewClientHTTP(down.URL, wire.CodecBinary, http.DefaultClient).ValidateBatch([]ids.PhotoID{st.active})
 	var we *wire.Error
 	if !errors.As(err, &we) || we.Code != http.StatusBadGateway {
 		t.Errorf("error status: %v, want the proxy's 502", err)

@@ -315,7 +315,7 @@ func TestMetadataStripLeavesWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stripped.Meta.Len() != 0 {
+	if len(stripped.Meta.Keys()) != 0 {
 		t.Fatal("strip failed")
 	}
 	res, err := ExtractAligned(stripped, cfg)

@@ -114,13 +114,10 @@ func TestClientRefusesUndefinedState(t *testing.T) {
 	good := p.Marshal()
 	bad := p.Marshal()
 	bad[30] = 9
-	// The frames are re-finished so the swapped proof passes the CRC.
+	// The frame is re-finished so the swapped proof passes the CRC.
 	batchFrame := func(raw []byte) string {
 		frame := bytes.Replace(EncodeStatusBatchResp(nil, []*ledger.StatusProof{p}), good, raw, 1)
 		return string(FinishFrame(frame, 0))
-	}
-	statusFrame := func(raw []byte) string {
-		return string(FinishFrame(bytes.Replace(EncodeStatusResp(nil, p), good, raw, 1), 0))
 	}
 	for _, wantErr := range []bool{false, true} {
 		raw := good
@@ -131,7 +128,7 @@ func TestClientRefusesUndefinedState(t *testing.T) {
 		if _, err := c.StatusBatch([]ids.PhotoID{id}); (err != nil) != wantErr {
 			t.Errorf("StatusBatch, undefined state %v: err = %v", wantErr, err)
 		}
-		c = NewClient(hostileServer(t, http.StatusOK, ContentTypeBinary, statusFrame(raw), nil).URL, "")
+		c = NewClient(hostileServer(t, http.StatusOK, ContentTypeBinary, batchFrame(raw), nil).URL, "")
 		if _, err := c.Status(id); (err != nil) != wantErr {
 			t.Errorf("Status, undefined state %v: err = %v", wantErr, err)
 		}

@@ -15,7 +15,7 @@ import (
 )
 
 // IRSW1 is the binary wire codec for the hot RPCs of both hops: the
-// serving path's Status, StatusBatch, ValidateBatch and FilterSync, and
+// serving path's StatusBatch, ValidateBatch and FilterSync, and
 // the write plane's signed owner ops and claims. The Go clients speak
 // only IRSW1 on them, through Hop.Exchange. Servers also answer JSON on
 // every route, chosen per request by its Content-Type and Accept, for
@@ -28,7 +28,6 @@ import (
 //
 // and the payload is a tagged message:
 //
-//	status resp:         's' | u16 len | proof
 //	status batch req:    'B' | uvarint n | n × id[16]
 //	status batch resp:   'b' | uvarint n | n × (u16 len | proof)
 //	filter sync resp:    'f' | uvarint latest epoch | update payload
@@ -104,7 +103,6 @@ func IsBinaryContent(ct string) bool {
 
 // IRSW1 message kinds (payload byte 0).
 const (
-	MsgStatusResp        = byte('s')
 	MsgStatusBatchReq    = byte('B')
 	MsgStatusBatchResp   = byte('b')
 	MsgFilterSyncResp    = byte('f')
@@ -284,28 +282,6 @@ func takeField(payload []byte) (field, rest []byte, err error) {
 		return nil, nil, ErrFrameCorrupt
 	}
 	return payload[:n:n], payload[n:], nil
-}
-
-// EncodeStatusResp encodes a single-status response frame onto dst.
-func EncodeStatusResp(dst []byte, p *ledger.StatusProof) []byte {
-	start := len(dst)
-	dst = BeginFrame(dst)
-	dst = append(dst, MsgStatusResp)
-	dst = appendProof(dst, p)
-	return FinishFrame(dst, start)
-}
-
-// DecodeStatusResp returns the proof bytes of a single-status response
-// payload (aliasing payload).
-func DecodeStatusResp(payload []byte) ([]byte, error) {
-	proof, rest, err := takeField(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, ErrFrameCorrupt
-	}
-	return proof, nil
 }
 
 // EncodeStatusBatchResp encodes a StatusBatch response frame onto dst.

@@ -18,30 +18,21 @@ import (
 
 	"irs/internal/ids"
 	"irs/internal/ledger"
-	"irs/internal/obs"
 	"irs/internal/tsa"
 )
 
-// DefaultTimeout bounds one request/response exchange when the caller
-// does not configure one. Serving-path callers that care about tail
-// latency (the proxy, the retry layer) configure something far shorter;
-// this is the safety net for interactive tools.
+// DefaultTimeout bounds every request/response exchange of a Client.
+// Serving-path callers that care about tail latency (the retry layer)
+// bound each attempt far shorter through WithContext; this is the
+// safety net for interactive tools.
 const DefaultTimeout = 30 * time.Second
 
 // ClientOptions tunes a Client beyond the defaults.
 type ClientOptions struct {
-	// Timeout bounds each request/response exchange. 0 means
-	// DefaultTimeout; negative disables the deadline entirely (the
-	// caller's context is then the only bound).
-	Timeout time.Duration
 	// HTTPClient overrides the underlying transport, e.g. to share a
 	// connection pool across clients. Its own Timeout field is left
 	// alone; the Client applies its deadline per request via context.
 	HTTPClient *http.Client
-	// Obs, when non-nil, interns per-RPC latency histograms and
-	// result-class counters (irs_wire_client_*) in the given registry.
-	// nil disables client instrumentation at zero per-call cost.
-	Obs *obs.Registry
 	// Codec selects nothing: Claim, Apply, Status, StatusBatch and
 	// FilterSync always speak IRSW1. The field stays only for callers
 	// that still set it.
@@ -61,63 +52,6 @@ func NewTransport() *http.Transport {
 	tr.MaxIdleConnsPerHost = 64
 	tr.IdleConnTimeout = 90 * time.Second
 	return tr
-}
-
-// clientRPCs is the fixed RPC name set; instruments are interned once
-// per client at construction, never per call.
-var clientRPCs = []string{
-	"claim", "op", "status", "status_batch", "seq",
-	"keys", "filter_sync", "admin_revoke",
-}
-
-// rpcInstruments is one RPC's pre-interned series.
-type rpcInstruments struct {
-	lat                     *obs.Histogram
-	ok, protocol, transport *obs.Counter
-}
-
-// clientObs maps RPC names to instruments; a nil *clientObs is the
-// disabled state.
-type clientObs struct {
-	rpcs map[string]*rpcInstruments
-}
-
-func newClientObs(reg *obs.Registry) *clientObs {
-	co := &clientObs{rpcs: make(map[string]*rpcInstruments, len(clientRPCs))}
-	for _, rpc := range clientRPCs {
-		l := obs.L("rpc", rpc)
-		co.rpcs[rpc] = &rpcInstruments{
-			lat:       reg.Histogram("irs_wire_client_seconds", nil, l),
-			ok:        reg.Counter("irs_wire_client_requests_total", l, obs.L("class", "ok")),
-			protocol:  reg.Counter("irs_wire_client_requests_total", l, obs.L("class", "protocol")),
-			transport: reg.Counter("irs_wire_client_requests_total", l, obs.L("class", "transport")),
-		}
-	}
-	return co
-}
-
-// observe records one finished RPC. Classes: "ok" for a successful
-// exchange, "transport" when the request or response failed to move
-// over the network, "protocol" for everything the server (or response
-// validation) rejected.
-func (co *clientObs) observe(rpc string, start time.Time, err error) {
-	if co == nil {
-		return
-	}
-	ri := co.rpcs[rpc]
-	if ri == nil {
-		return
-	}
-	ri.lat.Observe(time.Since(start).Seconds())
-	var te *TransportError
-	switch {
-	case err == nil:
-		ri.ok.Inc()
-	case errors.As(err, &te):
-		ri.transport.Inc()
-	default:
-		ri.protocol.Inc()
-	}
 }
 
 // TransportError marks a failure moving a request or response over the
@@ -160,14 +94,10 @@ type Hop struct {
 	// ctx, when non-nil, is the base context every request derives from
 	// (Client.WithContext); nil means context.Background().
 	ctx context.Context
-	// obs holds the pre-interned per-RPC instruments; nil when the hop
-	// was built without ClientOptions.Obs.
-	obs *clientObs
 }
 
-// NewHop returns a hop to base over hc with no per-exchange deadline
-// and no instruments, so an exchange allocates no context: the shape
-// hop 1 runs in.
+// NewHop returns a hop to base over hc with no per-exchange deadline,
+// so an exchange allocates no context: the shape hop 1 runs in.
 func NewHop(base string, hc *http.Client) Hop { return Hop{base: base, http: hc} }
 
 // Client speaks the ledger protocol. It is safe for concurrent use.
@@ -189,19 +119,8 @@ func NewClientOpts(base string, adminToken string, opts ClientOptions) *Client {
 	if hc == nil {
 		hc = &http.Client{Transport: NewTransport()}
 	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
-	}
-	var co *clientObs
-	if opts.Obs != nil {
-		co = newClientObs(opts.Obs)
-	}
-	return &Client{hop: Hop{base: base, http: hc, timeout: timeout, obs: co}, admin: adminToken}
+	return &Client{hop: Hop{base: base, http: hc, timeout: DefaultTimeout}, admin: adminToken}
 }
-
-// Base returns the base URL the client targets.
-func (c *Client) Base() string { return c.hop.base }
 
 // WithContext returns a copy of the client whose requests derive from
 // ctx — cancel the context and in-flight calls abort. The retry layer
@@ -232,11 +151,7 @@ func (h *Hop) newRequest(method, path string, body io.Reader) (*http.Request, co
 	return hr, cancel, nil
 }
 
-func (c *Client) postJSON(rpc, path string, req, resp any, headers map[string]string) (err error) {
-	if c.hop.obs != nil {
-		start := time.Now()
-		defer func() { c.hop.obs.observe(rpc, start, err) }()
-	}
+func (c *Client) postJSON(path string, req, resp any, headers map[string]string) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("wire: encoding request: %w", err)
@@ -257,11 +172,7 @@ func (c *Client) postJSON(rpc, path string, req, resp any, headers map[string]st
 	return decodeResponse(r, resp)
 }
 
-func (c *Client) getJSON(rpc, path string, resp any) (err error) {
-	if c.hop.obs != nil {
-		start := time.Now()
-		defer func() { c.hop.obs.observe(rpc, start, err) }()
-	}
+func (c *Client) getJSON(path string, resp any) error {
 	hr, cancel, err := c.hop.newRequest(http.MethodGet, path, nil)
 	if err != nil {
 		return err
@@ -323,11 +234,7 @@ func ReadBody(r io.Reader, max int) (*[]byte, error) {
 // encoding is a protocol error, and error statuses carry the JSON
 // wire.Error. Bytes that failed to move, or a frame (or payload) that
 // did not arrive intact, are a *TransportError.
-func (h *Hop) Exchange(rpc, path string, encode func(dst []byte) []byte, kind byte, max int, decode func(payload []byte) error) (err error) {
-	if h.obs != nil {
-		start := time.Now()
-		defer func() { h.obs.observe(rpc, start, err) }()
-	}
+func (h *Hop) Exchange(path string, encode func(dst []byte) []byte, kind byte, max int, decode func(payload []byte) error) error {
 	method, body := http.MethodGet, io.Reader(nil)
 	if encode != nil {
 		bp := GetBuf()
@@ -383,7 +290,7 @@ func (c *Client) Claim(req *ClaimRequest) (ledger.Receipt, error) {
 		return ledger.Receipt{}, err
 	}
 	var rc ledger.Receipt
-	err := c.hop.Exchange("claim", "/v1/claim",
+	err := c.hop.Exchange("/v1/claim",
 		func(dst []byte) []byte { return EncodeClaimReq(dst, req) }, MsgClaimResp, maxBody,
 		func(payload []byte) error {
 			id, token, proof, err := DecodeClaimResp(payload)
@@ -424,26 +331,19 @@ func (c *Client) Apply(id ids.PhotoID, op ledger.Op, _ uint64, sig []byte) error
 	if len(sig) != sigSize {
 		return fmt.Errorf("wire: op needs a %d-byte signature, have %d", sigSize, len(sig))
 	}
-	return c.hop.Exchange("op", "/v1/op",
+	return c.hop.Exchange("/v1/op",
 		func(dst []byte) []byte { return EncodeOpReq(dst, id, op, sig) }, MsgOpResp, maxBody, DecodeOpResp)
 }
 
-// Status validates a claim, returning the parsed signed proof. The
-// response is rejected unless its proof attests id.
+// Status validates a claim, returning the parsed signed proof: a
+// StatusBatch of one. The response is rejected unless its proof attests
+// id.
 func (c *Client) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
-	proof := new(ledger.StatusProof)
-	err := c.hop.Exchange("status", "/v1/status?id="+url.QueryEscape(id.String()), nil, MsgStatusResp, maxBody,
-		func(payload []byte) error {
-			raw, err := DecodeStatusResp(payload)
-			if err != nil {
-				return err
-			}
-			return checkProof(id, 0, raw, proof)
-		})
+	proofs, err := c.StatusBatch([]ids.PhotoID{id})
 	if err != nil {
 		return nil, err
 	}
-	return proof, nil
+	return proofs[0], nil
 }
 
 // StatusBatch validates up to MaxStatusBatch claims in one POST,
@@ -458,7 +358,7 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 		return nil, err
 	}
 	var proofs []*ledger.StatusProof
-	err := c.hop.Exchange("status_batch", "/v1/status/batch",
+	err := c.hop.Exchange("/v1/status/batch",
 		func(dst []byte) []byte { return EncodeStatusBatchReq(dst, batch) }, MsgStatusBatchResp, maxBody,
 		func(payload []byte) (err error) {
 			proofs, err = decodeStatusBatch(payload, batch)
@@ -505,7 +405,7 @@ func checkProof(id ids.PhotoID, i int, raw []byte, p *ledger.StatusProof) error 
 // Seq fetches the current operation sequence for owner-side signing.
 func (c *Client) Seq(id ids.PhotoID) (uint64, error) {
 	var resp SeqQueryResponse
-	if err := c.getJSON("seq", "/v1/seq?id="+url.QueryEscape(id.String()), &resp); err != nil {
+	if err := c.getJSON("/v1/seq?id="+url.QueryEscape(id.String()), &resp); err != nil {
 		return 0, err
 	}
 	return resp.Seq, nil
@@ -514,7 +414,7 @@ func (c *Client) Seq(id ids.PhotoID) (uint64, error) {
 // Keys fetches the ledger's verification keys.
 func (c *Client) Keys() (*KeysResponse, error) {
 	var resp KeysResponse
-	if err := c.getJSON("keys", "/v1/keys", &resp); err != nil {
+	if err := c.getJSON("/v1/keys", &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.SigningKey) != ed25519.PublicKeySize || len(resp.TimestampKey) != ed25519.PublicKeySize {
@@ -534,7 +434,7 @@ const maxFilterBytes = 1 << 30
 func (c *Client) FilterSync(from uint64, baseHash []byte) (payload []byte, latest uint64, err error) {
 	path := "/v1/filter/sync?from=" + strconv.FormatUint(from, 10) +
 		"&base=" + hex.EncodeToString(baseHash)
-	err = c.hop.Exchange("filter_sync", path, nil, MsgFilterSyncResp, maxFilterBytes,
+	err = c.hop.Exchange(path, nil, MsgFilterSyncResp, maxFilterBytes,
 		func(p []byte) error {
 			lat, upd, err := DecodeFilterSyncResp(p)
 			if err != nil {
@@ -557,7 +457,7 @@ func (c *Client) FilterSync(from uint64, baseHash []byte) (payload []byte, lates
 // PermanentRevoke invokes the admin endpoint; the client must have been
 // constructed with the ledger's admin token.
 func (c *Client) PermanentRevoke(id ids.PhotoID) error {
-	return c.postJSON("admin_revoke", "/v1/admin/permanent-revoke",
+	return c.postJSON("/v1/admin/permanent-revoke",
 		&AdminRevokeRequest{ID: id.String()}, nil,
 		map[string]string{"Authorization": "Bearer " + c.admin})
 }

@@ -48,10 +48,15 @@ func countingServer(t *testing.T, status int, ct string, body []byte) (string, *
 	return srv.URL, &hits
 }
 
-// statusFrame builds one well-formed MsgStatusResp frame around
-// proofLen zero bytes (frame-valid, proof-invalid).
-func statusFrame(proofLen int) []byte {
-	b := append(wire.BeginFrame(nil), wire.MsgStatusResp, byte(proofLen), byte(proofLen>>8))
+// proofFrame builds one well-formed frame of the given kind around a
+// field of proofLen zero bytes (frame-valid, proof-invalid). With
+// wire.MsgStatusBatchResp it is a one-proof batch answer.
+func proofFrame(kind byte, proofLen int) []byte {
+	b := append(wire.BeginFrame(nil), kind)
+	if kind == wire.MsgStatusBatchResp {
+		b = append(b, 1)
+	}
+	b = append(b, byte(proofLen), byte(proofLen>>8))
 	b = append(b, make([]byte, proofLen)...)
 	return wire.FinishFrame(b, 0)
 }
@@ -78,7 +83,7 @@ func isTransport(t *testing.T, who string, err error) {
 // retryable under the idempotency rules, so never for a claim or an
 // owner op — never a silent zero-value response.
 func TestBinaryFrameErrorsAreTransport(t *testing.T) {
-	whole := statusFrame(ledger.MarshaledProofSize)
+	whole := proofFrame(wire.MsgStatusBatchResp, ledger.MarshaledProofSize)
 	corrupt := bytes.Clone(whole)
 	corrupt[len(corrupt)-1] ^= 0x01 // payload bit flip vs recorded CRC
 	cases := map[string][]byte{
@@ -92,6 +97,9 @@ func TestBinaryFrameErrorsAreTransport(t *testing.T) {
 			b[len(wire.BeginFrame(nil))] = wire.MsgFilterSyncResp
 			return wire.FinishFrame(b, 0)
 		}(),
+		// The single-status kind a ledger answered before Status became
+		// a one-id status batch.
+		"retired-status-kind": proofFrame('s', ledger.MarshaledProofSize),
 	}
 	id := newID(t)
 	for name, body := range cases {
@@ -102,7 +110,7 @@ func TestBinaryFrameErrorsAreTransport(t *testing.T) {
 				t.Errorf("non-nil proof alongside error")
 			}
 			isTransport(t, "wire.Client.Status", err)
-			res, err := proxy.NewClient(url).ValidateBatch([]ids.PhotoID{id})
+			res, err := proxy.NewClientHTTP(url, wire.CodecBinary, http.DefaultClient).ValidateBatch([]ids.PhotoID{id})
 			if res != nil {
 				t.Errorf("results alongside error: %+v", res)
 			}
@@ -142,7 +150,7 @@ func TestClientAgainstConnectionRefused(t *testing.T) {
 		t.Error("dead server produced a seq")
 	}
 	_, statusErr := c.Status(id)
-	_, batchErr := proxy.NewClient(url).ValidateBatch([]ids.PhotoID{id})
+	_, batchErr := proxy.NewClientHTTP(url, wire.CodecBinary, http.DefaultClient).ValidateBatch([]ids.PhotoID{id})
 	for who, err := range map[string]error{"wire.Client.Status": statusErr, "proxy.Client.ValidateBatch": batchErr} {
 		var te *wire.TransportError
 		if !errors.As(err, &te) || !te.PreSend {
@@ -162,7 +170,7 @@ func TestStatusBatchClientRefusesOversized(t *testing.T) {
 	if _, err := wire.NewClient(url, "").StatusBatch(batch); err == nil {
 		t.Error("wire.Client sent an oversized batch")
 	}
-	if _, err := proxy.NewClient(url).ValidateBatch(batch); err == nil {
+	if _, err := proxy.NewClientHTTP(url, wire.CodecBinary, http.DefaultClient).ValidateBatch(batch); err == nil {
 		t.Error("proxy.Client sent an oversized batch")
 	}
 	if n := hits.Load(); n != 0 {

@@ -80,8 +80,8 @@ func TestClientAgainstWrongShapes(t *testing.T) {
 		t.Error("short keys accepted")
 	}
 
-	// A well-formed IRSW1 status frame whose signed proof attests a
-	// different id than the one asked about.
+	// A well-formed one-proof IRSW1 status batch frame whose signed
+	// proof attests a different id than the one asked about.
 	l, err := ledger.New(ledger.Config{ID: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestClientAgainstWrongShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv3 := hostileServer(t, http.StatusOK, ContentTypeBinary, string(EncodeStatusResp(nil, other)), nil)
+	srv3 := hostileServer(t, http.StatusOK, ContentTypeBinary, string(EncodeStatusBatchResp(nil, []*ledger.StatusProof{other})), nil)
 	if p, err := NewClient(srv3.URL, "").Status(hostileID(t)); err == nil {
 		t.Errorf("status proof for %s accepted", p.ID)
 	}

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"testing"
 
 	"irs/internal/bloom"
+	"irs/internal/ids"
 	"irs/internal/ledger"
 )
 
@@ -92,5 +94,41 @@ func TestLoopbackParity(t *testing.T) {
 	// Bad hash length.
 	if _, err := lb.Claim(&ClaimRequest{ContentHash: []byte("short")}); err == nil {
 		t.Error("short hash accepted by loopback")
+	}
+}
+
+// TestClientStatusMatchesLoopback: Client.Status reaches the ledger as
+// a one-id status batch over HTTP, Loopback.Status through
+// ledger.Status; under a pinned clock both give byte-identical proofs
+// for an active, a revoked, an unknown and a permanently revoked id.
+func TestClientStatusMatchesLoopback(t *testing.T) {
+	env := newEnv(t, ledger.Config{Clock: fixedClock}, "admin")
+	lb := &Loopback{L: env.ledger}
+	k := newKeypair(t)
+	permanent := k.claimVia(t, env.client, "parity permanent", false).ID
+	if err := env.client.PermanentRevoke(permanent); err != nil {
+		t.Fatal(err)
+	}
+	unknown, err := ids.New(env.ledger.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, id := range map[ledger.State]ids.PhotoID{
+		ledger.StateActive:             k.claimVia(t, env.client, "parity active", false).ID,
+		ledger.StateRevoked:            k.claimVia(t, env.client, "parity revoked", true).ID,
+		ledger.StateUnknown:            unknown,
+		ledger.StatePermanentlyRevoked: permanent,
+	} {
+		viaHTTP, err := env.client.Status(id)
+		if err != nil {
+			t.Fatalf("%v: client status: %v", want, err)
+		}
+		direct, err := lb.Status(id)
+		if err != nil {
+			t.Fatalf("%v: loopback status: %v", want, err)
+		}
+		if viaHTTP.State != want || !bytes.Equal(viaHTTP.Marshal(), direct.Marshal()) {
+			t.Errorf("%v: client proof %x, loopback proof %x", want, viaHTTP.Marshal(), direct.Marshal())
+		}
 	}
 }

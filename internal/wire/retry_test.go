@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -225,6 +226,7 @@ func TestRetryAttemptDeadline(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // as in TestClientConfigurableTimeout
 		select {
 		case <-release:
 		case <-r.Context().Done():
@@ -252,19 +254,23 @@ func TestRetryAttemptDeadline(t *testing.T) {
 	}
 }
 
-// TestClientConfigurableTimeout pins that ClientOptions.Timeout
-// replaces the old hardcoded 30s.
+// TestClientConfigurableTimeout pins that the hop's per-exchange
+// deadline (DefaultTimeout, lowered here after construction) ends an
+// exchange with a hung server.
 func TestClientConfigurableTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Only a fully read body lets the server see the client hang up.
+		io.Copy(io.Discard, r.Body)
 		select {
 		case <-release:
 		case <-r.Context().Done():
 		}
 	}))
 	defer srv.Close()
-	c := NewClientOpts(srv.URL, "", ClientOptions{Timeout: 40 * time.Millisecond})
+	c := NewClient(srv.URL, "")
+	c.hop.timeout = 40 * time.Millisecond
 	start := time.Now()
 	if _, err := c.Status(testID(t)); err == nil {
 		t.Fatal("hung server produced a success")

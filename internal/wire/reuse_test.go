@@ -37,7 +37,7 @@ func TestDecodeResponseDrainsForReuse(t *testing.T) {
 	c := NewClientOpts(srv.URL, "", ClientOptions{HTTPClient: &http.Client{Transport: &http.Transport{}}})
 
 	var resp SeqQueryResponse
-	if err := c.getJSON("seq", "/v1/seq?id=x", &resp); err != nil {
+	if err := c.getJSON("/v1/seq?id=x", &resp); err != nil {
 		t.Fatalf("first request: %v", err)
 	}
 
@@ -46,7 +46,7 @@ func TestDecodeResponseDrainsForReuse(t *testing.T) {
 		GotConn: func(i httptrace.GotConnInfo) { got = i },
 	})
 	c2 := c.WithContext(ctx).(*Client)
-	if err := c2.getJSON("seq", "/v1/seq?id=x", &resp); err != nil {
+	if err := c2.getJSON("/v1/seq?id=x", &resp); err != nil {
 		t.Fatalf("second request: %v", err)
 	}
 	if !got.Reused {
@@ -156,7 +156,7 @@ func TestKeepAliveReuseAtHighConcurrency(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				var resp SeqQueryResponse
-				if err := c.getJSON("seq", "/v1/seq?id=x", &resp); err != nil {
+				if err := c.getJSON("/v1/seq?id=x", &resp); err != nil {
 					t.Errorf("request: %v", err)
 				}
 			}()

@@ -18,7 +18,7 @@ import (
 // Server adapts a ledger.Ledger to the HTTP protocol. Construct with
 // NewServer and mount it anywhere an http.Handler goes. The server
 // speaks both codecs, chosen per request: JSON everywhere, and IRSW1
-// on the hot routes (claim, op, status, status batch, filter sync)
+// on the hot routes (claim, op, status batch, filter sync)
 // when the request's Content-Type or Accept names it.
 type Server struct {
 	ledger *ledger.Ledger
@@ -32,17 +32,11 @@ type Server struct {
 
 // ServerOptions tunes the optional server surfaces.
 type ServerOptions struct {
-	// Obs is the registry the per-route instruments are interned in;
-	// nil means the ledger's own registry, so the RPC series land next
-	// to the irs_ledger_* counters.
-	Obs *obs.Registry
 	// Debug mounts GET /debug/metrics (Prometheus text) and the
 	// net/http/pprof endpoints. Off by default: these expose
 	// operational detail and on-demand profiling, so binaries gate
 	// them behind an explicit flag.
 	Debug bool
-	// Tracer, with Debug, also mounts GET /debug/traces.
-	Tracer *obs.Tracer
 }
 
 // NewServer wraps l. adminToken authorizes the appeals process's
@@ -51,12 +45,11 @@ func NewServer(l *ledger.Ledger, adminToken string) *Server {
 	return NewServerOpts(l, adminToken, ServerOptions{})
 }
 
-// NewServerOpts is NewServer with explicit observability options.
+// NewServerOpts is NewServer with explicit observability options. The
+// per-route series live in the ledger's registry, next to its
+// irs_ledger_* counters.
 func NewServerOpts(l *ledger.Ledger, adminToken string, opts ServerOptions) *Server {
-	reg := opts.Obs
-	if reg == nil {
-		reg = l.Registry()
-	}
+	reg := l.Registry()
 	s := &Server{ledger: l, adminToken: adminToken, mux: http.NewServeMux(), obsReg: reg,
 		codec: NewCodecWriter(reg, "irs_wire_server")}
 	route := func(pattern, name string, h http.HandlerFunc) {
@@ -64,20 +57,16 @@ func NewServerOpts(l *ledger.Ledger, adminToken string, opts ServerOptions) *Ser
 	}
 	route("POST /v1/claim", "claim", s.handleClaim)
 	route("POST /v1/op", "op", s.handleOp)
-	route("GET /v1/status", "status", s.handleStatus)
 	route("POST /v1/status/batch", "status_batch", s.handleStatusBatch)
 	route("GET /v1/seq", "seq", s.handleSeq)
 	route("GET /v1/keys", "keys", s.handleKeys)
 	route("GET /v1/filter/sync", "filter_sync", s.handleFilterSync)
 	route("POST /v1/admin/permanent-revoke", "admin_revoke", s.handleAdminRevoke)
 	if opts.Debug {
-		obs.RegisterDebug(s.mux, reg, opts.Tracer)
+		obs.RegisterDebug(s.mux, reg)
 	}
 	return s
 }
-
-// Registry returns the registry the server's route series live in.
-func (s *Server) Registry() *obs.Registry { return s.obsReg }
 
 // statusWriter captures the response status for the route counters.
 type statusWriter struct {
@@ -333,23 +322,6 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 	}
 	s.codec.Write(w, r, EncodeOpResp, func() int {
 		WriteJSON(w, http.StatusOK, struct{}{})
-		return -1
-	})
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id, err := ids.Parse(r.URL.Query().Get("id"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	proof, err := s.ledger.Status(id)
-	if err != nil {
-		WriteError(w, statusFor(err), err.Error())
-		return
-	}
-	s.codec.Write(w, r, func(dst []byte) []byte { return EncodeStatusResp(dst, proof) }, func() int {
-		WriteJSON(w, http.StatusOK, &StatusResponse{State: proof.State.String(), Proof: proof.Marshal()})
 		return -1
 	})
 }

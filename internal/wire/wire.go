@@ -12,8 +12,8 @@
 //
 //	POST /v1/claim         body ClaimRequest   → ClaimResponse
 //	POST /v1/op            body OpRequest      → empty
-//	GET  /v1/status?id=I   → StatusResponse (with marshaled signed proof)
 //	POST /v1/status/batch  body StatusBatchRequest → StatusBatchResponse
+//	       (a single-id status is a batch of one)
 //	GET  /v1/seq?id=I      → SeqQueryResponse (for owner-side op signing)
 //	GET  /v1/keys          → KeysResponse
 //	GET  /v1/filter/sync?from=E&base=H → binary update payload for
@@ -24,8 +24,8 @@
 //	POST /v1/admin/permanent-revoke  body AdminRevokeRequest → empty
 //	       (requires the configured bearer token; used by appeals)
 //
-// The hot routes — claim and op, the write plane's, and status, status
-// batch and filter sync, the serving path's — also speak the IRSW1
+// The hot routes — claim and op, the write plane's, and status batch
+// and filter sync, the serving path's — also speak the IRSW1
 // binary codec (binwire.go) when a request asks for it. Client speaks
 // only IRSW1 on them; the shapes above remain for browsers and curl.
 //
@@ -155,14 +155,6 @@ type OpRequest struct {
 	Seq uint64 `json:"seq"`
 	// Sig is the signature over ledger.OpMsg(id, op, seq).
 	Sig []byte `json:"sig"`
-}
-
-// StatusResponse carries a validation answer.
-type StatusResponse struct {
-	// State is the ledger.State string form.
-	State string `json:"state"`
-	// Proof is the marshaled signed ledger.StatusProof.
-	Proof []byte `json:"proof"`
 }
 
 // MaxStatusBatch bounds the identifiers in one StatusBatch request. A

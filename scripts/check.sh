@@ -45,10 +45,12 @@ done
 go vet ./...
 go test -race ./...
 
-# The exported surface is the surface that runs: every exported name
-# under internal/ is named by non-test code beside its declaration,
-# every config field is set outside its own package, and every
-# exception is an allowlist entry with its reason (exports_test.go).
+# The exported surface is the surface that runs, type-checked with
+# go/types so that a shared name never lends one declaration another's
+# callers: every exported name under internal/ has a non-test use
+# beside its declaration, every config field is set outside its own
+# package, and every exception is an allowlist entry with its reason
+# (exports_test.go).
 go test -run 'TestEveryExportHasACaller' .
 
 # Fault-injection and degradation paths re-run under the race detector
@@ -236,8 +238,11 @@ go test -run='^$' -fuzz=FuzzHistogramObserve -fuzztime=10s ./internal/obs
 # IRSW1 on twin ledgers (state, receipts and wire errors alike), the
 # in-place decode that keeps nothing of the pooled body, the op and
 # claim frame roundtrips, and a claim or op the frame cannot carry
-# refused before it is sent. All named under the race detector.
-go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields' \
+# refused before it is sent. A single-id status is a status batch of
+# one: the client's proofs equal the in-process ones byte for byte, and
+# the removed GET /v1/status answers 404. All named under the race
+# detector.
+go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields|ClientStatusMatchesLoopback|BadRequests' \
     ./internal/wire ./internal/proxy
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
