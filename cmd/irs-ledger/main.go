@@ -117,7 +117,7 @@ func main() {
 			log.Printf("irs-ledger: trusting timestamps from ledger %d (%s)", peerID, url)
 		}
 		mux := http.NewServeMux()
-		mux.Handle("/v1/appeal", appeals.NewServer(adj))
+		mux.Handle("/v1/appeal", appeals.NewServer(adj.Decide))
 		mux.Handle("/", handler)
 		handler = mux
 	}

@@ -2,7 +2,8 @@
 // §3.2 "eventual solution" site as a real service: the upload pipeline
 // (label checks, ledger validation, custodial claiming, robust-hash
 // derivative defense), hosted serving with freshness proofs, and the
-// periodic revalidation pass that takes revoked content down.
+// periodic revalidation pass that takes revoked content down, and the
+// §3.2 complaint desk for the copies the site claimed custodially.
 //
 // Usage:
 //
@@ -10,17 +11,21 @@
 //	         -custodial-ledger 1 -recheck-interval 1h
 //
 // Endpoints: POST /v1/upload (IRSP body), GET /v1/photo?id=,
-// POST /v1/recheck, GET /v1/stats.
+// POST /v1/recheck, GET /v1/stats, POST /v1/appeal (ComplaintRequest
+// body). The appeal desk trusts the timestamps of every -ledger
+// endpoint, whose keys it fetches at start.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"time"
 
 	"irs/internal/aggregator"
+	"irs/internal/appeals"
 	"irs/internal/core"
 	"irs/internal/ids"
 )
@@ -64,6 +69,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("irs-site: %v", err)
 	}
+	desk, err := sys.NewSiteAdjudicator(agg, nil)
+	if err != nil {
+		log.Fatalf("irs-site: trusted ledgers: %v", err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/v1/appeal", appeals.NewServer(desk.Decide))
+	mux.Handle("/", aggregator.NewServer(agg))
 
 	go func() {
 		t := time.NewTicker(*recheckInterval)
@@ -81,7 +93,7 @@ func main() {
 
 	log.Printf("irs-site: %q serving on %s (%d ledgers, custodial=%v, recheck every %s)",
 		*name, *addr, len(ledgers), cfg.Unlabeled == aggregator.CustodialClaim, *recheckInterval)
-	if err := core.Serve(*addr, aggregator.NewServer(agg)); err != nil {
+	if err := core.Serve(*addr, mux); err != nil {
 		log.Fatalf("irs-site: %v", err)
 	}
 }

@@ -16,7 +16,7 @@
 //	status <id>                    query revocation status
 //	inspect <in.irsp|in.pgm>       extract the label (metadata + watermark)
 //	list                           list owned photo identifiers
-//	appeal <orig> <copy> <id> [url] lodge a §3.2 complaint against a claim
+//	appeal <orig> <copy> <id> [url] lodge a §3.2 complaint at a ledger or site desk
 //	audit                          probe the ledger for honest answers (§5)
 package main
 
@@ -252,7 +252,8 @@ func readImage(path string) (*photo.Image, error) {
 
 // lodgeAppeal locates the claim evidence for the original (by the
 // original's metadata or watermark label, then the keystore) and posts
-// the complaint to the contested claim's ledger.
+// the complaint to the desk at appealURL: the contested claim's ledger,
+// or the irs-site hosting the copy.
 func lodgeAppeal(store *camera.KeyStore, orig, copyImg *photo.Image, contested ids.PhotoID, appealURL string) error {
 	// Find which of our claims covers the original.
 	var owned *camera.Owned

@@ -35,29 +35,13 @@ var callerAllowlist = map[string]string{
 
 	// Test fixtures.
 	"photo.SynthRGB":             "test fixture: colour images for the codec and hash tests",
-	"photo.MeanAbsDiff":          "test fixture: frame fidelity in the video codec tests",
+	"photo.MeanAbsDiff":          "test fixture: the fidelity measure of the transform tests",
 	"photo.Image.SetGray":        "test fixture: hand-built pixels in the image tests",
 	"photo.Metadata.HasIRSLabel": "test fixture: checks a label survived or was stripped",
 	"photo.Image.Equal":          "test fixture: the photo and watermark tests compare images with it",
 
-	// Paper mechanisms that no binary exposes yet.
-	"aggregator.Aggregator.UploadVideo":   "paper mechanism: the §3 video path (no upload route yet)",
-	"aggregator.Aggregator.ServeVideo":    "paper mechanism: the §3 video path (no serve route yet)",
-	"camera.Camera.ClaimAndLabelVideo":    "paper mechanism: the §3 video path (no owner tool yet)",
-	"camera.Camera.Record":                "paper mechanism: the §2 video path (the camera's clip source)",
-	"photo.EncodeIRSV":                    "paper mechanism: the IRSV video container",
-	"photo.DecodeIRSV":                    "paper mechanism: the IRSV video container",
-	"photo.TranscodeVideo":                "paper mechanism: the benign video transform the §3 video path must survive",
-	"photo.DropFrames":                    "paper mechanism: the frame-rate transform the §3 video path must survive",
-	"photo.Metadata.StripNonIRS":          "paper mechanism: §3.2's IRS-supporting site keeps only the label",
-	"appeals.NewSiteAdjudicator":          "paper mechanism: §5 site-side appeals (irs-site has no appeals route yet)",
-	"appeals.SiteAdjudicator.Decide":      "paper mechanism: §5 site-side appeals (irs-site has no appeals route yet)",
-	"appeals.SiteAdjudicator.TrustLedger": "paper mechanism: §5 site-side appeals (irs-site has no appeals route yet)",
-	"provenance.Chain.AddPublished":       "paper mechanism: §5 provenance publication events",
-	"browser.AlmanacGoodThreshold":        "paper mechanism: the Web Almanac bar §4.3 measures page loads against",
-	"core.Spec.BrowserFilter":             "paper mechanism: §4.4's browser-resident filter (no binary runs a browser)",
-
 	// Named ROADMAP items.
+	"core.Spec.BrowserFilter":         "ROADMAP item 16: deploys §4.4's browser-resident filter",
 	"obs.Tracer.DumpString":           "ROADMAP item 10: trace dumps on a debug route",
 	"topology.Replica.AppliedSeq":     "ROADMAP item 15: replica lag in the topology report",
 	"topology.Origin.Claim":           "ROADMAP item 15: replaces Origin, which irs-bench -topology feeds through Restore only",

@@ -143,11 +143,8 @@ type Config struct {
 }
 
 type hosted struct {
-	id  ids.PhotoID
-	img *photo.Image
-	// video is set instead of a meaningful img for video uploads (img
-	// then holds the poster frame).
-	video     *photo.Video
+	id        ids.PhotoID
+	img       *photo.Image
 	proof     *ledger.StatusProof
 	checkedAt time.Time
 	custodial bool
@@ -328,77 +325,6 @@ func (a *Aggregator) lookupHash(sig phash.Signature) (ids.PhotoID, bool) {
 	return a.hashIdx.Lookup(sig)
 }
 
-// UploadVideo runs the pipeline on a video (paper §2: the approach
-// extends to "other digital media (such as personal videos)"). The
-// label is the container metadata plus the cross-frame watermark vote;
-// hosting stores the first frame's perceptual signature for the
-// derivative defense. Videos follow the same deny taxonomy as photos.
-func (a *Aggregator) UploadVideo(v *photo.Video) (UploadResult, error) {
-	a.mu.Lock()
-	a.metrics.Uploads++
-	a.mu.Unlock()
-
-	var metaID, wmID ids.PhotoID
-	var metaOK, wmOK bool
-	if s := v.Meta.Get(photo.KeyIRSID); s != "" {
-		if id, err := ids.Parse(s); err == nil {
-			metaID, metaOK = id, true
-		}
-	}
-	if res, err := watermark.ExtractVideo(v, watermark.DefaultConfig()); err == nil {
-		wmID, wmOK = ids.FromBytes(res.Payload), true
-	}
-	switch {
-	case metaOK && wmOK && metaID != wmID:
-		return a.deny(DenyLabelMismatch), nil
-	case metaOK != wmOK:
-		return a.deny(DenyPartialLabel), nil
-	case !metaOK && !wmOK:
-		// Custodial claiming of videos is not implemented; unlabeled
-		// video uploads are rejected under either policy.
-		return a.deny(DenyUnlabeled), nil
-	}
-	id := metaID
-	svc, err := a.dir.For(id)
-	if err != nil {
-		return a.deny(DenyLedgerUnreachable), nil
-	}
-	proof, err := svc.Status(id)
-	if err != nil {
-		return a.deny(DenyLedgerUnreachable), nil
-	}
-	switch proof.State {
-	case ledger.StateActive:
-	case ledger.StateUnknown:
-		return a.deny(DenyUnknownClaim), nil
-	default:
-		return a.deny(DenyRevoked), nil
-	}
-	// Host the video's poster frame record for revalidation tracking;
-	// the full clip is stored alongside. Every frame's perceptual
-	// signature enters the hash index (batch-hashed across the worker
-	// pool), so a still lifted from any frame — not just the poster —
-	// resolves to this claim in the derivative check.
-	sigs := phash.SignatureAll(v.Frames)
-	pids := make([]ids.PhotoID, len(sigs))
-	for i := range pids {
-		pids[i] = id
-	}
-	a.mu.Lock()
-	a.metrics.Accepted++
-	a.photos[id] = &hosted{
-		id:        id,
-		img:       v.Frames[0].Clone(),
-		video:     v.Clone(),
-		proof:     proof,
-		checkedAt: a.clock(),
-		sig:       sigs[0],
-	}
-	a.hashIdx.AddAll(sigs, pids)
-	a.mu.Unlock()
-	return UploadResult{Accepted: true, ID: id}, nil
-}
-
 // snapshotHosted copies one hosted entry out under the read lock.
 // Entries are mutated in place by applyRecheck (proof, checkedAt), so
 // the serving paths must not hold a *hosted across an unlock — the
@@ -412,26 +338,6 @@ func (a *Aggregator) snapshotHosted(id ids.PhotoID) (hosted, bool) {
 		return hosted{}, false
 	}
 	return *h, true
-}
-
-// ServeVideo returns a hosted video with the freshness proof in its
-// container metadata, revalidating stale proofs like Serve.
-func (a *Aggregator) ServeVideo(id ids.PhotoID) (*photo.Video, error) {
-	h, ok := a.snapshotHosted(id)
-	if !ok || h.video == nil {
-		return nil, ErrNotHosted
-	}
-	if a.clock().Sub(h.checkedAt) > a.cfg.RecheckInterval {
-		if err := a.revalidate(id); err != nil {
-			return nil, err
-		}
-		if h, ok = a.snapshotHosted(id); !ok {
-			return nil, ErrTakenDown
-		}
-	}
-	out := h.video.Clone()
-	out.Meta.Set(photo.KeyIRSProof, string(h.proof.Marshal()))
-	return out, nil
 }
 
 // Serve errors.
@@ -597,6 +503,10 @@ func (a *Aggregator) HostedCount() int {
 // CustodialKeys exposes the custodial key store (the appeals process
 // needs it to revoke custodial claims after adjudication).
 func (a *Aggregator) CustodialKeys() *camera.KeyStore { return a.keys }
+
+// CustodialLedger is the service custodial claims go to, nil when the
+// site makes none.
+func (a *Aggregator) CustodialLedger() wire.Service { return a.cfg.CustodialLedger }
 
 // MetricsSnapshot returns a copy of the counters.
 func (a *Aggregator) MetricsSnapshot() Metrics {

@@ -528,102 +528,6 @@ func TestDerivativeWithTransferredLabelRevokesWithOriginal(t *testing.T) {
 	}
 }
 
-func TestVideoUploadLifecycle(t *testing.T) {
-	r := newRig(t, RejectUnlabeled, nil)
-	v, err := r.cam.Record(80, 192, 128, 5, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labeled, owned, err := r.cam.ClaimAndLabelVideo(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.agg.UploadVideo(labeled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted || res.ID != owned.ID {
-		t.Fatalf("video upload: %+v", res)
-	}
-	served, err := r.agg.ServeVideo(owned.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.Meta.Get(photo.KeyIRSProof) == "" {
-		t.Error("served video missing freshness proof")
-	}
-	if len(served.Frames) != 5 {
-		t.Errorf("served %d frames", len(served.Frames))
-	}
-	// Revocation takes the video down on recheck.
-	if err := r.cam.Revoke(owned.ID); err != nil {
-		t.Fatal(err)
-	}
-	down, err := r.agg.RecheckAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down != 1 {
-		t.Errorf("takedown %d", down)
-	}
-	if _, err := r.agg.ServeVideo(owned.ID); err != ErrNotHosted {
-		t.Errorf("serve after takedown: %v", err)
-	}
-}
-
-func TestVideoUploadDenials(t *testing.T) {
-	r := newRig(t, RejectUnlabeled, nil)
-	// Unlabeled.
-	raw, err := photo.SynthVideo(81, 192, 128, 4, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.agg.UploadVideo(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted || res.Reason != DenyUnlabeled {
-		t.Errorf("unlabeled video: %+v", res)
-	}
-	// Revoked.
-	v, err := r.cam.Record(82, 192, 128, 4, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labeled, owned, err := r.cam.ClaimAndLabelVideo(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.cam.Revoke(owned.ID); err != nil {
-		t.Fatal(err)
-	}
-	res, err = r.agg.UploadVideo(labeled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted || res.Reason != DenyRevoked {
-		t.Errorf("revoked video: %+v", res)
-	}
-	// Stripped container metadata → partial label.
-	v2, err := r.cam.Record(83, 192, 128, 4, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labeled2, _, err := r.cam.ClaimAndLabelVideo(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripped := labeled2.Clone()
-	stripped.Meta.StripAll()
-	res, err = r.agg.UploadVideo(stripped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted || res.Reason != DenyPartialLabel {
-		t.Errorf("stripped video: %+v", res)
-	}
-}
-
 func TestConcurrentUploadsAndRechecks(t *testing.T) {
 	r := newRig(t, RejectUnlabeled, nil)
 	const n = 12

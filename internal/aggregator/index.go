@@ -253,7 +253,7 @@ func (x *SigIndex) Add(sig phash.Signature, id ids.PhotoID) {
 }
 
 // AddAll appends a batch of signatures (one per id) in order — the
-// bulk-ingest path for phash.SignatureAll-sized batches. The band
+// bulk-ingest path for whole batches of signatures. The band
 // tables are rebuilt at most once for the whole batch.
 func (x *SigIndex) AddAll(sigs []phash.Signature, pids []ids.PhotoID) {
 	if len(sigs) != len(pids) {

@@ -17,7 +17,6 @@ import (
 	"irs/internal/ledger"
 	"irs/internal/netsim"
 	"irs/internal/parallel"
-	"irs/internal/phash"
 	"irs/internal/photo"
 	"irs/internal/watermark"
 	"irs/internal/wire"
@@ -323,43 +322,6 @@ func TestPipelinePoisonedItem(t *testing.T) {
 	}
 	if results[2].Err != nil || !results[2].Result.Accepted {
 		t.Errorf("item 2: %+v err=%v", results[2].Result, results[2].Err)
-	}
-}
-
-// TestVideoUploadWorkerInvariance pins the batch-hashed video ingest:
-// the hosted signature set, and therefore every derivative lookup, is
-// identical whether SignatureAll ran on one worker or eight.
-func TestVideoUploadWorkerInvariance(t *testing.T) {
-	r := newRig(t, RejectUnlabeled, nil)
-	v, err := r.cam.Record(970, 192, 128, 6, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labeled, owned, err := r.cam.ClaimAndLabelVideo(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialSigs := make([]phash.Signature, len(labeled.Frames))
-	for i, f := range labeled.Frames {
-		serialSigs[i] = phash.NewSignature(f)
-	}
-	for _, workers := range []int{1, 8} {
-		prev := parallel.SetWorkers(workers)
-		agg := freshAgg(t, r, RejectUnlabeled)
-		res, err := agg.UploadVideo(labeled)
-		parallel.SetWorkers(prev)
-		if err != nil || !res.Accepted || res.ID != owned.ID {
-			t.Fatalf("workers %d: %+v %v", workers, res, err)
-		}
-		// Every frame — not just the poster — must resolve through the
-		// hash index, with signatures matching the serial computation.
-		for i := range labeled.Frames {
-			id, found := agg.lookupHash(serialSigs[i])
-			if !found || id != owned.ID {
-				t.Errorf("workers %d: frame %d signature not indexed (found=%v id=%v)",
-					workers, i, found, id)
-			}
-		}
 	}
 }
 

@@ -23,8 +23,11 @@
 //
 // A parallel site-level path (SiteAdjudicator) handles copies that were
 // never claimed: the complaint goes "against the site displaying the
-// photo", which takes the photo down and revokes its custodial claim if
-// it made one.
+// photo". The site desk hears only copies the site itself claimed
+// custodially, with the same evidence, priority and derivation checks;
+// upheld, it takes the photo down and revokes its custodial claim. A
+// copy hosted under an owner's claim belongs to that claim's ledger
+// desk.
 package appeals
 
 import (
@@ -266,13 +269,14 @@ func (a *Adjudicator) Decide(c *Complaint) (Verdict, error) {
 }
 
 // SiteAdjudicator handles the other §3.2 branch: complaints against a
-// site displaying an (unclaimed or custodially claimed) copy.
+// site displaying a copy it claimed custodially.
 type SiteAdjudicator struct {
-	agg     *aggregator.Aggregator
-	tsaKeys map[ids.LedgerID]ed25519.PublicKey
+	agg *aggregator.Aggregator
+	// desk holds the trusted timestamp keys and the review hook; it has
+	// no ledger, since the contested claims are the site's own.
+	desk Adjudicator
 	// custodial routes revocations of the site's own custodial claims.
 	custodial wire.Service
-	review    ReviewFunc
 }
 
 // NewSiteAdjudicator creates the site-side appeals handler. custodial
@@ -280,35 +284,46 @@ type SiteAdjudicator struct {
 func NewSiteAdjudicator(agg *aggregator.Aggregator, custodial wire.Service, review ReviewFunc) *SiteAdjudicator {
 	return &SiteAdjudicator{
 		agg:       agg,
-		tsaKeys:   make(map[ids.LedgerID]ed25519.PublicKey),
+		desk:      Adjudicator{tsaKeys: make(map[ids.LedgerID]ed25519.PublicKey), review: review},
 		custodial: custodial,
-		review:    review,
 	}
 }
 
 // TrustLedger registers a timestamp key for complainant evidence.
 func (s *SiteAdjudicator) TrustLedger(id ids.LedgerID, tsaKey ed25519.PublicKey) {
-	s.tsaKeys[id] = tsaKey
+	s.desk.TrustLedger(id, tsaKey)
 }
 
 // Decide adjudicates a complaint against a hosted photo, taking it down
-// (and revoking any custodial claim) when upheld. c.ContestedID names
-// the hosted photo. When the custodial revocation fails, the verdict is
-// still Upheld — the local takedown happened — and the error says that
-// other sites may go on serving the copy.
+// and revoking its custodial claim when upheld. c.ContestedID names the
+// hosted photo. The site hears only its own custodial claims, and only
+// from a complainant whose timestamp the custodial claim's does not
+// precede; a photo hosted under an owner's claim is refused with the
+// ledger desk to appeal to. When the custodial revocation fails, the
+// verdict is still Upheld — the local takedown happened — and the error
+// says that other sites may go on serving the copy.
 func (s *SiteAdjudicator) Decide(c *Complaint) (Verdict, error) {
-	ad := &Adjudicator{tsaKeys: s.tsaKeys, review: s.review}
-	if err := ad.verifyEvidence(c); err != nil {
+	if err := s.desk.verifyEvidence(c); err != nil {
 		return Verdict{Outcome: RejectedBadEvidence, Detail: err.Error()}, nil
 	}
 	hostedImg, ok := s.agg.Hosted(c.ContestedID)
 	if !ok {
 		return Verdict{Outcome: RejectedNoSuchClaim, Detail: "photo not hosted"}, nil
 	}
+	owned, custodial := s.agg.CustodialKeys().Get(c.ContestedID)
+	if !custodial {
+		return Verdict{Outcome: RejectedPolicy, Detail: fmt.Sprintf(
+			"photo is hosted under an owner's claim; appeal to ledger %d's desk (POST /v1/appeal)", c.ContestedID.Ledger)}, nil
+	}
+	// A custodial claim asserts no ownership, so unlike the ledger desk
+	// the site refuses only a complainant whose claim came after it.
+	if tsa.Earlier(owned.Receipt.Timestamp, c.OriginalToken) {
+		return Verdict{Outcome: RejectedNotEarlier,
+			Detail: "the site's custodial claim predates the complainant's timestamp"}, nil
+	}
 	// Compare against what the site actually hosts, not what the
 	// complainant hands us.
-	cc := &Complaint{Original: c.Original, Copy: hostedImg}
-	derived, sim := ad.judgeDerived(cc)
+	derived, sim := s.desk.judgeDerived(&Complaint{Original: c.Original, Copy: hostedImg})
 	if !derived {
 		return Verdict{Outcome: RejectedNotDerived, Similarity: sim,
 			Detail: fmt.Sprintf("robust-hash similarity %.3f below the derivation bar", sim)}, nil
@@ -318,7 +333,7 @@ func (s *SiteAdjudicator) Decide(c *Complaint) (Verdict, error) {
 		Detail: "hosted copy derived from original; taken down"}
 	// Revoke the custodial claim so other sites holding the same label
 	// also stop serving it.
-	if owned, ok := s.agg.CustodialKeys().Get(c.ContestedID); ok && s.custodial != nil {
+	if s.custodial != nil {
 		seq, err := s.custodial.Seq(owned.ID)
 		if err == nil {
 			sig := ed25519.Sign(owned.PrivKey, ledger.OpMsg(owned.ID, ledger.OpRevoke, seq+1))

@@ -2,6 +2,7 @@ package appeals
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -382,6 +383,86 @@ func TestSiteAppealCustodial(t *testing.T) {
 	}
 	if p.State != ledger.StateRevoked {
 		t.Errorf("custodial claim state %v after appeal", p.State)
+	}
+}
+
+// TestSiteAppealLaterClaimantRejected: whoever downloads a hosted
+// custodial photo and claims it after the site did cannot appeal it
+// down. The photo stays hosted and its custodial claim active.
+func TestSiteAppealLaterClaimantRejected(t *testing.T) {
+	sa := newSiteAppeal(t)
+	hostedImg, _ := sa.agg.Hosted(sa.id)
+	thief := camera.New(&wire.Loopback{L: sa.cl}, "local://2", nil)
+	_, stolen, err := thief.ClaimAndLabel(hostedImg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sadj := NewSiteAdjudicator(sa.agg, &wire.Loopback{L: sa.cl}, nil)
+	sadj.TrustLedger(2, sa.cl.TimestampKey())
+	v, err := sadj.Decide(&Complaint{
+		Original:       hostedImg,
+		OriginalToken:  stolen.Receipt.Timestamp,
+		OriginalLedger: 2,
+		ContestedID:    sa.id,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Outcome != RejectedNotEarlier {
+		t.Errorf("site verdict %v (%s), want rejected-not-earlier", v.Outcome, v.Detail)
+	}
+	if !sa.agg.Hosts(sa.id) {
+		t.Error("photo taken down on a later claimant's complaint")
+	}
+	p, err := sa.cl.Status(sa.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.State != ledger.StateActive {
+		t.Errorf("custodial claim state %v after a refused appeal", p.State)
+	}
+}
+
+// TestSiteAppealRefusesOwnerClaimedPhoto: a photo hosted under an
+// owner's claim is for that claim's ledger desk to judge (§3.2), so the
+// site refuses the complaint, names the desk and keeps the photo, even
+// when the complainant holds the earlier claim.
+func TestSiteAppealRefusesOwnerClaimedPhoto(t *testing.T) {
+	sa := newSiteAppeal(t)
+	complainant := camera.New(&wire.Loopback{L: sa.vl}, "local://1", nil)
+	orig := complainant.Shoot(22, 192, 128)
+	_, early, err := complainant.ClaimAndLabel(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reclaimer := camera.New(&wire.Loopback{L: sa.cl}, "local://2", nil)
+	labeled, owned, err := reclaimer.ClaimAndLabel(orig.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sa.agg.Upload(labeled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Accepted || res.Custodial || res.ID != owned.ID {
+		t.Fatalf("upload %+v", res)
+	}
+	sadj := NewSiteAdjudicator(sa.agg, &wire.Loopback{L: sa.cl}, nil)
+	sadj.TrustLedger(1, sa.vl.TimestampKey())
+	v, err := sadj.Decide(&Complaint{
+		Original:       orig,
+		OriginalToken:  early.Receipt.Timestamp,
+		OriginalLedger: 1,
+		ContestedID:    owned.ID,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Outcome != RejectedPolicy || !strings.Contains(v.Detail, "ledger 2") {
+		t.Errorf("site verdict %v (%s), want rejected-policy naming ledger 2", v.Outcome, v.Detail)
+	}
+	if !sa.agg.Hosts(owned.ID) {
+		t.Error("owner-claimed photo taken down by the site desk")
 	}
 }
 

@@ -10,15 +10,16 @@ import (
 	"irs/internal/wire"
 )
 
-// Server exposes an Adjudicator over HTTP — the complaint desk of §3.2:
-// "the original owner can lodge a complaint against the ledger on which
-// the copy has been claimed". The endpoint is public (any owner may
+// Server exposes a complaint desk over HTTP — a ledger's (§3.2: "the
+// original owner can lodge a complaint against the ledger on which the
+// copy has been claimed") or a site's (Adjudicator.Decide or
+// SiteAdjudicator.Decide). The endpoint is public (any owner may
 // complain; the evidence requirements do the gatekeeping).
 //
 //	POST /v1/appeal   body ComplaintRequest → VerdictResponse
 type Server struct {
-	adj *Adjudicator
-	mux *http.ServeMux
+	decide func(*Complaint) (Verdict, error)
+	mux    *http.ServeMux
 }
 
 // ComplaintRequest is the wire form of a Complaint. Images travel as
@@ -33,7 +34,8 @@ type ComplaintRequest struct {
 	OriginalLedger uint32 `json:"original_ledger"`
 	// Copy is the contested photo as found circulating, IRSP-encoded.
 	Copy []byte `json:"copy"`
-	// ContestedID is the claim under which the copy circulates.
+	// ContestedID is the claim under which the copy circulates (at a
+	// site, the id it hosts the copy under).
 	ContestedID string `json:"contested_id"`
 }
 
@@ -45,9 +47,9 @@ type VerdictResponse struct {
 	Detail     string  `json:"detail"`
 }
 
-// NewServer wraps an adjudicator.
-func NewServer(adj *Adjudicator) *Server {
-	s := &Server{adj: adj, mux: http.NewServeMux()}
+// NewServer serves the desk whose Decide is decide.
+func NewServer(decide func(*Complaint) (Verdict, error)) *Server {
+	s := &Server{decide: decide, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/appeal", s.handleAppeal)
 	return s
 }
@@ -81,7 +83,7 @@ func (s *Server) handleAppeal(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, "contested id: "+err.Error())
 		return
 	}
-	v, err := s.adj.Decide(&Complaint{
+	v, err := s.decide(&Complaint{
 		Original:       orig,
 		OriginalToken:  tok,
 		OriginalLedger: ids.LedgerID(req.OriginalLedger),

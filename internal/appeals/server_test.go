@@ -45,7 +45,7 @@ func TestAppealOverHTTPUpheld(t *testing.T) {
 	r := newAttackRig(t, false)
 	orig, owned, attackCopy, attackID := r.runAttack(t, 60, nil)
 
-	srv := httptest.NewServer(NewServer(r.adj))
+	srv := httptest.NewServer(NewServer(r.adj.Decide))
 	defer srv.Close()
 
 	v, code := postComplaint(t, srv.URL, &ComplaintRequest{
@@ -79,7 +79,7 @@ func TestAppealOverHTTPRejectsFraming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(r.adj))
+	srv := httptest.NewServer(NewServer(r.adj.Decide))
 	defer srv.Close()
 	v, code := postComplaint(t, srv.URL, &ComplaintRequest{
 		Original:       encodeIRSP(t, unrelated),
@@ -98,7 +98,7 @@ func TestAppealOverHTTPRejectsFraming(t *testing.T) {
 
 func TestAppealOverHTTPBadInputs(t *testing.T) {
 	r := newAttackRig(t, false)
-	srv := httptest.NewServer(NewServer(r.adj))
+	srv := httptest.NewServer(NewServer(r.adj.Decide))
 	defer srv.Close()
 
 	for name, body := range map[string]string{

@@ -153,55 +153,6 @@ func Label(im *photo.Image, id ids.PhotoID, ledgerURL string, cfg watermark.Conf
 	return wm, nil
 }
 
-// Record produces a synthetic video clip, standing in for the sensor.
-func (c *Camera) Record(seed int64, w, h, frames, fps int) (*photo.Video, error) {
-	v, err := photo.SynthVideo(seed, w, h, frames, fps)
-	if err != nil {
-		return nil, err
-	}
-	v.Meta.Set("camera.model", "irs-synthcam/1")
-	return v, nil
-}
-
-// ClaimAndLabelVideo claims a video (paper §2: the approach "applies
-// more generally to other digital media (such as personal videos)") and
-// returns a labeled copy: container metadata set and the identifier
-// watermarked into every frame.
-func (c *Camera) ClaimAndLabelVideo(v *photo.Video) (*photo.Video, *Owned, error) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, nil, fmt.Errorf("camera: keygen: %w", err)
-	}
-	hash := v.ContentHash()
-	receipt, err := c.svc.Claim(&wire.ClaimRequest{
-		ContentHash:    hash[:],
-		PubKey:         pub,
-		HashSig:        ed25519.Sign(priv, ledger.ClaimMsg(hash)),
-		RevokedAtBirth: c.AutoRevoke,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("camera: claiming video: %w", err)
-	}
-	owned := &Owned{
-		ID:          receipt.ID,
-		ContentHash: hash,
-		PubKey:      pub,
-		PrivKey:     priv,
-		Receipt:     receipt,
-		LedgerURL:   c.ledgerURL,
-	}
-	if err := c.store.Put(owned); err != nil {
-		return nil, nil, err
-	}
-	labeled, err := watermark.EmbedVideo(v, receipt.ID.Bytes(), watermark.DefaultConfig())
-	if err != nil {
-		return nil, nil, fmt.Errorf("camera: video watermarking: %w", err)
-	}
-	labeled.Meta.Set(photo.KeyIRSID, receipt.ID.String())
-	labeled.Meta.Set(photo.KeyIRSLedgerURL, c.ledgerURL)
-	return labeled, owned, nil
-}
-
 // ErrNotOwned is returned for operations on photos the store doesn't
 // hold keys for.
 var ErrNotOwned = errors.New("camera: no key material for this photo")

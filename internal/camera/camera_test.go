@@ -241,60 +241,6 @@ func TestLabelSurvivesStripViaWatermark(t *testing.T) {
 	}
 }
 
-func TestClaimAndLabelVideo(t *testing.T) {
-	cam, l := newTestRig(t, false)
-	v, err := cam.Record(77, 192, 128, 6, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labeled, owned, err := cam.ClaimAndLabelVideo(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if labeled.Meta.Get(photo.KeyIRSID) != owned.ID.String() {
-		t.Error("container metadata label missing")
-	}
-	res, err := watermark.ExtractVideo(labeled, watermark.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Payload != owned.ID.Bytes() {
-		t.Error("video watermark payload wrong")
-	}
-	// The claim covers the unlabeled video's content hash.
-	rec, err := l.Record(owned.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.ContentHash != v.ContentHash() {
-		t.Error("claim hash is not the original video hash")
-	}
-	// Revocation works through the same op path.
-	if err := cam.Revoke(owned.ID); err != nil {
-		t.Fatal(err)
-	}
-	p, err := l.Status(owned.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.State != ledger.StateRevoked {
-		t.Errorf("video claim state %v", p.State)
-	}
-	// The label survives a platform transcode + frame-rate halving.
-	mangled, err := photo.DropFrames(photo.TranscodeVideo(labeled, 60), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mangled.Meta.StripAll()
-	res, err = watermark.ExtractVideo(mangled, watermark.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Payload != owned.ID.Bytes() {
-		t.Error("video label lost after transcode + frame drops + strip")
-	}
-}
-
 // BenchmarkLabel is what one custodial commit spends on the image
 // itself: watermark.Embed plus the two metadata fields.
 func BenchmarkLabel(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -516,6 +517,106 @@ func TestSiteBinary(t *testing.T) {
 	}
 	if status != http.StatusNotFound {
 		t.Errorf("revoked photo still served (status %d)", status)
+	}
+}
+
+// TestSiteAppealViaCLI runs §3.2's site branch against real processes:
+// a victim's unlabeled original leaks to an irs-site that claims it
+// custodially, a thief who downloads the hosted copy and claims it
+// later is refused by the site's desk, and the victim's `irsctl
+// appeal` to the site takes the photo down and revokes the custodial
+// claim.
+func TestSiteAppealViaCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	dataDir := t.TempDir()
+	lp := freePort(t)
+	ledgerURL := fmt.Sprintf("http://127.0.0.1:%d", lp)
+	startDaemon(t, "irs-ledger", ledgerURL+"/v1/keys",
+		"-id", "1", "-addr", fmt.Sprintf("127.0.0.1:%d", lp))
+	sp := freePort(t)
+	siteURL := fmt.Sprintf("http://127.0.0.1:%d", sp)
+	startDaemon(t, "irs-site", siteURL+"/v1/stats",
+		"-addr", fmt.Sprintf("127.0.0.1:%d", sp),
+		"-ledger", "1="+ledgerURL, "-custodial-ledger", "1")
+
+	victimKeys := filepath.Join(dataDir, "victim.json")
+	thiefKeys := filepath.Join(dataDir, "thief.json")
+	photoFile := filepath.Join(dataDir, "photo.irsp")
+	if out, err := runCtl(t, ledgerURL, victimKeys, "shoot", "12", photoFile); err != nil {
+		t.Fatalf("shoot: %v\n%s", err, out)
+	}
+	// The vaulted, unlabeled original leaks and is uploaded.
+	origFile := photoFile + ".orig"
+	raw, err := os.ReadFile(origFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(siteURL+"/v1/upload", "application/x-irsp", strings.NewReader(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up struct {
+		Accepted  bool   `json:"accepted"`
+		ID        string `json:"id"`
+		Custodial bool   `json:"custodial"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if !up.Accepted || !up.Custodial {
+		t.Fatalf("upload: %+v", up)
+	}
+	photoStatus := func() int {
+		t.Helper()
+		resp, err := http.Get(siteURL + "/v1/photo?id=" + up.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// A thief downloads the hosted copy, claims it and appeals: the
+	// site's custodial claim is the earlier one.
+	resp, err = http.Get(siteURL + "/v1/photo?id=" + up.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosted, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("serve: status %d, %v", resp.StatusCode, err)
+	}
+	hostedFile := filepath.Join(dataDir, "hosted.irsp")
+	if err := os.WriteFile(hostedFile, hosted, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := runCtl(t, ledgerURL, thiefKeys, "claim", hostedFile, filepath.Join(dataDir, "thief.irsp")); err != nil {
+		t.Fatalf("thief claim: %v\n%s", err, out)
+	}
+	out, err := runCtl(t, ledgerURL, thiefKeys, "appeal", hostedFile, hostedFile, up.ID, siteURL)
+	if err == nil || !strings.Contains(out, "rejected-not-earlier") {
+		t.Fatalf("thief's appeal: %v\n%s", err, out)
+	}
+	if s := photoStatus(); s != http.StatusOK {
+		t.Fatalf("serve status %d after a refused appeal", s)
+	}
+
+	// The victim's appeal is upheld: the site stops serving the photo
+	// and the custodial claim is revoked on the ledger.
+	out, err = runCtl(t, ledgerURL, victimKeys, "appeal", origFile, hostedFile, up.ID, siteURL)
+	if err != nil || !strings.Contains(out, "upheld") {
+		t.Fatalf("victim's appeal: %v\n%s", err, out)
+	}
+	if s := photoStatus(); s == http.StatusOK {
+		t.Error("photo still served after an upheld appeal")
+	}
+	out, err = runCtl(t, ledgerURL, victimKeys, "status", up.ID)
+	if err != nil || !strings.Contains(out, ": revoked") {
+		t.Errorf("custodial claim after the appeal: %v\n%s", err, out)
 	}
 }
 

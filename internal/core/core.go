@@ -22,6 +22,7 @@ package core
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"log"
@@ -267,26 +268,46 @@ func (s *System) NewAggregator(cfg aggregator.Config, custodialLedger ids.Ledger
 
 // NewAdjudicator creates the appeals adjudicator for claims on the given
 // local ledger, trusting every ledger in the directory as a timestamp
-// source (remote ones answer with their keys over the wire). An entry
-// whose keys name another ledger is refused: its timestamps are not
-// that ledger's evidence.
+// source (see trustDirectory).
 func (s *System) NewAdjudicator(ledgerID ids.LedgerID, review appeals.ReviewFunc) (*appeals.Adjudicator, error) {
 	l, err := s.Ledger(ledgerID)
 	if err != nil {
 		return nil, err
 	}
 	adj := appeals.NewAdjudicator(l, review)
+	if err := s.trustDirectory(adj.TrustLedger); err != nil {
+		return nil, err
+	}
+	return adj, nil
+}
+
+// NewSiteAdjudicator creates the appeals desk of a site built on this
+// system, revoking through agg's custodial ledger and trusting every
+// ledger in the directory as a timestamp source (see trustDirectory).
+func (s *System) NewSiteAdjudicator(agg *aggregator.Aggregator, review appeals.ReviewFunc) (*appeals.SiteAdjudicator, error) {
+	adj := appeals.NewSiteAdjudicator(agg, agg.CustodialLedger(), review)
+	if err := s.trustDirectory(adj.TrustLedger); err != nil {
+		return nil, err
+	}
+	return adj, nil
+}
+
+// trustDirectory hands trust every directory ledger's timestamp key
+// (remote ones answer with their keys over the wire). An entry whose
+// keys name another ledger is refused: its timestamps are not that
+// ledger's evidence.
+func (s *System) trustDirectory(trust func(ids.LedgerID, ed25519.PublicKey)) error {
 	for id, svc := range s.directory.All() {
 		keys, err := svc.Keys()
 		if err != nil {
-			return nil, fmt.Errorf("core: keys of ledger %d at %s: %w", id, s.urls[id], err)
+			return fmt.Errorf("core: keys of ledger %d at %s: %w", id, s.urls[id], err)
 		}
 		if ids.LedgerID(keys.LedgerID) != id {
-			return nil, fmt.Errorf("core: ledger %d at %s answers with the keys of ledger %d", id, s.urls[id], keys.LedgerID)
+			return fmt.Errorf("core: ledger %d at %s answers with the keys of ledger %d", id, s.urls[id], keys.LedgerID)
 		}
-		adj.TrustLedger(id, keys.TimestampKey)
+		trust(id, keys.TimestampKey)
 	}
-	return adj, nil
+	return nil
 }
 
 // RefreshFilters rebuilds every local ledger's revocation filter

@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"irs/internal/dct"
-	"irs/internal/parallel"
 	"irs/internal/photo"
 )
 
@@ -324,12 +323,4 @@ func (s Signature) Matches(o Signature) bool {
 		votes++
 	}
 	return votes >= 2
-}
-
-// SignatureAll computes the full three-hash signature for every image,
-// fanning the set out across the worker pool: aggregators hash whole
-// upload sets and rebuild robust-hash databases over every hosted photo
-// (§3.2). Results are in input order.
-func SignatureAll(ims []*photo.Image) []Signature {
-	return parallel.Map(ims, func(_ int, im *photo.Image) Signature { return NewSignature(im) })
 }

@@ -111,7 +111,7 @@ func readClaimed(br *bufio.Reader, src io.Reader, n int) ([]byte, error) {
 // DecodeIRSP reads an IRSP container from r. It reads r through a
 // bufio.Reader — r itself when r is one of the default size or larger —
 // and stops at the container's last byte, so consecutive containers
-// decode from one reader (the video container's frames do).
+// decode from one reader.
 func DecodeIRSP(r io.Reader) (*Image, error) {
 	return parseIRSP(&irspSource{br: bufio.NewReader(r), src: r})
 }

@@ -1,9 +1,6 @@
 package photo
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Well-known metadata keys. The IRS label (paper §3.1 "Labeling") is the
 // pair of fields carrying the claim identifier and the issuing ledger's
@@ -69,18 +66,6 @@ func (m Metadata) Keys() []string {
 func (m Metadata) StripAll() {
 	for k := range m.kv {
 		delete(m.kv, k)
-	}
-}
-
-// StripNonIRS removes everything except the IRS label fields — what an
-// IRS-supporting aggregator does: it keeps stripping privacy-sensitive
-// EXIF while preserving the label (paper §3.2: "content aggregators
-// supporting IRS keep IRS-related metadata intact").
-func (m Metadata) StripNonIRS() {
-	for k := range m.kv {
-		if !strings.HasPrefix(k, "irs.") {
-			delete(m.kv, k)
-		}
 	}
 }
 

@@ -219,13 +219,6 @@ func TestMetadataStrip(t *testing.T) {
 	m.Set(KeyIRSID, "a")
 	m.Set(KeyIRSLedgerURL, "b")
 	m.Set("exif.gps", "secret")
-	m.StripNonIRS()
-	if !m.HasIRSLabel() {
-		t.Error("StripNonIRS removed the IRS label")
-	}
-	if m.Has("exif.gps") {
-		t.Error("StripNonIRS kept EXIF")
-	}
 	m.StripAll()
 	if len(m.Keys()) != 0 {
 		t.Error("StripAll left entries")

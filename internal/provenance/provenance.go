@@ -45,8 +45,6 @@ const (
 	ActionCreated = "c2pa.created"
 	// ActionEdited records a content transformation.
 	ActionEdited = "c2pa.edited"
-	// ActionPublished records a publication event (no content change).
-	ActionPublished = "c2pa.published"
 	// ActionIRSClaim binds an IRS claim identifier into the chain.
 	ActionIRSClaim = "irs.claim"
 )
@@ -153,12 +151,6 @@ func (c *Chain) AddIRSClaim(owner Signer, id ids.PhotoID, im *photo.Image, at ti
 func (c *Chain) AddEdit(editor Signer, after *photo.Image, description string, at time.Time) error {
 	return c.appendAssertion(editor, ActionEdited, after.ContentHash(), at,
 		map[string]string{"description": description})
-}
-
-// AddPublished records a publication event.
-func (c *Chain) AddPublished(publisher Signer, im *photo.Image, venue string, at time.Time) error {
-	return c.appendAssertion(publisher, ActionPublished, im.ContentHash(), at,
-		map[string]string{"venue": venue})
 }
 
 // Verification errors.

@@ -55,10 +55,14 @@ func (p *planes) luma8(im *photo.Image) []byte {
 	gray := p.gray[:n]
 	pix := im.Pix[:3*n]
 	for i := range gray {
-		r, g, b := int(pix[3*i]), int(pix[3*i+1]), int(pix[3*i+2])
-		gray[i] = byte((299*r + 587*g + 114*b) / 1000)
+		gray[i] = grayOf(pix[3*i], pix[3*i+1], pix[3*i+2])
 	}
 	return gray
+}
+
+// grayOf is photo.Image.Gray's integer BT.601 luma of one RGB pixel.
+func grayOf(r, g, b byte) byte {
+	return byte((299*int(r) + 587*int(g) + 114*int(b)) / 1000)
 }
 
 // widenBlock widens the 8×8 block at (x0, y0) of an 8-bit plane of row

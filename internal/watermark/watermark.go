@@ -158,26 +158,17 @@ func Embed(im *photo.Image, payload [PayloadBytes]byte, cfg Config) (*photo.Imag
 		return nil, ErrTooSmall
 	}
 	bits := codeword(payload)
-	return rewrite(im, func(out *photo.Image, luma []byte) { cfg.embedBlocks(out, luma, &bits) }), nil
-}
-
-// rewrite returns a copy of im whose blocks edit has requantized, given
-// the copy and im's 8-bit luma. For RGB the luma is pooled scratch:
-// edit must not keep it.
-func rewrite(im *photo.Image, edit func(out *photo.Image, luma []byte)) *photo.Image {
-	p := planePool.Get().(*planes)
-	defer planePool.Put(p)
 	out := im.Clone()
-	edit(out, p.luma8(im))
-	return out
+	cfg.embedBlocks(out, &bits)
+	return out, nil
 }
 
 // embedBlocks requantizes every whole 8×8 block of out to carry its
 // slot of the tiled codeword.
-func (c Config) embedBlocks(out *photo.Image, luma []byte, bits *[codewordBits]bool) {
+func (c Config) embedBlocks(out *photo.Image, bits *[codewordBits]bool) {
 	bh := out.H / 8
 	if (out.W/8)*bh < serialBelowBlocks {
-		c.embedRows(out, luma, bits, 0, bh)
+		c.embedRows(out, bits, 0, bh)
 		return
 	}
 	// Block rows are independent (each task reads and writes a disjoint
@@ -186,28 +177,43 @@ func (c Config) embedBlocks(out *photo.Image, luma []byte, bits *[codewordBits]b
 	// is byte-identical to the serial scan at any worker count. The
 	// tasks share a copy of bits, so the caller's stays on its stack.
 	shared := *bits
-	parallel.ForChunks(bh, blockRowChunk, func(_, lo, hi int) { c.embedRows(out, luma, &shared, lo, hi) })
+	parallel.ForChunks(bh, blockRowChunk, func(_, lo, hi int) { c.embedRows(out, &shared, lo, hi) })
 }
 
 // embedRows embeds block rows [lo, hi).
-func (c Config) embedRows(out *photo.Image, luma []byte, bits *[codewordBits]bool, lo, hi int) {
+func (c Config) embedRows(out *photo.Image, bits *[codewordBits]bool, lo, hi int) {
 	for by := lo; by < hi; by++ {
 		row := bits[(by%tileH)*tileW:][:tileW]
 		for bx := 0; bx < out.W/8; bx++ {
-			c.requantizeBlock(out, luma, bx*8, by*8, row[bx%tileW])
+			c.requantizeBlock(out, bx*8, by*8, row[bx%tileW])
 		}
 	}
 }
 
-// requantizeBlock requantizes the block at (x0, y0) of out, whose luma
-// the 8-bit plane luma holds, and writes it back with
-// photo.Image.SetLuma's per-pixel rule: a gray sample becomes the new
-// luma, an RGB pixel's channels each move by the luma's change, rounded
-// and clamped to [0, 255]. Pixels outside whole blocks keep their luma,
-// which SetLuma would write back unchanged, so they are left alone.
-func (c Config) requantizeBlock(out *photo.Image, luma []byte, x0, y0 int, bit bool) {
+// requantizeBlock requantizes the block at (x0, y0) of out and writes
+// it back with photo.Image.SetLuma's per-pixel rule: a gray sample
+// becomes the new luma, an RGB pixel's channels each move by the luma's
+// change, rounded and clamped to [0, 255]. The block's luma is read
+// from out itself, which still holds the input's pixels there: blocks
+// are disjoint, and each is read in full before it is written. Pixels
+// outside whole blocks keep their luma, which SetLuma would write back
+// unchanged, so they are left alone.
+func (c Config) requantizeBlock(out *photo.Image, x0, y0 int, bit bool) {
+	// A gray block is its own luma; an RGB block's is computed as
+	// luma8 computes a plane.
+	var luma [64]byte
+	plane, stride, lx, ly := out.Pix, out.W, x0, y0
+	if out.Channels != 1 {
+		for r := 0; r < 8; r++ {
+			px := (*[24]byte)(out.Pix[3*((y0+r)*out.W+x0):])
+			for k := range 8 {
+				luma[r*8+k] = grayOf(px[3*k], px[3*k+1], px[3*k+2])
+			}
+		}
+		plane, stride, lx, ly = luma[:], 8, 0, 0
+	}
 	var blk [64]float64
-	c.requantize(widenBlock(&blk, luma, out.W, x0, y0), 8, bit)
+	c.requantize(widenBlock(&blk, plane, stride, lx, ly), 8, bit)
 	for r := 0; r < 8; r++ {
 		o := (y0+r)*out.W + x0
 		src := (*[8]float64)(blk[r*8:])
@@ -218,7 +224,7 @@ func (c Config) requantizeBlock(out *photo.Image, luma []byte, x0, y0 int, bit b
 			}
 			continue
 		}
-		old, dst := (*[8]byte)(luma[o:]), (*[24]byte)(out.Pix[3*o:])
+		old, dst := (*[8]byte)(luma[r*8:]), (*[24]byte)(out.Pix[3*o:])
 		for k, v := range src {
 			d := v - float64(old[k])
 			dst[3*k] = clampByte(float64(dst[3*k]) + d)
@@ -298,17 +304,19 @@ func Erase(im *photo.Image, cfg Config, seed int64) (*photo.Image, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return rewrite(im, func(out *photo.Image, luma []byte) { cfg.eraseBlocks(out, luma, seed) }), nil
+	out := im.Clone()
+	cfg.eraseBlocks(out, seed)
+	return out, nil
 }
 
 // eraseBlocks requantizes every whole block of out to a bit drawn from
 // seed's stream.
-func (c Config) eraseBlocks(out *photo.Image, luma []byte, seed int64) {
+func (c Config) eraseBlocks(out *photo.Image, seed int64) {
 	state := uint64(seed)*2862933555777941757 + 3037000493
 	for by := 0; by < out.H/8; by++ {
 		for bx := 0; bx < out.W/8; bx++ {
 			state = state*6364136223846793005 + 1442695040888963407
-			c.requantizeBlock(out, luma, bx*8, by*8, state>>63 == 1)
+			c.requantizeBlock(out, bx*8, by*8, state>>63 == 1)
 		}
 	}
 }

@@ -6,12 +6,21 @@
 #
 # Wall-clock budget for the whole script: 15 minutes on a 2-core host
 # (the full -race suite is about half of it, the ten ten-second
-# fuzzers another minute and forty seconds). The elapsed time is printed
-# beside "all green" and gates nothing: no stage here compares two
-# wall-clock latencies, because on a shared host that asserts nothing.
+# fuzzers another minute and forty seconds). Each stage prints its
+# elapsed seconds, and the total is printed beside "all green"; they
+# gate nothing: no stage here compares two wall-clock latencies, because
+# on a shared host that asserts nothing.
 set -eu
 cd "$(dirname "$0")/.."
 start=$(date +%s)
+last=$start
+
+# stage prints the seconds since the previous stage ended.
+stage() {
+    now=$(date +%s)
+    echo "check.sh: $1: $((now - last)) s"
+    last=$now
+}
 
 unformatted=$(gofmt -l cmd internal *.go examples 2>/dev/null || true)
 if [ -n "$unformatted" ]; then
@@ -19,6 +28,7 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+stage gofmt
 
 # Every name in every -run pattern below must match a test, fuzz target
 # or example in the packages its line names ("." is the root package,
@@ -41,9 +51,12 @@ echo "$runs" | while read -r line; do
         fi
     done
 done
+stage "-run names"
 
 go vet ./...
+stage vet
 go test -race ./...
+stage "race suite"
 
 # The exported surface is the surface that runs, type-checked with
 # go/types so that a shared name never lends one declaration another's
@@ -52,17 +65,20 @@ go test -race ./...
 # package, and every exception is an allowlist entry with its reason
 # (exports_test.go).
 go test -run 'TestEveryExportHasACaller' .
+stage "export callers"
 
 # Fault-injection and degradation paths re-run under the race detector
 # explicitly (they are the newest concurrency surface; -race ./... above
 # already covers them, this names them so a failure is legible).
 go test -race -run 'Faulty|Retry|Breaker|Degrade|FailOpen|FailClosed|WAL|Directory|Reuse' \
     ./internal/netsim ./internal/wire ./internal/proxy ./internal/ledger
+stage "fault injection"
 
 # The derivative-lookup index's lock-free snapshot scheme and its
 # linear-equivalence proof, named for the same reason.
 go test -race -run 'IndexConcurrentUploadLookupTakeDown|IndexedLinearDifferential|LookupHashFirstMatch|ClearsHashDB' \
     ./internal/aggregator
+stage "derivative index"
 
 # The batch endpoint's framing: a declared Content-Length, hostile
 # length prefixes and frame counts are 400s that allocate by what was
@@ -73,11 +89,11 @@ go test -race -run 'IndexConcurrentUploadLookupTakeDown|IndexedLinearDifferentia
 # parsed in place, so concurrent albums through one server must host
 # exactly their sources' pixels and decide as serial Upload does (ten
 # times over). The in-memory parser and the stream decoder are held to
-# the retained stream decoder, video containers included, then fuzzed
-# for ten seconds.
+# the retained stream decoder, then fuzzed for ten seconds.
 go test -race -count=10 -run 'ServerBatchUpload|ServerBatchBodySizedByBytesReceived|UploadBatchBodyReuse' ./internal/aggregator
-go test -race -run 'DecodeSizesBuffersByBytesReceived|DecodeGrowsWithUnsizedReader|ParseIRSPMatchesReference|VideoCodec' ./internal/photo
+go test -race -run 'DecodeSizesBuffersByBytesReceived|DecodeGrowsWithUnsizedReader|ParseIRSPMatchesReference' ./internal/photo
 go test -run='^$' -fuzz=FuzzParseIRSP -fuzztime=10s ./internal/photo
+stage "batch framing"
 
 # Album ingest: ordered-commit determinism against the serial path,
 # cancellation (before the call and mid-status), poisoned-item
@@ -88,10 +104,11 @@ go test -run='^$' -fuzz=FuzzParseIRSP -fuzztime=10s ./internal/photo
 # aggregator's one-Status fallback, and who owns a hosted image (what a
 # caller can still write is copied, a custodial relabel is not). Named
 # under -race.
-go test -race -run 'PipelineDecisionsMatchSerial|UploadAllCancellation|PipelinePoisonedItem|PipelineStatusRequestCount|PipelineStatusFaultParity|VideoUploadWorkerInvariance|CustodialClaimUsesReceiptProof|HostOwnership' \
+go test -race -run 'PipelineDecisionsMatchSerial|UploadAllCancellation|PipelinePoisonedItem|PipelineStatusRequestCount|PipelineStatusFaultParity|CustodialClaimUsesReceiptProof|HostOwnership' \
     ./internal/aggregator
 go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMixedVersions' \
     ./internal/ledger ./internal/wire
+stage "album ingest"
 
 # Watermark reader: the single-coefficient DCT kernels against
 # Forward8, and the sliding kernel + CRC-first sweep against the
@@ -109,12 +126,14 @@ go test -race -run 'Coef8BitIdentical|RowPass8Bounds|AddBasis8MatchesInverse|Sea
     ./internal/dct ./internal/watermark
 go test -run='^$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s ./internal/watermark
 go test -run='^$' -fuzz=FuzzEmbedMatchesReference -fuzztime=10s ./internal/watermark
+stage watermark
 
 # Perceptual hashes: the one-pass prefix-row downscale against the
 # retained per-cell summation (every width and height 1..72, random
 # sizes to 512, gray and RGB, empty images) and against the seed's
 # float hashes, with its O(W) working set pinned. Named under -race.
 go test -race -run 'SignatureMatchesSeparateHashes|HashesBitIdenticalToFloatReference|DownscaleRowIsOrderW' ./internal/phash
+stage phash
 
 # Storage engine: group-commit coalescing, crash-injection recovery at
 # shard counts 1/8/32, torn-tail truncation, shard/in-memory state
@@ -134,16 +153,19 @@ go test -race -run 'SignatureMatchesSeparateHashes|HashesBitIdenticalToFloatRefe
 go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer' \
     ./internal/ledger
 go test -race -run 'PersistentLedgerSurvivesRestart' ./internal/integration
+stage "storage engine"
 
 # The benchmark is its own module (irs/bench), which `go test ./...`
 # above does not compile; it imports internal APIs, so drift must fail
 # here rather than in the benchmark pipeline (~8 s).
 (cd bench && go vet ./... && go test ./...)
+stage "bench module"
 
 # Fuzz the binary record framing and the WAL replay path: ten seconds
 # each over the seeded corpus plus fresh mutations.
 go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/ledger
 go test -run='^$' -fuzz=FuzzWALReplayBytes -fuzztime=10s ./internal/ledger
+stage "ledger fuzz"
 
 # Ledger replication: the topology package suite (log shipping, the
 # signed checkpoint gate, anti-entropy resync). Then the filter plane,
@@ -166,6 +188,7 @@ go test -run='^$' -fuzz=FuzzWALReplayBytes -fuzztime=10s ./internal/ledger
 go test -race ./internal/topology
 go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|WindowInstallDropsRenumberedEpochs|PullFallsBackToColdSync|BuildSnapshotConcurrentEpochsIncrease|IncrementalEpochsMatchFullBuild|IncrementalEpochsSaturationFallback|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RefreshEndpointSingleFlight|RefreshFiltersEpochNeverDecreases|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary|FilterPropagation|FilterPullErrors|FilterBaseMismatchFallback|FilterUpstreamRestartRenumbers|ValidatorChainMatchesDirect|BrowserFilterPullsFromProxy' \
     ./internal/bloom ./internal/ledger ./internal/wire ./internal/proxy ./internal/core
+stage "filter plane"
 
 # Fuzz the delta decoder (varint/gap parsing, v2 hash frames), then the
 # epoch window's retained deltas: merged steps byte-identical to
@@ -175,6 +198,7 @@ go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|WindowInstall
 # share one.
 go test -run='^$' -fuzz='^FuzzApplyUpdate$' -fuzztime=10s ./internal/bloom
 go test -run='^$' -fuzz='^FuzzMergeDeltas$' -fuzztime=10s ./internal/bloom
+stage "delta fuzz"
 
 # The surviving irs-bench harnesses at smoke size, in-process: each
 # returns an error when a gate it enforces before timing fails (-lookup
@@ -184,6 +208,7 @@ go test -run='^$' -fuzz='^FuzzMergeDeltas$' -fuzztime=10s ./internal/bloom
 # committed BENCH_{lookup,topology,chaos}.json are the full-scale runs
 # (seed 42).
 go test -race -run 'LookupQuickArmsAgree|TopologyQuickStateHashGate|ChaosQuickReport' ./cmd/irs-bench
+stage "irs-bench harnesses"
 
 # Observability layer: the metrics-conservation invariant end to end,
 # the chaos obs determinism replay, the obs package's own suite, and
@@ -202,6 +227,7 @@ go test -race -run 'ChaosObsDeterminism' ./cmd/irs-bench
 go test -race -run 'ObsAddsNoAllocations|CacheMatchesListReference|CacheHammer|ProofOwnership|UndefinedState|Singleflight|PageHerd' \
     ./internal/proxy ./internal/ledger ./internal/wire
 go test -race ./internal/obs
+stage observability
 
 # Allocation budgets of the page-view path, asserted without the race
 # detector (its instrumentation moves values to the heap): a batch of
@@ -219,11 +245,13 @@ go test -race ./internal/obs
 # allocating.
 go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs|IdlePullAllocatesNothing' \
     ./internal/ledger ./internal/wire ./internal/proxy ./internal/aggregator ./internal/watermark
+stage "allocation budgets"
 
 # Fuzz the Prometheus exposition writer and the histogram: ten seconds
 # each over the seeded corpus plus fresh mutations.
 go test -run='^$' -fuzz=FuzzPrometheusText -fuzztime=10s ./internal/obs
 go test -run='^$' -fuzz=FuzzHistogramObserve -fuzztime=10s ./internal/obs
+stage "obs fuzz"
 
 # IRSW1 binary wire codec: the codec roundtrip suite, the Go clients'
 # contract at both the wire and proxy layers (the first request is
@@ -244,10 +272,12 @@ go test -run='^$' -fuzz=FuzzHistogramObserve -fuzztime=10s ./internal/obs
 # detector.
 go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields|ClientStatusMatchesLoopback|BadRequests' \
     ./internal/wire ./internal/proxy
+stage "wire codec"
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
 # parsers): ten seconds over the seeded corpus plus fresh mutations.
 go test -run='^$' -fuzz=FuzzWireFrameDecode -fuzztime=10s ./internal/wire
+stage "wire fuzz"
 
 # The serving-path (filter-positive batches included), write-path,
 # filter-epoch (10^6 revoked ids), derivative-lookup and obs on/off
@@ -255,6 +285,7 @@ go test -run='^$' -fuzz=FuzzWireFrameDecode -fuzztime=10s ./internal/wire
 # `bash bench/run.sh` is where numbers come from.
 go test -run='^$' -bench='Serving|StatusBatchFilterPositive|RestoreFlush|Compact$|BuildSnapshotScale' -benchtime=1x ./internal/ledger ./internal/proxy
 go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
+stage "benchmarks once"
 
 # Zero-alloc guard: the vectorized 8×8 DCT, the perceptual hashes (one
 # alone and the fused three-hash signature), and the IRSW1 wire codec's
@@ -278,9 +309,11 @@ for pkg_bench in "./internal/dct BenchmarkDCT8x8" "./internal/phash BenchmarkPHa
         exit 1
     fi
 done
+stage "zero-alloc kernels"
 
 # Bounds-check-elimination guard for the unrolled kernels.
 sh scripts/check_bce.sh
+stage bce
 
 # /debug/metrics endpoint smoke: boot an irs-ledger with -debug, wait
 # for it to listen, and check the exposition includes a known family.
@@ -303,6 +336,7 @@ if [ "$ok" != 1 ]; then
     echo "check.sh: /debug/metrics smoke failed (see /tmp/irs_ledger_check.log)" >&2
     exit 1
 fi
+stage "metrics smoke"
 
 # The one deployment assembly, core.Build: its in-process and
 # loopback-HTTP links decide alike (view decisions, answer sources,
@@ -312,6 +346,7 @@ fi
 # egress resolves through proxy.Validator.Resolve. Named under -race.
 go test -race -run 'BuildLinksAgree|EndpointsFlag|ServeDrainsInFlightRequests|ResolveIsValidateMarshalled' \
     ./internal/core ./internal/proxy
+stage "core.Build"
 
 # Every example runs to completion: a non-zero exit (a wrong decision
 # in browser-extension included) or a hang fails the gate.
@@ -321,6 +356,7 @@ for ex in examples/*/; do
         exit 1
     fi
 done
+stage examples
 
 # Adversarial suite: keyed-band-mixer identity/differential proofs,
 # the crafted-collision degradation regression, the admission-control
@@ -336,10 +372,12 @@ go test -race -run 'BandMixer|CraftedCollisions|KeyedIndexedLinearDifferential' 
 go test -race -run 'Admission|ClientKey|Singleflight|PageHerd' ./internal/proxy
 go test -race -run 'TakedownRevalidateUploadHammer' ./internal/aggregator
 go test -race -run 'AdversaryQuickDeterministicAndGated' ./cmd/irs-bench
+stage adversarial
 
 # Fuzz the admission token accounting (clock skew, key churn, cost
 # interleavings; the exact-budget over-admission bound): ten seconds.
 # Anchored because -fuzz matches by prefix and FuzzAdmission* share one.
 go test -run='^$' -fuzz='^FuzzAdmissionAccounting$' -fuzztime=10s ./internal/proxy
+stage "admission fuzz"
 
 echo "check.sh: all green in $(($(date +%s) - start)) s"
