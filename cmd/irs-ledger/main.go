@@ -41,7 +41,7 @@ func main() {
 		fpr           = flag.Float64("filter-fpr", 0.02, "filter snapshot target false-positive rate")
 		enableAppeals = flag.Bool("appeals", true, "serve the public /v1/appeal complaint endpoint")
 		debug         = flag.Bool("debug", false, "mount GET /debug/metrics (Prometheus text) and /debug/pprof")
-		walSync       = flag.String("wal-sync", "os", "wal durability: os (fsync on the snapshot timer) or batch (group-commit fsync per append batch)")
+		walSync       = flag.String("wal-sync", "batch", "wal durability: batch (group-commit fsync before an append is acknowledged) or os (fsync on the snapshot timer; a host crash loses what was acknowledged since)")
 	)
 	flag.Var(trusted, "trust-ledger", "peer ledger whose timestamps appeals accept, as id=url (repeatable)")
 	flag.Parse()

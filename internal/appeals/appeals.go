@@ -248,7 +248,7 @@ func (a *Adjudicator) Decide(c *Complaint) (Verdict, error) {
 		return Verdict{Outcome: RejectedCopyMismatch,
 			Detail: "presented copy does not carry the contested claim's label"}, nil
 	}
-	if !tsa.Earlier(c.OriginalToken, rec.Timestamp) {
+	if !tsa.Earlier(c.OriginalToken, rec.Timestamp, c.OriginalLedger == c.ContestedID.Ledger) {
 		return Verdict{Outcome: RejectedNotEarlier,
 			Detail: "contested claim predates the complainant's timestamp"}, nil
 	}
@@ -317,7 +317,7 @@ func (s *SiteAdjudicator) Decide(c *Complaint) (Verdict, error) {
 	}
 	// A custodial claim asserts no ownership, so unlike the ledger desk
 	// the site refuses only a complainant whose claim came after it.
-	if tsa.Earlier(owned.Receipt.Timestamp, c.OriginalToken) {
+	if tsa.Earlier(owned.Receipt.Timestamp, c.OriginalToken, owned.ID.Ledger == c.OriginalLedger) {
 		return Verdict{Outcome: RejectedNotEarlier,
 			Detail: "the site's custodial claim predates the complainant's timestamp"}, nil
 	}

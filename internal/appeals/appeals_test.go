@@ -468,6 +468,85 @@ func TestSiteAppealRefusesOwnerClaimedPhoto(t *testing.T) {
 
 var errCustodialDown = errors.New("custodial ledger unreachable")
 
+// TestCrossLedgerTimeTie: two ledgers on one frozen clock stamp the
+// same instant, and each timestamp authority counts its serials from 1,
+// so a tie between them orders nothing. The ledger desk refuses a
+// complainant whose token is not earlier, and the site desk hears one
+// whose token the custodial claim's does not precede — both whichever
+// ledger's counter is lower.
+func TestCrossLedgerTimeTie(t *testing.T) {
+	t.Run("ledger desk refuses", func(t *testing.T) {
+		r := newAttackRig(t, false)
+		// One claim ahead on the attacker's ledger: the victim's token is
+		// serial 1 there, the contested one serial 2.
+		if _, _, err := r.attacker.ClaimAndLabel(r.attacker.Shoot(97, 192, 128)); err != nil {
+			t.Fatal(err)
+		}
+		orig := r.victim.Shoot(5, 192, 128)
+		labeled, owned, err := r.victim.ClaimAndLabel(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stolen, err := watermark.Erase(labeled, watermark.DefaultConfig(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stolen.Meta.StripAll()
+		attackCopy, attackOwned, err := r.attacker.ClaimAndLabel(stolen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vt, at := owned.Receipt.Timestamp, attackOwned.Receipt.Timestamp
+		if !vt.Time.Equal(at.Time) || vt.Serial >= at.Serial {
+			t.Fatalf("tokens at %v serial %d and %v serial %d; want one instant, the victim's serial lower", vt.Time, vt.Serial, at.Time, at.Serial)
+		}
+		v, err := r.adj.Decide(r.complaint(orig, owned, attackCopy, attackOwned.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Outcome != RejectedNotEarlier {
+			t.Fatalf("verdict %v (%s), want rejected-not-earlier", v.Outcome, v.Detail)
+		}
+		if p, err := r.attackerLedger.Status(attackOwned.ID); err != nil || p.State != ledger.StateActive {
+			t.Fatalf("contested claim %v (%v) after a refused appeal, want active", p.State, err)
+		}
+	})
+	t.Run("site desk hears", func(t *testing.T) {
+		sa := newSiteAppeal(t)
+		// The victim claims again at the same instant, now one serial
+		// past the site's custodial token.
+		victim := camera.New(&wire.Loopback{L: sa.vl}, "local://1", nil)
+		if _, _, err := victim.ClaimAndLabel(victim.Shoot(96, 192, 128)); err != nil {
+			t.Fatal(err)
+		}
+		_, owned, err := victim.ClaimAndLabel(sa.complaint.Original)
+		if err != nil {
+			t.Fatal(err)
+		}
+		custodial, ok := sa.agg.CustodialKeys().Get(sa.id)
+		if !ok {
+			t.Fatal("no custodial key for the hosted photo")
+		}
+		vt, ct := owned.Receipt.Timestamp, custodial.Receipt.Timestamp
+		if !vt.Time.Equal(ct.Time) || ct.Serial >= vt.Serial {
+			t.Fatalf("tokens at %v serial %d and %v serial %d; want one instant, the site's serial lower", vt.Time, vt.Serial, ct.Time, ct.Serial)
+		}
+		sa.complaint.OriginalToken = vt
+		sadj := NewSiteAdjudicator(sa.agg, &wire.Loopback{L: sa.cl}, nil)
+		sadj.TrustLedger(1, sa.vl.TimestampKey())
+		v, err := sadj.Decide(sa.complaint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Outcome != Upheld {
+			t.Fatalf("site verdict %v (%s), want upheld", v.Outcome, v.Detail)
+		}
+		if sa.agg.Hosts(sa.id) {
+			t.Error("photo still hosted after an upheld site appeal")
+		}
+	})
+}
+
 // failingService fails Seq or Apply and passes every other call on.
 type failingService struct {
 	wire.Service

@@ -147,6 +147,42 @@ func appendPermFrame(dst []byte, id ids.PhotoID) []byte {
 	return sealFrame(dst, hdr)
 }
 
+// claimHead parses a claim payload's state and sequence number in
+// place, and the owner's public key, which it returns aliasing payload.
+// seqEnd is the offset just past the sequence varint, where the fields
+// no owner operation changes begin.
+func claimHead(payload []byte) (st State, seq uint64, pub []byte, seqEnd int, err error) {
+	if len(payload) < 19 || payload[0] != recClaim {
+		return 0, 0, nil, 0, errors.New("ledger: claim record too short")
+	}
+	seq, n := binary.Uvarint(payload[19:])
+	if n <= 0 {
+		return 0, 0, nil, 0, errors.New("ledger: bad claim opseq varint")
+	}
+	seqEnd = 19 + n
+	at := seqEnd + 32 // the public key's length byte, past the content hash
+	if len(payload) <= at || len(payload) <= at+int(payload[at]) {
+		return 0, 0, nil, 0, errors.New("ledger: claim record truncated")
+	}
+	end := at + 1 + int(payload[at])
+	return State(payload[17]), seq, payload[at+1 : end : end], seqEnd, nil
+}
+
+// appendOverlayFrame encodes onto dst the claim frame of the sealed
+// claim whose payload is sealed with its state and sequence number
+// replaced by st and seq: the frame appendClaimFrame writes for the
+// decoded record so changed, built without decoding it.
+func appendOverlayFrame(dst, sealed []byte, st State, seq uint64) ([]byte, error) {
+	_, _, _, seqEnd, err := claimHead(sealed)
+	if err != nil {
+		return nil, err
+	}
+	hdr := len(dst)
+	dst = append(append(dst, frameHeader[:]...), sealed[:17]...)
+	dst = binary.AppendUvarint(append(dst, byte(st), sealed[18]), seq)
+	return sealFrame(append(dst, sealed[seqEnd:]...), hdr), nil
+}
+
 // frameAt reads the frame starting at buf[off:]. It returns the payload
 // (aliasing buf) and the offset of the next frame. errFrameTorn means
 // the frame's claimed extent runs past len(buf) — the signature of a

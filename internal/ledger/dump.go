@@ -17,22 +17,32 @@ import (
 // equivalence gate are both built on this.
 
 // copyMemtable returns one slab holding a value copy of every resident
-// record, grouped by shard in index order. The caller holds
-// lockAllShards, so no mutation is in flight; the copies are the
-// caller's, and mutators may touch the originals once it unlocks.
+// record and overlay, grouped by shard in index order; an overlay's
+// entry carries its ID, State and OpSeq alone (see isOverlay). The
+// caller holds lockAllShards, so no mutation is in flight; the copies
+// are the caller's, and mutators may touch the originals once it
+// unlocks.
 func (l *Ledger) copyMemtable() []Record {
 	n := 0
 	for i := range l.shards {
-		n += len(l.shards[i].records)
+		n += l.shards[i].memtableLen()
 	}
 	cut := make([]Record, 0, n)
 	for i := range l.shards {
-		for _, rec := range l.shards[i].records {
+		sh := &l.shards[i]
+		for _, rec := range sh.records {
 			cut = append(cut, *rec)
+		}
+		for id, ov := range sh.overlays {
+			cut = append(cut, Record{ID: id, State: ov.state, OpSeq: ov.seq})
 		}
 	}
 	return cut
 }
+
+// isOverlay reports whether a cut entry is an overlay, which has no
+// timestamp token; every claim record has one.
+func isOverlay(rec *Record) bool { return rec.Timestamp == nil }
 
 // cutKey orders one record of a memtable cut: its identifier as two
 // big-endian words, which compare as idLess does, and its index in the
@@ -81,7 +91,7 @@ func (l *Ledger) StateHash() ([32]byte, error) {
 		e.mu.Unlock()
 	}
 	h := sha256.New()
-	err := mergeSegments(cut, sortCut(cut), segs, func(_ ids.PhotoID, _ bool, frame []byte) error {
+	err := mergeSegments(cut, sortCut(cut), segs, segs, func(_ ids.PhotoID, _ bool, frame []byte) error {
 		h.Write(frame[:4]) // payload length, as the frame header carries it
 		h.Write(frame[frameHeaderSize:])
 		return nil
@@ -141,6 +151,7 @@ func (l *Ledger) RestoreRecords(recs []Record) error {
 				st.claimCount.Add(1)
 			}
 			sh.records[cp.ID] = cp
+			delete(sh.overlays, cp.ID)
 			// A newer active version clears a stale entry, or filter
 			// snapshots keep flagging a claim that is no longer revoked.
 			sh.setRevoked(cp.ID, cp.State)
@@ -162,15 +173,15 @@ func (l *Ledger) RestoreRecords(recs []Record) error {
 
 // restoreSlab is how many records RestoreRecords copies into one
 // allocation. The memtable points into the slab, so one record that
-// stays resident (re-pinned by an owner operation) keeps this many
-// alive, not the caller's whole batch.
+// stays resident (changed between a flush's freeze and its eviction)
+// keeps this many alive, not the caller's whole batch.
 const restoreSlab = 1024
 
 // holds reports whether the ledger has a version of id already: in sh,
 // id's shard, which the caller has write-locked (or owns, in recovery),
 // or sealed in a segment.
 func (l *Ledger) holds(sh *shard, id ids.PhotoID) (bool, error) {
-	if _, ok := sh.records[id]; ok || l.store == nil {
+	if _, _, ok := sh.version(id); ok || l.store == nil {
 		return ok, nil
 	}
 	st, err := l.store.lookupState(id)

@@ -24,12 +24,14 @@ const EngineSegments Engine = 0
 type WALSyncMode int
 
 const (
-	// WALSyncOS hands appends to the OS without fsync; durability is the
-	// periodic Sync() the serving loop already runs. The default.
-	WALSyncOS WALSyncMode = iota
 	// WALSyncBatch fsyncs before an append returns, with concurrent
-	// appends coalesced onto one fsync by group commit.
-	WALSyncBatch
+	// appends coalesced onto one fsync by group commit. The default: an
+	// acknowledged revocation survives a host crash.
+	WALSyncBatch WALSyncMode = iota
+	// WALSyncOS hands appends to the OS without fsync; durability is the
+	// periodic Sync() the serving loop runs, so a host crash loses what
+	// was acknowledged since the last one.
+	WALSyncOS
 )
 
 // Default engine tuning. Exposed through Config so the storage bench
@@ -204,7 +206,7 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 
 	var mem int64
 	for i := range l.shards {
-		mem += int64(len(l.shards[i].records))
+		mem += int64(l.shards[i].memtableLen())
 	}
 	eng.memRecs.Store(mem)
 
@@ -277,19 +279,43 @@ func (e *segEngine) logPermanent(id ids.PhotoID) error {
 	return e.wal.append(appendPermFrame(make([]byte, 0, opFrameMax), id), 1)
 }
 
-// lookup probes the segment list newest-first. Callers have already
-// missed the memtable, so the first segment hit is the current version.
-func (e *segEngine) lookup(id ids.PhotoID) (*Record, bool, error) {
-	for _, sr := range *e.segs.Load() {
-		rec, ok, err := sr.lookup(id)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return rec, true, nil
+// findSealed probes segs newest-first and returns the payload of id's
+// newest sealed claim frame, aliasing its segment's mapping (which stays
+// mapped until the engine closes, even once compaction retires it).
+func findSealed(segs []*segReader, id ids.PhotoID) ([]byte, bool, error) {
+	for _, sr := range segs {
+		if payload, ok, err := sr.find(id); ok || err != nil {
+			return payload, ok, err
 		}
 	}
 	return nil, false, nil
+}
+
+// sealedHead reads the state, sequence number and public key of id's
+// newest sealed version in place (pub aliases the mapping). Callers
+// have already missed the memtable's records.
+func (e *segEngine) sealedHead(id ids.PhotoID) (st State, seq uint64, pub []byte, ok bool, err error) {
+	payload, ok, err := findSealed(*e.segs.Load(), id)
+	if !ok {
+		return StateUnknown, 0, nil, false, err
+	}
+	st, seq, pub, _, err = claimHead(payload)
+	return st, seq, pub, err == nil, err
+}
+
+// lookup decodes id's newest sealed version into a record of its own.
+// Callers have already missed the memtable's records; one that holds an
+// overlay for id lays it over the result.
+func (e *segEngine) lookup(id ids.PhotoID) (*Record, bool, error) {
+	payload, ok, err := findSealed(*e.segs.Load(), id)
+	if !ok {
+		return nil, false, err
+	}
+	r, err := decodeRecord(payload)
+	if err != nil {
+		return nil, false, err
+	}
+	return r.rec, true, nil
 }
 
 // lookupState is lookup for Status and StatusBatch, which want the state
@@ -343,7 +369,9 @@ func (e *segEngine) maybeFlush() {
 }
 
 // sealSegment writes the newest-wins merge of a memtable cut and segs as
-// the next segment file, durably, and opens it. Called with e.mu held.
+// the next segment file, durably, and opens it. Called with e.mu held,
+// which keeps the live segment list, that the cut's overlays are joined
+// with, the one the cut was frozen over.
 func (e *segEngine) sealSegment(expected int, cut []Record, segs []*segReader) (*segReader, manifestSeg, error) {
 	name := segFileName(e.man.NextSeg)
 	path := filepath.Join(e.dir, name)
@@ -351,7 +379,7 @@ func (e *segEngine) sealSegment(expected int, cut []Record, segs []*segReader) (
 	if err != nil {
 		return nil, manifestSeg{}, err
 	}
-	if err = mergeSegments(cut, sortCut(cut), segs, sw.add); err == nil {
+	if err = mergeSegments(cut, sortCut(cut), *e.segs.Load(), segs, sw.add); err == nil {
 		err = sw.finish()
 	}
 	if err != nil {
@@ -425,11 +453,15 @@ func (e *segEngine) flushLocked() error {
 		sh.mu.Lock()
 		for ; k < len(cut) && l.shardFor(cut[k].ID) == sh; k++ {
 			cp := &cut[k]
-			if rec, ok := sh.records[cp.ID]; ok && rec.OpSeq == cp.OpSeq && rec.State == cp.State {
+			if isOverlay(cp) {
+				if ov, ok := sh.overlays[cp.ID]; ok && ov == (overlay{cp.State, cp.OpSeq}) {
+					delete(sh.overlays, cp.ID)
+				}
+			} else if rec, ok := sh.records[cp.ID]; ok && rec.OpSeq == cp.OpSeq && rec.State == cp.State {
 				delete(sh.records, cp.ID)
 			}
 		}
-		remaining += int64(len(sh.records))
+		remaining += int64(sh.memtableLen())
 		sh.mu.Unlock()
 	}
 	e.memRecs.Store(remaining)
@@ -571,10 +603,11 @@ func (l *Ledger) Compact() error {
 	return l.store.compact()
 }
 
-// Sync forces WAL contents to stable storage; services call it on a
-// timer rather than per-operation to trade a bounded window of
-// durability for throughput. (With Config.WALSync = WALSyncBatch every
-// append is already durable and this is a cheap no-op barrier.)
+// Sync forces WAL contents to stable storage. Under Config.WALSync =
+// WALSyncOS services call it on a timer rather than per operation,
+// trading a bounded window of durability for throughput; under the
+// default WALSyncBatch every append is already durable and this is a
+// cheap barrier.
 func (l *Ledger) Sync() error {
 	if l.store == nil {
 		return nil

@@ -174,11 +174,11 @@ func TestGroupCommitStickyError(t *testing.T) {
 	l.Close()
 }
 
-// TestWALSyncOSDefersDurability: in the default mode appends must not
+// TestWALSyncOSDefersDurability: in WALSyncOS mode appends must not
 // fsync at all; the periodic Sync is the durability point.
 func TestWALSyncOSDefersDurability(t *testing.T) {
 	dir := t.TempDir()
-	l, err := New(Config{ID: 9, Dir: dir})
+	l, err := New(Config{ID: 9, Dir: dir, WALSync: WALSyncOS})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,8 +158,8 @@ type Config struct {
 	// engine. The field survives only because the frozen bench/ module
 	// sets it.
 	Engine Engine
-	// WALSync selects append durability; the zero value, WALSyncOS,
-	// leaves it to the periodic Sync.
+	// WALSync selects append durability; the zero value, WALSyncBatch,
+	// makes every append durable before it returns.
 	WALSync WALSyncMode
 	// MemtableRecords is the memtable flush threshold; zero means 65536.
 	MemtableRecords int
@@ -424,6 +424,10 @@ func (l *Ledger) insertClaim(sh *shard, rec *Record) error {
 // write lock is retaken with the sequence number re-validated before
 // mutating. A concurrent operation that advanced the sequence in the
 // gap surfaces as ErrBadOpSeq.
+//
+// An operation on a sealed claim leaves an overlay in the memtable, not
+// the record: the key and sequence number are read from the segment
+// frame in place.
 func (l *Ledger) Apply(id ids.PhotoID, op Op, sig []byte) error {
 	if op != OpRevoke && op != OpUnrevoke {
 		return fmt.Errorf("ledger: unknown op %d", op)
@@ -433,7 +437,7 @@ func (l *Ledger) Apply(id ids.PhotoID, op Op, sig []byte) error {
 	}
 	sh := l.shardFor(id)
 
-	rec, pub, seq, state, err := l.loadForOp(sh, id)
+	pub, seq, state, err := l.opView(sh, id)
 	if err != nil {
 		return err
 	}
@@ -448,74 +452,83 @@ func (l *Ledger) Apply(id ids.PhotoID, op Op, sig []byte) error {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// A memtable flush may have evicted the record (or a concurrent op
-	// re-materialized its own copy) between verification and here; the
-	// map entry, re-pinned, is the authoritative version.
-	if cur, inMap := sh.records[id]; inMap {
-		rec = cur
-	} else {
-		sh.records[id] = rec
+	// A memtable flush may have sealed and evicted the version read
+	// above, or a concurrent operation replaced it; the newest version,
+	// read again under the write lock, is authoritative.
+	prev, cur, held, err := l.newest(sh, id)
+	if err != nil {
+		return err
 	}
-	if rec.State == StatePermanentlyRevoked {
+	if prev == StatePermanentlyRevoked {
 		return ErrPermanent
 	}
-	if rec.OpSeq != seq {
+	if cur != seq {
 		// A concurrent operation consumed this sequence number while we
 		// verified; the signature no longer covers OpSeq+1.
 		return ErrBadOpSeq
 	}
-	prev := rec.State
-	rec.State = StateActive
+	st := StateActive
 	if op == OpRevoke {
-		rec.State = StateRevoked
+		st = StateRevoked
 	}
-	sh.setRevoked(id, rec.State)
-	rec.OpSeq = next
+	sh.setVersion(id, st, next)
 	l.metrics.ops.Inc()
 	if l.store != nil {
 		if err := l.store.logOp(id, op, next); err != nil {
-			rec.State = prev
-			rec.OpSeq = next - 1
-			sh.setRevoked(id, prev)
+			sh.restoreVersion(id, held, prev, seq)
 			return err
 		}
 	}
 	return nil
 }
 
-// loadForOp reads the fields Apply verifies against, materializing the
-// record from persistent storage when a memtable flush has evicted it.
-// The returned pub slice is immutable after claim and safe to share.
-func (l *Ledger) loadForOp(sh *shard, id ids.PhotoID) (rec *Record, pub ed25519.PublicKey, seq uint64, state State, err error) {
+// opView reads what Apply verifies against: the claim's public key and
+// the state and sequence number of its newest version. A record the
+// memtable holds answers alone; otherwise the key comes from the newest
+// segment frame, read in place, and the state and sequence number from
+// the overlay if there is one, else from the frame. The returned pub
+// aliases the record or the mapping, both immutable.
+func (l *Ledger) opView(sh *shard, id ids.PhotoID) (pub ed25519.PublicKey, seq uint64, state State, err error) {
 	sh.mu.RLock()
 	rec, ok := sh.records[id]
 	if ok {
 		pub, seq, state = rec.PubKey, rec.OpSeq, rec.State
 	}
+	ov, overlaid := sh.overlays[id]
 	sh.mu.RUnlock()
 	if ok {
-		return rec, pub, seq, state, nil
+		return pub, seq, state, nil
 	}
 	if l.store == nil {
-		return nil, nil, 0, 0, ErrNotFound
+		return nil, 0, 0, ErrNotFound
 	}
-	srec, found, err := l.store.lookup(id)
+	state, seq, pub, ok, err = l.store.sealedHead(id)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, 0, 0, err
 	}
-	if !found {
-		return nil, nil, 0, 0, ErrNotFound
+	if !ok {
+		return nil, 0, 0, ErrNotFound
 	}
-	sh.mu.Lock()
-	if cur, ok := sh.records[id]; ok {
-		rec = cur // a concurrent op materialized first; use its copy
-	} else {
-		sh.records[id] = srec
-		rec = srec
+	if overlaid {
+		state, seq = ov.state, ov.seq
 	}
-	pub, seq, state = rec.PubKey, rec.OpSeq, rec.State
-	sh.mu.Unlock()
-	return rec, pub, seq, state, nil
+	return pub, seq, state, nil
+}
+
+// newest returns the state and sequence number of id's newest version:
+// the memtable's (held), else the newest segment frame's. The caller
+// holds sh.mu for writing, so no flush can evict between the two reads.
+func (l *Ledger) newest(sh *shard, id ids.PhotoID) (st State, seq uint64, held bool, err error) {
+	if st, seq, ok := sh.version(id); ok {
+		return st, seq, true, nil
+	}
+	if l.store != nil {
+		st, seq, _, ok, err := l.store.sealedHead(id)
+		if ok || err != nil {
+			return st, seq, false, err
+		}
+	}
+	return StateUnknown, 0, false, ErrNotFound
 }
 
 // PermanentRevoke marks a claim permanently revoked. Only the appeals
@@ -531,28 +544,14 @@ func (l *Ledger) PermanentRevoke(id ids.PhotoID) error {
 	sh := l.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	rec, ok := sh.records[id]
-	if !ok && l.store != nil {
-		srec, found, err := l.store.lookup(id)
-		if err != nil {
-			return err
-		}
-		if found {
-			sh.records[id] = srec
-			rec, ok = srec, true
-		}
+	prev, seq, held, err := l.newest(sh, id)
+	if err != nil {
+		return err
 	}
-	if !ok {
-		return ErrNotFound
-	}
-	prev := rec.State
-	rec.State = StatePermanentlyRevoked
-	sh.setRevoked(id, rec.State)
+	sh.setVersion(id, StatePermanentlyRevoked, seq)
 	if l.store != nil {
 		if err := l.store.logPermanent(id); err != nil {
-			// The set agreed with prev before the change; make it again.
-			rec.State = prev
-			sh.setRevoked(id, prev)
+			sh.restoreVersion(id, held, prev, seq)
 			return err
 		}
 	}
@@ -690,27 +689,29 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 func (l *Ledger) Record(id ids.PhotoID) (Record, error) {
 	sh := l.shardFor(id)
 	sh.mu.RLock()
-	rec, ok := sh.records[id]
-	var cp Record
-	if ok {
-		cp = *rec
+	defer sh.mu.RUnlock()
+	if rec, ok := sh.records[id]; ok {
+		cp := *rec
 		cp.PubKey = append(ed25519.PublicKey(nil), rec.PubKey...)
 		cp.HashSig = append([]byte(nil), rec.HashSig...)
-	}
-	sh.mu.RUnlock()
-	if ok {
 		return cp, nil
 	}
-	if l.store != nil {
-		srec, found, err := l.store.lookup(id)
-		if err != nil {
-			return Record{}, err
-		}
-		if found {
-			return *srec, nil // already a private copy
-		}
+	if l.store == nil {
+		return Record{}, ErrNotFound
 	}
-	return Record{}, ErrNotFound
+	// Decoded under the read lock, so a flush cannot evict the overlay
+	// between reading it and the segment it lies over.
+	srec, found, err := l.store.lookup(id)
+	if err != nil {
+		return Record{}, err
+	}
+	if !found {
+		return Record{}, ErrNotFound
+	}
+	if ov, ok := sh.overlays[id]; ok {
+		srec.State, srec.OpSeq = ov.state, ov.seq
+	}
+	return *srec, nil // already a private copy
 }
 
 // Count returns total claims and currently revoked claims. The revoked

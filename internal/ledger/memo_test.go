@@ -547,6 +547,19 @@ func TestProofMemoHammer(t *testing.T) {
 	}
 }
 
+// segLookup decodes the identifier's claim frame in one segment.
+func segLookup(sr *segReader, id ids.PhotoID) (*Record, bool, error) {
+	payload, ok, err := sr.find(id)
+	if !ok {
+		return nil, false, err
+	}
+	r, err := decodeRecord(payload)
+	if err != nil {
+		return nil, false, err
+	}
+	return r.rec, true, nil
+}
+
 // TestLookupStateMatchesLookup: over a store of several segments with
 // shadowed versions, the state-only read agrees with the decoding one
 // for every identifier, per segment and through the engine, and a
@@ -598,7 +611,7 @@ func TestLookupStateMatchesLookup(t *testing.T) {
 	states := map[State]int{}
 	for _, id := range all {
 		for si, sr := range segs {
-			rec, ok, err := sr.lookup(id)
+			rec, ok, err := segLookup(sr, id)
 			st, okS, errS := sr.lookupState(id)
 			if err != nil || errS != nil || ok != okS || (ok && rec.State != st) || (!ok && st != StateUnknown) {
 				t.Fatalf("segment %d, %v: lookup (%v, %v, %v) vs lookupState (%v, %v, %v)", si, id, rec, ok, err, st, okS, errS)
@@ -639,7 +652,7 @@ func TestLookupStateMatchesLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.close()
-	_, _, err = sr.lookup(ids.FromBytes(victim))
+	_, _, err = segLookup(sr, ids.FromBytes(victim))
 	_, _, errS := sr.lookupState(ids.FromBytes(victim))
 	if !errors.Is(err, errFrameCorrupt) || !errors.Is(errS, errFrameCorrupt) {
 		t.Fatalf("corrupted frame: lookup %v, lookupState %v, want both %v", err, errS, errFrameCorrupt)

@@ -20,8 +20,8 @@ import (
 // it.
 
 // refState is the read Status and StatusBatch made before the resident
-// set answered revoked ids, kept as the oracle: the memtable, else the
-// segments' state byte.
+// set answered revoked ids, kept as the oracle: the memtable (a record,
+// or an overlay on a sealed claim), else the segments' state byte.
 func refState(t testing.TB, l *Ledger, id ids.PhotoID) State {
 	t.Helper()
 	sh := l.shardFor(id)
@@ -30,6 +30,9 @@ func refState(t testing.TB, l *Ledger, id ids.PhotoID) State {
 	var st State
 	if ok {
 		st = rec.State
+	}
+	if ov, overlaid := sh.overlays[id]; overlaid {
+		st, ok = ov.state, true
 	}
 	sh.mu.RUnlock()
 	if !ok && l.store != nil {
@@ -213,7 +216,7 @@ func TestResidentStateMatchesSegmentRead(t *testing.T) {
 					mem := 0
 					l = open(int64(s))
 					for i := range l.shards {
-						mem += len(l.shards[i].records)
+						mem += len(l.shards[i].records) + len(l.shards[i].overlays)
 					}
 					if mem > 0 {
 						tailReplays++

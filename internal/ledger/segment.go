@@ -372,22 +372,9 @@ func (sr *segReader) find(id ids.PhotoID) (payload []byte, ok bool, err error) {
 	return nil, false, nil
 }
 
-// lookup finds a record by identifier and decodes it.
-func (sr *segReader) lookup(id ids.PhotoID) (*Record, bool, error) {
-	payload, ok, err := sr.find(id)
-	if !ok {
-		return nil, false, err
-	}
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return nil, false, err
-	}
-	return rec.rec, true, nil
-}
-
-// lookupState is lookup for callers that want only the state: it reads
-// the state byte out of the mapped frame instead of decoding the record
-// (public key, signature and timestamp token, five allocations).
+// lookupState reads the state byte of the identifier's claim frame out
+// of the mapping instead of decoding the record (public key, signature
+// and timestamp token, five allocations).
 func (sr *segReader) lookupState(id ids.PhotoID) (State, bool, error) {
 	payload, ok, err := sr.find(id)
 	if !ok {
@@ -457,9 +444,12 @@ func frameRevoked(frame []byte) bool {
 // its claim frame; fn must not keep the frame. segs must be ordered
 // newest-first. The cut (cut and its sorted keys, see sortCut; both nil
 // for a compaction) is newer than every segment, and its frames are
-// encoded here into one reused buffer; a segment's are passed as they
-// lie in its mapping, so merging segments never materializes a Record.
-func mergeSegments(cut []Record, keys []cutKey, segs []*segReader, fn func(id ids.PhotoID, revoked bool, frame []byte) error) error {
+// encoded here into one reused buffer: a record's from its fields, an
+// overlay's (see isOverlay) from the newest frame of its id in base, the
+// segment list the cut was frozen over, with state and sequence number
+// replaced. A segment's frames are passed as they lie in its mapping, so
+// merging never materializes a Record.
+func mergeSegments(cut []Record, keys []cutKey, base, segs []*segReader, fn func(id ids.PhotoID, revoked bool, frame []byte) error) error {
 	cursors := make([]segCursor, len(segs))
 	for i, sr := range segs {
 		cursors[i] = segCursor{sr: sr, next: sr.dataStart}
@@ -485,7 +475,7 @@ func mergeSegments(cut []Record, keys []cutKey, segs []*segReader, fn func(id id
 		case len(keys) > 0 && (best == nil || !keyLess(best.hi, best.lo, keys[0].hi, keys[0].lo)):
 			rec := &cut[keys[0].idx]
 			var err error
-			if scratch, err = appendClaimFrame(scratch[:0], rec); err != nil {
+			if scratch, err = appendCutFrame(scratch[:0], rec, base); err != nil {
 				return err
 			}
 			id, hi, lo, frame = rec.ID, keys[0].hi, keys[0].lo, scratch
@@ -507,4 +497,20 @@ func mergeSegments(cut []Record, keys []cutKey, segs []*segReader, fn func(id id
 			return err
 		}
 	}
+}
+
+// appendCutFrame encodes one entry of a memtable cut onto dst as its
+// claim frame, joining an overlay with id's newest frame in base.
+func appendCutFrame(dst []byte, rec *Record, base []*segReader) ([]byte, error) {
+	if !isOverlay(rec) {
+		return appendClaimFrame(dst, rec)
+	}
+	sealed, ok, err := findSealed(base, rec.ID)
+	if err == nil && !ok {
+		err = fmt.Errorf("ledger: overlay on %s, which no segment holds", rec.ID)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return appendOverlayFrame(dst, sealed, rec.State, rec.OpSeq)
 }

@@ -39,8 +39,15 @@ const defaultShards = 64
 
 // shard is one stripe of the record store.
 type shard struct {
-	mu      sync.RWMutex
-	records map[ids.PhotoID]*Record
+	mu sync.RWMutex
+	// The memtable is records and overlays; an id is in at most one.
+	// records holds the claims made or restored since the last flush,
+	// whole. overlays holds, for a sealed claim an owner operation or
+	// permanent revocation has changed since, only its new state and
+	// sequence number: the fields no operation touches stay in the
+	// segment, which readers, StateHash and the flush join it with.
+	records  map[ids.PhotoID]*Record
+	overlays map[ids.PhotoID]overlay
 	// revoked is the resident revoked set, whole whatever the memtable
 	// holds: an id is present while its newest version is revoked, and
 	// its value is true when that revocation is permanent. Filter
@@ -63,12 +70,60 @@ type shard struct {
 	memo proofMemo
 }
 
+// overlay is the memtable's version of a sealed claim: its newest state
+// and sequence number. It holds no pointer, so the collector never scans
+// an overlay map's entries.
+type overlay struct {
+	state State
+	seq   uint64
+}
+
+// memtableLen is the number of ids the memtable holds. The caller holds
+// sh.mu (or owns the shard, in recovery).
+func (sh *shard) memtableLen() int { return len(sh.records) + len(sh.overlays) }
+
+// version returns the state and sequence number of id's memtable
+// version, a record or an overlay; false means only the segments know
+// id. The caller holds sh.mu.
+func (sh *shard) version(id ids.PhotoID) (st State, seq uint64, ok bool) {
+	if rec, ok := sh.records[id]; ok {
+		return rec.State, rec.OpSeq, true
+	}
+	ov, ok := sh.overlays[id]
+	return ov.state, ov.seq, ok
+}
+
+// setVersion makes st and seq id's newest version: in its record when
+// the memtable holds one, else as an overlay on its sealed claim. It
+// keeps the resident revoked set in step. The caller holds sh.mu for
+// writing (or owns the shard, in recovery).
+func (sh *shard) setVersion(id ids.PhotoID, st State, seq uint64) {
+	if rec, ok := sh.records[id]; ok {
+		rec.State, rec.OpSeq = st, seq
+	} else {
+		sh.overlays[id] = overlay{st, seq}
+	}
+	sh.setRevoked(id, st)
+}
+
+// restoreVersion undoes a setVersion whose WAL append failed: it puts
+// back st and seq, id's version before, which was the memtable's when
+// held, else the segments' (and the overlay it made is dropped).
+func (sh *shard) restoreVersion(id ids.PhotoID, held bool, st State, seq uint64) {
+	if held {
+		sh.setVersion(id, st, seq)
+		return
+	}
+	delete(sh.overlays, id)
+	sh.setRevoked(id, st)
+}
+
 // state answers a status query from what the shard holds: the memtable,
 // then the resident revoked set. False means only the segments know the
 // id — it is active or unknown. The caller holds sh.mu.
 func (sh *shard) state(id ids.PhotoID) (State, bool) {
-	if rec, ok := sh.records[id]; ok {
-		return rec.State, true
+	if st, _, ok := sh.version(id); ok {
+		return st, true
 	}
 	perm, ok := sh.revoked[id]
 	switch {
@@ -113,6 +168,7 @@ func newShards(n int) []shard {
 	s := make([]shard, n)
 	for i := range s {
 		s[i].records = make(map[ids.PhotoID]*Record)
+		s[i].overlays = make(map[ids.PhotoID]overlay)
 		s[i].revoked = make(map[ids.PhotoID]bool)
 		s[i].memo.max = max(1, memoMaxEntries/n)
 		s[i].changeCap = max(1, changeLogMax/n)

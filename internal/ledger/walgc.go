@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -347,42 +348,33 @@ func replayWALFile(l *Ledger, path string, final bool) (claims uint64, err error
 }
 
 // applyBinRec replays one binary record into the (single-threaded,
-// pre-serving) ledger. Ops and permanent revocations for records that
-// already live in a segment materialize the record into the memtable
-// first.
+// pre-serving) ledger. An op or permanent revocation of a record that
+// lives only in a segment leaves an overlay, as the live operation did.
 func applyBinRec(l *Ledger, r *binRec) error {
 	sh := l.shardFor(r.id)
 	switch r.kind {
 	case recClaim:
 		sh.records[r.id] = r.rec
+		delete(sh.overlays, r.id)
 		sh.setRevoked(r.id, r.rec.State)
 	case recOp, recPerm:
-		rec, ok := sh.records[r.id]
-		if !ok && l.store != nil {
-			srec, found, err := l.store.lookup(r.id)
-			if err != nil {
-				return err
-			}
-			if found {
-				rec = srec
-				sh.records[r.id] = rec
-				ok = true
-			}
-		}
-		if !ok {
+		_, seq, _, err := l.newest(sh, r.id)
+		if errors.Is(err, ErrNotFound) {
 			return fmt.Errorf("op for unknown claim %s", r.id)
+		}
+		if err != nil {
+			return err
 		}
 		switch {
 		case r.kind == recPerm:
-			rec.State = StatePermanentlyRevoked
+			sh.setVersion(r.id, StatePermanentlyRevoked, seq)
 		case r.op == OpRevoke:
-			rec.State, rec.OpSeq = StateRevoked, r.seq
+			sh.setVersion(r.id, StateRevoked, r.seq)
 		case r.op == OpUnrevoke:
-			rec.State, rec.OpSeq = StateActive, r.seq
+			sh.setVersion(r.id, StateActive, r.seq)
 		default:
 			return fmt.Errorf("unknown op %d in wal", r.op)
 		}
-		sh.setRevoked(r.id, rec.State)
 	default:
 		return fmt.Errorf("unknown wal record kind %q", r.kind)
 	}

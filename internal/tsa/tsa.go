@@ -129,11 +129,13 @@ func Verify(pub ed25519.PublicKey, t *Token) error {
 
 // Earlier reports whether token a precedes token b, the comparison the
 // appeals process performs between the complainant's claim timestamp and
-// the contested claim's. Serial numbers break exact time ties when both
-// tokens come from the same authority.
-func Earlier(a, b *Token) bool {
+// the contested claim's. sameAuthority says both tokens were issued by
+// one authority: only then does the serial number break an exact time
+// tie. Each authority counts its serials from 1, so across two of them
+// the numbers order nothing, and an exact tie is neither earlier.
+func Earlier(a, b *Token, sameAuthority bool) bool {
 	if !a.Time.Equal(b.Time) {
 		return a.Time.Before(b.Time)
 	}
-	return a.Serial < b.Serial
+	return sameAuthority && a.Serial < b.Serial
 }

@@ -140,14 +140,23 @@ func TestEarlier(t *testing.T) {
 	t1 := stamp(a, []byte("first"))
 	clock = base.Add(time.Second)
 	t2 := stamp(a, []byte("second"))
-	if !Earlier(t1, t2) || Earlier(t2, t1) {
+	if !Earlier(t1, t2, true) || Earlier(t2, t1, true) || !Earlier(t1, t2, false) || Earlier(t2, t1, false) {
 		t.Error("time ordering wrong")
 	}
-	// Same-instant: serial breaks the tie.
+	// Same instant, same authority: the serial breaks the tie.
 	t3 := stamp(a, []byte("third"))
 	t4 := stamp(a, []byte("fourth"))
-	if !Earlier(t3, t4) {
+	if !Earlier(t3, t4, true) || Earlier(t4, t3, true) {
 		t.Error("serial tie-break wrong")
+	}
+	// Same instant, two authorities: their serials order nothing.
+	b, err := NewWithClock(func() time.Time { return clock })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t5 := stamp(b, []byte("fifth"))
+	if Earlier(t5, t4, false) || Earlier(t4, t5, false) {
+		t.Errorf("cross-authority tie (serials %d and %d) ordered by serial", t5.Serial, t4.Serial)
 	}
 }
 

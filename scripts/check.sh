@@ -149,11 +149,21 @@ stage phash
 # resident revoked set that answers revoked ids: status answers against
 # the retained segment read over seeded histories, permanence across a
 # reopen, its rollback when the WAL refuses an op, and the
-# ops/StatusBatch/flush/compaction hammer.
-go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer' \
+# ops/StatusBatch/flush/compaction hammer. And owner ops on sealed
+# claims as overlays: the flush, WAL, StateHash and answers equal to the
+# retained load-then-flush path, raced between freeze and eviction, and
+# replayed after a crash.
+go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer|OverlayKeepsSealedClaimsOffTheHeap' \
     ./internal/ledger
 go test -race -run 'PersistentLedgerSurvivesRestart' ./internal/integration
 stage "storage engine"
+
+# Appeals priority: a time tie between two ledgers' timestamp
+# authorities orders nothing (their serials count from 1 each), so the
+# ledger desk refuses it and the site desk hears it; a tie within one
+# authority is broken by serial. Named under -race.
+go test -race -run 'CrossLedgerTimeTie|SiteAppeal|LaterClaimantRejected|Earlier' ./internal/appeals ./internal/tsa
+stage "appeals priority"
 
 # The benchmark is its own module (irs/bench), which `go test ./...`
 # above does not compile; it imports internal APIs, so drift must fail
@@ -238,12 +248,14 @@ stage observability
 # RestoreRecords of 10,000 records within 64 allocations, a memtable
 # freeze within 4 at any size, a compaction of 4 x 5,000 within 200.
 # And a bad op signature costs one Ed25519 verification, not a scan.
+# An owner op on a sealed claim keeps at most 128 B of live heap and
+# costs at most 2 allocations (TestOverlayKeepsSealedClaimsOffTheHeap).
 # The upload path: a 16-image album through the batch endpoint within
 # its hosted pixels plus 64 KiB, an aligned watermark read of a gray
 # image allocating nothing, and Embed allocating only its output. A
 # validator already at its upstream's epoch pulls without hashing or
 # allocating.
-go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs|IdlePullAllocatesNothing' \
+go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs|IdlePullAllocatesNothing|OverlayKeepsSealedClaimsOffTheHeap' \
     ./internal/ledger ./internal/wire ./internal/proxy ./internal/aggregator ./internal/watermark
 stage "allocation budgets"
 
