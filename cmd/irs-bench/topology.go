@@ -176,7 +176,10 @@ func fabTopologyRecords(lid ids.LedgerID, n int, revokedFrac float64, rng *rand.
 		sig := make([]byte, ed25519.SignatureSize)
 		rng.Read(sig)
 		r.Timestamp = &tsa.Token{Serial: uint64(i), Time: time.Unix(1700000000+int64(i), 0).UTC(), Sig: sig}
+		// The token covers the content hash, as a claim's does; the draw
+		// stays so that the rest of the population is unchanged.
 		rng.Read(r.Timestamp.Digest[:])
+		r.Timestamp.Digest = r.ContentHash
 		r.State = ledger.StateActive
 		if uint32(i)*2654435761%1000 < cut {
 			r.State = ledger.StateRevoked

@@ -34,7 +34,7 @@ func main() {
 	var (
 		id            = flag.Uint("id", 1, "ledger identifier (nonzero; rides in every issued photo id)")
 		addr          = flag.String("addr", ":8330", "listen address")
-		dir           = flag.String("dir", "", "persistence directory (empty = in-memory)")
+		dir           = flag.String("dir", "", "persistence directory, which also keeps the ledger's keys across restarts (empty = in-memory, fresh keys)")
 		adminToken    = flag.String("admin-token", "", "bearer token for the permanent-revoke admin endpoint (empty = disabled)")
 		nonRevocable  = flag.Bool("non-revocable", false, "refuse revocation (§5 human-rights ledger policy)")
 		snapInterval  = flag.Duration("snapshot-interval", time.Hour, "revocation filter snapshot rebuild interval")

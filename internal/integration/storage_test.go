@@ -8,9 +8,14 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
+	"irs/internal/appeals"
+	"irs/internal/camera"
 	"irs/internal/ids"
 	"irs/internal/ledger"
+	"irs/internal/tsa"
+	"irs/internal/watermark"
 	"irs/internal/wire"
 )
 
@@ -18,7 +23,11 @@ import (
 // over real HTTP — concurrent claims and revokes sized to force
 // background flushes and compactions mid-traffic — then restarts it at
 // a different shard count and requires byte-identical state (StateHash)
-// plus correct per-claim status over the wire.
+// plus correct per-claim status over the wire. The ledger keeps its
+// identity: the restarted one publishes the same keys, every token and
+// proof issued before the restart verifies under them, its timestamp
+// serials continue above the old ones, and an appeal filed after the
+// restart on a pre-restart claim's token is heard and upheld.
 func TestPersistentLedgerSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func(shards int) *ledger.Ledger {
@@ -42,6 +51,7 @@ func TestPersistentLedgerSurvivesRestart(t *testing.T) {
 	const perWriter = 80
 	type claimed struct {
 		id      ids.PhotoID
+		token   *tsa.Token
 		revoked bool
 	}
 	all := make([][]claimed, writers)
@@ -70,7 +80,7 @@ func TestPersistentLedgerSurvivesRestart(t *testing.T) {
 					t.Errorf("writer %d claim %d: %v", w, i, err)
 					return
 				}
-				c := claimed{id: receipt.ID}
+				c := claimed{id: receipt.ID, token: receipt.Timestamp}
 				if i%3 == 0 {
 					seq, err := client.Seq(receipt.ID)
 					if err != nil {
@@ -89,10 +99,30 @@ func TestPersistentLedgerSurvivesRestart(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// The original of a later appeal, claimed and labeled over HTTP.
+	victim := camera.New(wire.NewClient(srv.URL, ""), srv.URL, nil)
+	orig := victim.Shoot(7, 192, 128)
+	labeled, owned, err := victim.ClaimAndLabel(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.Close()
 	if t.Failed() {
 		t.Fatal("writer errors above")
 	}
+	var oldIDs []ids.PhotoID
+	oldTokens := []*tsa.Token{owned.Receipt.Timestamp}
+	for w := range all {
+		for _, c := range all[w] {
+			oldIDs = append(oldIDs, c.id)
+			oldTokens = append(oldTokens, c.token)
+		}
+	}
+	oldProofs, err := l.StatusBatch(oldIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signKey, tsaKey := l.SigningKey(), l.TimestampKey()
 
 	st := l.StorageStats()
 	if st.Flushes == 0 {
@@ -106,8 +136,8 @@ func TestPersistentLedgerSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantClaims, wantRevoked := l.Count()
-	if wantClaims != writers*perWriter {
-		t.Fatalf("claims = %d, want %d", wantClaims, writers*perWriter)
+	if wantClaims != writers*perWriter+1 {
+		t.Fatalf("claims = %d, want %d", wantClaims, writers*perWriter+1)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -145,5 +175,52 @@ func TestPersistentLedgerSurvivesRestart(t *testing.T) {
 				t.Fatalf("writer %d item %d: state %v, want %v", w, i, proof.State, wantState)
 			}
 		}
+	}
+
+	// The same identity: keys, old tokens and proofs, and serials that
+	// never repeat.
+	if !rl.SigningKey().Equal(signKey) || !rl.TimestampKey().Equal(tsaKey) {
+		t.Fatal("the restarted ledger publishes other keys")
+	}
+	var maxOld uint64
+	for i, tok := range oldTokens {
+		if err := tsa.Verify(rl.TimestampKey(), tok); err != nil {
+			t.Fatalf("pre-restart token %d (serial %d): %v", i, tok.Serial, err)
+		}
+		maxOld = max(maxOld, tok.Serial)
+	}
+	for i, p := range oldProofs {
+		if err := ledger.VerifyProof(rl.SigningKey(), p, time.Now(), 0); err != nil {
+			t.Fatalf("pre-restart proof %d: %v", i, err)
+		}
+	}
+
+	// After the restart an attacker claims a stolen copy on the same
+	// ledger; the victim's appeal, with its pre-restart token, is heard.
+	attacker := camera.New(client, srv2.URL, nil)
+	stolen, err := watermark.Erase(labeled, watermark.DefaultConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stolen.Meta.StripAll()
+	attackCopy, attackOwned, err := attacker.ClaimAndLabel(stolen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := attackOwned.Receipt.Timestamp.Serial; s <= maxOld {
+		t.Fatalf("first serial after the restart is %d, not above the old maximum %d", s, maxOld)
+	}
+	v, err := appeals.NewAdjudicator(rl, nil).Decide(&appeals.Complaint{
+		Original:       orig,
+		OriginalToken:  owned.Receipt.Timestamp,
+		OriginalLedger: 7,
+		Copy:           attackCopy,
+		ContestedID:    attackOwned.ID,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Outcome != appeals.Upheld {
+		t.Fatalf("appeal with a pre-restart token: %v (%s)", v.Outcome, v.Detail)
 	}
 }

@@ -1,10 +1,12 @@
 package ledger
 
 import (
+	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"time"
 
 	"irs/internal/ids"
 	"irs/internal/tsa"
@@ -18,8 +20,8 @@ import (
 // and the payload is a tagged union:
 //
 //	claim: 'C' | id[16] | state u8 | custodial u8 | opseq uvarint |
-//	       hash[32] | pub u8-len+bytes | sig u8-len+bytes |
-//	       token u16-len+bytes
+//	       hash[32] | pub[32] | sig[64] | token serial u64 |
+//	       token unixnano u64 | token sig[64]
 //	op:    'O' | id[16] | op u8 | seq uvarint
 //	perm:  'P' | id[16]
 //
@@ -32,9 +34,9 @@ import (
 
 const (
 	frameHeaderSize = 8
-	// maxFramePayload bounds a single record. Claim records are ~300
-	// bytes; 1 MiB leaves generous headroom while keeping hostile
-	// length prefixes harmless.
+	// maxFramePayload bounds a single record. Claim records are 228
+	// bytes (one more per sequence-varint byte past the first); 1 MiB
+	// keeps hostile length prefixes harmless.
 	maxFramePayload = 1 << 20
 )
 
@@ -80,17 +82,52 @@ func sealFrame(dst []byte, hdr int) []byte {
 	return dst
 }
 
-// claimFrameMax bounds the length of rec's claim frame from above (the
-// opseq varint is counted at its longest), for sizing a buffer once.
-func claimFrameMax(rec *Record) int {
-	return frameHeaderSize + 1 + 16 + 2 + binary.MaxVarintLen64 + 32 +
-		1 + len(rec.PubKey) + 1 + len(rec.HashSig) + 2 + 48 + len(rec.Timestamp.Sig)
+// A claim frame stores each fact once: the token's digest is the
+// content hash (Claim stamps exactly that), and the key, claim signature
+// and token have the sizes the protocol fixes, so none needs a length.
+// claimTailSize is what follows the sequence varint: content hash, key,
+// claim signature, token serial and time, token signature.
+const claimTailSize = 32 + ed25519.PublicKeySize + ed25519.SignatureSize + 8 + 8 + ed25519.SignatureSize
+
+// claimFrameSize is the exact length of rec's claim frame, for sizing a
+// buffer once.
+func claimFrameSize(rec *Record) int {
+	return frameHeaderSize + 1 + 16 + 2 + uvarintLen(rec.OpSeq) + claimTailSize
+}
+
+// uvarintLen is the length of v's minimal uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// checkClaim refuses a record the claim frame cannot hold as it is: a
+// missing token, a key or signature of the wrong size, or a token over
+// another digest than the content hash, which does not timestamp the
+// content and so is no evidence for the claim.
+func checkClaim(rec *Record) error {
+	switch {
+	case rec.Timestamp == nil:
+		return fmt.Errorf("ledger: record %s has no timestamp token", rec.ID)
+	case len(rec.PubKey) != ed25519.PublicKeySize:
+		return fmt.Errorf("ledger: record %s: public key is %d bytes, want %d", rec.ID, len(rec.PubKey), ed25519.PublicKeySize)
+	case len(rec.HashSig) != ed25519.SignatureSize:
+		return fmt.Errorf("ledger: record %s: claim signature is %d bytes, want %d", rec.ID, len(rec.HashSig), ed25519.SignatureSize)
+	case len(rec.Timestamp.Sig) != ed25519.SignatureSize:
+		return fmt.Errorf("ledger: record %s: token signature is %d bytes, want %d", rec.ID, len(rec.Timestamp.Sig), ed25519.SignatureSize)
+	case rec.Timestamp.Digest != rec.ContentHash:
+		return fmt.Errorf("ledger: record %s: timestamp token covers another digest than its content hash", rec.ID)
+	}
+	return nil
 }
 
 // appendClaimPayload encodes a claim record payload onto dst.
 func appendClaimPayload(dst []byte, rec *Record) ([]byte, error) {
-	if len(rec.PubKey) > 0xff || len(rec.HashSig) > 0xff {
-		return nil, fmt.Errorf("ledger: oversized key or signature (%d/%d bytes)", len(rec.PubKey), len(rec.HashSig))
+	if err := checkClaim(rec); err != nil {
+		return nil, err
 	}
 	dst = append(dst, recClaim)
 	b := rec.ID.Bytes()
@@ -103,19 +140,11 @@ func appendClaimPayload(dst []byte, rec *Record) ([]byte, error) {
 	}
 	dst = binary.AppendUvarint(dst, rec.OpSeq)
 	dst = append(dst, rec.ContentHash[:]...)
-	dst = append(dst, byte(len(rec.PubKey)))
 	dst = append(dst, rec.PubKey...)
-	dst = append(dst, byte(len(rec.HashSig)))
 	dst = append(dst, rec.HashSig...)
-	// The token's length prefix is patched in once the token is in place.
-	lenAt := len(dst)
-	dst = rec.Timestamp.AppendMarshal(append(dst, 0, 0))
-	n := len(dst) - lenAt - 2
-	if n > 0xffff {
-		return nil, fmt.Errorf("ledger: oversized timestamp token (%d bytes)", n)
-	}
-	binary.LittleEndian.PutUint16(dst[lenAt:], uint16(n))
-	return dst, nil
+	dst = binary.LittleEndian.AppendUint64(dst, rec.Timestamp.Serial)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Timestamp.Time.UnixNano()))
+	return append(dst, rec.Timestamp.Sig...), nil
 }
 
 // appendClaimFrame encodes a full claim frame onto dst: it reserves the
@@ -160,12 +189,11 @@ func claimHead(payload []byte) (st State, seq uint64, pub []byte, seqEnd int, er
 		return 0, 0, nil, 0, errors.New("ledger: bad claim opseq varint")
 	}
 	seqEnd = 19 + n
-	at := seqEnd + 32 // the public key's length byte, past the content hash
-	if len(payload) <= at || len(payload) <= at+int(payload[at]) {
+	if len(payload) != seqEnd+claimTailSize {
 		return 0, 0, nil, 0, errors.New("ledger: claim record truncated")
 	}
-	end := at + 1 + int(payload[at])
-	return State(payload[17]), seq, payload[at+1 : end : end], seqEnd, nil
+	at := seqEnd + 32 // the public key, past the content hash
+	return State(payload[17]), seq, payload[at : at+ed25519.PublicKeySize : at+ed25519.PublicKeySize], seqEnd, nil
 }
 
 // appendOverlayFrame encodes onto dst the claim frame of the sealed
@@ -251,69 +279,33 @@ func decodeRecord(payload []byte) (*binRec, error) {
 		if len(body) < 2 {
 			return nil, errors.New("ledger: claim record too short")
 		}
-		rec := &Record{ID: r.id, State: State(body[0]), Custodial: body[1] != 0}
-		body = body[2:]
-		seq, n := binary.Uvarint(body)
-		if n <= 0 {
+		if body[1] > 1 {
+			return nil, fmt.Errorf("ledger: claim record custodial byte %d, want 0 or 1", body[1])
+		}
+		rec := &Record{ID: r.id, State: State(body[0]), Custodial: body[1] == 1}
+		seq, n := binary.Uvarint(body[2:])
+		if n <= 0 || n != uvarintLen(seq) {
 			return nil, errors.New("ledger: bad claim opseq varint")
 		}
 		rec.OpSeq = seq
-		body = body[n:]
-		if len(body) < 32 {
-			return nil, errors.New("ledger: claim record missing content hash")
+		body = body[2+n:]
+		if len(body) != claimTailSize {
+			return nil, fmt.Errorf("ledger: claim record holds %d bytes past its sequence number, want %d", len(body), claimTailSize)
 		}
 		copy(rec.ContentHash[:], body[:32])
-		body = body[32:]
-		take := func(wide bool) ([]byte, error) {
-			if wide {
-				if len(body) < 2 {
-					return nil, errors.New("ledger: claim record truncated")
-				}
-				n := int(binary.LittleEndian.Uint16(body[:2]))
-				body = body[2:]
-				if len(body) < n {
-					return nil, errors.New("ledger: claim record truncated")
-				}
-				out := body[:n:n]
-				body = body[n:]
-				return out, nil
-			}
-			if len(body) < 1 {
-				return nil, errors.New("ledger: claim record truncated")
-			}
-			n := int(body[0])
-			body = body[1:]
-			if len(body) < n {
-				return nil, errors.New("ledger: claim record truncated")
-			}
-			out := body[:n:n]
-			body = body[n:]
-			return out, nil
+		// One copy out of the (possibly memory-mapped) backing buffer
+		// holds key, claim signature and token signature, so the record
+		// outlives segment retirement.
+		keys := make([]byte, 0, ed25519.PublicKeySize+2*ed25519.SignatureSize)
+		keys = append(append(keys, body[32:128]...), body[144:]...)
+		rec.PubKey = keys[:32:32]
+		rec.HashSig = keys[32:96:96]
+		rec.Timestamp = &tsa.Token{
+			Serial: binary.LittleEndian.Uint64(body[128:]),
+			Time:   time.Unix(0, int64(binary.LittleEndian.Uint64(body[136:]))).UTC(),
+			Digest: rec.ContentHash,
+			Sig:    keys[96:],
 		}
-		pub, err := take(false)
-		if err != nil {
-			return nil, err
-		}
-		sig, err := take(false)
-		if err != nil {
-			return nil, err
-		}
-		tokb, err := take(true)
-		if err != nil {
-			return nil, err
-		}
-		if len(body) != 0 {
-			return nil, errors.New("ledger: trailing bytes in claim record")
-		}
-		tok, err := tsa.Unmarshal(tokb)
-		if err != nil {
-			return nil, fmt.Errorf("ledger: claim record token: %w", err)
-		}
-		// Copy out of the (possibly memory-mapped) backing buffer so the
-		// record outlives segment retirement.
-		rec.PubKey = append([]byte(nil), pub...)
-		rec.HashSig = append([]byte(nil), sig...)
-		rec.Timestamp = tok
 		r.rec = rec
 		return r, nil
 	default:

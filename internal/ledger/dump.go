@@ -78,11 +78,12 @@ func (l *Ledger) StateHash() ([32]byte, error) {
 	e := l.store
 	if e != nil {
 		// Exclude flush/compaction while capturing the (memtable, segment
-		// list) pair; the merge itself runs on immutable inputs. Retired
-		// segments stay mapped until Close, so a compaction racing the
-		// merge cannot invalidate the captured list.
+		// list) pair; the merge itself runs on immutable inputs, in a list
+		// pinned so that a compaction racing it cannot unmap them.
 		e.mu.Lock()
-		segs = *e.segs.Load()
+		sl := e.pin()
+		defer sl.unpin()
+		segs = sl.segs
 	}
 	unlock := l.lockAllShards()
 	cut := l.copyMemtable()
@@ -109,21 +110,30 @@ func (l *Ledger) StateHash() ([32]byte, error) {
 // for replication and for the benchmark's set-up. Identifiers must be
 // routed to this ledger and unique within one call; one the ledger
 // already holds is replaced by the restored (newer) version and is not
-// counted as a claim again. The records are copied, in slabs of
-// restoreSlab, so the caller may reuse recs at once; it must not operate
-// on a restored record until the call returns, and on error the ledger
-// should be discarded (memory and log may disagree).
+// counted as a claim again. A batch holding a record that is not
+// evidence of its claim as stored (see checkClaim: a token over another
+// digest than the content hash, a key or signature of the wrong size) is
+// refused whole, before anything changes. The records are copied, in
+// slabs of restoreSlab, so the caller may reuse recs at once; it must
+// not operate on a restored record until the call returns, and on a
+// later error the ledger should be discarded (memory and log may
+// disagree).
 func (l *Ledger) RestoreRecords(recs []Record) error {
 	n := len(recs)
 	if n == 0 {
 		return nil
+	}
+	for i := range recs {
+		if err := checkClaim(&recs[i]); err != nil {
+			return err
+		}
 	}
 	st := l.store
 	var frames []byte
 	if st != nil {
 		size := 0
 		for i := range recs {
-			size += claimFrameMax(&recs[i])
+			size += claimFrameSize(&recs[i])
 		}
 		frames = make([]byte, 0, size)
 	}
@@ -137,6 +147,7 @@ func (l *Ledger) RestoreRecords(recs []Record) error {
 				if frames, err = appendClaimFrame(frames, cp); err != nil {
 					return err
 				}
+				st.noteSerial(cp.Timestamp.Serial)
 			}
 			sh := l.shardFor(cp.ID)
 			sh.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -58,20 +57,26 @@ type segEngine struct {
 
 	wal *gcwal
 
-	// segs is the live segment list, newest first. Readers load the
-	// pointer once and never lock; flush and compaction swap it whole.
-	segs atomic.Pointer[[]*segReader]
+	// segs is the live segment list. Readers pin it (pin) and never
+	// lock; flush and compaction publish a new list whole.
+	segs atomic.Pointer[segList]
 
 	// mu serializes flush, compaction, and manifest updates.
-	mu      sync.Mutex
-	man     *manifest
-	retired []*segReader // replaced by compaction; unmapped at close
+	mu  sync.Mutex
+	man *manifest
+
+	// keys are the ledger's signing and timestamp keys, from KEYS.
+	keys ledgerKeys
 
 	// claimCount is the exact number of distinct claims. A claim is
 	// counted under its shard's write lock, so a freeze reads a count
 	// that matches its cut; a newer version of a held id is not counted.
 	claimCount atomic.Uint64
 	memRecs    atomic.Int64 // approximate memtable entries
+	// maxSerial is the largest timestamp serial among the claims logged
+	// or recovered, noted before a claim enters its shard, so a freeze
+	// reads a bound for its cut.
+	maxSerial atomic.Uint64
 
 	flushLimit   int64
 	compactAfter int
@@ -91,8 +96,9 @@ type segEngine struct {
 }
 
 // openSegEngine recovers (or initializes) a segment-engine directory
-// and wires it into l. Recovery order: manifest → segments → revoked
-// sets → WAL replay → orphan cleanup.
+// and wires it into l. Recovery order: manifest → keys → segments →
+// revoked sets → WAL replay → orphan cleanup. A directory in another
+// format is refused before anything in it changes.
 func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 	dir := cfg.Dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -102,10 +108,15 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 	if err != nil {
 		return nil, err
 	}
+	keys, err := openKeys(dir, man)
+	if err != nil {
+		return nil, err
+	}
 	eng := &segEngine{
 		l:            l,
 		dir:          dir,
 		man:          man,
+		keys:         keys,
 		flushLimit:   int64(cfg.MemtableRecords),
 		compactAfter: cfg.CompactAfter,
 	}
@@ -127,8 +138,9 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 		}
 		segs = append(segs, sr)
 	}
-	eng.segs.Store(&segs)
+	eng.segs.Store(newSegList(segs))
 	eng.claimCount.Store(man.Claims)
+	eng.maxSerial.Store(man.MaxSerial)
 	l.store = eng // applyBinRec and read paths need lookups during replay
 
 	// Rebuild the in-memory revoked sets, with permanence, from the
@@ -150,7 +162,7 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 				l.shardFor(id).setRevoked(id, st)
 			}
 			if err != nil {
-				eng.closeSegs()
+				eng.segs.Load().unpin()
 				return nil, err
 			}
 		}
@@ -160,7 +172,7 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 	// newest file may end in a torn append.
 	seqs, err := listWALFiles(dir)
 	if err != nil {
-		eng.closeSegs()
+		eng.segs.Load().unpin()
 		return nil, err
 	}
 	var replay []uint64
@@ -173,7 +185,7 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 		claims, err := replayWALFile(l, filepath.Join(dir, walFileName(s)), i == len(replay)-1)
 		eng.claimCount.Add(claims)
 		if err != nil {
-			eng.closeSegs()
+			eng.segs.Load().unpin()
 			return nil, err
 		}
 	}
@@ -186,7 +198,7 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		eng.closeSegs()
+		eng.segs.Load().unpin()
 		return nil, err
 	}
 	for _, e := range ents {
@@ -195,11 +207,11 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 			os.Remove(filepath.Join(dir, name))
 			continue
 		}
-		if strings.HasPrefix(name, segFilePrefix) && strings.HasSuffix(name, ".seg") && !live[name] {
+		if isSegFile(name) && !live[name] {
 			os.Remove(filepath.Join(dir, name))
 			continue
 		}
-		if name == manifestFile+".tmp" {
+		if name == manifestFile+".tmp" || name == keyFile+".tmp" {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
@@ -216,7 +228,7 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 	}
 	w, err := openGCWAL(dir, walSeq, cfg.WALSync == WALSyncBatch)
 	if err != nil {
-		eng.closeSegs()
+		eng.segs.Load().unpin()
 		return nil, err
 	}
 	eng.wal = w
@@ -224,10 +236,61 @@ func openSegEngine(l *Ledger, cfg Config) (*segEngine, error) {
 	return eng, nil
 }
 
-func (e *segEngine) closeSegs() {
-	for _, sr := range *e.segs.Load() {
-		sr.close()
+// segList is one published list of live segments, newest first. A
+// reader pins the list it loads for as long as it reads the segments'
+// mappings or keeps bytes aliasing them; the engine holds one pin on the
+// live list, and drops it when it publishes the next. The last unpin
+// releases the list's hold on each of its segments, and a segment no
+// list holds — one a compaction retired — is unmapped then.
+type segList struct {
+	segs []*segReader
+	pins atomic.Int64
+}
+
+// newSegList makes a list of segs, pinned once for the engine.
+func newSegList(segs []*segReader) *segList {
+	sl := &segList{segs: segs}
+	sl.pins.Store(1)
+	for _, sr := range segs {
+		sr.lists.Add(1)
 	}
+	return sl
+}
+
+// pin returns the live segment list, pinned.
+func (e *segEngine) pin() *segList {
+	for {
+		sl := e.segs.Load()
+		for n := sl.pins.Load(); n > 0; n = sl.pins.Load() {
+			if sl.pins.CompareAndSwap(n, n+1) {
+				return sl
+			}
+		}
+		// Its last pin went between the load and here, so a newer list is
+		// live already.
+	}
+}
+
+// unpin releases one pin on sl, which may be nil (nothing pinned).
+func (sl *segList) unpin() error {
+	if sl == nil || sl.pins.Add(-1) > 0 {
+		return nil
+	}
+	var err error
+	for _, sr := range sl.segs {
+		if sr.lists.Add(-1) == 0 {
+			if cerr := sr.close(); err == nil {
+				err = cerr
+			}
+		}
+	}
+	return err
+}
+
+// publish makes segs the live list and drops the engine's pin on the
+// list it replaces. The caller holds e.mu.
+func (e *segEngine) publish(segs []*segReader) error {
+	return e.segs.Swap(newSegList(segs)).unpin()
 }
 
 func (e *segEngine) setBgErr(err error) {
@@ -246,17 +309,18 @@ func (e *segEngine) takeBgErr() error {
 // publishGauges mirrors engine state into the obs registry.
 func (e *segEngine) publishGauges() {
 	m := &e.l.metrics
-	m.segments.Set(int64(len(*e.segs.Load())))
+	m.segments.Set(int64(len(e.segs.Load().segs)))
 	m.memtable.Set(e.memRecs.Load())
 	m.walSyncs.Store(e.wal.syncs.Load())
 	m.walRecords.Store(e.wal.records.Load())
 }
 
 func (e *segEngine) logClaim(rec *Record) error {
-	frame, err := appendClaimFrame(make([]byte, 0, claimFrameMax(rec)), rec)
+	frame, err := appendClaimFrame(make([]byte, 0, claimFrameSize(rec)), rec)
 	if err != nil {
 		return err
 	}
+	e.noteSerial(rec.Timestamp.Serial)
 	if err := e.wal.append(frame, 1); err != nil {
 		return err
 	}
@@ -265,6 +329,12 @@ func (e *segEngine) logClaim(rec *Record) error {
 		e.maybeFlush()
 	}
 	return nil
+}
+
+// noteSerial raises maxSerial to s.
+func (e *segEngine) noteSerial(s uint64) {
+	for cur := e.maxSerial.Load(); s > cur && !e.maxSerial.CompareAndSwap(cur, s); cur = e.maxSerial.Load() {
+	}
 }
 
 // opFrameMax bounds an op or permanent-revocation frame: header, kind,
@@ -280,8 +350,8 @@ func (e *segEngine) logPermanent(id ids.PhotoID) error {
 }
 
 // findSealed probes segs newest-first and returns the payload of id's
-// newest sealed claim frame, aliasing its segment's mapping (which stays
-// mapped until the engine closes, even once compaction retires it).
+// newest sealed claim frame, aliasing its segment's mapping: the caller
+// holds a pin on a list of segs, or e.mu.
 func findSealed(segs []*segReader, id ids.PhotoID) ([]byte, bool, error) {
 	for _, sr := range segs {
 		if payload, ok, err := sr.find(id); ok || err != nil {
@@ -292,10 +362,11 @@ func findSealed(segs []*segReader, id ids.PhotoID) ([]byte, bool, error) {
 }
 
 // sealedHead reads the state, sequence number and public key of id's
-// newest sealed version in place (pub aliases the mapping). Callers
-// have already missed the memtable's records.
-func (e *segEngine) sealedHead(id ids.PhotoID) (st State, seq uint64, pub []byte, ok bool, err error) {
-	payload, ok, err := findSealed(*e.segs.Load(), id)
+// newest version in sl in place: pub aliases the mapping, so it is good
+// while the caller keeps sl pinned. Callers have already missed the
+// memtable's records.
+func sealedHead(sl *segList, id ids.PhotoID) (st State, seq uint64, pub []byte, ok bool, err error) {
+	payload, ok, err := findSealed(sl.segs, id)
 	if !ok {
 		return StateUnknown, 0, nil, false, err
 	}
@@ -307,7 +378,9 @@ func (e *segEngine) sealedHead(id ids.PhotoID) (st State, seq uint64, pub []byte
 // Callers have already missed the memtable's records; one that holds an
 // overlay for id lays it over the result.
 func (e *segEngine) lookup(id ids.PhotoID) (*Record, bool, error) {
-	payload, ok, err := findSealed(*e.segs.Load(), id)
+	sl := e.pin()
+	defer sl.unpin()
+	payload, ok, err := findSealed(sl.segs, id)
 	if !ok {
 		return nil, false, err
 	}
@@ -321,7 +394,14 @@ func (e *segEngine) lookup(id ids.PhotoID) (*Record, bool, error) {
 // lookupState is lookup for Status and StatusBatch, which want the state
 // alone; an identifier no segment holds is StateUnknown.
 func (e *segEngine) lookupState(id ids.PhotoID) (State, error) {
-	for _, sr := range *e.segs.Load() {
+	sl := e.pin()
+	defer sl.unpin()
+	return sealedState(sl, id)
+}
+
+// sealedState is lookupState in a list the caller has pinned.
+func sealedState(sl *segList, id ids.PhotoID) (State, error) {
+	for _, sr := range sl.segs {
 		if st, ok, err := sr.lookupState(id); ok || err != nil {
 			return st, err
 		}
@@ -354,7 +434,7 @@ func (e *segEngine) maybeFlush() {
 				e.setBgErr(err)
 				return
 			}
-			if len(*e.segs.Load()) >= e.compactAfter {
+			if len(e.segs.Load().segs) >= e.compactAfter {
 				if err := e.compactLocked(); err != nil {
 					e.setBgErr(err)
 					return
@@ -379,7 +459,7 @@ func (e *segEngine) sealSegment(expected int, cut []Record, segs []*segReader) (
 	if err != nil {
 		return nil, manifestSeg{}, err
 	}
-	if err = mergeSegments(cut, sortCut(cut), *e.segs.Load(), segs, sw.add); err == nil {
+	if err = mergeSegments(cut, sortCut(cut), e.segs.Load().segs, segs, sw.add); err == nil {
 		err = sw.finish()
 	}
 	if err != nil {
@@ -402,7 +482,7 @@ func (e *segEngine) flushLocked() error {
 
 	unlock := l.lockAllShards()
 	cut := l.copyMemtable()
-	cutClaims := e.claimCount.Load()
+	cutClaims, cutSerial := e.claimCount.Load(), e.maxSerial.Load()
 	_, newSeq, err := e.wal.rotate()
 	unlock()
 	if err != nil {
@@ -412,7 +492,7 @@ func (e *segEngine) flushLocked() error {
 		// Nothing to seal; still advance the manifest so the drained WAL
 		// files can be dropped.
 		newMan := *e.man
-		newMan.WALSeq = newSeq
+		newMan.WALSeq, newMan.MaxSerial = newSeq, cutSerial
 		if err := writeManifest(e.dir, &newMan); err != nil {
 			return err
 		}
@@ -425,10 +505,11 @@ func (e *segEngine) flushLocked() error {
 		return err
 	}
 	newMan := &manifest{
-		WALSeq:   newSeq,
-		NextSeg:  e.man.NextSeg + 1,
-		Claims:   cutClaims,
-		Segments: append([]manifestSeg{seg}, e.man.Segments...),
+		WALSeq:    newSeq,
+		NextSeg:   e.man.NextSeg + 1,
+		Claims:    cutClaims,
+		MaxSerial: cutSerial,
+		Segments:  append([]manifestSeg{seg}, e.man.Segments...),
 	}
 	if err := writeManifest(e.dir, newMan); err != nil {
 		sr.close()
@@ -436,9 +517,9 @@ func (e *segEngine) flushLocked() error {
 		return err
 	}
 	e.man = newMan
-	old := *e.segs.Load()
-	newList := append([]*segReader{sr}, old...)
-	e.segs.Store(&newList)
+	if err := e.publish(append([]*segReader{sr}, e.segs.Load().segs...)); err != nil {
+		return err
+	}
 
 	if e.beforeEvict != nil {
 		e.beforeEvict()
@@ -493,7 +574,7 @@ func (e *segEngine) dropOldWALs(floor uint64) error {
 // immutable and the merge takes no ledger locks, so appends proceed
 // untouched for the duration — the property the bench harness gates on.
 func (e *segEngine) compactLocked() error {
-	old := *e.segs.Load()
+	old := e.segs.Load().segs
 	if len(old) < 2 {
 		return nil
 	}
@@ -506,10 +587,11 @@ func (e *segEngine) compactLocked() error {
 		return err
 	}
 	newMan := &manifest{
-		WALSeq:   e.man.WALSeq,
-		NextSeg:  e.man.NextSeg + 1,
-		Claims:   e.man.Claims,
-		Segments: []manifestSeg{seg},
+		WALSeq:    e.man.WALSeq,
+		NextSeg:   e.man.NextSeg + 1,
+		Claims:    e.man.Claims,
+		MaxSerial: e.man.MaxSerial,
+		Segments:  []manifestSeg{seg},
 	}
 	if err := writeManifest(e.dir, newMan); err != nil {
 		sr.close()
@@ -517,13 +599,13 @@ func (e *segEngine) compactLocked() error {
 		return err
 	}
 	e.man = newMan
-	live := []*segReader{sr}
-	e.segs.Store(&live)
-	// Readers may still hold the old list; unlink now (the mappings stay
-	// valid), unmap at close.
-	e.retired = append(e.retired, old...)
+	// Unlink the inputs now; readers that pinned a list holding them
+	// keep the mappings, which go with the last such pin.
 	for _, s := range old {
 		os.Remove(s.path)
+	}
+	if err := e.publish([]*segReader{sr}); err != nil {
+		return err
 	}
 	e.l.metrics.compactions.Inc()
 	e.publishGauges()
@@ -566,15 +648,9 @@ func (e *segEngine) close() error {
 	e.closed.Store(true)
 	e.bg.Wait()
 	err := e.wal.close()
-	for _, sr := range *e.segs.Load() {
-		if cerr := sr.close(); err == nil {
-			err = cerr
-		}
-	}
-	for _, sr := range e.retired {
-		if cerr := sr.close(); err == nil {
-			err = cerr
-		}
+	// An empty list stays live, so a read after Close finds nothing.
+	if cerr := e.publish(nil); err == nil {
+		err = cerr
 	}
 	if err == nil {
 		err = e.takeBgErr()
@@ -636,7 +712,7 @@ func (l *Ledger) StorageStats() StorageStats {
 		return StorageStats{Engine: "memory"}
 	}
 	e.publishGauges()
-	segs := *e.segs.Load()
+	segs := e.segs.Load().segs
 	var segRecs uint64
 	for _, sr := range segs {
 		segRecs += sr.count

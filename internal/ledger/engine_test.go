@@ -41,7 +41,10 @@ func makeRecords(t testing.TB, ledgerID ids.LedgerID, n int, seed int64) []Recor
 			Time:   time.Unix(0, rng.Int63()).UTC(),
 			Sig:    sig,
 		}
+		// The token covers the content hash, as Claim stamps it; the
+		// digest draw stays so that every later field is unchanged.
 		rng.Read(r.Timestamp.Digest[:])
+		r.Timestamp.Digest = r.ContentHash
 		r.State = StateActive
 		if rng.Intn(10) == 0 {
 			r.State = StateRevoked

@@ -40,7 +40,6 @@ package ledger
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -221,14 +220,6 @@ func New(cfg Config) (*Ledger, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	authority, err := tsa.NewWithClock(clock)
-	if err != nil {
-		return nil, err
-	}
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: keygen: %w", err)
-	}
 	fpr := cfg.FilterFPR
 	if fpr == 0 {
 		fpr = 0.02
@@ -247,20 +238,31 @@ func New(cfg Config) (*Ledger, error) {
 		metrics:   newMetrics(reg, cfg.ID),
 		shards:    newShards(cfg.Shards),
 		shardMask: uint64(cfg.Shards - 1),
-		tsa:       authority,
-		signPub:   pub,
-		signKey:   priv,
 		filters:   bloom.NewWindow(hist),
 	}
+	// A persistent ledger keeps its keys in its directory, and its
+	// timestamp authority resumes past every serial the directory holds;
+	// an in-memory one starts afresh.
+	var keys ledgerKeys
+	var lastSerial uint64
 	if cfg.Dir != "" {
 		if err := refuseLegacyDir(cfg.Dir); err != nil {
 			return nil, err
 		}
-		if _, err := openSegEngine(l, cfg); err != nil {
+		eng, err := openSegEngine(l, cfg)
+		if err != nil {
 			l.store = nil
 			return nil, err
 		}
+		keys, lastSerial = eng.keys, eng.maxSerial.Load()
+	} else {
+		var err error
+		if keys, err = newKeys(); err != nil {
+			return nil, err
+		}
 	}
+	l.signKey, l.signPub = keys.sign, keys.sign.Public().(ed25519.PublicKey)
+	l.tsa = tsa.NewFromKey(keys.tsa, clock, lastSerial)
 	return l, nil
 }
 
@@ -437,16 +439,17 @@ func (l *Ledger) Apply(id ids.PhotoID, op Op, sig []byte) error {
 	}
 	sh := l.shardFor(id)
 
-	pub, seq, state, err := l.opView(sh, id)
+	pub, seq, state, pinned, err := l.opView(sh, id)
 	if err != nil {
 		return err
 	}
+	next := seq + 1
+	verified := state != StatePermanentlyRevoked && ed25519.Verify(pub, opMsg(id, op, next), sig)
+	pinned.unpin() // pub is not read again
 	if state == StatePermanentlyRevoked {
 		return ErrPermanent
 	}
-
-	next := seq + 1
-	if !ed25519.Verify(pub, opMsg(id, op, next), sig) {
+	if !verified {
 		return ErrBadSignature
 	}
 
@@ -487,8 +490,9 @@ func (l *Ledger) Apply(id ids.PhotoID, op Op, sig []byte) error {
 // memtable holds answers alone; otherwise the key comes from the newest
 // segment frame, read in place, and the state and sequence number from
 // the overlay if there is one, else from the frame. The returned pub
-// aliases the record or the mapping, both immutable.
-func (l *Ledger) opView(sh *shard, id ids.PhotoID) (pub ed25519.PublicKey, seq uint64, state State, err error) {
+// aliases the record, which is immutable, or the mapping of a segment in
+// pinned, which the caller unpins once it is done with pub.
+func (l *Ledger) opView(sh *shard, id ids.PhotoID) (pub ed25519.PublicKey, seq uint64, state State, pinned *segList, err error) {
 	sh.mu.RLock()
 	rec, ok := sh.records[id]
 	if ok {
@@ -497,22 +501,24 @@ func (l *Ledger) opView(sh *shard, id ids.PhotoID) (pub ed25519.PublicKey, seq u
 	ov, overlaid := sh.overlays[id]
 	sh.mu.RUnlock()
 	if ok {
-		return pub, seq, state, nil
+		return pub, seq, state, nil, nil
 	}
 	if l.store == nil {
-		return nil, 0, 0, ErrNotFound
+		return nil, 0, 0, nil, ErrNotFound
 	}
-	state, seq, pub, ok, err = l.store.sealedHead(id)
+	pinned = l.store.pin()
+	state, seq, pub, ok, err = sealedHead(pinned, id)
+	if err == nil && !ok {
+		err = ErrNotFound
+	}
 	if err != nil {
-		return nil, 0, 0, err
-	}
-	if !ok {
-		return nil, 0, 0, ErrNotFound
+		pinned.unpin()
+		return nil, 0, 0, nil, err
 	}
 	if overlaid {
 		state, seq = ov.state, ov.seq
 	}
-	return pub, seq, state, nil
+	return pub, seq, state, pinned, nil
 }
 
 // newest returns the state and sequence number of id's newest version:
@@ -523,7 +529,9 @@ func (l *Ledger) newest(sh *shard, id ids.PhotoID) (st State, seq uint64, held b
 		return st, seq, true, nil
 	}
 	if l.store != nil {
-		st, seq, _, ok, err := l.store.sealedHead(id)
+		sl := l.store.pin()
+		st, seq, _, ok, err := sealedHead(sl, id)
+		sl.unpin()
 		if ok || err != nil {
 			return st, seq, false, err
 		}
@@ -656,13 +664,20 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 		}
 		sh.mu.RUnlock()
 		// The rest fall through to the storage engine (segment point
-		// lookups); unknown identifiers stay StateUnknown.
-		for _, i := range misses {
-			st, err := l.store.lookupState(batch[i])
-			if err != nil {
-				return nil, err
+		// lookups); unknown identifiers stay StateUnknown. The segment
+		// list is loaded after the shard read, so it holds whatever a
+		// flush evicted from the memtable before that read.
+		if len(misses) > 0 {
+			segs := l.store.pin()
+			for _, i := range misses {
+				st, err := sealedState(segs, batch[i])
+				if err != nil {
+					segs.unpin()
+					return nil, err
+				}
+				proofs[i].State = st
 			}
-			proofs[i].State = st
+			segs.unpin()
 		}
 		sh.memo.mu.Lock()
 		for _, i := range mine {

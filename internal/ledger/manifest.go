@@ -10,13 +10,20 @@ import (
 
 // The manifest is the segment engine's root pointer: a small JSON file
 // naming the live segments (newest first), the first WAL file recovery
-// must replay, and the exact claim count the segments represent.
-// Updates are atomic and durable: tmp write → fsync(file) → rename →
-// fsync(directory). A crash leaves either the old or the new manifest;
-// orphan segment and WAL files the surviving manifest does not
-// reference are deleted during recovery.
+// must replay, the exact claim count the segments represent, and the
+// largest timestamp serial among their claims. Updates are atomic and
+// durable: tmp write → fsync(file) → rename → fsync(directory). A crash
+// leaves either the old or the new manifest; orphan segment and WAL
+// files the surviving manifest does not reference are deleted during
+// recovery.
 
 const manifestFile = "MANIFEST"
+
+// formatVersion is the ledger directory format: the MANIFEST version
+// and the segment header's. Version 2 stores a claim in a 236-byte frame
+// that holds each fact once (binrec.go) and keeps the ledger's keys in
+// KEYS; version 1's 272-byte frames are refused, not read.
+const formatVersion = 2
 
 // manifestSeg describes one live segment.
 type manifestSeg struct {
@@ -41,14 +48,18 @@ type manifest struct {
 	// Claims is the number of distinct claims represented by the
 	// segments (WAL replay adds its claim records on top).
 	Claims uint64 `json:"claims"`
+	// MaxSerial is at least the largest timestamp-token serial among
+	// the segments' claims: with the largest the WAL replays, where the
+	// reopened ledger's timestamp authority resumes, so that opening
+	// decodes no segment frame.
+	MaxSerial uint64 `json:"max_serial"`
 	// Segments lists live segments newest-first: a reader stops at the
 	// first segment containing the identifier.
 	Segments []manifestSeg `json:"segments"`
 }
 
-// syncDir fsyncs a directory so a rename inside it is durable — the
-// step whose absence let a crash resurrect pre-rename state (the
-// Compact bug this PR fixes; see compact.go).
+// syncDir fsyncs a directory so a rename inside it is durable; without
+// it a crash can resurrect the state from before the rename.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -63,33 +74,38 @@ func syncDir(dir string) error {
 
 // writeManifest atomically replaces dir/MANIFEST.
 func writeManifest(dir string, m *manifest) error {
-	m.Version = 1
+	m.Version = formatVersion
 	data, err := json.MarshalIndent(m, "", " ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err := writeFileAtomic(dir, manifestFile, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("ledger: writing manifest: %w", err)
+	}
+	return nil
+}
+
+// writeFileAtomic replaces dir/name with data durably: it writes and
+// fsyncs name.tmp, renames it over name, then fsyncs the directory.
+func writeFileAtomic(dir, name string, data []byte, perm os.FileMode) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
 	if err != nil {
-		return fmt.Errorf("ledger: writing manifest: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: writing manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestFile)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: publishing manifest: %w", err)
 	}
 	return syncDir(dir)
 }
@@ -102,7 +118,7 @@ func readManifest(dir string) (*manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return &manifest{Version: 1, WALSeq: 1, NextSeg: 1}, nil
+			return &manifest{Version: formatVersion, WALSeq: 1, NextSeg: 1}, nil
 		}
 		return nil, fmt.Errorf("ledger: reading manifest: %w", err)
 	}
@@ -110,7 +126,11 @@ func readManifest(dir string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("ledger: parsing manifest: %w", err)
 	}
-	if m.Version != 1 {
+	switch m.Version {
+	case formatVersion:
+	case 1:
+		return nil, fmt.Errorf("ledger: %s was written in format version 1 (272-byte claim frames, no key file), which this build does not read; refusing to open it", dir)
+	default:
 		return nil, fmt.Errorf("ledger: unsupported manifest version %d", m.Version)
 	}
 	if m.WALSeq == 0 {

@@ -604,7 +604,7 @@ func TestLookupStateMatchesLookup(t *testing.T) {
 		all = append(all, mustID(t)) // never claimed
 	}
 
-	segs := *l.store.segs.Load()
+	segs := l.store.segs.Load().segs
 	if len(segs) < 5 {
 		t.Fatalf("store has %d segments, want 5", len(segs))
 	}

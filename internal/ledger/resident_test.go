@@ -222,7 +222,7 @@ func TestResidentStateMatchesSegmentRead(t *testing.T) {
 						tailReplays++
 					}
 					step = fmt.Sprintf("reopen (%d replayed)", mem)
-				case s%11 == 10 && len(*l.store.segs.Load()) >= 4:
+				case s%11 == 10 && len(l.store.segs.Load().segs) >= 4:
 					if err := l.Compact(); err != nil {
 						t.Fatal(err)
 					}

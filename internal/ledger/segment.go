@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"os"
 	"sort"
+	"strings"
+	"sync/atomic"
 
 	"irs/internal/ids"
 )
@@ -39,7 +41,7 @@ import (
 
 const (
 	segMagic   = "IRSG"
-	segVersion = 1
+	segVersion = formatVersion
 	// indexStride is the sparse-index granularity: a lookup scans at
 	// most this many frames after the index seek.
 	indexStride = 16
@@ -57,6 +59,11 @@ const segFilePrefix = "seg-"
 
 func segFileName(seq uint64) string {
 	return fmt.Sprintf("%s%08d.seg", segFilePrefix, seq)
+}
+
+// isSegFile reports whether a directory entry's name is a segment file's.
+func isSegFile(name string) bool {
+	return strings.HasPrefix(name, segFilePrefix) && strings.HasSuffix(name, ".seg")
 }
 
 // segBloomHash derives the double-hashing pair for an identifier.
@@ -249,6 +256,9 @@ type segReader struct {
 	path    string
 	data    []byte // full file mapping
 	release func() error
+	// lists counts the segment lists (segList) holding this segment; the
+	// last to let go unmaps it.
+	lists atomic.Int32
 
 	count      uint64
 	dataStart  int64
@@ -374,7 +384,7 @@ func (sr *segReader) find(id ids.PhotoID) (payload []byte, ok bool, err error) {
 
 // lookupState reads the state byte of the identifier's claim frame out
 // of the mapping instead of decoding the record (public key, signature
-// and timestamp token, five allocations).
+// and timestamp token, four allocations).
 func (sr *segReader) lookupState(id ids.PhotoID) (State, bool, error) {
 	payload, ok, err := sr.find(id)
 	if !ok {

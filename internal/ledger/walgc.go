@@ -357,6 +357,9 @@ func applyBinRec(l *Ledger, r *binRec) error {
 		sh.records[r.id] = r.rec
 		delete(sh.overlays, r.id)
 		sh.setRevoked(r.id, r.rec.State)
+		if l.store != nil {
+			l.store.noteSerial(r.rec.Timestamp.Serial)
+		}
 	case recOp, recPerm:
 		_, seq, _, err := l.newest(sh, r.id)
 		if errors.Is(err, ErrNotFound) {

@@ -188,7 +188,7 @@ func refStateHash(t testing.TB, l *Ledger) [32]byte {
 	t.Helper()
 	h := sha256.New()
 	var n [4]byte
-	err := refMerge(refCopyMemtable(l), *l.store.segs.Load(), func(rec *Record) error {
+	err := refMerge(refCopyMemtable(l), l.store.segs.Load().segs, func(rec *Record) error {
 		payload, err := appendClaimPayload(nil, rec)
 		if err != nil {
 			return err
@@ -227,7 +227,7 @@ func mixedRecords(t testing.TB, n int, seed int64) []Record {
 // liveSegment returns the bytes of the ledger's newest segment file.
 func liveSegment(t testing.TB, l *Ledger) []byte {
 	t.Helper()
-	data, err := os.ReadFile((*l.store.segs.Load())[0].path)
+	data, err := os.ReadFile(l.store.segs.Load().segs[0].path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +252,8 @@ func TestFlushMatchesReference(t *testing.T) {
 			}
 			for i := range recs {
 				frame, _ := appendClaimFrame(nil, &recs[i])
-				if max := claimFrameMax(&recs[i]); len(frame) > max || max-len(frame) >= binary.MaxVarintLen64 {
-					t.Fatalf("claimFrameMax = %d for a %d-byte frame", max, len(frame))
+				if size := claimFrameSize(&recs[i]); len(frame) != size {
+					t.Fatalf("claimFrameSize = %d for a %d-byte frame", size, len(frame))
 				}
 			}
 			want := refSegment(t, l, true, nil)
@@ -320,7 +320,7 @@ func TestCompactionMatchesReference(t *testing.T) {
 	if err := l.RestoreRecords(newest); err != nil {
 		t.Fatal(err)
 	}
-	segs := *l.store.segs.Load()
+	segs := l.store.segs.Load().segs
 	if len(segs) != 4 {
 		t.Fatalf("segments = %d, want 4", len(segs))
 	}
@@ -338,7 +338,7 @@ func TestCompactionMatchesReference(t *testing.T) {
 	if !bytes.Equal(liveSegment(t, l), flushed) {
 		t.Fatal("fifth flush differs from the reference flush")
 	}
-	want := refSegment(t, l, false, *l.store.segs.Load())
+	want := refSegment(t, l, false, l.store.segs.Load().segs)
 	if err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}

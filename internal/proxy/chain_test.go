@@ -2,6 +2,8 @@ package proxy
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"crypto/sha256"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/obs"
+	"irs/internal/tsa"
 )
 
 // Validators chain the way tiers do: each holds a bloom.Window per
@@ -35,13 +38,23 @@ func newFilterLedger(t testing.TB, lid ids.LedgerID) *ledger.Ledger {
 	return l
 }
 
-// records fabricates n minimal records of ledger lid; revoked picks the
+// records fabricates n records of ledger lid, well formed but signed by
+// no one (their keys and signatures are zero bytes); revoked picks the
 // ones revoked at birth.
 func records(t testing.TB, lid ids.LedgerID, n int, revoked func(i int) bool) []ledger.Record {
 	t.Helper()
 	recs := make([]ledger.Record, n)
 	for i := range recs {
-		recs[i] = ledger.Record{ID: mustNewID(t, lid), State: ledger.StateActive}
+		id := mustNewID(t, lid)
+		hash := sha256.Sum256(id.Rec[:])
+		recs[i] = ledger.Record{
+			ID:          id,
+			PubKey:      make([]byte, ed25519.PublicKeySize),
+			HashSig:     make([]byte, ed25519.SignatureSize),
+			ContentHash: hash,
+			Timestamp:   &tsa.Token{Serial: uint64(i + 1), Digest: hash, Sig: make([]byte, ed25519.SignatureSize)},
+			State:       ledger.StateActive,
+		}
 		if revoked(i) {
 			recs[i].State = ledger.StateRevoked
 		}

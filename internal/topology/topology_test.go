@@ -45,7 +45,7 @@ func fabRecords(t testing.TB, lid ids.LedgerID, n int, revoked func(i int) bool)
 		sig := make([]byte, ed25519.SignatureSize)
 		rand.Read(sig)
 		r.Timestamp = &tsa.Token{Serial: uint64(i), Time: time.Unix(1700000000+int64(i), 0).UTC(), Sig: sig}
-		rand.Read(r.Timestamp.Digest[:])
+		r.Timestamp.Digest = r.ContentHash
 		r.State = ledger.StateActive
 		if revoked(i) {
 			r.State = ledger.StateRevoked

@@ -14,7 +14,6 @@ package tsa
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -81,25 +80,16 @@ type Authority struct {
 	now func() time.Time
 }
 
-// New creates an authority with a fresh Ed25519 keypair and the real
-// clock.
-func New() (*Authority, error) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("tsa: keygen: %w", err)
-	}
-	return &Authority{priv: priv, pub: pub, now: time.Now}, nil
-}
-
-// NewWithClock creates an authority using the supplied clock — the
-// simulators drive this with virtual time.
-func NewWithClock(now func() time.Time) (*Authority, error) {
-	a, err := New()
-	if err != nil {
-		return nil, err
-	}
-	a.now = now
-	return a, nil
+// NewFromKey creates an authority that signs with priv, reads time
+// from now, and numbers its tokens from last+1. A ledger that reopens
+// its directory passes its stored key and the largest serial it holds,
+// so every token it issued before still verifies and no serial repeats
+// (RFC 3161 §2.4.2 requires them unique across all of an authority's
+// tokens); a fresh authority passes a fresh key and zero.
+func NewFromKey(priv ed25519.PrivateKey, now func() time.Time, last uint64) *Authority {
+	a := &Authority{priv: priv, pub: priv.Public().(ed25519.PublicKey), now: now}
+	a.serial.Store(last)
+	return a
 }
 
 // PublicKey returns the verification key.

@@ -1,6 +1,8 @@
 package tsa
 
 import (
+	"crypto/ed25519"
+	"crypto/rand"
 	"crypto/sha256"
 	"sync"
 	"testing"
@@ -9,7 +11,7 @@ import (
 )
 
 func TestStampVerify(t *testing.T) {
-	a, err := New()
+	a, err := newAuthority(time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,11 +24,47 @@ func TestStampVerify(t *testing.T) {
 	}
 }
 
+// newAuthority creates an authority with a fresh key.
+func newAuthority(now func() time.Time) (*Authority, error) {
+	_, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromKey(priv, now, 0), nil
+}
+
+// TestNewFromKeyResumes: an authority recreated from its key, past the
+// last serial it issued, is the same authority: its earlier tokens
+// verify under its key and its serials continue above them.
+func TestNewFromKeyResumes(t *testing.T) {
+	_, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewFromKey(priv, time.Now, 0)
+	var before []*Token
+	for i := 0; i < 3; i++ {
+		before = append(before, stamp(a, []byte{byte(i)}))
+	}
+	b := NewFromKey(priv, time.Now, before[len(before)-1].Serial)
+	if !b.PublicKey().Equal(a.PublicKey()) {
+		t.Fatal("recreated authority publishes another key")
+	}
+	for _, tok := range before {
+		if err := Verify(b.PublicKey(), tok); err != nil {
+			t.Fatalf("serial %d: %v", tok.Serial, err)
+		}
+	}
+	if got := stamp(b, []byte("after")).Serial; got != 4 {
+		t.Fatalf("first serial after resuming past 3 = %d, want 4", got)
+	}
+}
+
 // stamp stamps the SHA-256 of msg.
 func stamp(a *Authority, msg []byte) *Token { return a.Stamp(sha256.Sum256(msg)) }
 
 func TestVerifyRejectsTamperedToken(t *testing.T) {
-	a, err := New()
+	a, err := newAuthority(time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +90,11 @@ func TestVerifyRejectsTamperedToken(t *testing.T) {
 }
 
 func TestVerifyRejectsWrongAuthority(t *testing.T) {
-	a, err := New()
+	a, err := newAuthority(time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New()
+	b, err := newAuthority(time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +105,7 @@ func TestVerifyRejectsWrongAuthority(t *testing.T) {
 }
 
 func TestMarshalRoundTrip(t *testing.T) {
-	a, err := New()
+	a, err := newAuthority(time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +129,7 @@ func TestUnmarshalRejectsBadLength(t *testing.T) {
 }
 
 func TestSerialsMonotonic(t *testing.T) {
-	a, err := New()
+	a, err := newAuthority(time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +144,7 @@ func TestSerialsMonotonic(t *testing.T) {
 }
 
 func TestConcurrentStampsUnique(t *testing.T) {
-	a, err := New()
+	a, err := newAuthority(time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +171,7 @@ func TestConcurrentStampsUnique(t *testing.T) {
 func TestEarlier(t *testing.T) {
 	base := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 	clock := base
-	a, err := NewWithClock(func() time.Time { return clock })
+	a, err := newAuthority(func() time.Time { return clock })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +188,7 @@ func TestEarlier(t *testing.T) {
 		t.Error("serial tie-break wrong")
 	}
 	// Same instant, two authorities: their serials order nothing.
-	b, err := NewWithClock(func() time.Time { return clock })
+	b, err := newAuthority(func() time.Time { return clock })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +200,7 @@ func TestEarlier(t *testing.T) {
 
 func TestClockInjection(t *testing.T) {
 	want := time.Date(2030, 1, 2, 3, 4, 5, 0, time.UTC)
-	a, err := NewWithClock(func() time.Time { return want })
+	a, err := newAuthority(func() time.Time { return want })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +211,7 @@ func TestClockInjection(t *testing.T) {
 }
 
 func BenchmarkStamp(b *testing.B) {
-	a, err := New()
+	a, err := newAuthority(time.Now)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,7 +224,7 @@ func BenchmarkStamp(b *testing.B) {
 }
 
 func BenchmarkVerify(b *testing.B) {
-	a, err := New()
+	a, err := newAuthority(time.Now)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,7 +241,7 @@ func BenchmarkVerify(b *testing.B) {
 // Property: tokens round-trip through Marshal/Unmarshal for arbitrary
 // digests and still verify.
 func TestQuickTokenRoundTrip(t *testing.T) {
-	a, err := New()
+	a, err := newAuthority(time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,10 +152,18 @@ stage phash
 # ops/StatusBatch/flush/compaction hammer. And owner ops on sealed
 # claims as overlays: the flush, WAL, StateHash and answers equal to the
 # retained load-then-flush path, raced between freeze and eviction, and
-# replayed after a crash.
-go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer|OverlayKeepsSealedClaimsOffTheHeap' \
+# replayed after a crash. Then format version 2: the parent format's
+# directories refused by name and left untouched, hostile claim frames
+# and malformed restored records refused, a decoded token verifying; the
+# ledger's identity across a reopen (same keys, old tokens and proofs
+# verifying, serials resumed from the WAL and from MANIFEST, a directory
+# without its key file refused) and the timestamp authority resuming;
+# retired segments unmapped once their readers are done, and the
+# Apply/StatusBatch/Record hammer across compactions. The restart test
+# hears an appeal on a pre-restart token.
+go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer|OverlayKeepsSealedClaimsOffTheHeap|FormatV1DirectoryRefused|HostileClaimFramesRefused|RestoreRecordsRefusesMalformed|DecodedRecordVerifies|IdentitySurvivesReopen|RetiredSegmentsUnmapped|SealedReadsAcrossCompactionsHammer' \
     ./internal/ledger
-go test -race -run 'PersistentLedgerSurvivesRestart' ./internal/integration
+go test -race -run 'PersistentLedgerSurvivesRestart|NewFromKeyResumes' ./internal/integration ./internal/tsa
 stage "storage engine"
 
 # Appeals priority: a time tie between two ledgers' timestamp
