@@ -239,7 +239,8 @@ func (w *wanLink) request(done func(err error, rtt time.Duration)) {
 // wireResolve performs one StatusBatch resolution with the exchange
 // serialized under the arm's codec: the request and the response are
 // actually encoded, their bytes accounted to the resolution plane, and
-// under IRSW1 the response is decoded back with every proof required
+// under IRSW1 the response is decoded back with every proof, rebuilt
+// from its tail as the proof of the id asked about, required
 // byte-identical to the directly returned one — the sim's form of the
 // identical-results gate. Codec or gate failures panic (they are
 // harness invariant violations, not simulated faults); the returned
@@ -261,8 +262,10 @@ func wireResolve(codec wire.Codec, q func([]ids.PhotoID) ([]*ledger.StatusProof,
 		if derr != nil || kind != wire.MsgStatusBatchResp {
 			panic(fmt.Sprintf("topology: IRSW1 self-decode: kind %d err %v", kind, derr))
 		}
-		n, derr := wire.DecodeStatusBatchResp(payload, func(i int, raw []byte) error {
-			if !bytes.Equal(raw, proofs[i].Marshal()) {
+		var rebuilt []byte
+		n, derr := wire.DecodeStatusBatchResp(payload, func(i int, tail []byte) error {
+			rebuilt = append(ledger.AppendProofHead(rebuilt[:0], batch[i]), tail...)
+			if !bytes.Equal(rebuilt, proofs[i].Marshal()) {
 				return fmt.Errorf("proof %d differs from the direct answer", i)
 			}
 			return nil

@@ -257,9 +257,12 @@ func TestIncrementalEpochsMatchFullBuild(t *testing.T) {
 // load, so counters saturate — an increment past 15 sends its epoch to
 // the rebuild, and a rebuild that saturated keeps later epochs there
 // until the population shrinks enough for the shadow to fit again.
-// Every epoch still equals the oracle.
+// Every epoch still equals the oracle. The rig's claims draw their ids
+// from a seeded stream, so whether and when the filter saturates and
+// recovers is a function of the seeds, the same on every run.
 func TestIncrementalEpochsSaturationFallback(t *testing.T) {
-	r := newEpochRig(t, Config{ID: 1, Shards: 4, FilterFPR: 0.99, FilterHistory: 4}, 7)
+	r := newEpochRig(t, Config{ID: 1, Shards: 4, FilterFPR: 0.99, FilterHistory: 4,
+		Rand: rand.New(rand.NewSource(7))}, 7)
 	r.restore(1200, 150)
 	r.build()
 	saturated, recovered := false, false

@@ -24,15 +24,8 @@ type StatusProof struct {
 }
 
 func (p *StatusProof) canonical() []byte {
-	buf := make([]byte, 0, 16+1+8+16)
-	buf = append(buf, "irs-status-v1:"...)
-	b := p.ID.Bytes()
-	buf = append(buf, b[:]...)
-	buf = append(buf, byte(p.State))
-	var ts [8]byte
-	binary.BigEndian.PutUint64(ts[:], uint64(p.IssuedAt.UnixNano()))
-	buf = append(buf, ts[:]...)
-	return buf
+	buf := make([]byte, 0, MarshaledProofSize-ed25519.SignatureSize)
+	return binary.BigEndian.AppendUint64(append(AppendProofHead(buf, p.ID), byte(p.State)), uint64(p.IssuedAt.UnixNano()))
 }
 
 // NewProofBatch returns n zero proofs in one backing array — the shape
@@ -144,23 +137,56 @@ func (p *StatusProof) Marshal() []byte {
 	return p.AppendMarshal(make([]byte, 0, MarshaledProofSize))
 }
 
+// proofMagic opens every marshaled proof and its signed message.
+const proofMagic = "irs-status-v1:"
+
 // MarshaledProofSize is the exact encoded size of a signed proof:
 // magic + id + state + timestamp + Ed25519 signature.
-const MarshaledProofSize = 14 + 16 + 1 + 8 + ed25519.SignatureSize
+const MarshaledProofSize = len(proofMagic) + 16 + ProofTailSize
+
+// ProofTailSize is the size of a proof's tail: what its Marshal form
+// holds after the magic and the id — state u8, issued-at unixnano u64
+// big-endian and the signature. The IRSW1 serving frames carry only the
+// tail, since the asker already knows the id.
+const ProofTailSize = 1 + 8 + ed25519.SignatureSize
+
+// AppendProofHead appends what a Marshal form holds before its tail:
+// the magic and id. Head ∥ tail is the proof's Marshal form.
+func AppendProofHead(dst []byte, id ids.PhotoID) []byte {
+	b := id.Bytes()
+	return append(append(dst, proofMagic...), b[:]...)
+}
 
 // AppendMarshal appends the wire encoding of the proof to dst and
-// returns the extended slice — the allocation-free form of Marshal for
-// the binary serving path, which encodes whole proof batches into one
-// pooled buffer.
+// returns the extended slice — the allocation-free form of Marshal.
 func (p *StatusProof) AppendMarshal(dst []byte) []byte {
-	dst = append(dst, "irs-status-v1:"...)
-	b := p.ID.Bytes()
-	dst = append(dst, b[:]...)
+	return p.AppendTail(AppendProofHead(dst, p.ID))
+}
+
+// AppendTail appends the proof's ProofTailSize-byte tail to dst: the
+// one tail encoder, for Marshal and the serving frames alike.
+func (p *StatusProof) AppendTail(dst []byte) []byte {
 	dst = append(dst, byte(p.State))
-	var ts [8]byte
-	binary.BigEndian.PutUint64(ts[:], uint64(p.IssuedAt.UnixNano()))
-	dst = append(dst, ts[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.IssuedAt.UnixNano()))
 	return append(dst, p.Sig[:]...)
+}
+
+// UnmarshalTail decodes a tail written by AppendTail into p as the
+// proof of id, retaining nothing of b: the one tail decoder, so a state
+// byte that names no state is refused here and reaches no cache or
+// viewer. On error p is unchanged.
+func (p *StatusProof) UnmarshalTail(id ids.PhotoID, b []byte) error {
+	if len(b) != ProofTailSize {
+		return errors.New("ledger: bad status proof length")
+	}
+	if !State(b[0]).Defined() {
+		return fmt.Errorf("ledger: bad status proof state %d", b[0])
+	}
+	p.ID = id
+	p.State = State(b[0])
+	p.IssuedAt = time.Unix(0, int64(binary.BigEndian.Uint64(b[1:9]))).UTC()
+	p.Sig = [ed25519.SignatureSize]byte(b[9:])
+	return nil
 }
 
 // UnmarshalProof decodes a proof produced by Marshal.
@@ -173,23 +199,14 @@ func UnmarshalProof(b []byte) (*StatusProof, error) {
 }
 
 // Unmarshal decodes a proof produced by Marshal into p, retaining
-// nothing of b. It is the one decode point, so a state byte that names
-// no state is refused here and reaches no cache or viewer. On error p
-// is unchanged.
+// nothing of b. On error p is unchanged.
 func (p *StatusProof) Unmarshal(b []byte) error {
-	const hdr = MarshaledProofSize - ed25519.SignatureSize
+	const head = len(proofMagic) + 16
 	if len(b) != MarshaledProofSize {
 		return errors.New("ledger: bad status proof length")
 	}
-	if string(b[:14]) != "irs-status-v1:" {
+	if string(b[:len(proofMagic)]) != proofMagic {
 		return errors.New("ledger: bad status proof magic")
 	}
-	if !State(b[30]).Defined() {
-		return fmt.Errorf("ledger: bad status proof state %d", b[30])
-	}
-	p.ID = ids.FromBytes([16]byte(b[14:30]))
-	p.State = State(b[30])
-	p.IssuedAt = time.Unix(0, int64(binary.BigEndian.Uint64(b[31:hdr]))).UTC()
-	p.Sig = [ed25519.SignatureSize]byte(b[hdr:])
-	return nil
+	return p.UnmarshalTail(ids.FromBytes([16]byte(b[len(proofMagic):head])), b[head:])
 }

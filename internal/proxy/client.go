@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 
@@ -27,11 +26,11 @@ func NewClientHTTP(base string, _ wire.Codec, hc *http.Client) *Client {
 }
 
 // ClientResult is one validated answer as the extension consumes it.
-// Proof holds the marshaled ledger proof bytes exactly as the proxy
-// sent them (nil when the answer carries none), so comparisons with the
-// proxy's JSON answer can be byte-exact. The proofs of one response
-// share a backing array (a copy of its payload), each clipped to its
-// own bytes.
+// Proof holds the ledger proof in its Marshal form (nil when the answer
+// carries none), rebuilt from the frame's issued-at and signature as the
+// proof of the id asked about, so comparisons with the proxy's JSON
+// answer can be byte-exact. The proofs of one response share one backing
+// array, each clipped to its own bytes.
 type ClientResult struct {
 	State       ledger.State
 	Source      Source
@@ -39,9 +38,9 @@ type ClientResult struct {
 	Proof       []byte
 }
 
-// fromWire converts one IRSW1 entry. The proof still aliases the payload
-// v was decoded from (clipped to its own bytes), so callers decode from
-// a copy of the payload that the results may keep.
+// fromWire converts one IRSW1 entry but its proof, refusing a state or
+// source byte that names none. Displayable is the server's policy,
+// state == active.
 func fromWire(v wire.ValidateWire) (ClientResult, error) {
 	if !ledger.State(v.State).Defined() {
 		return ClientResult{}, fmt.Errorf("proxy: bad state byte %d", v.State)
@@ -49,17 +48,18 @@ func fromWire(v wire.ValidateWire) (ClientResult, error) {
 	if v.Source > byte(SourceStale) {
 		return ClientResult{}, fmt.Errorf("proxy: bad source byte %d", v.Source)
 	}
+	state := ledger.State(v.State)
 	return ClientResult{
-		State:       ledger.State(v.State),
+		State:       state,
 		Source:      Source(v.Source),
-		Displayable: v.Displayable,
-		Proof:       v.Proof,
+		Displayable: state == ledger.StateActive,
 	}, nil
 }
 
 // ValidateBatch checks a page worth of images in one round, answers in
 // request order. A batch over wire.MaxStatusBatch fails before any
-// bytes move.
+// bytes move; an answer that does not carry exactly one well-formed
+// entry per id is an error with no results.
 func (c *Client) ValidateBatch(batch []ids.PhotoID) ([]ClientResult, error) {
 	if len(batch) == 0 {
 		return nil, nil
@@ -72,15 +72,21 @@ func (c *Client) ValidateBatch(batch []ids.PhotoID) ([]ClientResult, error) {
 		func(dst []byte) []byte { return wire.EncodeValidateBatchReq(dst, batch) },
 		wire.MsgValidateBatchResp, wire.MaxFramePayload,
 		func(payload []byte) error {
-			// One copy of the payload, out of the pooled body, for every
-			// result's proof to alias.
-			n, err := wire.DecodeValidateBatchResp(bytes.Clone(payload), func(i int, v wire.ValidateWire) error {
+			// Every proof is rebuilt, out of the pooled body, into one
+			// slab; each takes at least ProofTailSize bytes of payload.
+			slab := make([]byte, 0, len(payload)/ledger.ProofTailSize*ledger.MarshaledProofSize)
+			n, err := wire.DecodeValidateBatchResp(payload, func(i int, v wire.ValidateWire) error {
 				if i >= len(batch) {
 					return fmt.Errorf("proxy: more results than the %d requested", len(batch))
 				}
 				cr, cerr := fromWire(v)
 				if cerr != nil {
 					return cerr
+				}
+				if v.Signed != nil {
+					at := len(slab)
+					slab = v.AppendProof(slab, batch[i])
+					cr.Proof = slab[at:len(slab):len(slab)]
 				}
 				out[i] = cr
 				return nil

@@ -278,3 +278,59 @@ func TestProxyServerSendsNoWireAdvertisement(t *testing.T) {
 		}
 	}
 }
+
+// validateFrame builds a validate answer frame by hand: count n, then
+// the entries' bytes as given.
+func validateFrame(n byte, entries ...[]byte) []byte {
+	b := append(wire.BeginFrame(nil), wire.MsgValidateBatchResp, n)
+	for _, e := range entries {
+		b = append(b, e...)
+	}
+	return wire.FinishFrame(b, 0)
+}
+
+// TestProxyClientRefusesMalformedAnswer: a validate answer the client
+// cannot take whole — a proof cut short, a bit the layout leaves zero
+// (where a displayable flag could claim a revoked photo shows), a state
+// or source that names none, a trailing byte, or an entry count other
+// than the request's — is an error with no results, never a result
+// with a proof of the wrong size or a displayable revoked photo.
+func TestProxyClientRefusesMalformedAnswer(t *testing.T) {
+	signed := bytes.Repeat([]byte{7}, 8+64) // issued-at and signature
+	const proof = 1 << 6
+	revoked := byte(ledger.StateRevoked) | byte(SourceLedger)<<3
+	good := append([]byte{revoked | proof}, signed...)
+	id, err := ids.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(body []byte) ([]ClientResult, error) {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", wire.ContentTypeBinary)
+			w.Write(body)
+		}))
+		defer srv.Close()
+		return NewClientHTTP(srv.URL, wire.CodecBinary, http.DefaultClient).ValidateBatch([]ids.PhotoID{id})
+	}
+
+	res, err := serve(validateFrame(1, good))
+	if err != nil || len(res) != 1 || res[0].State != ledger.StateRevoked || res[0].Displayable ||
+		len(res[0].Proof) != ledger.MarshaledProofSize {
+		t.Fatalf("well-formed answer: %+v, %v", res, err)
+	}
+	trailing := validateFrame(1, good, []byte{0})
+	for name, body := range map[string][]byte{
+		"5-byte proof":           validateFrame(1, append([]byte{revoked | proof}, signed[:5]...)),
+		"truncated tail":         validateFrame(1, good[:len(good)-1]),
+		"displayable bit":        validateFrame(1, append([]byte{revoked | proof | 1<<7}, signed...)),
+		"undefined state":        validateFrame(1, []byte{5}),
+		"undefined source":       validateFrame(1, []byte{byte(ledger.StateActive) | 6<<3}),
+		"trailing byte":          trailing,
+		"more entries than ids":  validateFrame(2, good, good),
+		"fewer entries than ids": validateFrame(0),
+	} {
+		if res, err := serve(body); err == nil || res != nil {
+			t.Errorf("%s: accepted as %+v", name, res)
+		}
+	}
+}

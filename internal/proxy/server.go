@@ -146,9 +146,9 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.codec.Write(w, r, func(dst []byte) []byte {
 		return wire.EncodeValidateBatchResp(dst, len(results),
-			func(i int) (byte, byte, bool, *ledger.StatusProof) {
+			func(i int) (byte, byte, *ledger.StatusProof) {
 				res := results[i]
-				return byte(res.State), byte(res.Source), res.State == ledger.StateActive, res.Proof
+				return byte(res.State), byte(res.Source), res.Proof
 			})
 	}, func() int {
 		resp := &ValidateBatchResponse{Results: make([]ValidateResponse, len(results))}

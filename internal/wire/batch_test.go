@@ -85,7 +85,7 @@ func TestStatusBatchClientAgainstHostileServers(t *testing.T) {
 		{"empty proof list", EncodeStatusBatchResp(nil, nil)},
 		{"too many proofs", EncodeStatusBatchResp(nil, []*ledger.StatusProof{rightProof, rightProof})},
 		{"garbage proof bytes", garbageProof},
-		{"proof for the wrong id", EncodeStatusBatchResp(nil, []*ledger.StatusProof{wrongProof})},
+		{"a count with no tail", FinishFrame(append(BeginFrame(nil), MsgStatusBatchResp, 1), 0)},
 	}
 	for _, tc := range responses {
 		srv := hostileServer(t, http.StatusOK, ContentTypeBinary, string(tc.body), nil)
@@ -93,6 +93,15 @@ func TestStatusBatchClientAgainstHostileServers(t *testing.T) {
 		if ps, err := c.StatusBatch([]ids.PhotoID{id}); err == nil || ps != nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	// The frame does not repeat the id, so the tail of another id's
+	// proof decodes as a proof of the id asked about — one its signature
+	// refutes wherever proofs are checked.
+	srv := hostileServer(t, http.StatusOK, ContentTypeBinary,
+		string(EncodeStatusBatchResp(nil, []*ledger.StatusProof{wrongProof})), nil)
+	ps, err := NewClient(srv.URL, "").StatusBatch([]ids.PhotoID{id})
+	if err != nil || ps[0].ID != id || ledger.VerifyProof(legit.SigningKey(), ps[0], time.Time{}, 0) == nil {
+		t.Errorf("proof for the wrong id: %+v (%v) verifies as a proof of %s", ps, err, id)
 	}
 }
 
@@ -111,9 +120,9 @@ func TestClientRefusesUndefinedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := p.Marshal()
-	bad := p.Marshal()
-	bad[30] = 9
+	good := p.AppendTail(nil)
+	bad := p.AppendTail(nil)
+	bad[0] = 9
 	// The frame is re-finished so the swapped proof passes the CRC.
 	batchFrame := func(raw []byte) string {
 		frame := bytes.Replace(EncodeStatusBatchResp(nil, []*ledger.StatusProof{p}), good, raw, 1)

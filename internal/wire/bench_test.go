@@ -162,8 +162,8 @@ func BenchmarkValidateBatchRoundtrip(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bp := GetBuf()
 			*bp = EncodeValidateBatchResp(*bp, len(proofs),
-				func(j int) (byte, byte, bool, *ledger.StatusProof) {
-					return byte(proofs[j].State), 2, true, proofs[j]
+				func(j int) (byte, byte, *ledger.StatusProof) {
+					return byte(proofs[j].State), 2, proofs[j]
 				})
 			kind, payload, err := DecodeMsg(*bp, MaxFramePayload)
 			if err != nil || kind != MsgValidateBatchResp {

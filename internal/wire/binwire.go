@@ -28,20 +28,39 @@ import (
 //
 // and the payload is a tagged message:
 //
-//	status batch req:    'B' | uvarint n | n × id[16]
-//	status batch resp:   'b' | uvarint n | n × (u16 len | proof)
+//	status batch req:    'Q' | id batch
+//	status batch resp:   'q' | uvarint n | n × tail
 //	filter sync resp:    'f' | uvarint latest epoch | update payload
-//	validate batch req:  'W' | uvarint n | n × id[16]
-//	validate batch resp: 'w' | uvarint n | n × entry
-//	entry:               state u8 | source u8 | displayable u8 |
-//	                     u16 len | proof
+//	validate batch req:  'V' | id batch
+//	validate batch resp: 'v' | uvarint n | n × entry
 //	op req:              'O' | id[16] | op u8 | sig[64]
 //	op resp:             'o'
 //	claim req:           'C' | flags u8 | hash[32] | pub[32] | sig[64]
 //	                     (flags: bit 0 custodial, bit 1 revoked at
 //	                     birth; no other bit may be set)
-//	claim resp:          'c' | id[16] | u16 len | timestamp token |
-//	                     u16 len | proof (length 0: no proof)
+//	claim resp:          'r' | id[16] | u16 len | timestamp token |
+//	                     [tail] (the claim's first proof, when it has one)
+//
+// with these parts:
+//
+//	id batch: uvarint n | runs of (ledger u32 BE | uvarint k |
+//	          k × rec[12]), in request order: n in 1..MaxStatusBatch,
+//	          every k ≥ 1, the k summing to n, and two adjacent runs
+//	          never naming the same ledger
+//	tail:     state u8 | issued unixnano u64 BE | sig[64] — a proof's
+//	          Marshal form without the magic and the id, which is the
+//	          one asked about: by position in a batch, the issued id in
+//	          a claim answer
+//	entry:    bits u8 [| issued unixnano u64 BE | sig[64]] — bits 0–2
+//	          state, bits 3–5 source, bit 6 set when the proof's
+//	          issued-at and signature follow, bit 7 zero; a proof's
+//	          state is the entry's
+//
+// Every uvarint is minimal, so a message has exactly one encoding:
+// decoding and re-encoding any frame a decoder accepts gives its bytes
+// back. A kind this revision does not know, such as another revision's
+// (PROTOCOL.md), is a 400 at a server and a transport error at a
+// client, never a misparse.
 //
 // The CRC covers the payload only. A frame whose claimed extent runs
 // past the body is truncated; a complete frame failing its CRC is
@@ -103,15 +122,15 @@ func IsBinaryContent(ct string) bool {
 
 // IRSW1 message kinds (payload byte 0).
 const (
-	MsgStatusBatchReq    = byte('B')
-	MsgStatusBatchResp   = byte('b')
+	MsgStatusBatchReq    = byte('Q')
+	MsgStatusBatchResp   = byte('q')
 	MsgFilterSyncResp    = byte('f')
-	MsgValidateBatchReq  = byte('W')
-	MsgValidateBatchResp = byte('w')
+	MsgValidateBatchReq  = byte('V')
+	MsgValidateBatchResp = byte('v')
 	MsgOpReq             = byte('O')
 	MsgOpResp            = byte('o')
 	MsgClaimReq          = byte('C')
-	MsgClaimResp         = byte('c')
+	MsgClaimResp         = byte('r')
 )
 
 // Frame geometry. RPC frames share the request/response body bound;
@@ -217,39 +236,71 @@ func DecodeMsg(body []byte, maxPayload int) (kind byte, payload []byte, err erro
 	return p[0], p[1:], nil
 }
 
-// appendIDBatch encodes an identifier batch message of the given kind.
+// uvarint reads a minimally encoded uvarint off b — the form
+// binary.AppendUvarint writes, so each value has one encoding.
+func uvarint(b []byte) (v uint64, rest []byte, err error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || n > 1 && b[n-1] == 0 {
+		return 0, nil, ErrFrameCorrupt
+	}
+	return v, b[n:], nil
+}
+
+// recSize is the per-ledger record half of an identifier, what an id
+// batch's run carries per id.
+const recSize = len(ids.PhotoID{}.Rec)
+
+// appendIDBatch encodes an identifier batch message of the given kind:
+// each stretch of ids of one ledger is one run.
 func appendIDBatch(dst []byte, kind byte, batch []ids.PhotoID) []byte {
 	start := len(dst)
-	dst = BeginFrame(dst)
-	dst = append(dst, kind)
+	dst = append(BeginFrame(dst), kind)
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
-	for _, id := range batch {
-		b := id.Bytes()
-		dst = append(dst, b[:]...)
+	for i := 0; i < len(batch); {
+		lid, j := batch[i].Ledger, i+1
+		for j < len(batch) && batch[j].Ledger == lid {
+			j++
+		}
+		dst = binary.BigEndian.AppendUint32(dst, uint32(lid))
+		dst = binary.AppendUvarint(dst, uint64(j-i))
+		for ; i < j; i++ {
+			dst = append(dst, batch[i].Rec[:]...)
+		}
 	}
 	return FinishFrame(dst, start)
 }
 
-// decodeIDBatch walks an identifier batch payload, handing each id to
-// fn. The count is validated against MaxStatusBatch before any work,
-// so a hostile header cannot drive allocation or iteration.
-func decodeIDBatch(payload []byte, fn func(i int, id ids.PhotoID) error) (int, error) {
-	n, used := binary.Uvarint(payload)
-	if used <= 0 || n == 0 || n > MaxStatusBatch {
-		return 0, ErrFrameCorrupt
+// decodeIDBatch decodes an identifier batch payload. The count is
+// checked against MaxStatusBatch and the payload's length before the
+// batch is allocated, so a hostile header cannot drive allocation or
+// iteration; a run that is empty, overshoots the count or repeats the
+// ledger of the run before it is refused.
+func decodeIDBatch(payload []byte) ([]ids.PhotoID, error) {
+	n, rest, err := uvarint(payload)
+	if err != nil || n == 0 || n > MaxStatusBatch || uint64(len(rest)) < n*uint64(recSize) {
+		return nil, ErrFrameCorrupt
 	}
-	rest := payload[used:]
-	if len(rest) != int(n)*16 {
-		return 0, ErrFrameCorrupt
-	}
-	var idb [16]byte
-	for i := 0; i < int(n); i++ {
-		copy(idb[:], rest[i*16:])
-		if err := fn(i, ids.FromBytes(idb)); err != nil {
-			return 0, err
+	batch := make([]ids.PhotoID, 0, n)
+	for len(batch) < int(n) {
+		if len(rest) < 4 {
+			return nil, ErrFrameCorrupt
 		}
+		lid := ids.LedgerID(binary.BigEndian.Uint32(rest))
+		k, r, err := uvarint(rest[4:])
+		if err != nil || k == 0 || k > n-uint64(len(batch)) || uint64(len(r)) < k*uint64(recSize) ||
+			len(batch) > 0 && batch[len(batch)-1].Ledger == lid {
+			return nil, ErrFrameCorrupt
+		}
+		for ; k > 0; k-- {
+			batch = append(batch, ids.PhotoID{Ledger: lid, Rec: [recSize]byte(r)})
+			r = r[recSize:]
+		}
+		rest = r
 	}
-	return int(n), nil
+	if len(rest) != 0 {
+		return nil, ErrFrameCorrupt
+	}
+	return batch, nil
 }
 
 // EncodeStatusBatchReq encodes a StatusBatch request frame onto dst.
@@ -261,14 +312,6 @@ func EncodeStatusBatchReq(dst []byte, batch []ids.PhotoID) []byte {
 // dst (the browser→proxy mirror of EncodeStatusBatchReq).
 func EncodeValidateBatchReq(dst []byte, batch []ids.PhotoID) []byte {
 	return appendIDBatch(dst, MsgValidateBatchReq, batch)
-}
-
-// appendProof appends a u16-length-prefixed proof encoding.
-func appendProof(dst []byte, p *ledger.StatusProof) []byte {
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(ledger.MarshaledProofSize))
-	dst = append(dst, l[:]...)
-	return p.AppendMarshal(dst)
 }
 
 // takeField slices a u16-length-prefixed byte field off payload.
@@ -284,42 +327,34 @@ func takeField(payload []byte) (field, rest []byte, err error) {
 	return payload[:n:n], payload[n:], nil
 }
 
-// EncodeStatusBatchResp encodes a StatusBatch response frame onto dst.
-// This is the server's hot encode path: with a pooled dst it allocates
-// nothing.
+// EncodeStatusBatchResp encodes a StatusBatch response frame onto dst:
+// each proof's tail, in request order. This is the server's hot encode
+// path: with a pooled dst it allocates nothing.
 func EncodeStatusBatchResp(dst []byte, proofs []*ledger.StatusProof) []byte {
 	start := len(dst)
-	dst = BeginFrame(dst)
-	dst = append(dst, MsgStatusBatchResp)
+	dst = append(BeginFrame(dst), MsgStatusBatchResp)
 	dst = binary.AppendUvarint(dst, uint64(len(proofs)))
 	for _, p := range proofs {
-		dst = appendProof(dst, p)
+		dst = p.AppendTail(dst)
 	}
 	return FinishFrame(dst, start)
 }
 
 // DecodeStatusBatchResp walks a StatusBatch response payload, handing
-// each proof's bytes (aliasing payload, valid only during the call) to
-// fn in order. This is the client's hot decode path: it allocates
-// nothing itself.
-func DecodeStatusBatchResp(payload []byte, fn func(i int, proof []byte) error) (int, error) {
-	n, used := binary.Uvarint(payload)
-	if used <= 0 || n > MaxStatusBatch {
+// each proof's ledger.ProofTailSize-byte tail (aliasing payload, valid
+// only during the call) to fn in order; the tail attests the id asked
+// about at its position. This is the client's hot decode path: it
+// allocates nothing itself.
+func DecodeStatusBatchResp(payload []byte, fn func(i int, tail []byte) error) (int, error) {
+	const size = ledger.ProofTailSize
+	n, rest, err := uvarint(payload)
+	if err != nil || n > MaxStatusBatch || uint64(len(rest)) != n*size {
 		return 0, ErrFrameCorrupt
 	}
-	rest := payload[used:]
 	for i := 0; i < int(n); i++ {
-		proof, r, err := takeField(rest)
-		if err != nil {
+		if err := fn(i, rest[i*size:(i+1)*size:(i+1)*size]); err != nil {
 			return 0, err
 		}
-		rest = r
-		if err := fn(i, proof); err != nil {
-			return 0, err
-		}
-	}
-	if len(rest) != 0 {
-		return 0, ErrFrameCorrupt
 	}
 	return int(n), nil
 }
@@ -339,81 +374,78 @@ func EncodeFilterSyncResp(dst []byte, latest uint64, payload []byte) []byte {
 // DecodeFilterSyncResp splits a filter sync response payload into the
 // latest epoch and the update payload (aliasing payload).
 func DecodeFilterSyncResp(payload []byte) (latest uint64, update []byte, err error) {
-	latest, used := binary.Uvarint(payload)
-	if used <= 0 {
-		return 0, nil, ErrFrameCorrupt
-	}
-	return latest, payload[used:], nil
+	return uvarint(payload)
 }
+
+// Validate entry bits: the state, the source, and whether the proof's
+// issued-at and signature follow. Bit 7 is reserved and must be zero.
+const (
+	entryState  = 0x07
+	entrySource = 0x07 << 3
+	entryProof  = 1 << 6
+	// signedSize is what follows an entry with a proof: the proof's
+	// tail without its state byte, which the entry carries.
+	signedSize = ledger.ProofTailSize - 1
+)
 
 // ValidateWire is one decoded validate entry: the proxy's answer in
-// IRSW1 form. State is the ledger.State byte; Source the proxy source
-// byte; Proof aliases the decode buffer (copy to retain).
+// IRSW1 form. State is the ledger.State byte and Source the proxy
+// source byte, each as sent (0–7; which are defined is the reader's
+// check); Signed is the proof's issued-at and signature, aliasing the
+// decode buffer, or nil when the answer carries no proof.
 type ValidateWire struct {
-	State       byte
-	Source      byte
-	Displayable bool
-	Proof       []byte
+	State  byte
+	Source byte
+	Signed []byte
 }
 
-// appendValidateEntry encodes one validate entry.
-func appendValidateEntry(dst []byte, state, source byte, displayable bool, p *ledger.StatusProof) []byte {
-	dst = append(dst, state, source)
-	if displayable {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	if p == nil {
-		return append(dst, 0, 0)
-	}
-	return appendProof(dst, p)
-}
-
-// takeValidateEntry decodes one validate entry off payload.
-func takeValidateEntry(payload []byte) (v ValidateWire, rest []byte, err error) {
-	if len(payload) < 3 {
-		return v, nil, ErrFrameCorrupt
-	}
-	v.State, v.Source, v.Displayable = payload[0], payload[1], payload[2] != 0
-	proof, rest, err := takeField(payload[3:])
-	if err != nil {
-		return v, nil, err
-	}
-	if len(proof) > 0 {
-		v.Proof = proof
-	}
-	return v, rest, nil
+// AppendProof appends the Marshal form of v's proof, as the proof of
+// id (the identifier asked about), to dst; v must carry a proof.
+func (v ValidateWire) AppendProof(dst []byte, id ids.PhotoID) []byte {
+	return append(append(ledger.AppendProofHead(dst, id), v.State), v.Signed...)
 }
 
 // EncodeValidateBatchResp encodes a ValidateBatch response frame onto
-// dst; entry is called once per index to supply each answer.
-func EncodeValidateBatchResp(dst []byte, n int, entry func(i int) (state, source byte, displayable bool, p *ledger.StatusProof)) []byte {
+// dst; entry is called once per index to supply each answer. An answer
+// with a proof carries the proof's state, whatever state entry gives.
+func EncodeValidateBatchResp(dst []byte, n int, entry func(i int) (state, source byte, p *ledger.StatusProof)) []byte {
 	start := len(dst)
-	dst = BeginFrame(dst)
-	dst = append(dst, MsgValidateBatchResp)
+	dst = append(BeginFrame(dst), MsgValidateBatchResp)
 	dst = binary.AppendUvarint(dst, uint64(n))
 	for i := 0; i < n; i++ {
-		state, source, displayable, p := entry(i)
-		dst = appendValidateEntry(dst, state, source, displayable, p)
+		state, source, p := entry(i)
+		if p == nil {
+			dst = append(dst, state|source<<3)
+			continue
+		}
+		// The tail's leading state byte becomes the entry's bits.
+		at := len(dst)
+		dst = p.AppendTail(dst)
+		dst[at] = byte(p.State) | source<<3 | entryProof
 	}
 	return FinishFrame(dst, start)
 }
 
 // DecodeValidateBatchResp walks a ValidateBatch response payload,
-// handing each entry (proof aliasing payload) to fn in order.
+// handing each entry (Signed aliasing payload) to fn in order.
 func DecodeValidateBatchResp(payload []byte, fn func(i int, v ValidateWire) error) (int, error) {
-	n, used := binary.Uvarint(payload)
-	if used <= 0 || n > MaxStatusBatch {
+	n, rest, err := uvarint(payload)
+	if err != nil || n > MaxStatusBatch || uint64(len(rest)) < n {
 		return 0, ErrFrameCorrupt
 	}
-	rest := payload[used:]
 	for i := 0; i < int(n); i++ {
-		v, r, err := takeValidateEntry(rest)
-		if err != nil {
-			return 0, err
+		if len(rest) == 0 || rest[0]&^(entryState|entrySource|entryProof) != 0 {
+			return 0, ErrFrameCorrupt
 		}
-		rest = r
+		b := rest[0]
+		v := ValidateWire{State: b & entryState, Source: b & entrySource >> 3}
+		rest = rest[1:]
+		if b&entryProof != 0 {
+			if len(rest) < signedSize {
+				return 0, ErrFrameCorrupt
+			}
+			v.Signed, rest = rest[:signedSize:signedSize], rest[signedSize:]
+		}
 		if err := fn(i, v); err != nil {
 			return 0, err
 		}
@@ -524,7 +556,7 @@ func DecodeClaimReq(payload []byte) (ClaimRequest, error) {
 
 // EncodeClaimResp encodes a claim answer frame onto dst: the issued
 // identifier, the marshaled timestamp token and, when the receipt has
-// one, the claim's first proof.
+// one, the tail of the claim's first proof.
 func EncodeClaimResp(dst []byte, rc ledger.Receipt) []byte {
 	start := len(dst)
 	dst = BeginFrame(dst)
@@ -533,18 +565,16 @@ func EncodeClaimResp(dst []byte, rc ledger.Receipt) []byte {
 	at := len(dst)
 	dst = rc.Timestamp.AppendMarshal(append(dst, 0, 0))
 	binary.LittleEndian.PutUint16(dst[at:], uint16(len(dst)-at-2))
-	if rc.Proof == nil {
-		dst = append(dst, 0, 0)
-	} else {
-		dst = appendProof(dst, rc.Proof)
+	if rc.Proof != nil {
+		dst = rc.Proof.AppendTail(dst)
 	}
 	return FinishFrame(dst, start)
 }
 
 // DecodeClaimResp splits a claim answer payload into the identifier,
-// the timestamp token bytes and the proof bytes (nil when the answer
+// the timestamp token bytes and the proof's tail (nil when the answer
 // carries none); both alias payload.
-func DecodeClaimResp(payload []byte) (id ids.PhotoID, token, proof []byte, err error) {
+func DecodeClaimResp(payload []byte) (id ids.PhotoID, token, tail []byte, err error) {
 	if len(payload) < 16 {
 		return id, nil, nil, ErrFrameCorrupt
 	}
@@ -552,15 +582,12 @@ func DecodeClaimResp(payload []byte) (id ids.PhotoID, token, proof []byte, err e
 	if err != nil {
 		return id, nil, nil, err
 	}
-	proof, rest, err = takeField(rest)
-	if err != nil {
-		return id, nil, nil, err
-	}
-	if len(rest) != 0 {
+	switch len(rest) {
+	case 0:
+	case ledger.ProofTailSize:
+		tail = rest
+	default:
 		return id, nil, nil, ErrFrameCorrupt
 	}
-	if len(proof) == 0 {
-		proof = nil
-	}
-	return ids.FromBytes([16]byte(payload[:16])), token, proof, nil
+	return ids.FromBytes([16]byte(payload[:16])), token, tail, nil
 }

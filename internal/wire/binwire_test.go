@@ -269,20 +269,24 @@ func TestBinaryRoundtrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []ids.PhotoID{id1, id2}
+	id3, err := ids.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two runs of ledger 3 around one of ledger 4.
+	batch := []ids.PhotoID{id1, id2, id3, id1}
 
 	req := EncodeStatusBatchReq(nil, batch)
 	kind, payload, err := DecodeMsg(req, MaxFramePayload)
 	if err != nil || kind != MsgStatusBatchReq {
 		t.Fatalf("batch req decode: kind %c err %v", kind, err)
 	}
-	var got []ids.PhotoID
-	n, err := decodeIDBatch(payload, func(i int, id ids.PhotoID) error {
-		got = append(got, id)
-		return nil
-	})
-	if err != nil || n != 2 || got[0] != id1 || got[1] != id2 {
-		t.Fatalf("batch req roundtrip: n=%d err=%v got=%v", n, err, got)
+	got, err := decodeIDBatch(payload)
+	if err != nil || len(got) != len(batch) || got[0] != id1 || got[1] != id2 || got[2] != id3 || got[3] != id1 {
+		t.Fatalf("batch req roundtrip: err=%v got=%v", err, got)
+	}
+	if want := 1 + 3*(4+1) + 4*12; len(payload) != want {
+		t.Errorf("batch req payload %d bytes, want %d", len(payload), want)
 	}
 
 	proof := &ledger.StatusProof{ID: id1, State: ledger.StateActive,
@@ -292,8 +296,8 @@ func TestBinaryRoundtrips(t *testing.T) {
 	if err != nil || kind != MsgStatusBatchResp {
 		t.Fatalf("batch resp decode: kind %c err %v", kind, err)
 	}
-	n, err = DecodeStatusBatchResp(payload, func(i int, raw []byte) error {
-		if !bytes.Equal(raw, proof.Marshal()) {
+	n, err := DecodeStatusBatchResp(payload, func(i int, tail []byte) error {
+		if !bytes.Equal(append(ledger.AppendProofHead(nil, id1), tail...), proof.Marshal()) {
 			t.Errorf("proof %d bytes differ", i)
 		}
 		return nil
@@ -313,11 +317,12 @@ func TestBinaryRoundtrips(t *testing.T) {
 	}
 
 	// Validate entries, including the proof-less filter-miss shape.
-	vb := EncodeValidateBatchResp(nil, 2, func(i int) (byte, byte, bool, *ledger.StatusProof) {
+	revoked := &ledger.StatusProof{ID: id2, State: ledger.StateRevoked, IssuedAt: fixedClock()}
+	vb := EncodeValidateBatchResp(nil, 2, func(i int) (byte, byte, *ledger.StatusProof) {
 		if i == 0 {
-			return byte(ledger.StateActive), 0, true, nil
+			return byte(ledger.StateActive), 0, nil
 		}
-		return byte(ledger.StateRevoked), 2, false, proof
+		return byte(ledger.StateRevoked), 2, revoked
 	})
 	kind, payload, err = DecodeMsg(vb, MaxFramePayload)
 	if err != nil || kind != MsgValidateBatchResp {
@@ -326,11 +331,11 @@ func TestBinaryRoundtrips(t *testing.T) {
 	n, err = DecodeValidateBatchResp(payload, func(i int, v ValidateWire) error {
 		switch i {
 		case 0:
-			if v.State != byte(ledger.StateActive) || !v.Displayable || v.Proof != nil {
+			if v.State != byte(ledger.StateActive) || v.Source != 0 || v.Signed != nil {
 				t.Errorf("entry 0 mismatch: %+v", v)
 			}
 		case 1:
-			if v.State != byte(ledger.StateRevoked) || v.Displayable || !bytes.Equal(v.Proof, proof.Marshal()) {
+			if v.State != byte(ledger.StateRevoked) || v.Source != 2 || !bytes.Equal(v.AppendProof(nil, id2), revoked.Marshal()) {
 				t.Errorf("entry 1 mismatch: %+v", v)
 			}
 		}
@@ -338,5 +343,8 @@ func TestBinaryRoundtrips(t *testing.T) {
 	})
 	if err != nil || n != 2 {
 		t.Fatalf("validate batch roundtrip: n=%d err=%v", n, err)
+	}
+	if want := 1 + 1 + ledger.ProofTailSize; len(payload) != want {
+		t.Errorf("validate batch payload %d bytes, want %d", len(payload), want)
 	}
 }

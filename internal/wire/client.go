@@ -293,11 +293,11 @@ func (c *Client) Claim(req *ClaimRequest) (ledger.Receipt, error) {
 	err := c.hop.Exchange("/v1/claim",
 		func(dst []byte) []byte { return EncodeClaimReq(dst, req) }, MsgClaimResp, maxBody,
 		func(payload []byte) error {
-			id, token, proof, err := DecodeClaimResp(payload)
+			id, token, tail, err := DecodeClaimResp(payload)
 			if err != nil {
 				return err
 			}
-			rc, err = receiptOf(id, token, proof)
+			rc, err = receiptOf(id, token, tail)
 			return err
 		})
 	if err != nil {
@@ -307,18 +307,20 @@ func (c *Client) Claim(req *ClaimRequest) (ledger.Receipt, error) {
 }
 
 // receiptOf builds the receipt of a claim answer; nothing of token or
-// proof is retained.
-func receiptOf(id ids.PhotoID, token, proof []byte) (ledger.Receipt, error) {
+// tail is retained.
+func receiptOf(id ids.PhotoID, token, tail []byte) (ledger.Receipt, error) {
 	tok, err := tsa.Unmarshal(token)
 	if err != nil {
 		return ledger.Receipt{}, fmt.Errorf("wire: server returned bad timestamp: %w", err)
 	}
 	// The proof is an optional saving of one Status call, so one that is
-	// absent, malformed or about another claim is dropped, never allowed
-	// to cost the caller the receipt of a claim the ledger has recorded.
+	// absent or names no state is dropped, never allowed to cost the
+	// caller the receipt of a claim the ledger has recorded.
 	var p *ledger.StatusProof
-	if q, err := ledger.UnmarshalProof(proof); err == nil && q.ID == id {
-		p = q
+	if tail != nil {
+		if q := new(ledger.StatusProof); q.UnmarshalTail(id, tail) == nil {
+			p = q
+		}
 	}
 	return ledger.Receipt{ID: id, Timestamp: tok, Proof: p}, nil
 }
@@ -336,8 +338,7 @@ func (c *Client) Apply(id ids.PhotoID, op ledger.Op, _ uint64, sig []byte) error
 }
 
 // Status validates a claim, returning the parsed signed proof: a
-// StatusBatch of one. The response is rejected unless its proof attests
-// id.
+// StatusBatch of one.
 func (c *Client) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
 	proofs, err := c.StatusBatch([]ids.PhotoID{id})
 	if err != nil {
@@ -349,7 +350,8 @@ func (c *Client) Status(id ids.PhotoID) (*ledger.StatusProof, error) {
 // StatusBatch validates up to MaxStatusBatch claims in one POST,
 // returning parsed proofs in request order. The response is rejected
 // unless it carries exactly one well-formed proof per requested
-// identifier, each attesting the identifier it was asked about.
+// identifier; each proof attests the identifier asked about at its
+// position, which the frame does not repeat.
 func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 	if len(batch) == 0 {
 		return nil, nil
@@ -375,11 +377,14 @@ func (c *Client) StatusBatch(batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 // of payload is retained.
 func decodeStatusBatch(payload []byte, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 	proofs := ledger.NewProofBatch(len(batch))
-	n, err := DecodeStatusBatchResp(payload, func(i int, raw []byte) error {
+	n, err := DecodeStatusBatchResp(payload, func(i int, tail []byte) error {
 		if i >= len(batch) {
 			return fmt.Errorf("wire: server returned more proofs than the %d requested", len(batch))
 		}
-		return checkProof(batch[i], i, raw, proofs[i])
+		if err := proofs[i].UnmarshalTail(batch[i], tail); err != nil {
+			return fmt.Errorf("wire: server returned bad proof %d: %w", i, err)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -388,18 +393,6 @@ func decodeStatusBatch(payload []byte, batch []ids.PhotoID) ([]*ledger.StatusPro
 		return nil, fmt.Errorf("wire: server returned %d proofs for %d ids", n, len(batch))
 	}
 	return proofs, nil
-}
-
-// checkProof parses raw, the i-th proof of a response, into p and
-// rejects it unless it attests id, the identifier asked about.
-func checkProof(id ids.PhotoID, i int, raw []byte, p *ledger.StatusProof) error {
-	if err := p.Unmarshal(raw); err != nil {
-		return fmt.Errorf("wire: server returned bad proof %d: %w", i, err)
-	}
-	if p.ID != id {
-		return fmt.Errorf("wire: proof %d attests %s, want %s", i, p.ID, id)
-	}
-	return nil
 }
 
 // Seq fetches the current operation sequence for owner-side signing.

@@ -17,10 +17,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/proxy"
+	"irs/internal/tsa"
 	"irs/internal/wire"
 )
 
@@ -48,16 +50,12 @@ func countingServer(t *testing.T, status int, ct string, body []byte) (string, *
 	return srv.URL, &hits
 }
 
-// proofFrame builds one well-formed frame of the given kind around a
-// field of proofLen zero bytes (frame-valid, proof-invalid). With
-// wire.MsgStatusBatchResp it is a one-proof batch answer.
-func proofFrame(kind byte, proofLen int) []byte {
-	b := append(wire.BeginFrame(nil), kind)
-	if kind == wire.MsgStatusBatchResp {
-		b = append(b, 1)
-	}
-	b = append(b, byte(proofLen), byte(proofLen>>8))
-	b = append(b, make([]byte, proofLen)...)
+// batchAnswer builds a well-formed one-proof status batch answer whose
+// tail is the given state byte and zeros: frame-valid, and proof-invalid
+// when state names no state.
+func batchAnswer(state byte) []byte {
+	b := append(wire.BeginFrame(nil), wire.MsgStatusBatchResp, 1, state)
+	b = append(b, make([]byte, ledger.ProofTailSize-1)...)
 	return wire.FinishFrame(b, 0)
 }
 
@@ -83,7 +81,7 @@ func isTransport(t *testing.T, who string, err error) {
 // retryable under the idempotency rules, so never for a claim or an
 // owner op — never a silent zero-value response.
 func TestBinaryFrameErrorsAreTransport(t *testing.T) {
-	whole := proofFrame(wire.MsgStatusBatchResp, ledger.MarshaledProofSize)
+	whole := batchAnswer(9)
 	corrupt := bytes.Clone(whole)
 	corrupt[len(corrupt)-1] ^= 0x01 // payload bit flip vs recorded CRC
 	cases := map[string][]byte{
@@ -99,7 +97,8 @@ func TestBinaryFrameErrorsAreTransport(t *testing.T) {
 		}(),
 		// The single-status kind a ledger answered before Status became
 		// a one-id status batch.
-		"retired-status-kind": proofFrame('s', ledger.MarshaledProofSize),
+		"retired-status-kind": wire.FinishFrame(append(append(wire.BeginFrame(nil), 's'),
+			make([]byte, ledger.MarshaledProofSize)...), 0),
 	}
 	id := newID(t)
 	for name, body := range cases {
@@ -461,3 +460,197 @@ func TestServerRejectsBadBinaryBatch(t *testing.T) { runHostileRequests(t, true,
 // key of the wrong size, an op byte that names no op, an unknown claim
 // flag — though each was cut from a request the ledger would accept.
 func TestWriteServerRejectsHostileBodies(t *testing.T) { runHostileRequests(t, true, writeRoutes) }
+
+// servingStack is two fixed-clock ledgers (ids 1 and 2) behind their
+// wire.Servers and a caching proxy.Server in front of both, with no
+// filter, so every id resolves at a ledger or from the cache.
+type servingStack struct {
+	ledgers map[ids.LedgerID]*ledger.Ledger
+	urls    map[ids.LedgerID]string
+	proxy   string
+}
+
+func newServingStack(t *testing.T) *servingStack {
+	t.Helper()
+	st := &servingStack{ledgers: map[ids.LedgerID]*ledger.Ledger{}, urls: map[ids.LedgerID]string{}}
+	dir := wire.NewDirectory()
+	for _, lid := range []ids.LedgerID{1, 2} {
+		l, err := ledger.New(ledger.Config{ID: lid, Clock: func() time.Time { return time.Unix(1700000000, 0).UTC() }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		srv := httptest.NewServer(wire.NewServer(l, ""))
+		t.Cleanup(srv.Close)
+		st.ledgers[lid], st.urls[lid] = l, srv.URL
+		dir.Register(lid, wire.NewClient(srv.URL, ""))
+	}
+	px := httptest.NewServer(proxy.NewServer(proxy.Config{CacheCapacity: 64}, dir))
+	t.Cleanup(px.Close)
+	st.proxy = px.URL
+	return st
+}
+
+// postJSON posts body as JSON to url, the way a browser asks, and
+// decodes the JSON answer into v.
+func postJSON(t *testing.T, url string, body, v any) {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := http.Post(url, wire.ContentTypeJSON, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d", url, r.StatusCode)
+	}
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIRSW1ProofsMatchLedgerAndJSON: every proof decoded on either hop
+// — wire.Client's StatusBatch and Claim receipts, proxy.Client's
+// results — is byte for byte the ledger's own Marshal form, verifies
+// under that ledger's SigningKey, and equals the JSON answer for the
+// same ids, though the IRSW1 frames carry each proof without its id.
+func TestIRSW1ProofsMatchLedgerAndJSON(t *testing.T) {
+	st := newServingStack(t)
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ledgerProof checks raw, the proof of id an IRSW1 client decoded.
+	ledgerProof := func(who string, id ids.PhotoID, raw []byte) {
+		t.Helper()
+		l := st.ledgers[id.Ledger]
+		want, err := l.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ledger.UnmarshalProof(raw)
+		if err != nil || !bytes.Equal(raw, want.Marshal()) || ledger.VerifyProof(l.SigningKey(), p, time.Time{}, 0) != nil {
+			t.Errorf("%s: proof of %s is not the ledger's (%v)", who, id, err)
+		}
+	}
+	var page []ids.PhotoID
+	for i := 0; i < 6; i++ {
+		lid := ids.LedgerID(1 + i%3/2) // ledgers 1, 1, 2, 1, 1, 2
+		h := sha256.Sum256([]byte{byte(i)})
+		rc, err := wire.NewClient(st.urls[lid], "").Claim(&wire.ClaimRequest{ContentHash: h[:], PubKey: pub,
+			HashSig: ed25519.Sign(priv, ledger.ClaimMsg(h)), RevokedAtBirth: i%2 == 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.Proof == nil {
+			t.Fatalf("claim %d: no proof", i)
+		}
+		ledgerProof("wire.Client.Claim", rc.ID, rc.Proof.Marshal())
+		page = append(page, rc.ID)
+	}
+	page = append(page, page[0]) // a repeat, and an id no ledger issued
+	page = append(page, ids.PhotoID{Ledger: 2, Rec: [12]byte{9}})
+
+	for lid, url := range st.urls {
+		var batch []ids.PhotoID
+		req := &wire.StatusBatchRequest{}
+		for _, id := range page {
+			if id.Ledger == lid {
+				batch = append(batch, id)
+				req.IDs = append(req.IDs, id.String())
+			}
+		}
+		proofs, err := wire.NewClient(url, "").StatusBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jr wire.StatusBatchResponse
+		postJSON(t, url+"/v1/status/batch", req, &jr)
+		for i, p := range proofs {
+			ledgerProof("wire.Client.StatusBatch", batch[i], p.Marshal())
+			if !bytes.Equal(jr.Proofs[i], p.Marshal()) {
+				t.Errorf("ledger %d proof %d: JSON and IRSW1 differ", lid, i)
+			}
+		}
+	}
+
+	c := proxy.NewClientHTTP(st.proxy, wire.CodecBinary, http.DefaultClient)
+	req := &proxy.ValidateBatchRequest{}
+	for _, id := range page {
+		req.IDs = append(req.IDs, id.String())
+	}
+	// The ledgers answer the first round and the cache the second, which
+	// the JSON answer then shares.
+	for round := 0; round < 2; round++ {
+		res, err := c.ValidateBatch(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			ledgerProof("proxy.Client.ValidateBatch", page[i], r.Proof)
+		}
+		if round == 0 {
+			continue
+		}
+		var jr proxy.ValidateBatchResponse
+		postJSON(t, st.proxy+"/v1/validate/batch", req, &jr)
+		for i, r := range res {
+			j := jr.Results[i]
+			if j.State != r.State.String() || j.Source != r.Source.String() || j.Displayable != r.Displayable ||
+				!bytes.Equal(j.Proof, r.Proof) {
+				t.Errorf("round %d result %d: JSON %+v, IRSW1 %+v", round, i, j, r)
+			}
+		}
+	}
+}
+
+// TestRetiredServingKindsRefused: a peer of the revision before the
+// compact serving frames meets errors, never a misparse. Its id-batch
+// requests get a 400 from the ledger and the proxy, and its answers are
+// a TransportError at wire.Client and proxy.Client.
+func TestRetiredServingKindsRefused(t *testing.T) {
+	st := newServingStack(t)
+	id := ids.PhotoID{Ledger: 1, Rec: [12]byte{1}}
+	old := wire.RetiredFrames(id, &ledger.StatusProof{ID: id, State: ledger.StateActive},
+		&tsa.Token{Sig: make([]byte, 64)})
+	for _, k := range []string{"B", "W"} {
+		for _, url := range []string{st.urls[1] + "/v1/status/batch", st.proxy + "/v1/validate/batch"} {
+			hr, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(old[k]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr.Header.Set("Content-Type", wire.ContentTypeBinary)
+			hr.Header.Set("Accept", wire.ContentTypeBinary)
+			r, err := http.DefaultClient.Do(hr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Body.Close()
+			if r.StatusCode != http.StatusBadRequest {
+				t.Errorf("%q request to %s: status %d, want 400", k, url, r.StatusCode)
+			}
+		}
+	}
+	for _, k := range []string{"b", "w", "c"} {
+		url, _ := countingServer(t, http.StatusOK, wire.ContentTypeBinary, old[k])
+		ps, err := wire.NewClient(url, "").StatusBatch([]ids.PhotoID{id})
+		if ps != nil {
+			t.Errorf("%q answer: proofs alongside error", k)
+		}
+		isTransport(t, "wire.Client.StatusBatch", err)
+		res, err := proxy.NewClientHTTP(url, wire.CodecBinary, http.DefaultClient).ValidateBatch([]ids.PhotoID{id})
+		if res != nil {
+			t.Errorf("%q answer: results alongside error", k)
+		}
+		isTransport(t, "proxy.Client.ValidateBatch", err)
+		rc, err := wire.NewClient(url, "").Claim(&wire.ClaimRequest{ContentHash: make([]byte, 32),
+			PubKey: make([]byte, 32), HashSig: make([]byte, 64)})
+		if rc.Timestamp != nil {
+			t.Errorf("%q answer: receipt alongside error", k)
+		}
+		isTransport(t, "wire.Client.Claim", err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"irs/internal/ids"
 	"irs/internal/ledger"
@@ -80,8 +81,9 @@ func TestClientAgainstWrongShapes(t *testing.T) {
 		t.Error("short keys accepted")
 	}
 
-	// A well-formed one-proof IRSW1 status batch frame whose signed
-	// proof attests a different id than the one asked about.
+	// A well-formed one-proof IRSW1 status batch frame carrying the
+	// tail of another id's proof: it decodes as a proof of the id asked
+	// about, which its signature refutes.
 	l, err := ledger.New(ledger.Config{ID: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +94,10 @@ func TestClientAgainstWrongShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv3 := hostileServer(t, http.StatusOK, ContentTypeBinary, string(EncodeStatusBatchResp(nil, []*ledger.StatusProof{other})), nil)
-	if p, err := NewClient(srv3.URL, "").Status(hostileID(t)); err == nil {
-		t.Errorf("status proof for %s accepted", p.ID)
+	asked := hostileID(t)
+	if p, err := NewClient(srv3.URL, "").Status(asked); err != nil || p.ID != asked ||
+		ledger.VerifyProof(l.SigningKey(), p, time.Time{}, 0) == nil {
+		t.Errorf("another id's proof, asked for %s: %+v (%v) verifies", asked, p, err)
 	}
 }
 

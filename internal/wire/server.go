@@ -212,19 +212,7 @@ func readBinaryBatch(body io.Reader, wantKind byte) ([]ids.PhotoID, error) {
 		return nil, err
 	}
 	defer PutBuf(bp)
-	var batch []ids.PhotoID
-	if _, err := decodeIDBatch(payload, func(i int, id ids.PhotoID) error {
-		if batch == nil {
-			// The count has been checked by now: payload is its uvarint
-			// (under 16 bytes) and exactly that many 16-byte ids.
-			batch = make([]ids.PhotoID, 0, len(payload)/16)
-		}
-		batch = append(batch, id)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return batch, nil
+	return decodeIDBatch(payload)
 }
 
 // handleClaim registers a photo. An IRSW1 request is decoded in place:

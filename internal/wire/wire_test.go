@@ -440,11 +440,13 @@ func TestClaimCarriesFirstProof(t *testing.T) {
 }
 
 // TestClaimProofMixedVersions pins both directions of the optional
-// proof field. An answer without one (length 0, what a ledger that
-// does not issue it sends), or with one that is malformed or attests
-// another claim, costs the client the proof and nothing else: the
-// receipt survives, Proof is nil, and the caller asks Status. A JSON
-// client that predates the field decodes today's answer unharmed.
+// proof. An answer without one (what a ledger that does not issue it
+// sends), or with one whose state byte names no state, costs the client
+// the proof and nothing else: the receipt survives, Proof is nil, and
+// the caller asks Status. The frame does not repeat the id, so the tail
+// of another claim's proof becomes a proof of this claim that its
+// signature refutes. A JSON client that predates the field decodes
+// today's answer unharmed.
 func TestClaimProofMixedVersions(t *testing.T) {
 	l, err := ledger.New(ledger.Config{ID: 7})
 	if err != nil {
@@ -456,7 +458,7 @@ func TestClaimProofMixedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rewrite func(proof []byte) []byte
+	var rewrite func(tail []byte) []byte
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/claim" || !AcceptsBinary(r) {
 			inner.ServeHTTP(w, r)
@@ -468,25 +470,30 @@ func TestClaimProofMixedVersions(t *testing.T) {
 		if err != nil {
 			t.Errorf("claim answer: %v", err)
 		}
-		id, token, proof, err := DecodeClaimResp(payload)
+		id, token, tail, err := DecodeClaimResp(payload)
 		if err != nil {
 			t.Errorf("claim answer: %v", err)
 		}
 		w.Header().Set("Content-Type", ContentTypeBinary)
-		w.Write(claimFrame(id, token, rewrite(proof)))
+		w.Write(claimFrame(id, token, rewrite(tail)))
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL, "")
 	k := newKeypair(t)
 
 	for name, fn := range map[string]func([]byte) []byte{
-		"omitted":       func([]byte) []byte { return nil },
-		"malformed":     func(p []byte) []byte { return p[:len(p)-1] },
-		"another claim": func([]byte) []byte { return other.Marshal() },
+		"omitted":         func([]byte) []byte { return nil },
+		"undefined state": func(p []byte) []byte { return append([]byte{9}, p[1:]...) },
+		"another claim":   func([]byte) []byte { return other.AppendTail(nil) },
 	} {
 		rewrite = fn
 		r := k.claimVia(t, c, "mixed "+name, false)
-		if r.Proof != nil {
+		if name == "another claim" {
+			if r.Proof == nil || r.Proof.ID != r.ID ||
+				ledger.VerifyProof(l.SigningKey(), r.Proof, time.Time{}, 0) == nil {
+				t.Errorf("proof %s: client kept %+v, which verifies", name, r.Proof)
+			}
+		} else if r.Proof != nil {
 			t.Errorf("proof %s: client kept %+v", name, r.Proof)
 		}
 		if r.Timestamp == nil {
@@ -521,14 +528,12 @@ func TestClaimProofMixedVersions(t *testing.T) {
 }
 
 // claimFrame builds a claim answer frame from raw fields, so a test can
-// send one its server would not.
-func claimFrame(id ids.PhotoID, token, proof []byte) []byte {
+// send one its server would not: tail follows the token as it is.
+func claimFrame(id ids.PhotoID, token, tail []byte) []byte {
 	b := append(BeginFrame(nil), MsgClaimResp)
 	idb := id.Bytes()
 	b = append(b, idb[:]...)
-	for _, f := range [][]byte{token, proof} {
-		b = append(b, byte(len(f)), byte(len(f)>>8))
-		b = append(b, f...)
-	}
+	b = append(b, byte(len(token)), byte(len(token)>>8))
+	b = append(append(b, token...), tail...)
 	return FinishFrame(b, 0)
 }

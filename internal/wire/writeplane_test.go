@@ -113,9 +113,15 @@ func (d *writeDiff) claim(name string, req *ClaimRequest, code int) ledger.Recei
 	if err != nil {
 		d.t.Fatalf("%s: JSON answer id: %v", name, err)
 	}
-	jrc, err := receiptOf(jid, resp.Timestamp, resp.Proof)
+	tok, err := tsa.Unmarshal(resp.Timestamp)
 	if err != nil {
 		d.t.Fatalf("%s: JSON answer: %v", name, err)
+	}
+	jrc := ledger.Receipt{ID: jid, Timestamp: tok}
+	if resp.Proof != nil {
+		if jrc.Proof, err = ledger.UnmarshalProof(resp.Proof); err != nil || jrc.Proof.ID != jid {
+			d.t.Fatalf("%s: JSON answer's proof %+v: %v", name, jrc.Proof, err)
+		}
 	}
 	jresp := &ClaimResponse{ID: jrc.ID.String(), Timestamp: jrc.Timestamp.Marshal()}
 	if jrc.Proof != nil {
@@ -357,7 +363,7 @@ func TestWriteFrameRoundtrips(t *testing.T) {
 		if err != nil || gid != id || !bytes.Equal(token, tok.Marshal()) {
 			t.Fatalf("claim resp roundtrip: %v %x %v", gid, token, err)
 		}
-		if p == nil && raw != nil || p != nil && !bytes.Equal(raw, p.Marshal()) {
+		if p == nil && raw != nil || p != nil && !bytes.Equal(append(ledger.AppendProofHead(nil, id), raw...), p.Marshal()) {
 			t.Fatalf("claim resp proof %x, want %v", raw, p)
 		}
 	}

@@ -279,9 +279,15 @@ stage "obs fuzz"
 # encoding is an error, no response carries X-IRS-Wire), the servers'
 # JSON answers byte-identical to the clients' IRSW1 ones, both hops'
 # hostile-frame and dead-server TransportError classification and
-# shared client batch bound, a status proof for an id other than the
-# one asked refused, the one hostile-request table run against both
-# batch routes and both write routes, and the keep-alive pool sizing.
+# shared client batch bound, another id's proof tail decoding to a
+# proof its signature refutes, the one hostile-request table run
+# against both batch routes and both write routes, and the keep-alive
+# pool sizing. The compact serving frames: every frame pinned to its
+# conformance vector and to a field-by-field build from PROTOCOL.md,
+# every proof either client decodes equal to the ledger's own bytes and
+# to the JSON answer, the retired serving kinds refused by both servers
+# and both clients, and a malformed validate answer refused whole by
+# proxy.Client.
 # With them the write plane: the same claims and ops as JSON and as
 # IRSW1 on twin ledgers (state, receipts and wire errors alike), the
 # in-place decode that keeps nothing of the pooled body, the op and
@@ -290,7 +296,7 @@ stage "obs fuzz"
 # one: the client's proofs equal the in-process ones byte for byte, and
 # the removed GET /v1/status answers 404. All named under the race
 # detector.
-go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields|ClientStatusMatchesLoopback|BadRequests' \
+go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields|ClientStatusMatchesLoopback|BadRequests|WireVectors|IRSW1ProofsMatchLedgerAndJSON|RetiredServingKindsRefused|ProxyClientRefusesMalformedAnswer' \
     ./internal/wire ./internal/proxy
 stage "wire codec"
 
