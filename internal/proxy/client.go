@@ -73,8 +73,9 @@ func (c *Client) ValidateBatch(batch []ids.PhotoID) ([]ClientResult, error) {
 		wire.MsgValidateBatchResp, wire.MaxFramePayload,
 		func(payload []byte) error {
 			// Every proof is rebuilt, out of the pooled body, into one
-			// slab; each takes at least ProofTailSize bytes of payload.
-			slab := make([]byte, 0, len(payload)/ledger.ProofTailSize*ledger.MarshaledProofSize)
+			// slab: at most one per id, each from at least ProofTailSize
+			// bytes of payload.
+			slab := make([]byte, 0, min(len(batch), len(payload)/ledger.ProofTailSize)*ledger.MarshaledProofSize)
 			n, err := wire.DecodeValidateBatchResp(payload, func(i int, v wire.ValidateWire) error {
 				if i >= len(batch) {
 					return fmt.Errorf("proxy: more results than the %d requested", len(batch))

@@ -572,22 +572,20 @@ func EncodeClaimResp(dst []byte, rc ledger.Receipt) []byte {
 }
 
 // DecodeClaimResp splits a claim answer payload into the identifier,
-// the timestamp token bytes and the proof's tail (nil when the answer
-// carries none); both alias payload.
+// the timestamp token bytes and what follows the token, the proof's
+// tail (nil when nothing does); both alias payload. The tail's size is
+// left to the receipt's builder: a tail that is no proof costs the
+// answer its proof, never the receipt of a recorded claim.
 func DecodeClaimResp(payload []byte) (id ids.PhotoID, token, tail []byte, err error) {
 	if len(payload) < 16 {
 		return id, nil, nil, ErrFrameCorrupt
 	}
-	token, rest, err := takeField(payload[16:])
+	token, tail, err = takeField(payload[16:])
 	if err != nil {
 		return id, nil, nil, err
 	}
-	switch len(rest) {
-	case 0:
-	case ledger.ProofTailSize:
-		tail = rest
-	default:
-		return id, nil, nil, ErrFrameCorrupt
+	if len(tail) == 0 {
+		tail = nil
 	}
 	return ids.FromBytes([16]byte(payload[:16])), token, tail, nil
 }

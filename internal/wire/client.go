@@ -314,8 +314,8 @@ func receiptOf(id ids.PhotoID, token, tail []byte) (ledger.Receipt, error) {
 		return ledger.Receipt{}, fmt.Errorf("wire: server returned bad timestamp: %w", err)
 	}
 	// The proof is an optional saving of one Status call, so one that is
-	// absent or names no state is dropped, never allowed to cost the
-	// caller the receipt of a claim the ledger has recorded.
+	// absent, mis-sized or names no state is dropped, never allowed to
+	// cost the caller the receipt of a claim the ledger has recorded.
 	var p *ledger.StatusProof
 	if tail != nil {
 		if q := new(ledger.StatusProof); q.UnmarshalTail(id, tail) == nil {

@@ -180,9 +180,6 @@ func FuzzWireFrameDecode(f *testing.F) {
 			},
 			func(p []byte) {
 				if id, token, tail, err := DecodeClaimResp(p); err == nil {
-					if tail != nil && len(tail) != ledger.ProofTailSize {
-						t.Fatalf("claim answer with a %d-byte tail", len(tail))
-					}
 					same("claim answer", claimFrame(id, token, tail))
 				}
 			},

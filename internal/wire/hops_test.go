@@ -14,6 +14,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -602,6 +603,86 @@ func TestIRSW1ProofsMatchLedgerAndJSON(t *testing.T) {
 			if j.State != r.State.String() || j.Source != r.Source.String() || j.Displayable != r.Displayable ||
 				!bytes.Equal(j.Proof, r.Proof) {
 				t.Errorf("round %d result %d: JSON %+v, IRSW1 %+v", round, i, j, r)
+			}
+		}
+	}
+}
+
+// TestMisorderedLedgerAnswerRefutedOnlyBySignature pins what the id-less
+// status answer gives up: a ledger, or anything between it and the
+// proxy, that swaps two answers of one batch is caught at no hop. The
+// proxy caches each id with its neighbour's state, here serving a
+// revoked photo as displayable, from the ledger and then from its
+// cache; only the proofs' signatures, which nothing on the serving path
+// checks, refute it.
+func TestMisorderedLedgerAnswerRefutedOnlyBySignature(t *testing.T) {
+	l, err := ledger.New(ledger.Config{ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	inner := httptest.NewServer(wire.NewServer(l, ""))
+	defer inner.Close()
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page []ids.PhotoID // page[0] active, page[1] revoked at birth
+	for i := range 2 {
+		h := sha256.Sum256([]byte{byte(i)})
+		rc, err := wire.NewClient(inner.URL, "").Claim(&wire.ClaimRequest{ContentHash: h[:], PubKey: pub,
+			HashSig: ed25519.Sign(priv, ledger.ClaimMsg(h)), RevokedAtBirth: i == 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		page = append(page, rc.ID)
+	}
+	// swap passes every request to the ledger and reverses the proofs
+	// of its status answer.
+	swap := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.Config.Handler.ServeHTTP(rec, r)
+		_, payload, err := wire.DecodeMsg(rec.Body.Bytes(), wire.MaxFramePayload)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var proofs []*ledger.StatusProof
+		if _, err := wire.DecodeStatusBatchResp(payload, func(_ int, tail []byte) error {
+			p := new(ledger.StatusProof)
+			proofs = append(proofs, p)
+			return p.UnmarshalTail(ids.PhotoID{}, tail)
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		slices.Reverse(proofs)
+		w.Header().Set("Content-Type", wire.ContentTypeBinary)
+		w.Write(wire.EncodeStatusBatchResp(nil, proofs))
+	}))
+	defer swap.Close()
+	dir := wire.NewDirectory()
+	dir.Register(1, wire.NewClient(swap.URL, ""))
+	px := httptest.NewServer(proxy.NewServer(proxy.Config{CacheCapacity: 64}, dir))
+	defer px.Close()
+
+	c := proxy.NewClientHTTP(px.URL, wire.CodecBinary, http.DefaultClient)
+	for _, source := range []proxy.Source{proxy.SourceLedger, proxy.SourceCache} {
+		res, err := c.ValidateBatch(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			neighbour, err := l.Status(page[1-i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := ledger.UnmarshalProof(r.Proof)
+			if err != nil || p.ID != page[i] || r.State != neighbour.State || r.Source != source ||
+				r.Displayable != (i == 1) {
+				t.Errorf("%s answer %d: %+v (%v), want the state of its neighbour", source, i, r, err)
+			} else if ledger.VerifyProof(l.SigningKey(), p, time.Time{}, 0) == nil {
+				t.Errorf("%s answer %d: the misordered proof verifies", source, i)
 			}
 		}
 	}

@@ -441,9 +441,9 @@ func TestClaimCarriesFirstProof(t *testing.T) {
 
 // TestClaimProofMixedVersions pins both directions of the optional
 // proof. An answer without one (what a ledger that does not issue it
-// sends), or with one whose state byte names no state, costs the client
-// the proof and nothing else: the receipt survives, Proof is nil, and
-// the caller asks Status. The frame does not repeat the id, so the tail
+// sends), with a tail one byte short or long, or with one whose state
+// byte names no state, costs the client the proof and nothing else: the
+// receipt survives, Proof is nil, and the caller asks Status. The frame does not repeat the id, so the tail
 // of another claim's proof becomes a proof of this claim that its
 // signature refutes. A JSON client that predates the field decodes
 // today's answer unharmed.
@@ -483,6 +483,8 @@ func TestClaimProofMixedVersions(t *testing.T) {
 
 	for name, fn := range map[string]func([]byte) []byte{
 		"omitted":         func([]byte) []byte { return nil },
+		"truncated":       func(p []byte) []byte { return p[:len(p)-1] },
+		"overlong":        func(p []byte) []byte { return append(p, 0) },
 		"undefined state": func(p []byte) []byte { return append([]byte{9}, p[1:]...) },
 		"another claim":   func([]byte) []byte { return other.AppendTail(nil) },
 	} {
