@@ -606,15 +606,32 @@ func (l *Ledger) fillSig(sh *shard, p *StatusProof) (memoized bool) {
 
 // StatusBatch answers one validation query per identifier, in input
 // order — the ledger half of the batch RPC that lets a page load
-// resolve dozens of photos in one round trip. Each touched shard is
-// visited once: states are read under its lock from the memtable and
-// the resident revoked set (what both miss — active or unknown ids —
-// from the segments, outside it), then the shard's proof memo is asked
-// for signatures this second has already produced. Only what it lacks is
-// signed, on the worker pool. All proofs in a batch share one IssuedAt
-// instant and one backing array, which is the caller's: nothing in the
-// ledger keeps a reference to it.
+// resolve dozens of photos in one round trip. It is StatusBatchInto
+// with a scratch of its own: the proofs share one IssuedAt instant and
+// one backing array, which is the caller's — nothing in the ledger
+// keeps a reference to it.
 func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
+	return l.StatusBatchInto(new(BatchScratch), batch)
+}
+
+// BatchScratch is the working memory of a status batch: the shard
+// walk's index slab and the proof array. The zero value is ready; it
+// grows to the largest batch it has answered and is then reused, so a
+// server that keeps one per request in a pool answers a page without
+// allocating. It serves one batch at a time.
+type BatchScratch struct {
+	ints   []int
+	proofs []*StatusProof // over one slab, as NewProofBatch lays it out
+}
+
+// StatusBatchInto is StatusBatch answered into sc: the proofs it
+// returns sit in sc and are valid until sc is used again. Each touched
+// shard is visited once: states are read under its lock from the
+// memtable and the resident revoked set (what both miss — active or
+// unknown ids — from the segments, outside it), then the shard's proof
+// memo is asked for signatures this second has already produced. Only
+// what it lacks is signed, on the worker pool.
+func (l *Ledger) StatusBatchInto(sc *BatchScratch, batch []ids.PhotoID) ([]*StatusProof, error) {
 	n := len(batch)
 	if n == 0 {
 		return nil, nil
@@ -623,9 +640,16 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 	// its group; the inputs' shards; the inputs grouped by shard so each
 	// is locked once; what a shard cannot answer; the memo's misses.
 	ns := len(l.shards)
-	ints := make([]int, ns+4*n)
+	if cap(sc.ints) < ns+4*n {
+		sc.ints = make([]int, ns+4*n)
+	}
+	if cap(sc.proofs) < n {
+		sc.proofs = NewProofBatch(n)
+	}
+	ints, proofs := sc.ints[:ns+4*n], sc.proofs[:n]
 	ends, shardOf, grouped := ints[:ns], ints[ns:ns+n], ints[ns+n:ns+2*n]
 	misses, unsigned := ints[ns+2*n:ns+2*n:ns+3*n], ints[ns+3*n:ns+3*n]
+	clear(ends)
 	for i, id := range batch {
 		s := int(id.Hash64() & l.shardMask)
 		shardOf[i] = s
@@ -641,9 +665,8 @@ func (l *Ledger) StatusBatch(batch []ids.PhotoID) ([]*StatusProof, error) {
 		ends[s]++
 	}
 	at := l.proofTime()
-	proofs := NewProofBatch(n)
 	for i, id := range batch {
-		proofs[i].ID, proofs[i].IssuedAt = id, at
+		*proofs[i] = StatusProof{ID: id, State: StateUnknown, IssuedAt: at}
 	}
 	start := 0
 	for s := range l.shards {

@@ -176,6 +176,85 @@ func TestStatusBatchAllocationBudget(t *testing.T) {
 	t.Logf("allocations: StatusBatch(%d hits) %.0f, Status %.0f", len(batch), perBatch, perStatus)
 }
 
+// TestStatusBatchIntoAllocatesNothing: answered into a scratch that has
+// held a page before, a page of memo hits allocates nothing — the entry
+// point a server's pooled request scratch uses — and its proofs equal
+// the allocating StatusBatch's.
+func TestStatusBatchIntoAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted without the race detector")
+	}
+	l := memoLedger(t, newTestClock(), false, 8)
+	o := newOwner(t)
+	batch := make([]ids.PhotoID, 37)
+	for i := range batch {
+		batch[i] = o.claim(t, l, hashOf(fmt.Sprintf("into-%d", i)), i%5 == 0).ID
+	}
+	var sc BatchScratch
+	before := l.Metrics()
+	var got []*StatusProof
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if got, err = l.StatusBatchInto(&sc, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m := l.Metrics(); m.ProofSigns != before.ProofSigns {
+		t.Fatalf("%d proofs were signed; the budget is for memo hits", m.ProofSigns-before.ProofSigns)
+	}
+	if allocs != 0 {
+		t.Errorf("StatusBatchInto of %d memo hits: %.0f allocations, want 0", len(batch), allocs)
+	}
+	want, err := l.StatusBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if *got[i] != *want[i] {
+			t.Fatalf("proof %d: %+v into the scratch, %+v allocated", i, got[i], want[i])
+		}
+	}
+}
+
+// TestStatusBatchIntoReusedScratch: one scratch answering pages of
+// shrinking and growing size, of revoked, active and unknown ids on an
+// in-memory and a segment ledger, answers each as StatusBatch does:
+// nothing of an earlier page's proofs shows through.
+func TestStatusBatchIntoReusedScratch(t *testing.T) {
+	for _, segments := range []bool{false, true} {
+		l := memoLedger(t, newTestClock(), segments, 4)
+		o := newOwner(t)
+		var pool []ids.PhotoID
+		for i := 0; i < 24; i++ {
+			pool = append(pool, o.claim(t, l, hashOf(fmt.Sprintf("reuse-%d", i)), i%2 == 0).ID)
+			pool = append(pool, mustID(t))
+		}
+		var sc BatchScratch
+		for _, n := range []int{48, 3, 17, 1, 48, 30} {
+			batch := make([]ids.PhotoID, n)
+			for i := range batch {
+				batch[i] = pool[(i*7+n)%len(pool)]
+			}
+			got, err := l.StatusBatchInto(&sc, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := l.StatusBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("segments=%v: %d proofs for %d ids", segments, len(got), n)
+			}
+			for i := range want {
+				if *got[i] != *want[i] {
+					t.Fatalf("segments=%v, page of %d: proof %d is %+v, want %+v", segments, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestUnmarshalProofRejectsUndefinedState: the one decode point refuses
 // a state byte outside the four defined states, so no cache or viewer
 // downstream ever holds one; every defined state still round-trips.

@@ -69,6 +69,7 @@ func TestRetiredSegmentsUnmapped(t *testing.T) {
 		claimed = append(claimed, o.claim(t, l, hashOf(fmt.Sprint("retire-", i)), false).ID)
 	}
 	recs := makeRecords(t, 9, 1200, 41)
+	var explicit uint64
 	for round := 0; l.StorageStats().Compactions < 4; round++ {
 		if round == 12 {
 			t.Fatalf("%d compactions in 12 rounds, want 4", l.StorageStats().Compactions)
@@ -76,6 +77,11 @@ func TestRetiredSegmentsUnmapped(t *testing.T) {
 		if err := l.RestoreRecords(recs[round*100 : (round+1)*100]); err != nil {
 			t.Fatal(err)
 		}
+		// The restore fills the memtable past its limit, which schedules
+		// a background flush and, once three segments stand, a merge.
+		// Waiting that out makes the count after each round a function
+		// of the round rather than of the scheduler.
+		l.store.bg.Wait()
 		id := claimed[round]
 		if err := l.Apply(id, OpRevoke, o.signOp(id, OpRevoke, 1)); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -90,7 +96,11 @@ func TestRetiredSegmentsUnmapped(t *testing.T) {
 			if err := l.Compact(); err != nil {
 				t.Fatal(err)
 			}
+			explicit++
 		}
+	}
+	if c := l.StorageStats().Compactions; c == explicit {
+		t.Fatalf("all %d compactions were explicit; want one merge the engine scheduled itself", c)
 	}
 	// The last compaction waits out any background flush or merge, and
 	// leaves nothing for one to start.

@@ -91,7 +91,8 @@ type Result struct {
 // BatchQueryFunc resolves many statuses against one ledger in a single
 // upstream round trip (wire.Service.StatusBatch): the validator's one
 // upstream contract. Proofs come back in request order, one per
-// identifier. The HTTP server resolves through a wire.Directory;
+// identifier. batch is the validator's scratch, valid only during the
+// call. The HTTP server resolves through a wire.Directory;
 // simulations count invocations.
 type BatchQueryFunc func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error)
 
@@ -230,6 +231,9 @@ type Validator struct {
 	// adm is the per-client admission-control state; nil when disabled.
 	adm *admission
 
+	// scratch is the free list of ValidateBatch's must-query scratch.
+	scratch chan *pageScratch
+
 	// refreshMu guards refreshing, the RefreshFilters call in progress
 	// (nil when idle).
 	refreshMu  sync.Mutex
@@ -293,6 +297,7 @@ func NewValidator(cfg Config, query BatchQueryFunc) *Validator {
 		sfMask:   uint64(n - 1),
 		breakers: make(map[ids.LedgerID]*breaker),
 		adm:      newAdmission(cfg.Admission, cfg.Clock, reg),
+		scratch:  make(chan *pageScratch, freeScratch),
 	}
 	for i := range v.sf {
 		v.sf[i].m = make(map[ids.PhotoID]sfEntry)
@@ -441,18 +446,25 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 	tr := v.tracer.Start("validate_batch")
 	defer tr.End()
 	tr.Stage("scan")
-	// The must-query bookkeeping is one flat array, sized once at the
-	// first identifier neither filter nor cache answers. The occurrences
-	// of unique identifier j are the list first[j] → next[…] → -1 over
-	// batch indices, last[j] its end; table finds j by identifier — open
+	// The must-query bookkeeping is one flat array, taken from the
+	// validator's free list at the first identifier neither filter nor
+	// cache answers and handed back on return. The occurrences of unique
+	// identifier j are the list first[j] → next[…] → -1 over batch
+	// indices, last[j] its end; table finds j by identifier — open
 	// addressing on Hash64, a power of two of slots at most half full,
 	// each 0 or j+1. The second half of the identifier array is
 	// resolveBatch's scratch.
 	var (
 		kept                     proofSlab
+		scr                      *pageScratch
 		queryIDs, sub            []ids.PhotoID // queryIDs: unique must-query IDs, first-appearance order
 		first, last, next, table []int32
 	)
+	defer func() {
+		if scr != nil {
+			v.putScratch(scr)
+		}
+	}()
 	for i, id := range batch {
 		v.st.total.Inc()
 		if v.cfg.UseFilter && !v.mightBeRevoked(id) {
@@ -469,9 +481,9 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 		if table == nil {
 			rest := n - i
 			slots := 1 << bits.Len(uint(2*rest-1))
-			links := make([]int32, n+2*rest+slots)
+			scr = v.getScratch()
+			links, idbuf := scr.grow(n+2*rest+slots, 2*rest)
 			next, first, last, table = links[:n], links[n:n:n+rest], links[n+rest:n+rest:n+2*rest], links[n+2*rest:]
-			idbuf := make([]ids.PhotoID, 2*rest)
 			queryIDs, sub = idbuf[:0:rest], idbuf[rest:]
 		}
 		next[i] = -1
@@ -542,6 +554,56 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 		return nil, firstErr
 	}
 	return results, nil
+}
+
+// pageScratch is ValidateBatch's must-query bookkeeping: the link
+// array and the identifier array, zeroed and reused by one page at a
+// time. Nothing in it outlives the call: flights and the cache key by
+// identifier value, and answers, which a flight's waiters read after
+// its leader returns, are allocated per call.
+type pageScratch struct {
+	links []int32
+	idbuf []ids.PhotoID
+}
+
+// freeScratch is how many idle scratches a validator keeps: more than
+// the pages a proxy serves at once on a few cores. The free list is a
+// channel, not a sync.Pool, so that what a page allocates depends on
+// the page alone: a pool drops entries at garbage collection and, under
+// the race detector, at random, and TestObsAddsNoAllocations compares
+// exact counts under -race.
+const freeScratch = 16
+
+// getScratch takes an idle scratch, or a new one when none is idle.
+func (v *Validator) getScratch() *pageScratch {
+	select {
+	case s := <-v.scratch:
+		return s
+	default:
+		return new(pageScratch)
+	}
+}
+
+// putScratch hands s back, dropping it when freeScratch are idle.
+func (v *Validator) putScratch(s *pageScratch) {
+	select {
+	case v.scratch <- s:
+	default:
+	}
+}
+
+// grow returns the scratch as a zeroed link array of nl entries and an
+// identifier array of ni, growing either that is too small.
+func (s *pageScratch) grow(nl, ni int) ([]int32, []ids.PhotoID) {
+	if cap(s.links) < nl {
+		s.links = make([]int32, nl)
+	}
+	if cap(s.idbuf) < ni {
+		s.idbuf = make([]ids.PhotoID, ni)
+	}
+	links := s.links[:nl]
+	clear(links)
+	return links, s.idbuf[:ni]
 }
 
 // answer is what resolveBatch has for one unique identifier: exactly

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"net/http"
+	"sync"
 
 	"irs/internal/ids"
 	"irs/internal/ledger"
@@ -130,12 +131,20 @@ type ValidateBatchResponse struct {
 	Results []ValidateResponse `json:"results"`
 }
 
+// pagePool recycles the id slices handleValidateBatch decodes a page
+// into. A slice goes back once the answer is written, the JSON one
+// included; the validator keeps nothing of the page it is handed.
+var pagePool = sync.Pool{New: func() any { return new([]ids.PhotoID) }}
+
 func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
-	batch, err := wire.ReadIDBatch(r, wire.MsgValidateBatchReq)
+	page := pagePool.Get().(*[]ids.PhotoID)
+	defer pagePool.Put(page)
+	batch, err := wire.ReadIDBatch(r, wire.MsgValidateBatchReq, *page)
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	*page = batch
 	if !s.admit(w, r, len(batch)) {
 		return
 	}

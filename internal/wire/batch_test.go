@@ -197,7 +197,7 @@ func TestReadBinaryBatchSizedByFrame(t *testing.T) {
 		}
 		r := httptest.NewRequest(http.MethodPost, "/v1/status/batch", bytes.NewReader(EncodeStatusBatchReq(nil, want)))
 		r.Header.Set("Content-Type", ContentTypeBinary)
-		got, err := ReadIDBatch(r, MsgStatusBatchReq)
+		got, err := ReadIDBatch(r, MsgStatusBatchReq, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

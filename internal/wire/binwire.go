@@ -270,17 +270,21 @@ func appendIDBatch(dst []byte, kind byte, batch []ids.PhotoID) []byte {
 	return FinishFrame(dst, start)
 }
 
-// decodeIDBatch decodes an identifier batch payload. The count is
-// checked against MaxStatusBatch and the payload's length before the
-// batch is allocated, so a hostile header cannot drive allocation or
+// decodeIDBatch decodes an identifier batch payload into dst's array,
+// or a new one of the batch's size when dst's is too small. The count
+// is checked against MaxStatusBatch and the payload's length before
+// the batch is sized, so a hostile header cannot drive allocation or
 // iteration; a run that is empty, overshoots the count or repeats the
 // ledger of the run before it is refused.
-func decodeIDBatch(payload []byte) ([]ids.PhotoID, error) {
+func decodeIDBatch(dst []ids.PhotoID, payload []byte) ([]ids.PhotoID, error) {
 	n, rest, err := uvarint(payload)
 	if err != nil || n == 0 || n > MaxStatusBatch || uint64(len(rest)) < n*uint64(recSize) {
 		return nil, ErrFrameCorrupt
 	}
-	batch := make([]ids.PhotoID, 0, n)
+	batch := dst[:0]
+	if cap(batch) < int(n) {
+		batch = make([]ids.PhotoID, 0, n)
+	}
 	for len(batch) < int(n) {
 		if len(rest) < 4 {
 			return nil, ErrFrameCorrupt

@@ -281,7 +281,7 @@ func TestBinaryRoundtrips(t *testing.T) {
 	if err != nil || kind != MsgStatusBatchReq {
 		t.Fatalf("batch req decode: kind %c err %v", kind, err)
 	}
-	got, err := decodeIDBatch(payload)
+	got, err := decodeIDBatch(nil, payload)
 	if err != nil || len(got) != len(batch) || got[0] != id1 || got[1] != id2 || got[2] != id3 || got[3] != id1 {
 		t.Fatalf("batch req roundtrip: err=%v got=%v", err, got)
 	}

@@ -88,7 +88,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 		for _, kind := range []byte{MsgStatusBatchReq, MsgValidateBatchReq} {
 			r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data))
 			r.Header.Set("Content-Type", ContentTypeBinary)
-			batch, err := ReadIDBatch(r, kind)
+			batch, err := ReadIDBatch(r, kind, nil)
 			if err != nil {
 				continue
 			}
@@ -113,7 +113,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 		// kind byte re-routes the same bytes through a different parser.
 		decoders := []func([]byte){
 			func(p []byte) {
-				if batch, err := decodeIDBatch(p); err == nil {
+				if batch, err := decodeIDBatch(nil, p); err == nil {
 					if len(batch) > MaxStatusBatch {
 						t.Fatalf("id batch over limit: %d", len(batch))
 					}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"irs/internal/ids"
@@ -114,12 +116,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 type CodecWriter struct {
 	// codec/tx: index 0 JSON (any non-IRSW1 answer), 1 IRSW1.
 	codec, tx [2]*obs.Counter
+	// lengths interns the Content-Length values of the IRSW1 answers.
+	lengths *lengthTable
 }
 
 // NewCodecWriter interns the writer's counters in reg under prefix
 // (irs_wire_server at the ledger, irs_proxy_server at the proxy).
 func NewCodecWriter(reg *obs.Registry, prefix string) CodecWriter {
-	var cw CodecWriter
+	cw := CodecWriter{lengths: new(lengthTable)}
 	for i, name := range [2]string{"json", "binary"} {
 		l := obs.L("codec", name)
 		cw.codec[i] = reg.Counter(prefix+"_codec_total", l)
@@ -139,7 +143,12 @@ func (cw *CodecWriter) Write(w http.ResponseWriter, r *http.Request, encode func
 		bp := GetBuf()
 		defer PutBuf(bp)
 		*bp = encode(*bp)
-		w.Header().Set("Content-Type", ContentTypeBinary)
+		// Content-Length keeps a frame past net/http's 2 KB buffer from
+		// going out chunked. Both values are shared, read-only slices:
+		// the header costs no allocation.
+		h := w.Header()
+		h["Content-Type"] = binaryContentType
+		h["Content-Length"] = cw.lengths.value(len(*bp))
 		w.WriteHeader(http.StatusOK)
 		i = 1
 		n, _ = w.Write(*bp)
@@ -152,15 +161,46 @@ func (cw *CodecWriter) Write(w http.ResponseWriter, r *http.Request, encode func
 	}
 }
 
+// binaryContentType is the Content-Type header value of every IRSW1
+// answer, shared by all of them; net/http only reads it.
+var binaryContentType = []string{ContentTypeBinary}
+
+// lengthTable interns the Content-Length header values of a writer's
+// IRSW1 answers by length, one slot per length modulo the table's
+// size. A route's answers take a few dozen lengths (a status answer's
+// is a function of the batch size), so past the first pages each
+// answer finds its value here.
+type lengthTable [512]atomic.Pointer[lengthValue]
+
+type lengthValue struct {
+	n int
+	v []string
+}
+
+// value returns the Content-Length header value of an n-byte answer, a
+// slice its callers share and must not modify.
+func (t *lengthTable) value(n int) []string {
+	slot := &t[n%len(t)]
+	if e := slot.Load(); e != nil && e.n == n {
+		return e.v
+	}
+	e := &lengthValue{n: n, v: []string{strconv.Itoa(n)}}
+	slot.Store(e)
+	return e.v
+}
+
 // ReadIDBatch reads the identifier batch of a POST to a batch route
 // (/v1/status/batch with kind MsgStatusBatchReq, /v1/validate/batch
 // with MsgValidateBatchReq): an IRSW1 frame of that kind when the
-// request's Content-Type names IRSW1, else JSON {"ids":[…]}. Every
-// error is the caller's 400: a body that does not parse, an empty
-// batch, or one over MaxStatusBatch.
-func ReadIDBatch(r *http.Request, kind byte) ([]ids.PhotoID, error) {
+// request's Content-Type names IRSW1, else JSON {"ids":[…]}. The batch
+// is read into dst's array, or into a new one of the batch's size when
+// dst's is too small; a server passes pooled memory as dst, so it
+// reads an IRSW1 batch without allocating. Every error is the caller's
+// 400: a body that does not parse, an empty batch, or one over
+// MaxStatusBatch.
+func ReadIDBatch(r *http.Request, kind byte, dst []ids.PhotoID) ([]ids.PhotoID, error) {
 	if IsBinaryContent(r.Header.Get("Content-Type")) {
-		return readBinaryBatch(r.Body, kind)
+		return readBinaryBatch(r.Body, kind, dst)
 	}
 	var req StatusBatchRequest
 	if err := ReadJSON(r.Body, &req); err != nil {
@@ -172,13 +212,16 @@ func ReadIDBatch(r *http.Request, kind byte) ([]ids.PhotoID, error) {
 	if err := CheckBatchSize(len(req.IDs)); err != nil {
 		return nil, err
 	}
-	batch := make([]ids.PhotoID, len(req.IDs))
+	batch := dst[:0]
+	if cap(batch) < len(req.IDs) {
+		batch = make([]ids.PhotoID, 0, len(req.IDs))
+	}
 	for i, raw := range req.IDs {
 		id, err := ids.Parse(raw)
 		if err != nil {
 			return nil, fmt.Errorf("wire: id %d: %w", i, err)
 		}
-		batch[i] = id
+		batch = append(batch, id)
 	}
 	return batch, nil
 }
@@ -205,14 +248,14 @@ func readMsg(body io.Reader, want byte) (*[]byte, []byte, error) {
 }
 
 // readBinaryBatch parses an IRSW1 id-batch request body of the given
-// message kind.
-func readBinaryBatch(body io.Reader, wantKind byte) ([]ids.PhotoID, error) {
+// message kind into dst's array.
+func readBinaryBatch(body io.Reader, wantKind byte, dst []ids.PhotoID) ([]ids.PhotoID, error) {
 	bp, payload, err := readMsg(body, wantKind)
 	if err != nil {
 		return nil, err
 	}
 	defer PutBuf(bp)
-	return decodeIDBatch(payload)
+	return decodeIDBatch(dst, payload)
 }
 
 // handleClaim registers a photo. An IRSW1 request is decoded in place:
@@ -314,13 +357,28 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// statusScratch is one status batch request's working memory: the
+// decoded ids and the ledger's scratch, which holds the proofs. The
+// handler takes one from statusScratchPool and puts it back once its
+// answer is written, the JSON one included; nothing of it outlives the
+// request, since the encoders copy what they send.
+type statusScratch struct {
+	ids []ids.PhotoID
+	sc  ledger.BatchScratch
+}
+
+var statusScratchPool = sync.Pool{New: func() any { return new(statusScratch) }}
+
 func (s *Server) handleStatusBatch(w http.ResponseWriter, r *http.Request) {
-	batch, err := ReadIDBatch(r, MsgStatusBatchReq)
+	scr := statusScratchPool.Get().(*statusScratch)
+	defer statusScratchPool.Put(scr)
+	batch, err := ReadIDBatch(r, MsgStatusBatchReq, scr.ids)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	proofs, err := s.ledger.StatusBatch(batch)
+	scr.ids = batch
+	proofs, err := s.ledger.StatusBatchInto(&scr.sc, batch)
 	if err != nil {
 		WriteError(w, statusFor(err), err.Error())
 		return

@@ -146,7 +146,7 @@ func vectorRows(in *vectorInputs) []vectorRow {
 		s.uvarint(uint64(len(batch)))
 		runs(&s)
 		return vectorRow{name, kind, appendIDBatch(nil, kind, batch), s.frame(), func(t *testing.T, payload []byte) {
-			if got, err := decodeIDBatch(payload); err != nil || !slices.Equal(got, batch) {
+			if got, err := decodeIDBatch(nil, payload); err != nil || !slices.Equal(got, batch) {
 				t.Errorf("decoded %v (%v), want %v", got, err, batch)
 			}
 		}}

@@ -239,10 +239,14 @@ stage "irs-bench harnesses"
 # SetFilter hammer on one 64-entry stripe; and the singleflight table
 # that pages share in-flight ids through, each waiter copying its proof
 # (concurrent pages ask a shared id once, a leader's fault fails its
-# page alone).
+# page alone). Last, the pooled request scratch of both servers:
+# concurrent IRSW1 and JSON pages through ledger and proxy share
+# flights while ids, proofs and answer buffers are recycled, and every
+# answer carries the ledger's own proof; a ledger scratch reused across
+# pages of other sizes answers as a fresh one.
 go test -race -run 'MetricsConservation' ./internal/integration
 go test -race -run 'ChaosObsDeterminism' ./cmd/irs-bench
-go test -race -run 'ObsAddsNoAllocations|CacheMatchesListReference|CacheHammer|ProofOwnership|UndefinedState|Singleflight|PageHerd' \
+go test -race -run 'ObsAddsNoAllocations|CacheMatchesListReference|CacheHammer|ProofOwnership|UndefinedState|Singleflight|PageHerd|PooledPagesHammer|StatusBatchIntoReusedScratch' \
     ./internal/proxy ./internal/ledger ./internal/wire
 go test -race ./internal/obs
 stage observability
@@ -262,8 +266,12 @@ stage observability
 # its hosted pixels plus 64 KiB, an aligned watermark read of a gray
 # image allocating nothing, and Embed allocating only its output. A
 # validator already at its upstream's epoch pulls without hashing or
-# allocating.
-go test -run 'AllocationBudget|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs|IdlePullAllocatesNothing|OverlayKeepsSealedClaimsOffTheHeap' \
+# allocating. Both servers' batch handlers, driven with a synthetic
+# request and no net/http: a 48-id page costs no more objects than a
+# 1-id page, and no more bytes but a constant (the proxy's results and
+# answers aside), and the ledger's pooled entry point answers 37 memo
+# hits without allocating.
+go test -run 'AllocationBudget|StatusBatchHandlerAllocationBudget|ValidateBatchHandlerAllocationBudget|StatusBatchIntoAllocatesNothing|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs|IdlePullAllocatesNothing|OverlayKeepsSealedClaimsOffTheHeap' \
     ./internal/ledger ./internal/wire ./internal/proxy ./internal/aggregator ./internal/watermark
 stage "allocation budgets"
 
@@ -294,9 +302,10 @@ stage "obs fuzz"
 # claim frame roundtrips, and a claim or op the frame cannot carry
 # refused before it is sent. A single-id status is a status batch of
 # one: the client's proofs equal the in-process ones byte for byte, and
-# the removed GET /v1/status answers 404. All named under the race
-# detector.
-go test -race -run 'Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields|ClientStatusMatchesLoopback|BadRequests|WireVectors|IRSW1ProofsMatchLedgerAndJSON|RetiredServingKindsRefused|ProxyClientRefusesMalformedAnswer|MisorderedLedgerAnswerRefutedOnlyBySignature' \
+# the removed GET /v1/status answers 404. Both servers send a 48-proof
+# answer with its Content-Length, not chunked, and hop 2 asks for no
+# gzip. All named under the race detector.
+go test -race -run 'IRSW1AnswersAreContentLengthFramed|ClientSendsNoAcceptEncoding|Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields|ClientStatusMatchesLoopback|BadRequests|WireVectors|IRSW1ProofsMatchLedgerAndJSON|RetiredServingKindsRefused|ProxyClientRefusesMalformedAnswer|MisorderedLedgerAnswerRefutedOnlyBySignature' \
     ./internal/wire ./internal/proxy
 stage "wire codec"
 
