@@ -199,8 +199,8 @@ func runChaosOnce(cfg chaosConfig, backend *serveLedger, spec chaosSpec, truth m
 	v := proxy.NewValidator(proxy.Config{
 		CacheCapacity: cfg.IDs * 2,
 		CacheTTL:      cacheTTL,
-		Degrade:       proxy.DegradePolicy{Mode: spec.degrade, StaleTTL: time.Hour},
-		Breaker:       proxy.BreakerConfig{Enabled: spec.breaker, FailureThreshold: 5, Cooldown: 5 * time.Second},
+		Degrade:       proxy.DegradePolicy{Mode: spec.degrade},
+		Breaker:       proxy.BreakerConfig{Enabled: spec.breaker},
 		Clock:         clock,
 		Obs:           reg,
 		Tracer:        tracer,

@@ -3,12 +3,14 @@
 //
 // Usage:
 //
-//	irs-ledger -id 1 -addr :8330 -dir ./ledger-data \
-//	           -snapshot-interval 1h -admin-token sekrit
+//	irs-ledger -id 1 -addr :8330 -dir ./ledger-data -admin-token sekrit
 //
-// The server rebuilds its revocation Bloom filter snapshot on the
-// configured interval (the paper's hourly cycle, §4.4) and syncs its
-// write-ahead log on the same timer.
+// The server publishes its first revocation Bloom filter epoch at
+// start-up. After that a pull decides: a filter sync that finds the
+// newest epoch stale (the revoked set changed and the epoch is at least
+// a second old) publishes the next one before it answers (§4.4's
+// update cycle, driven by change). Every write is fsynced before it is
+// acknowledged.
 package main
 
 import (
@@ -18,7 +20,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"time"
 
 	"irs/internal/appeals"
 	"irs/internal/core"
@@ -37,30 +38,14 @@ func main() {
 		dir           = flag.String("dir", "", "persistence directory, which also keeps the ledger's keys across restarts (empty = in-memory, fresh keys)")
 		adminToken    = flag.String("admin-token", "", "bearer token for the permanent-revoke admin endpoint (empty = disabled)")
 		nonRevocable  = flag.Bool("non-revocable", false, "refuse revocation (§5 human-rights ledger policy)")
-		snapInterval  = flag.Duration("snapshot-interval", time.Hour, "revocation filter snapshot rebuild interval")
 		fpr           = flag.Float64("filter-fpr", 0.02, "filter snapshot target false-positive rate")
 		enableAppeals = flag.Bool("appeals", true, "serve the public /v1/appeal complaint endpoint")
 		debug         = flag.Bool("debug", false, "mount GET /debug/metrics (Prometheus text) and /debug/pprof")
-		walSync       = flag.String("wal-sync", "batch", "wal durability: batch (group-commit fsync before an append is acknowledged) or os (fsync on the snapshot timer; a host crash loses what was acknowledged since)")
 	)
 	flag.Var(trusted, "trust-ledger", "peer ledger whose timestamps appeals accept, as id=url (repeatable)")
 	flag.Parse()
 	if *id == 0 {
 		fmt.Fprintln(os.Stderr, "irs-ledger: -id must be nonzero")
-		os.Exit(2)
-	}
-	if *snapInterval <= 0 {
-		fmt.Fprintf(os.Stderr, "irs-ledger: -snapshot-interval must be positive (got %v)\n", *snapInterval)
-		os.Exit(2)
-	}
-	var sync ledger.WALSyncMode
-	switch *walSync {
-	case "os":
-		sync = ledger.WALSyncOS
-	case "batch":
-		sync = ledger.WALSyncBatch
-	default:
-		fmt.Fprintf(os.Stderr, "irs-ledger: -wal-sync must be os or batch (got %q)\n", *walSync)
 		os.Exit(2)
 	}
 
@@ -71,7 +56,6 @@ func main() {
 			Dir:          *dir,
 			NonRevocable: *nonRevocable,
 			FilterFPR:    *fpr,
-			WALSync:      sync,
 		}},
 		Remote: trusted,
 	})
@@ -84,28 +68,6 @@ func main() {
 	if _, err := l.BuildSnapshot(); err != nil {
 		log.Fatalf("irs-ledger: initial snapshot: %v", err)
 	}
-	stopTicker, tickerDone := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(tickerDone)
-		t := time.NewTicker(*snapInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopTicker:
-				return
-			case <-t.C:
-			}
-			if seq, err := l.BuildSnapshot(); err != nil {
-				log.Printf("irs-ledger: snapshot: %v", err)
-			} else {
-				claims, revoked := l.Count()
-				log.Printf("irs-ledger: snapshot epoch %d (%d claims, %d revoked)", seq, claims, revoked)
-			}
-			if err := l.Sync(); err != nil {
-				log.Printf("irs-ledger: wal sync: %v", err)
-			}
-		}
-	}()
 
 	handler := http.Handler(wire.NewServerOpts(l, *adminToken, wire.ServerOptions{Debug: *debug}))
 	if *enableAppeals {
@@ -125,10 +87,6 @@ func main() {
 	log.Printf("irs-ledger: ledger %d serving on %s (%d claims, %d revoked, dir=%q)",
 		*id, *addr, claims, revoked, *dir)
 	err = core.Serve(*addr, handler)
-	// Every handler has returned; stop the ticker before the ledger
-	// closes under it.
-	close(stopTicker)
-	<-tickerDone
 	if err := errors.Join(err, sys.Close()); err != nil {
 		log.Fatalf("irs-ledger: %v", err)
 	}

@@ -7,6 +7,9 @@
 //
 //	irs-relay -mode egress -addr :8332 -ledger 1=http://localhost:8330
 //
+// An egress pulls its ledgers' filters each core.FilterRefreshPeriod,
+// as irs-proxy does.
+//
 // Ingress mode forwards sealed blobs to an egress with all client
 // identification stripped; it never sees the query:
 //
@@ -17,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	"os"
 	"time"
@@ -29,10 +33,9 @@ import (
 func main() {
 	ledgers := core.Endpoints{}
 	var (
-		mode            = flag.String("mode", "", "egress or ingress")
-		addr            = flag.String("addr", ":8332", "listen address")
-		egressURL       = flag.String("egress", "", "egress base URL (ingress mode)")
-		refreshInterval = flag.Duration("refresh-interval", time.Hour, "ledger filter refresh interval (egress mode)")
+		mode      = flag.String("mode", "", "egress or ingress")
+		addr      = flag.String("addr", ":8332", "listen address")
+		egressURL = flag.String("egress", "", "egress base URL (ingress mode)")
 	)
 	flag.Var(ledgers, "ledger", "ledger endpoint as id=url (egress mode, repeatable)")
 	flag.Parse()
@@ -42,10 +45,6 @@ func main() {
 	case "egress":
 		if len(ledgers) == 0 {
 			fmt.Fprintln(os.Stderr, "irs-relay: egress mode needs at least one -ledger id=url")
-			os.Exit(2)
-		}
-		if *refreshInterval <= 0 {
-			fmt.Fprintf(os.Stderr, "irs-relay: -refresh-interval must be positive (got %v)\n", *refreshInterval)
 			os.Exit(2)
 		}
 		// The same proxy role as irs-proxy, answering the egress.
@@ -60,11 +59,13 @@ func main() {
 			log.Printf("irs-relay: initial filter refresh: %v (continuing)", err)
 		}
 		go func() {
-			t := time.NewTicker(*refreshInterval)
-			defer t.Stop()
-			for range t.C {
+			held := sys.FilterEpochs()
+			for range time.Tick(core.FilterRefreshPeriod) {
 				if err := sys.RefreshFilters(); err != nil {
 					log.Printf("irs-relay: filter refresh: %v", err)
+				} else if now := sys.FilterEpochs(); !maps.Equal(now, held) {
+					log.Printf("irs-relay: filter epochs %v", now)
+					held = now
 				}
 			}
 		}()

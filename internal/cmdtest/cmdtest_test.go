@@ -109,12 +109,12 @@ func TestFullOperatorFlow(t *testing.T) {
 	dataDir := t.TempDir()
 	ledgerPort := freePort(t)
 	ledgerURL := fmt.Sprintf("http://127.0.0.1:%d", ledgerPort)
-	// Short snapshot interval so the revocation below reaches the
-	// proxy's filter within the test's patience.
+	// The deployed cadence: no timer publishes epochs, so the
+	// revocation below reaches the proxy's filter only through a pull
+	// that finds the ledger's newest epoch stale.
 	startDaemon(t, "irs-ledger", ledgerURL+"/v1/keys",
 		"-id", "1", "-addr", fmt.Sprintf("127.0.0.1:%d", ledgerPort),
-		"-dir", filepath.Join(dataDir, "ledger"),
-		"-snapshot-interval", "150ms")
+		"-dir", filepath.Join(dataDir, "ledger"))
 
 	proxyPort := freePort(t)
 	proxyURL := fmt.Sprintf("http://127.0.0.1:%d", proxyPort)
@@ -183,8 +183,9 @@ func TestFullOperatorFlow(t *testing.T) {
 		t.Fatalf("audit: %v\n%s", err, out)
 	}
 
-	// The proxy blocks the revoked photo once the ledger's next
-	// snapshot cycle lands and the proxy refreshes — the bounded
+	// The proxy blocks the revoked photo once a refresh finds the
+	// ledger's newest epoch at least a second old and the revoked set
+	// changed, so that the pull publishes the next epoch: the bounded
 	// propagation window of Nongoal #4. Poll until it closes.
 	var v struct {
 		Displayable bool   `json:"displayable"`
@@ -307,18 +308,25 @@ func TestLedgerRejectsBadFlags(t *testing.T) {
 	// A non-positive interval is refused at start-up by name, not left
 	// to panic in time.NewTicker once the binary serves. A panic exits
 	// 2 as well, so the output must name the flag and hold no panic.
+	args := []string{"irs-site", "-addr", "127.0.0.1:0", "-ledger", "1=http://127.0.0.1:1", "-recheck-interval", "0"}
+	out, err = exec.CommandContext(ctx, filepath.Join(binDir, args[0]), args[1:]...).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Errorf("%q: %v, want exit 2:\n%s", args, err, out)
+	}
+	if !strings.Contains(string(out), "-recheck-interval") || strings.Contains(string(out), "panic:") {
+		t.Errorf("%q: output does not refuse -recheck-interval by name:\n%s", args, out)
+	}
+	// The filter cadence and WAL mode flags are gone: naming one is a
+	// usage error, exit 2, as an unknown flag.
 	for _, args := range [][]string{
-		{"irs-ledger", "-id", "1", "-addr", "127.0.0.1:0", "-snapshot-interval", "0"},
-		{"irs-proxy", "-addr", "127.0.0.1:0", "-ledger", "1=http://127.0.0.1:1", "-refresh-interval", "-1s"},
-		{"irs-relay", "-mode", "egress", "-addr", "127.0.0.1:0", "-ledger", "1=http://127.0.0.1:1", "-refresh-interval", "0"},
-		{"irs-site", "-addr", "127.0.0.1:0", "-ledger", "1=http://127.0.0.1:1", "-recheck-interval", "0"},
+		{"irs-ledger", "-snapshot-interval", "1h"},
+		{"irs-ledger", "-wal-sync", "os"},
+		{"irs-proxy", "-refresh-interval", "1h"},
+		{"irs-relay", "-refresh-interval", "1h"},
 	} {
 		out, err := exec.CommandContext(ctx, filepath.Join(binDir, args[0]), args[1:]...).CombinedOutput()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Errorf("%q: %v, want exit 2:\n%s", args, err, out)
-		}
-		if flag := args[len(args)-2]; !strings.Contains(string(out), flag) || strings.Contains(string(out), "panic:") {
-			t.Errorf("%q: output does not refuse %s by name:\n%s", args, flag, out)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: "+args[1]) {
+			t.Errorf("%q: %v, want exit 2 on an unknown flag:\n%s", args, err, out)
 		}
 	}
 }

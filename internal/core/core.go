@@ -310,9 +310,18 @@ func (s *System) trustDirectory(trust func(ids.LedgerID, ed25519.PublicKey)) err
 	return nil
 }
 
+// FilterRefreshPeriod is how often a deployed filter holder (irs-proxy,
+// an irs-relay egress) pulls its ledgers' filters. A pull publishes a
+// stale epoch first (ledger.Ledger.PublishIfStale), so a revoke reaches
+// such a holder within this period, the ledger's one-second epoch gap
+// and a round trip. It stays well under the 25 s that a ledger's
+// default 25 retained epochs span at one epoch a second, so a holder
+// that polls always gets a delta.
+const FilterRefreshPeriod = 5 * time.Second
+
 // RefreshFilters rebuilds every local ledger's revocation filter
-// snapshot and pulls the filters into the proxy — the hourly cycle of
-// §4.4. The browser-resident filter, when enabled, pulls from the proxy
+// snapshot and pulls the filters into the proxy — one round of §4.4's
+// update cycle, published explicitly. The browser-resident filter, when enabled, pulls from the proxy
 // and never from a ledger: a browser is a sync client of its proxy
 // alone.
 func (s *System) RefreshFilters() error {
@@ -337,6 +346,16 @@ func (s *System) RefreshFilters() error {
 		}
 	}
 	return nil
+}
+
+// FilterEpochs is the filter epoch the proxy holds per ledger of the
+// directory, 0 for none.
+func (s *System) FilterEpochs() map[ids.LedgerID]uint64 {
+	epochs := make(map[ids.LedgerID]uint64)
+	for lid := range s.directory.All() {
+		epochs[lid] = s.proxy.Validator().Epoch(lid)
+	}
+	return epochs
 }
 
 // ViewDecision is the browser extension's verdict on a photo.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -452,5 +453,94 @@ func TestViewValidationFailureDefaultDeny(t *testing.T) {
 	}
 	if dec.ID != foreign {
 		t.Errorf("decision id %v", dec.ID)
+	}
+}
+
+// TestServedSyncPublishesStaleEpoch: over HTTP, on a frozen clock and
+// with one explicit BuildSnapshot, a proxy's pull is what publishes the
+// next epoch, and only once the newest epoch is stale.
+func TestServedSyncPublishesStaleEpoch(t *testing.T) {
+	var now atomic.Int64
+	now.Store(time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC).UnixNano())
+	advance := func(d time.Duration) { now.Add(int64(d)) }
+	s := build(t, Spec{Ledgers: ledgers(1), HTTP: true, Clock: func() time.Time { return time.Unix(0, now.Load()) }})
+	l, _ := s.Ledger(1)
+	pv := s.Proxy().Validator()
+	refresh := func() {
+		t.Helper()
+		if err := pv.RefreshFilters(s.Directory()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epochs := func(want uint64) {
+		t.Helper()
+		ledgerEpoch, _, err := l.FilterSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ledgerEpoch != want || pv.Epoch(1) != want {
+			t.Fatalf("ledger epoch %d, proxy epoch %d; want %d", ledgerEpoch, pv.Epoch(1), want)
+		}
+	}
+	alice, err := s.NewOwner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labeled [2]*photo.Image
+	var owned [2]*camera.Owned
+	for i := range labeled {
+		if labeled[i], owned[i], err = alice.ClaimAndLabel(alice.Shoot(int64(i+1), 192, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.BuildSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	refresh()
+	epochs(1)
+
+	if err := alice.Revoke(owned[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	advance(time.Second - time.Nanosecond)
+	refresh()
+	epochs(1)
+	if dec := s.View(labeled[0]); !dec.Display || dec.Source != proxy.SourceFilter {
+		t.Fatalf("within the epoch gap the held filter still answers: %+v", dec)
+	}
+
+	advance(time.Nanosecond)
+	refresh()
+	epochs(2)
+	if dec := s.View(labeled[0]); dec.Display {
+		t.Fatalf("revoked photo displayed after a stale pull: %+v", dec)
+	}
+
+	advance(time.Hour)
+	refresh()
+	epochs(2)
+
+	// Racing pulls of one stale epoch, each its own wire client,
+	// publish one epoch between them.
+	if err := alice.Revoke(owned[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	advance(time.Second)
+	const pullers = 8
+	var wg sync.WaitGroup
+	for range pullers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, latest, err := wire.NewClient(s.URL(1), "").FilterSync(2, nil); err != nil || latest != 3 {
+				t.Errorf("racing pull: latest %d, err %v; want 3", latest, err)
+			}
+		}()
+	}
+	wg.Wait()
+	refresh()
+	epochs(3)
+	if dec := s.View(labeled[1]); dec.Display {
+		t.Fatalf("second revoked photo displayed: %+v", dec)
 	}
 }

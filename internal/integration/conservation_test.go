@@ -158,8 +158,8 @@ func testConservation(t *testing.T, shards, workers int) {
 		CacheTTL:      cacheTTL,
 		UseFilter:     true,
 		Stripes:       4,
-		Degrade:       proxy.DegradePolicy{Mode: proxy.DegradeFailOpenFresh, StaleTTL: time.Hour},
-		Breaker:       proxy.BreakerConfig{Enabled: true, FailureThreshold: 3, Cooldown: 5 * time.Second},
+		Degrade:       proxy.DegradePolicy{Mode: proxy.DegradeFailOpenFresh},
+		Breaker:       proxy.BreakerConfig{Enabled: true},
 		Clock:         clock,
 		Obs:           obs.NewRegistry(),
 	}, func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -45,6 +46,142 @@ func liveWAL(t testing.TB, dir string) string {
 		t.Fatalf("wal sequences = %v, want exactly one", seqs)
 	}
 	return filepath.Join(dir, walFileName(seqs[0]))
+}
+
+// crashLayer is a file layer that loses what a host crash loses. It
+// records, through the WAL's syncFile seam, each WAL file's size at its
+// last fsync; crash copies the ledger directory and cuts every WAL file
+// of the copy back to that size, dropping each byte written but never
+// synced.
+type crashLayer struct {
+	mu     sync.Mutex
+	synced map[string]int64 // WAL file name → size at its last fsync
+}
+
+func newCrashLayer(l *Ledger) *crashLayer {
+	c := &crashLayer{synced: make(map[string]int64)}
+	l.store.wal.syncFile = func(f *os.File) error {
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		st, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		c.synced[filepath.Base(f.Name())] = st.Size()
+		c.mu.Unlock()
+		return nil
+	}
+	return c
+}
+
+// crash returns a copy of dir as a host crash at this instant leaves it.
+func (c *crashLayer) crash(t testing.TB, dir string) string {
+	t.Helper()
+	crashed := copyLedgerDir(t, dir)
+	seqs, err := listWALFiles(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, seq := range seqs {
+		name := walFileName(seq)
+		if err := os.Truncate(filepath.Join(crashed, name), c.synced[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return crashed
+}
+
+// TestCrashDropsUnsyncedBytes runs the history of
+// TestCrashRecoveryRandomWALTruncation (its records, its flush point,
+// its trial seed) and crashes it through crashLayer after randomly
+// chosen operations. Every recovered state must be one the history
+// passed through. Under WALSyncBatch it must also hold every
+// acknowledged operation; under WALSyncOS the same crashes lose
+// acknowledged operations, the loss that mode permits.
+func TestCrashDropsUnsyncedBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode WALSyncMode
+	}{{"batch", WALSyncBatch}, {"os", WALSyncOS}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := New(Config{
+				ID: 9, Dir: dir, Shards: 8,
+				WALSync:         tc.mode,
+				MemtableRecords: 1 << 20, // no background flush mid-test
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			layer := newCrashLayer(l)
+
+			const nOps, flushAt, crashes = 150, 100, 24
+			recs := makeRecords(t, 9, nOps, 42)
+			rng := rand.New(rand.NewSource(7))
+			crashAfter := make(map[int]bool, crashes)
+			for len(crashAfter) < crashes {
+				crashAfter[rng.Intn(nOps)] = true
+			}
+			// known maps each state of the history to the operations
+			// acknowledged when it was reached.
+			known := make(map[[32]byte]int)
+			acked := 0
+			ack := func() {
+				acked++
+				known[stateHash(t, l)] = acked
+			}
+			known[stateHash(t, l)] = 0
+			shardCounts := []int{1, 8, 32}
+			trial, lossy := 0, 0
+			for i := 0; i < nOps; i++ {
+				if err := l.RestoreRecords(recs[i : i+1]); err != nil {
+					t.Fatal(err)
+				}
+				ack()
+				if i%5 == 4 {
+					if err := l.PermanentRevoke(recs[i-2].ID); err != nil {
+						t.Fatal(err)
+					}
+					ack()
+				}
+				if i == flushAt {
+					if err := l.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !crashAfter[i] {
+					continue
+				}
+				crashed := layer.crash(t, dir)
+				rl, err := New(Config{ID: 9, Dir: crashed, Shards: shardCounts[trial%len(shardCounts)]})
+				if err != nil {
+					t.Fatalf("crash after op %d: reopen failed: %v", i, err)
+				}
+				trial++
+				got, ok := known[stateHash(t, rl)]
+				if err := rl.Close(); err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case !ok:
+					t.Fatalf("crash after op %d: recovered state matches no point of the history", i)
+				case got < acked && tc.mode == WALSyncBatch:
+					t.Fatalf("crash after op %d: %d of %d acknowledged operations recovered", i, got, acked)
+				case got < acked:
+					lossy++
+				}
+			}
+			if tc.mode == WALSyncOS && lossy == 0 {
+				t.Fatalf("no crash of %d lost an acknowledged operation under WALSyncOS", crashes)
+			}
+			t.Logf("%d of %d crashes lost acknowledged operations", lossy, crashes)
+		})
+	}
 }
 
 // TestCrashRecoveryRandomWALTruncation records a StateHash after every

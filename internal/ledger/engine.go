@@ -27,9 +27,10 @@ const (
 	// appends coalesced onto one fsync by group commit. The default: an
 	// acknowledged revocation survives a host crash.
 	WALSyncBatch WALSyncMode = iota
-	// WALSyncOS hands appends to the OS without fsync; durability is the
-	// periodic Sync() the serving loop runs, so a host crash loses what
-	// was acknowledged since the last one.
+	// WALSyncOS hands appends to the OS without fsync; the log is synced
+	// only when it rotates at a memtable flush and at Close, so a host
+	// crash loses what was acknowledged since. No binary runs it; the
+	// frozen bench/ module names it.
 	WALSyncOS
 )
 
@@ -636,14 +637,6 @@ func (e *segEngine) flush() error {
 	return e.flushLocked()
 }
 
-func (e *segEngine) sync() error {
-	if err := e.wal.sync(); err != nil {
-		return err
-	}
-	e.publishGauges()
-	return nil
-}
-
 func (e *segEngine) close() error {
 	e.closed.Store(true)
 	e.bg.Wait()
@@ -677,18 +670,6 @@ func (l *Ledger) Compact() error {
 		return nil
 	}
 	return l.store.compact()
-}
-
-// Sync forces WAL contents to stable storage. Under Config.WALSync =
-// WALSyncOS services call it on a timer rather than per operation,
-// trading a bounded window of durability for throughput; under the
-// default WALSyncBatch every append is already durable and this is a
-// cheap barrier.
-func (l *Ledger) Sync() error {
-	if l.store == nil {
-		return nil
-	}
-	return l.store.sync()
 }
 
 // StorageStats is a point-in-time view of the persistence engine.

@@ -3,6 +3,7 @@ package ledger
 import (
 	"math"
 	"slices"
+	"time"
 
 	"irs/internal/bloom"
 	"irs/internal/ids"
@@ -90,6 +91,66 @@ func (b *filterBuild) setCount(pos uint64, v byte) {
 func (l *Ledger) BuildSnapshot() (seq uint64, err error) {
 	l.buildMu.Lock()
 	defer l.buildMu.Unlock()
+	return l.publish()
+}
+
+// epochGap is the least age, on the ledger's clock, at which the
+// newest epoch counts as stale (PublishIfStale), so a served sync
+// publishes at most one epoch per gap however many holders pull. It is
+// proofQuantum: a proof and an epoch lag the ledger by the same second.
+const epochGap = proofQuantum
+
+// PublishIfStale publishes the next epoch, as BuildSnapshot does, when
+// the newest one is stale: the ledger has published an epoch, its
+// revoked set has changed since (a shard's change log is non-empty or
+// lost), and that epoch is at least epochGap old. The rule is checked
+// again under buildMu, so pulls racing on one stale epoch publish one
+// epoch between them. The served filter sync calls it before it
+// answers; the first epoch is always an explicit BuildSnapshot.
+func (l *Ledger) PublishIfStale() error {
+	if !l.epochDue() {
+		return nil
+	}
+	l.buildMu.Lock()
+	defer l.buildMu.Unlock()
+	if !l.epochDue() || !l.revokedChanged() {
+		return nil
+	}
+	_, err := l.publish()
+	return err
+}
+
+// epochDue reports whether an epoch is published and at least epochGap
+// old.
+func (l *Ledger) epochDue() bool {
+	return l.filters.Filter() != nil && l.clock().Sub(time.Unix(0, l.epochAt.Load())) >= epochGap
+}
+
+// revokedChanged reports whether any shard logged a change of revoked
+// membership, or lost its log, since the newest epoch. The caller holds
+// buildMu: the builder empties the logs under a shard read lock.
+func (l *Ledger) revokedChanged() bool {
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.RLock()
+		changed := len(sh.changes) > 0 || sh.changesLost
+		sh.mu.RUnlock()
+		if changed {
+			return true
+		}
+	}
+	return false
+}
+
+// publish installs the next epoch, advanced by the shadow when it can
+// be and rebuilt otherwise, and stamps its time. The caller holds
+// buildMu.
+func (l *Ledger) publish() (seq uint64, err error) {
+	defer func() {
+		if err == nil {
+			l.epochAt.Store(l.clock().UnixNano())
+		}
+	}()
 	prevSeq, prev, ok := l.filters.Latest()
 	b := &l.build
 	if ok && prevSeq == b.shadowed && !b.saturated {

@@ -3,7 +3,9 @@ package ledger
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"irs/internal/bloom"
 	"irs/internal/ids"
@@ -442,5 +444,160 @@ func TestFilterKeyStable(t *testing.T) {
 	other := mustID(t)
 	if FilterKey(id) == FilterKey(other) {
 		t.Error("distinct ids collided (astronomically unlikely)")
+	}
+}
+
+// stepClock is a frozen clock that tests move by hand; safe to read
+// from any goroutine.
+type stepClock struct{ ns atomic.Int64 }
+
+func newStepClock() *stepClock {
+	c := &stepClock{}
+	c.ns.Store(time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC).UnixNano())
+	return c
+}
+
+func (c *stepClock) now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *stepClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// latestEpoch is the newest epoch l has published, 0 for none.
+func latestEpoch(l *Ledger) uint64 {
+	e, _, _ := l.filters.Latest()
+	return e
+}
+
+// activeRecords is makeRecords for ledger 9 with every claim active.
+func activeRecords(t *testing.T, n int, seed int64) []Record {
+	recs := makeRecords(t, 9, n, seed)
+	for i := range recs {
+		recs[i].State = StateActive
+	}
+	return recs
+}
+
+// TestPublishIfStaleRule: a pull publishes the next epoch only when one
+// is published, the revoked set changed since, and the newest epoch is
+// at least epochGap old on the ledger's clock; and what it publishes is
+// the epoch BuildSnapshot would have.
+func TestPublishIfStaleRule(t *testing.T) {
+	clock := newStepClock()
+	l, err := New(Config{ID: 9, Clock: clock.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	twin := newLedger(t) // BuildSnapshot after every change
+	recs := activeRecords(t, 8, 3)
+	for _, m := range []*Ledger{l, twin} {
+		if err := m.RestoreRecords(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish := func() {
+		t.Helper()
+		if err := l.PublishIfStale(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	revoke := func(i int) {
+		t.Helper()
+		for _, m := range []*Ledger{l, twin} {
+			if err := m.PermanentRevoke(recs[i].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	revoke(0)
+	clock.advance(time.Hour)
+	if publish(); latestEpoch(l) != 0 {
+		t.Fatal("published the first epoch, which only BuildSnapshot does")
+	}
+	if _, err := l.BuildSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.BuildSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(time.Hour)
+	if publish(); latestEpoch(l) != 1 {
+		t.Fatal("published an epoch with the revoked set unchanged")
+	}
+	// The epoch is an hour old, so the change alone makes it stale.
+	revoke(1)
+	if publish(); latestEpoch(l) != 2 {
+		t.Fatalf("epoch %d after a change to an hour-old epoch, want 2", latestEpoch(l))
+	}
+	revoke(2)
+	clock.advance(epochGap - 1)
+	if publish(); latestEpoch(l) != 2 {
+		t.Fatal("published within epochGap of the newest epoch")
+	}
+	clock.advance(1)
+	if publish(); latestEpoch(l) != 3 {
+		t.Fatalf("epoch %d once epochGap passed, want 3", latestEpoch(l))
+	}
+	clock.advance(time.Hour)
+	if publish(); latestEpoch(l) != 3 {
+		t.Fatal("published again with nothing changed")
+	}
+	if _, err := twin.BuildSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	_, got, _ := l.FilterSnapshot()
+	_, want, _ := twin.FilterSnapshot()
+	if got.Hash() != want.Hash() {
+		t.Fatal("the published epoch differs from BuildSnapshot's over the same revoked set")
+	}
+}
+
+// TestPublishIfStaleRacingPullsPublishOnce: pulls that all find one
+// stale epoch publish one epoch between them, even while revokes keep
+// landing: the clock does not move within a round, so no later pull
+// finds the epoch just published stale.
+func TestPublishIfStaleRacingPullsPublishOnce(t *testing.T) {
+	const pullers, rounds, perRound = 16, 3, 5
+	clock := newStepClock()
+	l, err := New(Config{ID: 9, Clock: clock.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs := activeRecords(t, rounds*perRound, 5)
+	if err := l.RestoreRecords(recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.BuildSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for round := range rounds {
+		batch := recs[round*perRound : (round+1)*perRound]
+		if err := l.PermanentRevoke(batch[0].ID); err != nil {
+			t.Fatal(err)
+		}
+		clock.advance(epochGap)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, rec := range batch[1:] {
+				if err := l.PermanentRevoke(rec.ID); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		for range pullers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := l.PublishIfStale(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := latestEpoch(l), uint64(round+2); got != want {
+			t.Fatalf("round %d: %d racing pulls left epoch %d, want %d", round, pullers, got, want)
+		}
 	}
 }

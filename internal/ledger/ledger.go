@@ -46,6 +46,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"irs/internal/bloom"
@@ -196,6 +197,10 @@ type Ledger struct {
 	buildMu sync.Mutex
 	build   filterBuild
 	filters *bloom.Window
+	// epochAt is when the newest epoch was published, in UnixNano of
+	// the ledger's clock; written under buildMu, read by PublishIfStale
+	// without it.
+	epochAt atomic.Int64
 
 	obsReg  *obs.Registry
 	metrics metrics

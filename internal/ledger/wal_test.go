@@ -280,9 +280,6 @@ func TestWALEmptyDirFresh(t *testing.T) {
 	if claims != 0 {
 		t.Errorf("fresh ledger has %d claims", claims)
 	}
-	if err := l.Sync(); err != nil {
-		t.Errorf("sync: %v", err)
-	}
 }
 
 func BenchmarkClaimInMemory(b *testing.B) {

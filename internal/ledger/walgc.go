@@ -28,7 +28,7 @@ import (
 // ledger.wal_syncs_per_write.
 //
 // In WALSyncOS mode appends return once a leader has handed the record
-// to the OS without fsync; durability is the caller's periodic Sync().
+// to the OS without fsync; the file is synced only at rotate and close.
 //
 // The log rotates at memtable flush: the engine freezes appends (it
 // read-locks every shard, and an appender holds its shard's write lock
@@ -56,8 +56,8 @@ type gcwal struct {
 	flushing  bool   // a leader is in write/fsync
 	err       error  // sticky I/O error; poisons subsequent appends
 
-	// syncFile is the durability call, injectable so tests can count
-	// and slow real fsyncs deterministically.
+	// syncFile is every fsync of the log (append batches, rotate,
+	// close), injectable so tests can count, slow or record them.
 	syncFile func(*os.File) error
 
 	syncs   atomic.Uint64 // fsync batches issued
@@ -228,25 +228,6 @@ func (w *gcwal) drain() {
 	}
 }
 
-// sync forces everything staged so far to stable storage regardless of
-// mode — the periodic durability point in WALSyncOS.
-func (w *gcwal) sync() error {
-	w.mu.Lock()
-	w.drain()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	f := w.f
-	w.mu.Unlock()
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	w.syncs.Add(1)
-	return nil
-}
-
 // rotate drains the current file, fsyncs it, and switches appends to a
 // new file with the next sequence number. The engine calls this only
 // while every mutator is excluded (all shard locks held), so no append
@@ -258,7 +239,7 @@ func (w *gcwal) rotate() (oldSeq, newSeq uint64, err error) {
 	if w.err != nil {
 		return 0, 0, w.err
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.syncFile(w.f); err != nil {
 		return 0, 0, err
 	}
 	nf, err := os.OpenFile(filepath.Join(w.dir, walFileName(w.seq+1)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -293,7 +274,7 @@ func (w *gcwal) close() error {
 		f.Close()
 		return err
 	}
-	if serr := f.Sync(); serr != nil {
+	if serr := w.syncFile(f); serr != nil {
 		f.Close()
 		return serr
 	}

@@ -11,10 +11,15 @@ import (
 
 // Per-ledger circuit breaker. A ledger that stops answering must not
 // hold a page hostage for a connection timeout per image: after
-// FailureThreshold consecutive upstream failures the breaker opens and
-// the proxy fails fast into its degradation policy. After Cooldown one
-// probe request is let through (half-open); a probe success closes the
-// breaker, a probe failure re-opens it for another cooldown.
+// breakerThreshold consecutive upstream failures the breaker opens and
+// the proxy fails fast into its degradation policy. After
+// breakerCooldown one probe request is let through (half-open); a probe
+// success closes the breaker, a probe failure re-opens it for another
+// cooldown.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
+)
 
 // ErrBreakerOpen is the fast-fail surfaced while a ledger's breaker is
 // open (or its half-open probe slot is taken).
@@ -25,23 +30,6 @@ var ErrBreakerOpen = errors.New("proxy: circuit breaker open")
 type BreakerConfig struct {
 	// Enabled turns the breakers on.
 	Enabled bool
-	// FailureThreshold is the consecutive-failure count that opens a
-	// closed breaker; 0 means 5.
-	FailureThreshold int
-	// Cooldown is how long an open breaker rejects before allowing a
-	// half-open probe; 0 means 5 seconds.
-	Cooldown time.Duration
-}
-
-// withDefaults fills zero fields.
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold == 0 {
-		c.FailureThreshold = 5
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 5 * time.Second
-	}
-	return c
 }
 
 // breakerState is the classic three-state machine.
@@ -70,7 +58,6 @@ func (s breakerState) String() string {
 // breaker is one ledger's circuit state.
 type breaker struct {
 	mu          sync.Mutex
-	cfg         BreakerConfig
 	state       breakerState
 	consecutive int       // consecutive failures while closed
 	until       time.Time // open → half-open transition time
@@ -112,7 +99,7 @@ func (b *breaker) record(ok bool, now time.Time) {
 			b.consecutive = 0
 		} else {
 			b.state = breakerOpen
-			b.until = now.Add(b.cfg.Cooldown)
+			b.until = now.Add(breakerCooldown)
 		}
 		return
 	}
@@ -121,9 +108,9 @@ func (b *breaker) record(ok bool, now time.Time) {
 		return
 	}
 	b.consecutive++
-	if b.state == breakerClosed && b.consecutive >= b.cfg.FailureThreshold {
+	if b.state == breakerClosed && b.consecutive >= breakerThreshold {
 		b.state = breakerOpen
-		b.until = now.Add(b.cfg.Cooldown)
+		b.until = now.Add(breakerCooldown)
 		b.consecutive = 0
 	}
 }
@@ -145,7 +132,7 @@ func (v *Validator) breakerFor(lid ids.LedgerID) *breaker {
 	defer v.brMu.Unlock()
 	b, ok := v.breakers[lid]
 	if !ok {
-		b = &breaker{cfg: v.cfg.Breaker.withDefaults()}
+		b = &breaker{}
 		v.breakers[lid] = b
 	}
 	return b

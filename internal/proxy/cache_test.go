@@ -474,7 +474,7 @@ func TestUndefinedStateIsNotCached(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			v, page, _, answers := resolveMix(t, Config{
 				CacheCapacity: 1024, CacheTTL: time.Minute, Clock: clock,
-				Degrade: DegradePolicy{Mode: mode, StaleTTL: time.Hour},
+				Degrade: DegradePolicy{Mode: mode},
 			}, 0)
 			bad := page[17]
 			if mode == DegradeFailOpenFresh {

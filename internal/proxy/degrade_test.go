@@ -35,7 +35,7 @@ func TestFailOpenFreshServesStaleWithinBound(t *testing.T) {
 	v := NewValidator(Config{
 		CacheCapacity: 16,
 		CacheTTL:      time.Minute,
-		Degrade:       DegradePolicy{Mode: DegradeFailOpenFresh, StaleTTL: time.Hour},
+		Degrade:       DegradePolicy{Mode: DegradeFailOpenFresh},
 		Clock:         clock,
 	}, fl.batch)
 	id := mustNewID(t, 1)
@@ -78,7 +78,7 @@ func TestFailOpenFreshStaleRequeriesOnRecovery(t *testing.T) {
 	v := NewValidator(Config{
 		CacheCapacity: 16,
 		CacheTTL:      time.Minute,
-		Degrade:       DegradePolicy{Mode: DegradeFailOpenFresh, StaleTTL: time.Hour},
+		Degrade:       DegradePolicy{Mode: DegradeFailOpenFresh},
 		Clock:         clock,
 	}, fl.batch)
 	id := mustNewID(t, 1)
@@ -105,16 +105,19 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 	fl := newFakeLedger()
 	fl.err = errors.New("ledger down")
 	v := NewValidator(Config{
-		Breaker: BreakerConfig{Enabled: true, FailureThreshold: 3, Cooldown: 5 * time.Second},
+		Breaker: BreakerConfig{Enabled: true},
 		Clock:   clock,
 	}, fl.batch)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
+		if got := v.BreakerState(1); got != "closed" {
+			t.Fatalf("after %d failures breaker is %q, want closed", i, got)
+		}
 		if _, err := v.Validate(mustNewID(t, 1)); err == nil {
 			t.Fatal("down ledger validated")
 		}
 	}
 	if got := v.BreakerState(1); got != "open" {
-		t.Fatalf("after %d failures breaker is %q, want open", 3, got)
+		t.Fatalf("after %d failures breaker is %q, want open", breakerThreshold, got)
 	}
 	before := fl.queries
 	_, err := v.Validate(mustNewID(t, 1))
@@ -138,12 +141,12 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	fl := newFakeLedger()
 	fl.err = errors.New("ledger down")
 	v := NewValidator(Config{
-		Breaker: BreakerConfig{Enabled: true, FailureThreshold: 2, Cooldown: 5 * time.Second},
+		Breaker: BreakerConfig{Enabled: true},
 		Clock:   clock,
 	}, fl.batch)
 	id := mustNewID(t, 1)
 	fl.states[id] = ledger.StateActive
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		_, _ = v.Validate(id)
 	}
 	if got := v.BreakerState(1); got != "open" {
@@ -184,14 +187,14 @@ func TestBreakerBatchFastFail(t *testing.T) {
 	calls := 0
 	v := NewValidator(Config{
 		CacheCapacity: 16,
-		Breaker:       BreakerConfig{Enabled: true, FailureThreshold: 2, Cooldown: 5 * time.Second},
+		Breaker:       BreakerConfig{Enabled: true},
 		Clock:         clock,
 	}, func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		calls++
 		return nil, down
 	})
 	batch := []ids.PhotoID{mustNewID(t, 1), mustNewID(t, 1)}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, err := v.ValidateBatch(batch); err == nil {
 			t.Fatal("down ledger batch validated")
 		}
@@ -223,7 +226,7 @@ func TestBreakerHalfOpenConcurrentAdmission(t *testing.T) {
 	release := make(chan struct{})
 	v := NewValidator(Config{
 		CacheCapacity: 64,
-		Breaker:       BreakerConfig{Enabled: true, FailureThreshold: 2, Cooldown: 5 * time.Second},
+		Breaker:       BreakerConfig{Enabled: true},
 		Clock:         clock,
 	}, func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		if down.Load() {
@@ -244,7 +247,7 @@ func TestBreakerHalfOpenConcurrentAdmission(t *testing.T) {
 		pages[w] = []ids.PhotoID{mustNewID(t, 1), mustNewID(t, 1)}
 	}
 	down.Store(true)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, err := v.ValidateBatch(pages[0]); err == nil {
 			t.Fatal("down ledger batch validated")
 		}
@@ -318,7 +321,7 @@ func TestFailOpenFreshBatchMixesStaleAndLive(t *testing.T) {
 	v := NewValidator(Config{
 		CacheCapacity: 16,
 		CacheTTL:      time.Minute,
-		Degrade:       DegradePolicy{Mode: DegradeFailOpenFresh, StaleTTL: time.Hour},
+		Degrade:       DegradePolicy{Mode: DegradeFailOpenFresh},
 		Clock:         clock,
 	}, func(lid ids.LedgerID, batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		if downLedgers[lid] {

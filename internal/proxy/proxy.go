@@ -106,7 +106,7 @@ const (
 	// behavior.
 	DegradeFailClosed DegradeMode = iota
 	// DegradeFailOpenFresh serves the most recent expired cached proof,
-	// provided it is within StaleTTL of expiry; photos with no
+	// provided it is within staleTTL of expiry; photos with no
 	// recent-enough proof still fail closed. This is the paper's
 	// availability stance (§4.4): revocation propagation is already
 	// bounded by a TTL, so an outage stretches that bound rather than
@@ -126,14 +126,14 @@ func (m DegradeMode) String() string {
 	}
 }
 
+// staleTTL is how long past expiry a cached proof may still be served
+// under DegradeFailOpenFresh. The revocation-propagation bound during
+// an outage is CacheTTL + staleTTL.
+const staleTTL = time.Hour
+
 // DegradePolicy bounds how far the proxy degrades during an outage.
 type DegradePolicy struct {
 	Mode DegradeMode
-	// StaleTTL is how long past expiry a cached proof may still be
-	// served under FailOpenFresh; 0 means 1 hour. The effective
-	// revocation-propagation bound during an outage is CacheTTL +
-	// StaleTTL.
-	StaleTTL time.Duration
 }
 
 // Config parameterizes a Validator.
@@ -276,10 +276,7 @@ func NewValidator(cfg Config, query BatchQueryFunc) *Validator {
 	}
 	stale := time.Duration(0)
 	if cfg.Degrade.Mode == DegradeFailOpenFresh {
-		if cfg.Degrade.StaleTTL == 0 {
-			cfg.Degrade.StaleTTL = time.Hour
-		}
-		stale = cfg.Degrade.StaleTTL
+		stale = staleTTL
 	}
 	n := normalizeStripes(cfg.Stripes)
 	reg := cfg.Obs

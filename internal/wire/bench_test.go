@@ -1,10 +1,18 @@
 package wire
 
 import (
+	"context"
+	"crypto/ed25519"
 	"encoding/json"
+	"math/rand"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"irs/internal/bloom"
 	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/tsa"
@@ -176,4 +184,120 @@ func BenchmarkValidateBatchRoundtrip(b *testing.B) {
 			PutBuf(bp)
 		}
 	})
+}
+
+// countingConn counts the bytes a connection moves both ways.
+type countingConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// BenchmarkFilterSyncServed is one filter pull of a holder (a
+// bloom.Window, as in a proxy) through Client and Server over loopback
+// HTTP, against a ledger of 10,000 revoked ids on a frozen clock.
+// "current": the holder already has the newest epoch, the steady state
+// of a proxy polling an idle ledger. "stale": one id changed since the
+// newest epoch and the clock moved past the epoch gap, so the pull
+// publishes the next epoch and carries its delta. Beside ns/op it
+// reports the wire bytes of a pull (request and answer, headers
+// included) and allocations, client and server together.
+func BenchmarkFilterSyncServed(b *testing.B) {
+	for _, stale := range []bool{false, true} {
+		name := "current"
+		if stale {
+			name = "stale"
+		}
+		b.Run(name, func(b *testing.B) {
+			var now atomic.Int64
+			now.Store(time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC).UnixNano())
+			l, err := ledger.New(ledger.Config{ID: 7, Clock: func() time.Time { return time.Unix(0, now.Load()) }})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			recs := benchRecords(b, 7, 10000)
+			if err := l.RestoreRecords(recs); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := l.BuildSnapshot(); err != nil {
+				b.Fatal(err)
+			}
+			srv := httptest.NewServer(NewServer(l, ""))
+			defer srv.Close()
+			var moved atomic.Int64
+			tr := NewTransport()
+			dial := tr.DialContext
+			tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+				c, err := dial(ctx, network, addr)
+				if err != nil {
+					return nil, err
+				}
+				return countingConn{c, &moved}, nil
+			}
+			c := NewClientOpts(srv.URL, "", ClientOptions{HTTPClient: &http.Client{Transport: tr}})
+			holder := bloom.NewWindow(bloom.RelayHistory)
+			if _, _, err := holder.Pull(c.FilterSync); err != nil {
+				b.Fatal(err)
+			}
+			moved.Store(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if stale {
+					b.StopTimer()
+					rec := &recs[i%len(recs)]
+					rec.State, rec.OpSeq = ledger.StateActive, rec.OpSeq+1
+					if i/len(recs)%2 == 1 {
+						rec.State = ledger.StateRevoked
+					}
+					if err := l.RestoreRecords(recs[i%len(recs) : i%len(recs)+1]); err != nil {
+						b.Fatal(err)
+					}
+					now.Add(int64(time.Second))
+					b.StartTimer()
+				}
+				changed, _, err := holder.Pull(c.FilterSync)
+				if err != nil || changed != stale {
+					b.Fatalf("pull %d: changed %v, err %v", i, changed, err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(moved.Load())/float64(b.N), "B/pull")
+		})
+	}
+}
+
+// benchRecords builds n revoked records of ledger lid that
+// RestoreRecords accepts; their keys and signatures are random bytes.
+func benchRecords(b *testing.B, lid ids.LedgerID, n int) []ledger.Record {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]ledger.Record, n)
+	for i := range recs {
+		id, err := ids.NewFrom(lid, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := &recs[i]
+		r.ID, r.State = id, ledger.StateRevoked
+		r.PubKey = make([]byte, ed25519.PublicKeySize)
+		r.HashSig = make([]byte, ed25519.SignatureSize)
+		rng.Read(r.PubKey)
+		rng.Read(r.HashSig)
+		rng.Read(r.ContentHash[:])
+		r.Timestamp = &tsa.Token{Serial: uint64(i + 1), Time: time.Unix(1700000000, 0).UTC(), Digest: r.ContentHash, Sig: make([]byte, ed25519.SignatureSize)}
+	}
+	return recs
 }

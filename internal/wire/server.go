@@ -427,6 +427,12 @@ func (s *Server) handleFilterSync(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		baseHash = nil
 	}
+	// A pull, not a timer, decides when the next epoch is built: a
+	// stale newest epoch is published before the answer.
+	if err := s.ledger.PublishIfStale(); err != nil {
+		WriteError(w, statusFor(err), err.Error())
+		return
+	}
 	payload, latest, err := s.ledger.FilterSync(from, baseHash)
 	if err != nil {
 		WriteError(w, statusFor(err), err.Error())

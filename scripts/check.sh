@@ -160,8 +160,10 @@ stage phash
 # without its key file refused) and the timestamp authority resuming;
 # retired segments unmapped once their readers are done, and the
 # Apply/StatusBatch/Record hammer across compactions. The restart test
-# hears an appeal on a pre-restart token.
-go test -race -run 'GroupCommit|WALSyncOS|Crash|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer|OverlayKeepsSealedClaimsOffTheHeap|FormatV1DirectoryRefused|HostileClaimFramesRefused|RestoreRecordsRefusesMalformed|DecodedRecordVerifies|IdentitySurvivesReopen|RetiredSegmentsUnmapped|SealedReadsAcrossCompactionsHammer' \
+# hears an appeal on a pre-restart token. A crash that keeps only what
+# the WAL fsynced loses no acknowledged op under the default
+# WALSyncBatch and loses some under WALSyncOS.
+go test -race -run 'GroupCommit|WALSyncOS|Crash|CrashDropsUnsyncedBytes|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer|OverlayKeepsSealedClaimsOffTheHeap|FormatV1DirectoryRefused|HostileClaimFramesRefused|RestoreRecordsRefusesMalformed|DecodedRecordVerifies|IdentitySurvivesReopen|RetiredSegmentsUnmapped|SealedReadsAcrossCompactionsHammer' \
     ./internal/ledger
 go test -race -run 'PersistentLedgerSurvivesRestart|NewFromKeyResumes' ./internal/integration ./internal/tsa
 stage "storage engine"
@@ -202,8 +204,13 @@ stage "ledger fuzz"
 # saturating shadow counters), the proxy's single-flight refresh (16
 # concurrent POST /v1/refresh cost one FilterSync per ledger, a held
 # epoch never steps back, chained or not), and the browser layer
-# pulling from its proxy alone — all under the race detector.
+# pulling from its proxy alone — all under the race detector. A served
+# sync publishes a stale epoch first, on a frozen clock: not within the
+# epoch gap, not with nothing changed, and once for racing pulls, ten
+# times over.
 go test -race ./internal/topology
+go test -race -count=10 -run 'PublishIfStaleRule|PublishIfStaleRacingPullsPublishOnce|ServedSyncPublishesStaleEpoch' \
+    ./internal/ledger ./internal/core
 go test -race -run 'FilterSync|DeltaV2|UpdateCrossover|ApplyUpdate|WindowInstallDropsRenumberedEpochs|PullFallsBackToColdSync|BuildSnapshotConcurrentEpochsIncrease|IncrementalEpochsMatchFullBuild|IncrementalEpochsSaturationFallback|RefreshFiltersSurvivesFilterRebuild|RefreshFiltersDetectsBaseMismatch|RefreshEndpointSingleFlight|RefreshFiltersEpochNeverDecreases|RestoreRecordsClearsRevokedIndex|CacheStaleBoundary|FilterPropagation|FilterPullErrors|FilterBaseMismatchFallback|FilterUpstreamRestartRenumbers|ValidatorChainMatchesDirect|BrowserFilterPullsFromProxy' \
     ./internal/bloom ./internal/ledger ./internal/wire ./internal/proxy ./internal/core
 stage "filter plane"
@@ -315,11 +322,12 @@ go test -run='^$' -fuzz=FuzzWireFrameDecode -fuzztime=10s ./internal/wire
 stage "wire fuzz"
 
 # The serving-path (filter-positive batches included), write-path,
-# filter-epoch (10^6 revoked ids), derivative-lookup and obs on/off
-# benchmarks compile and run once each; nothing is timed here —
+# filter-epoch (10^6 revoked ids), served filter pull, derivative-lookup
+# and obs on/off benchmarks compile and run once each; nothing is timed here —
 # `bash bench/run.sh` is where numbers come from.
 go test -run='^$' -bench='Serving|StatusBatchFilterPositive|RestoreFlush|Compact$|BuildSnapshotScale' -benchtime=1x ./internal/ledger ./internal/proxy
 go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
+go test -run='^$' -bench='FilterSyncServed' -benchtime=1x ./internal/wire
 stage "benchmarks once"
 
 # Zero-alloc guard: the vectorized 8×8 DCT, the perceptual hashes (one
