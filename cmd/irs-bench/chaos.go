@@ -188,14 +188,13 @@ func runChaosOnce(cfg chaosConfig, backend *serveLedger, spec chaosSpec, truth m
 	// the recovery phase.
 	now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
 	cacheTTL := time.Minute
-	// A fresh registry and tracer per run, both on the phase clock: the
-	// validator's latency histograms observe zero-width intervals (the
-	// clock only advances at barriers), so two same-seed runs produce
-	// snapshots that differ only where scheduling legitimately leaks in
-	// (see chaosArm.MetricsStable).
+	// A fresh registry per run, on the phase clock: the validator's
+	// latency histograms observe zero-width intervals (the clock only
+	// advances at barriers), so two same-seed runs produce snapshots
+	// that differ only where scheduling legitimately leaks in (see
+	// chaosArm.MetricsStable).
 	reg := obs.NewRegistry()
 	clock := func() time.Time { return now }
-	tracer := obs.NewTracer(4*cfg.Workers, clock)
 	v := proxy.NewValidator(proxy.Config{
 		CacheCapacity: cfg.IDs * 2,
 		CacheTTL:      cacheTTL,
@@ -203,7 +202,6 @@ func runChaosOnce(cfg chaosConfig, backend *serveLedger, spec chaosSpec, truth m
 		Breaker:       proxy.BreakerConfig{Enabled: spec.breaker},
 		Clock:         clock,
 		Obs:           reg,
-		Tracer:        tracer,
 	}, func(_ ids.LedgerID, page []ids.PhotoID) ([]*ledger.StatusProof, error) {
 		return svc.StatusBatch(page)
 	})

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"maps"
 	"os"
 	"time"
 
@@ -51,17 +50,7 @@ func main() {
 	if err := sys.RefreshFilters(); err != nil {
 		log.Printf("irs-proxy: initial filter refresh: %v (continuing; filters refresh every %v)", err, core.FilterRefreshPeriod)
 	}
-	go func() {
-		held := sys.FilterEpochs()
-		for range time.Tick(core.FilterRefreshPeriod) {
-			if err := sys.RefreshFilters(); err != nil {
-				log.Printf("irs-proxy: filter refresh: %v", err)
-			} else if now := sys.FilterEpochs(); !maps.Equal(now, held) {
-				log.Printf("irs-proxy: filter epochs %v", now)
-				held = now
-			}
-		}
-	}()
+	go sys.PullFilters("irs-proxy")
 	log.Printf("irs-proxy: serving on %s for %d ledgers", *addr, len(ledgers))
 	if err := core.Serve(*addr, sys.Proxy()); err != nil {
 		log.Fatalf("irs-proxy: %v", err)

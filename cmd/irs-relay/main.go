@@ -20,10 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"maps"
 	"net/http"
 	"os"
-	"time"
 
 	"irs/internal/core"
 	"irs/internal/proxy"
@@ -58,17 +56,7 @@ func main() {
 		if err := sys.RefreshFilters(); err != nil {
 			log.Printf("irs-relay: initial filter refresh: %v (continuing)", err)
 		}
-		go func() {
-			held := sys.FilterEpochs()
-			for range time.Tick(core.FilterRefreshPeriod) {
-				if err := sys.RefreshFilters(); err != nil {
-					log.Printf("irs-relay: filter refresh: %v", err)
-				} else if now := sys.FilterEpochs(); !maps.Equal(now, held) {
-					log.Printf("irs-relay: filter epochs %v", now)
-					held = now
-				}
-			}
-		}()
+		go sys.PullFilters("irs-relay")
 		eg, err := relay.NewEgress(sys.Proxy().Validator().Resolve)
 		if err != nil {
 			log.Fatalf("irs-relay: %v", err)

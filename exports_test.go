@@ -23,15 +23,14 @@ import (
 // "pkg.Type.Method" or "pkg.Struct.Field"; every value is the reason.
 var callerAllowlist = map[string]string{
 	// Reference or oracle code the tests compare against.
-	"dct.Forward1D":             "reference: the textbook DCT-II the 8×8 kernels are held to",
-	"dct.Inverse1D":             "reference: the textbook DCT-III the 8×8 kernels are held to",
-	"bloom.DeltaWithBase":       "reference: merged window deltas must equal it byte for byte",
-	"netsim.Faulty.TraceString": "reference: same-seed chaos runs must render identical traces",
-	"phash.Band":                "reference: the band layout the keyed band mixer is checked against",
-	"phash.AHash":               "reference: the fused NewSignature must equal the three hashes computed alone",
-	"phash.DHash":               "reference: the fused NewSignature must equal the three hashes computed alone",
-	"phash.PHash":               "reference: the fused NewSignature must equal the three hashes computed alone",
-	"ledger.Config.Shards":      "reference: Shards = 1 is the single-lock store the sharded one is held to (crash and equivalence tests at 1, 8 and 32)",
+	"dct.Forward1D":        "reference: the textbook DCT-II the 8×8 kernels are held to",
+	"dct.Inverse1D":        "reference: the textbook DCT-III the 8×8 kernels are held to",
+	"bloom.DeltaWithBase":  "reference: merged window deltas must equal it byte for byte",
+	"phash.Band":           "reference: the band layout the keyed band mixer is checked against",
+	"phash.AHash":          "reference: the fused NewSignature must equal the three hashes computed alone",
+	"phash.DHash":          "reference: the fused NewSignature must equal the three hashes computed alone",
+	"phash.PHash":          "reference: the fused NewSignature must equal the three hashes computed alone",
+	"ledger.Config.Shards": "reference: Shards = 1 is the single-lock store the sharded one is held to (crash and equivalence tests at 1, 8 and 32)",
 
 	// Test fixtures.
 	"photo.SynthRGB":             "test fixture: colour images for the codec and hash tests",
@@ -41,17 +40,7 @@ var callerAllowlist = map[string]string{
 	"photo.Image.Equal":          "test fixture: the photo and watermark tests compare images with it",
 
 	// Named ROADMAP items.
-	"core.Spec.BrowserFilter":         "ROADMAP item 16: deploys §4.4's browser-resident filter",
-	"obs.Tracer.DumpString":           "ROADMAP item 10: trace dumps on a debug route",
-	"topology.Replica.AppliedSeq":     "ROADMAP item 15: replica lag in the topology report",
-	"topology.Origin.Claim":           "ROADMAP item 15: replaces Origin, which irs-bench -topology feeds through Restore only",
-	"topology.Origin.Apply":           "ROADMAP item 15: replaces Origin, which irs-bench -topology feeds through Restore only",
-	"topology.Origin.PermanentRevoke": "ROADMAP item 15: replaces Origin, which irs-bench -topology feeds through Restore only",
-	"topology.Origin.Seq":             "ROADMAP item 15: replaces Origin, which irs-bench -topology feeds through Restore only",
-	"netsim.FaultConfig.SpikeProb":    "ROADMAP item 2: latency spikes in the chaos schedule",
-	"netsim.FaultConfig.Spike":        "ROADMAP item 2: latency spikes in the chaos schedule",
-	"netsim.FaultConfig.FailLatency":  "ROADMAP item 2: timeout-shaped failures in the chaos schedule",
-	"netsim.FaultConfig.Outages":      "ROADMAP item 2: scheduled outages in the chaos schedule",
+	"core.Spec.BrowserFilter": "ROADMAP item 16: deploys §4.4's browser-resident filter",
 
 	// Test accessors.
 	"proxy.Validator.BreakerState": "test accessor: breaker transitions",

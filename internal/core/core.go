@@ -348,9 +348,25 @@ func (s *System) RefreshFilters() error {
 	return nil
 }
 
-// FilterEpochs is the filter epoch the proxy holds per ledger of the
+// PullFilters runs RefreshFilters every FilterRefreshPeriod for the
+// life of the process, logging under name a failed pull and each change
+// of the epochs the proxy holds. A deployed filter holder starts it
+// after its first refresh.
+func (s *System) PullFilters(name string) {
+	held := s.filterEpochs()
+	for range time.Tick(FilterRefreshPeriod) {
+		if err := s.RefreshFilters(); err != nil {
+			log.Printf("%s: filter refresh: %v", name, err)
+		} else if now := s.filterEpochs(); !maps.Equal(now, held) {
+			log.Printf("%s: filter epochs %v", name, now)
+			held = now
+		}
+	}
+}
+
+// filterEpochs is the filter epoch the proxy holds per ledger of the
 // directory, 0 for none.
-func (s *System) FilterEpochs() map[ids.LedgerID]uint64 {
+func (s *System) filterEpochs() map[ids.LedgerID]uint64 {
 	epochs := make(map[ids.LedgerID]uint64)
 	for lid := range s.directory.All() {
 		epochs[lid] = s.proxy.Validator().Epoch(lid)

@@ -1,6 +1,6 @@
 // Package obs is the IRS observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, and fixed-bucket latency
-// histograms) plus a lightweight per-request trace-span API.
+// histograms).
 //
 // Design constraints, in order:
 //
@@ -15,11 +15,10 @@
 //     production system, and a metrics dependency would be the first
 //     external one.
 //   - Deterministic under test. Snapshots and the Prometheus text are
-//     emitted in sorted series order, and every time-dependent piece
-//     (histogram observations made through an injected clock, trace
-//     spans through the Tracer's clock) is a pure function of that
-//     clock — the chaos harness replays a seeded run twice and
-//     byte-compares the rendered registry.
+//     emitted in sorted series order, and the one time-dependent piece,
+//     a histogram observation made through an injected clock, is a pure
+//     function of that clock — the chaos harness replays a seeded run
+//     twice and byte-compares the rendered registry.
 package obs
 
 import (

@@ -171,10 +171,6 @@ type Config struct {
 	// pre-obs Stats struct did; set it to share series with the wire
 	// server's /debug/metrics and to collect per-outcome latency.
 	Obs *obs.Registry
-	// Tracer, when non-nil, records per-request stage spans
-	// (scan → upstream → finalize). nil disables tracing with
-	// no hot-path branches beyond the nil-receiver checks.
-	Tracer *obs.Tracer
 }
 
 // defaultStripes matches a modest serving proxy: enough stripes that
@@ -217,7 +213,6 @@ type Validator struct {
 	setMu sync.Mutex
 
 	obsReg *obs.Registry
-	tracer *obs.Tracer
 	st     stats
 
 	// sf stripes the singleflight table by identifier hash.
@@ -288,7 +283,6 @@ func NewValidator(cfg Config, query BatchQueryFunc) *Validator {
 		query:    query,
 		cache:    newCache(cfg.CacheCapacity, cfg.CacheTTL, stale, cfg.Clock, cfg.Stripes),
 		obsReg:   reg,
-		tracer:   cfg.Tracer,
 		st:       newStats(reg, cfg.Obs != nil, cfg.Clock),
 		sf:       make([]sfStripe, n),
 		sfMask:   uint64(n - 1),
@@ -440,9 +434,6 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 	n := len(batch)
 	results := make([]Result, n)
 	start := v.st.begin()
-	tr := v.tracer.Start("validate_batch")
-	defer tr.End()
-	tr.Stage("scan")
 	// The must-query bookkeeping is one flat array, taken from the
 	// validator's free list at the first identifier neither filter nor
 	// cache answers and handed back on return. The occurrences of unique
@@ -496,16 +487,13 @@ func (v *Validator) ValidateBatch(batch []ids.PhotoID) ([]Result, error) {
 		table[h] = int32(len(queryIDs))
 		first, last = append(first, int32(i)), append(last, int32(i))
 	}
-	tr.Notef("n=%d uniq=%d", len(batch), len(queryIDs))
 	if len(queryIDs) == 0 {
 		return results, nil
 	}
-	tr.Stage("upstream")
 	answers := make([]answer, len(queryIDs))
 	// The scan is done with last and table: they become resolveBatch's
 	// scratch (table has at least 2·len(queryIDs) slots).
 	v.resolveBatch(queryIDs, answers, last, table[:len(queryIDs)+1], sub, &kept)
-	tr.Stage("finalize")
 	var firstErr error
 	for j, a := range answers {
 		if a.err != nil {

@@ -13,15 +13,14 @@ import (
 	"irs/internal/obs"
 )
 
-// The record plane: the origin serves every write and appends the
+// The record plane: the origin takes every write and appends the
 // resulting record to an ordered replication log; replicas tail the log
-// with RestoreRecords (the bulk-ingest path that skips re-verifying
-// owner signatures the origin already checked) and serve StatusBatch
-// reads. Signed checkpoints — the origin's canonical StateHash at a log
-// position, under a dedicated replication keypair — are the anti-entropy
-// gate: a replica is only Ready while its own StateHash matches the
-// last verified checkpoint, and a mismatch forces a full resync from
-// the log head.
+// with RestoreRecords (the bulk-ingest path, which does not re-verify
+// owner signatures) and serve StatusBatch reads. Signed checkpoints —
+// the origin's canonical StateHash at a log position, under a dedicated
+// replication keypair — are the anti-entropy gate: a replica is only
+// Ready while its own StateHash matches the last verified checkpoint,
+// and a mismatch forces a full resync from the log head.
 
 // Entry is one replicated mutation: the full record as of log position
 // Seq. Replaying entries in order converges on the origin's state
@@ -57,9 +56,10 @@ func (cp *Checkpoint) Verify(key ed25519.PublicKey) bool {
 	return ed25519.Verify(key, checkpointMessage(cp.Seq, cp.State), cp.Sig)
 }
 
-// Origin wraps the authoritative ledger with the replication log. All
-// writes in a topology go through Origin so every accepted mutation is
-// logged; reads can go anywhere (the point of the replicas).
+// Origin wraps the authoritative ledger with the replication log.
+// Writes reach the log through Restore, which loads pre-formed records
+// into the ledger and logs each; reads can go anywhere (the point of
+// the replicas).
 type Origin struct {
 	L *ledger.Ledger
 
@@ -97,39 +97,9 @@ func (o *Origin) appendLocked(id ids.PhotoID) error {
 	return nil
 }
 
-// Claim registers a photo at the origin and logs the accepted record.
-func (o *Origin) Claim(contentHash [32]byte, pub ed25519.PublicKey, hashSig []byte, revokedAtBirth bool) (ledger.Receipt, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	r, err := o.L.Claim(contentHash, pub, hashSig, revokedAtBirth)
-	if err != nil {
-		return r, err
-	}
-	return r, o.appendLocked(r.ID)
-}
-
-// Apply performs an owner operation at the origin and logs the result.
-func (o *Origin) Apply(id ids.PhotoID, op ledger.Op, sig []byte) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err := o.L.Apply(id, op, sig); err != nil {
-		return err
-	}
-	return o.appendLocked(id)
-}
-
-// PermanentRevoke applies the appeals outcome at the origin and logs it.
-func (o *Origin) PermanentRevoke(id ids.PhotoID) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err := o.L.PermanentRevoke(id); err != nil {
-		return err
-	}
-	return o.appendLocked(id)
-}
-
-// Restore bulk-loads pre-formed records (the bench population path) and
-// logs them for replication.
+// Restore bulk-loads pre-formed records and logs them for replication:
+// a record the ledger already holds is replaced by the restored version,
+// so a revocation is the same record restored again as revoked.
 func (o *Origin) Restore(recs []ledger.Record) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -142,13 +112,6 @@ func (o *Origin) Restore(recs []ledger.Record) error {
 		}
 	}
 	return nil
-}
-
-// Seq returns the current log position.
-func (o *Origin) Seq() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return uint64(len(o.entries))
 }
 
 // EntriesSince returns a copy of the log entries with Seq > after.
@@ -211,13 +174,6 @@ func NewReplica(id ids.LedgerID, verifyKey ed25519.PublicKey, reg *obs.Registry)
 		return nil, err
 	}
 	return &Replica{L: l, verifyKey: verifyKey, m: newReplicaMetrics(reg, "regional"), newLedger: mk}, nil
-}
-
-// AppliedSeq returns the log position the replica has ingested through.
-func (r *Replica) AppliedSeq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applied
 }
 
 // Ready reports whether the last CatchUp ended with the replica's

@@ -20,7 +20,7 @@ import (
 // jitter), a down ledger cannot consume unbounded work (per-attempt
 // deadline plus a retry budget shared across calls), and a
 // non-idempotent verb is never replayed after it may have reached the
-// server — Status/StatusBatch/Seq/Keys/Filter/FilterSync retry on any
+// server — Status/StatusBatch/Seq/Keys/FilterSync retry on any
 // transport failure, Claim/Apply/PermanentRevoke retry only on
 // pre-send failures (dial class), where the request provably never
 // left the client.
