@@ -213,23 +213,30 @@ func New(cfg Config, dir *wire.Directory) (*Aggregator, error) {
 // to the deny path (partial label) rather than a compute sink.
 const fullSearchPixelBudget = 512 * 512
 
-// extractLabel reads both label halves, preferring the cheap aligned
-// watermark pass and falling back to the full geometric search — over
-// the same luma plane — for images within the compute budget.
-func (a *Aggregator) extractLabel(im *photo.Image) (metaID, wmID ids.PhotoID, metaOK, wmOK bool) {
+// metaLabel reads the label's metadata half: a map lookup and a parse,
+// cheap enough to run before the pixels are looked at.
+func metaLabel(im *photo.Image) (ids.PhotoID, bool) {
 	if s := im.Meta.Get(photo.KeyIRSID); s != "" {
 		if id, err := ids.Parse(s); err == nil {
-			metaID, metaOK = id, true
+			return id, true
 		}
 	}
+	return ids.PhotoID{}, false
+}
+
+// watermarkLabel reads the label's watermark half, preferring the cheap
+// aligned pass and falling back to the full geometric search — over the
+// same luma plane — for images within the compute budget.
+func watermarkLabel(im *photo.Image) (ids.PhotoID, bool) {
 	extract := watermark.ExtractAligned
 	if im.W*im.H <= fullSearchPixelBudget {
 		extract = watermark.ExtractFallback
 	}
-	if res, err := extract(im, watermark.DefaultConfig()); err == nil {
-		wmID, wmOK = ids.FromBytes(res.Payload), true
+	res, err := extract(im, watermark.DefaultConfig())
+	if err != nil {
+		return ids.PhotoID{}, false
 	}
-	return
+	return ids.FromBytes(res.Payload), true
 }
 
 func (a *Aggregator) deny(reason DenyReason) UploadResult {
@@ -242,9 +249,10 @@ func (a *Aggregator) deny(reason DenyReason) UploadResult {
 // Upload runs the §3.2 pipeline on an uploaded image: the stateless
 // prepare half (label extraction, provenance check — see the paper
 // note below — signature), the status read, and the stateful commit
-// half. UploadAll runs the same three steps over an album, prepare
-// fanned out across the parallel pool and one StatusBatch per ledger,
-// so single and album uploads share one decision path.
+// half. UploadAll runs the same steps over an album: prepare's two
+// stages fanned out across the parallel pool, and one StatusBatch per
+// ledger sent after the first and answered while the second runs, so
+// single and album uploads share one decision path.
 //
 // A provenance manifest, when present, must verify and must agree with
 // the label (§2: IRS "can benefit from the adoption of the C2PA

@@ -3,10 +3,13 @@ package aggregator
 import (
 	"bytes"
 	"context"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"irs/internal/camera"
+	"irs/internal/ids"
 	"irs/internal/ledger"
 	"irs/internal/parallel"
 	"irs/internal/photo"
@@ -46,11 +49,70 @@ func benchFixture(b *testing.B, n int) (*rig, []UploadItem) {
 	return r, items
 }
 
-func benchAgg(b *testing.B, r *rig) *Aggregator {
+// mixedAlbum builds a 40-item album in upload_ingest's proportions: 60 %
+// labeled active, 15 % derivatives of an earlier active item with the
+// label kept, 15 % unlabeled, 5 % revoked, and one item each with a
+// mismatched metadata label and a malformed container. Under
+// CustodialClaim it hosts the active, derivative and unlabeled items,
+// the last after a full watermark search and a claim.
+func mixedAlbum(b *testing.B, r *rig) (items []UploadItem, accepts int) {
+	b.Helper()
+	kinds := []byte(strings.Repeat("A", 24) + strings.Repeat("D", 6) + strings.Repeat("U", 6) + "RRMX")
+	rng := rand.New(rand.NewSource(40))
+	// Item 0 stays active, so every derivative has an earlier source.
+	rest := kinds[1:]
+	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	var actives []*photo.Image
+	for i, k := range kinds {
+		var im *photo.Image
+		var err error
+		seed := int64(5000 + i)
+		switch k {
+		case 'A', 'R', 'M':
+			var owned *camera.Owned
+			im, owned, err = r.cam.ClaimAndLabel(r.cam.Shoot(seed, 192, 128))
+			if err != nil {
+				b.Fatal(err)
+			}
+			switch k {
+			case 'A':
+				actives = append(actives, im)
+			case 'R':
+				err = r.cam.Revoke(owned.ID)
+			case 'M':
+				var other ids.PhotoID
+				if other, err = ids.New(1); err == nil {
+					im.Meta.Set(photo.KeyIRSID, other.String())
+				}
+			}
+		case 'D':
+			im = photo.CompressJPEGLike(actives[rng.Intn(len(actives))], 90)
+		case 'U':
+			im = photo.Synth(seed, 192, 128)
+		case 'X':
+			items = append(items, UploadItem{Raw: []byte("corrupt frame")})
+			continue
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := photo.EncodeIRSP(&buf, im); err != nil {
+			b.Fatal(err)
+		}
+		items = append(items, UploadItem{Raw: buf.Bytes()})
+		if k == 'A' || k == 'D' || k == 'U' {
+			accepts++
+		}
+	}
+	return items, accepts
+}
+
+func benchAgg(b *testing.B, r *rig, policy UnlabeledPolicy) *Aggregator {
 	b.Helper()
 	agg, err := New(Config{
 		Name:               "bench",
-		Unlabeled:          RejectUnlabeled,
+		Unlabeled:          policy,
 		CustodialLedger:    &wire.Loopback{L: r.custLedger},
 		CustodialLedgerURL: "local://2",
 		RecheckInterval:    time.Hour,
@@ -64,7 +126,10 @@ func benchAgg(b *testing.B, r *rig) *Aggregator {
 // BenchmarkUploadPipeline measures end-to-end ingest (decode, label
 // extraction, signature, status, commit) through UploadAll. Each
 // iteration gets a fresh aggregator so the hash DB and hosting state
-// don't accumulate across iterations.
+// don't accumulate across iterations. The workersN arms upload 16
+// labeled-active items, which need neither the full watermark search
+// nor a claim; the mixed arm uploads mixedAlbum under CustodialClaim
+// at the default pool width, which follows -cpu.
 func BenchmarkUploadPipeline(b *testing.B) {
 	const batch = 16
 	r, items := benchFixture(b, batch)
@@ -73,7 +138,7 @@ func BenchmarkUploadPipeline(b *testing.B) {
 			defer parallel.SetWorkers(parallel.SetWorkers(workers))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				agg := benchAgg(b, r)
+				agg := benchAgg(b, r, RejectUnlabeled)
 				results := agg.UploadAll(context.Background(), items)
 				for _, res := range results {
 					if res.Err != nil || !res.Result.Accepted {
@@ -84,6 +149,23 @@ func BenchmarkUploadPipeline(b *testing.B) {
 			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "images/sec")
 		})
 	}
+	mixed, accepts := mixedAlbum(b, r)
+	b.Run("mixed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			agg := benchAgg(b, r, CustodialClaim)
+			n := 0
+			for _, res := range agg.UploadAll(context.Background(), mixed) {
+				if res.Err == nil && res.Result.Accepted {
+					n++
+				}
+			}
+			if n != accepts {
+				b.Fatalf("%d of %d items accepted, want %d", n, len(mixed), accepts)
+			}
+		}
+		b.ReportMetric(float64(len(mixed))*float64(b.N)/b.Elapsed().Seconds(), "images/sec")
+	})
 }
 
 // BenchmarkUploadSerial is the reference arm for BenchmarkUploadPipeline.
@@ -93,7 +175,7 @@ func BenchmarkUploadSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg := benchAgg(b, r)
+		agg := benchAgg(b, r, RejectUnlabeled)
 		for _, it := range items {
 			im, err := photo.DecodeIRSP(bytes.NewReader(it.Raw))
 			if err != nil {

@@ -12,22 +12,32 @@
 //
 // Between them sits the ledger status read, the one step whose latency
 // the aggregator does not control: it crosses the network, and what it
-// costs is the round trip, not the lookup. So an album is ingested in
-// three steps, the §3.2 label check, ledger query, and host-or-deny:
+// costs is the round trip, not the lookup. It needs only the label's
+// metadata half, which the cheap start of the expensive half reads, and
+// nothing before commit needs its answer; so an album is ingested in
+// three overlapping steps, the §3.2 label check, ledger query, and
+// host-or-deny:
 //
-//  1. prepare runs on every item across the parallel pool;
-//  2. fetchStatuses asks each ledger the album's labels name for all
-//     of its proofs in one StatusBatch (more only past
-//     wire.MaxStatusBatch), the ledgers concurrently;
-//  3. commit runs on every item in input order.
+//  1. parse (decode, metadata label) runs on every item across the
+//     parallel pool;
+//  2. fetchStatuses, on one goroutine, asks each ledger the metadata
+//     labels name for all of its proofs in one StatusBatch (more only
+//     past wire.MaxStatusBatch), the ledgers concurrently;
+//  3. meanwhile inspect (watermark, provenance, signature, custodial
+//     key material) runs on every item across the pool, and whichever
+//     worker completes the input-order prefix of inspected items
+//     commits it, the first commit once the status answer is in.
 //
 // The requests an album costs are therefore a function of its content
 // alone, and decisions, first-match derivative ties and metrics are
 // identical to calling Upload serially on the same sequence, at any
-// worker count. (The one observable difference: status reads happen
-// before any commit, so against a ledger that is mutating or
-// fault-injecting mid-album an item may see a different status-read
-// interleaving than the strict serial order would have produced.)
+// worker count. (The observable differences: the batch names every
+// metadata-labeled item, also those later denied for a label mismatch,
+// a partial label or bad provenance, which serial Upload never asks
+// about; and status reads happen before any commit, so against a
+// ledger that is mutating or fault-injecting mid-album an item may see
+// a different status-read interleaving than the strict serial order
+// would have produced.)
 package aggregator
 
 import (
@@ -74,7 +84,10 @@ type prep struct {
 	provBad      bool
 	sig          phash.Signature
 
-	// Ledger status (labeled uploads only), read after prepare.
+	// The status of the metadata label's claim. commit reads it only
+	// when wantStatus: the labels agree and provenance holds. UploadAll
+	// fetches it for every item with a metadata label while inspect
+	// runs, Upload only when wantStatus.
 	wantStatus bool
 	proof      *ledger.StatusProof
 	statusErr  error
@@ -85,14 +98,20 @@ type prep struct {
 	claimErr error
 }
 
-// prepare runs the stateless half of ingest on one item: decode, label
-// extraction, provenance verification, perceptual signature, and for an
-// unlabeled upload the key pair and signature of its custodial claim.
-// It marks the items that need a ledger status, which the caller then
-// fetches. Serial Upload runs it too — including which stages are
-// skipped for which deny outcomes — so commit reaches identical
-// decisions.
+// prepare runs the stateless half of ingest on one item: its cheap
+// stage, then, unless the item failed to parse, its heavy stage. Serial
+// Upload calls it; UploadAll runs the two stages as separate passes with
+// the status batch between them.
 func (a *Aggregator) prepare(p *prep) {
+	if a.parse(p); p.err == nil {
+		a.inspect(p)
+	}
+}
+
+// parse is prepare's cheap stage: decode the container and read the
+// label's metadata half — what the status batch needs to name the
+// item's claim.
+func (a *Aggregator) parse(p *prep) {
 	if p.im == nil {
 		im, err := photo.ParseIRSP(p.raw)
 		if err != nil {
@@ -101,7 +120,17 @@ func (a *Aggregator) prepare(p *prep) {
 		}
 		p.im, p.raw = im, nil
 	}
-	p.metaID, p.wmID, p.metaOK, p.wmOK = a.extractLabel(p.im)
+	p.metaID, p.metaOK = metaLabel(p.im)
+}
+
+// inspect is prepare's heavy stage: the watermark read, provenance
+// verification, perceptual signature, and for an unlabeled upload the
+// key pair and signature of its custodial claim. It marks the items
+// whose status commit will read — including which stages are skipped
+// for which deny outcomes, so that commit reaches identical decisions
+// on every path.
+func (a *Aggregator) inspect(p *prep) {
+	p.wmID, p.wmOK = watermarkLabel(p.im)
 	switch {
 	case p.metaOK && p.wmOK && p.metaID != p.wmID:
 		return // label mismatch: denied before any heavier work
@@ -117,7 +146,7 @@ func (a *Aggregator) prepare(p *prep) {
 		return
 	}
 	// Consistent label: provenance gate, then signature, then the
-	// status fetch the caller owes.
+	// status read commit owes.
 	if chain, present, perr := provenance.Extract(p.im); present {
 		if perr != nil || chain.Verify(p.im) != nil {
 			p.provBad = true
@@ -254,38 +283,112 @@ func (a *Aggregator) commitUnlabeled(p *prep) (UploadResult, error) {
 }
 
 // UploadAll runs the §3.2 pipeline over an album and returns one
-// result per item, in input order: every item is prepared across the
-// parallel pool, each ledger its labels name answers one StatusBatch,
-// and the items commit in input order. An item whose turn to be
-// prepared comes after ctx is cancelled carries ctx's error; the items
-// prepared before are decided as serial Upload decides them.
+// result per item, in input order, in three steps:
+//
+//  1. parse runs on every item across the parallel pool. This is the
+//     one step that reads ctx: an item whose turn comes after ctx is
+//     cancelled carries ctx's error and costs nothing further.
+//  2. One goroutine runs fetchStatuses for every parsed item with a
+//     metadata label, one StatusBatch per ledger.
+//  3. inspect runs on every parsed item across the pool meanwhile, and
+//     whichever worker completes the input-order prefix of inspected
+//     items commits that prefix, the first one once the status answer
+//     is in.
+//
+// Every commit follows every status read and commits run in input
+// order, so the items parsed before a cancellation are decided as
+// serial Upload decides them. UploadAll returns only once the status
+// goroutine has, a worker's panic included.
 func (a *Aggregator) UploadAll(ctx context.Context, items []UploadItem) []StreamResult {
 	preps := make([]prep, len(items))
 	parallel.Do(len(items), func(i int) {
 		p := &preps[i]
 		if p.err = ctx.Err(); p.err == nil {
 			p.im, p.raw = items[i].Image, items[i].Raw
-			a.prepare(p)
+			a.parse(p)
 		}
 	})
 	var labeled []*prep
 	for i := range preps {
-		if preps[i].wantStatus {
+		if preps[i].err == nil && preps[i].metaOK {
 			labeled = append(labeled, &preps[i])
 		}
 	}
-	a.fetchStatuses(labeled)
+	statuses := make(chan struct{})
+	go func() {
+		defer close(statuses)
+		a.fetchStatuses(labeled)
+	}()
+	defer func() { <-statuses }()
+
 	results := make([]StreamResult, len(items))
-	for i := range preps {
-		p, r := &preps[i], &results[i]
-		r.Index = i
-		if r.Err = p.err; r.Err != nil {
-			continue
+	c := prefixCommit{ready: make([]bool, len(items))}
+	parallel.Do(len(items), func(i int) {
+		if preps[i].err == nil {
+			a.inspect(&preps[i])
 		}
-		a.mu.Lock()
-		a.metrics.Uploads++
-		a.mu.Unlock()
-		r.Result, r.Err = a.commit(p)
-	}
+		lo, hi, ok := c.mark(i)
+		for ok {
+			<-statuses
+			for j := lo; j < hi; j++ {
+				a.commitItem(&preps[j], j, &results[j])
+			}
+			lo, hi, ok = c.advance()
+		}
+	})
 	return results
+}
+
+// prefixCommit hands the input-order prefix of inspected items to one
+// worker at a time: the worker that marks the last missing item of the
+// prefix commits it, and keeps committing while others extend it.
+type prefixCommit struct {
+	mu         sync.Mutex
+	ready      []bool
+	next       int  // the first item not yet handed out to commit
+	committing bool // a worker holds the commit turn
+}
+
+// mark records item i as inspected. If that completes a prefix past
+// next and no worker is committing, it hands the caller the commit turn
+// and the items [lo, hi) to commit.
+func (c *prefixCommit) mark(i int) (lo, hi int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ready[i] = true
+	if c.committing {
+		return 0, 0, false
+	}
+	return c.take()
+}
+
+// advance is called by the worker holding the commit turn once it has
+// committed its items: it hands back the items marked meanwhile, or
+// gives the turn up.
+func (c *prefixCommit) advance() (lo, hi int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.take()
+}
+
+// take claims the ready run at next for the caller. c.mu is held.
+func (c *prefixCommit) take() (lo, hi int, ok bool) {
+	lo, hi = c.next, c.next
+	for hi < len(c.ready) && c.ready[hi] {
+		hi++
+	}
+	c.next, c.committing = hi, hi > lo
+	return lo, hi, hi > lo
+}
+
+// commitItem commits one prepared item into its result slot.
+func (a *Aggregator) commitItem(p *prep, i int, r *StreamResult) {
+	r.Index = i
+	if r.Err = p.err; r.Err != nil {
+		return
+	}
+	a.mu.Lock()
+	a.metrics.Uploads++
+	a.mu.Unlock()
+	r.Result, r.Err = a.commit(p)
 }

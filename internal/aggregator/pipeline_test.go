@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -380,7 +382,9 @@ func spyOn(t *testing.T, r *rig, lid ids.LedgerID) *spyService {
 // alone. An album with labeled items on two ledgers plus unlabeled,
 // mismatched and malformed ones costs UploadAll exactly two StatusBatch
 // requests, no Status, and one Claim per custodial item, at any worker
-// count. Decisions equal serial Upload item by item.
+// count. The batches name every metadata label in input order, the
+// mismatched item's included: they are sent before its watermark is
+// read. Decisions equal serial Upload item by item.
 func TestPipelineStatusRequestCount(t *testing.T) {
 	r := newRig(t, CustodialClaim, nil)
 	spy1, spy2 := spyOn(t, r, 1), spyOn(t, r, 2)
@@ -408,6 +412,7 @@ func TestPipelineStatusRequestCount(t *testing.T) {
 		items = append(items, UploadItem{Image: im})
 		ledgerOf = append(ledgerOf, lid)
 	}
+	wantAsked := map[ids.LedgerID][]ids.PhotoID{} // what the batches name
 	for i := int64(0); i < 9; i++ {
 		cam, lid := r.cam, ids.LedgerID(1)
 		if i%3 == 2 {
@@ -422,13 +427,17 @@ func TestPipelineStatusRequestCount(t *testing.T) {
 			if err := cam.Revoke(owned.ID); err != nil {
 				t.Fatal(err)
 			}
-		case 4: // mismatched: denied before any status
+		case 4: // mismatched: asked about, denied without its answer
 			other, err := ids.New(1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			labeled.Meta.Set(photo.KeyIRSID, other.String())
+			wantAsked[1] = append(wantAsked[1], other)
 			lid = 0
+		}
+		if lid != 0 {
+			wantAsked[lid] = append(wantAsked[lid], owned.ID)
 		}
 		add(labeled, lid)
 		if i%4 == 1 {
@@ -470,6 +479,17 @@ func TestPipelineStatusRequestCount(t *testing.T) {
 		t.Fatalf("serial: %d Status calls, want %d", got, wantSerial)
 	}
 
+	var mu sync.Mutex
+	asked := map[ids.LedgerID][]ids.PhotoID{}
+	for i, s := range spies {
+		lid := ids.LedgerID(i + 1)
+		s.statusBatch = func(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+			mu.Lock()
+			asked[lid] = append(asked[lid], batch...)
+			mu.Unlock()
+			return s.Service.StatusBatch(batch)
+		}
+	}
 	check := func(name string, results []StreamResult) {
 		t.Helper()
 		if len(results) != len(items) {
@@ -493,11 +513,15 @@ func TestPipelineStatusRequestCount(t *testing.T) {
 			t.Errorf("%s: %d Status, %d StatusBatch, %d Claim; want 0, 2, %d",
 				name, statuses, batches, claims, custodial)
 		}
+		if !reflect.DeepEqual(asked, wantAsked) {
+			t.Errorf("%s: the batches named %v, want %v", name, asked, wantAsked)
+		}
 	}
 	for _, workers := range []int{1, 4, 8} {
 		for _, s := range spies {
 			s.reset()
 		}
+		clear(asked)
 		check(fmt.Sprintf("UploadAll workers=%d", workers), uploadAllAt(newAgg(), workers, items))
 	}
 }
@@ -805,5 +829,155 @@ func TestHostOwnership(t *testing.T) {
 	pixels := uint64(len(custodial.im.Pix))
 	if got, ceiling := after.TotalAlloc-before.TotalAlloc, pixels+pixels/2; got > ceiling {
 		t.Errorf("a custodial commit of %d pixel bytes allocated %d, ceiling %d: the relabeled copy is copied again to be hosted", pixels, got, ceiling)
+	}
+}
+
+// serialDecisions uploads items one by one through agg.Upload, a raw
+// container decoded first, as the reference a pipelined run must equal.
+func serialDecisions(agg *Aggregator, items []UploadItem) []decision {
+	out := make([]decision, len(items))
+	for i, it := range items {
+		im := it.Image
+		if im == nil {
+			dec, err := photo.DecodeIRSP(bytes.NewReader(it.Raw))
+			if err != nil {
+				out[i] = decision{failed: true}
+				continue
+			}
+			im = dec
+		}
+		out[i] = toDecision(agg.Upload(im))
+	}
+	return out
+}
+
+// TestPipelineCommitsAfterStatus: the status batch is on the wire while
+// the album's pixels are still being inspected, yet no commit runs
+// before its answer. A mixed album — every kind mixedCorpus holds, plus
+// a metadata label over pixels that carry no watermark, which is asked
+// about and then denied as a partial label — decides as serial Upload
+// at workers 1/2/4/8, against a ledger whose StatusBatch answers at
+// once and one that sleeps 20 ms first; either way the custodial
+// ledger has taken no Claim when the batch returns.
+func TestPipelineCommitsAfterStatus(t *testing.T) {
+	r := newRig(t, CustodialClaim, nil)
+	items := mixedCorpus(t, r)
+	_, owned, err := r.cam.ClaimAndLabel(r.cam.Shoot(917, 192, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := photo.Synth(918, 192, 128)
+	bare.Meta.Set(photo.KeyIRSID, owned.ID.String())
+	items = append(items, UploadItem{Image: bare})
+	serial := serialDecisions(freshAgg(t, r, CustodialClaim), items)
+	if got := serial[len(items)-1].reason; got != DenyPartialLabel {
+		t.Fatalf("bare metadata label decided %v serially, want %v", got, DenyPartialLabel)
+	}
+
+	owner := spyOn(t, r, 1)
+	cust := &spyService{Service: &wire.Loopback{L: r.custLedger}}
+	for _, delay := range []time.Duration{0, 20 * time.Millisecond} {
+		var claimsAtAnswer atomic.Int64
+		owner.statusBatch = func(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+			time.Sleep(delay)
+			proofs, err := owner.Service.StatusBatch(batch)
+			claimsAtAnswer.Store(cust.claims.Load())
+			return proofs, err
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			owner.reset()
+			cust.reset()
+			agg, err := New(Config{
+				Name:               "order",
+				Unlabeled:          CustodialClaim,
+				CustodialLedger:    cust,
+				CustodialLedgerURL: "local://2",
+			}, r.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := uploadAllAt(agg, workers, items)
+			for i, res := range results {
+				if got := toDecision(res.Result, res.Err); res.Index != i || got != serial[i] {
+					t.Errorf("delay %v workers %d item %d (index %d): pipeline %+v, serial %+v",
+						delay, workers, i, res.Index, got, serial[i])
+				}
+			}
+			if n := owner.batches.Load(); n != 1 {
+				t.Fatalf("delay %v workers %d: %d StatusBatch calls, want 1", delay, workers, n)
+			}
+			if n := claimsAtAnswer.Load(); n != 0 {
+				t.Errorf("delay %v workers %d: %d custodial claims before the status answer", delay, workers, n)
+			}
+			if cust.claims.Load() == 0 {
+				t.Errorf("delay %v workers %d: the album made no custodial claim", delay, workers)
+			}
+		}
+	}
+}
+
+// TestUploadAllWaitsForStatus: handleUploadBatch recycles the request
+// body once UploadAll returns, so no status call of the album may still
+// be running then — not when no item parses, not when every
+// metadata-labeled item fails the watermark check (asked about, the
+// answer never read), and not when a worker panics. The status batch
+// sleeps and then sets a flag, which must be set when UploadAll
+// returns or its panic reaches the caller.
+func TestUploadAllWaitsForStatus(t *testing.T) {
+	r := newRig(t, CustodialClaim, nil)
+	spy := spyOn(t, r, 1)
+	var answered atomic.Bool
+	spy.statusBatch = func(batch []ids.PhotoID) ([]*ledger.StatusProof, error) {
+		time.Sleep(20 * time.Millisecond)
+		defer answered.Store(true)
+		return spy.Service.StatusBatch(batch)
+	}
+	_, owned, err := r.cam.ClaimAndLabel(r.cam.Shoot(1600, 192, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := func(seed int64) UploadItem { // a metadata label, no watermark
+		im := photo.Synth(seed, 192, 128)
+		im.Meta.Set(photo.KeyIRSID, owned.ID.String())
+		return UploadItem{Image: im}
+	}
+	broken := bare(1603).Image // Pix shorter than its dimensions
+	broken.Pix = broken.Pix[:64:64]
+
+	for _, tc := range []struct {
+		name    string
+		items   []UploadItem
+		batches int64
+		panics  bool
+	}{
+		{"only malformed frames", []UploadItem{{Raw: []byte("junk")}, {Raw: []byte{0xde, 0xad}}}, 0, false},
+		{"labels fail the watermark check", []UploadItem{bare(1601), bare(1602)}, 1, false},
+		// First, so that no worker is waiting to commit when it panics.
+		{"worker panic", []UploadItem{{Image: broken}, bare(1601), bare(1602)}, 1, true},
+	} {
+		for _, workers := range []int{1, 4} {
+			spy.reset()
+			answered.Store(false)
+			var results []StreamResult
+			panicked := func() (p any) {
+				defer func() { p = recover() }()
+				results = uploadAllAt(freshAgg(t, r, CustodialClaim), workers, tc.items)
+				return nil
+			}()
+			if (panicked != nil) != tc.panics {
+				t.Fatalf("%s, workers %d: panic %v", tc.name, workers, panicked)
+			}
+			if n := spy.batches.Load(); n != tc.batches {
+				t.Fatalf("%s, workers %d: %d StatusBatch calls, want %d", tc.name, workers, n, tc.batches)
+			}
+			if tc.batches > 0 && !answered.Load() {
+				t.Errorf("%s, workers %d: UploadAll returned while its status batch was running", tc.name, workers)
+			}
+			for i, res := range results {
+				if res.Err == nil && res.Result.Reason != DenyPartialLabel {
+					t.Errorf("%s, workers %d item %d: %+v", tc.name, workers, i, res.Result)
+				}
+			}
+		}
 	}
 }

@@ -188,16 +188,18 @@ func splitBatch(body []byte) ([]UploadItem, error) {
 
 // handleUploadBatch accepts a concatenation of length-prefixed IRSP
 // containers and ingests them with UploadAll as one album. Decoding
-// happens in prepare, across the parallel pool; a malformed container
-// fails only its own slot, a malformed framing the whole request.
+// happens in UploadAll's parse stage, across the parallel pool; a
+// malformed container fails only its own slot, a malformed framing the
+// whole request.
 func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 	bp := bodyPool.Get().(*[]byte)
 	body, err := readBatchBody(r, *bp)
 	// The frames are parsed in place, so the buffer goes back only once
 	// UploadAll has returned — this runs after the handler's last line.
 	// By then nothing reads it: UploadAll returns after every prepare
-	// and every status call has returned and every item has committed;
-	// commit copies every image it hosts, and the parser copies
+	// stage and every status call has returned and every item has
+	// committed — it waits for its status goroutine even when a worker
+	// panics; commit copies every image it hosts, and the parser copies
 	// metadata strings.
 	defer func() {
 		if cap(body) <= maxRetainBody {

@@ -103,9 +103,13 @@ stage "batch framing"
 # first proof end to end: ledger, wire (mixed versions), and the
 # aggregator's one-Status fallback, and who owns a hosted image (what a
 # caller can still write is copied, a custodial relabel is not). Named
-# under -race.
+# under -race. Then, ten times over, the overlap of the status batch
+# with the heavy stage: no commit before the answer (a ledger answering
+# at once and one sleeping 20 ms, workers 1/2/4/8), and no status call
+# still running when UploadAll returns or panics.
 go test -race -run 'PipelineDecisionsMatchSerial|UploadAllCancellation|PipelinePoisonedItem|PipelineStatusRequestCount|PipelineStatusFaultParity|CustodialClaimUsesReceiptProof|HostOwnership' \
     ./internal/aggregator
+go test -race -count=10 -run 'PipelineCommitsAfterStatus|UploadAllWaitsForStatus' ./internal/aggregator
 go test -race -run 'ClaimProofMatchesStatus|ClaimCarriesFirstProof|ClaimProofMixedVersions' \
     ./internal/ledger ./internal/wire
 stage "album ingest"
@@ -322,12 +326,14 @@ go test -run='^$' -fuzz=FuzzWireFrameDecode -fuzztime=10s ./internal/wire
 stage "wire fuzz"
 
 # The serving-path (filter-positive batches included), write-path,
-# filter-epoch (10^6 revoked ids), served filter pull, derivative-lookup
-# and obs on/off benchmarks compile and run once each; nothing is timed here —
+# filter-epoch (10^6 revoked ids), served filter pull, derivative-lookup,
+# obs on/off and album-ingest (mixed arm: its accept count) benchmarks
+# compile and run once each; nothing is timed here —
 # `bash bench/run.sh` is where numbers come from.
 go test -run='^$' -bench='Serving|StatusBatchFilterPositive|RestoreFlush|Compact$|BuildSnapshotScale' -benchtime=1x ./internal/ledger ./internal/proxy
 go test -run='^$' -bench='BenchmarkLookup|BenchmarkValidateObs' -benchtime=1x .
 go test -run='^$' -bench='FilterSyncServed' -benchtime=1x ./internal/wire
+go test -run='^$' -bench='UploadPipeline' -benchtime=1x ./internal/aggregator
 stage "benchmarks once"
 
 # Zero-alloc guard: the vectorized 8×8 DCT, the perceptual hashes (one
