@@ -137,6 +137,7 @@ func (l *Ledger) RestoreRecords(recs []Record) error {
 		}
 		frames = make([]byte, 0, size)
 	}
+	added := 0 // ids the ledger did not hold: the claims this call makes
 	for rest := recs; len(rest) > 0; {
 		slab := append([]Record(nil), rest[:min(len(rest), restoreSlab)]...)
 		rest = rest[len(slab):]
@@ -156,10 +157,13 @@ func (l *Ledger) RestoreRecords(recs []Record) error {
 				sh.mu.Unlock()
 				return err
 			}
-			if !held && st != nil {
-				// Counted under the shard lock, so a memtable freeze sees
-				// the count and the record together.
-				st.claimCount.Add(1)
+			if !held {
+				added++
+				if st != nil {
+					// Counted under the shard lock, so a memtable freeze
+					// sees the count and the record together.
+					st.claimCount.Add(1)
+				}
 			}
 			sh.records[cp.ID] = cp
 			delete(sh.overlays, cp.ID)
@@ -178,7 +182,7 @@ func (l *Ledger) RestoreRecords(recs []Record) error {
 			st.maybeFlush()
 		}
 	}
-	l.metrics.claims.Add(uint64(n))
+	l.metrics.claims.Add(uint64(added))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package ledger
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -528,21 +529,29 @@ func (e *segEngine) flushLocked() error {
 	// Evict the entries the segment now covers: the cut lies grouped by
 	// shard in index order, so each shard is locked once and asked only
 	// for its own. Anything mutated since the freeze stays in the
-	// memtable as the newer version.
+	// memtable as the newer version, in a map rebuilt for the survivors
+	// when they are few (shrunk).
 	var remaining int64
 	for i, k := 0, 0; i < len(l.shards); i++ {
 		sh := &l.shards[i]
 		sh.mu.Lock()
+		frozenRecs, frozenOvs := 0, 0
 		for ; k < len(cut) && l.shardFor(cut[k].ID) == sh; k++ {
 			cp := &cut[k]
 			if isOverlay(cp) {
+				frozenOvs++
 				if ov, ok := sh.overlays[cp.ID]; ok && ov == (overlay{cp.State, cp.OpSeq}) {
 					delete(sh.overlays, cp.ID)
 				}
-			} else if rec, ok := sh.records[cp.ID]; ok && rec.OpSeq == cp.OpSeq && rec.State == cp.State {
+				continue
+			}
+			frozenRecs++
+			if rec, ok := sh.records[cp.ID]; ok && rec.OpSeq == cp.OpSeq && rec.State == cp.State {
 				delete(sh.records, cp.ID)
 			}
 		}
+		sh.records = shrunk(sh.records, frozenRecs)
+		sh.overlays = shrunk(sh.overlays, frozenOvs)
 		remaining += int64(sh.memtableLen())
 		sh.mu.Unlock()
 	}
@@ -554,6 +563,27 @@ func (e *segEngine) flushLocked() error {
 	e.l.metrics.flushes.Inc()
 	e.publishGauges()
 	return nil
+}
+
+// rebuildShare sets when a flush rebuilds a memtable map: when fewer
+// than 1/rebuildShare of the entries it held at the freeze survive the
+// eviction.
+const rebuildShare = 4
+
+// shrunk returns m, a shard's memtable map after a flush evicted the
+// frozen entries it held, or, when fewer than 1/rebuildShare of them
+// survive (entries a racing op touched or added), a map sized for the
+// survivors holding them. A Go map keeps its buckets through delete and
+// clear, so without the rebuild every shard would hold the memory of
+// its largest load for the life of the process. The caller holds sh.mu
+// for writing.
+func shrunk[V any](m map[ids.PhotoID]V, frozen int) map[ids.PhotoID]V {
+	if len(m)*rebuildShare >= frozen {
+		return m
+	}
+	fresh := make(map[ids.PhotoID]V, len(m))
+	maps.Copy(fresh, m)
+	return fresh
 }
 
 func (e *segEngine) dropOldWALs(floor uint64) error {

@@ -98,6 +98,15 @@ func (r *overlayRig) apply(t testing.TB, id ids.PhotoID, op Op) {
 	}
 }
 
+// liveHeap returns the bytes of heap still reachable after a collection.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second drops what pools kept through the first
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // memtable counts the records and overlays l holds.
 func memtable(l *Ledger) (records, overlays int) {
 	for i := range l.shards {
@@ -180,14 +189,7 @@ func TestOverlayKeepsSealedClaimsOffTheHeap(t *testing.T) {
 		for i := range sigs {
 			sigs[i] = r.o.signOp(recs[i].ID, OpRevoke, recs[i].OpSeq+1)
 		}
-		live := func() uint64 {
-			var m runtime.MemStats
-			runtime.GC()
-			runtime.GC() // the second drops what pools kept through the first
-			runtime.ReadMemStats(&m)
-			return m.HeapAlloc
-		}
-		before := live()
+		before := liveHeap()
 		allocs := mallocs(func() {
 			for i, sig := range sigs {
 				if err := r.l.Apply(recs[i].ID, OpRevoke, sig); err != nil {
@@ -195,7 +197,7 @@ func TestOverlayKeepsSealedClaimsOffTheHeap(t *testing.T) {
 				}
 			}
 		})
-		grown := float64(int64(live())-int64(before)) / touched
+		grown := float64(int64(liveHeap())-int64(before)) / touched
 		runtime.KeepAlive(recs) // and sigs: both were live before, so must be after
 		runtime.KeepAlive(sigs)
 		t.Logf("per operation on a sealed claim: %.1f B of live heap, %.2f allocations", grown, float64(allocs)/touched)

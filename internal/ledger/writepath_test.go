@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -369,7 +370,8 @@ func TestCompactionMatchesReference(t *testing.T) {
 
 // TestRestoreCountsDistinctClaims: a newer version of an id the ledger
 // holds — in the memtable or sealed — is stored and not counted again,
-// by the running ledger and by the WAL replay of a reopened one.
+// by the running ledger, its claims counter and the WAL replay of a
+// reopened one.
 func TestRestoreCountsDistinctClaims(t *testing.T) {
 	dir := t.TempDir()
 	l, err := New(Config{ID: 9, Dir: dir, MemtableRecords: 1 << 20})
@@ -391,6 +393,9 @@ func TestRestoreCountsDistinctClaims(t *testing.T) {
 	}
 	if claims, _ := l.Count(); claims != len(recs) {
 		t.Fatalf("claims = %d, want %d", claims, len(recs))
+	}
+	if m := l.Metrics(); m.Claims != uint64(len(recs)) {
+		t.Fatalf("claims counter = %d, want %d", m.Claims, len(recs))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -483,6 +488,217 @@ func TestMutationBetweenFreezeAndEviction(t *testing.T) {
 	}
 	defer rl.Close()
 	check(rl, "reopened")
+}
+
+// TestRebuiltMemtableKeepsSurvivors: when a flush rebuilds a shard's
+// record and overlay maps because few entries survive its eviction,
+// the survivors — a record and an overlay an owner changed between the
+// freeze and the eviction — move into the new maps. Status, StatusBatch
+// and Record answer with them at once, the next flush seals them, and a
+// reopen keeps them.
+func TestRebuiltMemtableKeepsSurvivors(t *testing.T) {
+	dir := t.TempDir()
+	l, err := New(Config{ID: 9, Dir: dir, Shards: 1, MemtableRecords: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newOwner(t)
+	recs := makeRecords(t, 9, 80, 15)
+	for i := range recs {
+		recs[i].PubKey = o.pub
+		recs[i].State, recs[i].OpSeq = StateActive, 0
+	}
+	// Forty claims sealed and revoked since (overlays), forty in the
+	// memtable as records: the one shard froze 40 of each.
+	sealed, fresh := recs[:40], recs[40:]
+	if err := l.RestoreRecords(sealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range sealed {
+		if err := l.Apply(sealed[i].ID, OpRevoke, o.signOp(sealed[i].ID, OpRevoke, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.RestoreRecords(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if records, overlays := memtable(l); records != 40 || overlays != 40 {
+		t.Fatalf("memtable holds %d records and %d overlays, want 40 and 40", records, overlays)
+	}
+
+	rec, ov := fresh[0].ID, sealed[0].ID
+	sh := &l.shards[0]
+	maps := func() [2]uintptr {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return [2]uintptr{reflect.ValueOf(sh.records).Pointer(), reflect.ValueOf(sh.overlays).Pointer()}
+	}
+	frozen := maps()
+	l.store.beforeEvict = func() {
+		if err := l.Apply(rec, OpRevoke, o.signOp(rec, OpRevoke, 1)); err != nil {
+			t.Error(err)
+		}
+		if err := l.Apply(ov, OpUnrevoke, o.signOp(ov, OpUnrevoke, 2)); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l.store.beforeEvict = nil
+	if records, overlays := memtable(l); records != 1 || overlays != 1 {
+		t.Fatalf("memtable holds %d records and %d overlays after the flush, want the 1 and 1 changed", records, overlays)
+	}
+	if now := maps(); now[0] == frozen[0] || now[1] == frozen[1] {
+		t.Fatal("1 survivor of 40 did not rebuild the shard's maps")
+	}
+	for id, want := range map[ids.PhotoID]State{rec: StateActive, ov: StateRevoked} {
+		if st, err := l.store.lookupState(id); err != nil || st != want {
+			t.Fatalf("segment holds %s as %v (%v); the cut was taken before the change", id, st, err)
+		}
+	}
+
+	want := []struct {
+		id    ids.PhotoID
+		state State
+		seq   uint64
+	}{{rec, StateRevoked, 1}, {ov, StateActive, 2}, {sealed[1].ID, StateRevoked, 1}, {fresh[1].ID, StateActive, 0}}
+	check := func(l *Ledger, when string) {
+		t.Helper()
+		batch := make([]ids.PhotoID, len(want))
+		for i, w := range want {
+			batch[i] = w.id
+		}
+		proofs, err := l.StatusBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			p, err := l.Status(w.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := l.Record(w.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.State != w.state || proofs[i].State != w.state || r.State != w.state || r.OpSeq != w.seq {
+				t.Fatalf("%s: %s: status %v, batch %v, record %v seq %d; want %v seq %d",
+					when, w.id, p.State, proofs[i].State, r.State, r.OpSeq, w.state, w.seq)
+			}
+		}
+	}
+	check(l, "after the flush")
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if records, overlays := memtable(l); records != 0 || overlays != 0 {
+		t.Fatalf("memtable holds %d records and %d overlays after the second flush", records, overlays)
+	}
+	for _, w := range want[:2] {
+		if st, err := l.store.lookupState(w.id); err != nil || st != w.state {
+			t.Fatalf("second flush sealed %s as %v (%v), want %v", w.id, st, err, w.state)
+		}
+	}
+	check(l, "after the second flush")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rl, err := New(Config{ID: 9, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+	check(rl, "reopened")
+}
+
+// TestFlushReturnsMemtableCapacity: a flush that empties the memtable
+// gives its maps' capacity back. A bulk restore of 50,000 claims and, on
+// another ledger, 16,384 owner operations on sealed claims (overlays,
+// as in a mass revocation), each followed by Flush, leave at most 8 B
+// of live heap per id; a map that only lost entries to delete kept
+// about 40.
+// Every claim of the second ledger is revoked and every operation a
+// revoke, so the resident revoked set does not move.
+func TestFlushReturnsMemtableCapacity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("live heap is asserted without the race detector")
+	}
+	const budget = 8.0
+	check := func(t *testing.T, l *Ledger, before uint64, n int, what string) {
+		t.Helper()
+		grown := float64(int64(liveHeap())-int64(before)) / float64(n)
+		t.Logf("%s of %d ids, then Flush: %.1f B of live heap per id", what, n, grown)
+		if grown > budget {
+			t.Errorf("%s then Flush keeps %.1f B of live heap per id, budget %.0f", what, grown, budget)
+		}
+		if records, overlays := memtable(l); records != 0 || overlays != 0 {
+			t.Errorf("memtable holds %d records and %d overlays after the flush", records, overlays)
+		}
+	}
+
+	// open makes a ledger at the default shard count whose appends skip
+	// fsync, which costs the ops time and no memory.
+	open := func(t *testing.T) *Ledger {
+		l, err := New(Config{ID: 9, Dir: t.TempDir(), WALSync: WALSyncOS, MemtableRecords: 1 << 20, CompactAfter: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+
+	t.Run("restore", func(t *testing.T) {
+		const n = 50_000
+		recs := makeRecords(t, 9, n, 13)
+		for i := range recs {
+			recs[i].State = StateActive // the resident revoked set stays empty
+		}
+		l := open(t)
+		before := liveHeap()
+		if err := l.RestoreRecords(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, l, before, n, "RestoreRecords")
+		runtime.KeepAlive(recs) // live before, so must be after
+	})
+
+	t.Run("owner ops", func(t *testing.T) {
+		const n = 16_384 // each costs a signature and its verification
+		o := newOwner(t)
+		recs := makeRecords(t, 9, n, 14)
+		sigs := make([][]byte, n)
+		for i := range recs {
+			recs[i].State = StateRevoked
+			recs[i].PubKey = o.pub
+			sigs[i] = o.signOp(recs[i].ID, OpRevoke, recs[i].OpSeq+1)
+		}
+		l := open(t)
+		if err := l.RestoreRecords(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		before := liveHeap()
+		for i, sig := range sigs {
+			if err := l.Apply(recs[i].ID, OpRevoke, sig); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, l, before, n, "Apply")
+		runtime.KeepAlive(recs)
+		runtime.KeepAlive(sigs)
+	})
 }
 
 // mallocs counts the heap allocations of one call of f, for the paths

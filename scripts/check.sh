@@ -156,9 +156,12 @@ stage phash
 # ops/StatusBatch/flush/compaction hammer. And owner ops on sealed
 # claims as overlays: the flush, WAL, StateHash and answers equal to the
 # retained load-then-flush path, raced between freeze and eviction, and
-# replayed after a crash. Then format version 2: the parent format's
-# directories refused by name and left untouched, hostile claim frames
-# and malformed restored records refused, a decoded token verifying; the
+# replayed after a crash. A flush that rebuilds a shard's maps for
+# the few entries that survive its eviction keeps a record and an
+# overlay changed between freeze and eviction. Then format version 2:
+# the parent format's directories refused by name and left untouched,
+# hostile claim frames and malformed restored records refused, a
+# decoded token verifying; the
 # ledger's identity across a reopen (same keys, old tokens and proofs
 # verifying, serials resumed from the WAL and from MANIFEST, a directory
 # without its key file refused) and the timestamp authority resuming;
@@ -167,7 +170,7 @@ stage phash
 # hears an appeal on a pre-restart token. A crash that keeps only what
 # the WAL fsynced loses no acknowledged op under the default
 # WALSyncBatch and loses some under WALSyncOS.
-go test -race -run 'GroupCommit|WALSyncOS|Crash|CrashDropsUnsyncedBytes|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer|OverlayKeepsSealedClaimsOffTheHeap|FormatV1DirectoryRefused|HostileClaimFramesRefused|RestoreRecordsRefusesMalformed|DecodedRecordVerifies|IdentitySurvivesReopen|RetiredSegmentsUnmapped|SealedReadsAcrossCompactionsHammer' \
+go test -race -run 'GroupCommit|WALSyncOS|Crash|CrashDropsUnsyncedBytes|TornTail|RecoveryRemovesOrphans|MidFileCorruptionRefused|EngineMismatchRefused|SegmentReopenShardAndEngineEquivalence|SegmentBackgroundFlushAndCompaction|StateHash|ProofMemo|StatusBatchMatchesSerial|LookupStateMatchesLookup|ClaimFrameGolden|MatchesReference|MutationBetweenFreezeAndEviction|RebuiltMemtableKeepsSurvivors|RestoreCountsDistinctClaims|ResidentStateMatchesSegmentRead|PermanenceSurvivesReopen|ResidentSetRollsBackOnWALFailure|ResidentSetHammer|OverlayKeepsSealedClaimsOffTheHeap|FormatV1DirectoryRefused|HostileClaimFramesRefused|RestoreRecordsRefusesMalformed|DecodedRecordVerifies|IdentitySurvivesReopen|RetiredSegmentsUnmapped|SealedReadsAcrossCompactionsHammer' \
     ./internal/ledger
 go test -race -run 'PersistentLedgerSurvivesRestart|NewFromKeyResumes' ./internal/integration ./internal/tsa
 stage "storage engine"
@@ -184,6 +187,19 @@ stage "appeals priority"
 # here rather than in the benchmark pipeline (~8 s).
 (cd bench && go vet ./... && go test ./...)
 stage "bench module"
+
+# The text-phase tool (scripts/textphase.sh) compares two builds' hot
+# Ed25519/SHA-2/media/bloom text by 64-byte phase; one bench binary
+# against itself must read 0 of a non-zero count.
+(cd bench && go build -buildvcs=false -o /tmp/irs_textphase_check .)
+phase=$(sh scripts/textphase.sh /tmp/irs_textphase_check /tmp/irs_textphase_check | tail -n 1)
+echo "$phase"
+case "$phase" in
+"0 of 0 "*) echo "check.sh: textphase found no hot symbols" >&2; exit 1 ;;
+"0 of "*) ;;
+*) echo "check.sh: textphase of one binary against itself: $phase" >&2; exit 1 ;;
+esac
+stage "text phase"
 
 # Fuzz the binary record framing and the WAL replay path: ten seconds
 # each over the seeded corpus plus fresh mutations.
@@ -273,6 +289,9 @@ stage observability
 # And a bad op signature costs one Ed25519 verification, not a scan.
 # An owner op on a sealed claim keeps at most 128 B of live heap and
 # costs at most 2 allocations (TestOverlayKeepsSealedClaimsOffTheHeap).
+# A flush gives the memtable's map capacity back: a restore of 50,000
+# claims or 16,384 owner ops on sealed claims, then Flush, keeps at most
+# 8 B of live heap per id (TestFlushReturnsMemtableCapacity).
 # The upload path: a 16-image album through the batch endpoint within
 # its hosted pixels plus 64 KiB, an aligned watermark read of a gray
 # image allocating nothing, and Embed allocating only its output. A
@@ -282,7 +301,7 @@ stage observability
 # 1-id page, and no more bytes but a constant (the proxy's results and
 # answers aside), and the ledger's pooled entry point answers 37 memo
 # hits without allocating.
-go test -run 'AllocationBudget|StatusBatchHandlerAllocationBudget|ValidateBatchHandlerAllocationBudget|StatusBatchIntoAllocatesNothing|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs|IdlePullAllocatesNothing|OverlayKeepsSealedClaimsOffTheHeap' \
+go test -run 'AllocationBudget|StatusBatchHandlerAllocationBudget|ValidateBatchHandlerAllocationBudget|StatusBatchIntoAllocatesNothing|CacheArenaGrowsOnDemandAndRecycles|ObsAddsNoAllocations|ApplyBadSignatureVerifiesOnce|SteadyStateAllocs|IdlePullAllocatesNothing|OverlayKeepsSealedClaimsOffTheHeap|FlushReturnsMemtableCapacity' \
     ./internal/ledger ./internal/wire ./internal/proxy ./internal/aggregator ./internal/watermark
 stage "allocation budgets"
 
@@ -318,6 +337,9 @@ stage "obs fuzz"
 # gzip. All named under the race detector.
 go test -race -run 'IRSW1AnswersAreContentLengthFramed|ClientSendsNoAcceptEncoding|Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields|ClientStatusMatchesLoopback|BadRequests|WireVectors|IRSW1ProofsMatchLedgerAndJSON|RetiredServingKindsRefused|ProxyClientRefusesMalformedAnswer|MisorderedLedgerAnswerRefutedOnlyBySignature' \
     ./internal/wire ./internal/proxy
+# The canonical signed messages (claim, owner ops, status proofs) pinned
+# to their conformance vectors and to PROTOCOL.md's table, under -race.
+go test -race -run 'SignedMessageVectors' ./internal/ledger
 stage "wire codec"
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
