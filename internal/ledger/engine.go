@@ -530,7 +530,7 @@ func (e *segEngine) flushLocked() error {
 	// shard in index order, so each shard is locked once and asked only
 	// for its own. Anything mutated since the freeze stays in the
 	// memtable as the newer version, in a map rebuilt for the survivors
-	// when they are few (shrunk).
+	// (shrunk).
 	var remaining int64
 	for i, k := 0, 0; i < len(l.shards); i++ {
 		sh := &l.shards[i]
@@ -565,20 +565,15 @@ func (e *segEngine) flushLocked() error {
 	return nil
 }
 
-// rebuildShare sets when a flush rebuilds a memtable map: when fewer
-// than 1/rebuildShare of the entries it held at the freeze survive the
-// eviction.
-const rebuildShare = 4
-
 // shrunk returns m, a shard's memtable map after a flush evicted the
-// frozen entries it held, or, when fewer than 1/rebuildShare of them
-// survive (entries a racing op touched or added), a map sized for the
-// survivors holding them. A Go map keeps its buckets through delete and
-// clear, so without the rebuild every shard would hold the memory of
-// its largest load for the life of the process. The caller holds sh.mu
-// for writing.
+// frozen entries it held, rebuilt: the survivors (entries a racing op
+// changed or added) copied into a map sized for them. A Go map keeps
+// its buckets through delete and clear, so without the rebuild every
+// shard would hold the memory of its largest load for the life of the
+// process. The copy is O(survivors), under the shard lock the eviction
+// already holds for O(frozen) work. The caller holds sh.mu for writing.
 func shrunk[V any](m map[ids.PhotoID]V, frozen int) map[ids.PhotoID]V {
-	if len(m)*rebuildShare >= frozen {
+	if frozen == 0 {
 		return m
 	}
 	fresh := make(map[ids.PhotoID]V, len(m))

@@ -491,8 +491,7 @@ func TestMutationBetweenFreezeAndEviction(t *testing.T) {
 }
 
 // TestRebuiltMemtableKeepsSurvivors: when a flush rebuilds a shard's
-// record and overlay maps because few entries survive its eviction,
-// the survivors — a record and an overlay an owner changed between the
+// record and overlay maps after its eviction, the survivors — a record and an overlay an owner changed between the
 // freeze and the eviction — move into the new maps. Status, StatusBatch
 // and Record answer with them at once, the next flush seals them, and a
 // reopen keeps them.

@@ -157,8 +157,8 @@ stage phash
 # claims as overlays: the flush, WAL, StateHash and answers equal to the
 # retained load-then-flush path, raced between freeze and eviction, and
 # replayed after a crash. A flush that rebuilds a shard's maps for
-# the few entries that survive its eviction keeps a record and an
-# overlay changed between freeze and eviction. Then format version 2:
+# the entries that survive its eviction keeps a record and an overlay
+# changed between freeze and eviction. Then format version 2:
 # the parent format's directories refused by name and left untouched,
 # hostile claim frames and malformed restored records refused, a
 # decoded token verifying; the

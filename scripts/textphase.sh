@@ -17,15 +17,18 @@ fi
 
 hot='^(crypto/internal/fips140/(ed25519|edwards25519(/field)?|sha256|sha512)|irs/internal/(dct|phash|watermark|bloom))\.'
 
-# phases prints "name phase" for each hot text symbol of binary $1. The
-# phase comes from the address's last two hex digits: 256 is a multiple
-# of 64.
+# phases prints "phase name" for each hot text symbol of binary $1. The
+# name is the rest of the line after nm's address, size and type, since
+# a generic instantiation's name holds spaces. The phase comes from the
+# address's last two hex digits: 256 is a multiple of 64.
 phases() {
     go tool nm -n -size "$1" | awk -v hot="$hot" '
         $3 == "T" && $4 ~ hot {
+            name = $0
+            sub(/^[ \t]*[^ \t]+[ \t]+[^ \t]+[ \t]+[^ \t]+[ \t]+/, "", name)
             lo = tolower(substr($1, length($1) - 1))
             d = "0123456789abcdef"
-            print $4, ((index(d, substr(lo, 1, 1)) - 1) * 16 + index(d, substr(lo, 2, 1)) - 1) % 64
+            print ((index(d, substr(lo, 1, 1)) - 1) * 16 + index(d, substr(lo, 2, 1)) - 1) % 64, name
         }'
 }
 
@@ -33,12 +36,13 @@ old=$(phases "$1")
 new=$(phases "$2")
 printf '%s\n--\n%s\n' "$old" "$new" | awk '
     $0 == "--" { second = 1; next }
-    !second { phase[$1] = $2; next }
-    $1 in phase {
+    { name = substr($0, length($1) + 2) }
+    !second { phase[name] = $1; next }
+    name in phase {
         n++
-        if (phase[$1] != $2) {
+        if (phase[name] != $1) {
             k++
-            printf "%s %d -> %d\n", $1, phase[$1], $2
+            printf "%s %d -> %d\n", name, phase[name], $1
         }
     }
     END { printf "%d of %d hot symbols moved their 64-byte phase\n", k, n }'
