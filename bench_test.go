@@ -143,7 +143,7 @@ func BenchmarkLookupLinear(b *testing.B) {
 }
 
 // BenchmarkLookupIndexed times the multi-index Hamming lookup on the
-// same DB; the -lookup harness sweeps the full size×arm×workers grid.
+// same DB.
 func BenchmarkLookupIndexed(b *testing.B) {
 	idx, probes := lookupBenchDB(b, 50_000)
 	b.ReportAllocs()

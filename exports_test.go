@@ -23,14 +23,15 @@ import (
 // "pkg.Type.Method" or "pkg.Struct.Field"; every value is the reason.
 var callerAllowlist = map[string]string{
 	// Reference or oracle code the tests compare against.
-	"dct.Forward1D":        "reference: the textbook DCT-II the 8×8 kernels are held to",
-	"dct.Inverse1D":        "reference: the textbook DCT-III the 8×8 kernels are held to",
-	"bloom.DeltaWithBase":  "reference: merged window deltas must equal it byte for byte",
-	"phash.Band":           "reference: the band layout the keyed band mixer is checked against",
-	"phash.AHash":          "reference: the fused NewSignature must equal the three hashes computed alone",
-	"phash.DHash":          "reference: the fused NewSignature must equal the three hashes computed alone",
-	"phash.PHash":          "reference: the fused NewSignature must equal the three hashes computed alone",
-	"ledger.Config.Shards": "reference: Shards = 1 is the single-lock store the sharded one is held to (crash and equivalence tests at 1, 8 and 32)",
+	"dct.Forward1D":                    "reference: the textbook DCT-II the 8×8 kernels are held to",
+	"dct.Inverse1D":                    "reference: the textbook DCT-III the 8×8 kernels are held to",
+	"bloom.DeltaWithBase":              "reference: merged window deltas must equal it byte for byte",
+	"phash.Band":                       "reference: the band layout the keyed band mixer is checked against",
+	"phash.AHash":                      "reference: the fused NewSignature must equal the three hashes computed alone",
+	"phash.DHash":                      "reference: the fused NewSignature must equal the three hashes computed alone",
+	"phash.PHash":                      "reference: the fused NewSignature must equal the three hashes computed alone",
+	"ledger.Config.Shards":             "reference: Shards = 1 is the single-lock store the sharded one is held to (crash and equivalence tests at 1, 8 and 32)",
+	"aggregator.SigIndex.LookupLinear": "reference: the linear scan every banded lookup must equal",
 
 	// Test fixtures.
 	"photo.SynthRGB":             "test fixture: colour images for the codec and hash tests",
@@ -38,16 +39,44 @@ var callerAllowlist = map[string]string{
 	"photo.Image.SetGray":        "test fixture: hand-built pixels in the image tests",
 	"photo.Metadata.HasIRSLabel": "test fixture: checks a label survived or was stripped",
 	"photo.Image.Equal":          "test fixture: the photo and watermark tests compare images with it",
+	"phash.CraftedCollisions":    "test fixture: the band-collision flood the keyed index is held against",
 
 	// Named ROADMAP items.
 	"core.Spec.BrowserFilter": "ROADMAP item 16: deploys §4.4's browser-resident filter",
+
+	// Fault handling that the proxy tests drive but no binary deploys
+	// yet: the deployed proxy is fail-closed and never retries.
+	"proxy.Config.Breaker":                "ROADMAP item 24: the per-ledger circuit breaker, deployed once a link can fail under test",
+	"proxy.BreakerConfig.Enabled":         "ROADMAP item 24: the per-ledger circuit breaker, deployed once a link can fail under test",
+	"proxy.Config.Degrade":                "ROADMAP item 24: the fail-open-fresh posture, deployed once a link can fail under test",
+	"proxy.DegradePolicy.Mode":            "ROADMAP item 24: the fail-open-fresh posture, deployed once a link can fail under test",
+	"wire.NewRetryClient":                 "ROADMAP item 24: the retrying transport, deployed once a link can fail under test",
+	"wire.RetryConfig.AttemptTimeout":     "ROADMAP item 24: the retrying transport, deployed once a link can fail under test",
+	"wire.RetryConfig.BaseBackoff":        "ROADMAP item 24: the retrying transport, deployed once a link can fail under test",
+	"wire.RetryConfig.MaxAttempts":        "ROADMAP item 24: the retrying transport, deployed once a link can fail under test",
+	"wire.RetryConfig.MaxBackoff":         "ROADMAP item 24: the retrying transport, deployed once a link can fail under test",
+	"wire.RetryConfig.Seed":               "ROADMAP item 24: the retrying transport, deployed once a link can fail under test",
+	"proxy.AdmissionConfig.OverflowRate":  "ROADMAP item 5: the shared overflow lane of admission, priced when admission fronts the ledger",
+	"proxy.AdmissionConfig.OverflowBurst": "ROADMAP item 5: the shared overflow lane of admission, priced when admission fronts the ledger",
+	"proxy.Config.Obs":                    "ROADMAP item 10: a validator on a caller's registry, wired when traces cross tiers",
+
+	// The record plane's replica tier: only its own tests build it.
+	"topology.NewOrigin":             "ROADMAP item 15: the record plane's replica tier, which one signed head on /v1/log replaces",
+	"topology.NewReplica":            "ROADMAP item 15: the record plane's replica tier, which one signed head on /v1/log replaces",
+	"topology.Origin.Checkpoint":     "ROADMAP item 15: the record plane's replica tier, which one signed head on /v1/log replaces",
+	"topology.Origin.ReplicationKey": "ROADMAP item 15: the record plane's replica tier, which one signed head on /v1/log replaces",
+	"topology.Origin.Restore":        "ROADMAP item 15: the record plane's replica tier, which one signed head on /v1/log replaces",
+	"topology.Replica.CatchUp":       "ROADMAP item 15: the record plane's replica tier, which one signed head on /v1/log replaces",
+	"topology.Replica.Ready":         "ROADMAP item 15: the record plane's replica tier, which one signed head on /v1/log replaces",
 
 	// Test accessors.
 	"proxy.Validator.BreakerState": "test accessor: breaker transitions",
 	"ledger.Ledger.Compact":        "test accessor: forces the background merge",
 	"bloom.Window.RetainedBytes":   "test accessor: the epoch window's memory bound",
 	"bloom.Filter.FillRatio":       "test accessor: a filter's fill at its design load",
-	"netsim.Scheduler.Pending":     "test accessor: the event queue drains",
+	"aggregator.Aggregator.Hosts":  "test accessor: a taken-down photo is no longer hosted",
+	"obs.Registry.Snapshot":        "test accessor: tests read series from a registry",
+	"obs.Value":                    "test accessor: tests read one series from a snapshot",
 	"camera.Camera.Store":          "test accessor: the keys a camera claimed",
 	"core.System.Directory":        "test accessor: the ledger directory a built stack validates against",
 

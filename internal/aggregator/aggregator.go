@@ -138,7 +138,7 @@ type Config struct {
 	// CustodialLedgerURL labels custodial claims.
 	CustodialLedgerURL string
 	// Index parameterizes the robust-hash database, including its
-	// optional observability registry (IndexConfig.Obs).
+	// optional observability registry.
 	Index IndexConfig
 }
 

@@ -12,8 +12,8 @@ import (
 	"irs/internal/wire"
 )
 
-// TestTakedownRevalidateUploadHammer is the torn-state race from the
-// adversarial suite's appeal arm, run under -race: appeal-driven
+// TestTakedownRevalidateUploadHammer is the torn-state race of an
+// appeal storm, run under -race: appeal-driven
 // TakeDown, Serve-driven revalidation (including revoked claims), full
 // RecheckAll passes, and a stream of fresh uploads all hit the same
 // photo population concurrently. Two invariants must hold at

@@ -9,17 +9,17 @@ package aggregator
 // internal/phash:
 //
 //   - Each of the three 64-bit hashes (A/D/P) is split into
-//     cfg.Bands contiguous bands carrying per-band search radii from
+//     cfg.bands contiguous bands carrying per-band search radii from
 //     phash.BandRadii. Any hash within DefaultThreshold Hamming
 //     distance of the probe matches at least one band to within its
-//     radius (with Bands = phash.NumBands = 11 the radii are all zero
+//     radius (with bands = phash.NumBands = 11 the radii are all zero
 //     and the bands match exactly — the classic statement).
 //   - Before banding, each hash passes through a keyed
 //     distance-preserving mixer (phash.BandMixer, keyed at
 //     construction), so the bucket layout is unpredictable to
 //     uploaders: mass-producing signatures that pile into one band
-//     bucket — the bucket-density DoS the adversarial suite mounts —
-//     requires the key. Being an isometry, the mixer leaves every
+//     bucket — the bucket-density DoS the crafted-collision tests
+//     mount — requires the key. Being an isometry, the mixer leaves every
 //     distance, and therefore every lookup result, unchanged.
 //   - Entries are bucketed per (hash kind, band) by band value in a
 //     counting-sort (CSR) layout: a starts array indexed by band value
@@ -41,7 +41,7 @@ package aggregator
 // backing array (readers never index past their snapshot's length),
 // deletions copy the tombstone bitmap, and the band tables are rebuilt
 // wholesale — in parallel across the 3×Bands tables — when the
-// unindexed tail outgrows MaxTail or tombstones pass the compaction
+// unindexed tail outgrows maxTail or tombstones pass the compaction
 // threshold.
 
 import (
@@ -63,8 +63,8 @@ import (
 // databases of 10⁴–10⁷ entries (band width ≈ log₂ n). Fewer, wider
 // bands (4×16-bit) shrink buckets further but triple the probe
 // enumeration (each radius-2 band expands to C(16,2)+17 values) and
-// quadruple the table footprint; measured on the -lookup harness the
-// 5-band split wins throughout that range.
+// quadruple the table footprint; measured on a lookup sweep of 10⁴ to
+// 2.5·10⁵ entries, the 5-band split won throughout that range.
 const DefaultIndexBands = 5
 
 // defaultMaxTail bounds the unindexed tail scanned linearly before a
@@ -79,32 +79,32 @@ const lookupHashChunk = 512
 
 // IndexConfig parameterizes a SigIndex.
 type IndexConfig struct {
-	// Bands is the band count per 64-bit hash, 4..phash.NumBands.
+	// bands is the band count per 64-bit hash, 4..phash.NumBands.
 	// Zero means DefaultIndexBands; out-of-range values are clamped.
 	// phash.NumBands selects the classic exact-match decomposition.
-	Bands int
-	// MaxTail is the unindexed-tail length that triggers a band-table
+	bands int
+	// maxTail is the unindexed-tail length that triggers a band-table
 	// rebuild. Zero means defaultMaxTail.
-	MaxTail int
+	maxTail int
 	// BandKey seeds the keyed band mixer (phash.BandMixer) that
 	// scrambles hashes into the banding domain, so uploaders cannot
 	// precompute signatures that collide in the bucket tables. Zero
 	// draws a fresh random key at construction — the secure default;
 	// set it explicitly only where runs must reproduce bucket layouts
-	// (differential tests, the -adversary harness). Lookup results are
+	// (differential tests, the benchmark). Lookup results are
 	// identical to the linear scan for every key: the mixer is a
 	// Hamming isometry, so the pigeonhole guarantee holds unchanged in
 	// the mixed domain.
 	BandKey uint64
-	// Unkeyed disables band mixing entirely, restoring the public
-	// fixed band layout. Only the adversarial baseline arms use it —
+	// unkeyed disables band mixing entirely, restoring the public
+	// fixed band layout. Only the adversarial baseline tests use it —
 	// it is the configuration the collision flood defeats.
-	Unkeyed bool
-	// Obs, when non-nil, interns the index's irs_index_* series
+	unkeyed bool
+	// obs, when non-nil, interns the index's irs_index_* series
 	// (lookup latency, candidate/verify counts, rebuild/compaction
 	// events, entry gauges) in the given registry. nil disables
 	// instrumentation at zero lookup cost.
-	Obs *obs.Registry
+	obs *obs.Registry
 }
 
 // indexObs holds the pre-interned instruments; nil disables.
@@ -196,7 +196,7 @@ var scratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
 type SigIndex struct {
 	cfg   IndexConfig
 	radii []int
-	// mixer is the keyed banding isometry; nil when cfg.Unkeyed.
+	// mixer is the keyed banding isometry; nil when cfg.unkeyed.
 	mixer *phash.BandMixer
 
 	mu  sync.Mutex // serializes writers
@@ -207,37 +207,37 @@ type SigIndex struct {
 	rebuilds    int
 	compactions int
 
-	obs *indexObs // nil when IndexConfig.Obs was nil
+	obs *indexObs // nil when IndexConfig.obs was nil
 }
 
 // NewSigIndex creates an empty index.
 func NewSigIndex(cfg IndexConfig) *SigIndex {
-	if cfg.Bands == 0 {
-		cfg.Bands = DefaultIndexBands
+	if cfg.bands == 0 {
+		cfg.bands = DefaultIndexBands
 	}
-	if cfg.Bands < 4 {
-		cfg.Bands = 4
+	if cfg.bands < 4 {
+		cfg.bands = 4
 	}
-	if cfg.Bands > phash.NumBands {
-		cfg.Bands = phash.NumBands
+	if cfg.bands > phash.NumBands {
+		cfg.bands = phash.NumBands
 	}
-	if cfg.MaxTail <= 0 {
-		cfg.MaxTail = defaultMaxTail
+	if cfg.maxTail <= 0 {
+		cfg.maxTail = defaultMaxTail
 	}
 	x := &SigIndex{
 		cfg:   cfg,
-		radii: phash.BandRadii(phash.DefaultThreshold, cfg.Bands),
+		radii: phash.BandRadii(phash.DefaultThreshold, cfg.bands),
 		pos:   make(map[ids.PhotoID][]int32),
 	}
-	if !cfg.Unkeyed {
+	if !cfg.unkeyed {
 		if cfg.BandKey != 0 {
 			x.mixer = phash.NewBandMixer(cfg.BandKey)
 		} else {
 			x.mixer = phash.NewRandomBandMixer()
 		}
 	}
-	if cfg.Obs != nil {
-		x.obs = newIndexObs(cfg.Obs)
+	if cfg.obs != nil {
+		x.obs = newIndexObs(cfg.obs)
 	}
 	x.cur.Store(&indexSnapshot{})
 	return x
@@ -272,7 +272,7 @@ func (x *SigIndex) AddAll(sigs []phash.Signature, pids []ids.PhotoID) {
 }
 
 // addLocked appends batch and publishes a new snapshot, rebuilding the
-// band tables when the tail outgrows MaxTail. The entries and dead
+// band tables when the tail outgrows maxTail. The entries and dead
 // backing arrays are shared with prior snapshots: appends only write
 // past every published snapshot's length, and the atomic publish
 // orders those writes before any reader can index them.
@@ -293,7 +293,7 @@ func (x *SigIndex) addLocked(batch []hashEntry) {
 	if s.table != nil {
 		indexed = s.table.n
 	}
-	if len(entries)-indexed >= x.cfg.MaxTail {
+	if len(entries)-indexed >= x.cfg.maxTail {
 		next.table = x.buildTable(entries)
 		x.rebuilds++
 		if x.obs != nil {
@@ -365,7 +365,7 @@ func (x *SigIndex) compactLocked(next *indexSnapshot) {
 	next.dead = make([]uint64, (len(live)+63)/64)
 	next.deadCount = 0
 	next.table = nil
-	if len(live) >= x.cfg.MaxTail {
+	if len(live) >= x.cfg.maxTail {
 		next.table = x.buildTable(live)
 	}
 	x.compactions++
@@ -379,7 +379,7 @@ func (x *SigIndex) compactLocked(next *indexSnapshot) {
 // pool; bucket contents are ascending by construction and identical at
 // any worker count.
 func (x *SigIndex) buildTable(entries []hashEntry) *bandTable {
-	m := x.cfg.Bands
+	m := x.cfg.bands
 	t := &bandTable{n: len(entries), bands: m, tabs: make([]csrTable, 3*m)}
 	parallel.Do(3*m, func(ti int) {
 		k, b := ti/m, ti%m
@@ -541,7 +541,7 @@ func (s *indexSnapshot) lookupIndexed(sig phash.Signature, mixed [3]uint64, t *b
 }
 
 // LookupLinear is the reference O(n) scan over the same snapshot, kept
-// for differential tests and the irs-bench -lookup baseline arm. It
+// for differential tests and the linear lookup benchmark. It
 // preserves the historical behavior: serial below 2×lookupHashChunk
 // entries or at one worker, chunked across the pool otherwise, with
 // the lowest-index match winning at any worker count.
@@ -583,13 +583,13 @@ type IndexStats struct {
 	Indexed     int // entries covered by the band tables
 	Tail        int // entries scanned linearly
 	Bands       int
-	Keyed       bool // band mixing active (IndexConfig.Unkeyed unset)
+	Keyed       bool // band mixing active (IndexConfig.unkeyed unset)
 	Rebuilds    int
 	Compactions int
 }
 
-// Stats returns current index statistics.
-func (x *SigIndex) Stats() IndexStats {
+// stats returns current index statistics.
+func (x *SigIndex) stats() IndexStats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	s := x.cur.Load()
@@ -597,7 +597,7 @@ func (x *SigIndex) Stats() IndexStats {
 		Entries:     len(s.entries),
 		Live:        len(s.entries) - s.deadCount,
 		Dead:        s.deadCount,
-		Bands:       x.cfg.Bands,
+		Bands:       x.cfg.bands,
 		Keyed:       x.mixer != nil,
 		Rebuilds:    x.rebuilds,
 		Compactions: x.compactions,

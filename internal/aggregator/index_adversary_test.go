@@ -19,10 +19,10 @@ import (
 func TestKeyedIndexedLinearDifferential(t *testing.T) {
 	const n = 2500
 	configs := []IndexConfig{
-		{Unkeyed: true, MaxTail: 256},
-		{BandKey: 1, MaxTail: 256},
-		{BandKey: 42, MaxTail: 256},
-		{BandKey: 0xdeadbeefcafef00d, MaxTail: 256},
+		{unkeyed: true, maxTail: 256},
+		{BandKey: 1, maxTail: 256},
+		{BandKey: 42, maxTail: 256},
+		{BandKey: 0xdeadbeefcafef00d, maxTail: 256},
 	}
 	for _, cfg := range configs {
 		rng := rand.New(rand.NewSource(4242))
@@ -36,12 +36,12 @@ func TestKeyedIndexedLinearDifferential(t *testing.T) {
 			sigs = append(sigs, sig)
 			idx.Add(sig, testID(i))
 		}
-		flood, floodProbes := phash.CraftedCollisions(7, idx.Stats().Bands, 400, 40)
+		flood, floodProbes := phash.CraftedCollisions(7, idx.stats().Bands, 400, 40)
 		for i, sig := range flood {
 			idx.Add(sig, testID(n+i))
 		}
-		if st := idx.Stats(); st.Indexed == 0 {
-			t.Fatalf("key=%#x unkeyed=%v: index never rebuilt: %+v", cfg.BandKey, cfg.Unkeyed, st)
+		if st := idx.stats(); st.Indexed == 0 {
+			t.Fatalf("key=%#x unkeyed=%v: index never rebuilt: %+v", cfg.BandKey, cfg.unkeyed, st)
 		}
 
 		probes := make([]phash.Signature, 0, 800)
@@ -64,7 +64,7 @@ func TestKeyedIndexedLinearDifferential(t *testing.T) {
 				if gotOK != wantOK || gotID != wantID {
 					parallel.SetWorkers(prev)
 					t.Fatalf("key=%#x unkeyed=%v workers=%d probe %d: indexed (%v,%v) != linear (%v,%v)",
-						cfg.BandKey, cfg.Unkeyed, w, pi, gotID, gotOK, wantID, wantOK)
+						cfg.BandKey, cfg.unkeyed, w, pi, gotID, gotOK, wantID, wantOK)
 				}
 			}
 			parallel.SetWorkers(prev)
@@ -80,8 +80,8 @@ func TestKeyedIndexedLinearDifferential(t *testing.T) {
 func floodCandidateLoad(t *testing.T, cfg IndexConfig, benign, flood, probes []phash.Signature) float64 {
 	t.Helper()
 	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	cfg.MaxTail = 256
+	cfg.obs = reg
+	cfg.maxTail = 256
 	idx := NewSigIndex(cfg)
 	for i, sig := range benign {
 		idx.Add(sig, testID(i))
@@ -90,9 +90,9 @@ func floodCandidateLoad(t *testing.T, cfg IndexConfig, benign, flood, probes []p
 		idx.Add(sig, testID(len(benign)+i))
 	}
 	// Flush the tail so every probe runs against the band tables.
-	if st := idx.Stats(); st.Tail > 0 {
+	if st := idx.stats(); st.Tail > 0 {
 		extra := rand.New(rand.NewSource(555))
-		for i := 0; i < cfg.MaxTail; i++ {
+		for i := 0; i < cfg.maxTail; i++ {
 			idx.Add(randSig(extra), testID(len(benign)+len(flood)+i))
 		}
 	}
@@ -106,11 +106,15 @@ func floodCandidateLoad(t *testing.T, cfg IndexConfig, benign, flood, probes []p
 }
 
 // TestCraftedCollisionsDegradeUnkeyedNotKeyed is the regression the
-// tentpole fix is gated on: the crafted corpus must blow the unkeyed
-// index's candidate sets up to the corpus size (every flooded entry
-// verified on every probe), while the keyed index stays within a small
-// multiple of the benign load. Candidate counts, not wall clock, so
-// the assertion is stable on any CI machine.
+// keyed band mixer is gated on: the crafted corpus must blow the
+// unkeyed index's candidate sets up to the corpus size (every flooded
+// entry verified on every probe), while the keyed index stays within a
+// small multiple of the benign load. A benign twin of each index holds
+// as many random signatures in place of the flood, and answers the same
+// probes: the flood must cost the unkeyed index at least 10× its twin's
+// candidates. Candidate counts, not wall clock, so the assertions are
+// stable on any CI machine. The keyed index's load still grows with the
+// flood (3.6× its twin here), so no bound ties it to its twin.
 func TestCraftedCollisionsDegradeUnkeyedNotKeyed(t *testing.T) {
 	const nBenign, nFlood, nProbes = 6000, 3000, 200
 	rng := rand.New(rand.NewSource(31337))
@@ -120,13 +124,24 @@ func TestCraftedCollisionsDegradeUnkeyedNotKeyed(t *testing.T) {
 	}
 	flood, probes := phash.CraftedCollisions(7, DefaultIndexBands, nFlood, nProbes)
 
-	unkeyed := floodCandidateLoad(t, IndexConfig{Unkeyed: true}, benign, flood, probes)
+	twin := make([]phash.Signature, nFlood)
+	for i := range twin {
+		twin[i] = randSig(rng)
+	}
+
+	unkeyed := floodCandidateLoad(t, IndexConfig{unkeyed: true}, benign, flood, probes)
 	keyed := floodCandidateLoad(t, IndexConfig{BandKey: 42}, benign, flood, probes)
+	unkeyedTwin := floodCandidateLoad(t, IndexConfig{unkeyed: true}, benign, twin, probes)
+	keyedTwin := floodCandidateLoad(t, IndexConfig{BandKey: 42}, benign, twin, probes)
+	t.Logf("candidates/probe: unkeyed %.1f (twin %.1f), keyed %.1f (twin %.1f)", unkeyed, unkeyedTwin, keyed, keyedTwin)
 
 	if unkeyed < float64(nFlood) {
 		t.Fatalf("unkeyed index not degraded: %.1f candidates/probe, want >= %d (the whole corpus)", unkeyed, nFlood)
 	}
 	if keyed*10 > unkeyed {
 		t.Fatalf("keyed index degraded too: %.1f candidates/probe vs %.1f unkeyed (want >=10x reduction)", keyed, unkeyed)
+	}
+	if unkeyed < 10*unkeyedTwin {
+		t.Fatalf("flood costs the unkeyed index %.1f candidates/probe, its benign twin %.1f: want >= 10x", unkeyed, unkeyedTwin)
 	}
 }

@@ -2,6 +2,7 @@ package aggregator
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -47,83 +48,119 @@ func nearProbe(rng *rand.Rand, sig phash.Signature, dA, dD, dP int) phash.Signat
 // TestIndexedLinearDifferential is the equivalence proof in test form:
 // over seeded random databases, probes engineered to straddle the
 // match threshold (per-kind distances 9, 10, and 11), interleaved
-// takedowns, and every tested worker count, the banded index and the
-// linear reference scan must return byte-identical results — same
-// hit/miss and, on hits, the same first-inserted winner. Both the
-// 4-band default and the classic 11-band decomposition are covered.
+// takedowns, every tested worker count and four concurrent client
+// goroutines, the banded index and the linear reference scan must
+// return byte-identical results — same hit/miss and, on hits, the same
+// first-inserted winner. Both the 5-band default and the classic
+// 11-band decomposition are covered.
 func TestIndexedLinearDifferential(t *testing.T) {
 	const n = 3000
 	for _, bands := range []int{DefaultIndexBands, phash.NumBands} {
-		rng := rand.New(rand.NewSource(int64(100 + bands)))
-		idx := NewSigIndex(IndexConfig{Bands: bands, MaxTail: 256})
-		sigs := make([]phash.Signature, 0, n)
-		for i := 0; i < n; i++ {
-			sig := randSig(rng)
-			if i%5 == 0 && i > 0 {
-				// Duplicate an earlier signature so some probes have
-				// several candidate matches and the first-match
-				// tie-break is actually exercised.
-				sig = sigs[rng.Intn(len(sigs))]
+		t.Run(fmt.Sprintf("bands=%d", bands), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(100 + bands)))
+			idx := NewSigIndex(IndexConfig{bands: bands, maxTail: 256})
+			sigs := make([]phash.Signature, 0, n)
+			for i := 0; i < n; i++ {
+				sig := randSig(rng)
+				if i%5 == 0 && i > 0 {
+					// Duplicate an earlier signature so some probes have
+					// several candidate matches and the first-match
+					// tie-break is actually exercised.
+					sig = sigs[rng.Intn(len(sigs))]
+				}
+				sigs = append(sigs, sig)
+				idx.Add(sig, testID(i))
 			}
-			sigs = append(sigs, sig)
-			idx.Add(sig, testID(i))
-		}
-		if st := idx.Stats(); st.Indexed == 0 {
-			t.Fatalf("bands=%d: index never rebuilt: %+v", bands, st)
-		}
+			if st := idx.stats(); st.Indexed == 0 {
+				t.Fatalf("bands=%d: index never rebuilt: %+v", bands, st)
+			}
 
-		probes := make([]phash.Signature, 0, 600)
-		for i := 0; i < 200; i++ {
-			base := sigs[rng.Intn(n)]
-			// Near-threshold hits and misses: 9 and 10 are within the
-			// threshold, 11 is just outside; the vote needs two kinds in.
-			probes = append(probes,
-				nearProbe(rng, base, 9, 10, 40),  // hit: A+D vote
-				nearProbe(rng, base, 10, 11, 40), // miss: only A votes
-				nearProbe(rng, base, 11, 9, 10),  // hit: D+P vote
-			)
-			probes = append(probes, randSig(rng)) // far miss
-		}
+			probes := make([]phash.Signature, 0, 600)
+			for i := 0; i < 200; i++ {
+				base := sigs[rng.Intn(n)]
+				// Near-threshold hits and misses: 9 and 10 are within the
+				// threshold, 11 is just outside; the vote needs two kinds in.
+				probes = append(probes,
+					nearProbe(rng, base, 9, 10, 40),  // hit: A+D vote
+					nearProbe(rng, base, 10, 11, 40), // miss: only A votes
+					nearProbe(rng, base, 11, 9, 10),  // hit: D+P vote
+				)
+				probes = append(probes, randSig(rng)) // far miss
+			}
 
-		check := func(round string) {
-			t.Helper()
-			for _, w := range []int{1, 4, 8} {
-				prev := parallel.SetWorkers(w)
+			check := func(round string) {
+				t.Helper()
+				for _, w := range []int{1, 4, 8} {
+					prev := parallel.SetWorkers(w)
+					for pi, p := range probes {
+						gotID, gotOK := idx.Lookup(p)
+						wantID, wantOK := idx.LookupLinear(p)
+						if gotOK != wantOK || gotID != wantID {
+							parallel.SetWorkers(prev)
+							t.Fatalf("bands=%d %s workers=%d probe %d: indexed (%v,%v) != linear (%v,%v)",
+								bands, round, w, pi, gotID, gotOK, wantID, wantOK)
+						}
+					}
+					parallel.SetWorkers(prev)
+				}
+				// Four client goroutines, each probing its own share at
+				// once, read one snapshot lock-free and must get the same
+				// answers as the serial linear scan.
+				const clients = 4
+				type answer struct {
+					id ids.PhotoID
+					ok bool
+				}
+				want := make([]answer, len(probes))
 				for pi, p := range probes {
-					gotID, gotOK := idx.Lookup(p)
-					wantID, wantOK := idx.LookupLinear(p)
-					if gotOK != wantOK || gotID != wantID {
-						parallel.SetWorkers(prev)
-						t.Fatalf("bands=%d %s workers=%d probe %d: indexed (%v,%v) != linear (%v,%v)",
-							bands, round, w, pi, gotID, gotOK, wantID, wantOK)
+					want[pi].id, want[pi].ok = idx.LookupLinear(p)
+				}
+				firstBad := make([]int, clients)
+				var wg sync.WaitGroup
+				for c := 0; c < clients; c++ {
+					firstBad[c] = -1
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						for pi := c; pi < len(probes); pi += clients {
+							if id, ok := idx.Lookup(probes[pi]); ok != want[pi].ok || id != want[pi].id {
+								firstBad[c] = pi
+								return
+							}
+						}
+					}(c)
+				}
+				wg.Wait()
+				for c, pi := range firstBad {
+					if pi >= 0 {
+						t.Fatalf("bands=%d %s client %d of %d: probe %d differs from linear", bands, round, c, clients, pi)
 					}
 				}
-				parallel.SetWorkers(prev)
 			}
-		}
-		check("after-build")
+			check("after-build")
 
-		// Interleave takedowns with lookups: tombstones must shift the
-		// first-match winner identically in both paths, through enough
-		// removals to trigger compaction.
-		removed := 0
-		for _, i := range rng.Perm(n) {
-			if idx.Remove(testID(i)) > 0 {
-				removed++
+			// Interleave takedowns with lookups: tombstones must shift the
+			// first-match winner identically in both paths, through enough
+			// removals to trigger compaction.
+			removed := 0
+			for _, i := range rng.Perm(n) {
+				if idx.Remove(testID(i)) > 0 {
+					removed++
+				}
+				if removed == n/10 || removed == n/3 {
+					check("mid-takedown")
+					removed++
+				}
+				if removed > n/2 {
+					break
+				}
 			}
-			if removed == n/10 || removed == n/3 {
-				check("mid-takedown")
-				removed++
+			st := idx.stats()
+			if st.Compactions == 0 {
+				t.Errorf("bands=%d: no compaction after removing half the DB: %+v", bands, st)
 			}
-			if removed > n/2 {
-				break
-			}
-		}
-		st := idx.Stats()
-		if st.Compactions == 0 {
-			t.Errorf("bands=%d: no compaction after removing half the DB: %+v", bands, st)
-		}
-		check("after-takedown")
+			check("after-takedown")
+		})
 	}
 }
 
@@ -133,7 +170,7 @@ func TestIndexedLinearDifferential(t *testing.T) {
 // miss.
 func TestIndexTombstoneShiftsWinner(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	idx := NewSigIndex(IndexConfig{MaxTail: 64})
+	idx := NewSigIndex(IndexConfig{maxTail: 64})
 	shared := randSig(rng)
 	const first, second = 40, 150
 	for i := 0; i < 300; i++ {
@@ -166,7 +203,7 @@ func TestIndexTombstoneShiftsWinner(t *testing.T) {
 // the insertion-order winner survives the rewrite.
 func TestIndexCompactionPreservesOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	idx := NewSigIndex(IndexConfig{MaxTail: 64})
+	idx := NewSigIndex(IndexConfig{maxTail: 64})
 	shared := randSig(rng)
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -179,7 +216,7 @@ func TestIndexCompactionPreservesOrder(t *testing.T) {
 	for i := 0; i < n/3; i++ {
 		idx.Remove(testID(i))
 	}
-	st := idx.Stats()
+	st := idx.stats()
 	if st.Compactions == 0 {
 		t.Fatalf("no compaction after %d removals: %+v", n/3, st)
 	}
@@ -209,7 +246,7 @@ func TestIndexAddAll(t *testing.T) {
 	}
 	bulk := NewSigIndex(IndexConfig{})
 	bulk.AddAll(sigs, pids)
-	if st := bulk.Stats(); st.Entries != n || st.Rebuilds != 1 {
+	if st := bulk.stats(); st.Entries != n || st.Rebuilds != 1 {
 		t.Fatalf("bulk stats %+v, want %d entries in one rebuild", st, n)
 	}
 	for i := 0; i < 100; i++ {
@@ -226,7 +263,7 @@ func TestIndexAddAll(t *testing.T) {
 // copy-on-write snapshot scheme; its assertions also catch torn reads
 // (an entry resolving to an identifier that was never added).
 func TestIndexConcurrentUploadLookupTakeDown(t *testing.T) {
-	idx := NewSigIndex(IndexConfig{MaxTail: 64})
+	idx := NewSigIndex(IndexConfig{maxTail: 64})
 	const (
 		writers  = 2
 		readers  = 4
@@ -277,7 +314,7 @@ func TestIndexConcurrentUploadLookupTakeDown(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	st := idx.Stats()
+	st := idx.stats()
 	if st.Entries == 0 || st.Live > writers*perGoro {
 		t.Fatalf("final stats %+v", st)
 	}

@@ -29,7 +29,7 @@ func TestLookupHashFirstMatchAcrossWorkers(t *testing.T) {
 		}
 		idx.Add(sig, ids.PhotoID{Ledger: ids.LedgerID(i)})
 	}
-	if st := idx.Stats(); st.Indexed == 0 {
+	if st := idx.stats(); st.Indexed == 0 {
 		t.Fatalf("index never rebuilt: %+v", st)
 	}
 

@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -17,7 +17,6 @@ import (
 	"irs/internal/camera"
 	"irs/internal/ids"
 	"irs/internal/ledger"
-	"irs/internal/netsim"
 	"irs/internal/parallel"
 	"irs/internal/photo"
 	"irs/internal/watermark"
@@ -528,8 +527,8 @@ func TestPipelineStatusRequestCount(t *testing.T) {
 
 // TestPipelineStatusFaultParity replays one corpus, labeled on two
 // ledgers and uploaded as 4-item albums, against status endpoints that
-// fail per netsim.Faulty fate draws — one fate per status batch, that
-// is per (album, ledger). Fates are pre-drawn in issue order and looked
+// fail per seeded fate draws — one fate per status batch, that is per
+// (album, ledger). Fates are pre-drawn in issue order and looked
 // up by the identifiers a request carries, so the serial path (one
 // Status per item, given its batch's fate) and UploadAll at any worker
 // count observe the same fault for the same item: every item of a lost
@@ -568,25 +567,21 @@ func TestPipelineStatusFaultParity(t *testing.T) {
 		itemKey = append(itemKey, k)
 	}
 
-	// Pre-draw one fate per batch on a simulated faulty link. The draws
-	// happen in issue order on the sim — deterministic for a seed — and
-	// are then looked up by content, so real-time call order cannot
+	// Draw one fate per batch from a seeded source, in batch order, then
+	// look the fates up by content, so real-time call order cannot
 	// reshuffle which batch they land on.
 	var keys []batchKey
 	for a := 0; a < n/album; a++ {
 		keys = append(keys, batchKey{a, 1}, batchKey{a, 2})
 	}
-	sched := netsim.NewScheduler(1)
-	faulty, err := netsim.NewFaulty(netsim.NewLink(sched, netsim.Fixed(time.Millisecond), 0),
-		netsim.FaultConfig{Seed: 17, LossProb: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	errLost := errors.New("status batch lost")
+	rng := rand.New(rand.NewSource(17))
 	fates := make([]error, len(keys))
-	for i := range keys {
-		faulty.Request(func(err error) { fates[i] = err })
+	for i := range fates {
+		if rng.Float64() < 0.4 {
+			fates[i] = errLost
+		}
 	}
-	sched.RunUntil(time.Duration(math.MaxInt64))
 	fateFor := make(map[batchKey]error, len(keys))
 	lost := 0
 	for i, k := range keys {

@@ -248,17 +248,19 @@ func TestBenchHarnessCLI(t *testing.T) {
 		t.Error("unknown experiment exited 0")
 	}
 
-	// Usage errors exit 2 before anything runs: more than one mode, a
-	// -scale that is not one value, and the retired suites' mode flags,
-	// which must be undefined rather than hidden.
+	// Usage errors exit 2 before anything runs: a -scale that is not one
+	// value, and the retired suites' mode flags, which must be undefined
+	// rather than hidden.
 	undefined := "flag provided but not defined"
 	for _, tc := range []struct {
 		args []string
 		want []string // substrings of the combined output
 	}{
-		{[]string{"-chaos", "-topology"}, []string{"-chaos", "-topology"}},
-		{[]string{"-list", "-lookup"}, []string{"-list", "-lookup"}},
 		{[]string{"-run", "e1", "-scale", "quick,full"}, []string{"bad -scale"}},
+		{[]string{"-chaos"}, []string{undefined, "-chaos"}},
+		{[]string{"-adversary"}, []string{undefined, "-adversary"}},
+		{[]string{"-list", "-lookup"}, []string{undefined, "-lookup"}},
+		{[]string{"-topology"}, []string{undefined, "-topology"}},
 		{[]string{"-serve"}, []string{undefined}},
 		{[]string{"-upload"}, []string{undefined}},
 		{[]string{"-storage"}, []string{undefined}},

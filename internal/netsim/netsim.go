@@ -5,15 +5,13 @@
 // the test environment cannot reproduce against the real web: ledger
 // round trips "under 100ms, as in [12, 26]", page loads from the HTTP
 // Archive distribution, and the 250 ms pinterest.com overlap window. The
-// experiments therefore run on virtual time: a discrete-event scheduler
-// (Scheduler) advances a simulated clock from event to event, and latency
-// distributions (Dist) supply reproducible samples. Nothing sleeps; a
-// simulated second costs microseconds, so sweeps over thousands of page
-// loads are cheap and exactly repeatable.
+// experiments therefore run on virtual time: latency distributions
+// (Dist) supply reproducible samples from a seeded source. Nothing
+// sleeps; a simulated second costs microseconds, so sweeps over
+// thousands of page loads are cheap and exactly repeatable.
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -84,121 +82,6 @@ func (l LogNormal) Mean() time.Duration {
 // String implements fmt.Stringer.
 func (l LogNormal) String() string {
 	return fmt.Sprintf("lognormal(med=%v,σ=%.2f)", l.Median, l.Sigma)
-}
-
-// event is one scheduled callback.
-type event struct {
-	at  time.Duration
-	seq uint64 // FIFO tie-break for determinism
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)         { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)           { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any             { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) isEmpty() bool         { return len(h) == 0 }
-func (h eventHeap) nextAt() time.Duration { return h[0].at }
-
-// Scheduler is a single-threaded discrete-event simulator. Time is a
-// Duration since simulation start. Not safe for concurrent use; all
-// callbacks run on the caller's goroutine inside RunUntil.
-type Scheduler struct {
-	now    time.Duration
-	seq    uint64
-	events eventHeap
-	rng    *rand.Rand
-}
-
-// NewScheduler creates a scheduler with a deterministic random source.
-func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Now returns the current virtual time.
-func (s *Scheduler) Now() time.Duration { return s.now }
-
-// At schedules fn at an absolute virtual time; times in the past run at
-// the current time.
-func (s *Scheduler) At(t time.Duration, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	heap.Push(&s.events, &event{at: t, seq: s.seq, fn: fn})
-}
-
-// After schedules fn after a delay from now.
-func (s *Scheduler) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
-
-// RunUntil executes events with time ≤ limit; remaining events stay
-// queued. Returns the virtual time reached (limit if events remain).
-func (s *Scheduler) RunUntil(limit time.Duration) time.Duration {
-	for !s.events.isEmpty() && s.events.nextAt() <= limit {
-		e := heap.Pop(&s.events).(*event)
-		s.now = e.at
-		e.fn()
-	}
-	if s.now < limit {
-		s.now = limit
-	}
-	return s.now
-}
-
-// Pending reports the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.events) }
-
-// Link models a request/response channel with a latency distribution and
-// optional limited concurrency (e.g. a browser's per-host connection
-// pool). Zero MaxInFlight means unlimited.
-type Link struct {
-	sched       *Scheduler
-	dist        Dist
-	maxInFlight int
-	inFlight    int
-	queue       []func()
-	// Requests counts total requests issued, for load accounting.
-	Requests uint64
-}
-
-// NewLink creates a link on the given scheduler.
-func NewLink(s *Scheduler, dist Dist, maxInFlight int) *Link {
-	return &Link{sched: s, dist: dist, maxInFlight: maxInFlight}
-}
-
-// Request issues a request now; done runs when the response arrives.
-func (l *Link) Request(done func()) {
-	l.Requests++
-	start := func() {
-		l.inFlight++
-		d := l.dist.Sample(l.sched.rng)
-		l.sched.After(d, func() {
-			l.inFlight--
-			done()
-			l.drain()
-		})
-	}
-	if l.maxInFlight > 0 && l.inFlight >= l.maxInFlight {
-		l.queue = append(l.queue, start)
-		return
-	}
-	start()
-}
-
-func (l *Link) drain() {
-	for len(l.queue) > 0 && (l.maxInFlight == 0 || l.inFlight < l.maxInFlight) {
-		next := l.queue[0]
-		l.queue = l.queue[1:]
-		next()
-	}
 }
 
 // Quantile returns the q-quantile (0..1) of a duration sample set,

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -62,144 +61,6 @@ func TestLogNormalDist(t *testing.T) {
 	}
 }
 
-// forever is a RunUntil limit past every event a test schedules.
-const forever = time.Duration(math.MaxInt64)
-
-func TestSchedulerOrdering(t *testing.T) {
-	s := NewScheduler(1)
-	var order []int
-	var end time.Duration
-	s.At(30*time.Millisecond, func() { order = append(order, 3); end = s.Now() })
-	s.At(10*time.Millisecond, func() { order = append(order, 1) })
-	s.At(20*time.Millisecond, func() { order = append(order, 2) })
-	s.RunUntil(forever)
-	if end != 30*time.Millisecond {
-		t.Errorf("end time %v", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order %v", order)
-	}
-}
-
-func TestSchedulerFIFOTieBreak(t *testing.T) {
-	s := NewScheduler(1)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		s.At(10*time.Millisecond, func() { order = append(order, i) })
-	}
-	s.RunUntil(forever)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events reordered: %v", order)
-		}
-	}
-}
-
-func TestSchedulerNestedScheduling(t *testing.T) {
-	s := NewScheduler(1)
-	var fired []time.Duration
-	s.At(5*time.Millisecond, func() {
-		fired = append(fired, s.Now())
-		s.After(7*time.Millisecond, func() {
-			fired = append(fired, s.Now())
-		})
-	})
-	s.RunUntil(forever)
-	if len(fired) != 2 || fired[0] != 5*time.Millisecond || fired[1] != 12*time.Millisecond {
-		t.Errorf("fired at %v", fired)
-	}
-}
-
-func TestSchedulerPastEventRunsNow(t *testing.T) {
-	s := NewScheduler(1)
-	var at time.Duration = -1
-	s.At(10*time.Millisecond, func() {
-		s.At(1*time.Millisecond, func() { at = s.Now() }) // in the past
-	})
-	s.RunUntil(forever)
-	if at != 10*time.Millisecond {
-		t.Errorf("past event ran at %v, want clamped to 10ms", at)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	s := NewScheduler(1)
-	var count int
-	for i := 1; i <= 5; i++ {
-		s.At(time.Duration(i)*10*time.Millisecond, func() { count++ })
-	}
-	s.RunUntil(25 * time.Millisecond)
-	if count != 2 {
-		t.Errorf("ran %d events, want 2", count)
-	}
-	if s.Pending() != 3 {
-		t.Errorf("pending %d, want 3", s.Pending())
-	}
-	if s.Now() != 25*time.Millisecond {
-		t.Errorf("now = %v", s.Now())
-	}
-	s.RunUntil(forever)
-	if count != 5 {
-		t.Errorf("total %d", count)
-	}
-}
-
-func TestLinkUnlimited(t *testing.T) {
-	s := NewScheduler(1)
-	l := NewLink(s, Fixed(10*time.Millisecond), 0)
-	var done int
-	var end time.Duration
-	for i := 0; i < 10; i++ {
-		l.Request(func() { done++; end = s.Now() })
-	}
-	s.RunUntil(forever)
-	if done != 10 {
-		t.Errorf("done %d", done)
-	}
-	// All in parallel: total time = one RTT.
-	if end != 10*time.Millisecond {
-		t.Errorf("end %v, want 10ms", end)
-	}
-	if l.Requests != 10 {
-		t.Errorf("requests %d", l.Requests)
-	}
-}
-
-func TestLinkConcurrencyLimit(t *testing.T) {
-	s := NewScheduler(1)
-	l := NewLink(s, Fixed(10*time.Millisecond), 2)
-	var done int
-	var end time.Duration
-	for i := 0; i < 6; i++ {
-		l.Request(func() { done++; end = s.Now() })
-	}
-	s.RunUntil(forever)
-	if done != 6 {
-		t.Errorf("done %d", done)
-	}
-	// 6 requests, 2 at a time, 10ms each → 30ms.
-	if end != 30*time.Millisecond {
-		t.Errorf("end %v, want 30ms", end)
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	run := func() time.Duration {
-		s := NewScheduler(42)
-		l := NewLink(s, LogNormal{Median: 20 * time.Millisecond, Sigma: 0.6}, 4)
-		var end time.Duration
-		for i := 0; i < 50; i++ {
-			l.Request(func() { end = s.Now() })
-		}
-		s.RunUntil(forever)
-		return end
-	}
-	if run() != run() {
-		t.Error("identical seeds produced different schedules")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	samples := []time.Duration{5, 1, 4, 2, 3}
 	if q := Quantile(samples, 0); q != 1 {
@@ -240,16 +101,5 @@ func TestQuantileNearestRank(t *testing.T) {
 	// Ranks that land exactly on a sample boundary stay put.
 	if q := Quantile(ten, 0.5); q != 5*time.Millisecond {
 		t.Errorf("p50 of 10 samples = %v, want 5ms", q)
-	}
-}
-
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewScheduler(1)
-		for j := 0; j < 1000; j++ {
-			s.After(time.Duration(j)*time.Microsecond, func() {})
-		}
-		s.RunUntil(forever)
 	}
 }

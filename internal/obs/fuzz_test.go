@@ -354,7 +354,7 @@ func FuzzPrometheusText(f *testing.F) {
 				}
 			}
 		}
-		text := r.PrometheusText()
+		text := promText(r)
 		if err := validatePromText(text); err != nil {
 			t.Fatalf("invalid exposition: %v\n%s", err, text)
 		}
@@ -403,7 +403,7 @@ func FuzzHistogramObserve(f *testing.F) {
 		if p50 > p95 || p95 > p99 {
 			t.Fatalf("quantiles not monotone: p50=%v p95=%v p99=%v", p50, p95, p99)
 		}
-		if err := validatePromText(r.PrometheusText()); err != nil {
+		if err := validatePromText(promText(r)); err != nil {
 			t.Fatalf("exposition after fuzz observations invalid: %v", err)
 		}
 	})

@@ -17,8 +17,8 @@
 //   - Deterministic under test. Snapshots and the Prometheus text are
 //     emitted in sorted series order, and the one time-dependent piece,
 //     a histogram observation made through an injected clock, is a pure
-//     function of that clock — the chaos harness replays a seeded run
-//     twice and byte-compares the rendered registry.
+//     function of that clock — the proxy's outage tests replay a seeded
+//     run twice and byte-compare the rendered registry.
 package obs
 
 import (
@@ -308,8 +308,8 @@ func (f *family) sorted() []*series {
 	return out
 }
 
-// Value finds a counter or gauge reading in a snapshot; the helper the
-// bench harnesses use to print headline series.
+// Value finds a counter or gauge reading in a snapshot; tests read one
+// series with it.
 func Value(snap []SeriesSnapshot, name string, labels ...Label) (float64, bool) {
 	name = SanitizeName(name)
 	want := labelKey(cleanLabels(labels))
@@ -319,16 +319,4 @@ func Value(snap []SeriesSnapshot, name string, labels ...Label) (float64, bool) 
 		}
 	}
 	return 0, false
-}
-
-// Hist finds a histogram summary in a snapshot.
-func Hist(snap []SeriesSnapshot, name string, labels ...Label) (SeriesSnapshot, bool) {
-	name = SanitizeName(name)
-	want := labelKey(cleanLabels(labels))
-	for _, s := range snap {
-		if s.Name == name && s.Kind == "histogram" && labelKey(s.Labels) == want {
-			return s, true
-		}
-	}
-	return SeriesSnapshot{}, false
 }

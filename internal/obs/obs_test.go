@@ -116,7 +116,7 @@ func TestPrometheusTextShape(t *testing.T) {
 	h := r.Histogram("lat", []float64{0.5, 1})
 	h.Observe(0.2)
 	h.Observe(2)
-	text := r.PrometheusText()
+	text := promText(r)
 	for _, want := range []string{
 		"# TYPE depth gauge\ndepth -2\n",
 		"# TYPE lat histogram\n",
@@ -135,7 +135,7 @@ func TestPrometheusTextShape(t *testing.T) {
 		t.Errorf("%d TYPE lines, want 3", got)
 	}
 	// Deterministic: same content renders identically.
-	if text != r.PrometheusText() {
+	if text != promText(r) {
 		t.Error("two renders of an unchanged registry differ")
 	}
 }
@@ -163,11 +163,18 @@ func TestSnapshotSortedAndValueLookup(t *testing.T) {
 func TestHistogramUserLeLabelDropped(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("h", nil, L("le", "evil"), L("k", "v")).Observe(1)
-	text := r.PrometheusText()
+	text := promText(r)
 	if strings.Contains(text, `le="evil"`) {
 		t.Fatalf("user le label leaked into exposition:\n%s", text)
 	}
 	if !strings.Contains(text, `k="v"`) {
 		t.Fatalf("legitimate label lost:\n%s", text)
 	}
+}
+
+// promText renders r through WritePrometheus, as /metrics serves it.
+func promText(r *Registry) string {
+	var sb strings.Builder
+	_ = r.WritePrometheus(&sb)
+	return sb.String()
 }

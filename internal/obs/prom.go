@@ -137,11 +137,3 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// PrometheusText renders the registry to a string (test and bench
-// convenience; the determinism checks byte-compare this).
-func (r *Registry) PrometheusText() string {
-	var sb strings.Builder
-	_ = r.WritePrometheus(&sb)
-	return sb.String()
-}

@@ -11,8 +11,8 @@
 //     are written by input index (Do, Map, MapErr), and chunk
 //     boundaries are a function of the input size only — never of the
 //     worker count (ForChunks takes an explicit chunk size). Callers
-//     that need randomness derive an independent stream per chunk with
-//     SplitSeed, not per worker.
+//     that need randomness derive an independent stream per chunk, not
+//     per worker.
 //  2. Zero dependencies. Stdlib only; the pool is a counter, a
 //     WaitGroup, and GOMAXPROCS goroutines.
 //  3. Honest fallback. At one worker every entry point degenerates to
@@ -192,19 +192,11 @@ func ForChunks(n, chunkSize int, fn func(chunk, lo, hi int)) {
 // SplitMix64 is the SplitMix64 output function (Steele et al.): the
 // state advanced by the golden-ratio increment, then finalized. It is
 // the repository's one copy, behind the filter key derivation
-// (PROTOCOL.md), the band mixer's permutation stream, the experiments'
-// key streams and SplitSeed.
+// (PROTOCOL.md), the band mixer's permutation stream and the
+// experiments' key streams.
 func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// SplitSeed derives an independent, deterministic seed for one chunk of
-// a seeded computation (SplitMix64 over the pair), so parallel loops
-// can carry per-chunk rand streams whose output does not depend on the
-// worker count or schedule.
-func SplitSeed(seed int64, chunk int) int64 {
-	return int64(SplitMix64(uint64(seed) ^ (uint64(chunk)+1)*0x9e3779b97f4a7c15))
 }

@@ -142,23 +142,6 @@ func TestForChunksBoundaries(t *testing.T) {
 	ForChunks(0, 4, func(c, lo, hi int) { t.Error("fn called for n=0") })
 }
 
-func TestSplitSeedIndependence(t *testing.T) {
-	seen := map[int64]bool{}
-	for chunk := 0; chunk < 1000; chunk++ {
-		s := SplitSeed(42, chunk)
-		if seen[s] {
-			t.Fatalf("seed collision at chunk %d", chunk)
-		}
-		seen[s] = true
-		if s != SplitSeed(42, chunk) {
-			t.Fatal("SplitSeed not deterministic")
-		}
-	}
-	if SplitSeed(1, 0) == SplitSeed(2, 0) {
-		t.Error("different run seeds collide at chunk 0")
-	}
-}
-
 func TestSetWorkersRoundTrip(t *testing.T) {
 	prev := SetWorkers(3)
 	defer SetWorkers(prev)

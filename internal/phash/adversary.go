@@ -1,7 +1,7 @@
 package phash
 
-// Attack-corpus construction for the adversarial suite (irs-bench
-// -adversary and the index regression tests). This models the
+// Attack-corpus construction for the index's adversarial tests
+// (internal/aggregator). This models the
 // bucket-density DoS an uploader can mount against an unkeyed band
 // index: because the band layout in bands.go is public, the attacker
 // fixes one band value per hash kind and randomizes everything else.
@@ -14,8 +14,9 @@ package phash
 //
 // Against a keyed index (BandMixer) the same corpus is harmless: the
 // fixed bits scatter across the mixed band layout, so bucket densities
-// return to the benign uniform regime. The -adversary harness measures
-// exactly that contrast.
+// return to the benign uniform regime.
+// TestCraftedCollisionsDegradeUnkeyedNotKeyed measures exactly that
+// contrast.
 
 import "math/rand"
 

@@ -8,7 +8,7 @@ package phash
 // hash kind while staying far apart in total Hamming distance — every
 // such upload lands in the same (kind, band) bucket, and every probe
 // sharing those band values marks the whole corpus as candidates. That
-// is the bucket-density DoS the adversarial suite mounts: lookups
+// is the bucket-density DoS the crafted-collision tests mount: lookups
 // degrade from a handful of exact verifications to O(corpus).
 //
 // BandMixer closes the precomputation hole by applying a keyed

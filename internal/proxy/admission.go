@@ -2,7 +2,7 @@ package proxy
 
 // Per-client fairness / admission control.
 //
-// The adversarial suite's flooding arm shows what happens without it:
+// TestAdmissionStampedeShieldsBenign shows what happens without it:
 // one client issuing cache-busting traffic saturates the upstream
 // budget and the benign clients' requests fail or stall behind it.
 // Admission is the front door that prevents that — a token bucket per

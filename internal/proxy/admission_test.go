@@ -1,9 +1,13 @@
 package proxy
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,6 +155,128 @@ func TestAdmissionMaxClientsRidesOverflow(t *testing.T) {
 	// Tracked clients keep their private buckets through the churn.
 	if !v.Admit("a", 4) {
 		t.Fatal("tracked client lost its bucket to key churn")
+	}
+}
+
+// TestAdmissionStampedeShieldsBenign: a cache-busting flood, timed at
+// the moment every cached proof expires, races benign page views for an
+// upstream that answers a bounded number of ids per epoch. Without
+// admission the flood drains the epoch's budget and benign pages fail;
+// with it the flooder is denied at the door after its burst and the
+// overflow lane, and every benign page is served. A benign twin with no
+// flood is served in full. The flood runs to completion before the
+// page views and the clock is frozen, so every count is a function of
+// the bucket parameters alone.
+func TestAdmissionStampedeShieldsBenign(t *testing.T) {
+	const nIDs, workers, pages, batch, flood = 512, 4, 8, 24, 3000
+	fl := newFakeLedger()
+	pop := make([]ids.PhotoID, nIDs)
+	for i := range pop {
+		pop[i] = mustNewID(t, 1)
+		fl.states[pop[i]] = ledger.StateActive
+		if i%10 == 0 {
+			fl.states[pop[i]] = ledger.StateRevoked
+		}
+	}
+	errOverload := errors.New("upstream over capacity")
+
+	// run returns the benign pages served with the truth, and the
+	// flood requests admission denied.
+	run := func(flooded, admission bool) (served, floodDenied int) {
+		now := time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC)
+		var budget atomic.Int64
+		adm := AdmissionConfig{}
+		if admission {
+			// A benign client's whole storm fits its private burst (the
+			// frozen clock refills nothing); the flooder gets the same
+			// burst plus the small shared lane, then is denied.
+			adm = AdmissionConfig{
+				Enabled:       true,
+				Rate:          pages * batch,
+				Burst:         pages * batch,
+				OverflowRate:  1,
+				OverflowBurst: batch,
+			}
+		}
+		v := NewValidator(Config{
+			CacheCapacity: 2 * nIDs,
+			CacheTTL:      time.Minute,
+			Clock:         func() time.Time { return now },
+			Admission:     adm,
+		}, func(lid ids.LedgerID, b []ids.PhotoID) ([]*ledger.StatusProof, error) {
+			if budget.Add(-int64(len(b))) < 0 {
+				return nil, errOverload
+			}
+			return fl.batch(lid, b)
+		})
+		budget.Store(4 * nIDs)
+		for lo := 0; lo < nIDs; lo += batch {
+			if _, err := v.ValidateBatch(pop[lo:min(lo+batch, nIDs)]); err != nil {
+				t.Fatalf("preload: %v", err)
+			}
+		}
+		// The epoch barrier: every cached proof expires at once, and the
+		// upstream's budget is the benign demand plus slack.
+		now = now.Add(2 * time.Minute)
+		budget.Store(workers*pages*batch + nIDs)
+		if flooded {
+			frng := rand.New(rand.NewSource(0xf10cd))
+			for i := 0; i < flood; i++ {
+				var id ids.PhotoID // never claimed: every one an upstream miss
+				id.Ledger = 1
+				frng.Read(id.Rec[:])
+				if !v.Admit("flooder", 1) {
+					floodDenied++
+					continue
+				}
+				_, _ = v.Validate(id)
+			}
+		}
+		var wg sync.WaitGroup
+		servedBy := make([]int, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(0x57a0 + w)))
+				zipf := rand.NewZipf(rng, 1.1, 1, nIDs-1)
+				page := make([]ids.PhotoID, batch)
+				client := fmt.Sprintf("benign-%d", w)
+				for p := 0; p < pages; p++ {
+					for i := range page {
+						page[i] = pop[zipf.Uint64()]
+					}
+					if !v.Admit(client, len(page)) {
+						continue
+					}
+					res, err := v.ValidateBatch(page)
+					ok := err == nil
+					for i := range res {
+						ok = ok && res[i].State == fl.states[page[i]]
+					}
+					if ok {
+						servedBy[w]++
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, n := range servedBy {
+			served += n
+		}
+		return served, floodDenied
+	}
+
+	const total = workers * pages
+	if served, denied := run(true, true); served < total*99/100 || denied < flood*9/10 {
+		t.Errorf("admission on: %d/%d benign pages served, %d/%d flood requests denied; want >= 99%% and >= 90%%",
+			served, total, denied, flood)
+	}
+	if served, _ := run(true, false); served >= total*99/100 {
+		t.Errorf("admission off: %d/%d benign pages served; the unthrottled flood should starve them", served, total)
+	}
+	if served, _ := run(false, false); served != total {
+		t.Errorf("benign twin: %d/%d pages served, want all", served, total)
 	}
 }
 

@@ -442,7 +442,7 @@ func TestValidateBatchAllocationBudget(t *testing.T) {
 	if _, err := v.ValidateBatch(page); err != nil { // fills the cache
 		t.Fatal(err)
 	}
-	v.ResetStats()
+	v.resetStats()
 	const runs = 100
 	allocs := testing.AllocsPerRun(runs, func() {
 		for _, id := range queried {
@@ -484,7 +484,7 @@ func TestUndefinedStateIsNotCached(t *testing.T) {
 					t.Fatal(err)
 				}
 				advance(2 * time.Minute)
-				v.ResetStats()
+				v.resetStats()
 			}
 			answers[bad].State = 9
 			res, err := v.ValidateBatch(page)
@@ -524,7 +524,7 @@ func TestUndefinedStateIsNotCached(t *testing.T) {
 			}
 			// Once the ledger answers properly the id is asked again.
 			answers[bad].State = ledger.StateRevoked
-			v.ResetStats()
+			v.resetStats()
 			if res, err = v.ValidateBatch(page); err != nil {
 				t.Fatal(err)
 			}

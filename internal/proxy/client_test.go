@@ -116,7 +116,8 @@ func sameAnswer(j ValidateResponse, b ClientResult) bool {
 // against the IRSW1 client: on a fixed-clock ledger, the browser's JSON
 // answer and the client's answer carry identical decisions and
 // byte-identical proofs, for the page round and for a single image
-// (the JSON-only GET against a one-id IRSW1 batch).
+// (the JSON-only GET against a one-id IRSW1 batch), and each proof
+// equals the ledger's direct answer.
 // The proxy's upstream hop to the ledger speaks IRSW1, the only
 // encoding a wire.Client sends.
 func TestProxyClientCodecsAgree(t *testing.T) {
@@ -156,6 +157,20 @@ func testProxyClientCodecsAgree(t *testing.T) {
 	}
 	if bres[1].State == ledger.StateActive || bres[1].Displayable || bres[1].Proof == nil {
 		t.Errorf("revoked photo answered %+v", bres[1])
+	}
+	// A proof that crossed both hops as IRSW1, rebuilt from its ledger
+	// tail, is byte-identical to the ledger's own direct answer.
+	for i, id := range batch {
+		if bres[i].Proof == nil {
+			continue
+		}
+		direct, err := st.ledger.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bres[i].Proof, direct.Marshal()) {
+			t.Errorf("result %d: proof differs from the ledger's direct answer", i)
+		}
 	}
 
 	// The single-image GET answers JSON even to a request asking for

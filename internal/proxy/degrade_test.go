@@ -215,9 +215,9 @@ func TestBreakerBatchFastFail(t *testing.T) {
 // Concurrent pages race for the half-open slot after a recovered
 // outage: exactly one is admitted as the probe, everyone who arrives
 // while it is in flight fast-fails without touching the ledger, and its
-// answer closes the breaker for all of them. (irs-bench -chaos sends
-// its recovery probe serially from the phase barrier, so this is where
-// half-open admission runs under contention.)
+// answer closes the breaker for all of them. (The outage tests send
+// their recovery probe serially from the phase barrier, so this is
+// where half-open admission runs under contention.)
 func TestBreakerHalfOpenConcurrentAdmission(t *testing.T) {
 	const workers = 8
 	clock, advance := fakeClock(time.Date(2022, 11, 14, 0, 0, 0, 0, time.UTC))

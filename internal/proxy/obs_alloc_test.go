@@ -51,7 +51,7 @@ func TestObsAddsNoAllocations(t *testing.T) {
 		if _, err := v.ValidateBatch(page); err != nil { // warm the cache third
 			t.Fatal(err)
 		}
-		v.ResetStats()
+		v.resetStats()
 		batch = testing.AllocsPerRun(50, func() {
 			for _, id := range queried {
 				v.Invalidate(id)

@@ -617,10 +617,10 @@ type sfWait struct {
 // A waiter whose flight failed re-enters once instead of adopting the
 // error: the failure belonged to the leader's attempt (a transient
 // fault, or a breaker that has since closed), and handing it to every
-// waiter turns one failed request into a herd of failures — what the
-// celebrity-takedown attack arm measures. One re-entry bounds the extra
-// upstream load at 2× per caller; if the retry fails too, the error
-// stands.
+// waiter turns one failed request into a herd of failures — what
+// TestSingleflightHerdRecoversFromLeaderFailure measures. One re-entry
+// bounds the extra upstream load at 2× per caller; if the retry fails
+// too, the error stands.
 func (v *Validator) resolveBatch(queryIDs []ids.PhotoID, answers []answer, led, cuts []int32, sub []ids.PhotoID, kept *proofSlab) {
 	if v.query == nil {
 		for j := range answers {

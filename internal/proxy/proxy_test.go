@@ -3,6 +3,7 @@ package proxy
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -373,7 +374,7 @@ func TestStatsReset(t *testing.T) {
 	if _, err := v.Validate(mustNewID(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	v.ResetStats()
+	v.resetStats()
 	st := v.Stats()
 	if st.Total != 0 || st.LedgerQueries != 0 {
 		t.Errorf("stats after reset: %+v", st)
@@ -457,52 +458,82 @@ func TestSingleflightHerdRecoversFromLeaderFailure(t *testing.T) {
 	// hits exactly the leader's call, then the upstream recovers. The
 	// old singleflight handed the leader's error to every waiter —
 	// turning one failed round trip into a whole herd of failures even
-	// though a retry would have succeeded. With waiter re-entry, at
-	// most the leader itself fails; every waiter re-enters once and is
+	// though a retry would have succeeded. With waiter re-entry, only
+	// the leader itself fails; every waiter re-enters once and is
 	// answered by the recovered upstream, regardless of scheduling.
-	const herd = 32
+	// Each wave invalidates the celebrity id (its takedown just
+	// propagated) and faults the wave's first call again; meanwhile
+	// every herd member also validates cached collateral ids, which
+	// the fault must not touch.
+	const herd, waves, collateral = 32, 4, 2
 	var mu sync.Mutex
-	calls := 0
-	release := make(chan struct{})
-	v := NewValidator(Config{CacheCapacity: 4}, perID(func(id ids.PhotoID) (*ledger.StatusProof, error) {
+	calls, failNext := 0, false
+	var release chan struct{}
+	v := NewValidator(Config{CacheCapacity: 128}, perID(func(id ids.PhotoID) (*ledger.StatusProof, error) {
 		mu.Lock()
 		calls++
-		first := calls == 1
+		fail, held := failNext, release
+		failNext = false
 		mu.Unlock()
-		if first {
-			<-release // hold the herd on this flight, then fail it
+		if fail {
+			<-held // hold the herd on this flight, then fail it
 			return nil, errors.New("transient fault")
 		}
 		return &ledger.StatusProof{ID: id, State: ledger.StateActive, IssuedAt: time.Now()}, nil
 	}))
 	id := mustNewID(t, 1)
-	var wg sync.WaitGroup
-	errs := make([]error, herd)
-	for i := 0; i < herd; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = v.Validate(id)
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	failed := 0
-	for _, err := range errs {
-		if err != nil {
-			failed++
+	warm := make([]ids.PhotoID, herd*collateral)
+	for i := range warm {
+		warm[i] = mustNewID(t, 1)
+		if _, err := v.Validate(warm[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Only the caller whose own attempt was the failing flight may
-	// fail; callers that merely waited must succeed via re-entry.
-	if failed > 1 {
-		t.Fatalf("%d of %d herd callers failed after a single transient fault; want at most 1", failed, herd)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls < 2 || calls > herd+1 {
-		t.Fatalf("upstream called %d times, want 2..%d", calls, herd+1)
+	for wave := 0; wave < waves; wave++ {
+		v.Invalidate(id)
+		mu.Lock()
+		calls, failNext, release = 0, true, make(chan struct{})
+		mu.Unlock()
+		var wg sync.WaitGroup
+		errs := make([]error, herd)
+		var collateralFailed atomic.Int32
+		for i := 0; i < herd; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, errs[i] = v.Validate(id)
+				for _, c := range warm[i*collateral : (i+1)*collateral] {
+					if _, err := v.Validate(c); err != nil {
+						collateralFailed.Add(1)
+					}
+				}
+			}(i)
+		}
+		time.Sleep(20 * time.Millisecond)
+		mu.Lock()
+		close(release)
+		mu.Unlock()
+		wg.Wait()
+		failed := 0
+		for _, err := range errs {
+			if err != nil {
+				failed++
+			}
+		}
+		// Exactly the caller whose own attempt was the failing flight
+		// fails; callers that merely waited succeed via re-entry.
+		if failed != 1 {
+			t.Fatalf("wave %d: %d of %d herd callers failed after a single transient fault; want exactly 1", wave, failed, herd)
+		}
+		if n := collateralFailed.Load(); n != 0 {
+			t.Fatalf("wave %d: %d collateral validations failed; want 0", wave, n)
+		}
+		mu.Lock()
+		if calls < 2 || calls > herd+1 {
+			mu.Unlock()
+			t.Fatalf("wave %d: upstream called %d times, want 2..%d", wave, calls, herd+1)
+		}
+		mu.Unlock()
 	}
 }
 
@@ -635,7 +666,7 @@ func TestPageHerdAsksSharedIDOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		v.Invalidate(shared)
-		v.ResetStats()
+		v.resetStats()
 		mu.Lock()
 		hold, armed, asked = true, fault, map[ids.PhotoID]int{}
 		mu.Unlock()

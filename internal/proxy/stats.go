@@ -109,7 +109,7 @@ func (s *stats) observeUpstream(h *obs.Histogram, start time.Time) {
 }
 
 // StatsSnapshot is a plain-value copy of the outcome counters — the
-// view experiment reports and the chaos harness serialize. It reads
+// view experiment reports and the proxy's /v1/stats serialize. It reads
 // through to the obs registry; the old standalone Stats struct is gone.
 type StatsSnapshot struct {
 	Total            uint64 `json:"total"`
@@ -134,9 +134,9 @@ func (v *Validator) Stats() StatsSnapshot {
 	}
 }
 
-// ResetStats zeroes the outcome counters between experiment phases.
-// Histograms are not reset; experiments measure them by snapshot delta.
-func (v *Validator) ResetStats() {
+// resetStats zeroes the outcome counters between test phases.
+// Histograms are not reset; tests measure them by snapshot delta.
+func (v *Validator) resetStats() {
 	v.st.total.Store(0)
 	for o := outcome(0); o < numOutcomes; o++ {
 		v.st.outcomes[o].Store(0)

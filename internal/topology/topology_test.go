@@ -143,6 +143,36 @@ func TestReplicaCatchUp(t *testing.T) {
 	if !r.Ready() {
 		t.Fatal("replica not ready after incremental catch-up")
 	}
+
+	// A tiered deployment runs several regional replicas off one
+	// origin: each catches up from the same signed checkpoint in one
+	// pass and must hold the origin's StateHash.
+	t.Run("replicas=3", func(t *testing.T) {
+		oh, err := o.L.StateHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			rep, err := NewReplica(4, o.ReplicationKey(), reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rep.L.Close()
+			if err := rep.CatchUp(o, cp2); err != nil {
+				t.Fatalf("replica %d: %v", i, err)
+			}
+			if !rep.Ready() || rep.applied != cp2.Seq {
+				t.Fatalf("replica %d: ready %v, applied %d, want ready at %d", i, rep.Ready(), rep.applied, cp2.Seq)
+			}
+			rh, err := rep.L.StateHash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rh != oh {
+				t.Fatalf("replica %d: StateHash differs from origin", i)
+			}
+		}
+	})
 }
 
 // TestReplicaRejectsTamperedCheckpoint: a forged or bit-flipped

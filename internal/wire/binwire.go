@@ -70,16 +70,12 @@ import (
 // idempotency rules. Error bodies are always the JSON wire.Error.
 
 // Codec names a hot-RPC encoding. The Go clients no longer choose one;
-// irs-bench's topology simulation serializes the server shapes under
-// each.
+// only bench/ still passes it (ROADMAP 1(a) deletes it). The zero Codec
+// is JSON, the encoding servers answer browsers in.
 type Codec int
 
-const (
-	// CodecJSON is the JSON encoding servers answer for browsers.
-	CodecJSON Codec = iota
-	// CodecBinary is IRSW1.
-	CodecBinary
-)
+// CodecBinary is IRSW1.
+const CodecBinary Codec = 1
 
 // String implements fmt.Stringer.
 func (c Codec) String() string {
@@ -87,18 +83,6 @@ func (c Codec) String() string {
 		return "binary"
 	}
 	return "json"
-}
-
-// ParseCodec maps irs-bench's -wire flag values onto a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch strings.TrimSpace(s) {
-	case "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return CodecJSON, fmt.Errorf("wire: bad codec %q (json|binary)", s)
-	}
 }
 
 // Media types.

@@ -33,7 +33,7 @@ type RetryClient struct {
 	rng    *rand.Rand
 	budget float64
 
-	stats RetryStats
+	counts RetryStats
 }
 
 // RetryConfig parameterizes a RetryClient. Zero values pick defaults
@@ -80,10 +80,10 @@ type RetryStats struct {
 
 // RetryStatsSnapshot is a plain-value copy.
 type RetryStatsSnapshot struct {
-	Calls        uint64 `json:"calls"`
-	Attempts     uint64 `json:"attempts"`
-	Retries      uint64 `json:"retries"`
-	BudgetDenied uint64 `json:"budget_denied"`
+	Calls        uint64
+	Attempts     uint64
+	Retries      uint64
+	BudgetDenied uint64
 }
 
 // ContextService is implemented by transports whose calls can be
@@ -122,13 +122,13 @@ func NewRetryClient(svc Service, cfg RetryConfig) *RetryClient {
 	}
 }
 
-// Stats returns a snapshot of the decorator's counters.
-func (r *RetryClient) Stats() RetryStatsSnapshot {
+// stats returns a snapshot of the decorator's counters.
+func (r *RetryClient) stats() RetryStatsSnapshot {
 	return RetryStatsSnapshot{
-		Calls:        r.stats.Calls.Load(),
-		Attempts:     r.stats.Attempts.Load(),
-		Retries:      r.stats.Retries.Load(),
-		BudgetDenied: r.stats.BudgetDenied.Load(),
+		Calls:        r.counts.Calls.Load(),
+		Attempts:     r.counts.Attempts.Load(),
+		Retries:      r.counts.Retries.Load(),
+		BudgetDenied: r.counts.BudgetDenied.Load(),
 	}
 }
 
@@ -202,9 +202,9 @@ func (r *RetryClient) attempt() (Service, context.CancelFunc) {
 
 // do runs call with the retry policy.
 func (r *RetryClient) do(idempotent bool, call func(Service) error) error {
-	r.stats.Calls.Add(1)
+	r.counts.Calls.Add(1)
 	for n := 0; ; n++ {
-		r.stats.Attempts.Add(1)
+		r.counts.Attempts.Add(1)
 		svc, cancel := r.attempt()
 		err := call(svc)
 		cancel()
@@ -216,10 +216,10 @@ func (r *RetryClient) do(idempotent bool, call func(Service) error) error {
 			return err
 		}
 		if !r.spend() {
-			r.stats.BudgetDenied.Add(1)
+			r.counts.BudgetDenied.Add(1)
 			return err
 		}
-		r.stats.Retries.Add(1)
+		r.counts.Retries.Add(1)
 		r.cfg.Sleep(r.backoff(n))
 	}
 }

@@ -76,7 +76,7 @@ func TestRetryIdempotentRetriesTransientFailure(t *testing.T) {
 	if len(sleeps) != 2 {
 		t.Errorf("backoffs %d, want 2", len(sleeps))
 	}
-	st := rc.Stats()
+	st := rc.stats()
 	if st.Retries != 2 || st.Calls != 1 || st.Attempts != 3 {
 		t.Errorf("stats %+v", st)
 	}
@@ -136,7 +136,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	// retries spent on the way.
 	drain := func() uint64 {
 		t.Helper()
-		before := rc.Stats().Retries
+		before := rc.stats().Retries
 		for {
 			script(down, down, down, down)
 			start := svc.calls
@@ -144,7 +144,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 				t.Fatal("down service succeeded")
 			}
 			if svc.calls-start == 1 {
-				return rc.Stats().Retries - before
+				return rc.stats().Retries - before
 			}
 		}
 	}
@@ -163,7 +163,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if got := drain(); got != retryBudgetCap {
 		t.Fatalf("full budget allowed %d retries, want %d", got, retryBudgetCap)
 	}
-	if rc.Stats().BudgetDenied == 0 {
+	if rc.stats().BudgetDenied == 0 {
 		t.Error("budget denial not counted")
 	}
 	// One and a half tokens' worth of successes earn one retry.
@@ -249,8 +249,8 @@ func TestRetryAttemptDeadline(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("call took %v; per-attempt deadline not enforced", elapsed)
 	}
-	if rc.Stats().Attempts != 2 {
-		t.Errorf("attempts %d, want 2 (deadline errors on idempotent calls retry)", rc.Stats().Attempts)
+	if rc.stats().Attempts != 2 {
+		t.Errorf("attempts %d, want 2 (deadline errors on idempotent calls retry)", rc.stats().Attempts)
 	}
 }
 

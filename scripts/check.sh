@@ -70,8 +70,8 @@ stage "export callers"
 # Fault-injection and degradation paths re-run under the race detector
 # explicitly (they are the newest concurrency surface; -race ./... above
 # already covers them, this names them so a failure is legible).
-go test -race -run 'Faulty|Retry|Breaker|Degrade|FailOpen|FailClosed|WAL|Directory|Reuse' \
-    ./internal/netsim ./internal/wire ./internal/proxy ./internal/ledger
+go test -race -run 'Retry|Breaker|Degrade|FailOpen|FailClosed|WAL|Directory|Reuse' \
+    ./internal/wire ./internal/proxy ./internal/ledger
 stage "fault injection"
 
 # The derivative-lookup index's lock-free snapshot scheme and its
@@ -245,18 +245,18 @@ go test -run='^$' -fuzz='^FuzzApplyUpdate$' -fuzztime=10s ./internal/bloom
 go test -run='^$' -fuzz='^FuzzMergeDeltas$' -fuzztime=10s ./internal/bloom
 stage "delta fuzz"
 
-# The surviving irs-bench harnesses at smoke size, in-process: each
-# returns an error when a gate it enforces before timing fails (-lookup
-# arms agree on every probe, -topology replicas match the origin's
-# StateHash and codec twins decide alike, -chaos same-seed traces
-# repeat), and each report is decoded back into its schema. The
-# committed BENCH_{lookup,topology,chaos}.json are the full-scale runs
-# (seed 42).
-go test -race -run 'LookupQuickArmsAgree|TopologyQuickStateHashGate|ChaosQuickReport' ./cmd/irs-bench
-stage "irs-bench harnesses"
+# Index, replica and outage gates: banded lookups from four concurrent
+# clients equal the linear scan, a caught-up replica's StateHash equals
+# the origin's, a proof that crossed both hops as IRSW1 equals the
+# ledger's direct answer, and the four degradation postures serve what
+# they must through a seeded outage, with same-seed traces repeating.
+go test -race -run 'IndexedLinearDifferential' ./internal/aggregator
+go test -race -run 'ReplicaCatchUp' ./internal/topology
+go test -race -run 'ProxyClientCodecsAgree|OutagePostures' ./internal/proxy
+stage "index, replica and outage gates"
 
 # Observability layer: the metrics-conservation invariant end to end,
-# the chaos obs determinism replay, the obs package's own suite, and
+# the outage obs determinism replay, the obs package's own suite, and
 # the overhead gate — a validator with a registry allocates exactly
 # what one without does for a 48-photo page — all under the race
 # detector. With the gate, the proxy's by-value proof cache: the arena
@@ -272,7 +272,7 @@ stage "irs-bench harnesses"
 # answer carries the ledger's own proof; a ledger scratch reused across
 # pages of other sizes answers as a fresh one.
 go test -race -run 'MetricsConservation' ./internal/integration
-go test -race -run 'ChaosObsDeterminism' ./cmd/irs-bench
+go test -race -run 'OutageObsDeterminism' ./internal/proxy
 go test -race -run 'ObsAddsNoAllocations|CacheMatchesListReference|CacheHammer|ProofOwnership|UndefinedState|Singleflight|PageHerd|PooledPagesHammer|StatusBatchIntoReusedScratch' \
     ./internal/proxy ./internal/ledger ./internal/wire
 go test -race ./internal/obs
@@ -338,8 +338,10 @@ stage "obs fuzz"
 go test -race -run 'IRSW1AnswersAreContentLengthFramed|ClientSendsNoAcceptEncoding|Binary|ProxyClient|FirstRequestIsIRSW1|SendsNoWireAdvertisement|KeepAliveReuseAtHighConcurrency|ConnectionRefused|ClientRefusesOversized|WrongShapes|ServerRejectsHostileBodies|WritePlaneJSONMatchesIRSW1|WriteRoutesKeepNothingOfPooledBody|WriteFrameRoundtrips|WriteClientRefusesMisSizedFields|ClientStatusMatchesLoopback|BadRequests|WireVectors|IRSW1ProofsMatchLedgerAndJSON|RetiredServingKindsRefused|ProxyClientRefusesMalformedAnswer|MisorderedLedgerAnswerRefutedOnlyBySignature' \
     ./internal/wire ./internal/proxy
 # The canonical signed messages (claim, owner ops, status proofs) pinned
-# to their conformance vectors and to PROTOCOL.md's table, under -race.
+# to their conformance vectors and to PROTOCOL.md's table, and the
+# identifier text form to its vectors, under -race.
 go test -race -run 'SignedMessageVectors' ./internal/ledger
+go test -race -run 'IDVectors' ./internal/ids
 stage "wire codec"
 
 # Fuzz the IRSW1 frame decoder (length prefix, CRC, per-kind payload
@@ -430,19 +432,18 @@ done
 stage examples
 
 # Adversarial suite: keyed-band-mixer identity/differential proofs,
-# the crafted-collision degradation regression, the admission-control
-# suite (identical decisions under benign traffic, flood isolation,
-# key churn, POST /v1/refresh charged one token per ledger and denied
-# with no upstream call), the singleflight herd leader-failure
-# contract for single ids and for pages, and the
-# takedown/revalidation/upload torn-state hammer, named under -race.
-# The adversary harness itself runs at quick scale in
-# AdversaryQuickDeterministicAndGated.
+# the crafted-collision degradation regression against its benign
+# twin, the admission-control suite (identical decisions under benign
+# traffic, flood isolation, key churn, a stampede at cache expiry that
+# admission keeps off benign pages, POST /v1/refresh charged one token
+# per ledger and denied with no upstream call), the singleflight herd
+# leader-failure contract for single ids, in waves with collateral,
+# and for pages, and the takedown/revalidation/upload torn-state
+# hammer, named under -race.
 go test -race -run 'BandMixer|CraftedCollisions|KeyedIndexedLinearDifferential' \
     ./internal/phash ./internal/aggregator
 go test -race -run 'Admission|ClientKey|Singleflight|PageHerd' ./internal/proxy
 go test -race -run 'TakedownRevalidateUploadHammer' ./internal/aggregator
-go test -race -run 'AdversaryQuickDeterministicAndGated' ./cmd/irs-bench
 stage adversarial
 
 # Fuzz the admission token accounting (clock skew, key churn, cost
